@@ -39,13 +39,11 @@
 mod auction;
 pub mod bsuitor;
 mod cost;
-pub mod dense;
 mod hungarian;
 
 pub use auction::auction;
 pub use bsuitor::{bsuitor_assignment, bsuitor_matching, Edge};
 pub use cost::CostMatrix;
-pub use dense::{bsuitor_assignment_ints, DenseBsuitor};
 pub use hungarian::hungarian;
 
 

@@ -72,41 +72,6 @@ proptest! {
         prop_assert!(approx_w >= 0.5 * exact_w - 1e-6);
     }
 
-    #[test]
-    fn dense_bsuitor_bit_identical_to_generic(
-        dims in (1usize..10, 1usize..14).prop_filter("r<=c", |(r, c)| r <= c),
-        seed in 0u64..500,
-        max_cost in 0u32..50,
-    ) {
-        use fare_rt::rand::{Rng, SeedableRng};
-        let (r, c) = dims;
-        let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(seed);
-        let ints: Vec<u32> = (0..r * c).map(|_| rng.gen_range(0..=max_cost)).collect();
-        let cost = CostMatrix::from_vec(r, c, ints.iter().map(|&v| v as f64).collect());
-        let fast = fare_matching::bsuitor_assignment_ints(r, c, &ints);
-        let slow = bsuitor_assignment(&cost);
-        prop_assert_eq!(&fast.assignment, &slow.assignment);
-        prop_assert_eq!(fast.total_cost.to_bits(), slow.total_cost.to_bits());
-
-        // The histogram-driven entry must agree with both on the same
-        // matrix when fed naively-counted histograms.
-        let stride = max_cost as usize + 1;
-        let mut row_hist = vec![0u32; r * stride];
-        let mut col_hist = vec![0u32; c * stride];
-        for (i, &v) in ints.iter().enumerate() {
-            row_hist[(i / c) * stride + v as usize] += 1;
-            col_hist[(i % c) * stride + v as usize] += 1;
-        }
-        let mut solver = fare_matching::DenseBsuitor::new();
-        let assigned = solver.solve_assigned(r, c, &ints, &mut row_hist, &mut col_hist, stride);
-        let want: Vec<u32> = fast
-            .assignment
-            .iter()
-            .map(|col| col.expect("complete") as u32)
-            .collect();
-        prop_assert_eq!(assigned, &want[..]);
-    }
-
     // The structural theorem the mapping layer's level-greedy G₁ solver
     // rests on: every vertex ranks its edges by the common total order
     // (cost asc, row id asc, col id asc), so the b-Suitor fixed point is
@@ -141,7 +106,8 @@ proptest! {
             }
         }
 
-        let suitor = fare_matching::bsuitor_assignment_ints(r, c, &ints);
+        let cost = CostMatrix::from_vec(r, c, ints.iter().map(|&v| v as f64).collect());
+        let suitor = bsuitor_assignment(&cost);
         let suitor_cols: Vec<u32> = suitor
             .assignment
             .iter()
