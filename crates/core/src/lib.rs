@@ -43,6 +43,7 @@
 pub mod ablation;
 pub mod clipping;
 pub mod clustering;
+mod engine;
 pub mod experiments;
 mod faulty;
 pub mod link_prediction;

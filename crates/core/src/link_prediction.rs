@@ -8,6 +8,10 @@
 //! product ([`fare_gnn::link`]), and reports held-out AUC — so FARe's
 //! protection can be evaluated on a second task family.
 //!
+//! The runner is the link-prediction task on the faulty hardware model
+//! of the one training engine, so it honours every [`TrainConfig`] field
+//! the classification trainer does, post-deployment faults included.
+//!
 //! Two calibration notes:
 //!
 //! - *Attainable AUC*: the synthetic datasets are stochastic block
@@ -24,21 +28,16 @@
 //!   clips *healthy* weights and FARe loses its edge.
 
 use fare_gnn::link::{auc, bce_loss_and_grad, pair_scores};
-use fare_gnn::{Adam, Gnn, GnnDims};
-use fare_graph::batch::make_batches;
+use fare_gnn::{Gnn, WeightReader};
+use fare_graph::batch::MiniBatch;
 use fare_graph::datasets::Dataset;
-use fare_graph::partition::partition;
 use fare_graph::CsrGraph;
-use fare_reram::CrossbarArray;
-use fare_tensor::Matrix;
+use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::Rng;
+use fare_tensor::Matrix;
 
-use crate::faulty::FaultyWeightReader;
-use crate::mapping::{
-    map_adjacency, reordered_sequential_mapping, sequential_mapping, MappingConfig,
-};
-use crate::trainer::hardware_view;
-use crate::{FaultStrategy, TrainConfig};
+use crate::engine::{self, Batch, Faulty, Hardware, Task};
+use crate::TrainConfig;
 
 /// Per-epoch link-prediction statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,18 +68,6 @@ pub struct LinkOutcome {
 
 fare_rt::json_struct!(LinkOutcome { history, final_auc, test_edges, embeddings });
 
-struct LinkBatch {
-    nodes: Vec<usize>,
-    adj: Matrix,
-    /// Corrupted training adjacency with cached normalisations. This
-    /// runner never injects post-deployment faults or remaps, so the
-    /// view built at batch assembly stays exact for the whole run.
-    view: fare_graph::GraphView,
-    features: Matrix,
-    train_pos: Vec<(usize, usize)>,
-    test_pos: Vec<(usize, usize)>,
-}
-
 fn sample_negatives(
     n: usize,
     graph: &CsrGraph,
@@ -100,165 +87,132 @@ fn sample_negatives(
     out
 }
 
-/// Trains a link predictor under `config` (model, epochs, faults,
-/// strategy all honoured; `hidden_dim` doubles as the embedding
-/// dimension) and returns held-out AUC.
+/// Link prediction: dot-product BCE against sampled non-edges, scored
+/// by held-out AUC.
+struct LinkPrediction {
+    seed: u64,
+    embedding_dim: usize,
+    /// Held-out edges scored by the latest evaluation.
+    test_edges: usize,
+}
+
+/// A batch's training and held-out edges. The training edges form the
+/// batch's graph, the one the hardware aggregates over.
+struct Edges {
+    train_pos: Vec<(usize, usize)>,
+    test_pos: Vec<(usize, usize)>,
+}
+
+impl Task for LinkPrediction {
+    type Data = Edges;
+    type Epoch = LinkEpochStats;
+    const RNG_DOMAIN: &'static str = "link-prediction";
+
+    fn output_dim(&self, _: &TrainConfig, _: &Dataset) -> usize {
+        self.embedding_dim
+    }
+
+    fn prepare(
+        &self,
+        batch: &MiniBatch,
+        _: &Dataset,
+        rng: &mut StdRng,
+    ) -> Option<(CsrGraph, Edges)> {
+        if batch.graph.num_edges() < 5 {
+            return None;
+        }
+        // Hold out ~10% of the batch's edges for evaluation, after a
+        // deterministic shuffle.
+        let mut edges: Vec<(usize, usize)> = batch.graph.edges().collect();
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.gen_range(0..=i));
+        }
+        let holdout = (edges.len() / 10).max(1);
+        let test_pos = edges[..holdout].to_vec();
+        let train_pos = edges[holdout..].to_vec();
+        let train_graph = CsrGraph::from_edges(batch.num_nodes(), &train_pos);
+        Some((train_graph, Edges { train_pos, test_pos }))
+    }
+
+    fn loss<S>(
+        &self,
+        batch: &Batch<Edges, S>,
+        emb: &Matrix,
+        rng: &mut StdRng,
+    ) -> Option<(f64, Matrix)> {
+        let pos = &batch.data.train_pos;
+        let negs = sample_negatives(batch.graph.num_nodes(), &batch.graph, pos.len(), rng);
+        if pos.is_empty() && negs.is_empty() {
+            return None;
+        }
+        Some(bce_loss_and_grad(emb, pos, &negs))
+    }
+
+    fn evaluate<S>(
+        &mut self,
+        epoch: usize,
+        loss: f64,
+        model: &Gnn,
+        reader: &impl WeightReader,
+        batches: &[Batch<Edges, S>],
+    ) -> LinkEpochStats {
+        let mut eval_rng = fare_rt::domain_rng(self.seed.wrapping_add(epoch as u64), "link-eval");
+        let mut pos_scores = Vec::new();
+        let mut neg_scores = Vec::new();
+        for batch in batches {
+            let (emb, _) = model.forward(&batch.view, &batch.features, reader);
+            let test_pos = &batch.data.test_pos;
+            pos_scores.extend(pair_scores(&emb, test_pos));
+            let n = batch.graph.num_nodes();
+            let negs = sample_negatives(n, &batch.graph, test_pos.len(), &mut eval_rng);
+            neg_scores.extend(pair_scores(&emb, &negs));
+        }
+        self.test_edges = pos_scores.len();
+        LinkEpochStats {
+            epoch,
+            loss,
+            auc: auc(&pos_scores, &neg_scores),
+        }
+    }
+}
+
+/// Trains a link predictor under `config` on faulty hardware — every
+/// field is honoured as in [`crate::Trainer::run`], and `hidden_dim`
+/// doubles as the embedding dimension — and returns held-out AUC.
 ///
 /// 10 % of each batch subgraph's edges are held out of the training
 /// adjacency and used, against an equal number of sampled non-edges, for
-/// evaluation.
+/// evaluation. Batches with fewer than 5 edges are left out.
 ///
 /// # Panics
 ///
-/// Panics on the same configuration errors as [`crate::Trainer::new`].
+/// Panics if the configuration fails [`TrainConfig::validate`] or no
+/// batch has enough edges.
 pub fn run_link_prediction(config: &TrainConfig, seed: u64, dataset: &Dataset) -> LinkOutcome {
-    assert!(config.epochs > 0, "epochs must be positive");
-    assert_eq!(config.crossbar_size % 8, 0, "crossbar size must be a multiple of 8");
-    let cfg = config;
-    let mut rng = fare_rt::domain_rng(seed, "link-prediction");
-    let n_xbar = cfg.crossbar_size;
-    let map_cfg = MappingConfig {
-        matcher: cfg.matcher,
-        prune: true,
-        ..MappingConfig::default()
+    let mut task = LinkPrediction {
+        seed,
+        embedding_dim: config.hidden_dim,
+        test_edges: 0,
     };
-
-    let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
-    let batches = make_batches(
-        &dataset.graph,
-        &parts,
-        dataset.spec.clusters_per_batch,
-        &mut rng,
-    );
-
-    // Embedding model: output layer emits `hidden_dim`-dimensional node
-    // embeddings.
-    let dims = GnnDims {
-        input: dataset.spec.feature_dim,
-        hidden: cfg.hidden_dim,
-        output: cfg.hidden_dim,
-    };
-    let mut model = Gnn::with_depth(cfg.model, dims, cfg.depth, &mut rng);
-    let mut reader = FaultyWeightReader::for_model(&model, n_xbar);
-    if cfg.weight_faults {
-        reader.inject(&cfg.fault_spec, &mut rng);
-    }
-    if cfg.strategy.clips_weights() {
-        reader.set_clip(Some(cfg.clip_threshold));
-    }
-    let mut opt = Adam::new(cfg.learning_rate, &model);
-
-    let mut states: Vec<LinkBatch> = batches
-        .into_iter()
-        .filter(|b| b.graph.num_edges() >= 5)
-        .map(|batch| {
-            // Hold out ~10% of the batch's edges for evaluation.
-            let mut edges: Vec<(usize, usize)> = batch.graph.edges().collect();
-            // Deterministic shuffle.
-            for i in (1..edges.len()).rev() {
-                edges.swap(i, rng.gen_range(0..=i));
-            }
-            let holdout = (edges.len() / 10).max(1);
-            let test_pos: Vec<(usize, usize)> = edges[..holdout].to_vec();
-            let train_pos: Vec<(usize, usize)> = edges[holdout..].to_vec();
-            let train_graph = CsrGraph::from_edges(batch.num_nodes(), &train_pos);
-            let adj = train_graph.to_dense();
-
-            let blocks = adj.rows().div_ceil(n_xbar).pow(2);
-            let pool = ((blocks as f64 * cfg.crossbar_slack).ceil() as usize).max(blocks);
-            let mut array = CrossbarArray::new(pool, n_xbar);
-            if cfg.adjacency_faults {
-                array.inject(&cfg.fault_spec, &mut rng);
-            }
-            let mapping = match cfg.strategy {
-                FaultStrategy::FaRe => map_adjacency(&adj, &array, &map_cfg),
-                FaultStrategy::NeuronReordering => {
-                    reordered_sequential_mapping(&adj, &array, cfg.matcher)
-                }
-                _ => sequential_mapping(&adj, &array),
-            };
-            let features = batch.gather_features(&dataset.features);
-            // The array and mapping are consumed here: this runner never
-            // injects post-deployment faults or remaps, so only the
-            // corrupted view they produce is needed afterwards.
-            let view = hardware_view(cfg.adjacency_faults, &adj, &array, &mapping);
-            LinkBatch {
-                nodes: batch.nodes.clone(),
-                adj,
-                view,
-                features,
-                train_pos,
-                test_pos,
-            }
-        })
-        .collect();
-    assert!(!states.is_empty(), "no batch has enough edges for link prediction");
-
-    if cfg.strategy.reorders_per_batch() {
-        reader.optimize_placements(&model, cfg.matcher);
-    }
-
-    let evaluate = |model: &Gnn, reader: &FaultyWeightReader, states: &[LinkBatch], seed: u64| -> (f64, usize) {
-        let mut eval_rng = fare_rt::domain_rng(seed, "link-eval");
-        let mut pos_scores = Vec::new();
-        let mut neg_scores = Vec::new();
-        for state in states {
-            let (emb, _) = model.forward(&state.view, &state.features, reader);
-            pos_scores.extend(pair_scores(&emb, &state.test_pos));
-            let graph = CsrGraph::from_edges(
-                state.adj.rows(),
-                &state.train_pos,
-            );
-            let negs = sample_negatives(state.adj.rows(), &graph, state.test_pos.len(), &mut eval_rng);
-            neg_scores.extend(pair_scores(&emb, &negs));
-        }
-        (auc(&pos_scores, &neg_scores), pos_scores.len())
-    };
-
-    let mut history = Vec::with_capacity(cfg.epochs);
-    let mut test_edges = 0;
-    for epoch in 0..cfg.epochs {
-        let mut epoch_loss = 0.0;
-        let num_states = states.len();
-        for state in &mut states {
-            let (emb, cache) = model.forward(&state.view, &state.features, &reader);
-            let graph = CsrGraph::from_edges(state.adj.rows(), &state.train_pos);
-            let negs = sample_negatives(state.adj.rows(), &graph, state.train_pos.len(), &mut rng);
-            if state.train_pos.is_empty() && negs.is_empty() {
-                continue;
-            }
-            let (loss, grad) = bce_loss_and_grad(&emb, &state.train_pos, &negs);
-            epoch_loss += loss;
-            let grads = model.backward(&state.view, &cache, &grad);
-            model.apply_gradients(&grads, &mut opt);
-            if cfg.strategy.clips_weights() {
-                model.clip_weights(cfg.clip_threshold);
-            }
-        }
-        let (epoch_auc, edges) = evaluate(&model, &reader, &states, seed + epoch as u64);
-        test_edges = edges;
-        history.push(LinkEpochStats {
-            epoch,
-            loss: epoch_loss / num_states.max(1) as f64,
-            auc: epoch_auc,
-        });
-    }
-    let final_auc = history.last().map(|h| h.auc).unwrap_or(0.5);
+    let run = engine::train::<_, Faulty>(config, seed, dataset, &mut task);
+    let final_auc = run.history.last().map(|h| h.auc).unwrap_or(0.5);
 
     // Assemble the global embedding matrix from a final faulty-hardware
     // forward pass over every batch (for downstream clustering).
-    let mut embeddings = Matrix::zeros(dataset.graph.num_nodes(), cfg.hidden_dim);
-    for state in &states {
-        let (emb, _) = model.forward(&state.view, &state.features, &reader);
-        for (local, &global) in state.nodes.iter().enumerate() {
+    let mut embeddings = Matrix::zeros(dataset.graph.num_nodes(), config.hidden_dim);
+    for batch in &run.batches {
+        let (emb, _) = run
+            .model
+            .forward(&batch.view, &batch.features, run.hardware.reader());
+        for (local, &global) in batch.nodes.iter().enumerate() {
             embeddings.row_mut(global).copy_from_slice(emb.row(local));
         }
     }
 
     LinkOutcome {
-        history,
+        history: run.history,
         final_auc,
-        test_edges,
+        test_edges: task.test_edges,
         embeddings,
     }
 }
@@ -269,6 +223,7 @@ mod tests {
     use fare_reram::FaultSpec;
 
     use super::*;
+    use crate::FaultStrategy;
 
     fn config(strategy: FaultStrategy, density: f64, epochs: usize) -> TrainConfig {
         TrainConfig {

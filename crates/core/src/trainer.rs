@@ -1,21 +1,22 @@
-//! The full FARe training pipeline: partition → mini-batch → map →
-//! train on faulty crossbars → clip → (per-epoch BIST + refresh).
+//! The FARe training pipeline: partition → mini-batch → map → train on
+//! faulty crossbars → clip → (per-epoch BIST + refresh), for node
+//! classification.
+//!
+//! [`Trainer::run`] trains on faulty hardware and [`run_fault_free`] on
+//! ideal hardware; both are node classification through the one epoch
+//! loop in `engine`, so accuracy differences isolate the hardware
+//! effects.
 
-use fare_gnn::{Adam, Gnn, GnnDims, IdealReader};
-use fare_graph::batch::make_batches;
+use fare_gnn::{Gnn, WeightReader};
+use fare_graph::batch::MiniBatch;
 use fare_graph::datasets::{Dataset, ModelKind};
-use fare_graph::partition::partition;
-use fare_graph::GraphView;
+use fare_graph::CsrGraph;
 use fare_matching::Matcher;
-use fare_reram::timing::{PipelineSpec, TimingModel};
-use fare_reram::{CrossbarArray, FaultSpec};
+use fare_reram::FaultSpec;
+use fare_rt::rand::rngs::StdRng;
 use fare_tensor::{ops, Matrix};
 
-use crate::faulty::{corrupt_adjacency_mapped, FaultyWeightReader};
-use crate::mapping::{
-    map_adjacency_cached, refresh_row_permutations_cached, reordered_sequential_mapping,
-    sequential_mapping, Mapping, MappingConfig, RemapCache,
-};
+use crate::engine::{self, Batch, Faulty, Hardware, Ideal, Task};
 use crate::FaultStrategy;
 
 /// Configuration of one training run.
@@ -97,6 +98,33 @@ impl Default for TrainConfig {
     }
 }
 
+impl TrainConfig {
+    /// Checks the configuration for inconsistencies every runner
+    /// rejects: zero epochs, fewer than two layers, a crossbar size that
+    /// is not a positive multiple of 8, or crossbar slack below 1.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.epochs == 0 {
+            return Err("epochs must be positive".into());
+        }
+        if self.depth < 2 {
+            return Err("depth must be at least 2".into());
+        }
+        if self.crossbar_size == 0 || self.crossbar_size % 8 != 0 {
+            return Err(format!(
+                "crossbar size must be a positive multiple of 8, got {}",
+                self.crossbar_size
+            ));
+        }
+        if self.crossbar_slack.is_nan() || self.crossbar_slack < 1.0 {
+            return Err(format!(
+                "crossbar slack must be >= 1.0, got {}",
+                self.crossbar_slack
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
@@ -157,40 +185,106 @@ fn masked_cross_entropy(logits: &Matrix, labels: &[usize], mask: &[bool]) -> (f6
     (loss / selected.len() as f64, grad)
 }
 
-/// Per-batch hardware state.
-struct BatchState {
-    adj: Matrix,
-    /// The adjacency as the hardware currently aggregates it, with its
-    /// normalisations cached. Rebuilt only when the corruption changes
-    /// (initial mapping, post-deployment injection, permutation refresh)
-    /// — `corrupt_adjacency_mapped` is a pure function of
-    /// `(adj, array, mapping)`, so between those events the view is
-    /// exact.
-    view: GraphView,
-    features: Matrix,
+/// Node classification: masked cross-entropy on the training split,
+/// scored by train/test accuracy.
+struct Classification;
+
+/// A batch's labels and training mask.
+struct Labels {
     labels: Vec<usize>,
     train_mask: Vec<bool>,
-    array: CrossbarArray,
-    mapping: Mapping,
-    /// Memoised `G₁` solutions keyed by block position; lets the
-    /// post-BIST refresh re-solve only the crossbars whose fault state
-    /// actually changed.
-    remap: RemapCache,
 }
 
-/// The adjacency the model actually sees, wrapped in a [`GraphView`] so
-/// each normalisation is computed once per corruption event instead of
-/// once per forward pass.
-pub(crate) fn hardware_view(
-    adjacency_faults: bool,
-    adj: &Matrix,
-    array: &CrossbarArray,
-    mapping: &Mapping,
-) -> GraphView {
-    if adjacency_faults {
-        GraphView::from_dense(corrupt_adjacency_mapped(adj, array, mapping))
-    } else {
-        GraphView::from_dense(adj.clone())
+impl Task for Classification {
+    type Data = Labels;
+    type Epoch = EpochStats;
+    const RNG_DOMAIN: &'static str = "trainer";
+
+    fn output_dim(&self, _: &TrainConfig, dataset: &Dataset) -> usize {
+        dataset.num_classes
+    }
+
+    fn prepare(
+        &self,
+        batch: &MiniBatch,
+        dataset: &Dataset,
+        _: &mut StdRng,
+    ) -> Option<(CsrGraph, Labels)> {
+        let labels = Labels {
+            labels: batch.gather_labels(&dataset.labels),
+            train_mask: batch.nodes.iter().map(|&u| dataset.train_mask[u]).collect(),
+        };
+        Some((batch.graph.clone(), labels))
+    }
+
+    fn loss<S>(
+        &self,
+        batch: &Batch<Labels, S>,
+        logits: &Matrix,
+        _: &mut StdRng,
+    ) -> Option<(f64, Matrix)> {
+        Some(masked_cross_entropy(
+            logits,
+            &batch.data.labels,
+            &batch.data.train_mask,
+        ))
+    }
+
+    /// Accuracy over train/test splits, evaluated batch by batch on the
+    /// current hardware state.
+    fn evaluate<S>(
+        &mut self,
+        epoch: usize,
+        loss: f64,
+        model: &Gnn,
+        reader: &impl WeightReader,
+        batches: &[Batch<Labels, S>],
+    ) -> EpochStats {
+        let mut train = (0usize, 0usize);
+        let mut test = (0usize, 0usize);
+        for batch in batches {
+            let (logits, _) = model.forward(&batch.view, &batch.features, reader);
+            let preds = logits.argmax_rows();
+            for (i, &label) in batch.data.labels.iter().enumerate() {
+                let correct = (preds[i] == label) as usize;
+                if batch.data.train_mask[i] {
+                    train.0 += correct;
+                    train.1 += 1;
+                } else {
+                    test.0 += correct;
+                    test.1 += 1;
+                }
+            }
+        }
+        let train_accuracy = train.0 as f64 / train.1.max(1) as f64;
+        let test_accuracy = test.0 as f64 / test.1.max(1) as f64;
+        fare_obs::record_epoch(epoch, loss, train_accuracy, test_accuracy);
+        EpochStats {
+            epoch,
+            loss,
+            train_accuracy,
+            test_accuracy,
+        }
+    }
+}
+
+/// Node classification on hardware `H`.
+fn classify<H: Hardware>(config: &TrainConfig, seed: u64, dataset: &Dataset) -> TrainOutcome {
+    let run = engine::train::<_, H>(config, seed, dataset, &mut Classification);
+    let history = run.history;
+    let last = history.last().copied().expect("at least one epoch");
+    let best_test_accuracy = history
+        .iter()
+        .map(|e| e.test_accuracy)
+        .fold(0.0f64, f64::max);
+    TrainOutcome {
+        final_train_accuracy: last.train_accuracy,
+        final_test_accuracy: last.test_accuracy,
+        best_test_accuracy,
+        normalized_time: run.report.normalized_time,
+        final_mapping_cost: run.report.mapping_cost,
+        num_batches: run.batches.len(),
+        history,
     }
 }
 
@@ -208,13 +302,11 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (zero epochs, crossbar
-    /// size not a multiple of 8, non-positive slack).
+    /// Panics if the configuration fails [`TrainConfig::validate`].
     pub fn new(config: TrainConfig, seed: u64) -> Self {
-        assert!(config.epochs > 0, "epochs must be positive");
-        assert!(config.depth >= 2, "depth must be at least 2");
-        assert_eq!(config.crossbar_size % 8, 0, "crossbar size must be a multiple of 8");
-        assert!(config.crossbar_slack >= 1.0, "crossbar slack must be >= 1.0");
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         Self { config, seed }
     }
 
@@ -223,321 +315,12 @@ impl Trainer {
         &self.config
     }
 
-    /// Runs training and returns the outcome.
+    /// Runs training on faulty hardware and returns the outcome.
     ///
     /// Deterministic for a given `(config, seed, dataset)`.
     pub fn run(&self, dataset: &Dataset) -> TrainOutcome {
-        fare_obs::timers::CORE_TRAINER_RUN.time(|| self.run_inner(dataset))
+        classify::<Faulty>(&self.config, self.seed, dataset)
     }
-
-    fn run_inner(&self, dataset: &Dataset) -> TrainOutcome {
-        fare_obs::counters::CORE_TRAINER_RUNS.incr();
-        let _run_span = fare_obs::trace::span("core.trainer.run");
-        let cfg = &self.config;
-        let mut rng = fare_rt::domain_rng(self.seed, "trainer");
-        let n = cfg.crossbar_size;
-        let map_cfg = MappingConfig {
-            matcher: cfg.matcher,
-            prune: true,
-            ..MappingConfig::default()
-        };
-
-        // 1. Partition + mini-batches (host-side preprocessing).
-        let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
-        let batches = make_batches(
-            &dataset.graph,
-            &parts,
-            dataset.spec.clusters_per_batch,
-            &mut rng,
-        );
-        let num_batches = batches.len();
-
-        // 2. Model + weight fabrics.
-        let dims = GnnDims {
-            input: dataset.spec.feature_dim,
-            hidden: cfg.hidden_dim,
-            output: dataset.num_classes,
-        };
-        let mut model = Gnn::with_depth(cfg.model, dims, cfg.depth, &mut rng);
-        let mut reader = FaultyWeightReader::for_model(&model, n);
-        if cfg.weight_faults {
-            reader.inject(&cfg.fault_spec, &mut rng);
-        }
-        if cfg.weight_variation_sigma > 0.0 || cfg.weight_drift_sigma > 0.0 {
-            reader.inject_variation(
-                &fare_reram::variation::VariationSpec::new(cfg.weight_variation_sigma),
-                &mut rng,
-            );
-        }
-        if cfg.strategy.clips_weights() {
-            reader.set_clip(Some(cfg.clip_threshold));
-        }
-        let mut opt = Adam::new(cfg.learning_rate, &model).with_weight_decay(cfg.weight_decay);
-
-        // 3. Adjacency crossbar pools + initial (pre-deployment) mapping.
-        let mut states: Vec<BatchState> = batches
-            .into_iter()
-            .map(|batch| {
-                let adj = batch.dense_adjacency();
-                let blocks = adj.rows().div_ceil(n).pow(2);
-                let pool = ((blocks as f64 * cfg.crossbar_slack).ceil() as usize).max(blocks);
-                let mut array = CrossbarArray::new(pool, n);
-                if cfg.adjacency_faults {
-                    array.inject(&cfg.fault_spec, &mut rng);
-                }
-                let mut remap = RemapCache::new();
-                let mapping = match cfg.strategy {
-                    FaultStrategy::FaRe => map_adjacency_cached(&adj, &array, &map_cfg, &mut remap),
-                    FaultStrategy::NeuronReordering => {
-                        reordered_sequential_mapping(&adj, &array, cfg.matcher)
-                    }
-                    _ => sequential_mapping(&adj, &array),
-                };
-                let features = batch.gather_features(&dataset.features);
-                let labels = batch.gather_labels(&dataset.labels);
-                let train_mask: Vec<bool> =
-                    batch.nodes.iter().map(|&u| dataset.train_mask[u]).collect();
-                let view = hardware_view(cfg.adjacency_faults, &adj, &array, &mapping);
-                BatchState {
-                    adj,
-                    view,
-                    features,
-                    labels,
-                    train_mask,
-                    array,
-                    mapping,
-                    remap,
-                }
-            })
-            .collect();
-
-        // NR's weight-row reordering. The hardware recomputes the
-        // permutation after every batch and stalls the pipeline for it —
-        // the timing model charges exactly that. In simulation we compute
-        // the placement once here and refresh it after every
-        // post-deployment BIST event: the recomputation chases the same
-        // static faults each time, so it is idempotent until the fault
-        // map changes, and refreshing it every simulated batch would only
-        // inject corruption churn the real mechanism does not have.
-        if cfg.strategy.reorders_per_batch() {
-            reader.optimize_placements(&model, cfg.matcher);
-        }
-
-        // 4. Training epochs.
-        let per_epoch_extra = if cfg.post_deployment_density > 0.0 {
-            cfg.post_deployment_density / cfg.epochs as f64
-        } else {
-            0.0
-        };
-        let mut history = Vec::with_capacity(cfg.epochs);
-        for epoch in 0..cfg.epochs {
-            let _epoch_span = fare_obs::trace::span_arg("core.trainer.epoch", epoch as u64);
-            let mut epoch_loss = 0.0f64;
-            for (bi, state) in states.iter_mut().enumerate() {
-                fare_obs::counters::CORE_TRAINER_BATCHES.incr();
-                let _batch_span = fare_obs::trace::span_arg("core.trainer.batch", bi as u64);
-                let (logits, cache) = model.forward(&state.view, &state.features, &reader);
-                let (loss, grad) =
-                    masked_cross_entropy(&logits, &state.labels, &state.train_mask);
-                epoch_loss += loss;
-                let mut grads = model.backward(&state.view, &cache, &grad);
-                if cfg.grad_clip_norm > 0.0 {
-                    grads.clip_norm(cfg.grad_clip_norm);
-                }
-                model.apply_gradients(&grads, &mut opt);
-                if cfg.strategy.clips_weights() {
-                    model.clip_weights(cfg.clip_threshold);
-                }
-            }
-
-            // Retention drift compounds every epoch.
-            if cfg.weight_drift_sigma > 0.0 && epoch + 1 < cfg.epochs {
-                reader.apply_drift(cfg.weight_drift_sigma, &mut rng);
-            }
-
-            // Post-deployment faults appear; BIST reveals them; FARe
-            // refreshes its row permutations on the existing assignment Π.
-            if per_epoch_extra > 0.0 && epoch + 1 < cfg.epochs {
-                fare_obs::counters::CORE_TRAINER_POST_INJECTIONS.incr();
-                let extra = FaultSpec::with_sa1_fraction(
-                    per_epoch_extra,
-                    cfg.fault_spec.sa1_fraction,
-                );
-                if cfg.adjacency_faults {
-                    for state in &mut states {
-                        state.array.inject(&extra, &mut rng);
-                    }
-                }
-                if cfg.weight_faults {
-                    reader.inject(&extra, &mut rng);
-                }
-                if cfg.strategy.maps_adjacency() && cfg.adjacency_faults && cfg.post_refresh {
-                    for state in &mut states {
-                        state.mapping = refresh_row_permutations_cached(
-                            &state.adj,
-                            &state.array,
-                            &state.mapping,
-                            cfg.matcher,
-                            &mut state.remap,
-                        );
-                    }
-                }
-                // NR reacts to the BIST-detected new faults too.
-                if cfg.strategy.reorders_per_batch() {
-                    if cfg.adjacency_faults {
-                        for state in &mut states {
-                            state.mapping = reordered_sequential_mapping(
-                                &state.adj,
-                                &state.array,
-                                cfg.matcher,
-                            );
-                        }
-                    }
-                    reader.optimize_placements(&model, cfg.matcher);
-                }
-                // The corruption changed (new faults and possibly new
-                // permutations) — rebuild the cached views.
-                if cfg.adjacency_faults {
-                    for state in &mut states {
-                        state.view =
-                            hardware_view(true, &state.adj, &state.array, &state.mapping);
-                    }
-                }
-            }
-
-            // Epoch-end evaluation on the faulty hardware.
-            let (train_acc, test_acc) = self.evaluate(&model, &reader, &states);
-            let loss = epoch_loss / num_batches.max(1) as f64;
-            fare_obs::counters::CORE_TRAINER_EPOCHS.incr();
-            fare_obs::record_epoch(epoch, loss, train_acc, test_acc);
-            history.push(EpochStats {
-                epoch,
-                loss,
-                train_accuracy: train_acc,
-                test_accuracy: test_acc,
-            });
-        }
-
-        // 5. Timing (Fig. 7 model): stages = aggregation+combination per
-        // layer + softmax/update stage.
-        let stages = 2 * model.num_layers() + 1;
-        let timing = TimingModel::new(PipelineSpec::new(
-            num_batches.max(1),
-            stages,
-            1e-3,
-            cfg.epochs,
-        ));
-        let times = timing.normalized();
-        let normalized_time = match cfg.strategy {
-            FaultStrategy::FaultUnaware => times.fault_free,
-            FaultStrategy::ClippingOnly => times.clipping,
-            FaultStrategy::NeuronReordering => times.neuron_reordering,
-            FaultStrategy::FaRe => times.fare,
-        };
-
-        // 6. Spatial telemetry rollup: one per-crossbar heatmap over the
-        // concatenated adjacency pools of every batch (pure observation —
-        // reads fault maps and placements, touches no training state).
-        if fare_obs::enabled() {
-            fare_obs::heatmap::record(crossbar_heatmap(
-                &states,
-                cfg.epochs,
-                model.num_layers(),
-                num_batches.max(1),
-                stages,
-            ));
-        }
-
-        let last = history.last().copied().expect("at least one epoch");
-        let best_test_accuracy = history
-            .iter()
-            .map(|e| e.test_accuracy)
-            .fold(0.0f64, f64::max);
-        TrainOutcome {
-            final_train_accuracy: last.train_accuracy,
-            final_test_accuracy: last.test_accuracy,
-            best_test_accuracy,
-            normalized_time,
-            final_mapping_cost: states.iter().map(|s| s.mapping.total_cost()).sum(),
-            num_batches,
-            history,
-        }
-    }
-
-    /// Accuracy over train/test splits, evaluated batch-by-batch on the
-    /// current faulty hardware state.
-    fn evaluate(
-        &self,
-        model: &Gnn,
-        reader: &FaultyWeightReader,
-        states: &[BatchState],
-    ) -> (f64, f64) {
-        let mut train = (0usize, 0usize);
-        let mut test = (0usize, 0usize);
-        for state in states {
-            let (logits, _) = model.forward(&state.view, &state.features, reader);
-            let preds = logits.argmax_rows();
-            for (i, &label) in state.labels.iter().enumerate() {
-                let correct = (preds[i] == label) as usize;
-                if state.train_mask[i] {
-                    train.0 += correct;
-                    train.1 += 1;
-                } else {
-                    test.0 += correct;
-                    test.1 += 1;
-                }
-            }
-        }
-        (
-            train.0 as f64 / train.1.max(1) as f64,
-            test.0 as f64 / test.1.max(1) as f64,
-        )
-    }
-}
-
-/// Per-crossbar telemetry rollup over the concatenated adjacency pools
-/// of every batch state: measured SA0/SA1 fault cells and final mapping
-/// mismatch cost per crossbar, plus *modeled* MVM traffic (each mapped
-/// block is activated once per aggregation pass; three passes — train
-/// forward, backward, evaluation forward — per layer per epoch) and the
-/// chip-level energy estimate apportioned by that traffic.
-fn crossbar_heatmap(
-    states: &[BatchState],
-    epochs: usize,
-    num_layers: usize,
-    num_batches: usize,
-    stages: usize,
-) -> fare_obs::HeatmapGrid {
-    let cells: usize = states.iter().map(|s| s.array.len()).sum();
-    let mut grid = fare_obs::HeatmapGrid::zeros("adjacency_crossbars", cells);
-    let mut offset = 0usize;
-    for state in states {
-        for i in 0..state.array.len() {
-            let xb = state.array.crossbar(i);
-            grid.sa0[offset + i] = xb.sa0_count() as u64;
-            grid.sa1[offset + i] = xb.sa1_count() as u64;
-        }
-        for p in state.mapping.placements() {
-            grid.mismatch[offset + p.crossbar] += p.mismatch_cost as u64;
-            grid.mvms[offset + p.crossbar] += (epochs * num_layers * 3) as u64;
-        }
-        offset += state.array.len();
-    }
-    if cells > 0 {
-        let spec = PipelineSpec::new(num_batches, stages, 1e-3, epochs);
-        let report = fare_reram::energy::estimate(
-            &fare_reram::ChipConfig::date2024(),
-            cells,
-            &spec,
-        );
-        let total_mvms: u64 = grid.mvms.iter().sum();
-        if total_mvms > 0 {
-            for (e, &m) in grid.energy_nj.iter_mut().zip(&grid.mvms) {
-                *e = report.energy_j * 1e9 * (m as f64 / total_mvms as f64);
-            }
-        }
-    }
-    grid
 }
 
 /// Trains the same configuration on **ideal** hardware (no quantisation,
@@ -545,94 +328,20 @@ fn crossbar_heatmap(
 ///
 /// Uses the same partitioning, batching, model init and update schedule
 /// as [`Trainer::run`] so accuracy differences isolate the hardware
-/// effects.
+/// effects. Hardware has no part in the run, so it ignores the
+/// hardware-only fields by definition.
+///
+/// Ignored hardware fields: `clip_threshold`, `fault_spec`,
+/// `weight_variation_sigma`, `weight_drift_sigma`,
+/// `post_deployment_density`, `strategy`, `crossbar_size`,
+/// `crossbar_slack`, `matcher`, `weight_faults`, `adjacency_faults`,
+/// `post_refresh`.
+///
+/// # Panics
+///
+/// Panics if the configuration fails [`TrainConfig::validate`].
 pub fn run_fault_free(config: &TrainConfig, seed: u64, dataset: &Dataset) -> TrainOutcome {
-    let mut rng = fare_rt::domain_rng(seed, "trainer");
-    let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
-    let batches = make_batches(
-        &dataset.graph,
-        &parts,
-        dataset.spec.clusters_per_batch,
-        &mut rng,
-    );
-    let num_batches = batches.len();
-    let dims = GnnDims {
-        input: dataset.spec.feature_dim,
-        hidden: config.hidden_dim,
-        output: dataset.num_classes,
-    };
-    let mut model = Gnn::with_depth(config.model, dims, config.depth, &mut rng);
-    let mut opt =
-        Adam::new(config.learning_rate, &model).with_weight_decay(config.weight_decay);
-
-    struct Prepared {
-        view: GraphView,
-        features: Matrix,
-        labels: Vec<usize>,
-        train_mask: Vec<bool>,
-    }
-    let prepared: Vec<Prepared> = batches
-        .iter()
-        .map(|b| Prepared {
-            // Fault-free: build the sparse view straight from the batch
-            // subgraph, never materialising a dense adjacency.
-            view: GraphView::from_graph(&b.graph),
-            features: b.gather_features(&dataset.features),
-            labels: b.gather_labels(&dataset.labels),
-            train_mask: b.nodes.iter().map(|&u| dataset.train_mask[u]).collect(),
-        })
-        .collect();
-
-    let mut history = Vec::with_capacity(config.epochs);
-    for epoch in 0..config.epochs {
-        let mut epoch_loss = 0.0;
-        for p in &prepared {
-            let (logits, cache) = model.forward(&p.view, &p.features, &IdealReader);
-            let (loss, grad) = masked_cross_entropy(&logits, &p.labels, &p.train_mask);
-            epoch_loss += loss;
-            let mut grads = model.backward(&p.view, &cache, &grad);
-            if config.grad_clip_norm > 0.0 {
-                grads.clip_norm(config.grad_clip_norm);
-            }
-            model.apply_gradients(&grads, &mut opt);
-        }
-        let mut train = (0usize, 0usize);
-        let mut test = (0usize, 0usize);
-        for p in &prepared {
-            let (logits, _) = model.forward(&p.view, &p.features, &IdealReader);
-            let preds = logits.argmax_rows();
-            for (i, &label) in p.labels.iter().enumerate() {
-                let correct = (preds[i] == label) as usize;
-                if p.train_mask[i] {
-                    train.0 += correct;
-                    train.1 += 1;
-                } else {
-                    test.0 += correct;
-                    test.1 += 1;
-                }
-            }
-        }
-        history.push(EpochStats {
-            epoch,
-            loss: epoch_loss / num_batches.max(1) as f64,
-            train_accuracy: train.0 as f64 / train.1.max(1) as f64,
-            test_accuracy: test.0 as f64 / test.1.max(1) as f64,
-        });
-    }
-    let last = history.last().copied().expect("at least one epoch");
-    let best_test_accuracy = history
-        .iter()
-        .map(|e| e.test_accuracy)
-        .fold(0.0f64, f64::max);
-    TrainOutcome {
-        final_train_accuracy: last.train_accuracy,
-        final_test_accuracy: last.test_accuracy,
-        best_test_accuracy,
-        normalized_time: 1.0,
-        final_mapping_cost: 0,
-        num_batches,
-        history,
-    }
+    classify::<Ideal>(config, seed, dataset)
 }
 
 #[cfg(test)]
