@@ -118,21 +118,20 @@ pub(crate) trait Hardware: Sized {
     /// model aggregates over.
     fn program(&self, graph: &CsrGraph, rng: &mut StdRng) -> (Self::Slot, GraphView);
 
-    /// Called once every batch is programmed.
-    fn deployed(&mut self, model: &Gnn);
-
     /// Applied to the master weights after every update.
-    fn after_update(&self, model: &mut Gnn);
+    fn after_update(&self, _model: &mut Gnn) {}
 
     /// The hardware ages at the end of `epoch`.
     fn age<D>(
         &mut self,
-        epoch: usize,
-        model: &Gnn,
-        batches: &mut [Batch<D, Self::Slot>],
-        rng: &mut StdRng,
-    );
+        _epoch: usize,
+        _model: &Gnn,
+        _batches: &mut [Batch<D, Self::Slot>],
+        _rng: &mut StdRng,
+    ) {
+    }
 
+    /// Timing and mapping cost of a finished run.
     fn report<D>(&self, model: &Gnn, batches: &[Batch<D, Self::Slot>]) -> HardwareReport;
 }
 
@@ -142,7 +141,6 @@ pub(crate) struct Trained<D, H: Hardware, E> {
     pub hardware: H,
     pub batches: Vec<Batch<D, H::Slot>>,
     pub history: Vec<E>,
-    pub report: HardwareReport,
 }
 
 /// Trains `task` on hardware `H` under `cfg`.
@@ -209,7 +207,6 @@ fn train_inner<T: Task, H: Hardware>(
         })
         .collect();
     assert!(!batches.is_empty(), "no mini-batch is usable for this task");
-    hardware.deployed(&model);
 
     let mut history = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
@@ -235,14 +232,11 @@ fn train_inner<T: Task, H: Hardware>(
         history.push(task.evaluate(epoch, loss, &model, hardware.reader(), &batches));
         fare_obs::counters::CORE_TRAINER_EPOCHS.incr();
     }
-
-    let report = hardware.report(&model, &batches);
     Trained {
         model,
         hardware,
         batches,
         history,
-        report,
     }
 }
 
@@ -268,12 +262,6 @@ impl Hardware for Ideal {
         ((), GraphView::from_graph(graph))
     }
 
-    fn deployed(&mut self, _: &Gnn) {}
-
-    fn after_update(&self, _: &mut Gnn) {}
-
-    fn age<D>(&mut self, _: usize, _: &Gnn, _: &mut [Batch<D, ()>], _: &mut StdRng) {}
-
     fn report<D>(&self, _: &Gnn, _: &[Batch<D, ()>]) -> HardwareReport {
         HardwareReport {
             normalized_time: 1.0,
@@ -287,7 +275,6 @@ impl Hardware for Ideal {
 /// configured [`FaultStrategy`].
 pub(crate) struct Faulty {
     cfg: TrainConfig,
-    map_cfg: MappingConfig,
     reader: FaultyWeightReader,
 }
 
@@ -315,17 +302,101 @@ impl Faulty {
             GraphView::from_dense(xbars.adj.clone())
         }
     }
+}
 
-    /// Post-deployment faults appear in equal per-epoch increments;
-    /// BIST reveals them; FARe refreshes its row permutations on the
-    /// existing assignment Π.
-    fn inject_post_deployment<D>(
+impl Hardware for Faulty {
+    type Slot = Crossbars;
+    type Reader = FaultyWeightReader;
+
+    fn build(cfg: &TrainConfig, model: &Gnn, rng: &mut StdRng) -> Self {
+        let mut reader = FaultyWeightReader::for_model(model, cfg.crossbar_size);
+        if cfg.weight_faults {
+            reader.inject(&cfg.fault_spec, rng);
+        }
+        if cfg.weight_variation_sigma > 0.0 || cfg.weight_drift_sigma > 0.0 {
+            reader.inject_variation(&VariationSpec::new(cfg.weight_variation_sigma), rng);
+        }
+        if cfg.strategy.clips_weights() {
+            reader.set_clip(Some(cfg.clip_threshold));
+        }
+        // NR's weight-row reordering. The hardware recomputes the
+        // permutation after every batch and stalls the pipeline for it —
+        // the timing model charges exactly that. In simulation we compute
+        // the placement once here and refresh it after every
+        // post-deployment BIST event: the recomputation chases the same
+        // static faults each time, so it is idempotent until the fault
+        // map changes, and refreshing it every simulated batch would only
+        // inject corruption churn the real mechanism does not have.
+        if cfg.strategy.reorders_per_batch() {
+            reader.optimize_placements(model, cfg.matcher);
+        }
+        Self { cfg: *cfg, reader }
+    }
+
+    fn reader(&self) -> &FaultyWeightReader {
+        &self.reader
+    }
+
+    fn program(&self, graph: &CsrGraph, rng: &mut StdRng) -> (Crossbars, GraphView) {
+        let cfg = &self.cfg;
+        let n = cfg.crossbar_size;
+        let adj = graph.to_dense();
+        let blocks = adj.rows().div_ceil(n).pow(2);
+        let pool = ((blocks as f64 * cfg.crossbar_slack).ceil() as usize).max(blocks);
+        let mut array = CrossbarArray::new(pool, n);
+        if cfg.adjacency_faults {
+            array.inject(&cfg.fault_spec, rng);
+        }
+        let mut remap = RemapCache::new();
+        let map_cfg = MappingConfig {
+            matcher: cfg.matcher,
+            prune: true,
+            ..MappingConfig::default()
+        };
+        let mapping = match cfg.strategy {
+            FaultStrategy::FaRe => map_adjacency_cached(&adj, &array, &map_cfg, &mut remap),
+            FaultStrategy::NeuronReordering => {
+                reordered_sequential_mapping(&adj, &array, cfg.matcher)
+            }
+            _ => sequential_mapping(&adj, &array),
+        };
+        let xbars = Crossbars {
+            adj,
+            array,
+            mapping,
+            remap,
+        };
+        let view = self.view(&xbars);
+        (xbars, view)
+    }
+
+    fn after_update(&self, model: &mut Gnn) {
+        if self.cfg.strategy.clips_weights() {
+            model.clip_weights(self.cfg.clip_threshold);
+        }
+    }
+
+    fn age<D>(
         &mut self,
+        epoch: usize,
         model: &Gnn,
         batches: &mut [Batch<D, Crossbars>],
         rng: &mut StdRng,
     ) {
         let cfg = self.cfg;
+        if epoch + 1 >= cfg.epochs {
+            return;
+        }
+        // Retention drift compounds every epoch.
+        if cfg.weight_drift_sigma > 0.0 {
+            self.reader.apply_drift(cfg.weight_drift_sigma, rng);
+        }
+        if cfg.post_deployment_density <= 0.0 {
+            return;
+        }
+        // Post-deployment faults appear in equal per-epoch increments;
+        // BIST reveals them; FARe refreshes its row permutations on the
+        // existing assignment Π.
         fare_obs::counters::CORE_TRAINER_POST_INJECTIONS.incr();
         let extra = FaultSpec::with_sa1_fraction(
             cfg.post_deployment_density / cfg.epochs as f64,
@@ -367,105 +438,6 @@ impl Faulty {
             for b in batches.iter_mut() {
                 b.view = self.view(&b.slot);
             }
-        }
-    }
-}
-
-impl Hardware for Faulty {
-    type Slot = Crossbars;
-    type Reader = FaultyWeightReader;
-
-    fn build(cfg: &TrainConfig, model: &Gnn, rng: &mut StdRng) -> Self {
-        let mut reader = FaultyWeightReader::for_model(model, cfg.crossbar_size);
-        if cfg.weight_faults {
-            reader.inject(&cfg.fault_spec, rng);
-        }
-        if cfg.weight_variation_sigma > 0.0 || cfg.weight_drift_sigma > 0.0 {
-            reader.inject_variation(&VariationSpec::new(cfg.weight_variation_sigma), rng);
-        }
-        if cfg.strategy.clips_weights() {
-            reader.set_clip(Some(cfg.clip_threshold));
-        }
-        Self {
-            cfg: *cfg,
-            map_cfg: MappingConfig {
-                matcher: cfg.matcher,
-                prune: true,
-                ..MappingConfig::default()
-            },
-            reader,
-        }
-    }
-
-    fn reader(&self) -> &FaultyWeightReader {
-        &self.reader
-    }
-
-    fn program(&self, graph: &CsrGraph, rng: &mut StdRng) -> (Crossbars, GraphView) {
-        let cfg = &self.cfg;
-        let n = cfg.crossbar_size;
-        let adj = graph.to_dense();
-        let blocks = adj.rows().div_ceil(n).pow(2);
-        let pool = ((blocks as f64 * cfg.crossbar_slack).ceil() as usize).max(blocks);
-        let mut array = CrossbarArray::new(pool, n);
-        if cfg.adjacency_faults {
-            array.inject(&cfg.fault_spec, rng);
-        }
-        let mut remap = RemapCache::new();
-        let mapping = match cfg.strategy {
-            FaultStrategy::FaRe => map_adjacency_cached(&adj, &array, &self.map_cfg, &mut remap),
-            FaultStrategy::NeuronReordering => {
-                reordered_sequential_mapping(&adj, &array, cfg.matcher)
-            }
-            _ => sequential_mapping(&adj, &array),
-        };
-        let xbars = Crossbars {
-            adj,
-            array,
-            mapping,
-            remap,
-        };
-        let view = self.view(&xbars);
-        (xbars, view)
-    }
-
-    fn deployed(&mut self, model: &Gnn) {
-        // NR's weight-row reordering. The hardware recomputes the
-        // permutation after every batch and stalls the pipeline for it —
-        // the timing model charges exactly that. In simulation we compute
-        // the placement once here and refresh it after every
-        // post-deployment BIST event: the recomputation chases the same
-        // static faults each time, so it is idempotent until the fault
-        // map changes, and refreshing it every simulated batch would only
-        // inject corruption churn the real mechanism does not have.
-        if self.cfg.strategy.reorders_per_batch() {
-            self.reader.optimize_placements(model, self.cfg.matcher);
-        }
-    }
-
-    fn after_update(&self, model: &mut Gnn) {
-        if self.cfg.strategy.clips_weights() {
-            model.clip_weights(self.cfg.clip_threshold);
-        }
-    }
-
-    fn age<D>(
-        &mut self,
-        epoch: usize,
-        model: &Gnn,
-        batches: &mut [Batch<D, Crossbars>],
-        rng: &mut StdRng,
-    ) {
-        let cfg = self.cfg;
-        if epoch + 1 >= cfg.epochs {
-            return;
-        }
-        // Retention drift compounds every epoch.
-        if cfg.weight_drift_sigma > 0.0 {
-            self.reader.apply_drift(cfg.weight_drift_sigma, rng);
-        }
-        if cfg.post_deployment_density > 0.0 {
-            self.inject_post_deployment(model, batches, rng);
         }
     }
 
@@ -532,11 +504,8 @@ fn crossbar_heatmap<D>(
     }
     if cells > 0 {
         let spec = PipelineSpec::new(num_batches, stages, 1e-3, epochs);
-        let report = fare_reram::energy::estimate(
-            &fare_reram::ChipConfig::date2024(),
-            cells,
-            &spec,
-        );
+        let report =
+            fare_reram::energy::estimate(&fare_reram::ChipConfig::date2024(), cells, &spec);
         let total_mvms: u64 = grid.mvms.iter().sum();
         if total_mvms > 0 {
             for (e, &m) in grid.energy_nj.iter_mut().zip(&grid.mvms) {

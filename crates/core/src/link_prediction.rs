@@ -285,6 +285,15 @@ mod tests {
     }
 
     #[test]
+    fn largest_seed_does_not_overflow() {
+        // Each epoch's evaluation stream is seeded with `seed + epoch`,
+        // which must wrap rather than overflow (a panic in debug builds).
+        let ds = Dataset::generate(DatasetKind::Ppi, 7);
+        let out = run_link_prediction(&config(FaultStrategy::FaRe, 0.03, 2), u64::MAX, &ds);
+        assert_eq!(out.history.len(), 2);
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let ds = Dataset::generate(DatasetKind::Ppi, 7);
         let a = run_link_prediction(&config(FaultStrategy::FaRe, 0.03, 3), 7, &ds);

@@ -101,7 +101,8 @@ impl Default for TrainConfig {
 impl TrainConfig {
     /// Checks the configuration for inconsistencies every runner
     /// rejects: zero epochs, fewer than two layers, a crossbar size that
-    /// is not a positive multiple of 8, or crossbar slack below 1.
+    /// is not a multiple of 8, crossbar slack below 1, or a
+    /// post-deployment fault density outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
         if self.epochs == 0 {
             return Err("epochs must be positive".into());
@@ -109,17 +110,14 @@ impl TrainConfig {
         if self.depth < 2 {
             return Err("depth must be at least 2".into());
         }
-        if self.crossbar_size == 0 || self.crossbar_size % 8 != 0 {
-            return Err(format!(
-                "crossbar size must be a positive multiple of 8, got {}",
-                self.crossbar_size
-            ));
+        if self.crossbar_size % 8 != 0 {
+            return Err("crossbar size must be a multiple of 8".into());
         }
         if self.crossbar_slack.is_nan() || self.crossbar_slack < 1.0 {
-            return Err(format!(
-                "crossbar slack must be >= 1.0, got {}",
-                self.crossbar_slack
-            ));
+            return Err("crossbar slack must be >= 1.0".into());
+        }
+        if !(0.0..=1.0).contains(&self.post_deployment_density) {
+            return Err("post-deployment density must be in [0, 1]".into());
         }
         Ok(())
     }
@@ -271,6 +269,7 @@ impl Task for Classification {
 /// Node classification on hardware `H`.
 fn classify<H: Hardware>(config: &TrainConfig, seed: u64, dataset: &Dataset) -> TrainOutcome {
     let run = engine::train::<_, H>(config, seed, dataset, &mut Classification);
+    let report = run.hardware.report(&run.model, &run.batches);
     let history = run.history;
     let last = history.last().copied().expect("at least one epoch");
     let best_test_accuracy = history
@@ -281,8 +280,8 @@ fn classify<H: Hardware>(config: &TrainConfig, seed: u64, dataset: &Dataset) -> 
         final_train_accuracy: last.train_accuracy,
         final_test_accuracy: last.test_accuracy,
         best_test_accuracy,
-        normalized_time: run.report.normalized_time,
-        final_mapping_cost: run.report.mapping_cost,
+        normalized_time: report.normalized_time,
+        final_mapping_cost: report.mapping_cost,
         num_batches: run.batches.len(),
         history,
     }

@@ -38,6 +38,13 @@ echo "==> determinism suite across thread counts"
 FARE_RT_THREADS=1 cargo test -q --offline --test determinism
 FARE_RT_THREADS=4 cargo test -q --offline --test determinism
 
+echo "==> runner pins across thread counts"
+# Every training runner is pinned bit for bit by a digest of its
+# outcome. An odd worker count is where uneven chunking of the parallel
+# kernels would show, so run the pins on 1 and 3 threads.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test runner_pins
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test runner_pins
+
 echo "==> golden telemetry trace across thread counts"
 # The committed golden manifest (tests/golden/golden_trace.json) must be
 # reproduced bit-for-bit on a serial and a parallel pool: counters count
