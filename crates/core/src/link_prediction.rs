@@ -91,7 +91,6 @@ fn sample_negatives(
 /// by held-out AUC.
 struct LinkPrediction {
     seed: u64,
-    embedding_dim: usize,
     /// Held-out edges scored by the latest evaluation.
     test_edges: usize,
 }
@@ -108,8 +107,8 @@ impl Task for LinkPrediction {
     type Epoch = LinkEpochStats;
     const RNG_DOMAIN: &'static str = "link-prediction";
 
-    fn output_dim(&self, _: &TrainConfig, _: &Dataset) -> usize {
-        self.embedding_dim
+    fn output_dim(&self, cfg: &TrainConfig, _: &Dataset) -> usize {
+        cfg.hidden_dim
     }
 
     fn prepare(
@@ -131,7 +130,11 @@ impl Task for LinkPrediction {
         let test_pos = edges[..holdout].to_vec();
         let train_pos = edges[holdout..].to_vec();
         let train_graph = CsrGraph::from_edges(batch.num_nodes(), &train_pos);
-        Some((train_graph, Edges { train_pos, test_pos }))
+        let edges = Edges {
+            train_pos,
+            test_pos,
+        };
+        Some((train_graph, edges))
     }
 
     fn loss<S>(
@@ -191,7 +194,6 @@ impl Task for LinkPrediction {
 pub fn run_link_prediction(config: &TrainConfig, seed: u64, dataset: &Dataset) -> LinkOutcome {
     let mut task = LinkPrediction {
         seed,
-        embedding_dim: config.hidden_dim,
         test_edges: 0,
     };
     let run = engine::train::<_, Faulty>(config, seed, dataset, &mut task);

@@ -110,7 +110,7 @@ impl TrainConfig {
         if self.depth < 2 {
             return Err("depth must be at least 2".into());
         }
-        if self.crossbar_size % 8 != 0 {
+        if !self.crossbar_size.is_multiple_of(8) {
             return Err("crossbar size must be a multiple of 8".into());
         }
         if self.crossbar_slack.is_nan() || self.crossbar_slack < 1.0 {

@@ -43,30 +43,25 @@ const IDEAL_IGNORES: [&str; 12] = [
 
 const SEED: u64 = 11;
 
-fn probe(cfg: TrainConfig, field: &str) -> TrainConfig {
+fn probe(mut cfg: TrainConfig, field: &str) -> TrainConfig {
     match field {
-        "weight_decay" => TrainConfig { weight_decay: 0.5, ..cfg },
-        "grad_clip_norm" => TrainConfig { grad_clip_norm: 1e-6, ..cfg },
-        "weight_variation_sigma" => TrainConfig { weight_variation_sigma: 1.5, ..cfg },
-        "post_deployment_density" => TrainConfig { post_deployment_density: 0.5, ..cfg },
-        "clip_threshold" => TrainConfig { clip_threshold: 0.25, ..cfg },
-        "fault_spec" => TrainConfig {
-            fault_spec: FaultSpec::with_ratio(0.2, 1.0, 1.0),
-            ..cfg
-        },
-        "weight_drift_sigma" => TrainConfig { weight_drift_sigma: 0.3, ..cfg },
-        "strategy" => TrainConfig {
-            strategy: FaultStrategy::FaultUnaware,
-            ..cfg
-        },
-        "crossbar_size" => TrainConfig { crossbar_size: 32, ..cfg },
-        "crossbar_slack" => TrainConfig { crossbar_slack: 3.0, ..cfg },
-        "matcher" => TrainConfig { matcher: Matcher::Hungarian, ..cfg },
-        "weight_faults" => TrainConfig { weight_faults: false, ..cfg },
-        "adjacency_faults" => TrainConfig { adjacency_faults: false, ..cfg },
-        "post_refresh" => TrainConfig { post_refresh: false, ..cfg },
+        "weight_decay" => cfg.weight_decay = 0.5,
+        "grad_clip_norm" => cfg.grad_clip_norm = 1e-6,
+        "weight_variation_sigma" => cfg.weight_variation_sigma = 1.5,
+        "post_deployment_density" => cfg.post_deployment_density = 0.5,
+        "clip_threshold" => cfg.clip_threshold = 0.25,
+        "fault_spec" => cfg.fault_spec = FaultSpec::with_ratio(0.2, 1.0, 1.0),
+        "weight_drift_sigma" => cfg.weight_drift_sigma = 0.3,
+        "strategy" => cfg.strategy = FaultStrategy::FaultUnaware,
+        "crossbar_size" => cfg.crossbar_size = 32,
+        "crossbar_slack" => cfg.crossbar_slack = 3.0,
+        "matcher" => cfg.matcher = Matcher::Hungarian,
+        "weight_faults" => cfg.weight_faults = false,
+        "adjacency_faults" => cfg.adjacency_faults = false,
+        "post_refresh" => cfg.post_refresh = false,
         _ => panic!("no probe for field {field}"),
     }
+    cfg
 }
 
 fn classification() -> TrainConfig {
@@ -122,7 +117,9 @@ impl Runner {
                 .collect(),
             Runner::Clustering => {
                 let out = run_graph_clustering(cfg, SEED, ds);
-                [out.purity, out.nmi, out.link_auc].map(f64::to_bits).to_vec()
+                [out.purity, out.nmi, out.link_auc]
+                    .map(f64::to_bits)
+                    .to_vec()
             }
         }
     }
@@ -185,26 +182,40 @@ fn ideal_runner_ignores_exactly_its_documented_hardware_fields() {
 
 #[test]
 fn validate_names_each_inconsistency() {
-    let ok = TrainConfig::default();
-    assert_eq!(ok.validate(), Ok(()));
-    let cases = [
-        (TrainConfig { epochs: 0, ..ok }, "epochs must be positive"),
-        (TrainConfig { depth: 1, ..ok }, "depth must be at least 2"),
-        (TrainConfig { crossbar_size: 12, ..ok }, "multiple of 8"),
-        (TrainConfig { crossbar_slack: 0.5, ..ok }, "slack must be >= 1.0"),
-        (TrainConfig { crossbar_slack: f64::NAN, ..ok }, "slack must be >= 1.0"),
-        (TrainConfig { post_deployment_density: -0.1, ..ok }, "density must be in [0, 1]"),
-        (TrainConfig { post_deployment_density: f64::NAN, ..ok }, "density must be in [0, 1]"),
+    assert_eq!(TrainConfig::default().validate(), Ok(()));
+    let cases: [(fn(&mut TrainConfig), &str); 7] = [
+        (|c| c.epochs = 0, "epochs must be positive"),
+        (|c| c.depth = 1, "depth must be at least 2"),
+        (|c| c.crossbar_size = 12, "multiple of 8"),
+        (|c| c.crossbar_slack = 0.5, "slack must be >= 1.0"),
+        (|c| c.crossbar_slack = f64::NAN, "slack must be >= 1.0"),
+        (
+            |c| c.post_deployment_density = -0.1,
+            "density must be in [0, 1]",
+        ),
+        (
+            |c| c.post_deployment_density = f64::NAN,
+            "density must be in [0, 1]",
+        ),
     ];
-    for (cfg, message) in cases {
+    for (set, message) in cases {
+        let mut cfg = TrainConfig::default();
+        set(&mut cfg);
         let err = cfg.validate().expect_err(message);
-        assert!(err.contains(message), "{err:?} does not mention {message:?}");
+        assert!(
+            err.contains(message),
+            "{err:?} does not mention {message:?}"
+        );
     }
 }
 
 #[test]
-#[should_panic(expected = "depth must be at least 2")]
+#[should_panic(expected = "crossbar slack must be >= 1.0")]
 fn link_runner_rejects_what_validate_rejects() {
     let ds = Dataset::generate(DatasetKind::Ppi, SEED);
-    run_link_prediction(&TrainConfig { depth: 1, ..link() }, SEED, &ds);
+    let cfg = TrainConfig {
+        crossbar_slack: 0.5,
+        ..link()
+    };
+    run_link_prediction(&cfg, SEED, &ds);
 }

@@ -111,9 +111,15 @@ fn cases() -> Vec<(&'static str, u64)> {
     let fare = classification(FaultStrategy::FaRe);
     let nr = classification(FaultStrategy::NeuronReordering);
     vec![
-        ("trainer/unaware", trainer(classification(FaultStrategy::FaultUnaware))),
+        (
+            "trainer/unaware",
+            trainer(classification(FaultStrategy::FaultUnaware)),
+        ),
         ("trainer/nr", trainer(nr)),
-        ("trainer/clipping", trainer(classification(FaultStrategy::ClippingOnly))),
+        (
+            "trainer/clipping",
+            trainer(classification(FaultStrategy::ClippingOnly)),
+        ),
         ("trainer/fare", trainer(fare)),
         (
             "trainer/fare+variation+drift",
@@ -167,7 +173,10 @@ fn cases() -> Vec<(&'static str, u64)> {
                 ..fare
             }),
         ),
-        ("fault_free", train_digest(&run_fault_free(&fare, SEED, &ds))),
+        (
+            "fault_free",
+            train_digest(&run_fault_free(&fare, SEED, &ds)),
+        ),
         (
             "link/fare",
             link_digest(&run_link_prediction(&link(FaultStrategy::FaRe), SEED, &ds)),
@@ -223,12 +232,18 @@ fn every_runner_matches_its_pinned_digest() {
         .collect();
     let names: Vec<&str> = actual.iter().map(|(n, _)| *n).collect();
     let expected_names: Vec<&str> = EXPECTED.iter().map(|(n, _)| *n).collect();
-    assert_eq!(names, expected_names, "pinned case list changed; actual:\n{table}");
+    assert_eq!(
+        names, expected_names,
+        "pinned case list changed; actual:\n{table}"
+    );
     let moved: Vec<&str> = actual
         .iter()
         .zip(EXPECTED)
         .filter(|((_, a), (_, e))| a != e)
         .map(|((name, _), _)| *name)
         .collect();
-    assert!(moved.is_empty(), "runner digests moved: {moved:?}; actual:\n{table}");
+    assert!(
+        moved.is_empty(),
+        "runner digests moved: {moved:?}; actual:\n{table}"
+    );
 }
