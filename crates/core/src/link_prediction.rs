@@ -68,12 +68,10 @@ pub struct LinkOutcome {
 
 fare_rt::json_struct!(LinkOutcome { history, final_auc, test_edges, embeddings });
 
-fn sample_negatives(
-    n: usize,
-    graph: &CsrGraph,
-    count: usize,
-    rng: &mut impl Rng,
-) -> Vec<(usize, usize)> {
+/// Up to `count` uniformly drawn node pairs that are not edges of
+/// `graph`.
+fn sample_negatives(graph: &CsrGraph, count: usize, rng: &mut impl Rng) -> Vec<(usize, usize)> {
+    let n = graph.num_nodes();
     let mut out = Vec::with_capacity(count);
     let mut guard = 0;
     while out.len() < count && guard < 50 * count.max(1) {
@@ -144,7 +142,7 @@ impl Task for LinkPrediction {
         rng: &mut StdRng,
     ) -> Option<(f64, Matrix)> {
         let pos = &batch.data.train_pos;
-        let negs = sample_negatives(batch.graph.num_nodes(), &batch.graph, pos.len(), rng);
+        let negs = sample_negatives(&batch.graph, pos.len(), rng);
         if pos.is_empty() && negs.is_empty() {
             return None;
         }
@@ -166,8 +164,7 @@ impl Task for LinkPrediction {
             let (emb, _) = model.forward(&batch.view, &batch.features, reader);
             let test_pos = &batch.data.test_pos;
             pos_scores.extend(pair_scores(&emb, test_pos));
-            let n = batch.graph.num_nodes();
-            let negs = sample_negatives(n, &batch.graph, test_pos.len(), &mut eval_rng);
+            let negs = sample_negatives(&batch.graph, test_pos.len(), &mut eval_rng);
             neg_scores.extend(pair_scores(&emb, &negs));
         }
         self.test_edges = pos_scores.len();
