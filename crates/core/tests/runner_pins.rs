@@ -102,6 +102,18 @@ fn link(strategy: FaultStrategy) -> TrainConfig {
     }
 }
 
+/// The `amazon_gat_unaware` benchmark workload: GAT, fault-unaware,
+/// 10 epochs, 5% faults at SA0:SA1 = 9:1.
+fn gat_unaware() -> TrainConfig {
+    TrainConfig {
+        model: ModelKind::Gat,
+        epochs: 10,
+        fault_spec: FaultSpec::with_sa1_fraction(0.05, 0.1),
+        strategy: FaultStrategy::FaultUnaware,
+        ..TrainConfig::default()
+    }
+}
+
 const SEED: u64 = 11;
 
 /// Every pinned case: its name and its digest on this build.
@@ -110,6 +122,11 @@ fn cases() -> Vec<(&'static str, u64)> {
     let trainer = |cfg: TrainConfig| train_digest(&Trainer::new(cfg, SEED).run(&ds));
     let fare = classification(FaultStrategy::FaRe);
     let nr = classification(FaultStrategy::NeuronReordering);
+    let gat_fare = TrainConfig {
+        model: ModelKind::Gat,
+        ..fare
+    };
+    let amazon = Dataset::generate(DatasetKind::Amazon2M, SEED);
     vec![
         (
             "trainer/unaware",
@@ -201,6 +218,32 @@ fn cases() -> Vec<(&'static str, u64)> {
             "clustering/fare",
             clustering_digest(&run_graph_clustering(&link(FaultStrategy::FaRe), SEED, &ds)),
         ),
+        (
+            "gat/amazon-unaware",
+            train_digest(&Trainer::new(gat_unaware(), SEED).run(&amazon)),
+        ),
+        (
+            "gat/fare+post",
+            trainer(TrainConfig {
+                post_deployment_density: 0.03,
+                ..gat_fare
+            }),
+        ),
+        (
+            "gat/fault_free",
+            train_digest(&run_fault_free(&gat_fare, SEED, &ds)),
+        ),
+        (
+            "gat/link",
+            link_digest(&run_link_prediction(
+                &TrainConfig {
+                    model: ModelKind::Gat,
+                    ..link(FaultStrategy::FaRe)
+                },
+                SEED,
+                &ds,
+            )),
+        ),
     ]
 }
 
@@ -221,6 +264,10 @@ const EXPECTED: &[(&str, u64)] = &[
     ("link/nr", 0x153c80001bcfbbe8),
     ("link/unaware", 0xb2be949078f5072d),
     ("clustering/fare", 0x1ede90419c2d0377),
+    ("gat/amazon-unaware", 0x11775dbf9ada48f2),
+    ("gat/fare+post", 0xce2a7786207b8646),
+    ("gat/fault_free", 0x67fd89a61907e309),
+    ("gat/link", 0xc550173d4d34ceec),
 ];
 
 #[test]
