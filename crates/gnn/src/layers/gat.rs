@@ -23,18 +23,18 @@ pub struct GatLayer {
 
 fare_rt::json_struct!(GatLayer { weight, attn_src, attn_dst });
 
-/// Forward-pass cache for [`GatLayer::backward`].
+/// Forward-pass cache for [`GatLayer::backward`]. Per-edge values are
+/// stored in the entry order of the view's
+/// [`GraphView::attention_pattern`].
 #[derive(Debug, Clone)]
 pub struct GatCache {
     input: Matrix,
     /// Z = H·W.
     transformed: Matrix,
-    /// s_i + t_j logit matrix (pre-LeakyReLU), dense.
-    logit_sum: Matrix,
-    /// Neighbourhood mask (adjacency + self loops), 0/1.
-    mask: Matrix,
-    /// Softmaxed attention S.
-    attention: Matrix,
+    /// s_i + t_j per edge (pre-LeakyReLU).
+    logit_sum: Vec<f32>,
+    /// Softmaxed attention S per edge.
+    attention: Vec<f32>,
     /// Pre-activation P = S·Z.
     pre_activation: Matrix,
     weight_read: Matrix,
@@ -91,9 +91,16 @@ impl GatLayer {
         }
     }
 
-    /// Forward pass over the batch graph view. Attention needs the full
-    /// neighbourhood mask, so this is the one layer that still reads the
-    /// dense adjacency ([`GraphView::dense`]).
+    /// Forward pass over the batch graph view.
+    ///
+    /// Attention runs only over the view's
+    /// [`GraphView::attention_pattern`] (the adjacency plus self loops):
+    /// per edge the logit `LeakyReLU(s_i + t_j)`, a softmax over each
+    /// row's edges, then `P = S·Z` walked edge by edge in ascending
+    /// column order. Each step repeats the dense `n × n` formulation's
+    /// arithmetic in its order, and the masked entries the dense path
+    /// carried only ever added exact zeros, so the result equals it bit
+    /// for bit on finite inputs at `O(nnz · d)` cost.
     pub fn forward(
         &self,
         view: &GraphView,
@@ -103,8 +110,8 @@ impl GatLayer {
         output_layer: bool,
     ) -> (Matrix, GatCache) {
         let _span = fare_obs::trace::span("gnn.attention");
-        let n = view.num_nodes();
-        let adj = view.dense();
+        let pattern = view.attention_pattern();
+        let (offsets, cols) = (pattern.offsets(), pattern.indices());
         let weight_read = reader.read(layer_index, 0, &self.weight);
         let attn_src_read = reader.read(layer_index, 1, &self.attn_src);
         let attn_dst_read = reader.read(layer_index, 2, &self.attn_dst);
@@ -113,28 +120,30 @@ impl GatLayer {
         let s = transformed.matmul(&attn_src_read); // n×1
         let t = transformed.matmul(&attn_dst_read); // n×1
 
-        let mask = Matrix::from_fn(n, n, |i, j| {
-            if i == j || adj[(i, j)] > 0.5 {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let logit_sum = Matrix::from_fn(n, n, |i, j| s[(i, 0)] + t[(j, 0)]);
-        let logits = Matrix::from_fn(n, n, |i, j| {
-            if mask[(i, j)] > 0.5 {
-                let v = logit_sum[(i, j)];
-                if v > 0.0 {
-                    v
-                } else {
-                    ATTENTION_SLOPE * v
+        let mut logit_sum = Vec::with_capacity(cols.len());
+        for (i, row) in offsets.windows(2).enumerate() {
+            logit_sum.extend(cols[row[0]..row[1]].iter().map(|&j| s[(i, 0)] + t[(j, 0)]));
+        }
+        let mut attention: Vec<f32> = logit_sum
+            .iter()
+            .map(|&v| if v > 0.0 { v } else { ATTENTION_SLOPE * v })
+            .collect();
+        for row in offsets.windows(2) {
+            ops::softmax_in_place(&mut attention[row[0]..row[1]]);
+        }
+        let mut pre_activation = Matrix::zeros(transformed.rows(), transformed.cols());
+        fare_rt::par::par_row_chunks(
+            pre_activation.as_mut_slice(),
+            transformed.cols(),
+            |i, out_row| {
+                for k in offsets[i]..offsets[i + 1] {
+                    let a = attention[k];
+                    for (o, &z) in out_row.iter_mut().zip(transformed.row(cols[k])) {
+                        *o += a * z;
+                    }
                 }
-            } else {
-                f32::NEG_INFINITY
-            }
-        });
-        let attention = ops::softmax_rows(&logits);
-        let pre_activation = attention.matmul(&transformed);
+            },
+        );
         let out = if output_layer {
             pre_activation.clone()
         } else {
@@ -146,7 +155,6 @@ impl GatLayer {
                 input: input.clone(),
                 transformed,
                 logit_sum,
-                mask,
                 attention,
                 pre_activation,
                 weight_read,
@@ -157,53 +165,75 @@ impl GatLayer {
         )
     }
 
-    /// Backward pass: returns `([grad_W, grad_a_src, grad_a_dst],
-    /// grad_input)`.
-    pub fn backward(&self, cache: &GatCache, grad_output: &Matrix) -> (Vec<Matrix>, Matrix) {
+    /// Backward pass over the view the forward pass ran on: returns
+    /// `([grad_W, grad_a_src, grad_a_dst], grad_input)`. Like the forward
+    /// pass it touches only the attention pattern's edges, in the dense
+    /// kernels' accumulation order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` was built over a view with a different number of
+    /// attention edges.
+    pub fn backward(
+        &self,
+        view: &GraphView,
+        cache: &GatCache,
+        grad_output: &Matrix,
+    ) -> (Vec<Matrix>, Matrix) {
         let _span = fare_obs::trace::span("gnn.attention");
-        let n = cache.attention.rows();
+        let pattern = view.attention_pattern();
+        let (offsets, cols) = (pattern.offsets(), pattern.indices());
+        assert_eq!(cols.len(), cache.attention.len(), "GAT cache does not match the view");
+        let attention = &cache.attention;
+        let (n, d) = cache.transformed.shape();
         let grad_p = if cache.output_layer {
             grad_output.clone()
         } else {
             grad_output.hadamard(&ops::elu_grad(&cache.pre_activation))
         };
 
-        // P = S·Z.
-        let grad_s_mat = grad_p.matmul_t(&cache.transformed); // dS, n×n
-        let mut grad_z = cache.attention.t_matmul(&grad_p); // Sᵀ·dP
-
-        // Softmax backward per row: dE_ij = S_ij (dS_ij − Σ_k dS_ik S_ik).
-        let mut grad_e = Matrix::zeros(n, n);
-        for i in 0..n {
+        // Per row: dS_ij = dP_i·z_j (P = S·Z, the `matmul_t` dot), the
+        // softmax backward dE_ij = S_ij (dS_ij − Σ_k dS_ik S_ik), then the
+        // LeakyReLU backward on the logits.
+        let mut grad_pre = vec![0.0f32; cols.len()];
+        for (i, row) in offsets.windows(2).enumerate() {
+            let edges = row[0]..row[1];
+            let dp = grad_p.row(i);
+            for k in edges.clone() {
+                let mut acc = 0.0;
+                for (&a, &b) in dp.iter().zip(cache.transformed.row(cols[k])) {
+                    acc += a * b;
+                }
+                grad_pre[k] = acc;
+            }
             let mut dot = 0.0f32;
-            for k in 0..n {
-                dot += grad_s_mat[(i, k)] * cache.attention[(i, k)];
+            for k in edges.clone() {
+                dot += grad_pre[k] * attention[k];
             }
-            for j in 0..n {
-                grad_e[(i, j)] = cache.attention[(i, j)] * (grad_s_mat[(i, j)] - dot);
-            }
-        }
-        // LeakyReLU backward on the masked logits.
-        let grad_pre = Matrix::from_fn(n, n, |i, j| {
-            if cache.mask[(i, j)] > 0.5 {
-                let slope = if cache.logit_sum[(i, j)] > 0.0 {
+            for k in edges {
+                let slope = if cache.logit_sum[k] > 0.0 {
                     1.0
                 } else {
                     ATTENTION_SLOPE
                 };
-                grad_e[(i, j)] * slope
-            } else {
-                0.0
+                grad_pre[k] = attention[k] * (grad_pre[k] - dot) * slope;
             }
-        });
+        }
 
-        // ds_i = Σ_j dPre_ij ; dt_j = Σ_i dPre_ij.
+        // Sᵀ·dP, scattered in ascending row order (the `t_matmul` order),
+        // and ds_i = Σ_j dPre_ij, dt_j = Σ_i dPre_ij in (i, j) order.
+        let mut grad_z = Matrix::zeros(n, d);
         let mut grad_s_vec = Matrix::zeros(n, 1);
         let mut grad_t_vec = Matrix::zeros(n, 1);
-        for i in 0..n {
-            for j in 0..n {
-                grad_s_vec[(i, 0)] += grad_pre[(i, j)];
-                grad_t_vec[(j, 0)] += grad_pre[(i, j)];
+        for (i, row) in offsets.windows(2).enumerate() {
+            let dp = grad_p.row(i);
+            for k in row[0]..row[1] {
+                let (j, a) = (cols[k], attention[k]);
+                for (o, &g) in grad_z.row_mut(j).iter_mut().zip(dp) {
+                    *o += a * g;
+                }
+                grad_s_vec[(i, 0)] += grad_pre[k];
+                grad_t_vec[(j, 0)] += grad_pre[k];
             }
         }
 
@@ -223,11 +253,223 @@ impl GatLayer {
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index-style loops keep the FD checks readable
 mod tests {
+    use fare_graph::CsrGraph;
+    use fare_rt::prop::prelude::*;
     use fare_rt::rand::rngs::StdRng;
-    use fare_rt::rand::SeedableRng;
+    use fare_rt::rand::{Rng, SeedableRng};
 
     use super::*;
     use crate::IdealReader;
+
+    /// The dense `n × n` GAT the sparse layer replaced, kept as the
+    /// bit-exactness oracle: a 0/1 neighbourhood mask, `-inf`-masked
+    /// logits through `ops::softmax_rows`, and dense matmuls throughout.
+    mod dense_oracle {
+        use super::*;
+
+        pub struct DenseCache {
+            input: Matrix,
+            transformed: Matrix,
+            logit_sum: Matrix,
+            mask: Matrix,
+            pub attention: Matrix,
+            pre_activation: Matrix,
+            weight_read: Matrix,
+            attn_src_read: Matrix,
+            attn_dst_read: Matrix,
+            output_layer: bool,
+        }
+
+        pub fn forward(
+            layer: &GatLayer,
+            view: &GraphView,
+            input: &Matrix,
+            output_layer: bool,
+        ) -> (Matrix, DenseCache) {
+            let n = view.num_nodes();
+            let adj = view.dense();
+            let weight_read = layer.param(0).clone();
+            let attn_src_read = layer.param(1).clone();
+            let attn_dst_read = layer.param(2).clone();
+
+            let transformed = input.matmul(&weight_read);
+            let s = transformed.matmul(&attn_src_read);
+            let t = transformed.matmul(&attn_dst_read);
+
+            let mask = Matrix::from_fn(n, n, |i, j| {
+                if i == j || adj[(i, j)] > 0.5 {
+                    1.0
+                } else {
+                    0.0
+                }
+            });
+            let logit_sum = Matrix::from_fn(n, n, |i, j| s[(i, 0)] + t[(j, 0)]);
+            let logits = Matrix::from_fn(n, n, |i, j| {
+                if mask[(i, j)] > 0.5 {
+                    let v = logit_sum[(i, j)];
+                    if v > 0.0 {
+                        v
+                    } else {
+                        ATTENTION_SLOPE * v
+                    }
+                } else {
+                    f32::NEG_INFINITY
+                }
+            });
+            let attention = ops::softmax_rows(&logits);
+            let pre_activation = attention.matmul(&transformed);
+            let out = if output_layer {
+                pre_activation.clone()
+            } else {
+                ops::elu(&pre_activation)
+            };
+            let cache = DenseCache {
+                input: input.clone(),
+                transformed,
+                logit_sum,
+                mask,
+                attention,
+                pre_activation,
+                weight_read,
+                attn_src_read,
+                attn_dst_read,
+                output_layer,
+            };
+            (out, cache)
+        }
+
+        pub fn backward(cache: &DenseCache, grad_output: &Matrix) -> (Vec<Matrix>, Matrix) {
+            let n = cache.attention.rows();
+            let grad_p = if cache.output_layer {
+                grad_output.clone()
+            } else {
+                grad_output.hadamard(&ops::elu_grad(&cache.pre_activation))
+            };
+
+            let grad_s_mat = grad_p.matmul_t(&cache.transformed);
+            let mut grad_z = cache.attention.t_matmul(&grad_p);
+
+            let mut grad_e = Matrix::zeros(n, n);
+            for i in 0..n {
+                let mut dot = 0.0f32;
+                for k in 0..n {
+                    dot += grad_s_mat[(i, k)] * cache.attention[(i, k)];
+                }
+                for j in 0..n {
+                    grad_e[(i, j)] = cache.attention[(i, j)] * (grad_s_mat[(i, j)] - dot);
+                }
+            }
+            let grad_pre = Matrix::from_fn(n, n, |i, j| {
+                if cache.mask[(i, j)] > 0.5 {
+                    let slope = if cache.logit_sum[(i, j)] > 0.0 {
+                        1.0
+                    } else {
+                        ATTENTION_SLOPE
+                    };
+                    grad_e[(i, j)] * slope
+                } else {
+                    0.0
+                }
+            });
+
+            let mut grad_s_vec = Matrix::zeros(n, 1);
+            let mut grad_t_vec = Matrix::zeros(n, 1);
+            for i in 0..n {
+                for j in 0..n {
+                    grad_s_vec[(i, 0)] += grad_pre[(i, j)];
+                    grad_t_vec[(j, 0)] += grad_pre[(i, j)];
+                }
+            }
+
+            grad_z += &grad_s_vec.matmul_t(&cache.attn_src_read);
+            grad_z += &grad_t_vec.matmul_t(&cache.attn_dst_read);
+            let grad_attn_src = cache.transformed.t_matmul(&grad_s_vec);
+            let grad_attn_dst = cache.transformed.t_matmul(&grad_t_vec);
+
+            let grad_w = cache.input.t_matmul(&grad_z);
+            let grad_input = grad_z.matmul_t(&cache.weight_read);
+            (vec![grad_w, grad_attn_src, grad_attn_dst], grad_input)
+        }
+    }
+
+    /// The cached per-edge attention scattered into a dense `n × n`
+    /// matrix (zero off the pattern).
+    fn attention_matrix(view: &GraphView, cache: &GatCache) -> Matrix {
+        let pattern = view.attention_pattern();
+        let mut m = Matrix::zeros(view.num_nodes(), view.num_nodes());
+        for (i, row) in pattern.offsets().windows(2).enumerate() {
+            for k in row[0]..row[1] {
+                m[(i, pattern.indices()[k])] = cache.attention[k];
+            }
+        }
+        m
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A random `n`-node view whose last node is isolated: a symmetric
+    /// graph-backed one, or a dense one with asymmetric and diagonal
+    /// entries, some of them at or below the 0.5 edge threshold.
+    fn random_view(seed: u64, n: usize, from_graph: bool) -> GraphView {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let linked = n - 1;
+        if from_graph {
+            let mut edges = Vec::new();
+            for i in 0..linked {
+                for j in (i + 1)..linked {
+                    if rng.gen_bool(0.35) {
+                        edges.push((i, j));
+                    }
+                }
+            }
+            GraphView::from_graph(&CsrGraph::from_edges(n, &edges))
+        } else {
+            let mut adj = Matrix::zeros(n, n);
+            for i in 0..linked {
+                for j in 0..linked {
+                    if rng.gen_bool(0.35) {
+                        adj[(i, j)] = [1.0, 0.7, 0.5, 0.3][rng.gen_range(0..4usize)];
+                    }
+                }
+            }
+            GraphView::from_dense(adj)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn sparse_attention_bit_identical_to_dense_oracle(
+            seed in 0u64..100_000,
+            n in 1usize..14,
+            from_graph in any::<bool>(),
+            output_layer in any::<bool>(),
+        ) {
+            let view = random_view(seed, n, from_graph);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+            let layer = GatLayer::new(4, 3, &mut rng);
+            let x = init::normal(n, 4, 1.5, &mut rng);
+            let grad_out = init::normal(n, 3, 1.0, &mut rng);
+
+            let (out, cache) = layer.forward(&view, &x, &IdealReader, 0, output_layer);
+            let (dense_out, dense_cache) = dense_oracle::forward(&layer, &view, &x, output_layer);
+            prop_assert_eq!(bits(&out), bits(&dense_out));
+            prop_assert_eq!(
+                bits(&attention_matrix(&view, &cache)),
+                bits(&dense_cache.attention)
+            );
+
+            let (grads, grad_in) = layer.backward(&view, &cache, &grad_out);
+            let (dense_grads, dense_grad_in) = dense_oracle::backward(&dense_cache, &grad_out);
+            for p in 0..3 {
+                prop_assert_eq!(bits(&grads[p]), bits(&dense_grads[p]), "parameter {}", p);
+            }
+            prop_assert_eq!(bits(&grad_in), bits(&dense_grad_in));
+        }
+    }
 
     fn setup() -> (GatLayer, GraphView, Matrix) {
         let mut rng = StdRng::seed_from_u64(4);
@@ -249,12 +491,13 @@ mod tests {
     fn attention_rows_are_distributions_over_neighbourhood() {
         let (layer, adj, x) = setup();
         let (_, cache) = layer.forward(&adj, &x, &IdealReader, 0, false);
+        let attention = attention_matrix(&adj, &cache);
         for i in 0..3 {
-            let sum: f32 = cache.attention.row(i).iter().sum();
+            let sum: f32 = attention.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
             for j in 0..3 {
-                if cache.mask[(i, j)] < 0.5 {
-                    assert_eq!(cache.attention[(i, j)], 0.0);
+                if i != j && adj.dense()[(i, j)] < 0.5 {
+                    assert_eq!(attention[(i, j)], 0.0);
                 }
             }
         }
@@ -267,8 +510,9 @@ mod tests {
         let adj = GraphView::from_dense(Matrix::zeros(2, 2));
         let x = Matrix::from_rows(&[&[1.0, 0.5], &[0.2, -0.3]]);
         let (_, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
-        assert!((cache.attention[(0, 0)] - 1.0).abs() < 1e-6);
-        assert!((cache.attention[(1, 1)] - 1.0).abs() < 1e-6);
+        let attention = attention_matrix(&adj, &cache);
+        assert!((attention[(0, 0)] - 1.0).abs() < 1e-6);
+        assert!((attention[(1, 1)] - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -281,7 +525,7 @@ mod tests {
         };
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (grads, _) = layer.backward(&cache, &grad_logits);
+        let (grads, _) = layer.backward(&adj, &cache, &grad_logits);
 
         let eps = 1e-3f32;
         for p in 0..3 {
@@ -311,7 +555,7 @@ mod tests {
         let labels = [0usize, 1, 1];
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (_, grad_input) = layer.backward(&cache, &grad_logits);
+        let (_, grad_input) = layer.backward(&adj, &cache, &grad_logits);
 
         let eps = 1e-3f32;
         let mut x2 = x.clone();

@@ -115,11 +115,13 @@ impl MultiHeadGat {
         (out, MultiHeadGatCache { per_head })
     }
 
-    /// Backward pass: splits the output gradient per head and reuses the
-    /// single-head backward. Returns per-parameter gradients (head-major)
-    /// and the input gradient (summed over heads).
+    /// Backward pass over the view the forward pass ran on: splits the
+    /// output gradient per head and reuses the single-head backward.
+    /// Returns per-parameter gradients (head-major) and the input gradient
+    /// (summed over heads).
     pub fn backward(
         &self,
+        view: &GraphView,
         cache: &MultiHeadGatCache,
         grad_output: &Matrix,
     ) -> (Vec<Matrix>, Matrix) {
@@ -131,7 +133,7 @@ impl MultiHeadGat {
             let slice = Matrix::from_fn(n, self.out_per_head, |r, c| {
                 grad_output[(r, h * self.out_per_head + c)]
             });
-            let (head_grads, head_grad_in) = head.backward(head_cache, &slice);
+            let (head_grads, head_grad_in) = head.backward(view, head_cache, &slice);
             grads.extend(head_grads);
             grad_input = Some(match grad_input.take() {
                 None => head_grad_in,
@@ -223,7 +225,7 @@ mod tests {
         };
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (grads, _) = layer.backward(&cache, &grad_logits);
+        let (grads, _) = layer.backward(&adj, &cache, &grad_logits);
         assert_eq!(grads.len(), 6);
 
         let eps = 1e-3f32;
@@ -254,7 +256,7 @@ mod tests {
         let labels = [0usize, 1, 2];
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (_, grad_input) = layer.backward(&cache, &grad_logits);
+        let (_, grad_input) = layer.backward(&adj, &cache, &grad_logits);
 
         let eps = 1e-3f32;
         let mut x2 = x.clone();

@@ -320,7 +320,7 @@ impl Gnn {
             let (grads, grad_in) = match (&self.layers[li], &cache.caches[li]) {
                 (Layer::Gcn(l), LayerCache::Gcn(c)) => l.backward(view, c, &grad),
                 (Layer::Sage(l), LayerCache::Sage(c)) => l.backward(view, c, &grad),
-                (Layer::Gat(l), LayerCache::Gat(c)) => l.backward(c, &grad),
+                (Layer::Gat(l), LayerCache::Gat(c)) => l.backward(view, c, &grad),
                 _ => unreachable!("cache/layer kind mismatch"),
             };
             per_layer[li] = grads;

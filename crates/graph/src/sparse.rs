@@ -97,6 +97,19 @@ impl CsrMatrix {
         self.values.len()
     }
 
+    /// Row offsets: row `r`'s entries are stored at positions
+    /// `offsets()[r]..offsets()[r + 1]` of [`CsrMatrix::indices`]
+    /// (`rows() + 1` values).
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Column index of every stored entry, row by row, ascending within
+    /// each row.
+    pub fn indices(&self) -> &[usize] {
+        &self.indices
+    }
+
     /// The `(column, value)` entries of row `r`, ascending by column.
     ///
     /// # Panics
@@ -257,6 +270,8 @@ mod tests {
         assert_eq!(s.cols(), 3);
         assert_eq!(s.row_entries(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, -2.0)]);
         assert_eq!(s.row_entries(1).collect::<Vec<_>>(), vec![(1, 0.5)]);
+        assert_eq!(s.offsets(), &[0, 2, 3]);
+        assert_eq!(s.indices(), &[0, 2, 1]);
     }
 
     #[test]

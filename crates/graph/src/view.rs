@@ -7,9 +7,10 @@
 //! (at batch assembly, or whenever fault corruption changes it) and
 //! lazily caches each normalisation the first time a layer asks for it.
 //!
-//! All propagation matrices are stored sparse ([`CsrMatrix`]), so
-//! aggregation costs `O(nnz · d)`; only GAT's attention mask still
-//! requires the dense adjacency ([`GraphView::dense`]).
+//! All propagation matrices are stored sparse ([`CsrMatrix`]), and so
+//! is GAT's attention neighbourhood ([`GraphView::attention_pattern`]),
+//! so aggregation and attention cost `O(nnz · d)`. No layer reads the
+//! dense adjacency ([`GraphView::dense`]).
 //!
 //! The sparse caches are constructed to be numerically interchangeable
 //! with the dense reference path (`ops::gcn_normalise` /
@@ -54,6 +55,7 @@ pub struct GraphView {
     gcn: OnceLock<CsrMatrix>,
     mean: OnceLock<CsrMatrix>,
     mean_t: OnceLock<CsrMatrix>,
+    attention: OnceLock<CsrMatrix>,
 }
 
 impl GraphView {
@@ -67,6 +69,7 @@ impl GraphView {
             gcn: OnceLock::new(),
             mean: OnceLock::new(),
             mean_t: OnceLock::new(),
+            attention: OnceLock::new(),
         }
     }
 
@@ -90,6 +93,7 @@ impl GraphView {
             gcn: OnceLock::new(),
             mean: OnceLock::new(),
             mean_t: OnceLock::new(),
+            attention: OnceLock::new(),
         }
     }
 
@@ -99,7 +103,8 @@ impl GraphView {
     }
 
     /// The dense binary adjacency (built on first use for graph-backed
-    /// views). GAT's attention mask is the only hot-path consumer.
+    /// views). No layer reads it: the propagation matrices and the
+    /// attention pattern are sparse.
     pub fn dense(&self) -> &Matrix {
         self.dense.get_or_init(|| {
             self.graph
@@ -132,6 +137,53 @@ impl GraphView {
     pub fn mean_norm_t(&self) -> &CsrMatrix {
         self.mean_t.get_or_init(|| self.mean_norm().transpose())
     }
+
+    /// GAT's attention neighbourhood: every stored adjacency entry plus
+    /// a self loop per node, as a pattern of `1.0`s ascending by column,
+    /// built once and cached. Entry `(i, j)` is present exactly when
+    /// `i == j || adj[(i, j)] > 0.5`. Graph-backed views build it from
+    /// the CSR structure without materialising the dense adjacency.
+    pub fn attention_pattern(&self) -> &CsrMatrix {
+        self.attention.get_or_init(|| match &self.graph {
+            Some(g) => attention_csr(g),
+            None => attention_dense(self.dense()),
+        })
+    }
+}
+
+/// `A + I` for a graph: each node's neighbours with the node itself
+/// inserted at its sorted position.
+fn attention_csr(g: &CsrGraph) -> CsrMatrix {
+    let n = g.num_nodes();
+    let entries: Vec<Vec<(usize, f32)>> = (0..n)
+        .map(|u| {
+            let nbrs = g.neighbors(u);
+            let at = nbrs.partition_point(|&v| v < u);
+            let mut row = Vec::with_capacity(nbrs.len() + 1);
+            row.extend(nbrs[..at].iter().map(|&v| (v, 1.0)));
+            row.push((u, 1.0));
+            row.extend(nbrs[at..].iter().filter(|&&v| v != u).map(|&v| (v, 1.0)));
+            row
+        })
+        .collect();
+    CsrMatrix::from_row_entries(n, n, &entries)
+}
+
+/// `A + I` for a binary (possibly asymmetric) adjacency matrix, one
+/// O(n²) scan with the `i == j || adj > 0.5` test.
+fn attention_dense(adj: &Matrix) -> CsrMatrix {
+    let n = adj.rows();
+    let entries: Vec<Vec<(usize, f32)>> = (0..n)
+        .map(|i| {
+            adj.row(i)
+                .iter()
+                .enumerate()
+                .filter(|&(j, &a)| i == j || a > 0.5)
+                .map(|(j, _)| (j, 1.0))
+                .collect()
+        })
+        .collect();
+    CsrMatrix::from_row_entries(n, n, &entries)
 }
 
 /// `Â` for a self-loop-free undirected graph, entry for entry the
@@ -253,6 +305,37 @@ mod tests {
         assert_eq!(mean.row(3), &[0.0, 0.0]);
         let gcn = view.gcn_norm().spmm(&x);
         assert!((gcn[(3, 0)] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn attention_pattern_is_adjacency_plus_self_loops() {
+        let g = CsrGraph::from_edges(5, &[(0, 3), (1, 3), (3, 4)]);
+        let expected = Matrix::from_fn(5, 5, |i, j| {
+            if i == j || g.to_dense()[(i, j)] > 0.5 {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        let graph_view = GraphView::from_graph(&g);
+        assert_eq!(graph_view.attention_pattern().to_dense(), expected);
+        let dense_view = GraphView::from_dense(g.to_dense());
+        assert_eq!(dense_view.attention_pattern(), graph_view.attention_pattern());
+        // The graph-backed pattern never materialises the dense adjacency.
+        assert!(graph_view.dense.get().is_none());
+    }
+
+    #[test]
+    fn dense_attention_pattern_keeps_asymmetric_and_diagonal_entries() {
+        let adj = Matrix::from_rows(&[
+            &[1.0, 1.0, 0.0],
+            &[0.0, 0.0, 0.7],
+            &[0.3, 0.0, 0.0],
+        ]);
+        let view = GraphView::from_dense(adj);
+        let p = view.attention_pattern();
+        assert_eq!(p.offsets(), &[0, 2, 4, 5]);
+        assert_eq!(p.indices(), &[0, 1, 1, 2, 2]);
     }
 
     #[test]

@@ -64,26 +64,36 @@ pub fn leaky_relu_grad(m: &Matrix, alpha: f32) -> Matrix {
 pub fn softmax_rows(m: &Matrix) -> Matrix {
     let mut out = m.clone();
     for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        // A row of -inf (fully masked attention) softmaxes to uniform zeros
-        // rather than NaN.
-        if !max.is_finite() {
-            row.iter_mut().for_each(|v| *v = 0.0);
-            continue;
-        }
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
+        softmax_in_place(out.row_mut(r));
     }
     out
+}
+
+/// Numerically stable softmax of one row, in place: the per-row step of
+/// [`softmax_rows`].
+///
+/// A `-inf` entry folds into the max, exponentiates and sums as an
+/// exact no-op, so dropping a row's `-inf` entries leaves the softmax
+/// of the others unchanged bit for bit (the sparse GAT attention relies
+/// on this).
+pub fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    // A row of -inf (fully masked attention) softmaxes to uniform zeros
+    // rather than NaN.
+    if !max.is_finite() {
+        row.fill(0.0);
+        return;
+    }
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
 }
 
 /// Numerically stable row-wise log-softmax.
@@ -239,6 +249,17 @@ mod tests {
         let m = Matrix::from_rows(&[&[f32::NEG_INFINITY, f32::NEG_INFINITY]]);
         let s = softmax_rows(&m);
         assert_eq!(s.as_slice(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn softmax_ignores_masked_entries_bitwise() {
+        let inf = f32::NEG_INFINITY;
+        let full = softmax_rows(&Matrix::from_rows(&[&[0.3, inf, -1.7, inf, 2.9]]));
+        let mut packed = [0.3, -1.7, 2.9];
+        softmax_in_place(&mut packed);
+        let kept = [full[(0, 0)], full[(0, 2)], full[(0, 4)]];
+        assert_eq!(packed.map(f32::to_bits), kept.map(f32::to_bits));
+        assert_eq!((full[(0, 1)], full[(0, 3)]), (0.0, 0.0));
     }
 
     #[test]
