@@ -635,22 +635,23 @@ impl RunManifest {
 // Tests
 // ---------------------------------------------------------------------------
 
+/// Serialises every unit test in this crate that touches the
+/// process-global state: mode, clock, counters, timers, sinks and the
+/// trace ring. One lock for the whole crate, so a test in one module
+/// cannot interleave with another module's `set_mode`/`reset`.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// Counters/timers/sink are process-global; serialise the tests
-    /// that mutate them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn counters_are_inert_when_disabled() {
-        let _g = lock();
+        let _g = test_lock();
         set_mode(Mode::Off);
         reset();
         counters::RERAM_MVM_CALLS.add(5);
@@ -664,7 +665,7 @@ mod tests {
 
     #[test]
     fn fixed_clock_makes_timers_deterministic() {
-        let _g = lock();
+        let _g = test_lock();
         set_mode(Mode::Json);
         set_clock(ClockMode::Fixed(250));
         reset();
@@ -680,7 +681,7 @@ mod tests {
 
     #[test]
     fn manifest_includes_only_nonzero_counters_and_round_trips() {
-        let _g = lock();
+        let _g = test_lock();
         set_mode(Mode::Json);
         reset();
         counters::CORE_REMAP_CACHE_HITS.add(3);

@@ -382,14 +382,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{set_clock, set_mode, ClockMode, Mode};
-    use std::sync::MutexGuard;
-
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::{set_clock, set_mode, test_lock, ClockMode, Mode};
 
     fn fixture() -> TraceLog {
         TraceLog::from_events(
@@ -429,7 +422,7 @@ mod tests {
 
     #[test]
     fn spans_are_inert_when_not_tracing() {
-        let _g = lock();
+        let _g = test_lock();
         set_mode(Mode::Json);
         crate::reset();
         {
@@ -442,7 +435,7 @@ mod tests {
 
     #[test]
     fn fixed_clock_spans_are_sequenced_and_nested() {
-        let _g = lock();
+        let _g = test_lock();
         set_mode(Mode::Trace);
         set_clock(ClockMode::Fixed(10));
         crate::reset();
@@ -521,7 +514,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest_and_counts() {
-        let _g = lock();
+        let _g = test_lock();
         set_mode(Mode::Trace);
         set_clock(ClockMode::Fixed(1));
         crate::reset();
