@@ -163,9 +163,16 @@ fn write_escaped(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse`] accepts. Manifests and traces
+/// nest a handful of levels; the bound only keeps hostile input from
+/// overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -230,55 +237,74 @@ impl<'a> Parser<'a> {
                 }
             }
             b'"' => Ok(Json::Str(self.string()?)),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
+            b'-' | b'0'..=b'9' => self.number(),
+            _ => Err(self.err("unexpected character")),
+        }
+    }
+
+    /// Parses an array or object one nesting level down. Past
+    /// [`MAX_DEPTH`] levels it returns an error instead of recursing, so
+    /// hostile input cannot overflow the stack.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// An array, from its opening `[`.
+    fn array(&mut self) -> Result<Json, JsonError> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
+                _ => return Err(self.err("expected ',' or ']'")),
             }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    /// An object, from its opening `{`.
+    fn object(&mut self) -> Result<Json, JsonError> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Json::Obj(fields));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.value()?;
-                    fields.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
+                _ => return Err(self.err("expected ',' or '}'")),
             }
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => Err(self.err("unexpected character")),
         }
     }
 
@@ -380,8 +406,11 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses a JSON document into a [`Json`] tree.
+///
+/// Returns an error on malformed input and on arrays or objects nested
+/// more than [`MAX_DEPTH`] levels deep.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let value = parser.value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
@@ -818,6 +847,24 @@ mod tests {
     fn unicode_escapes_parse() {
         let v: String = from_str(r#""A😀""#).unwrap();
         assert_eq!(v, "A\u{1F600}");
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}1{}", r#"{"a":"#.repeat(d), "}".repeat(d));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Unterminated hostile input of any depth is an error, not a
+        // stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(200_000)).is_err());
+        // The depth is per path, not per document.
+        let wide = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]
