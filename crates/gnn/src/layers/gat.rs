@@ -183,7 +183,11 @@ impl GatLayer {
         let _span = fare_obs::trace::span("gnn.attention");
         let pattern = view.attention_pattern();
         let (offsets, cols) = (pattern.offsets(), pattern.indices());
-        assert_eq!(cols.len(), cache.attention.len(), "GAT cache does not match the view");
+        assert_eq!(
+            cols.len(),
+            cache.attention.len(),
+            "GAT cache does not match the view"
+        );
         let attention = &cache.attention;
         let (n, d) = cache.transformed.shape();
         let grad_p = if cache.output_layer {

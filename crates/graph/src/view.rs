@@ -320,18 +320,17 @@ mod tests {
         let graph_view = GraphView::from_graph(&g);
         assert_eq!(graph_view.attention_pattern().to_dense(), expected);
         let dense_view = GraphView::from_dense(g.to_dense());
-        assert_eq!(dense_view.attention_pattern(), graph_view.attention_pattern());
+        assert_eq!(
+            dense_view.attention_pattern(),
+            graph_view.attention_pattern()
+        );
         // The graph-backed pattern never materialises the dense adjacency.
         assert!(graph_view.dense.get().is_none());
     }
 
     #[test]
     fn dense_attention_pattern_keeps_asymmetric_and_diagonal_entries() {
-        let adj = Matrix::from_rows(&[
-            &[1.0, 1.0, 0.0],
-            &[0.0, 0.0, 0.7],
-            &[0.3, 0.0, 0.0],
-        ]);
+        let adj = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 0.0, 0.7], &[0.3, 0.0, 0.0]]);
         let view = GraphView::from_dense(adj);
         let p = view.attention_pattern();
         assert_eq!(p.offsets(), &[0, 2, 4, 5]);

@@ -410,7 +410,11 @@ impl<'a> Parser<'a> {
 /// Returns an error on malformed input and on arrays or objects nested
 /// more than [`MAX_DEPTH`] levels deep.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut parser = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     let value = parser.value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {

@@ -45,6 +45,16 @@ echo "==> runner pins across thread counts"
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test runner_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test runner_pins
 
+echo "==> sparse GAT against the dense oracle across thread counts"
+# GAT attends over the view's CSR pattern; a property test pins its
+# output, attention and gradients bit for bit to the dense n x n GAT
+# kept as a test-only oracle. The sparse product P = S.Z runs on the
+# pool, so check a serial and an odd worker count.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-gnn --lib -- \
+    sparse_attention_bit_identical_to_dense_oracle
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-gnn --lib -- \
+    sparse_attention_bit_identical_to_dense_oracle
+
 echo "==> golden telemetry trace across thread counts"
 # The committed golden manifest (tests/golden/golden_trace.json) must be
 # reproduced bit-for-bit on a serial and a parallel pool: counters count
@@ -101,5 +111,19 @@ cargo run -q --offline --bin fare-report -- summarize \
     "$REPORT_TMP/golden_fresh.json" > /dev/null
 cargo run -q --offline --bin fare-report -- heatmap \
     "$REPORT_TMP/golden_fresh.json" > /dev/null
+
+echo "==> hostile input smoke (deeply nested JSON)"
+# The JSON parser bounds its nesting depth: 200k unclosed '[' must be a
+# usage error (exit 2), not a stack-overflow abort.
+head -c 200000 /dev/zero | tr '\0' '[' > "$REPORT_TMP/deep.json"
+set +e
+cargo run -q --offline --bin fare-report -- summarize \
+    "$REPORT_TMP/deep.json" > /dev/null 2>&1
+DEEP_STATUS=$?
+set -e
+if [ "$DEEP_STATUS" -ne 2 ]; then
+    echo "fare-report summarize on deeply nested JSON exited $DEEP_STATUS, expected 2" >&2
+    exit 1
+fi
 
 echo "==> verify OK"

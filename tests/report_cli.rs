@@ -14,7 +14,10 @@ fn summarize_exit_code(name: &str, text: &str) -> (Option<i32>, String) {
         .output()
         .expect("run fare-report");
     let _ = std::fs::remove_file(&path);
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
