@@ -310,8 +310,9 @@ mod tests {
     #[test]
     fn attention_pattern_is_adjacency_plus_self_loops() {
         let g = CsrGraph::from_edges(5, &[(0, 3), (1, 3), (3, 4)]);
+        let adj = g.to_dense();
         let expected = Matrix::from_fn(5, 5, |i, j| {
-            if i == j || g.to_dense()[(i, j)] > 0.5 {
+            if i == j || adj[(i, j)] > 0.5 {
                 1.0
             } else {
                 0.0
@@ -319,7 +320,7 @@ mod tests {
         });
         let graph_view = GraphView::from_graph(&g);
         assert_eq!(graph_view.attention_pattern().to_dense(), expected);
-        let dense_view = GraphView::from_dense(g.to_dense());
+        let dense_view = GraphView::from_dense(adj);
         assert_eq!(
             dense_view.attention_pattern(),
             graph_view.attention_pattern()
