@@ -62,6 +62,12 @@ fn bench_weight_path(c: &mut Criterion) {
     group.bench_function("corrupt_identity", |b| {
         b.iter(|| black_box(fabric.corrupt(black_box(&weights))))
     });
+    // The trainer's per-forward read: the overlay is built once per
+    // fault state and placement, then reused.
+    let overlay = fabric.fault_overlay(None);
+    group.bench_function("read_through_cached", |b| {
+        b.iter(|| black_box(fabric.read_through(black_box(&weights), &overlay)))
+    });
     group.bench_function("corrupt_permuted", |b| {
         b.iter(|| black_box(fabric.corrupt_permuted(black_box(&weights), Some(&placement))))
     });

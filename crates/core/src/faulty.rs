@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use fare_gnn::{Gnn, WeightReader};
 use fare_reram::variation::{VariationField, VariationSpec};
-use fare_reram::weights::WeightFabric;
+use fare_reram::weights::{FaultOverlay, WeightFabric};
 use fare_reram::{CrossbarArray, FaultSpec};
 use fare_tensor::{FixedFormat, Matrix};
 use fare_rt::rand::Rng;
@@ -20,6 +20,10 @@ use crate::mapping::Mapping;
 /// Optionally holds a per-parameter **row placement** (logical →
 /// physical), which is how the neuron-reordering baseline steers weight
 /// rows around damaging faults.
+///
+/// Each parameter's stuck cells under its placement are folded once into
+/// a [`FaultOverlay`], rebuilt whenever the faults or placements change
+/// through this reader, so a read is one quantise plus a sparse patch.
 ///
 /// # Example
 ///
@@ -41,6 +45,10 @@ use crate::mapping::Mapping;
 pub struct FaultyWeightReader {
     fabrics: BTreeMap<(usize, usize), WeightFabric>,
     placements: BTreeMap<(usize, usize), Vec<usize>>,
+    /// Each fabric's overlay under its current placement. A parameter
+    /// without one (its fabric was borrowed mutably since) is read
+    /// through a fresh overlay.
+    overlays: BTreeMap<(usize, usize), FaultOverlay>,
     variations: BTreeMap<(usize, usize), VariationField>,
     clip: Option<f32>,
 }
@@ -64,12 +72,15 @@ impl FaultyWeightReader {
                 )
             })
             .collect();
-        Self {
+        let mut reader = Self {
             fabrics,
             placements: BTreeMap::new(),
+            overlays: BTreeMap::new(),
             variations: BTreeMap::new(),
             clip: None,
-        }
+        };
+        reader.rebuild_overlays();
+        reader
     }
 
     /// Draws a static programming-variation field for every parameter
@@ -120,6 +131,7 @@ impl FaultyWeightReader {
         for fabric in self.fabrics.values_mut() {
             fabric.inject(spec, rng);
         }
+        self.rebuild_overlays();
     }
 
     /// Borrows the fabric of parameter `(layer, param)`.
@@ -133,12 +145,15 @@ impl FaultyWeightReader {
             .unwrap_or_else(|| panic!("no fabric for parameter ({layer},{param})"))
     }
 
-    /// Mutably borrows the fabric of parameter `(layer, param)`.
+    /// Mutably borrows the fabric of parameter `(layer, param)`. Its
+    /// cached overlay is dropped, so later reads see whatever the caller
+    /// does to the fabric.
     ///
     /// # Panics
     ///
     /// Panics if the parameter is unknown.
     pub fn fabric_mut(&mut self, layer: usize, param: usize) -> &mut WeightFabric {
+        self.overlays.remove(&(layer, param));
         self.fabrics
             .get_mut(&(layer, param))
             .unwrap_or_else(|| panic!("no fabric for parameter ({layer},{param})"))
@@ -152,6 +167,7 @@ impl FaultyWeightReader {
     /// Drops all row placements (back to identity).
     pub fn clear_placements(&mut self) {
         self.placements.clear();
+        self.rebuild_overlays();
     }
 
     /// Recomputes every parameter's row placement to minimise corruption
@@ -173,14 +189,32 @@ impl FaultyWeightReader {
             let sol = matcher.solve(&cost);
             self.placements.insert((layer, param), sol.to_permutation());
         }
+        self.rebuild_overlays();
+    }
+
+    /// Folds every fabric's faults under its placement into its overlay.
+    fn rebuild_overlays(&mut self) {
+        self.overlays = self
+            .fabrics
+            .iter()
+            .map(|(&key, fabric)| {
+                let placement = self.placements.get(&key).map(Vec::as_slice);
+                (key, fabric.fault_overlay(placement))
+            })
+            .collect();
     }
 }
 
 impl WeightReader for FaultyWeightReader {
     fn read(&self, layer: usize, param: usize, value: &Matrix) -> Matrix {
         let fabric = self.fabric(layer, param);
-        let placement = self.placements.get(&(layer, param)).map(Vec::as_slice);
-        let mut out = fabric.corrupt_permuted(value, placement);
+        let mut out = match self.overlays.get(&(layer, param)) {
+            Some(overlay) => fabric.read_through(value, overlay),
+            None => {
+                let placement = self.placements.get(&(layer, param)).map(Vec::as_slice);
+                fabric.corrupt_permuted(value, placement)
+            }
+        };
         if let Some(field) = self.variations.get(&(layer, param)) {
             out = field.apply(&out);
         }
@@ -405,6 +439,75 @@ mod tests {
         assert_eq!(reader.clip(), Some(1.0));
         let clipped = reader.read(0, 0, m.param(0, 0));
         assert!(clipped.iter().all(|v| v.abs() <= 1.0));
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fault_placed_through_fabric_mut_is_seen_by_next_read() {
+        let m = model();
+        let mut reader = FaultyWeightReader::for_model(&m, 16);
+        let w = m.param(0, 0);
+        let before = reader.read(0, 0, w);
+        reader
+            .fabric_mut(0, 0)
+            .array_mut()
+            .crossbar_mut(0)
+            .inject_fault(0, 0, StuckPolarity::StuckAtOne);
+        let after = reader.read(0, 0, w);
+        assert_ne!(bits(&after), bits(&before));
+        assert_eq!(bits(&after), bits(&reader.fabric(0, 0).corrupt(w)));
+    }
+
+    #[test]
+    fn fabric_replaced_by_deserialised_copy_is_seen_by_next_read() {
+        let m = model();
+        let mut reader = FaultyWeightReader::for_model(&m, 16);
+        let mut rng = StdRng::seed_from_u64(6);
+        reader.inject(&FaultSpec::density(0.05), &mut rng);
+        let w = m.param(0, 0);
+        let before = reader.read(0, 0, w);
+        // A different fault pattern whose crossbars restart at version 0
+        // once deserialised: a cache keyed on fault versions would miss it.
+        let mut other = reader.fabric(0, 0).clone();
+        other.array_mut().clear_faults();
+        other.array_mut().crossbar_mut(0).inject_fault(1, 0, StuckPolarity::StuckAtOne);
+        let text = fare_rt::json::to_string(&other).unwrap();
+        *reader.fabric_mut(0, 0) = fare_rt::json::from_str(&text).unwrap();
+        let after = reader.read(0, 0, w);
+        assert_ne!(bits(&after), bits(&before));
+        assert_eq!(bits(&after), bits(&other.corrupt(w)));
+    }
+
+    #[test]
+    fn placement_changes_are_seen_by_next_read() {
+        let m = model();
+        let mut reader = FaultyWeightReader::for_model(&m, 16);
+        let mut rng = StdRng::seed_from_u64(7);
+        reader.inject(&FaultSpec::density(0.05), &mut rng);
+        let identity: Vec<Matrix> = m
+            .param_shapes()
+            .iter()
+            .map(|ps| reader.read(ps.layer, ps.param, m.param(ps.layer, ps.param)))
+            .collect();
+        reader.optimize_placements(&m, Matcher::Hungarian);
+        let mut moved = false;
+        for (ps, ident) in m.param_shapes().iter().zip(&identity) {
+            let w = m.param(ps.layer, ps.param);
+            let placement = reader.placements[&(ps.layer, ps.param)].clone();
+            let read = reader.read(ps.layer, ps.param, w);
+            let fabric = reader.fabric(ps.layer, ps.param);
+            assert_eq!(bits(&read), bits(&fabric.corrupt_permuted(w, Some(&placement))));
+            moved |= bits(&read) != bits(ident);
+        }
+        assert!(moved, "NR placement left every read unchanged");
+        reader.clear_placements();
+        for (ps, ident) in m.param_shapes().iter().zip(&identity) {
+            let read = reader.read(ps.layer, ps.param, m.param(ps.layer, ps.param));
+            assert_eq!(bits(&read), bits(ident));
+        }
     }
 
     #[test]

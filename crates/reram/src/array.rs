@@ -1,3 +1,4 @@
+use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::Rng;
 
 use fare_tensor::fixed::StuckPolarity;
@@ -28,7 +29,24 @@ pub struct CrossbarArray {
     crossbars: Vec<Crossbar>,
 }
 
-fare_rt::json_struct!(CrossbarArray { n, crossbars });
+fare_rt::json_struct_to!(CrossbarArray { n, crossbars });
+
+impl FromJson for CrossbarArray {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let n: usize = field(v, "n")?;
+        let crossbars: Vec<Crossbar> = field(v, "crossbars")?;
+        if crossbars.is_empty() {
+            return Err(JsonError::new("crossbar array has no crossbars"));
+        }
+        if let Some((i, x)) = crossbars.iter().enumerate().find(|(_, x)| x.n() != n) {
+            return Err(JsonError::new(format!(
+                "crossbar {i} is {0}x{0} in an array of {n}x{n} crossbars",
+                x.n()
+            )));
+        }
+        Ok(Self { n, crossbars })
+    }
+}
 
 impl CrossbarArray {
     /// Creates `count` fault-free `n × n` crossbars.

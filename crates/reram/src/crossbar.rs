@@ -72,6 +72,9 @@ impl FromJson for Crossbar {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let n: usize = field(v, "n")?;
         let rows: Vec<Vec<(usize, StuckPolarity)>> = field(v, "rows")?;
+        if n == 0 {
+            return Err(JsonError::new("crossbar size must be positive"));
+        }
         if rows.len() != n {
             return Err(JsonError::new(format!(
                 "crossbar has {} fault rows for dimension {n}",

@@ -38,7 +38,19 @@ pub struct FixedFormat {
     frac_bits: u32,
 }
 
-fare_rt::json_struct!(FixedFormat { frac_bits });
+fare_rt::json_struct_to!(FixedFormat { frac_bits });
+
+impl fare_rt::json::FromJson for FixedFormat {
+    fn from_json(v: &fare_rt::json::Json) -> Result<Self, fare_rt::json::JsonError> {
+        let frac_bits: u32 = fare_rt::json::field(v, "frac_bits")?;
+        if frac_bits >= 16 {
+            return Err(fare_rt::json::JsonError::new(format!(
+                "frac_bits must be < 16, got {frac_bits}"
+            )));
+        }
+        Ok(Self { frac_bits })
+    }
+}
 
 impl FixedFormat {
     /// Creates a format with the given number of fractional bits.
@@ -238,6 +250,72 @@ impl From<CellWord> for Fixed16 {
     }
 }
 
+/// A weight's stuck cells as two masks on its sign-magnitude cell word:
+/// the word reads back as `(bits & and) | or`.
+///
+/// Stuck-at-0 clears a cell's two bits and stuck-at-1 sets them, so any
+/// set of stuck cells on one word folds into one AND and one OR mask
+/// that reads back exactly what [`CellWord::stick_at_zero`] /
+/// [`CellWord::stick_at_one`] applied in the same order would.
+///
+/// # Example
+///
+/// ```
+/// use fare_tensor::fixed::{CellMasks, StuckPolarity};
+/// use fare_tensor::{CellWord, Fixed16};
+///
+/// let masks = CellMasks::NONE
+///     .stick(0, StuckPolarity::StuckAtOne)
+///     .stick(7, StuckPolarity::StuckAtZero);
+/// let mut word = CellWord::from_fixed(Fixed16(301));
+/// word.stick_at_one(0);
+/// word.stick_at_zero(7);
+/// assert_eq!(masks.apply(Fixed16(301)), word.to_fixed());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CellMasks {
+    /// Bits a stuck-at-0 cell forces to 0 are clear here.
+    pub and: u16,
+    /// Bits a stuck-at-1 cell forces to 1 are set here.
+    pub or: u16,
+}
+
+impl CellMasks {
+    /// No stuck cell: the word reads back unchanged.
+    pub const NONE: Self = Self {
+        and: u16::MAX,
+        or: 0,
+    };
+
+    /// These masks with cell `cell` (0 = MSB cell) additionally stuck at
+    /// `polarity`; a later stick of the same cell overrides an earlier one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell >= CELLS_PER_WORD`.
+    pub fn stick(self, cell: usize, polarity: StuckPolarity) -> Self {
+        assert!(cell < CELLS_PER_WORD, "cell {cell} out of range");
+        let bits = 0b11u16 << ((CELLS_PER_WORD - 1 - cell) as u32 * BITS_PER_CELL);
+        match polarity {
+            StuckPolarity::StuckAtZero => Self {
+                and: self.and & !bits,
+                or: self.or & !bits,
+            },
+            StuckPolarity::StuckAtOne => Self {
+                and: self.and,
+                or: self.or | bits,
+            },
+        }
+    }
+
+    /// Reads `value` back through the stuck cells.
+    pub fn apply(self, value: Fixed16) -> Fixed16 {
+        Fixed16(from_sign_magnitude(
+            (to_sign_magnitude(value.0) & self.and) | self.or,
+        ))
+    }
+}
+
 /// Corrupts `value` (given in format `fmt`) by sticking cell `cell_index`
 /// at 0 or 1, returning the decoded faulty `f32`.
 ///
@@ -261,12 +339,11 @@ pub fn apply_cell_fault(
     cell_index: usize,
     polarity: StuckPolarity,
 ) -> f32 {
-    let mut word = CellWord::from_fixed(fmt.encode(value));
-    match polarity {
-        StuckPolarity::StuckAtZero => word.stick_at_zero(cell_index),
-        StuckPolarity::StuckAtOne => word.stick_at_one(cell_index),
-    }
-    fmt.decode(word.to_fixed())
+    fmt.decode(
+        CellMasks::NONE
+            .stick(cell_index, polarity)
+            .apply(fmt.encode(value)),
+    )
 }
 
 /// Polarity of a stuck-at fault.
@@ -411,6 +488,46 @@ mod tests {
         for i in 0..CELLS_PER_WORD {
             assert_eq!(apply_cell_fault(0.0, fmt, i, StuckPolarity::StuckAtZero), 0.0);
         }
+    }
+
+    #[test]
+    fn cell_masks_match_cell_word_sticks() {
+        let pols = [StuckPolarity::StuckAtZero, StuckPolarity::StuckAtOne];
+        let stick = |word: &mut CellWord, cell: usize, pol: StuckPolarity| match pol {
+            StuckPolarity::StuckAtZero => word.stick_at_zero(cell),
+            StuckPolarity::StuckAtOne => word.stick_at_one(cell),
+        };
+        for v in [0i16, 1, -1, 300, -300, i16::MAX, -i16::MAX, i16::MIN, 12345, -12345] {
+            // Every ordered pair of sticks, including the same cell twice
+            // (the later polarity wins).
+            for a in 0..CELLS_PER_WORD {
+                for b in 0..CELLS_PER_WORD {
+                    for pa in pols {
+                        for pb in pols {
+                            let masks = CellMasks::NONE.stick(a, pa).stick(b, pb);
+                            let mut word = CellWord::from_fixed(Fixed16(v));
+                            stick(&mut word, a, pa);
+                            stick(&mut word, b, pb);
+                            assert_eq!(
+                                masks.apply(Fixed16(v)),
+                                word.to_fixed(),
+                                "{v} {a}{pa} {b}{pb}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                CellMasks::NONE.apply(Fixed16(v)),
+                CellWord::from_fixed(Fixed16(v)).to_fixed()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 8 out of range")]
+    fn cell_masks_reject_out_of_range_cell() {
+        CellMasks::NONE.stick(CELLS_PER_WORD, StuckPolarity::StuckAtOne);
     }
 
     #[test]

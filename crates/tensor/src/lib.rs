@@ -32,5 +32,5 @@ mod matrix;
 pub mod ops;
 
 pub use error::ShapeError;
-pub use fixed::{CellWord, Fixed16, FixedFormat};
+pub use fixed::{CellMasks, CellWord, Fixed16, FixedFormat};
 pub use matrix::Matrix;

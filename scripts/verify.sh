@@ -55,6 +55,17 @@ FARE_RT_THREADS=1 cargo test -q --offline -p fare-gnn --lib -- \
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-gnn --lib -- \
     sparse_attention_bit_identical_to_dense_oracle
 
+echo "==> weight fault overlay against the per-read oracle"
+# Weight reads go through a cached per-weight AND/OR mask overlay. A
+# property test pins it by to_bits to the old per-read HashMap fault
+# walk, kept as a test-only oracle, over crossbar sizes 8/16/32, fault
+# densities 0-100%, SA1 fractions 0/0.5/1, random placements, repeated
+# injections and NaN/inf/saturating weights.
+cargo test -q --offline -p fare-reram --lib -- overlay_read_bit_identical_to_oracle
+
+echo "==> crossbar and weight-fabric deserialisers reject bad geometry"
+cargo test -q --offline --test serialization -- from_json_rejects
+
 echo "==> golden telemetry trace across thread counts"
 # The committed golden manifest (tests/golden/golden_trace.json) must be
 # reproduced bit-for-bit on a serial and a parallel pool: counters count

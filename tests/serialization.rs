@@ -7,8 +7,10 @@ use fare::core::{EpochStats, FaultStrategy, TrainConfig, TrainOutcome, Trainer};
 use fare::gnn::{Gnn, GnnDims};
 use fare::graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare::graph::CsrGraph;
-use fare::reram::{Bist, CrossbarArray, FaultMap, FaultSpec};
-use fare::tensor::Matrix;
+use fare::reram::weights::WeightFabric;
+use fare::reram::{Bist, Crossbar, CrossbarArray, FaultMap, FaultSpec};
+use fare::tensor::{FixedFormat, Matrix};
+use fare_rt::json::Json;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::SeedableRng;
 
@@ -51,6 +53,88 @@ fn crossbar_array_and_fault_map_round_trip() {
     round_trip(&array);
     let map: FaultMap = Bist::scan(&array);
     round_trip(&map);
+}
+
+/// `value`'s JSON with field `name` replaced by the JSON text `with`.
+fn with_field<T: fare_rt::json::ToJson>(value: &T, name: &str, with: &str) -> String {
+    let Json::Obj(mut fields) = fare_rt::json::ToJson::to_json(value) else {
+        panic!("not a JSON object");
+    };
+    let slot = fields
+        .iter_mut()
+        .find(|(k, _)| k == name)
+        .expect("field exists");
+    slot.1 = fare_rt::json::parse(with).expect("valid replacement");
+    Json::Obj(fields).to_compact()
+}
+
+fn rejects<T: fare_rt::json::FromJson + std::fmt::Debug>(text: &str, what: &str) {
+    let parsed: Result<T, _> = fare_rt::json::from_str(text);
+    assert!(parsed.is_err(), "{what}: accepted {text}");
+}
+
+#[test]
+fn weight_fabric_round_trips_and_reads_identically() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut fabric = WeightFabric::for_shape(20, 9, 16, FixedFormat::default());
+    fabric.inject(&FaultSpec::density(0.05), &mut rng);
+    round_trip(&fabric);
+    let back: WeightFabric =
+        fare_rt::json::from_str(&fare_rt::json::to_string(&fabric).unwrap()).unwrap();
+    let w = Matrix::from_fn(20, 9, |r, c| ((r * 9 + c) as f32 * 0.37).sin());
+    assert_eq!(back.corrupt(&w), fabric.corrupt(&w));
+}
+
+#[test]
+fn crossbar_from_json_rejects_zero_size() {
+    rejects::<Crossbar>(r#"{"n":0,"rows":[]}"#, "zero-size crossbar");
+}
+
+#[test]
+fn crossbar_array_from_json_rejects_mismatched_or_missing_crossbars() {
+    let array = CrossbarArray::new(3, 8);
+    rejects::<CrossbarArray>(
+        &with_field(&array, "n", "16"),
+        "array n differs from its crossbars",
+    );
+    let mixed = with_field(
+        &array,
+        "crossbars",
+        &fare_rt::json::to_string(&vec![Crossbar::new(8), Crossbar::new(4)]).unwrap(),
+    );
+    rejects::<CrossbarArray>(&mixed, "crossbars of mixed size");
+    rejects::<CrossbarArray>(&with_field(&array, "crossbars", "[]"), "no crossbars");
+}
+
+#[test]
+fn weight_fabric_from_json_rejects_inconsistent_geometry() {
+    // 20 x 9 weights on 16 x 16 crossbars: 16 / 8 = 2 weights per
+    // crossbar row, a 2 x 5 grid of 10 crossbars.
+    let fabric = WeightFabric::for_shape(20, 9, 16, FixedFormat::default());
+    let bad = [
+        ("grid_rows", "3"),
+        ("grid_cols", "4"),
+        ("weights_per_row", "4"),
+        ("n", "12"),
+        ("n", "0"),
+        ("rows", "0"),
+        ("rows", "40"),
+        ("cols", "0"),
+        ("fmt", r#"{"frac_bits":40}"#),
+    ];
+    for (name, value) in bad {
+        rejects::<WeightFabric>(
+            &with_field(&fabric, name, value),
+            &format!("{name} = {value}"),
+        );
+    }
+    let short = fare_rt::json::to_string(&CrossbarArray::new(9, 16)).unwrap();
+    rejects::<WeightFabric>(&with_field(&fabric, "array", &short), "array too short");
+    let wrong_n = fare_rt::json::to_string(&CrossbarArray::new(10, 8)).unwrap();
+    rejects::<WeightFabric>(
+        &with_field(&fabric, "array", &wrong_n),
+        "array of 8x8 crossbars",
+    );
 }
 
 #[test]
