@@ -7,7 +7,7 @@
 
 use fare_rt::bench::{criterion_group, criterion_main, Criterion};
 use fare_core::mapping::{
-    map_adjacency, map_adjacency_cached, reference, refresh_row_permutations,
+    map_adjacency, map_adjacency_cached, refresh_row_permutations,
     refresh_row_permutations_cached, sequential_mapping, MappingConfig, RemapCache,
 };
 use fare_matching::Matcher;
@@ -67,21 +67,6 @@ fn bench_mapping(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fast path against the pre-fast-path full `n × n` pipeline it
-/// replaced (kept in `fare_core::mapping::reference`).
-fn bench_fast_path(c: &mut Criterion) {
-    let (adj, array) = setup(96, 16, 0.05);
-    let cfg = MappingConfig::default();
-    let mut group = c.benchmark_group("fast_path");
-    group.bench_function("map_adjacency_full_nxn", |b| {
-        b.iter(|| black_box(reference::map_adjacency_full(black_box(&adj), &array, &cfg)))
-    });
-    group.bench_function("map_adjacency_fast", |b| {
-        b.iter(|| black_box(map_adjacency(black_box(&adj), &array, &cfg)))
-    });
-    group.finish();
-}
-
 fn bench_post_deployment(c: &mut Criterion) {
     let (adj, mut array) = setup(96, 16, 0.03);
     let cfg = MappingConfig::default();
@@ -126,6 +111,6 @@ fn bench_post_deployment(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_mapping, bench_fast_path, bench_post_deployment
+    targets = bench_mapping, bench_post_deployment
 }
 criterion_main!(benches);

@@ -1,12 +1,9 @@
-//! Compute-core benchmark: the seed's dense GCN pipeline vs the sparse
-//! CSR pipeline the layers use now.
+//! Compute-core benchmark on a graph larger than any preset.
 //!
-//! The "pre" numbers replicate the seed code path faithfully — a fresh
-//! `gcn_normalise` on the dense adjacency inside *every* layer forward,
-//! followed by zero-skipping dense matmuls — while the "post" numbers
-//! drive the real [`fare_gnn::Gnn`] through a [`fare_graph::GraphView`]
-//! built once per graph. Both paths run the same weights on the same
-//! graph, and the losses are checked to agree before anything is timed.
+//! It times one GCN forward+backward through the real [`fare_gnn::Gnn`]
+//! on a [`fare_graph::GraphView`] built once per graph, the sparse GCN
+//! aggregation `Â · X` that step runs twice, and the batched crossbar
+//! matmul through a faulty weight fabric.
 //!
 //! ```text
 //! cargo run --release -p fare-bench --bin bench_core -- \
@@ -14,9 +11,8 @@
 //! ```
 //!
 //! Writes a [`fare_obs::RunManifest`] (default `BENCH_core.json`) with
-//! one `bench` entry per kernel (`<kernel>.ns_per_iter`) plus the
-//! headline dense→sparse speedup of a full GCN forward+backward step —
-//! the same schema every other manifest in the workspace uses, so
+//! one `bench` entry per kernel (`<kernel>.ns_per_iter`) — the same
+//! schema every other manifest in the workspace uses, so
 //! `fare-report diff BENCH_core.json <fresh.json>` compares bench runs
 //! across PRs with the one code path.
 
@@ -27,7 +23,7 @@ use fare_obs::RunManifest;
 use fare_gnn::{Gnn, GnnDims, IdealReader};
 use fare_graph::datasets::ModelKind;
 use fare_graph::{CsrGraph, GraphView};
-use fare_reram::mvm::{crossbar_matmul, crossbar_mvm};
+use fare_reram::mvm::crossbar_matmul;
 use fare_reram::weights::WeightFabric;
 use fare_reram::FaultSpec;
 use fare_rt::rand::rngs::StdRng;
@@ -51,59 +47,8 @@ fn random_graph(n: usize, avg_degree: usize, seed: u64) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
-/// The seed's dense matmul: skip the inner loop when the lhs entry is
-/// exactly zero. On a normalised adjacency this is the only thing that
-/// made the `O(n² · d)` product bearable.
-fn zero_skip_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "shape mismatch");
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        let out_row = out.row_mut(i);
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
-                *o += av * bv;
-            }
-        }
-    }
-    out
-}
-
-/// One full 2-layer GCN forward+backward exactly as the seed computed
-/// it: `gcn_normalise` runs inside each layer forward (twice per step)
-/// and every adjacency product is a zero-skipping dense matmul.
-fn dense_seed_gcn_step(
-    adj: &Matrix,
-    x: &Matrix,
-    w1: &Matrix,
-    w2: &Matrix,
-    labels: &[usize],
-) -> f32 {
-    // Layer 1 forward.
-    let a_hat1 = ops::gcn_normalise(adj);
-    let agg1 = zero_skip_matmul(&a_hat1, x);
-    let z1 = agg1.matmul(w1);
-    let h1 = ops::relu(&z1);
-    // Layer 2 forward (the seed re-normalised per layer call).
-    let a_hat2 = ops::gcn_normalise(adj);
-    let agg2 = zero_skip_matmul(&a_hat2, &h1);
-    let logits = agg2.matmul(w2);
-    let (loss, grad_logits) = ops::cross_entropy_with_grad(&logits, labels);
-    // Layer 2 backward (output layer: grad_z = grad_logits).
-    let _grad_w2 = agg2.t_matmul(&grad_logits);
-    let grad_h1 = zero_skip_matmul(&a_hat2, &grad_logits.matmul_t(w2));
-    // Layer 1 backward.
-    let grad_z1 = grad_h1.hadamard(&ops::relu_grad(&z1));
-    let _grad_w1 = agg1.t_matmul(&grad_z1);
-    let _grad_x = zero_skip_matmul(&a_hat1, &grad_z1.matmul_t(w1));
-    loss
-}
-
 /// One forward+backward through the real model on the cached view.
-fn csr_gcn_step(model: &Gnn, view: &GraphView, x: &Matrix, labels: &[usize]) -> f32 {
+fn gcn_step(model: &Gnn, view: &GraphView, x: &Matrix, labels: &[usize]) -> f32 {
     let (logits, cache) = model.forward(view, x, &IdealReader);
     let (loss, grad_logits) = ops::cross_entropy_with_grad(&logits, labels);
     let _grads = model.backward(view, &cache, &grad_logits);
@@ -145,40 +90,19 @@ fn main() {
     let x = init::normal(n, dims.input, 1.0, &mut rng);
     let labels: Vec<usize> = (0..n).map(|i| i % dims.output).collect();
     let model = Gnn::new(ModelKind::Gcn, dims, &mut rng);
-    let w1 = model.param(0, 0).clone();
-    let w2 = model.param(1, 0).clone();
     let view = GraphView::from_graph(&g);
     let size = format!("n={n},e={},d={}", g.num_edges(), dims.hidden);
 
-    // The two paths must compute the same step before we time them.
-    let adj = g.to_dense();
-    let loss_pre = dense_seed_gcn_step(&adj, &x, &w1, &w2, &labels);
-    let loss_post = csr_gcn_step(&model, &view, &x, &labels);
-    assert!(
-        (loss_pre - loss_post).abs() < 1e-5,
-        "paths diverge: dense {loss_pre} vs csr {loss_post}"
-    );
-
-    eprintln!("timing dense seed path ({iters} iters)...");
-    let pre_ns = time_ns(iters, || {
-        std::hint::black_box(dense_seed_gcn_step(&adj, &x, &w1, &w2, &labels));
+    eprintln!("timing gcn step ({} iters)...", iters * 10);
+    let step_ns = time_ns(iters * 10, || {
+        std::hint::black_box(gcn_step(&model, &view, &x, &labels));
     });
-    eprintln!("timing csr path ({} iters)...", iters * 10);
-    let post_ns = time_ns(iters * 10, || {
-        std::hint::black_box(csr_gcn_step(&model, &view, &x, &labels));
-    });
-
-    // Aggregation micro-kernels: the dominant inner operation of both
-    // paths, isolated.
-    let agg_pre_ns = time_ns(iters, || {
-        std::hint::black_box(zero_skip_matmul(&ops::gcn_normalise(&adj), &x));
-    });
-    let agg_post_ns = time_ns(iters * 10, || {
+    let agg_ns = time_ns(iters * 10, || {
         std::hint::black_box(view.gcn_norm().spmm(&x));
     });
 
-    // Crossbar matmul: per-row MVMs re-corrupt the fabric every row
-    // (the seed behaviour); the batched kernel corrupts once.
+    // Crossbar matmul: the fabric's stuck cells are applied once per
+    // call, then the input rows run in parallel.
     let (xb_rows, xb_cols, xb_batch) = if smoke { (64, 32, 32) } else { (128, 64, 256) };
     let mut frng = StdRng::seed_from_u64(7);
     let mut fabric = WeightFabric::for_shape(xb_rows, xb_cols, 16, FixedFormat::default());
@@ -186,30 +110,17 @@ fn main() {
     let w = Matrix::from_fn(xb_rows, xb_cols, |_, _| frng.gen_range(-1.0f32..1.0));
     let input = Matrix::from_fn(xb_batch, xb_rows, |_, _| frng.gen_range(-1.0f32..1.0));
     let xb_size = format!("w={xb_rows}x{xb_cols},batch={xb_batch}");
-    let xb_pre_ns = time_ns(iters, || {
-        let mut out = Matrix::zeros(input.rows(), xb_cols);
-        for i in 0..input.rows() {
-            let y = crossbar_mvm(&fabric, &w, input.row(i));
-            out.row_mut(i).copy_from_slice(&y.output);
-        }
-        std::hint::black_box(out);
-    });
-    let xb_post_ns = time_ns(iters, || {
+    let xb_ns = time_ns(iters, || {
         std::hint::black_box(crossbar_matmul(&fabric, &w, &input));
     });
 
-    let speedup = pre_ns / post_ns;
-    let rows: [(&str, &str, f64); 6] = [
-        ("gcn_fwd_bwd_dense_seed", &size, pre_ns),
-        ("gcn_fwd_bwd_csr", &size, post_ns),
-        ("gcn_aggregate_dense_seed", &size, agg_pre_ns),
-        ("gcn_aggregate_csr", &size, agg_post_ns),
-        ("crossbar_matmul_per_row_mvm", &xb_size, xb_pre_ns),
-        ("crossbar_matmul_batched", &xb_size, xb_post_ns),
+    let rows: [(&str, &str, f64); 3] = [
+        ("gcn_fwd_bwd_csr", &size, step_ns),
+        ("gcn_aggregate_csr", &size, agg_ns),
+        ("crossbar_matmul_batched", &xb_size, xb_ns),
     ];
     let mut manifest = RunManifest::capture("bench_core", 7, &format!("{size};{xb_size}"))
-        .with_bench("threads", threads as f64)
-        .with_bench("speedup_gcn_fwd_bwd", speedup);
+        .with_bench("threads", threads as f64);
     for (kernel, _, ns) in &rows {
         manifest = manifest.with_bench(&format!("{kernel}.ns_per_iter"), *ns);
     }
@@ -217,7 +128,6 @@ fn main() {
     for (kernel, sz, ns) in &rows {
         println!("{kernel:<28} {sz:<28} {ns:>14.0} ns/iter  ({threads} threads)");
     }
-    println!("speedup (gcn fwd+bwd, dense seed → csr): {speedup:.1}x");
 
     std::fs::write(&out_path, manifest.to_json_pretty() + "\n")
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

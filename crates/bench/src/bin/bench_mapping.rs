@@ -1,17 +1,14 @@
-//! Mapping-pipeline benchmark: the pre-fast-path full `n × n` Algorithm 1
-//! against the packed/deduped/reduced fast path that replaced it.
+//! Mapping-pipeline benchmark at the trainer's geometry.
 //!
-//! The "pre" numbers replicate the old pipeline faithfully — a full
-//! `n × n` cost matrix per (block, crossbar) pair built with the sparse
-//! per-fault mismatch kernels and solved with the generic edge-list
-//! b-Suitor, parallel over blocks only — via
-//! [`fare_core::mapping::reference::map_adjacency_full`]. The "post"
-//! numbers drive the production [`fare_core::map_adjacency`]: bitset
-//! mismatch kernels, faulty-rows-only `f × n` instances, (block-class,
-//! fault-class) deduplication, and pair-level parallelism. Before
-//! anything is timed the fast path is checked bit-identical to the
-//! serial reduced oracle, and the refresh paths are checked against the
-//! serial refresh oracle.
+//! By default the crossbars are the ones `TrainConfig::default()` gives
+//! the trainer: 16 × 16, a pool of 1.5× the block count, the b-Suitor
+//! matcher and pruning on. The adjacency is batch-sized: 60 nodes of
+//! average degree about 5, like a Reddit-preset mini-batch (three
+//! clusters, 49–69 nodes, average degree 4–6). It times
+//! the production [`fare_core::map_adjacency`] and the first
+//! post-deployment refresh through the remap cache. Before anything is
+//! timed both are checked bit-identical to the serial oracles in
+//! [`fare_core::mapping::reference`].
 //!
 //! ```text
 //! cargo run --release -p fare-bench --bin bench_mapping -- \
@@ -19,9 +16,7 @@
 //! ```
 //!
 //! Writes a [`fare_obs::RunManifest`] (default `BENCH_mapping.json`)
-//! with one `bench` entry per kernel (`<kernel>.ns_per_iter`) plus the
-//! headline `map_adjacency` speedup and the post-deployment refresh
-//! speedup (full re-solve → incremental cached refresh) — the same
+//! with one `bench` entry per kernel (`<kernel>.ns_per_iter`) — the same
 //! schema every other manifest in the workspace uses, so
 //! `fare-report diff BENCH_mapping.json <fresh.json>` compares bench
 //! runs across PRs with the one code path.
@@ -29,18 +24,17 @@
 use std::time::Instant;
 
 use fare_bench::string_flag;
-use fare_obs::RunManifest;
 use fare_core::mapping::{self, reference};
-use fare_core::{map_adjacency, refresh_row_permutations_cached, MappingConfig, RemapCache};
-use fare_matching::Matcher;
+use fare_core::{
+    map_adjacency, refresh_row_permutations_cached, MappingConfig, RemapCache, TrainConfig,
+};
+use fare_obs::RunManifest;
 use fare_reram::{CrossbarArray, FaultSpec, StuckPolarity};
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
 use fare_tensor::Matrix;
 
-/// Random symmetric 0/1 adjacency with average degree `avg_degree` —
-/// the sparsity regime GNN batch adjacencies actually live in (matches
-/// `bench_core`'s graph generator).
+/// Random symmetric 0/1 adjacency with average degree `avg_degree`.
 fn random_adjacency(nodes: usize, avg_degree: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut adj = Matrix::zeros(nodes, nodes);
@@ -66,62 +60,54 @@ fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Single timed run, no warmup — for the slow baseline whose one
-/// execution already dominates the budget.
-fn time_once(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_nanos() as f64
-}
-
 fn main() {
+    let train = TrainConfig::default();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let nodes: usize = string_flag("--nodes")
         .map(|v| v.parse().expect("numeric --nodes"))
-        .unwrap_or(if smoke { 256 } else { 2_048 });
+        .unwrap_or(60);
     let n: usize = string_flag("--xbar-size")
         .map(|v| v.parse().expect("numeric --xbar-size"))
-        .unwrap_or(if smoke { 32 } else { 128 });
+        .unwrap_or(train.crossbar_size);
     let density: f64 = string_flag("--density")
         .map(|v| v.parse().expect("numeric --density"))
         .unwrap_or(0.05);
     let iters: usize = string_flag("--iters")
         .map(|v| v.parse().expect("numeric --iters"))
-        .unwrap_or(if smoke { 1 } else { 3 });
+        .unwrap_or(if smoke { 10 } else { 2_000 });
     let out_path = string_flag("--out").unwrap_or_else(|| "BENCH_mapping.json".into());
     let threads = fare_rt::par::current_threads() as u64;
 
-    // The ISSUE reference config: b-Suitor, pruning on, 50% crossbar
-    // slack, 5% fault density.
+    // The trainer's FaRe mapping: its matcher, pruning on, and a pool of
+    // `ceil(blocks * slack)` crossbars.
     let cfg = MappingConfig {
-        matcher: Matcher::BSuitor,
+        matcher: train.matcher,
+        prune: true,
         ..MappingConfig::default()
     };
     let blocks = nodes.div_ceil(n).pow(2);
-    let m = (blocks * 3) / 2;
+    let m = ((blocks as f64 * train.crossbar_slack).ceil() as usize).max(blocks);
     eprintln!(
         "setup: {nodes}-node adjacency, {blocks} blocks on {m} {n}x{n} crossbars, \
-         {:.0}% fault density, b-Suitor",
-        density * 100.0
+         {:.0}% fault density, {:?}",
+        density * 100.0,
+        cfg.matcher
     );
-    let adj = random_adjacency(nodes, 20, 11);
+    let adj = random_adjacency(nodes, 5, 11);
     let mut array = CrossbarArray::new(m, n);
     let mut rng = StdRng::seed_from_u64(11);
     array.inject(&FaultSpec::density(density), &mut rng);
     let size = format!("nodes={nodes},blocks={blocks},xbars={m}x{n},density={density}");
 
-    // The fast path must be bit-identical to the serial reduced oracle
-    // before we time anything.
     let fast = map_adjacency(&adj, &array, &cfg);
     let oracle = reference::map_adjacency(&adj, &array, &cfg);
-    assert!(fast == oracle, "fast path diverges from the serial oracle");
+    assert!(
+        fast == oracle,
+        "map_adjacency diverges from the serial oracle"
+    );
 
-    eprintln!("timing full n x n pipeline (1 run)...");
-    let pre_ns = time_once(|| {
-        std::hint::black_box(reference::map_adjacency_full(&adj, &array, &cfg));
-    });
-    eprintln!("timing fast path ({iters} iters)...");
-    let post_ns = time_ns(iters, || {
+    eprintln!("timing map_adjacency ({iters} iters)...");
+    let map_ns = time_ns(iters, || {
         std::hint::black_box(map_adjacency(&adj, &array, &cfg));
     });
 
@@ -152,17 +138,8 @@ fn main() {
         "incremental refresh diverges from the serial oracle"
     );
 
-    eprintln!("timing full refresh (1 run)...");
-    let refresh_pre_ns = time_once(|| {
-        std::hint::black_box(reference::refresh_row_permutations_full(
-            &adj,
-            &array,
-            &mapping,
-            cfg.matcher,
-        ));
-    });
     eprintln!("timing incremental cached refresh ({iters} iters)...");
-    let refresh_post_ns = time_ns(iters, || {
+    let refresh_ns = time_ns(iters, || {
         let mut warm = pre_delta_cache.clone();
         std::hint::black_box(refresh_row_permutations_cached(
             &adj,
@@ -173,18 +150,12 @@ fn main() {
         ));
     });
 
-    let speedup = pre_ns / post_ns;
-    let refresh_speedup = refresh_pre_ns / refresh_post_ns;
-    let rows: [(&str, f64); 4] = [
-        ("map_adjacency_full_nxn", pre_ns),
-        ("map_adjacency_fast_path", post_ns),
-        ("refresh_full_resolve", refresh_pre_ns),
-        ("refresh_incremental_cached", refresh_post_ns),
+    let rows: [(&str, f64); 2] = [
+        ("map_adjacency", map_ns),
+        ("refresh_incremental_cached", refresh_ns),
     ];
-    let mut manifest = RunManifest::capture("bench_mapping", 11, &size)
-        .with_bench("threads", threads as f64)
-        .with_bench("speedup_map_adjacency", speedup)
-        .with_bench("speedup_refresh", refresh_speedup);
+    let mut manifest =
+        RunManifest::capture("bench_mapping", 11, &size).with_bench("threads", threads as f64);
     for (kernel, ns) in &rows {
         manifest = manifest.with_bench(&format!("{kernel}.ns_per_iter"), *ns);
     }
@@ -192,8 +163,6 @@ fn main() {
     for (kernel, ns) in &rows {
         println!("{kernel:<28} {size:<52} {ns:>16.0} ns/iter  ({threads} threads)");
     }
-    println!("speedup (map_adjacency, full n x n -> fast path): {speedup:.1}x");
-    println!("speedup (refresh, full re-solve -> incremental): {refresh_speedup:.1}x");
 
     std::fs::write(&out_path, manifest.to_json_pretty() + "\n")
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -47,17 +47,16 @@
 //! permutation instead of re-solving.
 //!
 //! The [`reference`] module keeps a naive serial implementation of the
-//! same semantics (the oracle the property tests pin the fast path
-//! against) plus the original full `n × n` pipeline used as the benchmark
-//! baseline.
+//! same semantics: the oracle the property tests pin the fast path
+//! against. A property test also checks that the reduced `f × n` Hungarian
+//! optimum equals the full `n × n` one, pair by pair.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
 use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
-use fare_rt::par::prelude::*;
 use fare_rt::par::{scoped_map, scoped_map_init};
 use fare_tensor::Matrix;
 
@@ -166,10 +165,59 @@ impl ToJson for Mapping {
 }
 
 impl FromJson for Mapping {
+    /// Rejects anything [`map_adjacency`] and friends cannot produce: a
+    /// zero crossbar size, a placement count other than `grid²`, a block
+    /// outside the grid or placed twice, a crossbar used twice, or a
+    /// `row_perm` that is not a permutation of `0..n`.
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let n: usize = field(v, "n")?;
         let grid: usize = field(v, "grid")?;
         let placements: Vec<BlockPlacement> = field(v, "placements")?;
+        if n == 0 {
+            return Err(JsonError::new("mapping crossbar size must be positive"));
+        }
+        if grid.checked_mul(grid) != Some(placements.len()) {
+            return Err(JsonError::new(format!(
+                "mapping has {} placements for a {grid}x{grid} block grid",
+                placements.len()
+            )));
+        }
+        let mut blocks = vec![false; placements.len()];
+        let mut crossbars = HashSet::new();
+        for p in &placements {
+            if p.block_row >= grid || p.block_col >= grid {
+                return Err(JsonError::new(format!(
+                    "block ({}, {}) outside the {grid}x{grid} grid",
+                    p.block_row, p.block_col
+                )));
+            }
+            if std::mem::replace(&mut blocks[p.block_row * grid + p.block_col], true) {
+                return Err(JsonError::new(format!(
+                    "block ({}, {}) placed twice",
+                    p.block_row, p.block_col
+                )));
+            }
+            if !crossbars.insert(p.crossbar) {
+                return Err(JsonError::new(format!(
+                    "crossbar {} used twice",
+                    p.crossbar
+                )));
+            }
+            // Length first: `n` is untrusted, so size `seen` only once it
+            // is known to match data that was actually read.
+            let is_perm = p.row_perm.len() == n && {
+                let mut seen = vec![false; n];
+                p.row_perm
+                    .iter()
+                    .all(|&q| q < n && !std::mem::replace(&mut seen[q], true))
+            };
+            if !is_perm {
+                return Err(JsonError::new(format!(
+                    "row_perm of block ({}, {}) is not a permutation of 0..{n}",
+                    p.block_row, p.block_col
+                )));
+            }
+        }
         Ok(Mapping::new(n, grid, placements))
     }
 }
@@ -1184,11 +1232,10 @@ fn refresh_row_permutations_cached_inner(
     refreshed
 }
 
-/// Naive serial oracles for the fast path, plus the pre-fast-path full
-/// `n × n` pipeline kept as the benchmark baseline.
+/// Naive serial oracles for the fast path.
 ///
 /// The functions here intentionally avoid the packed kernels, the class
-/// deduplication, the dense integer b-Suitor, and the worker pool: they
+/// deduplication, the level-greedy `G₁` solver, and the worker pool: they
 /// are the smallest honest implementation of the mapping semantics. The
 /// property tests assert the production path is bit-identical to them.
 pub mod reference {
@@ -1284,97 +1331,6 @@ pub mod reference {
                 let block = adj.block(p.block_row * n, p.block_col * n, n, n);
                 let (perm, cost, sa1) =
                     solve_row_permutation(&block, array.crossbar(p.crossbar), matcher);
-                BlockPlacement {
-                    row_perm: perm,
-                    mismatch_cost: cost,
-                    sa1_cost: sa1,
-                    ..p.clone()
-                }
-            })
-            .collect();
-        Mapping::new(n, mapping.grid(), placements)
-    }
-
-    /// The original full `n × n` `G₁` solve: every physical row is a
-    /// column of the instance, fault-free ones included. Kept as the
-    /// benchmark baseline the fast path's speedup is measured against.
-    pub fn solve_row_permutation_full(
-        block: &Matrix,
-        xbar: &Crossbar,
-        matcher: Matcher,
-    ) -> (Vec<usize>, usize, usize) {
-        let n = block.rows();
-        if xbar.fault_count() == 0 {
-            return ((0..n).collect(), 0, 0);
-        }
-        let cost =
-            CostMatrix::from_fn(n, xbar.n(), |p, q| xbar.row_mismatch(block.row(p), q) as f64);
-        let sol = matcher.solve(&cost);
-        let perm = sol.to_permutation();
-        let mismatch: usize = perm
-            .iter()
-            .enumerate()
-            .map(|(p, &q)| xbar.row_mismatch(block.row(p), q))
-            .sum();
-        let sa1: usize = perm
-            .iter()
-            .enumerate()
-            .map(|(p, &q)| xbar.row_sa1_mismatch(block.row(p), q))
-            .sum();
-        (perm, mismatch, sa1)
-    }
-
-    /// The pre-fast-path pipeline: full `n × n` pair solves (parallel
-    /// over blocks, as before), no deduplication, no packed kernels.
-    /// This is the benchmark baseline; [`super::map_adjacency`] replaces
-    /// it in production.
-    pub fn map_adjacency_full(adj: &Matrix, array: &CrossbarArray, cfg: &MappingConfig) -> Mapping {
-        let n = array.n();
-        let (grid, blocks) = decompose(adj, n);
-        let b = blocks.len();
-        let m = array.len();
-        assert!(b <= m, "not enough crossbars: {b} blocks > {m} crossbars");
-        let pair: Vec<Vec<PairSolution>> = blocks
-            .par_iter()
-            .map(|(_, _, block)| {
-                (0..m)
-                    .map(|j| solve_row_permutation_full(block, array.crossbar(j), cfg.matcher))
-                    .collect()
-            })
-            .collect();
-        let block_meta: Vec<(usize, usize)> = blocks.iter().map(|(br, bc, _)| (*br, *bc)).collect();
-        let ones: Vec<usize> = blocks.iter().map(|(_, _, bl)| ones_count(bl)).collect();
-        assemble_mapping(
-            n,
-            grid,
-            &block_meta,
-            &ones,
-            m,
-            cfg,
-            |i, j| (pair[i][j].1, pair[i][j].2),
-            |i, j| pair[i][j].clone(),
-            false,
-        )
-    }
-
-    /// Full-matrix refresh (the pre-fast-path maintenance step): re-solve
-    /// the full `n × n` instance for every placement. Benchmark baseline
-    /// for [`super::refresh_row_permutations_cached`].
-    pub fn refresh_row_permutations_full(
-        adj: &Matrix,
-        array: &CrossbarArray,
-        mapping: &Mapping,
-        matcher: Matcher,
-    ) -> Mapping {
-        let n = array.n();
-        assert_eq!(mapping.n(), n, "mapping crossbar size mismatch");
-        let placements = mapping
-            .placements()
-            .iter()
-            .map(|p| {
-                let block = adj.block(p.block_row * n, p.block_col * n, n, n);
-                let (perm, cost, sa1) =
-                    solve_row_permutation_full(&block, array.crossbar(p.crossbar), matcher);
                 BlockPlacement {
                     row_perm: perm,
                     mismatch_cost: cost,
@@ -1743,24 +1699,6 @@ mod tests {
             let fast = map_adjacency(&adj, &array, &cfg);
             let oracle = reference::map_adjacency(&adj, &array, &cfg);
             assert_eq!(fast, oracle, "seed {seed} {matcher}");
-        }
-    }
-
-    #[test]
-    fn hungarian_reduced_matches_full_total() {
-        // The reduced f×n instance and the full n×n instance have the
-        // same optimum: fault-free rows cost 0 against any logical row.
-        for seed in 60..63 {
-            let adj = random_adj(24, 0.12, seed);
-            let array = faulty_array(9, 8, 0.06, seed + 100);
-            let cfg = MappingConfig {
-                matcher: Matcher::Hungarian,
-                prune: false,
-                locality: None,
-            };
-            let reduced = map_adjacency(&adj, &array, &cfg);
-            let full = reference::map_adjacency_full(&adj, &array, &cfg);
-            assert_eq!(reduced.total_cost(), full.total_cost(), "seed {seed}");
         }
     }
 

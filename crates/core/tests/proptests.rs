@@ -6,7 +6,7 @@ use fare_core::mapping::{
     MappingConfig, RemapCache,
 };
 use fare_core::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
-use fare_matching::Matcher;
+use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{CrossbarArray, FaultSpec};
 use fare_tensor::Matrix;
 use fare_rt::prop::prelude::*;
@@ -152,22 +152,38 @@ proptest! {
 
     // Restricting the `G₁` instance to the faulty physical rows loses
     // nothing for an exact solver: fault-free rows cost 0 against any
-    // logical row, so the reduced `f × n` optimum equals the full
-    // `n × n` optimum, pair by pair and hence in total.
+    // logical row, so for every (block, crossbar) pair the reduced
+    // `f × n` optimum equals the optimum of the full `n × n` instance
+    // (and hence any mapping's total equals the full pipeline's).
     #[test]
-    fn hungarian_reduced_total_equals_full(
+    fn hungarian_reduced_optimum_equals_full_per_pair(
         seed in 0u64..1000,
         density in 0.0f64..0.12,
     ) {
-        let (adj, array) = instance(24, 8, seed, density);
-        let cfg = MappingConfig {
-            matcher: Matcher::Hungarian,
-            prune: false,
-            locality: None,
-        };
-        let reduced = map_adjacency(&adj, &array, &cfg);
-        let full = reference::map_adjacency_full(&adj, &array, &cfg);
-        prop_assert_eq!(reduced.total_cost(), full.total_cost());
+        let n = 8;
+        let (adj, array) = instance(24, n, seed, density);
+        for br in 0..3 {
+            for bc in 0..3 {
+                let block = adj.block(br * n, bc * n, n, n);
+                for j in 0..array.len() {
+                    let xbar = array.crossbar(j);
+                    let (_, reduced, _) =
+                        reference::solve_row_permutation(&block, xbar, Matcher::Hungarian);
+                    let full = CostMatrix::from_fn(n, n, |p, q| {
+                        xbar.row_mismatch(block.row(p), q) as f64
+                    });
+                    let optimum = Matcher::Hungarian.solve(&full).total_cost;
+                    prop_assert_eq!(
+                        reduced as f64,
+                        optimum,
+                        "block ({}, {}), crossbar {}",
+                        br,
+                        bc,
+                        j
+                    );
+                }
+            }
+        }
     }
 
     // The version-gated incremental refresh is bit-identical to a cold

@@ -15,10 +15,8 @@
 
 mod gat;
 mod gcn;
-mod multihead;
 mod sage;
 
 pub use gat::{GatCache, GatLayer};
 pub use gcn::{GcnCache, GcnLayer};
-pub use multihead::{MultiHeadGat, MultiHeadGatCache};
 pub use sage::{SageCache, SageLayer};

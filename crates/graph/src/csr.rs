@@ -173,120 +173,6 @@ impl CsrGraph {
         CsrGraph::from_edges(nodes.len(), &edges)
     }
 
-    /// Sparse × dense product `A · X` where `A` is this graph's binary
-    /// adjacency.
-    ///
-    /// Avoids materialising the dense adjacency — this is the sparse MVM
-    /// kernel the paper's aggregation phase accelerates, usable for
-    /// graphs far too large for `to_dense`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != num_nodes()`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fare_graph::CsrGraph;
-    /// use fare_tensor::Matrix;
-    /// let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-    /// let x = Matrix::identity(3);
-    /// assert_eq!(g.spmm(&x), g.to_dense());
-    /// ```
-    pub fn spmm(&self, x: &Matrix) -> Matrix {
-        assert_eq!(
-            x.rows(),
-            self.num_nodes(),
-            "feature rows must equal node count"
-        );
-        let mut out = Matrix::zeros(self.num_nodes(), x.cols());
-        let cols = x.cols();
-        fare_rt::par::par_row_chunks(out.as_mut_slice(), cols, |u, row| {
-            for &v in &self.neighbors[self.offsets[u]..self.offsets[u + 1]] {
-                for (o, &f) in row.iter_mut().zip(x.row(v)) {
-                    *o += f;
-                }
-            }
-        });
-        out
-    }
-
-    /// Sparse GCN aggregation `D^{-1/2}(A+I)D^{-1/2} · X` without
-    /// materialising the dense adjacency.
-    ///
-    /// Matches [`fare_tensor::ops::gcn_normalise`] composed with a dense
-    /// matmul *bit for bit* (each output row accumulates its nonzeros in
-    /// ascending column order with the analytic self loop at its sorted
-    /// diagonal position), at `O(|E| · d)` cost. Parallel over output
-    /// rows; bit-identical for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != num_nodes()`.
-    pub fn gcn_aggregate(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), self.num_nodes(), "feature rows must equal node count");
-        let n = self.num_nodes();
-        let inv_sqrt: Vec<f32> = (0..n)
-            .map(|u| 1.0 / ((self.degree(u) + 1) as f32).sqrt())
-            .collect();
-        let mut out = Matrix::zeros(n, x.cols());
-        let cols = x.cols();
-        fare_rt::par::par_row_chunks(out.as_mut_slice(), cols, |u, row| {
-            let du = inv_sqrt[u];
-            let mut self_placed = false;
-            for &v in &self.neighbors[self.offsets[u]..self.offsets[u + 1]] {
-                if !self_placed && v > u {
-                    let self_w = du * du;
-                    for (o, &f) in row.iter_mut().zip(x.row(u)) {
-                        *o += self_w * f;
-                    }
-                    self_placed = true;
-                }
-                let w = du * inv_sqrt[v];
-                for (o, &f) in row.iter_mut().zip(x.row(v)) {
-                    *o += w * f;
-                }
-            }
-            if !self_placed {
-                let self_w = du * du;
-                for (o, &f) in row.iter_mut().zip(x.row(u)) {
-                    *o += self_w * f;
-                }
-            }
-        });
-        out
-    }
-
-    /// Sparse mean aggregation `D^{-1}A · X` (GraphSAGE's neighbour
-    /// average). Isolated nodes aggregate to zero.
-    ///
-    /// Matches [`fare_tensor::ops::row_normalise`] composed with a dense
-    /// matmul bit for bit: each neighbour contribution is scaled by
-    /// `1/deg` *before* accumulation (not summed then divided), which is
-    /// what the dense path computes. Parallel over output rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != num_nodes()`.
-    pub fn mean_aggregate(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), self.num_nodes(), "feature rows must equal node count");
-        let mut out = Matrix::zeros(self.num_nodes(), x.cols());
-        let cols = x.cols();
-        fare_rt::par::par_row_chunks(out.as_mut_slice(), cols, |u, row| {
-            let d = self.offsets[u + 1] - self.offsets[u];
-            if d == 0 {
-                return;
-            }
-            let w = 1.0 / d as f32;
-            for &v in &self.neighbors[self.offsets[u]..self.offsets[u + 1]] {
-                for (o, &f) in row.iter_mut().zip(x.row(v)) {
-                    *o += w * f;
-                }
-            }
-        });
-        out
-    }
-
     /// Connected components; returns per-node component id and the count.
     pub fn connected_components(&self) -> (Vec<usize>, usize) {
         let n = self.num_nodes();
@@ -399,59 +285,6 @@ mod tests {
         assert_eq!(g.density(), 0.0);
         assert_eq!(g.average_degree(), 0.0);
         assert_eq!(g.max_degree(), 0);
-    }
-
-    #[test]
-    fn spmm_matches_dense_product() {
-        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]);
-        let x = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32 * 0.5 - 2.0);
-        let sparse = g.spmm(&x);
-        let dense = g.to_dense().matmul(&x);
-        for (a, b) in sparse.iter().zip(dense.iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn gcn_aggregate_matches_dense_normalisation() {
-        use fare_tensor::ops;
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let x = Matrix::from_fn(5, 2, |r, c| ((r + c) as f32 * 0.7).sin());
-        let sparse = g.gcn_aggregate(&x);
-        let dense = ops::gcn_normalise(&g.to_dense()).matmul(&x);
-        for (a, b) in sparse.iter().zip(dense.iter()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn mean_aggregate_matches_dense_row_normalisation() {
-        use fare_tensor::ops;
-        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (3, 4)]);
-        let x = Matrix::from_fn(5, 2, |r, c| (r * 2 + c) as f32);
-        let sparse = g.mean_aggregate(&x);
-        let dense = ops::row_normalise(&g.to_dense()).matmul(&x);
-        for (a, b) in sparse.iter().zip(dense.iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn aggregates_handle_isolated_nodes() {
-        let g = CsrGraph::from_edges(3, &[(0, 1)]);
-        let x = Matrix::filled(3, 2, 1.0);
-        let mean = g.mean_aggregate(&x);
-        assert_eq!(mean.row(2), &[0.0, 0.0]);
-        // GCN aggregation keeps the self loop for isolated nodes.
-        let gcn = g.gcn_aggregate(&x);
-        assert!((gcn[(2, 0)] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "feature rows must equal node count")]
-    fn spmm_rejects_wrong_rows() {
-        let g = CsrGraph::from_edges(3, &[(0, 1)]);
-        g.spmm(&Matrix::zeros(4, 2));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
 
 use crate::datasets::{Dataset, DatasetKind, DatasetSpec, ModelKind};
-use crate::CsrGraph;
+use crate::{CsrGraph, GraphView};
 
 /// Error parsing a graph/label/feature file.
 #[derive(Debug)]
@@ -192,7 +192,7 @@ pub fn propagated_features(graph: &CsrGraph, dim: usize, seed: u64) -> Matrix {
     assert!(dim > 0, "feature dim must be positive");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF0_0D);
     let raw = init::normal(graph.num_nodes(), dim, 1.0, &mut rng);
-    let smoothed = graph.mean_aggregate(&raw);
+    let smoothed = GraphView::from_graph(graph).mean_norm().spmm(&raw);
     // Blend: keep some per-node identity so features are not purely
     // positional.
     let mut out = raw.zip_map(&smoothed, |a, b| 0.5 * a + b);

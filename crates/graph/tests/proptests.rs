@@ -152,28 +152,6 @@ proptest! {
     }
 
     #[test]
-    fn gcn_aggregate_matches_dense_path_bitwise(
-        seed in 0u64..1000, n in 2usize..40, p in 0.0f64..0.6, d in 1usize..6,
-    ) {
-        let g = random_graph(seed, n, p);
-        let mut rng = StdRng::seed_from_u64(seed ^ 9);
-        let x = fare_tensor::init::normal(n, d, 1.0, &mut rng);
-        let dense = fare_tensor::ops::gcn_normalise(&g.to_dense()).matmul(&x);
-        prop_assert_eq!(bits(&g.gcn_aggregate(&x)), bits(&dense));
-    }
-
-    #[test]
-    fn mean_aggregate_matches_dense_path_bitwise(
-        seed in 0u64..1000, n in 2usize..40, p in 0.0f64..0.6, d in 1usize..6,
-    ) {
-        let g = random_graph(seed, n, p);
-        let mut rng = StdRng::seed_from_u64(seed ^ 10);
-        let x = fare_tensor::init::normal(n, d, 1.0, &mut rng);
-        let dense = fare_tensor::ops::row_normalise(&g.to_dense()).matmul(&x);
-        prop_assert_eq!(bits(&g.mean_aggregate(&x)), bits(&dense));
-    }
-
-    #[test]
     fn graph_view_matches_dense_construction_bitwise(
         seed in 0u64..1000, n in 2usize..30, p in 0.0f64..0.6, d in 1usize..6,
     ) {
@@ -182,6 +160,10 @@ proptest! {
         let x = fare_tensor::init::normal(n, d, 1.0, &mut rng);
         let from_graph = fare_graph::GraphView::from_graph(&g);
         let from_dense = fare_graph::GraphView::from_dense(g.to_dense());
+        let gcn_dense = fare_tensor::ops::gcn_normalise(&g.to_dense()).matmul(&x);
+        let mean_dense = fare_tensor::ops::row_normalise(&g.to_dense()).matmul(&x);
+        prop_assert_eq!(bits(&from_graph.gcn_norm().spmm(&x)), bits(&gcn_dense));
+        prop_assert_eq!(bits(&from_graph.mean_norm().spmm(&x)), bits(&mean_dense));
         prop_assert_eq!(
             bits(&from_graph.gcn_norm().spmm(&x)),
             bits(&from_dense.gcn_norm().spmm(&x))
@@ -204,9 +186,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 12);
         let x = fare_tensor::init::normal(n, d, 1.0, &mut rng);
         let m = fare_graph::CsrMatrix::from_dense(&g.to_dense());
+        let view = fare_graph::GraphView::from_graph(&g);
         let run = |t: usize| {
             fare_rt::par::set_threads(t);
-            (g.spmm(&x), g.gcn_aggregate(&x), g.mean_aggregate(&x), m.spmm(&x))
+            (
+                m.spmm(&x),
+                view.gcn_norm().spmm(&x),
+                view.mean_norm().spmm(&x),
+                view.mean_norm_t().spmm(&x),
+            )
         };
         let one = run(1);
         let two = run(2);

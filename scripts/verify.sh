@@ -34,8 +34,10 @@ cargo test -q --offline --workspace
 
 echo "==> determinism suite across thread counts"
 # The compute core promises bit-identical results at any worker count;
-# run the determinism suite under both a serial and a parallel pool.
+# run the determinism suite under a serial pool, an odd worker count
+# (where uneven chunking would show) and an even one.
 FARE_RT_THREADS=1 cargo test -q --offline --test determinism
+FARE_RT_THREADS=3 cargo test -q --offline --test determinism
 FARE_RT_THREADS=4 cargo test -q --offline --test determinism
 
 echo "==> runner pins across thread counts"
@@ -63,7 +65,7 @@ echo "==> weight fault overlay against the per-read oracle"
 # injections and NaN/inf/saturating weights.
 cargo test -q --offline -p fare-reram --lib -- overlay_read_bit_identical_to_oracle
 
-echo "==> crossbar and weight-fabric deserialisers reject bad geometry"
+echo "==> crossbar, weight-fabric and mapping deserialisers reject bad input"
 cargo test -q --offline --test serialization -- from_json_rejects
 
 echo "==> golden telemetry trace across thread counts"
@@ -72,6 +74,7 @@ echo "==> golden telemetry trace across thread counts"
 # logical events and the telemetry clock is fixed, so the trace may not
 # depend on worker count.
 FARE_RT_THREADS=1 cargo test -q --offline --test golden_trace
+FARE_RT_THREADS=3 cargo test -q --offline --test golden_trace
 FARE_RT_THREADS=4 cargo test -q --offline --test golden_trace
 
 echo "==> mapping fast-path equivalence across thread counts"
@@ -84,6 +87,9 @@ FARE_RT_THREADS=4 cargo test -q --offline -p fare-core --test proptests -- \
     fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full
 
 echo "==> compute-core bench smoke"
+# The bench smokes time production code only: the sparse GCN step and
+# aggregation, the batched crossbar matmul, and the mapping and cached
+# refresh at the trainer's crossbar geometry.
 BENCH_TMP="$(mktemp /tmp/bench_core.XXXXXX.json)"
 trap 'rm -f "$BENCH_TMP"' EXIT
 cargo run -q --offline -p fare-bench --bin bench_core -- \

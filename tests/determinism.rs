@@ -65,8 +65,8 @@ fn different_seeds_diverge() {
     assert_ne!(a.history, b.history);
 }
 
-/// The fault-aware mapping pipeline (a `par_iter` consumer) produces the
-/// same placement on 1 thread and 4 threads.
+/// The fault-aware mapping pipeline (its unique pair solves run on the
+/// worker pool) produces the same placement on 1 thread and 4 threads.
 #[test]
 fn mapping_identical_across_thread_counts() {
     let _g = lock();
@@ -199,11 +199,9 @@ fn compute_kernels_identical_across_thread_counts() {
             a.matmul(&b),
             a.transpose().t_matmul(&b),
             a.matmul_t(&b.transpose()),
-            g.spmm(&x),
-            g.gcn_aggregate(&x),
-            g.mean_aggregate(&x),
             sparse.spmm(&x),
             view.gcn_norm().spmm(&x),
+            view.mean_norm().spmm(&x),
             crossbar_matmul(&fabric, &b, &a),
         ]
     };

@@ -2,7 +2,7 @@
 //! serialise and deserialise losslessly (C-SERDE), enabling experiment
 //! checkpointing and the bench harness's `--json` output.
 
-use fare::core::mapping::{map_adjacency, Mapping, MappingConfig};
+use fare::core::mapping::{map_adjacency, BlockPlacement, Mapping, MappingConfig};
 use fare::core::{EpochStats, FaultStrategy, TrainConfig, TrainOutcome, Trainer};
 use fare::gnn::{Gnn, GnnDims};
 use fare::graph::datasets::{Dataset, DatasetKind, ModelKind};
@@ -163,8 +163,8 @@ fn model_round_trips_and_still_runs() {
     }
 }
 
-#[test]
-fn mapping_round_trips() {
+/// A 16-node adjacency mapped onto 8 × 8 crossbars: a 2 × 2 block grid.
+fn sample_mapping() -> Mapping {
     let mut rng = StdRng::seed_from_u64(7);
     let adj = Matrix::from_fn(16, 16, |i, j| {
         if i != j && (i * 5 + j) % 7 == 0 {
@@ -176,8 +176,62 @@ fn mapping_round_trips() {
     let adj = adj.zip_map(&adj.transpose(), |a, b| if a + b > 0.0 { 1.0 } else { 0.0 });
     let mut array = CrossbarArray::new(8, 8);
     array.inject(&FaultSpec::density(0.05), &mut rng);
-    let mapping: Mapping = map_adjacency(&adj, &array, &MappingConfig::default());
-    round_trip(&mapping);
+    map_adjacency(&adj, &array, &MappingConfig::default())
+}
+
+#[test]
+fn mapping_round_trips() {
+    round_trip(&sample_mapping());
+}
+
+#[test]
+fn mapping_from_json_rejects_bad_geometry() {
+    let mapping = sample_mapping();
+    let bad = [
+        ("n", "0"),
+        // A row_perm of length 8 cannot be a permutation of 0..2^40, and
+        // the check must not allocate 2^40 slots to find that out.
+        ("n", "1099511627776"),
+        ("grid", "0"),
+        ("grid", "3"),
+        // grid² overflows usize: rejected, not allocated.
+        ("grid", "4294967296"),
+        ("placements", "[]"),
+    ];
+    for (name, value) in bad {
+        rejects::<Mapping>(
+            &with_field(&mapping, name, value),
+            &format!("{name} = {value}"),
+        );
+    }
+    rejects::<Mapping>(r#"{"n":0,"grid":0,"placements":[]}"#, "zero-size crossbars");
+}
+
+#[test]
+fn mapping_from_json_rejects_bad_placements() {
+    let mapping = sample_mapping();
+    let edits: [(&str, fn(&mut [BlockPlacement])); 7] = [
+        ("block outside the grid", |p| p[0].block_row = 2),
+        ("block placed twice", |p| {
+            p[1].block_row = p[0].block_row;
+            p[1].block_col = p[0].block_col;
+        }),
+        ("crossbar used twice", |p| p[1].crossbar = p[0].crossbar),
+        ("repeated physical row", |p| {
+            p[0].row_perm[1] = p[0].row_perm[0]
+        }),
+        ("physical row out of range", |p| p[0].row_perm[0] = 8),
+        ("short row_perm", |p| {
+            p[0].row_perm.pop();
+        }),
+        ("long row_perm", |p| p[0].row_perm.push(8)),
+    ];
+    for (what, edit) in edits {
+        let mut placements = mapping.placements().to_vec();
+        edit(&mut placements);
+        let text = fare_rt::json::to_string(&placements).unwrap();
+        rejects::<Mapping>(&with_field(&mapping, "placements", &text), what);
+    }
 }
 
 #[test]
