@@ -12,15 +12,15 @@
 
 use std::time::Instant;
 
-use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
+use fare_graph::datasets::{DatasetKind, ModelKind};
 use fare_matching::Matcher;
 use fare_reram::{CrossbarArray, FaultSpec};
 use fare_tensor::Matrix;
 use fare_rt::rand::Rng;
 
-use crate::experiments::ExperimentParams;
+use crate::experiments::{mean_accuracy, run_cells, Cell, ExperimentParams};
 use crate::mapping::{map_adjacency, MappingConfig};
-use crate::{FaultStrategy, TrainConfig, Trainer};
+use crate::{FaultStrategy, TrainConfig, TrainOutcome};
 
 /// Standard mapping instance used by the structural ablations: a random
 /// symmetric adjacency plus a faulty crossbar pool.
@@ -167,30 +167,19 @@ fare_rt::json_struct!(ClipAblation { threshold, accuracy });
 /// Sweeps the clip threshold θ under 5 % faults (1:1 ratio, the regime
 /// where clipping matters most).
 pub fn clip_threshold_ablation(params: &ExperimentParams, thresholds: &[f32]) -> Vec<ClipAblation> {
-    let dataset = Dataset::generate(DatasetKind::Reddit, params.seed);
-    thresholds
-        .iter()
-        .map(|&threshold| {
-            let config = TrainConfig {
-                model: ModelKind::Gcn,
-                epochs: params.epochs,
-                clip_threshold: threshold,
-                fault_spec: FaultSpec::with_ratio(0.05, 1.0, 1.0),
-                strategy: FaultStrategy::FaRe,
-                ..TrainConfig::default()
-            };
-            let acc: f64 = (0..params.trials.max(1))
-                .map(|t| {
-                    Trainer::new(config, params.seed.wrapping_add(1000 * t as u64))
-                        .run(&dataset)
-                        .final_test_accuracy
-                })
-                .sum::<f64>()
-                / params.trials.max(1) as f64;
-            ClipAblation {
-                threshold,
-                accuracy: acc,
-            }
+    let config = |threshold| TrainConfig {
+        model: ModelKind::Gcn,
+        epochs: params.epochs,
+        clip_threshold: threshold,
+        fault_spec: FaultSpec::with_ratio(0.05, 1.0, 1.0),
+        strategy: FaultStrategy::FaRe,
+        ..TrainConfig::default()
+    };
+    sweep(params, DatasetKind::Reddit, thresholds, config)
+        .into_iter()
+        .map(|(threshold, outs)| ClipAblation {
+            threshold,
+            accuracy: mean_accuracy(&outs),
         })
         .collect()
 }
@@ -209,31 +198,20 @@ fare_rt::json_struct!(RefreshAblation { refresh, accuracy });
 /// FARe with vs without the per-epoch row-permutation refresh, under
 /// growing post-deployment faults.
 pub fn refresh_ablation(params: &ExperimentParams) -> Vec<RefreshAblation> {
-    let dataset = Dataset::generate(DatasetKind::Amazon2M, params.seed);
-    [true, false]
+    let config = |refresh| TrainConfig {
+        model: ModelKind::Sage,
+        epochs: params.epochs,
+        fault_spec: FaultSpec::with_ratio(0.02, 1.0, 1.0),
+        post_deployment_density: 0.02,
+        strategy: FaultStrategy::FaRe,
+        post_refresh: refresh,
+        ..TrainConfig::default()
+    };
+    sweep(params, DatasetKind::Amazon2M, &[true, false], config)
         .into_iter()
-        .map(|refresh| {
-            let config = TrainConfig {
-                model: ModelKind::Sage,
-                epochs: params.epochs,
-                fault_spec: FaultSpec::with_ratio(0.02, 1.0, 1.0),
-                post_deployment_density: 0.02,
-                strategy: FaultStrategy::FaRe,
-                post_refresh: refresh,
-                ..TrainConfig::default()
-            };
-            let acc: f64 = (0..params.trials.max(1))
-                .map(|t| {
-                    Trainer::new(config, params.seed.wrapping_add(1000 * t as u64))
-                        .run(&dataset)
-                        .final_test_accuracy
-                })
-                .sum::<f64>()
-                / params.trials.max(1) as f64;
-            RefreshAblation {
-                refresh,
-                accuracy: acc,
-            }
+        .map(|(refresh, outs)| RefreshAblation {
+            refresh,
+            accuracy: mean_accuracy(&outs),
         })
         .collect()
 }
@@ -291,30 +269,37 @@ fare_rt::json_struct!(DepthAblation { depth, accuracy, normalized_time });
 /// pipeline stages (timing) and more fault-exposed parameters
 /// (accuracy).
 pub fn depth_ablation(params: &ExperimentParams, depths: &[usize]) -> Vec<DepthAblation> {
-    let dataset = Dataset::generate(DatasetKind::Ppi, params.seed);
-    depths
-        .iter()
-        .map(|&depth| {
-            let config = TrainConfig {
-                model: ModelKind::Gcn,
-                depth,
-                epochs: params.epochs,
-                fault_spec: FaultSpec::with_ratio(0.03, 9.0, 1.0),
-                strategy: FaultStrategy::FaRe,
-                ..TrainConfig::default()
-            };
-            let outcomes: Vec<_> = (0..params.trials.max(1))
-                .map(|t| {
-                    Trainer::new(config, params.seed.wrapping_add(1000 * t as u64)).run(&dataset)
-                })
-                .collect();
-            DepthAblation {
-                depth,
-                accuracy: outcomes.iter().map(|o| o.final_test_accuracy).sum::<f64>()
-                    / outcomes.len() as f64,
-                normalized_time: outcomes[0].normalized_time,
-            }
+    let config = |depth| TrainConfig {
+        model: ModelKind::Gcn,
+        depth,
+        epochs: params.epochs,
+        fault_spec: FaultSpec::with_ratio(0.03, 9.0, 1.0),
+        strategy: FaultStrategy::FaRe,
+        ..TrainConfig::default()
+    };
+    sweep(params, DatasetKind::Ppi, depths, config)
+        .into_iter()
+        .map(|(depth, outs)| DepthAblation {
+            depth,
+            accuracy: mean_accuracy(&outs),
+            normalized_time: outs[0].normalized_time,
         })
+        .collect()
+}
+
+/// Trains `config(v)` for every value `v` on the dataset of `kind` and
+/// pairs each value with its outcomes in trial order.
+fn sweep<V: Copy>(
+    params: &ExperimentParams,
+    kind: DatasetKind,
+    values: &[V],
+    config: impl Fn(V) -> TrainConfig,
+) -> Vec<(V, Vec<TrainOutcome>)> {
+    let cells: Vec<Cell> = values.iter().map(|&v| Cell::Faulty(0, config(v))).collect();
+    values
+        .iter()
+        .copied()
+        .zip(run_cells(params, &[kind], &cells))
         .collect()
 }
 

@@ -10,8 +10,10 @@
 //! | [`crate::run_fault_free`] | classification | [`Ideal`] |
 //! | [`crate::link_prediction::run_link_prediction`] | link prediction | [`Faulty`] |
 //!
-//! [`train`] performs every step of the protocol once, drawing from the
-//! task's RNG stream in this order: partition, mini-batches, model init,
+//! A run draws from its task's RNG stream in this order. [`prepare`],
+//! the host-side preprocessing, draws the partition and the
+//! mini-batches and nothing else, so any number of runs can share its
+//! [`Prepared`]. [`train`] continues from there: model init,
 //! weight-fabric faults and variation, then per batch the task's
 //! preparation followed by the adjacency pool's faults, then per epoch
 //! the task's per-batch loss draws, drift and post-deployment faults.
@@ -143,101 +145,110 @@ pub(crate) struct Trained<D, H: Hardware, E> {
     pub history: Vec<E>,
 }
 
-/// Trains `task` on hardware `H` under `cfg`.
+/// The mini-batches of one partition of a dataset, and the RNG right
+/// after drawing them.
+pub(crate) struct Prepared<'d> {
+    dataset: &'d Dataset,
+    minibatches: Vec<MiniBatch>,
+    rng: StdRng,
+}
+
+/// Partitions and batches `dataset` from the stream of `seed` in
+/// `domain`, a [`Task::RNG_DOMAIN`].
+pub(crate) fn prepare<'d>(dataset: &'d Dataset, seed: u64, domain: &'static str) -> Prepared<'d> {
+    let mut rng = fare_rt::domain_rng(seed, domain);
+    let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
+    let cpb = dataset.spec.clusters_per_batch;
+    let minibatches = make_batches(&dataset.graph, &parts, cpb, &mut rng);
+    Prepared {
+        dataset,
+        minibatches,
+        rng,
+    }
+}
+
+/// Trains `task` on hardware `H` under `cfg`, continuing the RNG stream
+/// of `prepared`.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails [`TrainConfig::validate`] or the task keeps no
 /// batch.
 pub(crate) fn train<T: Task, H: Hardware>(
+    prepared: &Prepared,
     cfg: &TrainConfig,
-    seed: u64,
-    dataset: &Dataset,
     task: &mut T,
 ) -> Trained<T::Data, H, T::Epoch> {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
-    fare_obs::timers::CORE_TRAINER_RUN.time(|| train_inner(cfg, seed, dataset, task))
-}
+    fare_obs::timers::CORE_TRAINER_RUN.time(|| {
+        fare_obs::counters::CORE_TRAINER_RUNS.incr();
+        let _run_span = fare_obs::trace::span("core.trainer.run");
+        let dataset = prepared.dataset;
+        let mut rng = prepared.rng.clone();
 
-fn train_inner<T: Task, H: Hardware>(
-    cfg: &TrainConfig,
-    seed: u64,
-    dataset: &Dataset,
-    task: &mut T,
-) -> Trained<T::Data, H, T::Epoch> {
-    fare_obs::counters::CORE_TRAINER_RUNS.incr();
-    let _run_span = fare_obs::trace::span("core.trainer.run");
-    let mut rng = fare_rt::domain_rng(seed, T::RNG_DOMAIN);
+        // Model + weight path.
+        let dims = GnnDims {
+            input: dataset.spec.feature_dim,
+            hidden: cfg.hidden_dim,
+            output: task.output_dim(cfg, dataset),
+        };
+        let mut model = Gnn::with_depth(cfg.model, dims, cfg.depth, &mut rng);
+        let mut hardware = H::build(cfg, &model, &mut rng);
+        let mut opt = Adam::new(cfg.learning_rate, &model).with_weight_decay(cfg.weight_decay);
 
-    // Partition + mini-batches (host-side preprocessing).
-    let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
-    let minibatches = make_batches(
-        &dataset.graph,
-        &parts,
-        dataset.spec.clusters_per_batch,
-        &mut rng,
-    );
-
-    // Model + weight path.
-    let dims = GnnDims {
-        input: dataset.spec.feature_dim,
-        hidden: cfg.hidden_dim,
-        output: task.output_dim(cfg, dataset),
-    };
-    let mut model = Gnn::with_depth(cfg.model, dims, cfg.depth, &mut rng);
-    let mut hardware = H::build(cfg, &model, &mut rng);
-    let mut opt = Adam::new(cfg.learning_rate, &model).with_weight_decay(cfg.weight_decay);
-
-    // Batch adjacencies onto the hardware.
-    let mut batches: Vec<Batch<T::Data, H::Slot>> = minibatches
-        .into_iter()
-        .filter_map(|batch| {
-            let (graph, data) = task.prepare(&batch, dataset, &mut rng)?;
-            let (slot, view) = hardware.program(&graph, &mut rng);
-            Some(Batch {
-                features: batch.gather_features(&dataset.features),
-                nodes: batch.nodes,
-                graph,
-                view,
-                data,
-                slot,
+        // Batch adjacencies onto the hardware.
+        let mut batches: Vec<Batch<T::Data, H::Slot>> = prepared
+            .minibatches
+            .iter()
+            .filter_map(|batch| {
+                let (graph, data) = task.prepare(batch, dataset, &mut rng)?;
+                let (slot, view) = hardware.program(&graph, &mut rng);
+                Some(Batch {
+                    features: batch.gather_features(&dataset.features),
+                    nodes: batch.nodes.clone(),
+                    graph,
+                    view,
+                    data,
+                    slot,
+                })
             })
-        })
-        .collect();
-    assert!(!batches.is_empty(), "no mini-batch is usable for this task");
+            .collect();
+        assert!(!batches.is_empty(), "no mini-batch is usable for this task");
 
-    let mut history = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        let _epoch_span = fare_obs::trace::span_arg("core.trainer.epoch", epoch as u64);
-        let mut epoch_loss = 0.0f64;
-        for (bi, batch) in batches.iter().enumerate() {
-            fare_obs::counters::CORE_TRAINER_BATCHES.incr();
-            let _batch_span = fare_obs::trace::span_arg("core.trainer.batch", bi as u64);
-            let (output, cache) = model.forward(&batch.view, &batch.features, hardware.reader());
-            let Some((loss, grad)) = task.loss(batch, &output, &mut rng) else {
-                continue;
-            };
-            epoch_loss += loss;
-            let mut grads = model.backward(&batch.view, &cache, &grad);
-            if cfg.grad_clip_norm > 0.0 {
-                grads.clip_norm(cfg.grad_clip_norm);
+        let mut history = Vec::with_capacity(cfg.epochs);
+        for epoch in 0..cfg.epochs {
+            let _epoch_span = fare_obs::trace::span_arg("core.trainer.epoch", epoch as u64);
+            let mut epoch_loss = 0.0f64;
+            for (bi, batch) in batches.iter().enumerate() {
+                fare_obs::counters::CORE_TRAINER_BATCHES.incr();
+                let _batch_span = fare_obs::trace::span_arg("core.trainer.batch", bi as u64);
+                let (output, cache) =
+                    model.forward(&batch.view, &batch.features, hardware.reader());
+                let Some((loss, grad)) = task.loss(batch, &output, &mut rng) else {
+                    continue;
+                };
+                epoch_loss += loss;
+                let mut grads = model.backward(&batch.view, &cache, &grad);
+                if cfg.grad_clip_norm > 0.0 {
+                    grads.clip_norm(cfg.grad_clip_norm);
+                }
+                model.apply_gradients(&grads, &mut opt);
+                hardware.after_update(&mut model);
             }
-            model.apply_gradients(&grads, &mut opt);
-            hardware.after_update(&mut model);
+            hardware.age(epoch, &model, &mut batches, &mut rng);
+            let loss = epoch_loss / batches.len() as f64;
+            history.push(task.evaluate(epoch, loss, &model, hardware.reader(), &batches));
+            fare_obs::counters::CORE_TRAINER_EPOCHS.incr();
         }
-        hardware.age(epoch, &model, &mut batches, &mut rng);
-        let loss = epoch_loss / batches.len() as f64;
-        history.push(task.evaluate(epoch, loss, &model, hardware.reader(), &batches));
-        fare_obs::counters::CORE_TRAINER_EPOCHS.incr();
-    }
-    Trained {
-        model,
-        hardware,
-        batches,
-        history,
-    }
+        Trained {
+            model,
+            hardware,
+            batches,
+            history,
+        }
+    })
 }
 
 /// Ideal hardware: full-precision weights, the exact batch adjacency,

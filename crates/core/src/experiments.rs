@@ -9,10 +9,12 @@
 use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare_reram::timing::{NormalizedTimes, PipelineSpec, TimingModel};
 use fare_reram::FaultSpec;
+use fare_rt::par::scoped_map_init;
 use fare_tensor::fixed::StuckPolarity;
-use fare_rt::par::prelude::*;
 
-use crate::{run_fault_free, FaultStrategy, TrainConfig, TrainOutcome, Trainer};
+use crate::engine::{Faulty, Ideal, Prepared};
+use crate::trainer::{classify, prepare};
+use crate::{FaultStrategy, TrainConfig, TrainOutcome};
 
 /// One (dataset, model) pairing from Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,19 +72,69 @@ impl Default for ExperimentParams {
     }
 }
 
-impl ExperimentParams {
-    /// Seed of trial `t`.
-    fn trial_seed(&self, t: usize) -> u64 {
-        self.seed.wrapping_add(1000 * t as u64)
-    }
-}
-
 fn base_config(model: ModelKind, epochs: usize) -> TrainConfig {
     TrainConfig {
         model,
         epochs,
         ..TrainConfig::default()
     }
+}
+
+/// One cell of a sweep, on the sweep's dataset of the given index.
+pub(crate) enum Cell {
+    /// A model's fault-free reference, on ideal hardware.
+    FaultFree(usize, ModelKind),
+    /// A configuration on faulty hardware.
+    Faulty(usize, TrainConfig),
+}
+
+/// Trains every cell on the datasets of `kinds` once per trial (trial
+/// `t` on seed `params.seed + 1000 t`) and returns each cell's outcomes
+/// in trial order.
+///
+/// Each (dataset, trial seed) is partitioned and batched once; every
+/// cell on that dataset continues from the shared preparation, so each
+/// run reads the RNG stream a stand-alone run would. All (cell × trial)
+/// runs go through one flat parallel map.
+pub(crate) fn run_cells(
+    params: &ExperimentParams,
+    kinds: &[DatasetKind],
+    cells: &[Cell],
+) -> Vec<Vec<TrainOutcome>> {
+    let datasets: Vec<Dataset> = kinds
+        .iter()
+        .map(|&kind| Dataset::generate(kind, params.seed))
+        .collect();
+    let trials = params.trials.max(1);
+    let prepared: Vec<Prepared> = datasets
+        .iter()
+        .flat_map(|ds| (0..trials).map(move |t| (ds, params.seed.wrapping_add(1000 * t as u64))))
+        .map(|(ds, seed)| {
+            fare_obs::counters::CORE_EXPERIMENT_PREPARED.incr();
+            prepare(ds, seed)
+        })
+        .collect();
+    let runs: Vec<(&Cell, usize)> = cells
+        .iter()
+        .flat_map(|cell| (0..trials).map(move |t| (cell, t)))
+        .collect();
+    let outcomes = scoped_map_init(
+        runs,
+        || (),
+        |_, (cell, t)| match *cell {
+            Cell::FaultFree(d, model) => classify::<Ideal>(
+                &prepared[d * trials + t],
+                &base_config(model, params.epochs),
+            ),
+            Cell::Faulty(d, ref config) => classify::<Faulty>(&prepared[d * trials + t], config),
+        },
+    );
+    outcomes.chunks(trials).map(<[_]>::to_vec).collect()
+}
+
+/// Mean final test accuracy over `outcomes`.
+pub(crate) fn mean_accuracy(outcomes: &[TrainOutcome]) -> f64 {
+    outcomes.iter().map(|o| o.final_test_accuracy).sum::<f64>() / outcomes.len() as f64
 }
 
 // ---------------------------------------------------------------------
@@ -152,52 +204,44 @@ impl Fig3Result {
 /// faults on the weight and adjacency crossbars *separately*, with
 /// fault-unaware training (SAGE + Amazon2M).
 pub fn fig3(params: &ExperimentParams) -> Fig3Result {
-    let dataset = Dataset::generate(DatasetKind::Amazon2M, params.seed);
     let model = ModelKind::Sage;
-    let density = 0.05;
-
-    let trials: Vec<u64> = (0..params.trials.max(1)).map(|t| params.trial_seed(t)).collect();
-    let fault_free = trials
-        .iter()
-        .map(|&s| {
-            run_fault_free(&base_config(model, params.epochs), s, &dataset).final_test_accuracy
-        })
-        .sum::<f64>()
-        / trials.len() as f64;
-
-    let cases: Vec<Fig3Case> = [
+    let bars = [
         (FaultPhase::Weights, StuckPolarity::StuckAtZero),
         (FaultPhase::Weights, StuckPolarity::StuckAtOne),
         (FaultPhase::Adjacency, StuckPolarity::StuckAtZero),
         (FaultPhase::Adjacency, StuckPolarity::StuckAtOne),
-    ]
-    .into_par_iter()
-    .map(|(phase, polarity)| {
-        let spec = match polarity {
-            StuckPolarity::StuckAtZero => FaultSpec::density(density).sa0_only(),
-            StuckPolarity::StuckAtOne => FaultSpec::density(density).sa1_only(),
-        };
-        let config = TrainConfig {
-            fault_spec: spec,
-            strategy: FaultStrategy::FaultUnaware,
-            weight_faults: phase == FaultPhase::Weights,
-            adjacency_faults: phase == FaultPhase::Adjacency,
-            ..base_config(model, params.epochs)
-        };
-        let accuracy = trials
-            .par_iter()
-            .map(|&s| Trainer::new(config, s).run(&dataset).final_test_accuracy)
-            .sum::<f64>()
-            / trials.len() as f64;
-        Fig3Case {
-            phase,
-            polarity,
-            accuracy,
-        }
-    })
-    .collect();
+    ];
 
-    Fig3Result { fault_free, cases }
+    let mut cells = vec![Cell::FaultFree(0, model)];
+    cells.extend(bars.iter().map(|&(phase, polarity)| {
+        Cell::Faulty(
+            0,
+            TrainConfig {
+                fault_spec: match polarity {
+                    StuckPolarity::StuckAtZero => FaultSpec::density(0.05).sa0_only(),
+                    StuckPolarity::StuckAtOne => FaultSpec::density(0.05).sa1_only(),
+                },
+                strategy: FaultStrategy::FaultUnaware,
+                weight_faults: phase == FaultPhase::Weights,
+                adjacency_faults: phase == FaultPhase::Adjacency,
+                ..base_config(model, params.epochs)
+            },
+        )
+    }));
+    let outcomes = run_cells(params, &[DatasetKind::Amazon2M], &cells);
+
+    Fig3Result {
+        fault_free: mean_accuracy(&outcomes[0]),
+        cases: bars
+            .iter()
+            .zip(&outcomes[1..])
+            .map(|(&(phase, polarity), outs)| Fig3Case {
+                phase,
+                polarity,
+                accuracy: mean_accuracy(outs),
+            })
+            .collect(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -222,52 +266,39 @@ fare_rt::json_struct!(Fig4Result { densities, fault_free, unaware, fare });
 /// Runs Fig. 4: training accuracy vs epoch for fault-unaware vs FARe at
 /// each density (GCN + Reddit, SA0:SA1 = 9:1).
 pub fn fig4(params: &ExperimentParams, densities: &[f64]) -> Fig4Result {
-    let dataset = Dataset::generate(DatasetKind::Reddit, params.seed);
     let model = ModelKind::Gcn;
-    let curve = |out: &TrainOutcome| -> Vec<f64> {
-        out.history.iter().map(|e| e.train_accuracy).collect()
-    };
-
-    let trials: Vec<u64> = (0..params.trials.max(1)).map(|t| params.trial_seed(t)).collect();
-    let mean_curves = |curves: Vec<Vec<f64>>| -> Vec<f64> {
-        let len = curves.iter().map(Vec::len).min().unwrap_or(0);
-        (0..len)
-            .map(|i| curves.iter().map(|c| c[i]).sum::<f64>() / curves.len() as f64)
+    // Per-epoch training accuracy, averaged over the trials.
+    let mean_curve = |outs: &[TrainOutcome]| -> Vec<f64> {
+        let sum = |i: usize| {
+            outs.iter()
+                .map(|o| o.history[i].train_accuracy)
+                .sum::<f64>()
+        };
+        (0..params.epochs)
+            .map(|i| sum(i) / outs.len() as f64)
             .collect()
     };
-    let fault_free = mean_curves(
-        trials
-            .iter()
-            .map(|&s| curve(&run_fault_free(&base_config(model, params.epochs), s, &dataset)))
-            .collect(),
-    );
 
-    let run = |strategy: FaultStrategy, density: f64| -> Vec<f64> {
-        let config = TrainConfig {
-            fault_spec: FaultSpec::density(density),
-            strategy,
-            ..base_config(model, params.epochs)
-        };
-        mean_curves(
-            trials
-                .par_iter()
-                .map(|&s| curve(&Trainer::new(config, s).run(&dataset)))
-                .collect(),
-        )
-    };
-    let unaware: Vec<Vec<f64>> = densities
-        .par_iter()
-        .map(|&d| run(FaultStrategy::FaultUnaware, d))
-        .collect();
-    let fare: Vec<Vec<f64>> = densities
-        .par_iter()
-        .map(|&d| run(FaultStrategy::FaRe, d))
-        .collect();
+    let mut cells = vec![Cell::FaultFree(0, model)];
+    for strategy in [FaultStrategy::FaultUnaware, FaultStrategy::FaRe] {
+        cells.extend(densities.iter().map(|&density| {
+            Cell::Faulty(
+                0,
+                TrainConfig {
+                    fault_spec: FaultSpec::density(density),
+                    strategy,
+                    ..base_config(model, params.epochs)
+                },
+            )
+        }));
+    }
+    let outcomes = run_cells(params, &[DatasetKind::Reddit], &cells);
+    let (unaware, fare) = outcomes[1..].split_at(densities.len());
     Fig4Result {
         densities: densities.to_vec(),
-        fault_free,
-        unaware,
-        fare,
+        fault_free: mean_curve(&outcomes[0]),
+        unaware: unaware.iter().map(|o| mean_curve(o)).collect(),
+        fare: fare.iter().map(|o| mean_curve(o)).collect(),
     }
 }
 
@@ -361,7 +392,7 @@ pub fn fig5(
     sa1_fraction: f64,
     densities: &[f64],
 ) -> AccuracyComparison {
-    comparison(params, workloads, sa1_fraction, densities, 0.0)
+    fig6(params, workloads, sa1_fraction, densities, 0.0)
 }
 
 /// Runs the Fig. 6 protocol: pre-deployment densities plus
@@ -374,84 +405,51 @@ pub fn fig6(
     pre_densities: &[f64],
     post_deployment_density: f64,
 ) -> AccuracyComparison {
-    comparison(
-        params,
-        workloads,
-        sa1_fraction,
-        pre_densities,
-        post_deployment_density,
-    )
-}
-
-fn comparison(
-    params: &ExperimentParams,
-    workloads: &[Workload],
-    sa1_fraction: f64,
-    densities: &[f64],
-    post: f64,
-) -> AccuracyComparison {
-    let datasets: Vec<(Workload, Dataset)> = workloads
+    let mut cells: Vec<Cell> = workloads
         .iter()
-        .map(|&w| (w, Dataset::generate(w.dataset, params.seed)))
+        .enumerate()
+        .map(|(wi, w)| Cell::FaultFree(wi, w.model))
         .collect();
-
-    let trials: Vec<u64> = (0..params.trials.max(1)).map(|t| params.trial_seed(t)).collect();
-    let fault_free: Vec<(Workload, f64)> = datasets
-        .par_iter()
-        .map(|(w, ds)| {
-            let acc = trials
-                .iter()
-                .map(|&s| {
-                    run_fault_free(&base_config(w.model, params.epochs), s, ds)
-                        .final_test_accuracy
-                })
-                .sum::<f64>()
-                / trials.len() as f64;
-            (*w, acc)
-        })
-        .collect();
-
-    let mut jobs = Vec::new();
-    for (wi, (w, _)) in datasets.iter().enumerate() {
-        for &strategy in &FaultStrategy::all() {
-            for &density in densities {
-                jobs.push((wi, *w, strategy, density));
+    let mut bars = Vec::new();
+    for (wi, &workload) in workloads.iter().enumerate() {
+        for strategy in FaultStrategy::all() {
+            for &density in pre_densities {
+                bars.push((workload, strategy, density));
+                cells.push(Cell::Faulty(
+                    wi,
+                    TrainConfig {
+                        fault_spec: FaultSpec::with_sa1_fraction(density, sa1_fraction),
+                        post_deployment_density,
+                        strategy,
+                        ..base_config(workload.model, params.epochs)
+                    },
+                ));
             }
         }
     }
-    fare_obs::counters::CORE_EXPERIMENT_CELLS.add(jobs.len() as u64);
-    let cells: Vec<AccuracyCell> = jobs
-        .par_iter()
-        .map(|&(wi, workload, strategy, density)| {
-            let config = TrainConfig {
-                fault_spec: FaultSpec::with_sa1_fraction(density, sa1_fraction),
-                post_deployment_density: post,
-                strategy,
-                ..base_config(workload.model, params.epochs)
-            };
-            let accuracy = trials
-                .par_iter()
-                .map(|&s| {
-                    Trainer::new(config, s)
-                        .run(&datasets[wi].1)
-                        .final_test_accuracy
-                })
-                .sum::<f64>()
-                / trials.len() as f64;
-            AccuracyCell {
-                workload,
-                strategy,
-                density,
-                accuracy,
-            }
-        })
-        .collect();
+    fare_obs::counters::CORE_EXPERIMENT_CELLS.add(bars.len() as u64);
+    let kinds: Vec<DatasetKind> = workloads.iter().map(|w| w.dataset).collect();
+    let outcomes = run_cells(params, &kinds, &cells);
+    let (fault_free, faulty) = outcomes.split_at(workloads.len());
 
     AccuracyComparison {
         sa1_fraction,
-        post_deployment_density: post,
-        fault_free,
-        cells,
+        post_deployment_density,
+        fault_free: workloads
+            .iter()
+            .zip(fault_free)
+            .map(|(&w, outs)| (w, mean_accuracy(outs)))
+            .collect(),
+        cells: bars
+            .into_iter()
+            .zip(faulty)
+            .map(|((workload, strategy, density), outs)| AccuracyCell {
+                workload,
+                strategy,
+                density,
+                accuracy: mean_accuracy(outs),
+            })
+            .collect(),
     }
 }
 

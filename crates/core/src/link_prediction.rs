@@ -193,7 +193,8 @@ pub fn run_link_prediction(config: &TrainConfig, seed: u64, dataset: &Dataset) -
         seed,
         test_edges: 0,
     };
-    let run = engine::train::<_, Faulty>(config, seed, dataset, &mut task);
+    let prepared = engine::prepare(dataset, seed, LinkPrediction::RNG_DOMAIN);
+    let run = engine::train::<_, Faulty>(&prepared, config, &mut task);
     let final_auc = run.history.last().map(|h| h.auc).unwrap_or(0.5);
 
     // Assemble the global embedding matrix from a final faulty-hardware

@@ -57,7 +57,7 @@ use std::collections::{HashMap, HashSet};
 use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
 use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
-use fare_rt::par::{scoped_map, scoped_map_init};
+use fare_rt::par::scoped_map_init;
 use fare_tensor::Matrix;
 
 /// Configuration of the mapping algorithm.
@@ -759,14 +759,12 @@ where
             // Row-parallel assembly; entries are computed by the exact
             // expression the serial branch uses, so both are bit-equal.
             let xbars = &live_xbars;
-            let rows: Vec<Vec<f64>> = scoped_map(live_blocks.clone(), |i| {
-                xbars.iter().map(|&j| g2_entry(i, j)).collect()
-            });
-            CostMatrix::from_vec(
-                live_blocks.len(),
-                live_xbars.len(),
-                rows.concat(),
-            )
+            let rows: Vec<Vec<f64>> = scoped_map_init(
+                live_blocks.clone(),
+                || (),
+                |_, i| xbars.iter().map(|&j| g2_entry(i, j)).collect(),
+            );
+            CostMatrix::from_vec(live_blocks.len(), live_xbars.len(), rows.concat())
         } else {
             CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
                 g2_entry(live_blocks[bi], live_xbars[xj])

@@ -16,7 +16,7 @@ use fare_reram::FaultSpec;
 use fare_rt::rand::rngs::StdRng;
 use fare_tensor::{ops, Matrix};
 
-use crate::engine::{self, Batch, Faulty, Hardware, Ideal, Task};
+use crate::engine::{self, Batch, Faulty, Hardware, Ideal, Prepared, Task};
 use crate::FaultStrategy;
 
 /// Configuration of one training run.
@@ -266,9 +266,14 @@ impl Task for Classification {
     }
 }
 
-/// Node classification on hardware `H`.
-fn classify<H: Hardware>(config: &TrainConfig, seed: u64, dataset: &Dataset) -> TrainOutcome {
-    let run = engine::train::<_, H>(config, seed, dataset, &mut Classification);
+/// Partitions and batches `dataset` for node classification.
+pub(crate) fn prepare(dataset: &Dataset, seed: u64) -> Prepared<'_> {
+    engine::prepare(dataset, seed, Classification::RNG_DOMAIN)
+}
+
+/// Node classification of `prepared` under `config` on hardware `H`.
+pub(crate) fn classify<H: Hardware>(prepared: &Prepared, config: &TrainConfig) -> TrainOutcome {
+    let run = engine::train::<_, H>(prepared, config, &mut Classification);
     let report = run.hardware.report(&run.model, &run.batches);
     let history = run.history;
     let last = history.last().copied().expect("at least one epoch");
@@ -318,7 +323,7 @@ impl Trainer {
     ///
     /// Deterministic for a given `(config, seed, dataset)`.
     pub fn run(&self, dataset: &Dataset) -> TrainOutcome {
-        classify::<Faulty>(&self.config, self.seed, dataset)
+        classify::<Faulty>(&prepare(dataset, self.seed), &self.config)
     }
 }
 
@@ -340,7 +345,7 @@ impl Trainer {
 ///
 /// Panics if the configuration fails [`TrainConfig::validate`].
 pub fn run_fault_free(config: &TrainConfig, seed: u64, dataset: &Dataset) -> TrainOutcome {
-    classify::<Ideal>(config, seed, dataset)
+    classify::<Ideal>(&prepare(dataset, seed), config)
 }
 
 #[cfg(test)]

@@ -74,12 +74,18 @@ fn parse_err(line: usize, message: impl Into<String>) -> ParseDataError {
     }
 }
 
+/// Most nodes an edge list may describe: 2²² = 4,194,304, above the
+/// largest Table II graph (Ogbl-citation2, 2,927,963 nodes). The graph
+/// allocates per node up front, so an untrusted id must not size it.
+const MAX_NODES: usize = 1 << 22;
+
 /// Reads an undirected edge list. Node ids may be sparse; the graph gets
-/// `max_id + 1` nodes.
+/// `max_id + 1` nodes, at most 2²² = 4,194,304.
 ///
 /// # Errors
 ///
-/// Returns [`ParseDataError`] on I/O failure or malformed lines.
+/// Returns [`ParseDataError`] on I/O failure, malformed lines, or a node
+/// id of 2²² or more.
 ///
 /// # Example
 ///
@@ -113,6 +119,12 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, ParseDataError>
             .map_err(|e| parse_err(i + 1, format!("bad target node: {e}")))?;
         if parts.next().is_some() {
             return Err(parse_err(i + 1, "expected exactly two node ids"));
+        }
+        if u.max(v) >= MAX_NODES {
+            return Err(parse_err(
+                i + 1,
+                format!("node id {} exceeds the {MAX_NODES}-node cap", u.max(v)),
+            ));
         }
         max_id = max_id.max(u).max(v);
         edges.push((u, v));
@@ -341,6 +353,26 @@ mod tests {
         assert!(err.to_string().contains("exactly two"));
         let err = read_edge_list("7\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("missing target"));
+    }
+
+    #[test]
+    fn edge_list_rejects_id_whose_node_count_overflows() {
+        // `max_id + 1` would wrap to 0 in a release build.
+        let err = read_edge_list("0 18446744073709551615\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn edge_list_rejects_id_past_the_node_cap() {
+        let last = format!("0 1\n2 {}\n", MAX_NODES - 1);
+        assert_eq!(
+            read_edge_list(last.as_bytes()).unwrap().num_nodes(),
+            MAX_NODES
+        );
+        let over = format!("0 1\n{MAX_NODES} 2\n");
+        let err = read_edge_list(over.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(err.to_string().contains("cap"), "{err}");
     }
 
     #[test]

@@ -286,11 +286,14 @@ pub mod counters {
     pub static CORE_REMAP_CACHE_MISSES: Counter = Counter::new("core.remap_cache.misses");
     /// Strategy×density cells dispatched by the experiment drivers.
     pub static CORE_EXPERIMENT_CELLS: Counter = Counter::new("core.experiments.cells");
+    /// (dataset, trial seed) pairs the experiment drivers partitioned
+    /// and batched, once each, for all the runs of a sweep.
+    pub static CORE_EXPERIMENT_PREPARED: Counter = Counter::new("core.experiments.prepared");
 
     /// Every counter, in manifest order. **Register new counters here**
     /// or they will silently stay out of every manifest.
     pub fn all() -> &'static [&'static Counter] {
-        static ALL: [&Counter; 25] = [
+        static ALL: [&Counter; 26] = [
             &RERAM_FAULTS_INJECTED_SA0,
             &RERAM_FAULTS_INJECTED_SA1,
             &RERAM_FAULTS_CLEARED,
@@ -316,6 +319,7 @@ pub mod counters {
             &CORE_REMAP_CACHE_HITS,
             &CORE_REMAP_CACHE_MISSES,
             &CORE_EXPERIMENT_CELLS,
+            &CORE_EXPERIMENT_PREPARED,
         ];
         &ALL
     }

@@ -7,7 +7,7 @@
 //! | module          | replaces     | surface                                    |
 //! |-----------------|--------------|--------------------------------------------|
 //! | [`rand`]        | `rand` 0.8   | `StdRng`, `Rng`, `SeedableRng`, `RngCore`, `seq::SliceRandom` |
-//! | [`par`]         | `rayon`      | persistent worker pool: `par_iter` / `into_par_iter` map/sum/collect + `par_row_chunks` row partitioning |
+//! | [`par`]         | `rayon`      | persistent worker pool: `scoped_map_init` order-preserving map + `par_row_chunks` row partitioning |
 //! | [`json`]        | `serde` + `serde_json` | [`json::Json`] value, parser, serializer, `ToJson`/`FromJson` + impl macros |
 //! | [`prop`]        | `proptest`   | seeded, shrink-free `proptest!` macro + `Strategy` combinators |
 //! | [`bench`]       | `criterion`  | `std::time`-based `criterion_group!`/`criterion_main!` harness |

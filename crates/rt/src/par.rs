@@ -14,9 +14,9 @@
 //!   output row is produced by exactly one closure invocation in fixed
 //!   order, so results are bit-identical for any thread count — the
 //!   repo's determinism contract (`tests/determinism.rs`).
-//! - [`scoped_map`] — order-preserving parallel map over owned items
-//!   (chunked, reassembled positionally). `par_iter()` /
-//!   `into_par_iter()` build on it.
+//! - [`scoped_map_init`] — order-preserving parallel map over owned
+//!   items (chunked, reassembled positionally), with an optional
+//!   per-chunk scratch value.
 //!
 //! The thread count is a process-wide knob: [`set_threads`] wins, then
 //! the `FARE_RT_THREADS` environment variable, then
@@ -280,46 +280,11 @@ where
 }
 
 /// Maps `f` over `items` on the worker pool, preserving input order.
-pub fn scoped_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let n = items.len();
-    let threads = current_threads().clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk_len = n.div_ceil(threads);
-    struct Slot<T, U> {
-        input: Vec<T>,
-        output: Vec<U>,
-    }
-    let mut slots: Vec<Mutex<Slot<T, U>>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        slots.push(Mutex::new(Slot { input: chunk, output: Vec::new() }));
-    }
-    run_batch(slots.len(), &|i| {
-        let mut slot = slots[i].lock().unwrap();
-        let input = std::mem::take(&mut slot.input);
-        slot.output = input.into_iter().map(&f).collect();
-    });
-    slots
-        .into_iter()
-        .flat_map(|s| s.into_inner().unwrap().output)
-        .collect()
-}
-
-/// Like [`scoped_map`], but each worker chunk first builds a scratch
-/// value with `init()` and threads it through its items — the
-/// `map_init` pattern for solvers with reusable internal buffers
-/// (allocate once per worker, not once per item).
+///
+/// Each worker chunk first builds a scratch value with `init()` and
+/// threads it through its items — the `map_init` pattern for solvers
+/// with reusable internal buffers (allocate once per worker, not once
+/// per item). Callers with no scratch pass `|| ()`.
 ///
 /// Determinism contract: `f`'s output must depend only on its item, not
 /// on scratch history, because chunk boundaries move with the thread
@@ -364,122 +329,36 @@ where
         .collect()
 }
 
-/// An eager parallel iterator: `map` runs immediately on the pool.
-pub struct ParIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParIter<T> {
-    /// Applies `f` to every item in parallel, preserving order.
-    pub fn map<U, F>(self, f: F) -> ParIter<U>
-    where
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        ParIter { items: scoped_map(self.items, f) }
-    }
-
-    /// Pairs each item with its index.
-    pub fn enumerate(self) -> ParIter<(usize, T)> {
-        ParIter { items: self.items.into_iter().enumerate().collect() }
-    }
-
-    /// Collects the (already computed) results.
-    pub fn collect<C: FromIterator<T>>(self) -> C {
-        self.items.into_iter().collect()
-    }
-
-    /// Sums the results.
-    pub fn sum<S: std::iter::Sum<T>>(self) -> S {
-        self.items.into_iter().sum()
-    }
-}
-
-/// Owned conversion into a [`ParIter`] (mirrors
-/// `rayon::iter::IntoParallelIterator`).
-pub trait IntoParallelIterator {
-    /// Item type.
-    type Item: Send;
-
-    /// Consumes `self` into a parallel iterator.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
-impl<T: Send, const N: usize> IntoParallelIterator for [T; N] {
-    type Item = T;
-
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self.into_iter().collect() }
-    }
-}
-
-/// Borrowing conversion, `slice.par_iter()` (mirrors
-/// `rayon::iter::IntoParallelRefIterator`).
-pub trait ParallelSlice<T: Sync> {
-    /// A parallel iterator over `&T`.
-    fn par_iter(&self) -> ParIter<&T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> ParIter<&T> {
-        ParIter { items: self.iter().collect() }
-    }
-}
-
-/// Everything a `use fare_rt::par::prelude::*;` caller needs (mirrors
-/// `rayon::prelude`).
-pub mod prelude {
-    pub use super::{IntoParallelIterator, ParIter, ParallelSlice};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `scoped_map_init` without scratch.
+    fn map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
+        scoped_map_init(items, || (), |_, x| f(x))
+    }
+
     #[test]
     fn map_preserves_order() {
-        let v: Vec<usize> = (0..100).collect();
-        let out: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn into_par_iter_on_array_and_vec() {
-        let from_array: Vec<i32> = [1, 2, 3, 4].into_par_iter().map(|x| x + 1).collect();
-        assert_eq!(from_array, vec![2, 3, 4, 5]);
-        let from_vec: i64 = vec![1i64, 2, 3].into_par_iter().map(|x| x * x).sum();
-        assert_eq!(from_vec, 14);
-    }
-
-    #[test]
-    fn enumerate_then_map() {
-        let v = vec!["a", "b", "c"];
-        let out: Vec<String> = v
-            .into_par_iter()
-            .enumerate()
-            .map(|(i, s)| format!("{i}{s}"))
-            .collect();
-        assert_eq!(out, vec!["0a", "1b", "2c"]);
+        for &threads in &[1usize, 2, 3, 8] {
+            set_threads(threads);
+            let out = map((0..100).collect(), |x: usize| x * 2);
+            assert_eq!(
+                out,
+                (0..100).map(|x| x * 2).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
+        }
+        set_threads(0);
     }
 
     #[test]
     fn nested_parallel_maps() {
-        let outer: Vec<usize> = (0..8).collect();
-        let out: Vec<usize> = outer
-            .par_iter()
-            .map(|&i| {
-                let inner: Vec<usize> = (0..10).collect();
-                inner.par_iter().map(|&j| i * j).sum::<usize>()
-            })
-            .collect();
+        let out = map((0..8).collect(), |i: usize| {
+            map((0..10).collect(), |j: usize| i * j)
+                .into_iter()
+                .sum::<usize>()
+        });
         assert_eq!(out[3], 3 * 45);
     }
 
@@ -487,9 +366,9 @@ mod tests {
     fn identical_across_thread_counts() {
         let input: Vec<u64> = (0..37).collect();
         set_threads(1);
-        let one: Vec<u64> = input.par_iter().map(|&x| x.wrapping_mul(x)).collect();
+        let one = map(input.clone(), |x| x.wrapping_mul(x));
         set_threads(4);
-        let four: Vec<u64> = input.par_iter().map(|&x| x.wrapping_mul(x)).collect();
+        let four = map(input, |x| x.wrapping_mul(x));
         set_threads(0);
         assert_eq!(one, four);
     }
@@ -518,9 +397,11 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let v: Vec<u8> = Vec::new();
-        let out: Vec<u8> = v.into_par_iter().map(|x| x).collect();
-        assert!(out.is_empty());
+        for &threads in &[1usize, 4] {
+            set_threads(threads);
+            assert!(map(Vec::<u8>::new(), |x| x).is_empty());
+        }
+        set_threads(0);
     }
 
     #[test]
@@ -565,19 +446,15 @@ mod tests {
     #[test]
     fn row_chunks_nested_inside_map() {
         set_threads(4);
-        let outer: Vec<usize> = (0..6).collect();
-        let out: Vec<u32> = outer
-            .par_iter()
-            .map(|&i| {
-                let mut data = vec![0u32; 12 * 4];
-                par_row_chunks(&mut data, 4, |r, row| {
-                    for v in row.iter_mut() {
-                        *v = (i * 100 + r) as u32;
-                    }
-                });
-                data.iter().sum()
-            })
-            .collect();
+        let out: Vec<u32> = map((0..6).collect(), |i: usize| {
+            let mut data = vec![0u32; 12 * 4];
+            par_row_chunks(&mut data, 4, |r, row| {
+                for v in row.iter_mut() {
+                    *v = (i * 100 + r) as u32;
+                }
+            });
+            data.iter().sum()
+        });
         set_threads(0);
         let expect: Vec<u32> =
             (0..6).map(|i| (0..12).map(|r| (i * 100 + r) as u32 * 4).sum()).collect();

@@ -29,6 +29,12 @@ fi
 echo "==> offline debug build (all targets: tests, benches, examples)"
 cargo build --offline --workspace --all-targets
 
+echo "==> benchmark package build"
+# perfbench is a stand-alone package outside the workspace that drives
+# the public API; building it catches an API break the benchmark would
+# hit.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> offline test suite"
 cargo test -q --offline --workspace
 
@@ -46,6 +52,14 @@ echo "==> runner pins across thread counts"
 # kernels would show, so run the pins on 1 and 3 threads.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test runner_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test runner_pins
+
+echo "==> sweep pins across thread counts"
+# Every trial-averaged figure sweep and training ablation is pinned by
+# a digest of its result. The sweeps share one partition per (dataset,
+# trial seed) across a flat parallel map of runs, so check a serial and
+# an odd worker count.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sweep_pins
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sweep_pins
 
 echo "==> sparse GAT against the dense oracle across thread counts"
 # GAT attends over the view's CSR pattern; a property test pins its
@@ -65,7 +79,7 @@ echo "==> weight fault overlay against the per-read oracle"
 # injections and NaN/inf/saturating weights.
 cargo test -q --offline -p fare-reram --lib -- overlay_read_bit_identical_to_oracle
 
-echo "==> crossbar, weight-fabric and mapping deserialisers reject bad input"
+echo "==> matrix, graph, crossbar, weight-fabric and mapping deserialisers reject bad input"
 cargo test -q --offline --test serialization -- from_json_rejects
 
 echo "==> golden telemetry trace across thread counts"

@@ -74,6 +74,73 @@ fn rejects<T: fare_rt::json::FromJson + std::fmt::Debug>(text: &str, what: &str)
 }
 
 #[test]
+fn matrix_from_json_rejects_data_length_other_than_rows_times_cols() {
+    rejects::<Matrix>(r#"{"rows":2,"cols":2,"data":[1.0]}"#, "too few entries");
+    rejects::<Matrix>(
+        r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#,
+        "rows x cols overflows",
+    );
+}
+
+#[test]
+fn csr_graph_from_json_rejects_offsets_not_starting_at_zero() {
+    rejects::<CsrGraph>(r#"{"offsets":[],"neighbors":[]}"#, "no offsets");
+    rejects::<CsrGraph>(r#"{"offsets":[1,1],"neighbors":[]}"#, "offsets from 1");
+}
+
+#[test]
+fn csr_graph_from_json_rejects_decreasing_offsets() {
+    rejects::<CsrGraph>(
+        r#"{"offsets":[0,2,1,2],"neighbors":[1,2]}"#,
+        "decreasing offsets",
+    );
+}
+
+#[test]
+fn csr_graph_from_json_rejects_last_offset_other_than_neighbour_count() {
+    rejects::<CsrGraph>(
+        r#"{"offsets":[0,5],"neighbors":[1]}"#,
+        "offsets past the end",
+    );
+    rejects::<CsrGraph>(
+        r#"{"offsets":[0,0],"neighbors":[1]}"#,
+        "unreached neighbour",
+    );
+}
+
+#[test]
+fn csr_graph_from_json_rejects_unsorted_or_repeated_neighbours() {
+    let triangle = r#"{"offsets":[0,2,4,6],"neighbors":[1,2,0,2,0,1]}"#;
+    let _: CsrGraph = fare_rt::json::from_str(triangle).expect("a valid triangle");
+    rejects::<CsrGraph>(
+        r#"{"offsets":[0,2,4,6],"neighbors":[2,1,0,2,0,1]}"#,
+        "descending neighbours",
+    );
+    rejects::<CsrGraph>(
+        r#"{"offsets":[0,2,3,4],"neighbors":[1,1,0,0]}"#,
+        "repeated neighbour",
+    );
+}
+
+#[test]
+fn csr_graph_from_json_rejects_out_of_range_neighbour() {
+    rejects::<CsrGraph>(
+        r#"{"offsets":[0,1,1],"neighbors":[7]}"#,
+        "neighbour 7 of 2 nodes",
+    );
+}
+
+#[test]
+fn csr_graph_from_json_rejects_self_loop() {
+    rejects::<CsrGraph>(r#"{"offsets":[0,1,1],"neighbors":[0]}"#, "self loop");
+}
+
+#[test]
+fn csr_graph_from_json_rejects_edge_without_its_reverse() {
+    rejects::<CsrGraph>(r#"{"offsets":[0,1,1],"neighbors":[1]}"#, "one-way edge");
+}
+
+#[test]
 fn weight_fabric_round_trips_and_reads_identically() {
     let mut rng = StdRng::seed_from_u64(11);
     let mut fabric = WeightFabric::for_shape(20, 9, 16, FixedFormat::default());
