@@ -61,6 +61,12 @@ echo "==> sweep pins across thread counts"
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sweep_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sweep_pins
 
+echo "==> partition pins across thread counts"
+# The partitioner and mini-batch assembly of every preset are pinned by
+# digests of their output and of the RNG draw after them.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-graph --test partition_pins
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-graph --test partition_pins
+
 echo "==> sparse GAT against the dense oracle across thread counts"
 # GAT attends over the view's CSR pattern; a property test pins its
 # output, attention and gradients bit for bit to the dense n x n GAT
