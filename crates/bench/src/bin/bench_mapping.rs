@@ -1,13 +1,23 @@
-//! Mapping-pipeline benchmark at the trainer's geometry.
+//! Mapping-pipeline benchmark at the trainer's geometry, on the
+//! trainer's path.
 //!
 //! By default the crossbars are the ones `TrainConfig::default()` gives
 //! the trainer: 16 × 16, a pool of 1.5× the block count, the b-Suitor
-//! matcher and pruning on. The adjacency is batch-sized: 60 nodes of
-//! average degree about 5, like a Reddit-preset mini-batch (three
-//! clusters, 49–69 nodes, average degree 4–6). It times
-//! the production [`fare_core::map_adjacency`] and the first
-//! post-deployment refresh through the remap cache. Before anything is
-//! timed both are checked bit-identical to the serial oracles in
+//! matcher and pruning on. The adjacency is a batch-sized graph: 60
+//! nodes of average degree about 5, like a Reddit-preset mini-batch
+//! (three clusters, 49–69 nodes, average degree 4–6). Each kernel is a
+//! step a faulty run takes per batch, from the batch's CSR graph:
+//!
+//! - `map_adjacency`: pack the CSR lists into the crossbar block grid
+//!   and run Algorithm 1 ([`fare_core::map_blocks_cached`]);
+//! - `refresh_incremental_cached`: the first post-deployment refresh
+//!   through the remap cache ([`fare_core::refresh_blocks_cached`]);
+//! - `corrupt_and_view`: corrupt the CSR pattern under the mapping
+//!   ([`fare_core::corrupt_graph_mapped`]) and build the GCN propagation
+//!   matrix of its view.
+//!
+//! Before anything is timed the mapping and the refresh are checked
+//! bit-identical to the serial dense oracles in
 //! [`fare_core::mapping::reference`].
 //!
 //! ```text
@@ -24,30 +34,24 @@
 use std::time::Instant;
 
 use fare_bench::string_flag;
-use fare_core::mapping::{self, reference};
+use fare_core::mapping::reference;
 use fare_core::{
-    map_adjacency, refresh_row_permutations_cached, MappingConfig, RemapCache, TrainConfig,
+    corrupt_graph_mapped, map_blocks_cached, refresh_blocks_cached, AdjacencyBlocks,
+    MappingConfig, RemapCache, TrainConfig,
 };
+use fare_graph::{CsrGraph, GraphView};
 use fare_obs::RunManifest;
 use fare_reram::{CrossbarArray, FaultSpec, StuckPolarity};
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
-use fare_tensor::Matrix;
 
-/// Random symmetric 0/1 adjacency with average degree `avg_degree`.
-fn random_adjacency(nodes: usize, avg_degree: usize, seed: u64) -> Matrix {
+/// Random graph with average degree about `avg_degree`.
+fn random_graph(nodes: usize, avg_degree: usize, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut adj = Matrix::zeros(nodes, nodes);
-    let edges = nodes * avg_degree / 2;
-    for _ in 0..edges {
-        let i = rng.gen_range(0..nodes);
-        let j = rng.gen_range(0..nodes);
-        if i != j {
-            adj[(i, j)] = 1.0;
-            adj[(j, i)] = 1.0;
-        }
-    }
-    adj
+    let edges: Vec<(usize, usize)> = (0..nodes * avg_degree / 2)
+        .map(|_| (rng.gen_range(0..nodes), rng.gen_range(0..nodes)))
+        .collect();
+    CsrGraph::from_edges(nodes, &edges)
 }
 
 /// Times `f` over `iters` runs (after one untimed warmup) in ns/iter.
@@ -93,28 +97,32 @@ fn main() {
         density * 100.0,
         cfg.matcher
     );
-    let adj = random_adjacency(nodes, 5, 11);
+    let graph = random_graph(nodes, 5, 11);
+    let adj = graph.to_dense();
     let mut array = CrossbarArray::new(m, n);
     let mut rng = StdRng::seed_from_u64(11);
     array.inject(&FaultSpec::density(density), &mut rng);
     let size = format!("nodes={nodes},blocks={blocks},xbars={m}x{n},density={density}");
 
-    let fast = map_adjacency(&adj, &array, &cfg);
+    let map = |cache: &mut RemapCache| {
+        map_blocks_cached(&AdjacencyBlocks::from_graph(&graph, n), &array, &cfg, cache)
+    };
     let oracle = reference::map_adjacency(&adj, &array, &cfg);
     assert!(
-        fast == oracle,
-        "map_adjacency diverges from the serial oracle"
+        map(&mut RemapCache::new()) == oracle,
+        "the mapping diverges from the serial oracle"
     );
 
-    eprintln!("timing map_adjacency ({iters} iters)...");
+    eprintln!("timing CSR -> blocks -> map ({iters} iters)...");
     let map_ns = time_ns(iters, || {
-        std::hint::black_box(map_adjacency(&adj, &array, &cfg));
+        std::hint::black_box(map(&mut RemapCache::new()));
     });
 
     // Post-deployment refresh: a sparse BIST delta touches a handful of
     // crossbars; the incremental path re-solves only those.
+    let blocks_grid = AdjacencyBlocks::from_graph(&graph, n);
     let mut cache = RemapCache::new();
-    let mapping = mapping::map_adjacency_cached(&adj, &array, &cfg, &mut cache);
+    let mapping = map(&mut cache);
     let touched = (m / 50).max(1);
     for k in 0..touched {
         let xi = (k * 37) % m;
@@ -131,7 +139,7 @@ fn main() {
     // every timed iteration measures the same thing — the first
     // post-BIST refresh, where only the `touched` crossbars miss.
     let pre_delta_cache = cache.clone();
-    let incr = refresh_row_permutations_cached(&adj, &array, &mapping, cfg.matcher, &mut cache);
+    let incr = refresh_blocks_cached(&blocks_grid, &array, &mapping, cfg.matcher, &mut cache);
     let refreshed_oracle = reference::refresh_row_permutations(&adj, &array, &mapping, cfg.matcher);
     assert!(
         incr == refreshed_oracle,
@@ -141,8 +149,8 @@ fn main() {
     eprintln!("timing incremental cached refresh ({iters} iters)...");
     let refresh_ns = time_ns(iters, || {
         let mut warm = pre_delta_cache.clone();
-        std::hint::black_box(refresh_row_permutations_cached(
-            &adj,
+        std::hint::black_box(refresh_blocks_cached(
+            &blocks_grid,
             &array,
             &mapping,
             cfg.matcher,
@@ -150,9 +158,18 @@ fn main() {
         ));
     });
 
-    let rows: [(&str, f64); 2] = [
+    // What the model sees after the refresh: the corrupted pattern and
+    // the GCN propagation matrix of its view.
+    eprintln!("timing corrupt -> view ({iters} iters)...");
+    let corrupt_ns = time_ns(iters, || {
+        let view = GraphView::from_pattern(corrupt_graph_mapped(&graph, &array, &incr));
+        std::hint::black_box(view.gcn_norm());
+    });
+
+    let rows: [(&str, f64); 3] = [
         ("map_adjacency", map_ns),
         ("refresh_incremental_cached", refresh_ns),
+        ("corrupt_and_view", corrupt_ns),
     ];
     let mut manifest =
         RunManifest::capture("bench_mapping", 11, &size).with_bench("threads", threads as f64);

@@ -31,10 +31,10 @@ use fare_reram::{CrossbarArray, FaultSpec};
 use fare_rt::rand::rngs::StdRng;
 use fare_tensor::Matrix;
 
-use crate::faulty::{corrupt_adjacency_mapped, FaultyWeightReader};
+use crate::faulty::{corrupt_graph_mapped, FaultyWeightReader};
 use crate::mapping::{
-    map_adjacency_cached, refresh_row_permutations_cached, reordered_sequential_mapping,
-    sequential_mapping, Mapping, MappingConfig, RemapCache,
+    map_blocks_cached, refresh_blocks_cached, reordered_block_mapping, sequential_block_mapping,
+    AdjacencyBlocks, Mapping, MappingConfig, RemapCache,
 };
 use crate::{FaultStrategy, TrainConfig};
 
@@ -291,7 +291,8 @@ pub(crate) struct Faulty {
 
 /// One batch's adjacency crossbar pool.
 pub(crate) struct Crossbars {
-    adj: Matrix,
+    /// The clean adjacency as programmed: its packed block grid.
+    blocks: AdjacencyBlocks,
     array: CrossbarArray,
     mapping: Mapping,
     /// Memoised `G₁` solutions keyed by block position; lets the
@@ -301,16 +302,13 @@ pub(crate) struct Crossbars {
 }
 
 impl Faulty {
-    /// The adjacency the model actually sees.
-    fn view(&self, xbars: &Crossbars) -> GraphView {
+    /// The adjacency the model actually sees of `graph`, stored on
+    /// `xbars`.
+    fn view(&self, graph: &CsrGraph, xbars: &Crossbars) -> GraphView {
         if self.cfg.adjacency_faults {
-            GraphView::from_dense(corrupt_adjacency_mapped(
-                &xbars.adj,
-                &xbars.array,
-                &xbars.mapping,
-            ))
+            GraphView::from_pattern(corrupt_graph_mapped(graph, &xbars.array, &xbars.mapping))
         } else {
-            GraphView::from_dense(xbars.adj.clone())
+            GraphView::from_graph(graph)
         }
     }
 }
@@ -351,9 +349,9 @@ impl Hardware for Faulty {
     fn program(&self, graph: &CsrGraph, rng: &mut StdRng) -> (Crossbars, GraphView) {
         let cfg = &self.cfg;
         let n = cfg.crossbar_size;
-        let adj = graph.to_dense();
-        let blocks = adj.rows().div_ceil(n).pow(2);
-        let pool = ((blocks as f64 * cfg.crossbar_slack).ceil() as usize).max(blocks);
+        let blocks = AdjacencyBlocks::from_graph(graph, n);
+        let count = blocks.grid().pow(2);
+        let pool = ((count as f64 * cfg.crossbar_slack).ceil() as usize).max(count);
         let mut array = CrossbarArray::new(pool, n);
         if cfg.adjacency_faults {
             array.inject(&cfg.fault_spec, rng);
@@ -365,19 +363,17 @@ impl Hardware for Faulty {
             ..MappingConfig::default()
         };
         let mapping = match cfg.strategy {
-            FaultStrategy::FaRe => map_adjacency_cached(&adj, &array, &map_cfg, &mut remap),
-            FaultStrategy::NeuronReordering => {
-                reordered_sequential_mapping(&adj, &array, cfg.matcher)
-            }
-            _ => sequential_mapping(&adj, &array),
+            FaultStrategy::FaRe => map_blocks_cached(&blocks, &array, &map_cfg, &mut remap),
+            FaultStrategy::NeuronReordering => reordered_block_mapping(&blocks, &array, cfg.matcher),
+            _ => sequential_block_mapping(&blocks, &array),
         };
         let xbars = Crossbars {
-            adj,
+            blocks,
             array,
             mapping,
             remap,
         };
-        let view = self.view(&xbars);
+        let view = self.view(graph, &xbars);
         (xbars, view)
     }
 
@@ -424,8 +420,8 @@ impl Hardware for Faulty {
         if cfg.strategy.maps_adjacency() && cfg.adjacency_faults && cfg.post_refresh {
             for b in batches.iter_mut() {
                 let x = &mut b.slot;
-                x.mapping = refresh_row_permutations_cached(
-                    &x.adj,
+                x.mapping = refresh_blocks_cached(
+                    &x.blocks,
                     &x.array,
                     &x.mapping,
                     cfg.matcher,
@@ -438,7 +434,7 @@ impl Hardware for Faulty {
             if cfg.adjacency_faults {
                 for b in batches.iter_mut() {
                     let x = &mut b.slot;
-                    x.mapping = reordered_sequential_mapping(&x.adj, &x.array, cfg.matcher);
+                    x.mapping = reordered_block_mapping(&x.blocks, &x.array, cfg.matcher);
                 }
             }
             self.reader.optimize_placements(model, cfg.matcher);
@@ -447,7 +443,7 @@ impl Hardware for Faulty {
         // permutations) — rebuild the cached views.
         if cfg.adjacency_faults {
             for b in batches.iter_mut() {
-                b.view = self.view(&b.slot);
+                b.view = self.view(&b.graph, &b.slot);
             }
         }
     }

@@ -4,9 +4,10 @@
 use std::collections::BTreeMap;
 
 use fare_gnn::{Gnn, WeightReader};
+use fare_graph::{CsrGraph, CsrMatrix};
 use fare_reram::variation::{VariationField, VariationSpec};
 use fare_reram::weights::{FaultOverlay, WeightFabric};
-use fare_reram::{CrossbarArray, FaultSpec};
+use fare_reram::{CrossbarArray, FaultSpec, StuckPolarity};
 use fare_tensor::{FixedFormat, Matrix};
 use fare_rt::rand::Rng;
 
@@ -225,11 +226,34 @@ impl WeightReader for FaultyWeightReader {
     }
 }
 
-/// Corrupts a binary adjacency matrix as stored under `mapping`.
+/// Corrupts a batch graph's adjacency as stored under `mapping`: the
+/// adjacency the aggregation phase actually computes with, as a binary
+/// pattern (Fig. 1(b)).
 ///
 /// Each placed block is read back through its crossbar with its row
-/// permutation; the reassembled matrix is what the aggregation phase
-/// actually computes with.
+/// permutation. An SA0 cell under a stored 1 deletes that entry, an SA1
+/// cell under a stored 0 inserts one; cells in a block's zero padding
+/// past the adjacency's edge are ignored. The result may be asymmetric
+/// and may carry diagonal entries. It costs `O(nnz + faults)` on top of
+/// one placement lookup per (row, block column).
+///
+/// # Panics
+///
+/// Panics if `mapping` does not match the graph's geometry or refers to
+/// missing crossbars.
+pub fn corrupt_graph_mapped(
+    graph: &CsrGraph,
+    array: &CrossbarArray,
+    mapping: &Mapping,
+) -> CsrMatrix {
+    corrupt_rows(graph.num_nodes(), |u| graph.neighbors(u), array, mapping)
+}
+
+/// Corrupts a binary adjacency matrix as stored under `mapping`.
+///
+/// A dense adapter onto [`corrupt_graph_mapped`]'s core: entries `> 0.5`
+/// are the stored 1s, and the corrupted adjacency comes back as a 0/1
+/// matrix.
 ///
 /// # Panics
 ///
@@ -240,30 +264,64 @@ pub fn corrupt_adjacency_mapped(
     array: &CrossbarArray,
     mapping: &Mapping,
 ) -> Matrix {
+    let ones: Vec<Vec<usize>> = (0..adj.rows())
+        .map(|r| {
+            let row = adj.row(r).iter().enumerate();
+            row.filter(|&(_, &v)| v > 0.5).map(|(c, _)| c).collect()
+        })
+        .collect();
+    corrupt_rows(adj.rows(), |r| &ones[r], array, mapping).to_dense()
+}
+
+/// The corruption core: `row(r)` lists the stored 1s of row `r` of a
+/// `size × size` binary adjacency, ascending.
+fn corrupt_rows<'a>(
+    size: usize,
+    row: impl Fn(usize) -> &'a [usize],
+    array: &CrossbarArray,
+    mapping: &Mapping,
+) -> CsrMatrix {
     let n = array.n();
     assert_eq!(mapping.n(), n, "mapping/array crossbar size mismatch");
-    assert_eq!(
-        mapping.grid(),
-        adj.rows().div_ceil(n),
-        "mapping grid does not match adjacency"
-    );
-    let mut out = adj.clone();
-    for p in mapping.placements() {
-        let r0 = p.block_row * n;
-        let c0 = p.block_col * n;
-        let block = adj.block(r0, c0, n, n);
-        let read = array
-            .crossbar(p.crossbar)
-            .read_binary(&block, Some(&p.row_perm));
-        for r in 0..n {
-            for c in 0..n {
-                if r0 + r < adj.rows() && c0 + c < adj.cols() {
-                    out[(r0 + r, c0 + c)] = read[(r, c)];
+    assert_eq!(mapping.grid(), size.div_ceil(n), "mapping grid does not match adjacency");
+    // One read-back per placed block.
+    fare_obs::counters::RERAM_CROSSBARS_CORRUPTED.add(mapping.placements().len() as u64);
+    let mut offsets = Vec::with_capacity(size + 1);
+    let mut indices = Vec::new();
+    offsets.push(0);
+    for r in 0..size {
+        let (br, logical) = (r / n, r % n);
+        let clean = row(r);
+        let mut next = 0;
+        // Fault cells come in ascending column order: block columns
+        // ascend, and each crossbar row lists its faults by column.
+        for bc in 0..mapping.grid() {
+            let Some(p) = mapping.placement_for(br, bc) else {
+                continue;
+            };
+            let physical = p.row_perm[logical];
+            for &(c, pol) in array.crossbar(p.crossbar).row_faults(physical) {
+                let col = bc * n + c;
+                if col >= size {
+                    break;
+                }
+                while next < clean.len() && clean[next] < col {
+                    indices.push(clean[next]);
+                    next += 1;
+                }
+                // The stuck cell overrides whatever was stored there.
+                if clean.get(next) == Some(&col) {
+                    next += 1;
+                }
+                if pol == StuckPolarity::StuckAtOne {
+                    indices.push(col);
                 }
             }
         }
+        indices.extend_from_slice(&clean[next..]);
+        offsets.push(indices.len());
     }
-    out
+    CsrMatrix::from_pattern(size, size, offsets, indices)
 }
 
 /// Corrupts a binary adjacency stored with the naive sequential layout

@@ -53,11 +53,13 @@ mod strategy;
 mod trainer;
 
 pub use faulty::{
-    corrupt_adjacency_mapped, corrupt_adjacency_unaware, FaultyWeightReader,
+    corrupt_adjacency_mapped, corrupt_adjacency_unaware, corrupt_graph_mapped,
+    FaultyWeightReader,
 };
 pub use mapping::{
-    map_adjacency, map_adjacency_cached, refresh_row_permutations,
-    refresh_row_permutations_cached, BlockPlacement, Mapping, MappingConfig, RemapCache,
+    map_adjacency, map_adjacency_cached, map_blocks_cached, refresh_blocks_cached,
+    refresh_row_permutations, refresh_row_permutations_cached, AdjacencyBlocks, BlockPlacement,
+    Mapping, MappingConfig, RemapCache,
 };
 pub use strategy::FaultStrategy;
 pub use trainer::{run_fault_free, EpochStats, TrainConfig, TrainOutcome, Trainer};

@@ -55,6 +55,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use fare_matching::{CostMatrix, Matcher};
+use fare_graph::CsrGraph;
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
 use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use fare_rt::par::scoped_map_init;
@@ -657,23 +658,127 @@ fn solve_reduced_g1(
     (perm, mismatch, sa1)
 }
 
-/// Decomposes `adj` into the zero-padded `n × n` block grid.
-fn decompose(adj: &Matrix, n: usize) -> (usize, Vec<(usize, usize, Matrix)>) {
-    assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
-    assert!(adj.rows() > 0, "adjacency must be non-empty");
-    let grid = adj.rows().div_ceil(n);
-    let mut blocks = Vec::with_capacity(grid * grid);
-    for br in 0..grid {
-        for bc in 0..grid {
-            blocks.push((br, bc, adj.block(br * n, bc * n, n, n)));
-        }
-    }
-    (grid, blocks)
+/// A binary adjacency cut into the zero-padded `n × n` block grid the
+/// crossbars store, each block packed into bit rows: the form every
+/// mapping entry point works on. Block `(br, bc)` holds rows `br·n..`
+/// and columns `bc·n..` of the adjacency; its cells past the
+/// adjacency's edge are 0.
+///
+/// # Example
+///
+/// ```
+/// use fare_core::mapping::AdjacencyBlocks;
+/// use fare_graph::CsrGraph;
+///
+/// let g = CsrGraph::from_edges(5, &[(0, 1), (3, 4)]);
+/// let blocks = AdjacencyBlocks::from_graph(&g, 4);
+/// assert_eq!(blocks.grid(), 2);
+/// // Edge (3, 4) is row 3 of block (0, 1), and (4, 3) row 0 of block (1, 0).
+/// assert_eq!(blocks.block(0, 1).ones(3), 1);
+/// assert_eq!(blocks.block(1, 0).ones(0), 1);
+/// assert_eq!(blocks.block(1, 1).ones(0), 0);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct AdjacencyBlocks {
+    nodes: usize,
+    n: usize,
+    grid: usize,
+    /// Row-major over the block grid.
+    blocks: Vec<PackedRows>,
 }
 
-/// Number of ones in a block (edge density × n²).
-fn ones_count(block: &Matrix) -> usize {
-    block.count_where(|v| v > 0.5)
+impl AdjacencyBlocks {
+    /// Packs `graph`'s adjacency straight from its CSR lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is empty or `n == 0`.
+    pub fn from_graph(graph: &CsrGraph, n: usize) -> Self {
+        let mut blocks = Self::zeros(graph.num_nodes(), n);
+        for u in 0..graph.num_nodes() {
+            for &v in graph.neighbors(u) {
+                blocks.set(u, v);
+            }
+        }
+        blocks
+    }
+
+    /// Packs a dense adjacency, reading entries `> 0.5` as stored 1s:
+    /// block `(br, bc)` equals
+    /// `PackedRows::from_matrix(&adj.block(br * n, bc * n, n, n))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `adj` is not square, is empty, or `n == 0`.
+    pub fn from_matrix(adj: &Matrix, n: usize) -> Self {
+        assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
+        let mut blocks = Self::zeros(adj.rows(), n);
+        for r in 0..adj.rows() {
+            for (c, &v) in adj.row(r).iter().enumerate() {
+                if v > 0.5 {
+                    blocks.set(r, c);
+                }
+            }
+        }
+        blocks
+    }
+
+    fn zeros(nodes: usize, n: usize) -> Self {
+        assert!(nodes > 0, "adjacency must be non-empty");
+        assert!(n > 0, "crossbar size must be positive");
+        let grid = nodes.div_ceil(n);
+        Self {
+            nodes,
+            n,
+            grid,
+            blocks: vec![PackedRows::zeros(n, n); grid * grid],
+        }
+    }
+
+    fn set(&mut self, r: usize, c: usize) {
+        let n = self.n;
+        self.blocks[(r / n) * self.grid + c / n].set(r % n, c % n);
+    }
+
+    /// Node count of the adjacency.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Block (crossbar) size.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Blocks per side of the grid.
+    pub fn grid(&self) -> usize {
+        self.grid
+    }
+
+    /// Block `(block_row, block_col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is outside the grid.
+    pub fn block(&self, block_row: usize, block_col: usize) -> &PackedRows {
+        assert!(block_row < self.grid && block_col < self.grid, "block outside the grid");
+        &self.blocks[block_row * self.grid + block_col]
+    }
+
+    /// `(block_row, block_col)` of every block, in storage order.
+    fn positions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.grid).flat_map(move |br| (0..self.grid).map(move |bc| (br, bc)))
+    }
+
+    fn check_fits(&self, array: &CrossbarArray) {
+        assert_eq!(self.n, array.n(), "block size does not match the crossbars");
+        assert!(
+            self.blocks.len() <= array.len(),
+            "not enough crossbars: {} blocks > {} crossbars",
+            self.blocks.len(),
+            array.len()
+        );
+    }
 }
 
 /// Shared back half of Algorithm 1: pruning (lines 8–17), the `G₂`
@@ -876,6 +981,9 @@ impl RemapCache {
 /// greedily placed on leftover crossbars afterwards — the hardware must
 /// store the whole matrix either way).
 ///
+/// A dense adapter: packs `adj` ([`AdjacencyBlocks::from_matrix`]) and
+/// runs [`map_blocks_cached`].
+///
 /// # Panics
 ///
 /// Panics if `adj` is not square/empty, or there are fewer crossbars than
@@ -907,28 +1015,41 @@ pub fn map_adjacency_cached(
     cfg: &MappingConfig,
     cache: &mut RemapCache,
 ) -> Mapping {
-    let _span = fare_obs::trace::span("core.mapping.map_adjacency");
-    fare_obs::timers::CORE_MAPPING_MAP.time(|| map_adjacency_cached_inner(adj, array, cfg, cache))
+    map_blocks_cached(&AdjacencyBlocks::from_matrix(adj, array.n()), array, cfg, cache)
 }
 
-fn map_adjacency_cached_inner(
-    adj: &Matrix,
+/// Algorithm 1 on a packed block grid; warms `cache` with the chosen
+/// placements so later [`refresh_blocks_cached`] calls skip crossbars
+/// whose fault state did not change.
+///
+/// # Panics
+///
+/// Panics if the blocks are not `array.n()` wide or there are fewer
+/// crossbars than blocks.
+pub fn map_blocks_cached(
+    blocks: &AdjacencyBlocks,
+    array: &CrossbarArray,
+    cfg: &MappingConfig,
+    cache: &mut RemapCache,
+) -> Mapping {
+    let _span = fare_obs::trace::span("core.mapping.map_adjacency");
+    fare_obs::timers::CORE_MAPPING_MAP.time(|| map_blocks_cached_inner(blocks, array, cfg, cache))
+}
+
+fn map_blocks_cached_inner(
+    blocks: &AdjacencyBlocks,
     array: &CrossbarArray,
     cfg: &MappingConfig,
     cache: &mut RemapCache,
 ) -> Mapping {
     fare_obs::counters::CORE_MAPPINGS_BUILT.incr();
-    let n = array.n();
-    let (grid, blocks) = decompose(adj, n);
-    let b = blocks.len();
+    blocks.check_fits(array);
+    let n = blocks.n;
+    let grid = blocks.grid;
+    let packed = &blocks.blocks;
+    let b = packed.len();
     let m = array.len();
-    assert!(b <= m, "not enough crossbars: {b} blocks > {m} crossbars");
-
-    let packed: Vec<PackedRows> = blocks
-        .iter()
-        .map(|(_, _, block)| PackedRows::from_matrix(block))
-        .collect();
-    let block_meta: Vec<(usize, usize)> = blocks.iter().map(|(br, bc, _)| (*br, *bc)).collect();
+    let block_meta: Vec<(usize, usize)> = blocks.positions().collect();
     let ones: Vec<usize> = packed
         .iter()
         .map(|p| (0..p.rows()).map(|r| p.ones(r)).sum())
@@ -991,7 +1112,6 @@ fn map_adjacency_cached_inner(
     // skips permutation assembly (and its per-pair allocation) entirely.
     // Full solutions are recomputed below for the ~`B` chosen pairs.
     let unique: Vec<(usize, usize)> = {
-        let packed = &packed;
         let block_reps = &block_reps;
         let xbar_reps = &xbar_reps;
         let col_idx = &col_idx;
@@ -1046,46 +1166,54 @@ fn map_adjacency_cached_inner(
 /// crossbar `k` with the identity row permutation.
 ///
 /// This is both the "fault-unaware" baseline's layout and the starting
-/// point neuron reordering permutes within.
+/// point neuron reordering permutes within. A dense adapter onto
+/// [`sequential_block_mapping`].
 ///
 /// # Panics
 ///
 /// Panics if there are fewer crossbars than blocks.
 pub fn sequential_mapping(adj: &Matrix, array: &CrossbarArray) -> Mapping {
-    let n = array.n();
-    let (grid, blocks) = decompose(adj, n);
-    assert!(
-        blocks.len() <= array.len(),
-        "not enough crossbars: {} blocks > {} crossbars",
-        blocks.len(),
-        array.len()
-    );
+    sequential_block_mapping(&AdjacencyBlocks::from_matrix(adj, array.n()), array)
+}
+
+/// [`sequential_mapping`] of a packed block grid.
+///
+/// # Panics
+///
+/// Panics if the blocks are not `array.n()` wide or there are fewer
+/// crossbars than blocks.
+pub fn sequential_block_mapping(blocks: &AdjacencyBlocks, array: &CrossbarArray) -> Mapping {
+    blocks.check_fits(array);
+    let n = blocks.n;
     let placements = blocks
-        .into_iter()
+        .positions()
+        .zip(&blocks.blocks)
         .enumerate()
-        .map(|(k, (br, bc, block))| {
+        .map(|(k, ((br, bc), packed))| {
             let xbar = array.crossbar(k);
-            let perm: Vec<usize> = (0..n).collect();
-            let mismatch = xbar.mismatch_count(&block, None);
-            let sa1: usize = (0..n).map(|p| xbar.row_sa1_mismatch(block.row(p), p)).sum();
+            let rows = 0..n;
             BlockPlacement {
                 block_row: br,
                 block_col: bc,
                 crossbar: k,
-                row_perm: perm,
-                mismatch_cost: mismatch,
-                sa1_cost: sa1,
+                row_perm: rows.clone().collect(),
+                mismatch_cost: rows
+                    .clone()
+                    .map(|p| xbar.row_mismatch_packed(packed.row(p), p))
+                    .sum(),
+                sa1_cost: rows.map(|p| xbar.row_sa1_mismatch_packed(packed.row(p), p)).sum(),
             }
         })
         .collect();
-    Mapping::new(n, grid, placements)
+    Mapping::new(n, blocks.grid, placements)
 }
 
 /// Neuron-reordering-style mapping: keeps the sequential block→crossbar
 /// assignment but optimises the row permutation within each crossbar.
 ///
 /// This is the aggregation-phase half of the NR baseline — permutation
-/// without fault-polarity-aware block placement.
+/// without fault-polarity-aware block placement. A dense adapter onto
+/// [`reordered_block_mapping`].
 ///
 /// # Panics
 ///
@@ -1095,21 +1223,28 @@ pub fn reordered_sequential_mapping(
     array: &CrossbarArray,
     matcher: Matcher,
 ) -> Mapping {
-    let n = array.n();
-    let (grid, blocks) = decompose(adj, n);
-    assert!(
-        blocks.len() <= array.len(),
-        "not enough crossbars: {} blocks > {} crossbars",
-        blocks.len(),
-        array.len()
-    );
-    let items: Vec<(usize, (usize, usize, Matrix))> = blocks.into_iter().enumerate().collect();
-    let placements = scoped_map_init(items, G1Scratch::default, |scratch, (k, (br, bc, block))| {
+    reordered_block_mapping(&AdjacencyBlocks::from_matrix(adj, array.n()), array, matcher)
+}
+
+/// [`reordered_sequential_mapping`] of a packed block grid.
+///
+/// # Panics
+///
+/// Panics if the blocks are not `array.n()` wide or there are fewer
+/// crossbars than blocks.
+pub fn reordered_block_mapping(
+    blocks: &AdjacencyBlocks,
+    array: &CrossbarArray,
+    matcher: Matcher,
+) -> Mapping {
+    blocks.check_fits(array);
+    let items: Vec<(usize, (usize, usize))> = blocks.positions().enumerate().collect();
+    let placements = scoped_map_init(items, G1Scratch::default, |scratch, (k, (br, bc))| {
         let xbar = array.crossbar(k);
-        let packed = PackedRows::from_matrix(&block);
-        let col_idx = BlockColIdx::build(&packed);
+        let packed = &blocks.blocks[k];
+        let col_idx = BlockColIdx::build(packed);
         let ctx = XbarG1Ctx::build(xbar);
-        let (perm, cost, sa1) = solve_reduced_g1(&packed, &col_idx, xbar, &ctx, matcher, scratch);
+        let (perm, cost, sa1) = solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, scratch);
         BlockPlacement {
             block_row: br,
             block_col: bc,
@@ -1119,7 +1254,7 @@ pub fn reordered_sequential_mapping(
             sa1_cost: sa1,
         }
     });
-    Mapping::new(n, grid, placements)
+    Mapping::new(blocks.n, blocks.grid, placements)
 }
 
 /// Post-deployment refresh (Section IV-A): keeps the block→crossbar
@@ -1147,7 +1282,8 @@ pub fn refresh_row_permutations(
 /// crossbar's [`Crossbar::fault_version`] matches the cached entry reuse
 /// the stored permutation; only mutated crossbars are re-solved (in
 /// parallel). With an empty cache this degenerates to a full (parallel)
-/// recompute, so results are identical either way.
+/// recompute, so results are identical either way. A dense adapter onto
+/// [`refresh_blocks_cached`].
 ///
 /// # Panics
 ///
@@ -1160,13 +1296,30 @@ pub fn refresh_row_permutations_cached(
     matcher: Matcher,
     cache: &mut RemapCache,
 ) -> Mapping {
-    let _span = fare_obs::trace::span("core.mapping.refresh");
-    fare_obs::timers::CORE_MAPPING_REFRESH
-        .time(|| refresh_row_permutations_cached_inner(adj, array, mapping, matcher, cache))
+    let blocks = AdjacencyBlocks::from_matrix(adj, array.n());
+    refresh_blocks_cached(&blocks, array, mapping, matcher, cache)
 }
 
-fn refresh_row_permutations_cached_inner(
-    adj: &Matrix,
+/// [`refresh_row_permutations_cached`] of a packed block grid.
+///
+/// # Panics
+///
+/// Panics if `mapping` refers to crossbars `array` does not have, or its
+/// geometry disagrees with `blocks`.
+pub fn refresh_blocks_cached(
+    blocks: &AdjacencyBlocks,
+    array: &CrossbarArray,
+    mapping: &Mapping,
+    matcher: Matcher,
+    cache: &mut RemapCache,
+) -> Mapping {
+    let _span = fare_obs::trace::span("core.mapping.refresh");
+    fare_obs::timers::CORE_MAPPING_REFRESH
+        .time(|| refresh_blocks_cached_inner(blocks, array, mapping, matcher, cache))
+}
+
+fn refresh_blocks_cached_inner(
+    blocks: &AdjacencyBlocks,
     array: &CrossbarArray,
     mapping: &Mapping,
     matcher: Matcher,
@@ -1174,11 +1327,8 @@ fn refresh_row_permutations_cached_inner(
 ) -> Mapping {
     let n = array.n();
     assert_eq!(mapping.n, n, "mapping crossbar size mismatch");
-    assert_eq!(
-        mapping.grid,
-        adj.rows().div_ceil(n),
-        "mapping grid does not match adjacency"
-    );
+    assert_eq!(blocks.n, n, "block size does not match the crossbars");
+    assert_eq!(mapping.grid, blocks.grid, "mapping grid does not match adjacency");
 
     let mut solutions: Vec<Option<PairSolution>> = vec![None; mapping.placements.len()];
     let mut misses: Vec<(usize, usize, usize, usize)> = Vec::new();
@@ -1197,14 +1347,13 @@ fn refresh_row_permutations_cached_inner(
     fare_obs::counters::CORE_REMAP_CACHE_MISSES.add(misses.len() as u64);
 
     let solved = scoped_map_init(misses, G1Scratch::default, |scratch, (idx, br, bc, xi)| {
-        let block = adj.block(br * n, bc * n, n, n);
-        let packed = PackedRows::from_matrix(&block);
-        let col_idx = BlockColIdx::build(&packed);
+        let packed = blocks.block(br, bc);
+        let col_idx = BlockColIdx::build(packed);
         let xbar = array.crossbar(xi);
         let ctx = XbarG1Ctx::build(xbar);
         (
             idx,
-            solve_reduced_g1(&packed, &col_idx, xbar, &ctx, matcher, scratch),
+            solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, scratch),
         )
     });
     for (idx, sol) in solved {
@@ -1238,6 +1387,25 @@ fn refresh_row_permutations_cached_inner(
 /// property tests assert the production path is bit-identical to them.
 pub mod reference {
     use super::*;
+
+    /// Decomposes `adj` into the zero-padded `n × n` block grid.
+    fn decompose(adj: &Matrix, n: usize) -> (usize, Vec<(usize, usize, Matrix)>) {
+        assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
+        assert!(adj.rows() > 0, "adjacency must be non-empty");
+        let grid = adj.rows().div_ceil(n);
+        let mut blocks = Vec::with_capacity(grid * grid);
+        for br in 0..grid {
+            for bc in 0..grid {
+                blocks.push((br, bc, adj.block(br * n, bc * n, n, n)));
+            }
+        }
+        (grid, blocks)
+    }
+
+    /// Number of ones in a block (edge density × n²).
+    fn ones_count(block: &Matrix) -> usize {
+        block.count_where(|v| v > 0.5)
+    }
 
     /// Serial, slice-kernel version of the reduced `G₁` solve. Same
     /// semantics as the fast path: an `f × n` instance over the faulty

@@ -6,8 +6,9 @@
 //! subgraph is what gets programmed onto ReRAM crossbars for the
 //! aggregation phase.
 
-use fare_tensor::Matrix;
+use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::seq::SliceRandom;
+use fare_tensor::Matrix;
 use fare_rt::rand::Rng;
 
 use crate::{CsrGraph, Partitioning};
@@ -21,7 +22,31 @@ pub struct MiniBatch {
     pub graph: CsrGraph,
 }
 
-fare_rt::json_struct!(MiniBatch { nodes, graph });
+fare_rt::json_struct_to!(MiniBatch { nodes, graph });
+
+impl FromJson for MiniBatch {
+    /// Rejects a batch whose node list does not give every node of its
+    /// graph exactly one global id: a length other than the graph's node
+    /// count, or a repeated id. The graph itself is checked by
+    /// [`CsrGraph`]'s deserialiser.
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let nodes: Vec<usize> = field(v, "nodes")?;
+        let graph: CsrGraph = field(v, "graph")?;
+        if nodes.len() != graph.num_nodes() {
+            return Err(JsonError::new(format!(
+                "batch lists {} nodes for a graph of {}",
+                nodes.len(),
+                graph.num_nodes()
+            )));
+        }
+        let mut sorted = nodes.clone();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(JsonError::new(format!("node {} listed twice", w[0])));
+        }
+        Ok(Self { nodes, graph })
+    }
+}
 
 impl MiniBatch {
     /// Number of nodes in the batch.
@@ -95,14 +120,31 @@ pub fn make_batches(
         partitioning.assignment().len(),
         "partitioning does not cover graph"
     );
-    let mut cluster_ids: Vec<usize> = (0..partitioning.num_parts()).collect();
+    let k = partitioning.num_parts();
+    let mut cluster_ids: Vec<usize> = (0..k).collect();
     cluster_ids.shuffle(rng);
+    // Every part's nodes, ascending, by one counting sort of the
+    // assignment: part `c` holds `members[starts[c]..starts[c + 1]]`.
+    let mut starts = vec![0usize; k + 1];
+    for &p in partitioning.assignment() {
+        starts[p + 1] += 1;
+    }
+    for c in 0..k {
+        starts[c + 1] += starts[c];
+    }
+    let mut cursor = starts.clone();
+    let mut members = vec![0usize; graph.num_nodes()];
+    for (u, &p) in partitioning.assignment().iter().enumerate() {
+        members[cursor[p]] = u;
+        cursor[p] += 1;
+    }
     cluster_ids
         .chunks(clusters_per_batch)
         .map(|chunk| {
             let mut nodes: Vec<usize> = chunk
                 .iter()
-                .flat_map(|&c| partitioning.part_nodes(c))
+                .flat_map(|&c| &members[starts[c]..starts[c + 1]])
+                .copied()
                 .collect();
             nodes.sort_unstable();
             let sub = graph.induced_subgraph(&nodes);

@@ -199,23 +199,30 @@ impl CsrGraph {
     ///
     /// Panics if `nodes` contains duplicates or out-of-range ids.
     pub fn induced_subgraph(&self, nodes: &[usize]) -> CsrGraph {
-        let mut global_to_local = std::collections::HashMap::with_capacity(nodes.len());
+        let mut global_to_local = vec![usize::MAX; self.num_nodes()];
         for (local, &global) in nodes.iter().enumerate() {
             assert!(global < self.num_nodes(), "node {global} out of range");
-            let prev = global_to_local.insert(global, local);
-            assert!(prev.is_none(), "duplicate node {global} in induced_subgraph");
+            let prev = std::mem::replace(&mut global_to_local[global], local);
+            assert!(prev == usize::MAX, "duplicate node {global} in induced_subgraph");
         }
-        let mut edges = Vec::new();
-        for (local_u, &global_u) in nodes.iter().enumerate() {
-            for &global_v in self.neighbors(global_u) {
-                if let Some(&local_v) = global_to_local.get(&global_v) {
-                    if local_u < local_v {
-                        edges.push((local_u, local_v));
-                    }
-                }
-            }
+        // The source lists are symmetric, deduplicated and loop-free, so
+        // each kept list, relabelled and sorted, is already in the form
+        // `from_edges` would build.
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut neighbors = Vec::new();
+        offsets.push(0);
+        for &global_u in nodes {
+            let start = neighbors.len();
+            neighbors.extend(
+                self.neighbors(global_u)
+                    .iter()
+                    .map(|&v| global_to_local[v])
+                    .filter(|&local_v| local_v != usize::MAX),
+            );
+            neighbors[start..].sort_unstable();
+            offsets.push(neighbors.len());
         }
-        CsrGraph::from_edges(nodes.len(), &edges)
+        Self { offsets, neighbors }
     }
 
     /// Connected components; returns per-node component id and the count.

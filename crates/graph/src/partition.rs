@@ -16,8 +16,7 @@
 //! adjacency matrices), and that is exactly what edge-cut minimisation
 //! produces.
 
-use std::collections::BTreeMap;
-
+use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::seq::SliceRandom;
 use fare_rt::rand::Rng;
 
@@ -30,7 +29,25 @@ pub struct Partitioning {
     num_parts: usize,
 }
 
-fare_rt::json_struct!(Partitioning { assignment, num_parts });
+fare_rt::json_struct_to!(Partitioning { assignment, num_parts });
+
+impl FromJson for Partitioning {
+    /// Rejects what [`Partitioning::new`] rejects: a part id `>=
+    /// num_parts`.
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let assignment: Vec<usize> = field(v, "assignment")?;
+        let num_parts: usize = field(v, "num_parts")?;
+        if let Some((u, &p)) = assignment.iter().enumerate().find(|&(_, &p)| p >= num_parts) {
+            return Err(JsonError::new(format!(
+                "node {u} is in part {p}, out of range for {num_parts} parts"
+            )));
+        }
+        Ok(Self {
+            assignment,
+            num_parts,
+        })
+    }
+}
 
 impl Partitioning {
     /// Creates a partitioning from a raw assignment vector.
@@ -114,30 +131,48 @@ impl Partitioning {
     }
 }
 
-/// Weighted graph used internally during coarsening.
-#[derive(Debug, Clone)]
+/// Weighted graph used internally during coarsening, in CSR form: node
+/// `u`'s neighbours are `neighbors[offsets[u]..offsets[u + 1]]`,
+/// strictly ascending, with the matching edge weights alongside. Edge
+/// and node weights are sums of unit weights, so every weight and every
+/// sum of them is an exact integer in `f64`.
+#[derive(Debug)]
 struct WeightedGraph {
-    /// adjacency[u] -> (v, edge_weight)
-    adj: Vec<BTreeMap<usize, f64>>,
+    offsets: Vec<usize>,
+    neighbors: Vec<usize>,
+    weights: Vec<f64>,
     node_weight: Vec<f64>,
 }
 
 impl WeightedGraph {
     fn from_csr(g: &CsrGraph) -> Self {
         let n = g.num_nodes();
-        let mut adj = vec![BTreeMap::new(); n];
-        for (u, v) in g.edges() {
-            adj[u].insert(v, 1.0);
-            adj[v].insert(u, 1.0);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::new();
+        offsets.push(0);
+        for u in 0..n {
+            neighbors.extend_from_slice(g.neighbors(u));
+            offsets.push(neighbors.len());
         }
         Self {
-            adj,
+            offsets,
+            weights: vec![1.0; neighbors.len()],
+            neighbors,
             node_weight: vec![1.0; n],
         }
     }
 
     fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.node_weight.len()
+    }
+
+    /// `(neighbour, edge weight)` pairs of `u`, ascending by neighbour.
+    fn adj(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let span = self.offsets[u]..self.offsets[u + 1];
+        self.neighbors[span.clone()]
+            .iter()
+            .copied()
+            .zip(self.weights[span].iter().copied())
     }
 
     /// Heavy-edge matching coarsening. Returns the coarse graph and the
@@ -147,44 +182,73 @@ impl WeightedGraph {
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(rng);
         let mut matched = vec![usize::MAX; n];
-        let mut coarse_count = 0usize;
+        // The one or two fine nodes each coarse node contracts.
+        let mut members: Vec<(usize, usize)> = Vec::with_capacity(n);
         for &u in &order {
             if matched[u] != usize::MAX {
                 continue;
             }
             // Match u with its heaviest unmatched neighbour.
             let mut best: Option<(usize, f64)> = None;
-            for (&v, &w) in &self.adj[u] {
+            for (v, w) in self.adj(u) {
                 if matched[v] == usize::MAX
                     && best.is_none_or(|(_, bw)| w > bw)
                 {
                     best = Some((v, w));
                 }
             }
+            let c = members.len();
+            matched[u] = c;
             match best {
                 Some((v, _)) => {
-                    matched[u] = coarse_count;
-                    matched[v] = coarse_count;
+                    matched[v] = c;
+                    members.push((u, v));
                 }
-                None => {
-                    matched[u] = coarse_count;
-                }
+                None => members.push((u, usize::MAX)),
             }
-            coarse_count += 1;
         }
+        // Each coarse node's edges are the fine edges leaving its members,
+        // summed per coarse neighbour in a dense accumulator; the touched
+        // list, sorted, gives the ascending neighbour order.
+        let coarse_count = members.len();
         let mut coarse = WeightedGraph {
-            adj: vec![BTreeMap::new(); coarse_count],
-            node_weight: vec![0.0; coarse_count],
+            offsets: Vec::with_capacity(coarse_count + 1),
+            neighbors: Vec::new(),
+            weights: Vec::new(),
+            node_weight: Vec::with_capacity(coarse_count),
         };
-        for u in 0..n {
-            coarse.node_weight[matched[u]] += self.node_weight[u];
-            for (&v, &w) in &self.adj[u] {
-                let (cu, cv) = (matched[u], matched[v]);
-                if cu != cv && u < v {
-                    *coarse.adj[cu].entry(cv).or_insert(0.0) += w;
-                    *coarse.adj[cv].entry(cu).or_insert(0.0) += w;
+        coarse.offsets.push(0);
+        let mut acc = vec![0.0f64; coarse_count];
+        let mut touched: Vec<usize> = Vec::new();
+        for (c, &(a, b)) in members.iter().enumerate() {
+            let mut weight = self.node_weight[a];
+            for u in [a, b] {
+                if u == usize::MAX {
+                    continue;
+                }
+                if u != a {
+                    weight += self.node_weight[u];
+                }
+                for (v, w) in self.adj(u) {
+                    let cv = matched[v];
+                    if cv == c {
+                        continue;
+                    }
+                    // Edge weights are positive, so 0 marks "untouched".
+                    if acc[cv] == 0.0 {
+                        touched.push(cv);
+                    }
+                    acc[cv] += w;
                 }
             }
+            coarse.node_weight.push(weight);
+            touched.sort_unstable();
+            for &cv in &touched {
+                coarse.neighbors.push(cv);
+                coarse.weights.push(std::mem::take(&mut acc[cv]));
+            }
+            touched.clear();
+            coarse.offsets.push(coarse.neighbors.len());
         }
         (coarse, matched)
     }
@@ -222,7 +286,7 @@ impl WeightedGraph {
                 }
                 part[u] = p;
                 part_weight[p] += self.node_weight[u];
-                for &v in self.adj[u].keys() {
+                for (v, _) in self.adj(u) {
                     if part[v] == usize::MAX {
                         queue.push_back(v);
                     }
@@ -296,7 +360,7 @@ impl WeightedGraph {
                     continue;
                 }
                 let mut cost = 0.0;
-                for (&v, &w) in &self.adj[u] {
+                for (v, w) in self.adj(u) {
                     if part[v] == donor {
                         cost += w;
                     } else if part[v] == dest {
@@ -325,19 +389,30 @@ impl WeightedGraph {
             part_weight[part[u]] += self.node_weight[u];
         }
         let mut moves = 0;
+        // Connectivity of the current node to each part, and the parts it
+        // touches; reset after every node.
+        let mut conn = vec![0.0f64; k];
+        let mut touched: Vec<usize> = Vec::new();
         for u in 0..n {
-            // Connectivity of u to each part.
-            let mut conn: BTreeMap<usize, f64> = BTreeMap::new();
-            for (&v, &w) in &self.adj[u] {
-                *conn.entry(part[v]).or_insert(0.0) += w;
+            for (v, w) in self.adj(u) {
+                let p = part[v];
+                // Edge weights are positive, so 0 marks "untouched".
+                if conn[p] == 0.0 {
+                    touched.push(p);
+                }
+                conn[p] += w;
             }
-            let here = *conn.get(&part[u]).unwrap_or(&0.0);
+            let home = part[u];
+            let here = conn[home];
+            // Ascending part order: among equal gains the lowest part id
+            // wins.
+            touched.sort_unstable();
             let mut best: Option<(usize, f64)> = None;
-            for (&p, &w) in &conn {
-                if p == part[u] {
+            for &p in &touched {
+                if p == home {
                     continue;
                 }
-                let gain = w - here;
+                let gain = conn[p] - here;
                 if gain > 1e-12
                     && part_weight[p] + self.node_weight[u] <= max_weight
                     && best.is_none_or(|(_, bg)| gain > bg)
@@ -345,8 +420,12 @@ impl WeightedGraph {
                     best = Some((p, gain));
                 }
             }
+            for &p in &touched {
+                conn[p] = 0.0;
+            }
+            touched.clear();
             if let Some((p, _)) = best {
-                part_weight[part[u]] -= self.node_weight[u];
+                part_weight[home] -= self.node_weight[u];
                 part_weight[p] += self.node_weight[u];
                 part[u] = p;
                 moves += 1;
@@ -389,8 +468,7 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
     // Draw a plain region-growing candidate first (same rng state
     // `bfs_partition` would see): the multilevel result is only kept if
     // it cuts no more edges, so the fallback is a quality floor.
-    let finest = current.clone();
-    let mut bfs_part = finest.initial_partition(k, rng);
+    let mut bfs_part = current.initial_partition(k, rng);
 
     // Coarsen until small or progress stalls.
     while current.num_nodes() > (8 * k).max(64) {
@@ -431,7 +509,7 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
         }
         current = fine;
     }
-    let _ = current;
+    // `current` is the finest level again.
 
     let cut = |assignment: &[usize]| {
         graph
@@ -442,7 +520,7 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
     if cut(&bfs_part) < cut(&part) {
         // Keep the floor candidate, restoring its guarantees (non-empty
         // parts, weight ceiling) first.
-        finest.balance(&mut bfs_part, k, finest.level_max_weight(k));
+        current.balance(&mut bfs_part, k, current.level_max_weight(k));
         if cut(&bfs_part) < cut(&part) {
             return Partitioning::new(bfs_part, k);
         }

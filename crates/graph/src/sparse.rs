@@ -63,6 +63,40 @@ impl CsrMatrix {
         Self { rows, cols, offsets, indices, values }
     }
 
+    /// A binary pattern: every stored entry is `1.0`. Row `r` holds the
+    /// columns `indices[offsets[r]..offsets[r + 1]]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` has `rows + 1` entries, starts at 0, never
+    /// decreases and ends at `indices.len()`, and every row's columns are
+    /// strictly ascending and below `cols`.
+    pub fn from_pattern(rows: usize, cols: usize, offsets: Vec<usize>, indices: Vec<usize>) -> Self {
+        assert_eq!(offsets.len(), rows + 1, "pattern needs rows + 1 offsets");
+        assert_eq!(offsets[0], 0, "pattern offsets must start at 0");
+        assert_eq!(offsets[rows], indices.len(), "pattern offsets must end at nnz");
+        for w in offsets.windows(2) {
+            let row = &indices[w[0]..w[1]];
+            assert!(row.windows(2).all(|p| p[0] < p[1]), "row columns must be strictly ascending");
+            assert!(row.last().is_none_or(|&c| c < cols), "column out of range for {cols} columns");
+        }
+        let values = vec![1.0; indices.len()];
+        Self { rows, cols, offsets, indices, values }
+    }
+
+    /// Assembles a matrix from CSR arrays the caller has built valid.
+    pub(crate) fn from_parts(
+        rows: usize,
+        cols: usize,
+        offsets: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f32>,
+    ) -> Self {
+        debug_assert_eq!(offsets.len(), rows + 1);
+        debug_assert_eq!(indices.len(), values.len());
+        Self { rows, cols, offsets, indices, values }
+    }
+
     /// Extracts the nonzero entries of a dense matrix.
     pub fn from_dense(m: &Matrix) -> Self {
         let (rows, cols) = m.shape();

@@ -7,32 +7,41 @@
 //! (at batch assembly, or whenever fault corruption changes it) and
 //! lazily caches each normalisation the first time a layer asks for it.
 //!
+//! A view is built from one representation, a binary CSR pattern: the
+//! clean batch graph ([`GraphView::from_graph`]) or the adjacency as
+//! the faulty crossbars read it back ([`GraphView::from_pattern`]),
+//! which may be asymmetric and may carry diagonal entries. No dense
+//! `n × n` adjacency is involved; [`GraphView::from_dense`] only
+//! extracts the pattern of a dense matrix and [`GraphView::dense`]
+//! materialises one on request, for tests and dense oracles.
+//!
 //! All propagation matrices are stored sparse ([`CsrMatrix`]), and so
 //! is GAT's attention neighbourhood ([`GraphView::attention_pattern`]),
-//! so aggregation and attention cost `O(nnz · d)`. No layer reads the
-//! dense adjacency ([`GraphView::dense`]).
+//! so aggregation and attention cost `O(nnz · d)`.
 //!
-//! The sparse caches are constructed to be numerically interchangeable
-//! with the dense reference path (`ops::gcn_normalise` /
-//! `ops::row_normalise` followed by a dense matmul): values are computed
+//! The sparse caches are numerically interchangeable with the dense
+//! reference path (`ops::gcn_normalise` / `ops::row_normalise` over the
+//! dense 0/1 adjacency, followed by a dense matmul): values are computed
 //! with the same expressions and accumulated in the same ascending
 //! column order.
 
 use std::sync::OnceLock;
 
-use fare_tensor::{ops, Matrix};
+use fare_tensor::Matrix;
 
 use crate::sparse::CsrMatrix;
 use crate::CsrGraph;
 
-/// A graph plus lazily-cached normalised propagation matrices.
+/// A binary adjacency pattern plus lazily-cached normalised propagation
+/// matrices.
 ///
 /// Construct one per (batch, adjacency) pair:
 ///
-/// - [`GraphView::from_graph`] — from a clean [`CsrGraph`]; nothing
-///   dense is ever materialised unless [`GraphView::dense`] is called.
-/// - [`GraphView::from_dense`] — from an arbitrary (possibly
-///   fault-corrupted, possibly asymmetric) binary adjacency matrix.
+/// - [`GraphView::from_graph`] — from a clean [`CsrGraph`].
+/// - [`GraphView::from_pattern`] — from an arbitrary binary pattern,
+///   the form fault corruption produces.
+/// - [`GraphView::from_dense`] — from a dense binary matrix (an adapter
+///   onto [`GraphView::from_pattern`]).
 ///
 /// # Example
 ///
@@ -49,8 +58,8 @@ use crate::CsrGraph;
 /// ```
 #[derive(Debug)]
 pub struct GraphView {
-    n: usize,
-    graph: Option<CsrGraph>,
+    /// The adjacency: every stored entry is an edge `(i, j)`.
+    adj: CsrMatrix,
     dense: OnceLock<Matrix>,
     gcn: OnceLock<CsrMatrix>,
     mean: OnceLock<CsrMatrix>,
@@ -59,12 +68,34 @@ pub struct GraphView {
 }
 
 impl GraphView {
-    /// Wraps a clean (fault-free) graph; the sparse caches are built
-    /// straight from the CSR structure.
+    /// Wraps a clean (fault-free) graph.
     pub fn from_graph(graph: &CsrGraph) -> Self {
+        let n = graph.num_nodes();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(2 * graph.num_edges());
+        offsets.push(0);
+        for u in 0..n {
+            indices.extend_from_slice(graph.neighbors(u));
+            offsets.push(indices.len());
+        }
+        Self::from_pattern(CsrMatrix::from_pattern(n, n, offsets, indices))
+    }
+
+    /// Wraps a square binary pattern, such as the adjacency read back
+    /// from faulty crossbars: it need not be symmetric and may carry
+    /// diagonal entries. Every stored entry is an edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `adj` is not square or holds a value other than `1.0`.
+    pub fn from_pattern(adj: CsrMatrix) -> Self {
+        assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
+        assert!(
+            (0..adj.rows()).all(|r| adj.row_entries(r).all(|(_, v)| v == 1.0)),
+            "a pattern stores only 1.0"
+        );
         Self {
-            n: graph.num_nodes(),
-            graph: Some(graph.clone()),
+            adj,
             dense: OnceLock::new(),
             gcn: OnceLock::new(),
             mean: OnceLock::new(),
@@ -73,10 +104,10 @@ impl GraphView {
         }
     }
 
-    /// Wraps an arbitrary square binary adjacency matrix — the form the
-    /// fault-injection path produces (`corrupt_adjacency_*` may add or
-    /// delete directed entries, so the matrix need not be symmetric and
-    /// may carry diagonal entries).
+    /// Wraps a square binary adjacency matrix: entry `(i, j)` is an edge
+    /// exactly when it is `> 0.5`, the threshold every crossbar path
+    /// uses. The caches equal those of [`GraphView::from_pattern`] over
+    /// the same edges.
     ///
     /// # Panics
     ///
@@ -84,52 +115,38 @@ impl GraphView {
     pub fn from_dense(adj: Matrix) -> Self {
         assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
         let n = adj.rows();
-        let dense = OnceLock::new();
-        dense.set(adj).expect("fresh OnceLock");
-        Self {
-            n,
-            graph: None,
-            dense,
-            gcn: OnceLock::new(),
-            mean: OnceLock::new(),
-            mean_t: OnceLock::new(),
-            attention: OnceLock::new(),
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut indices = Vec::new();
+        offsets.push(0);
+        for r in 0..n {
+            let row = adj.row(r).iter().enumerate();
+            indices.extend(row.filter(|&(_, &a)| a > 0.5).map(|(c, _)| c));
+            offsets.push(indices.len());
         }
+        Self::from_pattern(CsrMatrix::from_pattern(n, n, offsets, indices))
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.adj.rows()
     }
 
-    /// The dense binary adjacency (built on first use for graph-backed
-    /// views). No layer reads it: the propagation matrices and the
-    /// attention pattern are sparse.
+    /// The dense 0/1 adjacency, built on first use. No layer reads it:
+    /// the propagation matrices and the attention pattern are sparse.
     pub fn dense(&self) -> &Matrix {
-        self.dense.get_or_init(|| {
-            self.graph
-                .as_ref()
-                .expect("GraphView has neither dense adjacency nor graph")
-                .to_dense()
-        })
+        self.dense.get_or_init(|| self.adj.to_dense())
     }
 
-    /// The symmetric GCN propagation matrix `Â = D^{-1/2}(A+I)D^{-1/2}`
-    /// as a sparse matrix, built once and cached.
+    /// The GCN propagation matrix `Â = D^{-1/2}(A+I)D^{-1/2}` as a
+    /// sparse matrix, built once and cached.
     pub fn gcn_norm(&self) -> &CsrMatrix {
-        self.gcn.get_or_init(|| match &self.graph {
-            Some(g) => gcn_csr(g),
-            None => CsrMatrix::from_dense(&ops::gcn_normalise(self.dense())),
-        })
+        self.gcn.get_or_init(|| gcn_csr(&self.adj))
     }
 
     /// The mean-aggregation propagation matrix `Ā = D^{-1}A` as a
     /// sparse matrix, built once and cached.
     pub fn mean_norm(&self) -> &CsrMatrix {
-        self.mean.get_or_init(|| match &self.graph {
-            Some(g) => mean_csr(g),
-            None => CsrMatrix::from_dense(&ops::row_normalise(self.dense())),
-        })
+        self.mean.get_or_init(|| mean_csr(&self.adj))
     }
 
     /// `Āᵀ` (needed by the SAGE backward pass — `Ā` is not symmetric),
@@ -141,104 +158,92 @@ impl GraphView {
     /// GAT's attention neighbourhood: every stored adjacency entry plus
     /// a self loop per node, as a pattern of `1.0`s ascending by column,
     /// built once and cached. Entry `(i, j)` is present exactly when
-    /// `i == j || adj[(i, j)] > 0.5`. Graph-backed views build it from
-    /// the CSR structure without materialising the dense adjacency.
+    /// `i == j` or `(i, j)` is an edge.
     pub fn attention_pattern(&self) -> &CsrMatrix {
-        self.attention.get_or_init(|| match &self.graph {
-            Some(g) => attention_csr(g),
-            None => attention_dense(self.dense()),
-        })
+        self.attention
+            .get_or_init(|| with_diagonal(&self.adj, |_, _| 1.0, |_, _| 1.0))
     }
 }
 
-/// `A + I` for a graph: each node's neighbours with the node itself
-/// inserted at its sorted position.
-fn attention_csr(g: &CsrGraph) -> CsrMatrix {
-    let n = g.num_nodes();
-    let entries: Vec<Vec<(usize, f32)>> = (0..n)
-        .map(|u| {
-            let nbrs = g.neighbors(u);
-            let at = nbrs.partition_point(|&v| v < u);
-            let mut row = Vec::with_capacity(nbrs.len() + 1);
-            row.extend(nbrs[..at].iter().map(|&v| (v, 1.0)));
-            row.push((u, 1.0));
-            row.extend(nbrs[at..].iter().filter(|&&v| v != u).map(|&v| (v, 1.0)));
-            row
-        })
-        .collect();
-    CsrMatrix::from_row_entries(n, n, &entries)
+/// Row `u` of a pattern.
+fn row(adj: &CsrMatrix, u: usize) -> &[usize] {
+    &adj.indices()[adj.offsets()[u]..adj.offsets()[u + 1]]
 }
 
-/// `A + I` for a binary (possibly asymmetric) adjacency matrix, one
-/// O(n²) scan with the `i == j || adj > 0.5` test.
-fn attention_dense(adj: &Matrix) -> CsrMatrix {
+/// `A + I` with every entry valued: off-diagonal edge `(u, v)` takes
+/// `edge(u, v)` and the diagonal `(u, u)` takes `diag(u, stored)`,
+/// where `stored` tells whether `A` itself has the entry.
+fn with_diagonal(
+    adj: &CsrMatrix,
+    edge: impl Fn(usize, usize) -> f32,
+    diag: impl Fn(usize, bool) -> f32,
+) -> CsrMatrix {
     let n = adj.rows();
-    let entries: Vec<Vec<(usize, f32)>> = (0..n)
-        .map(|i| {
-            adj.row(i)
-                .iter()
-                .enumerate()
-                .filter(|&(j, &a)| i == j || a > 0.5)
-                .map(|(j, _)| (j, 1.0))
-                .collect()
-        })
-        .collect();
-    CsrMatrix::from_row_entries(n, n, &entries)
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut indices = Vec::with_capacity(adj.nnz() + n);
+    let mut values = Vec::with_capacity(adj.nnz() + n);
+    offsets.push(0);
+    for u in 0..n {
+        let cols = row(adj, u);
+        let at = cols.partition_point(|&v| v < u);
+        let stored = cols.get(at) == Some(&u);
+        for &v in &cols[..at] {
+            indices.push(v);
+            values.push(edge(u, v));
+        }
+        indices.push(u);
+        values.push(diag(u, stored));
+        for &v in &cols[at + stored as usize..] {
+            indices.push(v);
+            values.push(edge(u, v));
+        }
+        offsets.push(indices.len());
+    }
+    CsrMatrix::from_parts(n, n, offsets, indices, values)
 }
 
-/// `Â` for a self-loop-free undirected graph, entry for entry the
-/// nonzeros of `ops::gcn_normalise(g.to_dense())`: the analytic self
-/// loop sits at its sorted (diagonal) position and every value is
-/// `deg_inv_sqrt[r] * deg_inv_sqrt[c]` (the binary entry is 1).
-fn gcn_csr(g: &CsrGraph) -> CsrMatrix {
-    let n = g.num_nodes();
-    let inv_sqrt: Vec<f32> = (0..n)
-        .map(|u| {
-            // Row sum of A+I is exactly deg+1 (binary entries, < 2^24).
-            1.0 / ((g.degree(u) + 1) as f32).sqrt()
-        })
+/// `Â`, entry for entry the nonzeros of `ops::gcn_normalise` over the
+/// dense 0/1 adjacency: the row sum of `A + I` is exactly `nnz + 1`
+/// (a stored diagonal entry counts 2, binary entries, < 2^24); an
+/// off-diagonal entry is `deg_inv_sqrt[r] * deg_inv_sqrt[c]`, the
+/// diagonal `(1 or 2) * deg_inv_sqrt[r] * deg_inv_sqrt[r]`.
+fn gcn_csr(adj: &CsrMatrix) -> CsrMatrix {
+    let inv_sqrt: Vec<f32> = (0..adj.rows())
+        .map(|u| 1.0 / ((row(adj, u).len() + 1) as f32).sqrt())
         .collect();
-    let entries: Vec<Vec<(usize, f32)>> = (0..n)
-        .map(|u| {
-            let du = inv_sqrt[u];
-            let mut row = Vec::with_capacity(g.degree(u) + 1);
-            let mut self_placed = false;
-            for &v in g.neighbors(u) {
-                if !self_placed && v > u {
-                    row.push((u, du * du));
-                    self_placed = true;
-                }
-                row.push((v, du * inv_sqrt[v]));
-            }
-            if !self_placed {
-                row.push((u, du * du));
-            }
-            row
-        })
-        .collect();
-    CsrMatrix::from_row_entries(n, n, &entries)
+    with_diagonal(
+        adj,
+        |u, v| inv_sqrt[u] * inv_sqrt[v],
+        |u, stored| {
+            let a_hat = if stored { 2.0 } else { 1.0 };
+            a_hat * inv_sqrt[u] * inv_sqrt[u]
+        },
+    )
 }
 
-/// `Ā = D^{-1}A` for an undirected graph: every stored entry of row `u`
-/// is `1.0 / deg(u)` (matching `ops::row_normalise`'s per-entry
-/// division of the binary 1), isolated rows stay empty.
-fn mean_csr(g: &CsrGraph) -> CsrMatrix {
-    let n = g.num_nodes();
-    let entries: Vec<Vec<(usize, f32)>> = (0..n)
-        .map(|u| {
-            let d = g.degree(u);
-            if d == 0 {
-                return Vec::new();
-            }
-            let w = 1.0 / d as f32;
-            g.neighbors(u).iter().map(|&v| (v, w)).collect()
+/// `Ā = D^{-1}A`: every stored entry of row `u` is `1.0 / nnz(u)`
+/// (matching `ops::row_normalise`'s per-entry division of the binary
+/// 1), empty rows stay empty.
+fn mean_csr(adj: &CsrMatrix) -> CsrMatrix {
+    let values = (0..adj.rows())
+        .flat_map(|u| {
+            let d = row(adj, u).len();
+            std::iter::repeat_n(1.0 / d as f32, d)
         })
         .collect();
-    CsrMatrix::from_row_entries(n, n, &entries)
+    CsrMatrix::from_parts(
+        adj.rows(),
+        adj.cols(),
+        adj.offsets().to_vec(),
+        adj.indices().to_vec(),
+        values,
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use fare_tensor::ops;
+
     use super::*;
 
     fn sample_graph() -> CsrGraph {
@@ -284,6 +289,29 @@ mod tests {
         let sparse_mean = view.mean_norm().spmm(&x);
         let dense_mean = ops::row_normalise(&adj).matmul(&x);
         assert_eq!(bits(&sparse_mean), bits(&dense_mean));
+    }
+
+    #[test]
+    fn pattern_view_equals_dense_normalisation_with_diagonal_entries() {
+        // Asymmetric, with stored diagonal entries and an empty row.
+        let adj = Matrix::from_fn(7, 7, |i, j| {
+            (i != 4 && ((i * 3 + j * 5) % 4 == 0 || (i == j && i % 2 == 0))) as u8 as f32
+        });
+        let view = GraphView::from_pattern(CsrMatrix::from_dense(&adj));
+        let gcn = CsrMatrix::from_dense(&ops::gcn_normalise(&adj));
+        let mean = CsrMatrix::from_dense(&ops::row_normalise(&adj));
+        let attention = Matrix::from_fn(7, 7, |i, j| (i == j || adj[(i, j)] > 0.5) as u8 as f32);
+        assert_eq!(view.gcn_norm(), &gcn);
+        assert_eq!(view.mean_norm(), &mean);
+        assert_eq!(view.mean_norm_t(), &mean.transpose());
+        assert_eq!(view.attention_pattern(), &CsrMatrix::from_dense(&attention));
+        assert_eq!(view.dense(), &adj);
+    }
+
+    #[test]
+    #[should_panic(expected = "a pattern stores only 1.0")]
+    fn pattern_view_rejects_weighted_entries() {
+        GraphView::from_pattern(CsrMatrix::from_dense(&Matrix::filled(2, 2, 0.5)));
     }
 
     #[test]

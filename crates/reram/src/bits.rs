@@ -23,25 +23,37 @@ pub struct PackedRows {
 impl PackedRows {
     /// Packs `m`, thresholding entries at `> 0.5`.
     pub fn from_matrix(m: &Matrix) -> Self {
-        let rows = m.rows();
-        let cols = m.cols();
-        let words = cols.div_ceil(64).max(1);
-        let mut bits = vec![0u64; rows * words];
-        for r in 0..rows {
-            let row = m.row(r);
-            let out = &mut bits[r * words..(r + 1) * words];
-            for (c, &v) in row.iter().enumerate() {
+        let mut packed = Self::zeros(m.rows(), m.cols());
+        for r in 0..m.rows() {
+            for (c, &v) in m.row(r).iter().enumerate() {
                 if v > 0.5 {
-                    out[c / 64] |= 1u64 << (c % 64);
+                    packed.set(r, c);
                 }
             }
         }
+        packed
+    }
+
+    /// An all-zero `rows × cols` plane, to be filled with
+    /// [`PackedRows::set`].
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        let words = cols.div_ceil(64).max(1);
         Self {
             rows,
             cols,
             words,
-            bits,
+            bits: vec![0; rows * words],
         }
+    }
+
+    /// Sets bit `(r, c)`: a stored "1".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(r, c)` is out of range.
+    pub fn set(&mut self, r: usize, c: usize) {
+        assert!(r < self.rows && c < self.cols, "bit ({r}, {c}) out of range");
+        self.bits[r * self.words + c / 64] |= 1u64 << (c % 64);
     }
 
     /// Number of packed rows.
@@ -84,6 +96,26 @@ impl PackedRows {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn set_bits_equal_the_packed_matrix() {
+        let m = Matrix::from_fn(5, 70, |r, c| ((r * 13 + c * 3) % 4 == 0) as u8 as f32);
+        let mut p = PackedRows::zeros(5, 70);
+        for r in 0..5 {
+            for c in 0..70 {
+                if m[(r, c)] > 0.5 {
+                    p.set(r, c);
+                }
+            }
+        }
+        assert_eq!(p, PackedRows::from_matrix(&m));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_rejects_bit_past_the_width() {
+        PackedRows::zeros(2, 3).set(1, 3);
+    }
 
     #[test]
     fn packs_threshold_and_boundaries() {

@@ -20,7 +20,8 @@
 //!
 //! The thread count is a process-wide knob: [`set_threads`] wins, then
 //! the `FARE_RT_THREADS` environment variable, then
-//! `std::thread::available_parallelism()`.
+//! `std::thread::available_parallelism()`. The last two are read once,
+//! on the first query, and kept for the life of the process.
 //!
 //! Nested parallelism is deadlock-free by construction: a thread that
 //! submits a batch *helps* — it pops and runs queued tasks (its own or
@@ -49,14 +50,16 @@ pub fn current_threads() -> usize {
     if forced > 0 {
         return forced;
     }
-    if let Ok(v) = std::env::var("FARE_RT_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    // `available_parallelism` reads cgroup files on every call, and
+    // every parallel split asks; resolve the default once.
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("FARE_RT_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// The persistent worker pool.

@@ -77,6 +77,16 @@ FARE_RT_THREADS=1 cargo test -q --offline -p fare-gnn --lib -- \
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-gnn --lib -- \
     sparse_attention_bit_identical_to_dense_oracle
 
+echo "==> sparse adjacency fault path against the dense oracle across thread counts"
+# Faulty runs pack each batch's CSR graph into the crossbar blocks,
+# corrupt the CSR pattern with a sparse edit per stuck cell and
+# normalise the pattern directly. A property test pins blocks, pattern
+# and every view cache by to_bits to the dense n x n path, kept as a
+# test-only oracle. Mapping and refresh run on the pool, so check a
+# serial and an odd worker count.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sparse_adjacency
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sparse_adjacency
+
 echo "==> weight fault overlay against the per-read oracle"
 # Weight reads go through a cached per-weight AND/OR mask overlay. A
 # property test pins it by to_bits to the old per-read HashMap fault
@@ -85,7 +95,7 @@ echo "==> weight fault overlay against the per-read oracle"
 # injections and NaN/inf/saturating weights.
 cargo test -q --offline -p fare-reram --lib -- overlay_read_bit_identical_to_oracle
 
-echo "==> matrix, graph, crossbar, weight-fabric and mapping deserialisers reject bad input"
+echo "==> matrix, graph, partitioning, mini-batch, crossbar, weight-fabric and mapping deserialisers reject bad input"
 cargo test -q --offline --test serialization -- from_json_rejects
 
 echo "==> golden telemetry trace across thread counts"
@@ -108,8 +118,9 @@ FARE_RT_THREADS=4 cargo test -q --offline -p fare-core --test proptests -- \
 
 echo "==> compute-core bench smoke"
 # The bench smokes time production code only: the sparse GCN step and
-# aggregation, the batched crossbar matmul, and the mapping and cached
-# refresh at the trainer's crossbar geometry.
+# aggregation, the batched crossbar matmul, and the mapping, cached
+# refresh and corruption at the trainer's crossbar geometry, from a CSR
+# batch graph.
 BENCH_TMP="$(mktemp /tmp/bench_core.XXXXXX.json)"
 trap 'rm -f "$BENCH_TMP"' EXIT
 cargo run -q --offline -p fare-bench --bin bench_core -- \

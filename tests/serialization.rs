@@ -6,7 +6,9 @@ use fare::core::mapping::{map_adjacency, BlockPlacement, Mapping, MappingConfig}
 use fare::core::{EpochStats, FaultStrategy, TrainConfig, TrainOutcome, Trainer};
 use fare::gnn::{Gnn, GnnDims};
 use fare::graph::datasets::{Dataset, DatasetKind, ModelKind};
-use fare::graph::CsrGraph;
+use fare::graph::batch::{make_batches, MiniBatch};
+use fare::graph::partition::partition;
+use fare::graph::{CsrGraph, Partitioning};
 use fare::reram::weights::WeightFabric;
 use fare::reram::{Bist, Crossbar, CrossbarArray, FaultMap, FaultSpec};
 use fare::tensor::{FixedFormat, Matrix};
@@ -150,6 +152,34 @@ fn weight_fabric_round_trips_and_reads_identically() {
         fare_rt::json::from_str(&fare_rt::json::to_string(&fabric).unwrap()).unwrap();
     let w = Matrix::from_fn(20, 9, |r, c| ((r * 9 + c) as f32 * 0.37).sin());
     assert_eq!(back.corrupt(&w), fabric.corrupt(&w));
+}
+
+#[test]
+fn partitioning_and_minibatch_round_trip() {
+    let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+    let parts = partition(&g, 2, &mut StdRng::seed_from_u64(1));
+    round_trip(&parts);
+    for batch in make_batches(&g, &parts, 1, &mut StdRng::seed_from_u64(2)) {
+        round_trip(&batch);
+    }
+}
+
+#[test]
+fn partitioning_from_json_rejects_part_id_out_of_range() {
+    let parts = Partitioning::new(vec![0, 1, 1, 0], 2);
+    rejects::<Partitioning>(&with_field(&parts, "assignment", "[0, 2, 1, 0]"), "part id 2 of 2");
+    rejects::<Partitioning>(&with_field(&parts, "num_parts", "0"), "no parts");
+}
+
+#[test]
+fn minibatch_from_json_rejects_node_list_not_matching_graph() {
+    let batch = MiniBatch {
+        nodes: vec![4, 7, 9],
+        graph: CsrGraph::from_edges(3, &[(0, 1), (1, 2)]),
+    };
+    rejects::<MiniBatch>(&with_field(&batch, "nodes", "[4, 7]"), "too few nodes");
+    rejects::<MiniBatch>(&with_field(&batch, "nodes", "[4, 7, 9, 11]"), "too many nodes");
+    rejects::<MiniBatch>(&with_field(&batch, "nodes", "[4, 7, 4]"), "repeated node");
 }
 
 #[test]
