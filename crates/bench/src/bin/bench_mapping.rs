@@ -36,8 +36,8 @@ use std::time::Instant;
 use fare_bench::string_flag;
 use fare_core::mapping::reference;
 use fare_core::{
-    corrupt_graph_mapped, map_blocks_cached, refresh_blocks_cached, AdjacencyBlocks,
-    MappingConfig, RemapCache, TrainConfig,
+    corrupt_graph_mapped, map_blocks_cached, refresh_blocks_cached, AdjacencyBlocks, MappingConfig,
+    RemapCache, TrainConfig,
 };
 use fare_graph::{CsrGraph, GraphView};
 use fare_obs::RunManifest;

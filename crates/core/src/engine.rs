@@ -364,7 +364,9 @@ impl Hardware for Faulty {
         };
         let mapping = match cfg.strategy {
             FaultStrategy::FaRe => map_blocks_cached(&blocks, &array, &map_cfg, &mut remap),
-            FaultStrategy::NeuronReordering => reordered_block_mapping(&blocks, &array, cfg.matcher),
+            FaultStrategy::NeuronReordering => {
+                reordered_block_mapping(&blocks, &array, cfg.matcher)
+            }
             _ => sequential_block_mapping(&blocks, &array),
         };
         let xbars = Crossbars {

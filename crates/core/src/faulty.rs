@@ -1,5 +1,6 @@
 //! Faulty-hardware plumbing: the weight reader backed by crossbar
-//! fabrics, and adjacency corruption under a given mapping.
+//! fabrics, and adjacency corruption under a given mapping (sparse; the
+//! dense adapters are in `crate::dense`).
 
 use std::collections::BTreeMap;
 
@@ -249,33 +250,9 @@ pub fn corrupt_graph_mapped(
     corrupt_rows(graph.num_nodes(), |u| graph.neighbors(u), array, mapping)
 }
 
-/// Corrupts a binary adjacency matrix as stored under `mapping`.
-///
-/// A dense adapter onto [`corrupt_graph_mapped`]'s core: entries `> 0.5`
-/// are the stored 1s, and the corrupted adjacency comes back as a 0/1
-/// matrix.
-///
-/// # Panics
-///
-/// Panics if `mapping` does not match `adj`'s geometry or refers to
-/// missing crossbars.
-pub fn corrupt_adjacency_mapped(
-    adj: &Matrix,
-    array: &CrossbarArray,
-    mapping: &Mapping,
-) -> Matrix {
-    let ones: Vec<Vec<usize>> = (0..adj.rows())
-        .map(|r| {
-            let row = adj.row(r).iter().enumerate();
-            row.filter(|&(_, &v)| v > 0.5).map(|(c, _)| c).collect()
-        })
-        .collect();
-    corrupt_rows(adj.rows(), |r| &ones[r], array, mapping).to_dense()
-}
-
 /// The corruption core: `row(r)` lists the stored 1s of row `r` of a
 /// `size × size` binary adjacency, ascending.
-fn corrupt_rows<'a>(
+pub(crate) fn corrupt_rows<'a>(
     size: usize,
     row: impl Fn(usize) -> &'a [usize],
     array: &CrossbarArray,
@@ -283,7 +260,11 @@ fn corrupt_rows<'a>(
 ) -> CsrMatrix {
     let n = array.n();
     assert_eq!(mapping.n(), n, "mapping/array crossbar size mismatch");
-    assert_eq!(mapping.grid(), size.div_ceil(n), "mapping grid does not match adjacency");
+    assert_eq!(
+        mapping.grid(),
+        size.div_ceil(n),
+        "mapping grid does not match adjacency"
+    );
     // One read-back per placed block.
     fare_obs::counters::RERAM_CROSSBARS_CORRUPTED.add(mapping.placements().len() as u64);
     let mut offsets = Vec::with_capacity(size + 1);
@@ -324,17 +305,6 @@ fn corrupt_rows<'a>(
     CsrMatrix::from_pattern(size, size, offsets, indices)
 }
 
-/// Corrupts a binary adjacency stored with the naive sequential layout
-/// (block `k` → crossbar `k`, identity rows): the fault-unaware baseline.
-///
-/// # Panics
-///
-/// Panics if there are fewer crossbars than blocks.
-pub fn corrupt_adjacency_unaware(adj: &Matrix, array: &CrossbarArray) -> Matrix {
-    let mapping = crate::mapping::sequential_mapping(adj, array);
-    corrupt_adjacency_mapped(adj, array, &mapping)
-}
-
 #[cfg(test)]
 mod tests {
     use fare_gnn::GnnDims;
@@ -344,7 +314,6 @@ mod tests {
     use fare_rt::rand::SeedableRng;
 
     use super::*;
-    use crate::mapping::{map_adjacency, MappingConfig};
 
     fn model() -> Gnn {
         let mut rng = StdRng::seed_from_u64(1);
@@ -432,53 +401,6 @@ mod tests {
         );
         reader.clear_placements();
         assert!(reader.placements.is_empty());
-    }
-
-    #[test]
-    fn mapped_corruption_beats_unaware() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut adj = Matrix::zeros(16, 16);
-        for i in 0..16 {
-            for j in (i + 1)..16 {
-                if fare_rt::rand::Rng::gen_bool(&mut rng, 0.2) {
-                    adj[(i, j)] = 1.0;
-                    adj[(j, i)] = 1.0;
-                }
-            }
-        }
-        let mut array = CrossbarArray::new(8, 8);
-        array.inject(&FaultSpec::density(0.06), &mut rng);
-        let mapping = map_adjacency(&adj, &array, &MappingConfig::default());
-        let mapped = corrupt_adjacency_mapped(&adj, &array, &mapping);
-        let unaware = corrupt_adjacency_unaware(&adj, &array);
-        let err = |m: &Matrix| {
-            adj.iter()
-                .zip(m.iter())
-                .filter(|(a, b)| (**a > 0.5) != (**b > 0.5))
-                .count()
-        };
-        assert!(err(&mapped) <= err(&unaware));
-        assert_eq!(err(&mapped), mapping.total_cost());
-    }
-
-    #[test]
-    fn corruption_preserves_shape_and_binarity() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let adj = Matrix::from_fn(10, 10, |i, j| if (i + j) % 3 == 0 && i != j { 1.0 } else { 0.0 });
-        let mut array = CrossbarArray::new(9, 4);
-        array.inject(&FaultSpec::density(0.1), &mut rng);
-        let out = corrupt_adjacency_unaware(&adj, &array);
-        assert_eq!(out.shape(), adj.shape());
-        assert!(out.iter().all(|&v| v == 0.0 || v == 1.0));
-    }
-
-    #[test]
-    fn targeted_sa1_fabricates_edge_in_unaware_layout() {
-        let adj = Matrix::zeros(4, 4);
-        let mut array = CrossbarArray::new(1, 4);
-        array.crossbar_mut(0).inject_fault(2, 3, StuckPolarity::StuckAtOne);
-        let out = corrupt_adjacency_unaware(&adj, &array);
-        assert_eq!(out[(2, 3)], 1.0);
     }
 
     #[test]

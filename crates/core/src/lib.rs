@@ -43,6 +43,7 @@
 pub mod ablation;
 pub mod clipping;
 pub mod clustering;
+mod dense;
 mod engine;
 pub mod experiments;
 mod faulty;
@@ -52,10 +53,8 @@ pub mod related;
 mod strategy;
 mod trainer;
 
-pub use faulty::{
-    corrupt_adjacency_mapped, corrupt_adjacency_unaware, corrupt_graph_mapped,
-    FaultyWeightReader,
-};
+pub use dense::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
+pub use faulty::{corrupt_graph_mapped, FaultyWeightReader};
 pub use mapping::{
     map_adjacency, map_adjacency_cached, map_blocks_cached, refresh_blocks_cached,
     refresh_row_permutations, refresh_row_permutations_cached, AdjacencyBlocks, BlockPlacement,

@@ -54,8 +54,8 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
-use fare_matching::{CostMatrix, Matcher};
 use fare_graph::CsrGraph;
+use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
 use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use fare_rt::par::scoped_map_init;
@@ -680,7 +680,6 @@ fn solve_reduced_g1(
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdjacencyBlocks {
-    nodes: usize,
     n: usize,
     grid: usize,
     /// Row-major over the block grid.
@@ -728,7 +727,6 @@ impl AdjacencyBlocks {
         assert!(n > 0, "crossbar size must be positive");
         let grid = nodes.div_ceil(n);
         Self {
-            nodes,
             n,
             grid,
             blocks: vec![PackedRows::zeros(n, n); grid * grid],
@@ -738,16 +736,6 @@ impl AdjacencyBlocks {
     fn set(&mut self, r: usize, c: usize) {
         let n = self.n;
         self.blocks[(r / n) * self.grid + c / n].set(r % n, c % n);
-    }
-
-    /// Node count of the adjacency.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Block (crossbar) size.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Blocks per side of the grid.
@@ -1191,17 +1179,18 @@ pub fn sequential_block_mapping(blocks: &AdjacencyBlocks, array: &CrossbarArray)
         .enumerate()
         .map(|(k, ((br, bc), packed))| {
             let xbar = array.crossbar(k);
-            let rows = 0..n;
+            let (mut mismatch, mut sa1) = (0, 0);
+            for p in 0..n {
+                mismatch += xbar.row_mismatch_packed(packed.row(p), p);
+                sa1 += xbar.row_sa1_mismatch_packed(packed.row(p), p);
+            }
             BlockPlacement {
                 block_row: br,
                 block_col: bc,
                 crossbar: k,
-                row_perm: rows.clone().collect(),
-                mismatch_cost: rows
-                    .clone()
-                    .map(|p| xbar.row_mismatch_packed(packed.row(p), p))
-                    .sum(),
-                sa1_cost: rows.map(|p| xbar.row_sa1_mismatch_packed(packed.row(p), p)).sum(),
+                row_perm: (0..n).collect(),
+                mismatch_cost: mismatch,
+                sa1_cost: sa1,
             }
         })
         .collect();
@@ -1212,21 +1201,7 @@ pub fn sequential_block_mapping(blocks: &AdjacencyBlocks, array: &CrossbarArray)
 /// assignment but optimises the row permutation within each crossbar.
 ///
 /// This is the aggregation-phase half of the NR baseline — permutation
-/// without fault-polarity-aware block placement. A dense adapter onto
-/// [`reordered_block_mapping`].
-///
-/// # Panics
-///
-/// Panics if there are fewer crossbars than blocks.
-pub fn reordered_sequential_mapping(
-    adj: &Matrix,
-    array: &CrossbarArray,
-    matcher: Matcher,
-) -> Mapping {
-    reordered_block_mapping(&AdjacencyBlocks::from_matrix(adj, array.n()), array, matcher)
-}
-
-/// [`reordered_sequential_mapping`] of a packed block grid.
+/// without fault-polarity-aware block placement.
 ///
 /// # Panics
 ///
@@ -1632,7 +1607,8 @@ mod tests {
     fn reordered_sequential_keeps_block_order() {
         let adj = random_adj(16, 0.2, 11);
         let array = faulty_array(4, 8, 0.05, 12);
-        let nr = reordered_sequential_mapping(&adj, &array, Matcher::BSuitor);
+        let blocks = AdjacencyBlocks::from_matrix(&adj, 8);
+        let nr = reordered_block_mapping(&blocks, &array, Matcher::BSuitor);
         for (k, p) in nr.placements().iter().enumerate() {
             assert_eq!(p.crossbar, k);
         }

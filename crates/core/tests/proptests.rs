@@ -2,8 +2,8 @@
 
 use fare_core::mapping::{
     map_adjacency, map_adjacency_cached, reference, refresh_row_permutations,
-    refresh_row_permutations_cached, reordered_sequential_mapping, sequential_mapping,
-    MappingConfig, RemapCache,
+    refresh_row_permutations_cached, reordered_block_mapping, sequential_mapping,
+    AdjacencyBlocks, MappingConfig, RemapCache,
 };
 use fare_core::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
 use fare_matching::{CostMatrix, Matcher};
@@ -76,7 +76,8 @@ proptest! {
             prune: false,
             ..MappingConfig::default()
         });
-        let nr = reordered_sequential_mapping(&adj, &array, Matcher::Hungarian);
+        let blocks = AdjacencyBlocks::from_matrix(&adj, 8);
+        let nr = reordered_block_mapping(&blocks, &array, Matcher::Hungarian);
         let unaware = sequential_mapping(&adj, &array);
         prop_assert!(fare.total_cost() <= nr.total_cost());
         prop_assert!(nr.total_cost() <= unaware.total_cost());

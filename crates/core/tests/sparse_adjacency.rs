@@ -60,7 +60,11 @@ fn bits(m: &CsrMatrix) -> Vec<(usize, usize, u32)> {
 fn check_view(graph: &CsrGraph, array: &CrossbarArray, mapping: &Mapping) {
     let oracle = dense_corrupt(&graph.to_dense(), array, mapping);
     let pattern = corrupt_graph_mapped(graph, array, mapping);
-    prop_assert_eq!(&pattern, &CsrMatrix::from_dense(&oracle), "corrupted pattern");
+    prop_assert_eq!(
+        &pattern,
+        &CsrMatrix::from_dense(&oracle),
+        "corrupted pattern"
+    );
     let view = GraphView::from_pattern(pattern);
     let gcn = CsrMatrix::from_dense(&ops::gcn_normalise(&oracle));
     let mean = CsrMatrix::from_dense(&ops::row_normalise(&oracle));
@@ -69,7 +73,11 @@ fn check_view(graph: &CsrGraph, array: &CrossbarArray, mapping: &Mapping) {
     });
     prop_assert_eq!(bits(view.gcn_norm()), bits(&gcn), "gcn_norm");
     prop_assert_eq!(bits(view.mean_norm()), bits(&mean), "mean_norm");
-    prop_assert_eq!(bits(view.mean_norm_t()), bits(&mean.transpose()), "mean_norm_t");
+    prop_assert_eq!(
+        bits(view.mean_norm_t()),
+        bits(&mean.transpose()),
+        "mean_norm_t"
+    );
     prop_assert_eq!(
         bits(view.attention_pattern()),
         bits(&CsrMatrix::from_dense(&attention)),
@@ -144,7 +152,8 @@ proptest! {
         let mapped = map_blocks_cached(&blocks, &array, &MappingConfig::default(), &mut cache);
         check_view(&g, &array, &mapped);
         array.inject(&FaultSpec::with_sa1_fraction(0.05, 0.5), &mut rng);
-        let refreshed = refresh_blocks_cached(&blocks, &array, &mapped, Matcher::BSuitor, &mut cache);
+        let refreshed =
+            refresh_blocks_cached(&blocks, &array, &mapped, Matcher::BSuitor, &mut cache);
         check_view(&g, &array, &refreshed);
     }
 }
@@ -159,7 +168,9 @@ fn sa1_cells_in_the_padding_are_ignored() {
     for k in 0..4 {
         for r in 0..4 {
             for c in 0..4 {
-                array.crossbar_mut(k).inject_fault(r, c, StuckPolarity::StuckAtOne);
+                array
+                    .crossbar_mut(k)
+                    .inject_fault(r, c, StuckPolarity::StuckAtOne);
             }
         }
     }

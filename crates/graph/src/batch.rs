@@ -2,14 +2,16 @@
 //!
 //! Following the paper's training setup (Section V-A), the partitioned
 //! graph is consumed in mini-batches: each batch is the subgraph induced
-//! by the union of a few clusters. The dense 0/1 adjacency of that
-//! subgraph is what gets programmed onto ReRAM crossbars for the
-//! aggregation phase.
+//! by the union of a few clusters. The batch's CSR subgraph is what a
+//! faulty run programs onto ReRAM crossbars for the aggregation phase:
+//! it is packed straight into the crossbar blocks and corrupted as a
+//! sparse pattern, so no dense adjacency is built.
+//! [`MiniBatch::dense_adjacency`] remains for tests and dense oracles.
 
 use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::seq::SliceRandom;
-use fare_tensor::Matrix;
 use fare_rt::rand::Rng;
+use fare_tensor::Matrix;
 
 use crate::{CsrGraph, Partitioning};
 
@@ -54,9 +56,9 @@ impl MiniBatch {
         self.nodes.len()
     }
 
-    /// Dense binary adjacency of the induced subgraph.
-    ///
-    /// This is the matrix FARe maps onto ReRAM crossbars.
+    /// Dense binary adjacency of the induced subgraph: the matrix FARe
+    /// maps onto ReRAM crossbars, materialised. The training path packs
+    /// [`MiniBatch::graph`] directly instead.
     pub fn dense_adjacency(&self) -> Matrix {
         self.graph.to_dense()
     }

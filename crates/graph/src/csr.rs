@@ -203,7 +203,10 @@ impl CsrGraph {
         for (local, &global) in nodes.iter().enumerate() {
             assert!(global < self.num_nodes(), "node {global} out of range");
             let prev = std::mem::replace(&mut global_to_local[global], local);
-            assert!(prev == usize::MAX, "duplicate node {global} in induced_subgraph");
+            assert!(
+                prev == usize::MAX,
+                "duplicate node {global} in induced_subgraph"
+            );
         }
         // The source lists are symmetric, deduplicated and loop-free, so
         // each kept list, relabelled and sorted, is already in the form

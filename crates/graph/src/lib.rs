@@ -11,15 +11,16 @@
 //!   datasets.
 //! - [`partition`] — a multilevel heavy-edge-matching partitioner with
 //!   greedy refinement, standing in for METIS.
-//! - [`batch`] — mini-batch assembly (union of clusters → induced
-//!   subgraph + dense normalised adjacency).
+//! - [`batch`] — mini-batch assembly (union of clusters → induced CSR
+//!   subgraph).
 //! - [`datasets`] — scaled-down presets mirroring Table II (PPI, Reddit,
 //!   Amazon2M, Ogbl-citation2) with learnable features/labels.
 //! - [`stats`] — degree and block-density statistics (the profile
 //!   Algorithm 1's pruning heuristic reasons about).
 //! - [`CsrMatrix`] / [`GraphView`] — weighted sparse matrices and the
 //!   once-per-graph cache of normalised propagation matrices the GNN
-//!   layers aggregate with (the sparse-parallel compute core).
+//!   layers aggregate with (the sparse-parallel compute core), built
+//!   from a clean graph or a fault-corrupted binary pattern.
 //!
 //! # Example
 //!

@@ -37,7 +37,11 @@ impl FromJson for Partitioning {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let assignment: Vec<usize> = field(v, "assignment")?;
         let num_parts: usize = field(v, "num_parts")?;
-        if let Some((u, &p)) = assignment.iter().enumerate().find(|&(_, &p)| p >= num_parts) {
+        if let Some((u, &p)) = assignment
+            .iter()
+            .enumerate()
+            .find(|&(_, &p)| p >= num_parts)
+        {
             return Err(JsonError::new(format!(
                 "node {u} is in part {p}, out of range for {num_parts} parts"
             )));
@@ -221,14 +225,9 @@ impl WeightedGraph {
         let mut acc = vec![0.0f64; coarse_count];
         let mut touched: Vec<usize> = Vec::new();
         for (c, &(a, b)) in members.iter().enumerate() {
-            let mut weight = self.node_weight[a];
-            for u in [a, b] {
-                if u == usize::MAX {
-                    continue;
-                }
-                if u != a {
-                    weight += self.node_weight[u];
-                }
+            let mut weight = 0.0;
+            for u in [a, b].into_iter().filter(|&u| u != usize::MAX) {
+                weight += self.node_weight[u];
                 for (v, w) in self.adj(u) {
                     let cv = matched[v];
                     if cv == c {

@@ -37,32 +37,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from per-row `(column, value)` entry lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a column index is out of range or a row's columns are
-    /// not strictly ascending.
-    pub fn from_row_entries(rows: usize, cols: usize, entries: &[Vec<(usize, f32)>]) -> Self {
-        assert_eq!(entries.len(), rows, "entry list must have one Vec per row");
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        offsets.push(0);
-        for row in entries {
-            let mut prev: Option<usize> = None;
-            for &(c, v) in row {
-                assert!(c < cols, "column {c} out of range for {cols} columns");
-                assert!(prev.is_none_or(|p| p < c), "row columns must be strictly ascending");
-                prev = Some(c);
-                indices.push(c);
-                values.push(v);
-            }
-            offsets.push(indices.len());
-        }
-        Self { rows, cols, offsets, indices, values }
-    }
-
     /// A binary pattern: every stored entry is `1.0`. Row `r` holds the
     /// columns `indices[offsets[r]..offsets[r + 1]]`.
     ///
@@ -71,14 +45,25 @@ impl CsrMatrix {
     /// Panics unless `offsets` has `rows + 1` entries, starts at 0, never
     /// decreases and ends at `indices.len()`, and every row's columns are
     /// strictly ascending and below `cols`.
-    pub fn from_pattern(rows: usize, cols: usize, offsets: Vec<usize>, indices: Vec<usize>) -> Self {
+    pub fn from_pattern(
+        rows: usize,
+        cols: usize,
+        offsets: Vec<usize>,
+        indices: Vec<usize>,
+    ) -> Self {
         assert_eq!(offsets.len(), rows + 1, "pattern needs rows + 1 offsets");
         assert_eq!(offsets[0], 0, "pattern offsets must start at 0");
         assert_eq!(offsets[rows], indices.len(), "pattern offsets must end at nnz");
         for w in offsets.windows(2) {
             let row = &indices[w[0]..w[1]];
-            assert!(row.windows(2).all(|p| p[0] < p[1]), "row columns must be strictly ascending");
-            assert!(row.last().is_none_or(|&c| c < cols), "column out of range for {cols} columns");
+            assert!(
+                row.windows(2).all(|p| p[0] < p[1]),
+                "row columns must be strictly ascending"
+            );
+            assert!(
+                row.last().is_none_or(|&c| c < cols),
+                "column out of range for {cols} columns"
+            );
         }
         let values = vec![1.0; indices.len()];
         Self { rows, cols, offsets, indices, values }
@@ -294,24 +279,26 @@ mod tests {
     }
 
     #[test]
-    fn from_row_entries_and_accessors() {
-        let s = CsrMatrix::from_row_entries(
-            2,
-            3,
-            &[vec![(0, 1.0), (2, -2.0)], vec![(1, 0.5)]],
-        );
+    fn from_pattern_and_accessors() {
+        let s = CsrMatrix::from_pattern(2, 3, vec![0, 2, 3], vec![0, 2, 1]);
         assert_eq!(s.rows(), 2);
         assert_eq!(s.cols(), 3);
-        assert_eq!(s.row_entries(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, -2.0)]);
-        assert_eq!(s.row_entries(1).collect::<Vec<_>>(), vec![(1, 0.5)]);
+        assert_eq!(s.row_entries(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 1.0)]);
+        assert_eq!(s.row_entries(1).collect::<Vec<_>>(), vec![(1, 1.0)]);
         assert_eq!(s.offsets(), &[0, 2, 3]);
         assert_eq!(s.indices(), &[0, 2, 1]);
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
-    fn from_row_entries_rejects_unsorted() {
-        CsrMatrix::from_row_entries(1, 3, &[vec![(2, 1.0), (0, 1.0)]]);
+    fn from_pattern_rejects_unsorted() {
+        CsrMatrix::from_pattern(1, 3, vec![0, 2], vec![2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_pattern_rejects_column_out_of_range() {
+        CsrMatrix::from_pattern(1, 3, vec![0, 1], vec![3]);
     }
 
     #[test]

@@ -67,6 +67,7 @@ fn digest(dataset: &Dataset, seed: u64, domain: &str) -> u64 {
 }
 
 /// `(dataset, seed, domain, digest)`, recorded once.
+#[rustfmt::skip]
 const PINS: [(DatasetKind, u64, &str, u64); 24] = [
     (DatasetKind::Ppi, 1, "trainer", 0xbf68_1ced_c987_6cb7),
     (DatasetKind::Ppi, 1, "link-prediction", 0xc97a_aa17_a80b_0283),

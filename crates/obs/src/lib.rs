@@ -236,8 +236,9 @@ pub mod counters {
     pub static RERAM_FAULTS_CLEARED: Counter = Counter::new("reram.faults.cleared");
     /// Draws from the Poisson fault-count sampler.
     pub static RERAM_POISSON_SAMPLES: Counter = Counter::new("reram.faults.poisson_samples");
-    /// Stored matrices corrupted through a crossbar fault map
-    /// (`Crossbar::read_binary`).
+    /// Stored matrices read back through a crossbar fault map: one per
+    /// `Crossbar::read_binary` call, and one per placed block each time
+    /// a mapped adjacency is corrupted.
     pub static RERAM_CROSSBARS_CORRUPTED: Counter = Counter::new("reram.crossbars.corrupted");
     /// Analog MVM invocations (`crossbar_mvm`).
     pub static RERAM_MVM_CALLS: Counter = Counter::new("reram.mvm.calls");

@@ -52,7 +52,10 @@ impl PackedRows {
     ///
     /// Panics if `(r, c)` is out of range.
     pub fn set(&mut self, r: usize, c: usize) {
-        assert!(r < self.rows && c < self.cols, "bit ({r}, {c}) out of range");
+        assert!(
+            r < self.rows && c < self.cols,
+            "bit ({r}, {c}) out of range"
+        );
         self.bits[r * self.words + c / 64] |= 1u64 << (c % 64);
     }
 
