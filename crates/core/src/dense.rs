@@ -5,6 +5,7 @@
 //! dense `Matrix` form for callers that still hold one (tests, the
 //! benchmark's replica of `Trainer::run`) and run the same core.
 
+use fare_graph::CsrMatrix;
 use fare_reram::CrossbarArray;
 use fare_tensor::Matrix;
 
@@ -21,13 +22,8 @@ use crate::mapping::Mapping;
 /// Panics if `mapping` does not match `adj`'s geometry or refers to
 /// missing crossbars.
 pub fn corrupt_adjacency_mapped(adj: &Matrix, array: &CrossbarArray, mapping: &Mapping) -> Matrix {
-    let ones: Vec<Vec<usize>> = (0..adj.rows())
-        .map(|r| {
-            let row = adj.row(r).iter().enumerate();
-            row.filter(|&(_, &v)| v > 0.5).map(|(c, _)| c).collect()
-        })
-        .collect();
-    crate::faulty::corrupt_rows(adj.rows(), |r| &ones[r], array, mapping).to_dense()
+    let ones = CsrMatrix::binary_pattern(adj);
+    crate::faulty::corrupt_rows(adj.rows(), |r| ones.row_indices(r), array, mapping).to_dense()
 }
 
 /// Corrupts a binary adjacency stored with the naive sequential layout

@@ -54,7 +54,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
-use fare_graph::CsrGraph;
+use fare_graph::{CsrGraph, CsrMatrix};
 use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
 use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
@@ -693,13 +693,7 @@ impl AdjacencyBlocks {
     ///
     /// Panics if the graph is empty or `n == 0`.
     pub fn from_graph(graph: &CsrGraph, n: usize) -> Self {
-        let mut blocks = Self::zeros(graph.num_nodes(), n);
-        for u in 0..graph.num_nodes() {
-            for &v in graph.neighbors(u) {
-                blocks.set(u, v);
-            }
-        }
-        blocks
+        Self::from_rows(graph.num_nodes(), n, |u| graph.neighbors(u))
     }
 
     /// Packs a dense adjacency, reading entries `> 0.5` as stored 1s:
@@ -711,31 +705,23 @@ impl AdjacencyBlocks {
     /// Panics if `adj` is not square, is empty, or `n == 0`.
     pub fn from_matrix(adj: &Matrix, n: usize) -> Self {
         assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
-        let mut blocks = Self::zeros(adj.rows(), n);
-        for r in 0..adj.rows() {
-            for (c, &v) in adj.row(r).iter().enumerate() {
-                if v > 0.5 {
-                    blocks.set(r, c);
-                }
-            }
-        }
-        blocks
+        let ones = CsrMatrix::binary_pattern(adj);
+        Self::from_rows(adj.rows(), n, |r| ones.row_indices(r))
     }
 
-    fn zeros(nodes: usize, n: usize) -> Self {
+    /// Packs the `nodes × nodes` adjacency whose row `r` stores 1s at the
+    /// columns `row(r)`.
+    fn from_rows<'a>(nodes: usize, n: usize, row: impl Fn(usize) -> &'a [usize]) -> Self {
         assert!(nodes > 0, "adjacency must be non-empty");
         assert!(n > 0, "crossbar size must be positive");
         let grid = nodes.div_ceil(n);
-        Self {
-            n,
-            grid,
-            blocks: vec![PackedRows::zeros(n, n); grid * grid],
+        let mut blocks = vec![PackedRows::zeros(n, n); grid * grid];
+        for r in 0..nodes {
+            for &c in row(r) {
+                blocks[(r / n) * grid + c / n].set(r % n, c % n);
+            }
         }
-    }
-
-    fn set(&mut self, r: usize, c: usize) {
-        let n = self.n;
-        self.blocks[(r / n) * self.grid + c / n].set(r % n, c % n);
+        Self { n, grid, blocks }
     }
 
     /// Blocks per side of the grid.

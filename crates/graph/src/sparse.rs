@@ -69,6 +69,26 @@ impl CsrMatrix {
         Self { rows, cols, offsets, indices, values }
     }
 
+    /// The binary pattern of a dense matrix: entry `(r, c)` is stored,
+    /// as `1.0`, exactly when `m[(r, c)] > 0.5`, the threshold every
+    /// crossbar path uses for a stored 1.
+    pub fn binary_pattern(m: &Matrix) -> Self {
+        let (rows, cols) = m.shape();
+        let mut offsets = Vec::with_capacity(rows + 1);
+        let mut indices = Vec::new();
+        offsets.push(0);
+        for r in 0..rows {
+            for (c, &v) in m.row(r).iter().enumerate() {
+                if v > 0.5 {
+                    indices.push(c);
+                }
+            }
+            offsets.push(indices.len());
+        }
+        let values = vec![1.0; indices.len()];
+        Self { rows, cols, offsets, indices, values }
+    }
+
     /// Assembles a matrix from CSR arrays the caller has built valid.
     pub(crate) fn from_parts(
         rows: usize,
@@ -127,6 +147,16 @@ impl CsrMatrix {
     /// each row.
     pub fn indices(&self) -> &[usize] {
         &self.indices
+    }
+
+    /// The columns of row `r`'s stored entries, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()`.
+    pub fn row_indices(&self, r: usize) -> &[usize] {
+        assert!(r < self.rows, "row {r} out of range");
+        &self.indices[self.offsets[r]..self.offsets[r + 1]]
     }
 
     /// The `(column, value)` entries of row `r`, ascending by column.

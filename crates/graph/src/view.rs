@@ -114,16 +114,7 @@ impl GraphView {
     /// Panics if `adj` is not square.
     pub fn from_dense(adj: Matrix) -> Self {
         assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
-        let n = adj.rows();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut indices = Vec::new();
-        offsets.push(0);
-        for r in 0..n {
-            let row = adj.row(r).iter().enumerate();
-            indices.extend(row.filter(|&(_, &a)| a > 0.5).map(|(c, _)| c));
-            offsets.push(indices.len());
-        }
-        Self::from_pattern(CsrMatrix::from_pattern(n, n, offsets, indices))
+        Self::from_pattern(CsrMatrix::binary_pattern(&adj))
     }
 
     /// Number of nodes.
@@ -165,11 +156,6 @@ impl GraphView {
     }
 }
 
-/// Row `u` of a pattern.
-fn row(adj: &CsrMatrix, u: usize) -> &[usize] {
-    &adj.indices()[adj.offsets()[u]..adj.offsets()[u + 1]]
-}
-
 /// `A + I` with every entry valued: off-diagonal edge `(u, v)` takes
 /// `edge(u, v)` and the diagonal `(u, u)` takes `diag(u, stored)`,
 /// where `stored` tells whether `A` itself has the entry.
@@ -184,7 +170,7 @@ fn with_diagonal(
     let mut values = Vec::with_capacity(adj.nnz() + n);
     offsets.push(0);
     for u in 0..n {
-        let cols = row(adj, u);
+        let cols = adj.row_indices(u);
         let at = cols.partition_point(|&v| v < u);
         let stored = cols.get(at) == Some(&u);
         for &v in &cols[..at] {
@@ -209,7 +195,7 @@ fn with_diagonal(
 /// diagonal `(1 or 2) * deg_inv_sqrt[r] * deg_inv_sqrt[r]`.
 fn gcn_csr(adj: &CsrMatrix) -> CsrMatrix {
     let inv_sqrt: Vec<f32> = (0..adj.rows())
-        .map(|u| 1.0 / ((row(adj, u).len() + 1) as f32).sqrt())
+        .map(|u| 1.0 / ((adj.row_indices(u).len() + 1) as f32).sqrt())
         .collect();
     with_diagonal(
         adj,
@@ -227,7 +213,7 @@ fn gcn_csr(adj: &CsrMatrix) -> CsrMatrix {
 fn mean_csr(adj: &CsrMatrix) -> CsrMatrix {
     let values = (0..adj.rows())
         .flat_map(|u| {
-            let d = row(adj, u).len();
+            let d = adj.row_indices(u).len();
             std::iter::repeat_n(1.0 / d as f32, d)
         })
         .collect();
