@@ -16,9 +16,7 @@
 //! `fare-report diff BENCH_core.json <fresh.json>` compares bench runs
 //! across PRs with the one code path.
 
-use std::time::Instant;
-
-use fare_bench::string_flag;
+use fare_bench::{string_flag, time_ns};
 use fare_obs::RunManifest;
 use fare_gnn::{Gnn, GnnDims, IdealReader};
 use fare_graph::datasets::ModelKind;
@@ -53,16 +51,6 @@ fn gcn_step(model: &Gnn, view: &GraphView, x: &Matrix, labels: &[usize]) -> f32 
     let (loss, grad_logits) = ops::cross_entropy_with_grad(&logits, labels);
     let _grads = model.backward(view, &cache, &grad_logits);
     loss
-}
-
-/// Times `f` over `iters` runs (after one untimed warmup) in ns/iter.
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 fn main() {

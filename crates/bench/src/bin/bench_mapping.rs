@@ -31,9 +31,7 @@
 //! `fare-report diff BENCH_mapping.json <fresh.json>` compares bench
 //! runs across PRs with the one code path.
 
-use std::time::Instant;
-
-use fare_bench::string_flag;
+use fare_bench::{string_flag, time_ns};
 use fare_core::mapping::reference;
 use fare_core::{
     corrupt_graph_mapped, map_blocks_cached, refresh_blocks_cached, AdjacencyBlocks, MappingConfig,
@@ -52,16 +50,6 @@ fn random_graph(nodes: usize, avg_degree: usize, seed: u64) -> CsrGraph {
         .map(|_| (rng.gen_range(0..nodes), rng.gen_range(0..nodes)))
         .collect();
     CsrGraph::from_edges(nodes, &edges)
-}
-
-/// Times `f` over `iters` runs (after one untimed warmup) in ns/iter.
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 fn main() {

@@ -90,6 +90,17 @@ pub fn string_flag(flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// Times `f` over `iters` runs (after one untimed warmup) in ns/iter —
+/// the one timing loop of the `bench_*` manifest writers.
+pub fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
 /// Renders an aligned text table.
 ///
 /// # Example

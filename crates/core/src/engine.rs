@@ -182,73 +182,70 @@ pub(crate) fn train<T: Task, H: Hardware>(
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
-    fare_obs::timers::CORE_TRAINER_RUN.time(|| {
-        fare_obs::counters::CORE_TRAINER_RUNS.incr();
-        let _run_span = fare_obs::trace::span("core.trainer.run");
-        let dataset = prepared.dataset;
-        let mut rng = prepared.rng.clone();
+    fare_obs::counters::CORE_TRAINER_RUNS.incr();
+    let _run_span = fare_obs::trace::span("core.trainer.run");
+    let dataset = prepared.dataset;
+    let mut rng = prepared.rng.clone();
 
-        // Model + weight path.
-        let dims = GnnDims {
-            input: dataset.spec.feature_dim,
-            hidden: cfg.hidden_dim,
-            output: task.output_dim(cfg, dataset),
-        };
-        let mut model = Gnn::with_depth(cfg.model, dims, cfg.depth, &mut rng);
-        let mut hardware = H::build(cfg, &model, &mut rng);
-        let mut opt = Adam::new(cfg.learning_rate, &model).with_weight_decay(cfg.weight_decay);
+    // Model + weight path.
+    let dims = GnnDims {
+        input: dataset.spec.feature_dim,
+        hidden: cfg.hidden_dim,
+        output: task.output_dim(cfg, dataset),
+    };
+    let mut model = Gnn::with_depth(cfg.model, dims, cfg.depth, &mut rng);
+    let mut hardware = H::build(cfg, &model, &mut rng);
+    let mut opt = Adam::new(cfg.learning_rate, &model).with_weight_decay(cfg.weight_decay);
 
-        // Batch adjacencies onto the hardware.
-        let mut batches: Vec<Batch<T::Data, H::Slot>> = prepared
-            .minibatches
-            .iter()
-            .filter_map(|batch| {
-                let (graph, data) = task.prepare(batch, dataset, &mut rng)?;
-                let (slot, view) = hardware.program(&graph, &mut rng);
-                Some(Batch {
-                    features: batch.gather_features(&dataset.features),
-                    nodes: batch.nodes.clone(),
-                    graph,
-                    view,
-                    data,
-                    slot,
-                })
+    // Batch adjacencies onto the hardware.
+    let mut batches: Vec<Batch<T::Data, H::Slot>> = prepared
+        .minibatches
+        .iter()
+        .filter_map(|batch| {
+            let (graph, data) = task.prepare(batch, dataset, &mut rng)?;
+            let (slot, view) = hardware.program(&graph, &mut rng);
+            Some(Batch {
+                features: batch.gather_features(&dataset.features),
+                nodes: batch.nodes.clone(),
+                graph,
+                view,
+                data,
+                slot,
             })
-            .collect();
-        assert!(!batches.is_empty(), "no mini-batch is usable for this task");
+        })
+        .collect();
+    assert!(!batches.is_empty(), "no mini-batch is usable for this task");
 
-        let mut history = Vec::with_capacity(cfg.epochs);
-        for epoch in 0..cfg.epochs {
-            let _epoch_span = fare_obs::trace::span_arg("core.trainer.epoch", epoch as u64);
-            let mut epoch_loss = 0.0f64;
-            for (bi, batch) in batches.iter().enumerate() {
-                fare_obs::counters::CORE_TRAINER_BATCHES.incr();
-                let _batch_span = fare_obs::trace::span_arg("core.trainer.batch", bi as u64);
-                let (output, cache) =
-                    model.forward(&batch.view, &batch.features, hardware.reader());
-                let Some((loss, grad)) = task.loss(batch, &output, &mut rng) else {
-                    continue;
-                };
-                epoch_loss += loss;
-                let mut grads = model.backward(&batch.view, &cache, &grad);
-                if cfg.grad_clip_norm > 0.0 {
-                    grads.clip_norm(cfg.grad_clip_norm);
-                }
-                model.apply_gradients(&grads, &mut opt);
-                hardware.after_update(&mut model);
+    let mut history = Vec::with_capacity(cfg.epochs);
+    for epoch in 0..cfg.epochs {
+        let _epoch_span = fare_obs::trace::span_arg("core.trainer.epoch", epoch as u64);
+        let mut epoch_loss = 0.0f64;
+        for (bi, batch) in batches.iter().enumerate() {
+            fare_obs::counters::CORE_TRAINER_BATCHES.incr();
+            let _batch_span = fare_obs::trace::span_arg("core.trainer.batch", bi as u64);
+            let (output, cache) = model.forward(&batch.view, &batch.features, hardware.reader());
+            let Some((loss, grad)) = task.loss(batch, &output, &mut rng) else {
+                continue;
+            };
+            epoch_loss += loss;
+            let mut grads = model.backward(&batch.view, &cache, &grad);
+            if cfg.grad_clip_norm > 0.0 {
+                grads.clip_norm(cfg.grad_clip_norm);
             }
-            hardware.age(epoch, &model, &mut batches, &mut rng);
-            let loss = epoch_loss / batches.len() as f64;
-            history.push(task.evaluate(epoch, loss, &model, hardware.reader(), &batches));
-            fare_obs::counters::CORE_TRAINER_EPOCHS.incr();
+            model.apply_gradients(&grads, &mut opt);
+            hardware.after_update(&mut model);
         }
-        Trained {
-            model,
-            hardware,
-            batches,
-            history,
-        }
-    })
+        hardware.age(epoch, &model, &mut batches, &mut rng);
+        let loss = epoch_loss / batches.len() as f64;
+        history.push(task.evaluate(epoch, loss, &model, hardware.reader(), &batches));
+        fare_obs::counters::CORE_TRAINER_EPOCHS.incr();
+    }
+    Trained {
+        model,
+        hardware,
+        batches,
+        history,
+    }
 }
 
 /// Ideal hardware: full-precision weights, the exact batch adjacency,

@@ -1007,15 +1007,6 @@ pub fn map_blocks_cached(
     cache: &mut RemapCache,
 ) -> Mapping {
     let _span = fare_obs::trace::span("core.mapping.map_adjacency");
-    fare_obs::timers::CORE_MAPPING_MAP.time(|| map_blocks_cached_inner(blocks, array, cfg, cache))
-}
-
-fn map_blocks_cached_inner(
-    blocks: &AdjacencyBlocks,
-    array: &CrossbarArray,
-    cfg: &MappingConfig,
-    cache: &mut RemapCache,
-) -> Mapping {
     fare_obs::counters::CORE_MAPPINGS_BUILT.incr();
     blocks.check_fits(array);
     let n = blocks.n;
@@ -1275,17 +1266,6 @@ pub fn refresh_blocks_cached(
     cache: &mut RemapCache,
 ) -> Mapping {
     let _span = fare_obs::trace::span("core.mapping.refresh");
-    fare_obs::timers::CORE_MAPPING_REFRESH
-        .time(|| refresh_blocks_cached_inner(blocks, array, mapping, matcher, cache))
-}
-
-fn refresh_blocks_cached_inner(
-    blocks: &AdjacencyBlocks,
-    array: &CrossbarArray,
-    mapping: &Mapping,
-    matcher: Matcher,
-    cache: &mut RemapCache,
-) -> Mapping {
     let n = array.n();
     assert_eq!(mapping.n, n, "mapping crossbar size mismatch");
     assert_eq!(blocks.n, n, "block size does not match the crossbars");

@@ -232,9 +232,10 @@ pub fn propagated_features(graph: &CsrGraph, dim: usize, seed: u64) -> Matrix {
 ///
 /// # Errors
 ///
-/// Returns [`ParseDataError::Parse`] (line 0) when the label count does
-/// not match the node count, features are mis-shaped, or labels are
-/// empty.
+/// Returns [`ParseDataError::Parse`] (line 0) when the graph is empty,
+/// the label count does not match the node count, a label id is not
+/// below the node count, features are mis-shaped, `partitions` is 0 or
+/// more than the node count, or `clusters_per_batch` is 0.
 pub fn assemble_dataset(
     graph: CsrGraph,
     labels: Vec<usize>,
@@ -253,9 +254,24 @@ pub fn assemble_dataset(
     if n == 0 {
         return Err(parse_err(0, "empty graph"));
     }
-    let num_classes = labels.iter().max().map_or(0, |m| m + 1);
-    if num_classes == 0 {
-        return Err(parse_err(0, "no classes"));
+    // Labels are class ids, and the largest sizes the model's output
+    // layer: bound them by the node count.
+    let max_label = labels.iter().copied().max().unwrap_or(0);
+    if max_label >= n {
+        return Err(parse_err(
+            0,
+            format!("label {max_label} is not below the node count {n}"),
+        ));
+    }
+    let num_classes = max_label + 1;
+    if partitions == 0 || partitions > n {
+        return Err(parse_err(
+            0,
+            format!("cannot split {n} nodes into {partitions} partitions"),
+        ));
+    }
+    if clusters_per_batch == 0 {
+        return Err(parse_err(0, "clusters_per_batch must be positive"));
     }
     let features = match features {
         Some(f) => {
@@ -434,6 +450,33 @@ mod tests {
         assert_eq!(ds.num_classes, 2);
         assert_eq!(ds.spec.name, "custom");
         assert_eq!(ds.features.shape(), (4, 24));
+    }
+
+    #[test]
+    fn assemble_dataset_rejects_inputs_that_would_panic_later() {
+        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
+        let build = |labels: Vec<usize>, partitions, clusters_per_batch| {
+            assemble_dataset(g.clone(), labels, None, partitions, clusters_per_batch, 0)
+        };
+        for labels in [vec![0, 1, usize::MAX, 1], vec![0, 1, 4, 1]] {
+            let err = build(labels.clone(), 2, 1).expect_err("label id out of range");
+            assert!(
+                err.to_string().contains("not below the node count"),
+                "{labels:?}: {err}"
+            );
+        }
+        for partitions in [0, 5] {
+            let err = build(vec![0, 1, 0, 1], partitions, 1).expect_err("bad partition count");
+            assert!(
+                err.to_string().contains("partitions"),
+                "{partitions}: {err}"
+            );
+        }
+        let err = build(vec![0, 1, 0, 1], 2, 0).expect_err("zero clusters per batch");
+        assert!(err.to_string().contains("clusters_per_batch"), "{err}");
+        // The largest id the node count allows, and as many partitions
+        // as nodes, are accepted.
+        assert_eq!(build(vec![0, 3, 0, 1], 4, 1).unwrap().num_classes, 4);
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //!   invocations, `RemapCache` hits/misses, … The full taxonomy lives
 //!   in [`counters`] and every counter is registered there, so a run
 //!   manifest can enumerate them all.
-//! - **span timers** ([`SpanTimer`]) with an injectable clock
-//!   ([`ClockMode`]): under [`ClockMode::Fixed`] every span records a
-//!   constant duration, so timer records stay bit-identical across
-//!   `FARE_RT_THREADS` settings and golden traces can include them.
+//! - **spans** ([`trace::span`]), the one timer: every closed span adds
+//!   to a per-name count and total, which become the manifest's
+//!   timers. The clock is injectable ([`ClockMode`]): under
+//!   [`ClockMode::Fixed`] every span lasts a constant duration, so
+//!   timer records stay bit-identical across `FARE_RT_THREADS` settings
+//!   and golden traces can include them.
 //! - a **per-epoch metrics sink** ([`record_epoch`]) the trainer feeds,
 //! - **hierarchical span tracing** ([`trace`]) behind `FARE_OBS=trace`:
-//!   nested begin/end events (train run → epoch → batch → {aggregate,
-//!   matmul, mvm, map_adjacency, remap_refresh}) in a bounded ring
-//!   buffer, exportable as a JSONL stream or a Chrome Trace Event
-//!   Format JSON (`chrome://tracing` / Perfetto),
+//!   the same spans also emit nested begin/end events (train run →
+//!   epoch → batch → {aggregate, matmul, mvm, map_adjacency, refresh})
+//!   into a bounded ring buffer, exportable as a JSONL stream or a
+//!   Chrome Trace Event Format JSON (`chrome://tracing` / Perfetto),
 //! - **spatial heatmaps** ([`heatmap`]): per-crossbar accumulators
 //!   (SA0/SA1 fault cells, mismatch cost, MVM traffic, modeled energy)
 //!   rolled up into [`HeatmapGrid`]s on the manifest,
@@ -48,7 +50,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use fare_rt::json::ToJson;
 
@@ -62,9 +63,10 @@ pub use heatmap::HeatmapGrid;
 // ---------------------------------------------------------------------------
 
 /// Telemetry mode: `Off` makes every recording call a no-op after one
-/// relaxed atomic load; `Json` records counters/timers/epochs/heatmaps
-/// so a [`RunManifest`] can be captured; `Trace` additionally records
-/// nested spans into the [`trace`] ring buffer.
+/// relaxed atomic load; `Json` records counters, span totals, epochs
+/// and heatmaps so a [`RunManifest`] can be captured; `Trace`
+/// additionally records span begin/end events into the [`trace`] ring
+/// buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     Off,
@@ -133,11 +135,11 @@ pub fn mode() -> Mode {
 // Clock injection
 // ---------------------------------------------------------------------------
 
-/// The clock behind every [`SpanTimer`].
+/// The clock behind every [`trace::span`].
 ///
 /// * `Wall` — real monotonic time (`std::time::Instant`); durations are
 ///   informative but not reproducible.
-/// * `Fixed(step_ns)` — every completed span records exactly `step_ns`
+/// * `Fixed(step_ns)` — every closed span lasts exactly `step_ns`
 ///   nanoseconds. Totals become `count × step_ns`: fully deterministic,
 ///   so golden traces can pin them. This is the **deterministic-clock
 ///   rule**: any test that compares manifests bitwise must install a
@@ -152,7 +154,7 @@ pub enum ClockMode {
 static CLOCK_KIND: AtomicU8 = AtomicU8::new(0);
 static CLOCK_STEP: AtomicU64 = AtomicU64::new(0);
 
-/// Install the clock used by all span timers.
+/// Install the clock used by all spans.
 pub fn set_clock(clock: ClockMode) {
     match clock {
         ClockMode::Wall => CLOCK_KIND.store(0, Ordering::Relaxed),
@@ -327,88 +329,6 @@ pub mod counters {
 }
 
 // ---------------------------------------------------------------------------
-// Span timers
-// ---------------------------------------------------------------------------
-
-/// A named span timer: counts completed spans and accumulates their
-/// duration under the installed [`ClockMode`]. Declare as a `static`
-/// in [`timers`] and register it in [`timers::all`].
-pub struct SpanTimer {
-    name: &'static str,
-    count: AtomicU64,
-    total_ns: AtomicU64,
-}
-
-impl SpanTimer {
-    pub const fn new(name: &'static str) -> Self {
-        SpanTimer {
-            name,
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Time `f` as one span. When telemetry is off this is just `f()`.
-    #[inline]
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        if !enabled() {
-            return f();
-        }
-        match clock() {
-            ClockMode::Fixed(step) => {
-                let out = f();
-                self.count.fetch_add(1, Ordering::Relaxed);
-                self.total_ns.fetch_add(step, Ordering::Relaxed);
-                out
-            }
-            ClockMode::Wall => {
-                let start = Instant::now();
-                let out = f();
-                let elapsed = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.count.fetch_add(1, Ordering::Relaxed);
-                self.total_ns.fetch_add(elapsed, Ordering::Relaxed);
-                out
-            }
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The span-timer registry; same registration rule as [`counters`].
-pub mod timers {
-    use super::SpanTimer;
-
-    /// One whole `Trainer::run` (partition → map → epochs → evaluate).
-    pub static CORE_TRAINER_RUN: SpanTimer = SpanTimer::new("core.trainer.run");
-    /// One full Algorithm-1 adjacency mapping.
-    pub static CORE_MAPPING_MAP: SpanTimer = SpanTimer::new("core.mapping.map_adjacency");
-    /// One incremental post-BIST row-permutation refresh.
-    pub static CORE_MAPPING_REFRESH: SpanTimer = SpanTimer::new("core.mapping.refresh");
-
-    /// Every timer, in manifest order.
-    pub fn all() -> &'static [&'static SpanTimer] {
-        static ALL: [&SpanTimer; 3] = [&CORE_TRAINER_RUN, &CORE_MAPPING_MAP, &CORE_MAPPING_REFRESH];
-        &ALL
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Per-epoch metrics sink
 // ---------------------------------------------------------------------------
 
@@ -451,15 +371,13 @@ pub fn epochs_recorded() -> Vec<EpochRecord> {
 // Reset
 // ---------------------------------------------------------------------------
 
-/// Zero every counter and timer, clear the epoch and heatmap sinks and
-/// the trace buffer (rewinding the trace timeline to t=0). Call at the
-/// start of a run whose manifest should describe that run alone.
+/// Zero every counter, clear the span totals, the epoch and heatmap
+/// sinks and the trace buffer (rewinding the trace timeline to t=0).
+/// Call at the start of a run whose manifest should describe that run
+/// alone.
 pub fn reset() {
     for c in counters::all() {
         c.reset();
-    }
-    for t in timers::all() {
-        t.reset();
     }
     EPOCH_SINK.lock().unwrap().clear();
     heatmap::reset();
@@ -478,7 +396,7 @@ pub struct CounterEntry {
 }
 fare_rt::json_struct!(CounterEntry { name, value });
 
-/// One span-timer total in a manifest.
+/// One span name's count and total duration in a manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimerEntry {
     pub name: String,
@@ -500,8 +418,8 @@ pub struct BenchEntry {
 fare_rt::json_struct!(BenchEntry { name, value });
 
 /// The primary correctness artifact of an instrumented run: seed,
-/// config (compact JSON string), every non-zero counter, every
-/// non-empty timer, the per-epoch metric curve, and optional bench
+/// config (compact JSON string), every non-zero counter, every span
+/// name closed during the run, the per-epoch metric curve, and optional bench
 /// numbers. Serialised losslessly via `fare-rt` JSON, so two manifests
 /// are bit-identical iff the runs behaved identically.
 ///
@@ -533,9 +451,9 @@ fare_rt::json_struct!(RunManifest {
 impl RunManifest {
     /// Snapshot the current telemetry state into a manifest.
     ///
-    /// Only non-zero counters and non-empty timers are included — the
+    /// Only non-zero counters and spans that closed are included — the
     /// rule that lets new counters be added without perturbing golden
-    /// traces of runs that never hit them.
+    /// traces of runs that never hit them. Timers are sorted by name.
     pub fn capture(run: &str, seed: u64, config: &impl ToJson) -> RunManifest {
         let config = fare_rt::json::to_string(config).unwrap_or_else(|_| "null".into());
         RunManifest {
@@ -550,15 +468,7 @@ impl RunManifest {
                     value: c.get(),
                 })
                 .collect(),
-            timers: timers::all()
-                .iter()
-                .filter(|t| t.count() > 0)
-                .map(|t| TimerEntry {
-                    name: t.name().to_string(),
-                    count: t.count(),
-                    total_ns: t.total_ns(),
-                })
-                .collect(),
+            timers: trace::timers(),
             epochs: epochs_recorded(),
             heatmaps: heatmap::recorded(),
             bench: Vec::new(),
@@ -641,8 +551,8 @@ impl RunManifest {
 // ---------------------------------------------------------------------------
 
 /// Serialises every unit test in this crate that touches the
-/// process-global state: mode, clock, counters, timers, sinks and the
-/// trace ring. One lock for the whole crate, so a test in one module
+/// process-global state: mode, clock, counters, span totals, sinks and
+/// the trace ring. One lock for the whole crate, so a test in one module
 /// cannot interleave with another module's `set_mode`/`reset`.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -668,20 +578,62 @@ mod tests {
         reset();
     }
 
+    fn timer(name: &str, count: u64, total_ns: u64) -> TimerEntry {
+        TimerEntry {
+            name: name.to_string(),
+            count,
+            total_ns,
+        }
+    }
+
     #[test]
-    fn fixed_clock_makes_timers_deterministic() {
+    fn spans_closed_on_pool_threads_total_exactly() {
+        const THREADS: usize = 4;
         let _g = test_lock();
         set_mode(Mode::Json);
         set_clock(ClockMode::Fixed(250));
         reset();
-        for _ in 0..4 {
-            timers::CORE_TRAINER_RUN.time(|| std::hint::black_box(1 + 1));
-        }
-        assert_eq!(timers::CORE_TRAINER_RUN.count(), 4);
-        assert_eq!(timers::CORE_TRAINER_RUN.total_ns(), 1000);
+        // One item per worker; the barrier holds every worker inside its
+        // outer span until all of them are, so the inner spans close on
+        // all threads at once.
+        let barrier = std::sync::Barrier::new(THREADS);
+        fare_rt::par::set_threads(THREADS);
+        fare_rt::par::scoped_map_init(
+            (0..THREADS).collect(),
+            || (),
+            |_, _| {
+                let _outer = trace::span("core.trainer.run");
+                barrier.wait();
+                for j in 0..1000 {
+                    let _inner = trace::span_arg("core.mapping.refresh", j);
+                }
+            },
+        );
+        fare_rt::par::set_threads(0);
+        let timers = RunManifest::capture("unit", 0, &0u32).timers;
         set_clock(ClockMode::Wall);
         set_mode(Mode::Off);
         reset();
+        assert_eq!(
+            timers,
+            vec![
+                timer("core.mapping.refresh", 4000, 4000 * 250),
+                timer("core.trainer.run", 4, 4 * 250),
+            ]
+        );
+    }
+
+    #[test]
+    fn spans_record_nothing_when_off() {
+        let _g = test_lock();
+        set_mode(Mode::Off);
+        reset();
+        {
+            let _s = trace::span("core.trainer.run");
+            let _t = trace::span_arg("core.trainer.epoch", 0);
+        }
+        assert!(RunManifest::capture("unit", 0, &0u32).timers.is_empty());
+        assert_eq!(trace::buffered(), 0);
     }
 
     #[test]
@@ -708,10 +660,6 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for c in counters::all() {
             assert!(seen.insert(c.name()), "duplicate counter {}", c.name());
-        }
-        let mut seen = std::collections::HashSet::new();
-        for t in timers::all() {
-            assert!(seen.insert(t.name()), "duplicate timer {}", t.name());
         }
     }
 }

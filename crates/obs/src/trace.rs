@@ -1,11 +1,14 @@
-//! Hierarchical span tracing behind `FARE_OBS=trace`.
+//! Spans: the one way to time host code.
 //!
-//! Instrumented code opens nested spans ([`span`]/[`span_arg`]); each
-//! span pushes a begin event when created and an end event when
-//! dropped, into a bounded global ring buffer (oldest events are
-//! dropped first, with a drop count kept, so tracing can never grow
-//! without bound). The recorded stream can be drained with [`take`]
-//! and exported two ways:
+//! Instrumented code opens nested spans ([`span`]/[`span_arg`]). Under
+//! `FARE_OBS=json|trace` every span, when dropped, adds one to a
+//! per-name count and its duration to a per-name total; those totals
+//! are the `timers` of a [`RunManifest`](crate::RunManifest). Under
+//! `FARE_OBS=trace` each span also pushes a begin event when created
+//! and an end event when dropped, into a bounded global ring buffer
+//! (oldest events are dropped first, with a drop count kept, so tracing
+//! can never grow without bound). The recorded stream can be drained
+//! with [`take`] and exported two ways:
 //!
 //! - [`TraceLog::to_jsonl`] — one JSON object per line, preceded by a
 //!   meta header line; lossless round trip via [`TraceLog::from_jsonl`].
@@ -14,28 +17,31 @@
 //!
 //! ## Timestamps and determinism
 //!
-//! Timestamps come from the installed [`ClockMode`](crate::ClockMode):
+//! Timestamps and span durations come from the installed
+//! [`ClockMode`](crate::ClockMode):
 //!
-//! * `Wall` — nanoseconds since the first event of the process; real
-//!   profile, not reproducible.
-//! * `Fixed(step_ns)` — a global event-sequence counter times
-//!   `step_ns`: every begin/end event gets the next tick, so the trace
-//!   is strictly ordered and **fully deterministic**. Because spans are
+//! * `Wall` — nanoseconds since the first event of the process, and
+//!   real elapsed time per span; a real profile, not reproducible.
+//! * `Fixed(step_ns)` — every span lasts exactly `step_ns`, so a name's
+//!   total is its count times `step_ns`. A global event-sequence
+//!   counter times `step_ns` stamps the events: every begin/end event
+//!   gets the next tick, so the trace is strictly ordered and **fully
+//!   deterministic**. Because spans are
 //!   only emitted on logical event paths (never inside `fare-rt`
 //!   worker closures — same rule as counters), the byte stream is
 //!   identical at any `FARE_RT_THREADS`, which is what
 //!   `tests/trace_golden.rs` pins.
 //!
-//! The event sequence (and the wall epoch) rewind on
+//! The span totals, the event sequence and the wall epoch all rewind on
 //! [`reset`](crate::reset), so every instrumented run starts its
 //! timeline at t = 0.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use crate::ClockMode;
+use crate::{ClockMode, TimerEntry};
 
 /// Begin/end phase of a [`TraceEvent`] (Chrome trace `ph` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,14 +123,38 @@ pub fn set_capacity(capacity: usize) {
     }
 }
 
-/// Clear the buffer and rewind the timeline (called by
-/// [`crate::reset`]).
+/// Per-name span count and total duration in ns, in name order.
+static TOTALS: Mutex<BTreeMap<&'static str, (u64, u64)>> = Mutex::new(BTreeMap::new());
+
+/// Locks [`TOTALS`]. A span drops while its thread may be unwinding, so
+/// a poisoned lock is recovered: every update is a single insert or
+/// addition, which leaves the table valid.
+fn totals() -> MutexGuard<'static, BTreeMap<&'static str, (u64, u64)>> {
+    TOTALS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Clear the span totals and the buffer and rewind the timeline (called
+/// by [`crate::reset`]).
 pub(crate) fn reset() {
+    totals().clear();
     let mut ring = RING.lock().unwrap();
     ring.events.clear();
     ring.dropped = 0;
     SEQ.store(0, Ordering::Relaxed);
     *WALL_EPOCH.lock().unwrap() = None;
+}
+
+/// Every span name closed since the last reset, with its count and
+/// total duration, sorted by name.
+pub(crate) fn timers() -> Vec<TimerEntry> {
+    totals()
+        .iter()
+        .map(|(&name, &(count, total_ns))| TimerEntry {
+            name: name.to_string(),
+            count,
+            total_ns,
+        })
+        .collect()
 }
 
 fn next_ts() -> u64 {
@@ -149,19 +179,32 @@ fn emit(name: &str, ph: Phase, track: u64, arg: Option<u64>) {
     RING.lock().unwrap().push(ev);
 }
 
-/// RAII guard for one traced span: emits the begin event on creation
-/// and the matching end event on drop. Inert when `FARE_OBS != trace`.
+/// RAII guard for one span. When dropped under `FARE_OBS=json|trace`
+/// it adds its duration to its name's total; under `FARE_OBS=trace` it
+/// also emits the begin event on creation and the end event on drop.
+/// Inert when telemetry is off.
 #[must_use = "a span ends when dropped; binding to _ ends it immediately"]
 pub struct Span {
     name: &'static str,
-    armed: bool,
+    /// Wall-clock start; `None` when telemetry was off at creation.
+    start: Option<Instant>,
+    traced: bool,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.armed {
+        let Some(start) = self.start else { return };
+        let ns = match crate::clock() {
+            ClockMode::Fixed(step) => step,
+            ClockMode::Wall => start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+        };
+        if self.traced {
             emit(self.name, Phase::E, 0, None);
         }
+        let mut totals = totals();
+        let (count, total_ns) = totals.entry(self.name).or_insert((0, 0));
+        *count += 1;
+        *total_ns = total_ns.saturating_add(ns);
     }
 }
 
@@ -170,22 +213,34 @@ impl Drop for Span {
 /// rule as counters, and what keeps traces thread-invariant.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    if !crate::trace_enabled() {
-        return Span { name, armed: false };
-    }
-    emit(name, Phase::B, 0, None);
-    Span { name, armed: true }
+    open(name, None)
 }
 
 /// [`span`] with an argument on the begin event (epoch index, batch
 /// index, …), surfaced under `args` in the Chrome export.
 #[inline]
 pub fn span_arg(name: &'static str, arg: u64) -> Span {
-    if !crate::trace_enabled() {
-        return Span { name, armed: false };
+    open(name, Some(arg))
+}
+
+#[inline]
+fn open(name: &'static str, arg: Option<u64>) -> Span {
+    if !crate::enabled() {
+        return Span {
+            name,
+            start: None,
+            traced: false,
+        };
     }
-    emit(name, Phase::B, 0, Some(arg));
-    Span { name, armed: true }
+    let traced = crate::trace_enabled();
+    if traced {
+        emit(name, Phase::B, 0, arg);
+    }
+    Span {
+        name,
+        start: Some(Instant::now()),
+        traced,
+    }
 }
 
 /// A drained trace: the event stream plus the clock step it was

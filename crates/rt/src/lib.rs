@@ -10,7 +10,6 @@
 //! | [`par`]         | `rayon`      | persistent worker pool: `scoped_map_init` order-preserving map + `par_row_chunks` row partitioning |
 //! | [`json`]        | `serde` + `serde_json` | [`json::Json`] value, parser, serializer, `ToJson`/`FromJson` + impl macros |
 //! | [`prop`]        | `proptest`   | seeded, shrink-free `proptest!` macro + `Strategy` combinators |
-//! | [`bench`]       | `criterion`  | `std::time`-based `criterion_group!`/`criterion_main!` harness |
 //!
 //! Everything is seeded and deterministic: two runs with the same seed
 //! (and any thread count) produce bit-identical results, which is what
@@ -23,7 +22,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod par;
 pub mod prop;

@@ -206,26 +206,19 @@ impl<T: SampleUniform> SampleRange<T> for RangeInclusive<T> {
 pub struct Uniform<T> {
     lo: T,
     hi: T,
-    inclusive: bool,
 }
 
 impl<T: SampleUniform> Uniform<T> {
     /// Uniform over `[lo, hi)`.
     pub fn new(lo: T, hi: T) -> Self {
         assert!(lo < hi, "cannot sample empty range");
-        Self { lo, hi, inclusive: false }
-    }
-
-    /// Uniform over `[lo, hi]`.
-    pub fn new_inclusive(lo: T, hi: T) -> Self {
-        assert!(lo <= hi, "cannot sample empty range");
-        Self { lo, hi, inclusive: true }
+        Self { lo, hi }
     }
 }
 
 impl<T: SampleUniform> Distribution<T> for Uniform<T> {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T {
-        T::sample_between(rng, self.lo, self.hi, self.inclusive)
+        T::sample_between(rng, self.lo, self.hi, false)
     }
 }
 

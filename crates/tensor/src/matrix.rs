@@ -166,11 +166,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the backing row-major vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics

@@ -38,16 +38,6 @@ pub fn elu_grad(m: &Matrix) -> Matrix {
     m.map(|v| if v > 0.0 { 1.0 } else { v.exp() })
 }
 
-/// Leaky ReLU with slope `alpha` on the negative side.
-pub fn leaky_relu(m: &Matrix, alpha: f32) -> Matrix {
-    m.map(|v| if v > 0.0 { v } else { alpha * v })
-}
-
-/// Derivative of [`leaky_relu`] evaluated at the pre-activation `m`.
-pub fn leaky_relu_grad(m: &Matrix, alpha: f32) -> Matrix {
-    m.map(|v| if v > 0.0 { 1.0 } else { alpha })
-}
-
 /// Numerically stable row-wise softmax.
 ///
 /// Each row is shifted by its max before exponentiation so large logits

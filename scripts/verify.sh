@@ -26,8 +26,19 @@ else
     echo "    (skipped: --quick)"
 fi
 
-echo "==> offline debug build (all targets: tests, benches, examples)"
-cargo build --offline --workspace --all-targets
+echo "==> offline debug build (all targets: libraries, binaries, tests, examples), warning-free"
+# Any compiler warning fails the gate: a deletion that orphans an
+# import or a helper shows up here. Cargo replays cached warnings, so
+# an incremental build reports them too.
+BUILD_OUT="$(cargo build --offline --workspace --all-targets 2>&1)" || {
+    echo "$BUILD_OUT" >&2
+    exit 1
+}
+echo "$BUILD_OUT"
+if grep -q '^warning' <<< "$BUILD_OUT"; then
+    echo "the all-targets debug build printed compiler warnings" >&2
+    exit 1
+fi
 
 echo "==> benchmark package build"
 # perfbench is a stand-alone package outside the workspace that drives

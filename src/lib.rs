@@ -17,8 +17,8 @@
 //!   pluggable (ideal vs faulty) matrix–vector backend,
 //! - [`core`] — the FARe mapping algorithm (Algorithm 1), weight
 //!   clipping, the baselines and the experiment runners,
-//! - [`obs`] — the telemetry layer: named monotonic counters, span
-//!   timers, hierarchical span tracing with Chrome-trace export,
+//! - [`obs`] — the telemetry layer: named monotonic counters, spans
+//!   (timed per name, and traced with Chrome-trace export),
 //!   per-epoch metric sinks, per-crossbar heatmaps and
 //!   [`obs::RunManifest`] run manifests (enable with
 //!   `FARE_OBS=trace|json` or `obs::set_mode`),

@@ -4,8 +4,8 @@
 //! post-deployment faults, so the fast paths (packed fault kernels,
 //! `RemapCache`, incremental refresh) are all exercised — captured as a
 //! [`fare::obs::RunManifest`]: the per-epoch loss/accuracy curve, every
-//! non-zero telemetry counter and the per-crossbar heatmap rollup,
-//! serialised to lossless JSON and compared **byte for byte** against a
+//! non-zero telemetry counter, the count and fixed-clock total of every
+//! span name and the per-crossbar heatmap rollup, serialised to lossless JSON and compared **byte for byte** against a
 //! committed snapshot.
 //!
 //! "Did the fast path change behaviour?" is now a single diffable test:

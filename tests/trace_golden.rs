@@ -14,7 +14,9 @@
 //!   timestamps) and the Chrome export parses as JSON,
 //! - the trace-mode manifest equals the json-mode manifest, so the
 //!   `fare-report run-golden` → `diff` verify.sh gate compares apples
-//!   to apples.
+//!   to apples,
+//! - the manifest's timers are the span table: one timer per traced
+//!   span name, counting exactly its begin events.
 //!
 //! Regenerate the digest after an intentional behaviour change with:
 //!
@@ -135,4 +137,37 @@ fn trace_mode_manifest_equals_json_mode_manifest() {
         trace_mode.to_json_pretty(),
         "recording spans changed the counter/timer/epoch/heatmap record"
     );
+}
+
+/// Spans are the only timer: every manifest timer of the golden run
+/// counts exactly the begin events of its name in the committed digest,
+/// and every traced span name has a timer.
+#[test]
+fn manifest_timers_count_the_digest_spans() {
+    let _g = lock();
+    let manifest = fare::golden::capture_manifest();
+    let committed: TraceDigest =
+        fare_rt::json::from_str(DIGEST_SNAPSHOT).expect("committed digest parses");
+    let timers: Vec<(&str, u64)> = manifest
+        .timers
+        .iter()
+        .map(|t| (t.name.as_str(), t.count))
+        .collect();
+    let spans: Vec<(&str, u64)> = committed
+        .span_counts
+        .iter()
+        .map(|s| (s.name.as_str(), s.begins))
+        .collect();
+    assert_eq!(
+        timers, spans,
+        "manifest timers disagree with the traced spans"
+    );
+    for t in &manifest.timers {
+        assert_eq!(
+            t.total_ns,
+            t.count * fare::golden::CLOCK_STEP_NS,
+            "{} is not timed by the fixed clock",
+            t.name
+        );
+    }
 }
