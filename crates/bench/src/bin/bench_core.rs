@@ -3,7 +3,9 @@
 //! It times one GCN forward+backward through the real [`fare_gnn::Gnn`]
 //! on a [`fare_graph::GraphView`] built once per graph, the sparse GCN
 //! aggregation `Â · X` that step runs twice, and the batched crossbar
-//! matmul through a faulty weight fabric.
+//! matmul through a faulty weight fabric. One more entry times a GAT
+//! forward+backward at the scale the trainer runs: the first Cluster-GCN
+//! mini-batch of the Amazon2M preset, where every product is tiny.
 //!
 //! ```text
 //! cargo run --release -p fare-bench --bin bench_core -- \
@@ -19,7 +21,9 @@
 use fare_bench::{string_flag, time_ns};
 use fare_obs::RunManifest;
 use fare_gnn::{Gnn, GnnDims, IdealReader};
-use fare_graph::datasets::ModelKind;
+use fare_graph::batch::make_batches;
+use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
+use fare_graph::partition::partition;
 use fare_graph::{CsrGraph, GraphView};
 use fare_reram::mvm::crossbar_matmul;
 use fare_reram::weights::WeightFabric;
@@ -46,7 +50,7 @@ fn random_graph(n: usize, avg_degree: usize, seed: u64) -> CsrGraph {
 }
 
 /// One forward+backward through the real model on the cached view.
-fn gcn_step(model: &Gnn, view: &GraphView, x: &Matrix, labels: &[usize]) -> f32 {
+fn fwd_bwd(model: &Gnn, view: &GraphView, x: &Matrix, labels: &[usize]) -> f32 {
     let (logits, cache) = model.forward(view, x, &IdealReader);
     let (loss, grad_logits) = ops::cross_entropy_with_grad(&logits, labels);
     let _grads = model.backward(view, &cache, &grad_logits);
@@ -83,7 +87,7 @@ fn main() {
 
     eprintln!("timing gcn step ({} iters)...", iters * 10);
     let step_ns = time_ns(iters * 10, || {
-        std::hint::black_box(gcn_step(&model, &view, &x, &labels));
+        std::hint::black_box(fwd_bwd(&model, &view, &x, &labels));
     });
     let agg_ns = time_ns(iters * 10, || {
         std::hint::black_box(view.gcn_norm().spmm(&x));
@@ -102,10 +106,42 @@ fn main() {
         std::hint::black_box(crossbar_matmul(&fabric, &w, &input));
     });
 
-    let rows: [(&str, &str, f64); 3] = [
+    // GAT at mini-batch scale: the first batch the trainer draws for
+    // Amazon2M at seed 41 (partition and batches from the trainer's RNG
+    // domain), on the preset's 24 → 16 → classes model.
+    let dataset = Dataset::generate(DatasetKind::Amazon2M, 41);
+    let mut brng = fare_rt::domain_rng(41, "trainer");
+    let parts = partition(&dataset.graph, dataset.spec.partitions, &mut brng);
+    let batch = make_batches(&dataset.graph, &parts, dataset.spec.clusters_per_batch, &mut brng)
+        .swap_remove(0);
+    let batch_dims = GnnDims {
+        input: dataset.spec.feature_dim,
+        hidden: 16,
+        output: dataset.num_classes,
+    };
+    let gat = Gnn::new(ModelKind::Gat, batch_dims, &mut brng);
+    let batch_view = GraphView::from_graph(&batch.graph);
+    let batch_x = batch.gather_features(&dataset.features);
+    let batch_labels = batch.gather_labels(&dataset.labels);
+    let batch_size = format!(
+        "n={},e={},{}->{}->{}",
+        batch.num_nodes(),
+        batch.graph.num_edges(),
+        batch_dims.input,
+        batch_dims.hidden,
+        batch_dims.output
+    );
+    // A step takes microseconds in a release build; a smoke run (debug
+    // build in verify.sh) only needs it to run.
+    let gat_ns = time_ns(iters * if smoke { 10 } else { 1000 }, || {
+        std::hint::black_box(fwd_bwd(&gat, &batch_view, &batch_x, &batch_labels));
+    });
+
+    let rows: [(&str, &str, f64); 4] = [
         ("gcn_fwd_bwd_csr", &size, step_ns),
         ("gcn_aggregate_csr", &size, agg_ns),
         ("crossbar_matmul_batched", &xb_size, xb_ns),
+        ("gat_fwd_bwd_batch", &batch_size, gat_ns),
     ];
     let mut manifest = RunManifest::capture("bench_core", 7, &format!("{size};{xb_size}"))
         .with_bench("threads", threads as f64);
