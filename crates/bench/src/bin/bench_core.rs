@@ -112,8 +112,13 @@ fn main() {
     let dataset = Dataset::generate(DatasetKind::Amazon2M, 41);
     let mut brng = fare_rt::domain_rng(41, "trainer");
     let parts = partition(&dataset.graph, dataset.spec.partitions, &mut brng);
-    let batch = make_batches(&dataset.graph, &parts, dataset.spec.clusters_per_batch, &mut brng)
-        .swap_remove(0);
+    let batch = make_batches(
+        &dataset.graph,
+        &parts,
+        dataset.spec.clusters_per_batch,
+        &mut brng,
+    )
+    .swap_remove(0);
     let batch_dims = GnnDims {
         input: dataset.spec.feature_dim,
         hidden: 16,

@@ -20,6 +20,8 @@
 //! Faults are an overlay: the ideal hardware skips every fault step and
 //! so draws nothing for them.
 
+use std::collections::BTreeMap;
+
 use fare_gnn::{Adam, Gnn, GnnDims, IdealReader, WeightReader};
 use fare_graph::batch::{make_batches, MiniBatch};
 use fare_graph::datasets::Dataset;
@@ -237,7 +239,8 @@ pub(crate) fn train<T: Task, H: Hardware>(
         }
         hardware.age(epoch, &model, &mut batches, &mut rng);
         let loss = epoch_loss / batches.len() as f64;
-        history.push(task.evaluate(epoch, loss, &model, hardware.reader(), &batches));
+        let weights = ReadOnce::new(&model, hardware.reader());
+        history.push(task.evaluate(epoch, loss, &model, &weights, &batches));
         fare_obs::counters::CORE_TRAINER_EPOCHS.incr();
     }
     Trained {
@@ -245,6 +248,36 @@ pub(crate) fn train<T: Task, H: Hardware>(
         hardware,
         batches,
         history,
+    }
+}
+
+/// Every parameter of a model as a reader returns it, read once.
+///
+/// The evaluation runs one forward pass per batch with unchanged master
+/// weights and an unchanged fabric. A read depends on nothing else, so
+/// reading each parameter once and handing out copies gives every pass
+/// the same inputs as reading through the fabric each time.
+struct ReadOnce(BTreeMap<(usize, usize), Matrix>);
+
+impl ReadOnce {
+    fn new(model: &Gnn, reader: &impl WeightReader) -> Self {
+        let reads = model
+            .param_shapes()
+            .into_iter()
+            .map(|p| {
+                let read = reader.read(p.layer, p.param, model.param(p.layer, p.param));
+                ((p.layer, p.param), read)
+            })
+            .collect();
+        Self(reads)
+    }
+}
+
+impl WeightReader for ReadOnce {
+    /// The snapshot of `(layer, param)`; `value` must be the master
+    /// weights it was read from.
+    fn read(&self, layer: usize, param: usize, _value: &Matrix) -> Matrix {
+        self.0[&(layer, param)].clone()
     }
 }
 
@@ -520,4 +553,44 @@ fn crossbar_heatmap<D>(
         }
     }
     grid
+}
+
+#[cfg(test)]
+mod tests {
+    use fare_graph::datasets::{DatasetKind, ModelKind};
+
+    use super::*;
+
+    #[test]
+    fn evaluation_through_the_snapshot_equals_reading_through_the_fabric() {
+        let dataset = Dataset::generate(DatasetKind::Ppi, 5);
+        let prepared = prepare(&dataset, 5, "trainer");
+        let mut rng = prepared.rng.clone();
+        let dims = GnnDims {
+            input: dataset.spec.feature_dim,
+            hidden: 16,
+            output: dataset.num_classes,
+        };
+        for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat] {
+            let model = Gnn::with_depth(kind, dims, 3, &mut rng);
+            let mut reader = FaultyWeightReader::for_model(&model, 16);
+            reader.inject(&FaultSpec::density(0.2), &mut rng);
+            reader.inject_variation(&VariationSpec::new(0.1), &mut rng);
+            reader.set_clip(Some(0.05));
+            let snapshot = ReadOnce::new(&model, &reader);
+            assert_ne!(
+                snapshot.0[&(0, 0)],
+                *model.param(0, 0),
+                "the fabric corrupts reads"
+            );
+            for batch in &prepared.minibatches {
+                let view = GraphView::from_graph(&batch.graph);
+                let features = batch.gather_features(&dataset.features);
+                let (direct, _) = model.forward(&view, &features, &reader);
+                let (snapped, _) = model.forward(&view, &features, &snapshot);
+                let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&direct), bits(&snapped), "{kind}");
+            }
+        }
+    }
 }

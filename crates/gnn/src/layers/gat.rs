@@ -1,4 +1,7 @@
+use std::borrow::Cow;
+
 use fare_graph::GraphView;
+use fare_tensor::kernel::accumulate_row;
 use fare_tensor::{init, ops, Matrix};
 use fare_rt::rand::Rng;
 
@@ -136,12 +139,9 @@ impl GatLayer {
             pre_activation.as_mut_slice(),
             transformed.cols(),
             |i, out_row| {
-                for k in offsets[i]..offsets[i + 1] {
-                    let a = attention[k];
-                    for (o, &z) in out_row.iter_mut().zip(transformed.row(cols[k])) {
-                        *o += a * z;
-                    }
-                }
+                let edges = offsets[i]..offsets[i + 1];
+                let terms = attention[edges.clone()].iter().zip(&cols[edges]);
+                accumulate_row(out_row, terms.map(|(&a, &j)| (a, transformed.row(j))));
             },
         );
         let out = if output_layer {
@@ -180,6 +180,19 @@ impl GatLayer {
         cache: &GatCache,
         grad_output: &Matrix,
     ) -> (Vec<Matrix>, Matrix) {
+        let (grads, grad_input) = self.backward_with(view, cache, grad_output, true);
+        (grads, grad_input.expect("input gradient was requested"))
+    }
+
+    /// [`GatLayer::backward`], building the input gradient `dZ·Wᵀ` only
+    /// when `input_grad` is set.
+    pub(crate) fn backward_with(
+        &self,
+        view: &GraphView,
+        cache: &GatCache,
+        grad_output: &Matrix,
+        input_grad: bool,
+    ) -> (Vec<Matrix>, Option<Matrix>) {
         let _span = fare_obs::trace::span("gnn.attention");
         let pattern = view.attention_pattern();
         let (offsets, cols) = (pattern.offsets(), pattern.indices());
@@ -191,9 +204,9 @@ impl GatLayer {
         let attention = &cache.attention;
         let (n, d) = cache.transformed.shape();
         let grad_p = if cache.output_layer {
-            grad_output.clone()
+            Cow::Borrowed(grad_output)
         } else {
-            grad_output.hadamard(&ops::elu_grad(&cache.pre_activation))
+            Cow::Owned(grad_output.hadamard(&ops::elu_grad(&cache.pre_activation)))
         };
 
         // Per row: dS_ij = dP_i·z_j (P = S·Z, the `matmul_t` dot), the
@@ -249,7 +262,7 @@ impl GatLayer {
 
         // Z = H·W.
         let grad_w = cache.input.t_matmul(&grad_z);
-        let grad_input = grad_z.matmul_t(&cache.weight_read);
+        let grad_input = input_grad.then(|| grad_z.matmul_t(&cache.weight_read));
         (vec![grad_w, grad_attn_src, grad_attn_dst], grad_input)
     }
 }

@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use fare_graph::GraphView;
 use fare_tensor::{init, ops, Matrix};
 use fare_rt::rand::Rng;
@@ -103,20 +105,33 @@ impl GcnLayer {
         cache: &GcnCache,
         grad_output: &Matrix,
     ) -> (Vec<Matrix>, Matrix) {
+        let (grads, grad_input) = self.backward_with(view, cache, grad_output, true);
+        (grads, grad_input.expect("input gradient was requested"))
+    }
+
+    /// [`GcnLayer::backward`], building the input gradient `Â·dZ·Wᵀ` only
+    /// when `input_grad` is set.
+    pub(crate) fn backward_with(
+        &self,
+        view: &GraphView,
+        cache: &GcnCache,
+        grad_output: &Matrix,
+        input_grad: bool,
+    ) -> (Vec<Matrix>, Option<Matrix>) {
         let grad_z = if cache.output_layer {
-            grad_output.clone()
+            Cow::Borrowed(grad_output)
         } else {
-            grad_output.hadamard(&ops::relu_grad(&cache.pre_activation))
+            Cow::Owned(grad_output.hadamard(&ops::relu_grad(&cache.pre_activation)))
         };
         let grad_w = {
             let _s = fare_obs::trace::span("gnn.matmul");
             cache.aggregated.t_matmul(&grad_z)
         };
         // Â is symmetric, so Âᵀ = Â.
-        let grad_input = {
+        let grad_input = input_grad.then(|| {
             let _s = fare_obs::trace::span("gnn.aggregate");
             view.gcn_norm().spmm(&grad_z.matmul_t(&cache.weight_read))
-        };
+        });
         (vec![grad_w], grad_input)
     }
 }

@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use fare_graph::GraphView;
 use fare_tensor::{init, ops, Matrix};
 use fare_rt::rand::Rng;
@@ -117,21 +119,34 @@ impl SageLayer {
         cache: &SageCache,
         grad_output: &Matrix,
     ) -> (Vec<Matrix>, Matrix) {
+        let (grads, grad_input) = self.backward_with(view, cache, grad_output, true);
+        (grads, grad_input.expect("input gradient was requested"))
+    }
+
+    /// [`SageLayer::backward`], building the input gradient only when
+    /// `input_grad` is set.
+    pub(crate) fn backward_with(
+        &self,
+        view: &GraphView,
+        cache: &SageCache,
+        grad_output: &Matrix,
+        input_grad: bool,
+    ) -> (Vec<Matrix>, Option<Matrix>) {
         let grad_z = if cache.output_layer {
-            grad_output.clone()
+            Cow::Borrowed(grad_output)
         } else {
-            grad_output.hadamard(&ops::relu_grad(&cache.pre_activation))
+            Cow::Owned(grad_output.hadamard(&ops::relu_grad(&cache.pre_activation)))
         };
         let (grad_w_self, grad_w_neigh) = {
             let _s = fare_obs::trace::span("gnn.matmul");
             (cache.input.t_matmul(&grad_z), cache.aggregated.t_matmul(&grad_z))
         };
         // dX = dZ Wsᵀ + Āᵀ (dZ Wnᵀ). Ā is not symmetric.
-        let grad_input = {
+        let grad_input = input_grad.then(|| {
             let _s = fare_obs::trace::span("gnn.aggregate");
             &grad_z.matmul_t(&cache.w_self_read)
                 + &view.mean_norm_t().spmm(&grad_z.matmul_t(&cache.w_neigh_read))
-        };
+        });
         (vec![grad_w_self, grad_w_neigh], grad_input)
     }
 }

@@ -17,6 +17,12 @@
 //! normalised propagation matrices once per graph and the layers
 //! aggregate with sparse kernels.
 //!
+//! [`Gnn::backward`] returns only parameter gradients, so its first
+//! layer skips the gradient w.r.t. the input features: GCN saves a
+//! `matmul_t` and an aggregation, SAGE two `matmul_t`, an aggregation
+//! and an add, GAT one `matmul_t`. Each layer's public `backward` still
+//! returns its input gradient.
+//!
 //! # Example
 //!
 //! ```

@@ -279,33 +279,40 @@ impl Gnn {
         );
         fare_obs::counters::GNN_FORWARD_CALLS.incr();
         let _span = fare_obs::trace::span("gnn.forward");
-        let mut h = features.clone();
+        let mut h: Option<Matrix> = None;
         let mut caches = Vec::with_capacity(self.layers.len());
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
             let output_layer = li == last;
+            let input = h.as_ref().unwrap_or(features);
             let (next, cache) = match layer {
                 Layer::Gcn(l) => {
-                    let (o, c) = l.forward(view, &h, reader, li, output_layer);
+                    let (o, c) = l.forward(view, input, reader, li, output_layer);
                     (o, LayerCache::Gcn(c))
                 }
                 Layer::Sage(l) => {
-                    let (o, c) = l.forward(view, &h, reader, li, output_layer);
+                    let (o, c) = l.forward(view, input, reader, li, output_layer);
                     (o, LayerCache::Sage(c))
                 }
                 Layer::Gat(l) => {
-                    let (o, c) = l.forward(view, &h, reader, li, output_layer);
+                    let (o, c) = l.forward(view, input, reader, li, output_layer);
                     (o, LayerCache::Gat(c))
                 }
             };
-            h = next;
+            h = Some(next);
             caches.push(cache);
         }
-        (h, ForwardCache { caches })
+        (
+            h.expect("a model has at least two layers"),
+            ForwardCache { caches },
+        )
     }
 
     /// Backward pass from the loss gradient w.r.t. the logits. `view`
     /// must be the one the forward pass ran with.
+    ///
+    /// Only parameter gradients are returned, so the first layer skips
+    /// its input gradient (the gradient w.r.t. the features).
     ///
     /// # Panics
     ///
@@ -315,12 +322,14 @@ impl Gnn {
         fare_obs::counters::GNN_BACKWARD_CALLS.incr();
         let _span = fare_obs::trace::span("gnn.backward");
         let mut per_layer = vec![Vec::new(); self.layers.len()];
-        let mut grad = grad_logits.clone();
+        let mut grad: Option<Matrix> = None;
         for li in (0..self.layers.len()).rev() {
+            let g = grad.as_ref().unwrap_or(grad_logits);
+            let input_grad = li > 0;
             let (grads, grad_in) = match (&self.layers[li], &cache.caches[li]) {
-                (Layer::Gcn(l), LayerCache::Gcn(c)) => l.backward(view, c, &grad),
-                (Layer::Sage(l), LayerCache::Sage(c)) => l.backward(view, c, &grad),
-                (Layer::Gat(l), LayerCache::Gat(c)) => l.backward(view, c, &grad),
+                (Layer::Gcn(l), LayerCache::Gcn(c)) => l.backward_with(view, c, g, input_grad),
+                (Layer::Sage(l), LayerCache::Sage(c)) => l.backward_with(view, c, g, input_grad),
+                (Layer::Gat(l), LayerCache::Gat(c)) => l.backward_with(view, c, g, input_grad),
                 _ => unreachable!("cache/layer kind mismatch"),
             };
             per_layer[li] = grads;
@@ -459,6 +468,44 @@ mod tests {
                 final_loss < initial_loss * 0.8,
                 "{kind}: {initial_loss} -> {final_loss}"
             );
+        }
+    }
+
+    #[test]
+    fn backward_equals_the_chain_of_public_layer_backwards() {
+        // `Gnn::backward` skips the first layer's input gradient; every
+        // parameter gradient must still be the one the public per-layer
+        // passes produce when chained by hand.
+        let adj = ring_adj(7);
+        let mut rng = StdRng::seed_from_u64(13);
+        let x = init::normal(7, 4, 1.0, &mut rng);
+        let labels = [0, 1, 2, 0, 1, 2, 0];
+        let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat] {
+            for depth in 2..=4 {
+                let model = Gnn::with_depth(kind, dims(), depth, &mut rng);
+                let (logits, cache) = model.forward(&adj, &x, &IdealReader);
+                let (_, grad_logits) = ops::cross_entropy_with_grad(&logits, &labels);
+                let grads = model.backward(&adj, &cache, &grad_logits);
+
+                let mut grad = grad_logits;
+                for li in (0..depth).rev() {
+                    let (layer_grads, grad_in) = match (&model.layers[li], &cache.caches[li]) {
+                        (Layer::Gcn(l), LayerCache::Gcn(c)) => l.backward(&adj, c, &grad),
+                        (Layer::Sage(l), LayerCache::Sage(c)) => l.backward(&adj, c, &grad),
+                        (Layer::Gat(l), LayerCache::Gat(c)) => l.backward(&adj, c, &grad),
+                        _ => unreachable!("cache/layer kind mismatch"),
+                    };
+                    for (pi, g) in layer_grads.iter().enumerate() {
+                        assert_eq!(
+                            bits(grads.get(li, pi)),
+                            bits(g),
+                            "{kind} depth {depth}: layer {li} parameter {pi}"
+                        );
+                    }
+                    grad = grad_in;
+                }
+            }
         }
     }
 

@@ -158,7 +158,8 @@ pub fn read_labels<R: BufRead>(reader: R) -> Result<Vec<usize>, ParseDataError> 
 ///
 /// # Errors
 ///
-/// Returns [`ParseDataError`] on I/O failure, malformed floats, or
+/// Returns [`ParseDataError`] on I/O failure, malformed floats,
+/// non-finite values (`nan`, `inf`, or a literal beyond `f32` range), or
 /// ragged rows.
 pub fn read_features<R: BufRead>(reader: R) -> Result<Matrix, ParseDataError> {
     let mut rows: Vec<Vec<f32>> = Vec::new();
@@ -171,9 +172,12 @@ pub fn read_features<R: BufRead>(reader: R) -> Result<Matrix, ParseDataError> {
         }
         let row: Vec<f32> = line
             .split_whitespace()
-            .map(|t| t.parse::<f32>())
-            .collect::<Result<_, _>>()
-            .map_err(|e| parse_err(i + 1, format!("bad feature value: {e}")))?;
+            .map(|t| match t.parse::<f32>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                Ok(_) => Err(parse_err(i + 1, format!("non-finite feature value `{t}`"))),
+                Err(e) => Err(parse_err(i + 1, format!("bad feature value: {e}"))),
+            })
+            .collect::<Result<_, _>>()?;
         match width {
             None => width = Some(row.len()),
             Some(w) if w != row.len() => {
@@ -404,6 +408,33 @@ mod tests {
         assert_eq!(f[(1, 0)], 3.0);
         let err = read_features("1.0 2.0\n3.0\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("ragged"));
+    }
+
+    #[test]
+    fn features_reject_non_finite_values_with_their_line() {
+        let non_finite = [
+            "nan",
+            "NaN",
+            "-nan",
+            "+NAN",
+            "inf",
+            "-inf",
+            "+Inf",
+            "infinity",
+            "-Infinity",
+            "1e39",
+        ];
+        for bad in non_finite {
+            let text = format!("# header\n1.0 2.0\n3.0 {bad}\n");
+            match read_features(text.as_bytes()) {
+                Err(ParseDataError::Parse { line, message }) => {
+                    assert_eq!(line, 3, "{bad}");
+                    assert!(message.contains("non-finite"), "{bad}: {message}");
+                }
+                other => panic!("{bad}: expected a parse error, got {other:?}"),
+            }
+        }
+        assert!(read_features("1.0 -0.0\n1e-40 -3.4e38\n".as_bytes()).is_ok());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! over the same matrix would, which keeps the sparse and dense compute
 //! paths numerically interchangeable.
 
+use fare_tensor::kernel::accumulate_row;
 use fare_tensor::Matrix;
 
 /// A sparse `f32` matrix in compressed sparse row form.
@@ -215,8 +216,9 @@ impl CsrMatrix {
     /// Sparse × dense product `self · x`, parallelised over output rows.
     ///
     /// Each output row is accumulated serially in ascending column
-    /// order by exactly one worker, so the result is bit-identical for
-    /// any thread count.
+    /// order by exactly one worker, through the row kernel
+    /// [`accumulate_row`], so the result is bit-identical for any thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -230,14 +232,10 @@ impl CsrMatrix {
             self.cols
         );
         let mut out = Matrix::zeros(self.rows, x.cols());
-        let x_cols = x.cols();
-        fare_rt::par::par_row_chunks(out.as_mut_slice(), x_cols, |r, out_row| {
-            for k in self.offsets[r]..self.offsets[r + 1] {
-                let a = self.values[k];
-                for (o, &b) in out_row.iter_mut().zip(x.row(self.indices[k])) {
-                    *o += a * b;
-                }
-            }
+        fare_rt::par::par_row_chunks(out.as_mut_slice(), x.cols(), |r, out_row| {
+            let span = self.offsets[r]..self.offsets[r + 1];
+            let terms = self.values[span.clone()].iter().zip(&self.indices[span]);
+            accumulate_row(out_row, terms.map(|(&a, &c)| (a, x.row(c))));
         });
         out
     }
@@ -245,7 +243,95 @@ impl CsrMatrix {
 
 #[cfg(test)]
 mod tests {
+    use fare_rt::rand::rngs::StdRng;
+    use fare_rt::rand::{Rng, SeedableRng};
+
     use super::*;
+
+    /// The plain loop the row kernel replaced, kept as the bit-exactness
+    /// oracle: each output element starts at `+0.0` and adds `a * b` over
+    /// the row's stored entries in ascending column order.
+    fn spmm_loop_oracle(m: &CsrMatrix, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(m.rows(), x.cols());
+        for r in 0..m.rows() {
+            for (c, a) in m.row_entries(r) {
+                for (o, &b) in out.row_mut(r).iter_mut().zip(x.row(c)) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// Mostly ordinary values, about one in four an IEEE edge case:
+    /// signed zeros, NaN, both infinities, subnormals and values whose
+    /// products overflow.
+    fn edge_case_value(rng: &mut StdRng) -> f32 {
+        const EDGE: [f32; 10] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+            -1e-45,
+            f32::MIN_POSITIVE,
+            3e38,
+            -3e38,
+        ];
+        if rng.gen_bool(0.25) {
+            EDGE[rng.gen_range(0..EDGE.len())]
+        } else {
+            rng.gen_range(-2.0f32..2.0)
+        }
+    }
+
+    /// Bit patterns, with every NaN folded into one: Rust leaves the
+    /// payload and sign of a NaN produced by arithmetic unspecified.
+    fn canonical_bits(m: &Matrix) -> Vec<u32> {
+        m.iter()
+            .map(|v| {
+                if v.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spmm_bit_identical_to_loop_oracle() {
+        // Every shape with up to 9 rows and columns, at every output width
+        // from 0 to 40 (both sides of the 32-wide register cutoff), with
+        // about half the entries stored, explicit zeros included.
+        for rows in 0..=9 {
+            for inner in 0..=9 {
+                for width in 0..=40 {
+                    let mut rng = StdRng::seed_from_u64(((rows * 10 + inner) * 41 + width) as u64);
+                    let (mut offsets, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+                    for _ in 0..rows {
+                        for c in 0..inner {
+                            if rng.gen_bool(0.5) {
+                                indices.push(c);
+                                values.push(edge_case_value(&mut rng));
+                            }
+                        }
+                        offsets.push(indices.len());
+                    }
+                    let m = CsrMatrix::from_parts(rows, inner, offsets, indices, values);
+                    let x = Matrix::from_fn(inner, width, |_, _| edge_case_value(&mut rng));
+                    let got = m.spmm(&x);
+                    assert_eq!(got.shape(), (rows, width));
+                    assert_eq!(
+                        canonical_bits(&got),
+                        canonical_bits(&spmm_loop_oracle(&m, &x)),
+                        "rows {rows}, inner {inner}, width {width}"
+                    );
+                }
+            }
+        }
+    }
 
     fn sample_dense() -> Matrix {
         Matrix::from_fn(7, 5, |r, c| {

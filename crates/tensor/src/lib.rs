@@ -10,6 +10,8 @@
 //!   by ReRAM-based PIM accelerators, together with the 2-bit-per-cell
 //!   slicing that determines how stuck-at faults corrupt a stored weight.
 //! - [`init`]: weight initialisers (Xavier/Glorot, He, uniform).
+//! - [`kernel`]: the one register-accumulator row kernel every dense and
+//!   sparse product runs on.
 //!
 //! # Example
 //!
@@ -28,6 +30,7 @@
 mod error;
 pub mod fixed;
 pub mod init;
+pub mod kernel;
 mod matrix;
 pub mod ops;
 

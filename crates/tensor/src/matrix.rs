@@ -3,6 +3,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 use fare_rt::json::{field, FromJson, Json, JsonError};
 
+use crate::kernel::accumulate_row;
 use crate::ShapeError;
 
 /// A dense, row-major `f32` matrix.
@@ -284,25 +285,17 @@ impl Matrix {
             return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
         }
         let mut out = Self::zeros(self.rows, rhs.cols);
-        let lhs_data = &self.data;
-        let lhs_cols = self.cols;
-        let rhs_data = &rhs.data;
-        let rhs_cols = rhs.cols;
-        // i-k-j loop order keeps the inner loop contiguous for both the
-        // output row and the rhs row, which matters for the large
-        // feature-matrix products in GNN training. Output rows are
-        // disjoint, so the row partition is bit-identical for any thread
-        // count. The inner loop is branch-free: sparse operands go
-        // through `CsrMatrix::spmm`, dense ones would mispredict a
-        // zero-skip here.
+        let (inner, rhs_cols) = (self.cols, rhs.cols);
+        // Output row i is Σ_k lhs[i][k] · rhs row k, ascending k, through
+        // the one row kernel. Output rows are disjoint, so the row
+        // partition is bit-identical for any thread count. Nothing skips
+        // zero terms: sparse operands go through `CsrMatrix::spmm`.
         fare_rt::par::par_row_chunks(&mut out.data, rhs_cols, |i, out_row| {
-            for k in 0..lhs_cols {
-                let a = lhs_data[i * lhs_cols + k];
-                let rhs_row = &rhs_data[k * rhs_cols..(k + 1) * rhs_cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
+            let lhs_row = &self.data[i * inner..(i + 1) * inner];
+            accumulate_row(
+                out_row,
+                lhs_row.iter().copied().zip(rhs.data.chunks_exact(rhs_cols)),
+            );
         });
         Ok(out)
     }
@@ -329,27 +322,19 @@ impl Matrix {
             rhs.shape()
         );
         let mut out = Self::zeros(self.cols, rhs.cols);
-        let lhs_data = &self.data;
-        let lhs_cols = self.cols;
-        let rhs_data = &rhs.data;
-        let rhs_cols = rhs.cols;
-        let inner = self.rows;
-        // Output-row-outer so each out row is owned by one worker; the
-        // per-row accumulation order (ascending k) matches the previous
-        // k-outer formulation element for element.
+        let (lhs_cols, rhs_cols) = (self.cols, rhs.cols);
+        // Output row i is Σ_k lhs[k][i] · rhs row k, ascending k.
         fare_rt::par::par_row_chunks(&mut out.data, rhs_cols, |i, out_row| {
-            for k in 0..inner {
-                let a = lhs_data[k * lhs_cols + i];
-                let rhs_row = &rhs_data[k * rhs_cols..(k + 1) * rhs_cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
+            let lhs_column = self.data.chunks_exact(lhs_cols).map(|lhs_row| lhs_row[i]);
+            accumulate_row(out_row, lhs_column.zip(rhs.data.chunks_exact(rhs_cols)));
         });
         out
     }
 
-    /// Matrix product `self * rhsᵀ` without materialising the transpose.
+    /// Matrix product `self * rhsᵀ`.
+    ///
+    /// Runs as [`Matrix::matmul`] over a materialised `rhsᵀ`, so it suits
+    /// a small rhs such as a weight matrix.
     ///
     /// # Panics
     ///
@@ -361,23 +346,9 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        let mut out = Self::zeros(self.rows, rhs.rows);
-        let lhs_data = &self.data;
-        let lhs_cols = self.cols;
-        let rhs_data = &rhs.data;
-        let rhs_rows = rhs.rows;
-        fare_rt::par::par_row_chunks(&mut out.data, rhs_rows, |i, out_row| {
-            let lhs_row = &lhs_data[i * lhs_cols..(i + 1) * lhs_cols];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let rhs_row = &rhs_data[j * lhs_cols..(j + 1) * lhs_cols];
-                let mut acc = 0.0;
-                for (&a, &b) in lhs_row.iter().zip(rhs_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        });
-        out
+        // out[i][j] = Σ_k lhs[i][k] · rhs[j][k], ascending k from +0.0:
+        // the same sum a dot product per element computes.
+        self.matmul(&rhs.transpose())
     }
 
     /// Returns the transpose.
@@ -563,7 +534,131 @@ impl fmt::Display for Matrix {
 
 #[cfg(test)]
 mod tests {
+    use fare_rt::rand::rngs::StdRng;
+    use fare_rt::rand::{Rng, SeedableRng};
+
     use super::*;
+
+    /// The plain loops the row kernel replaced, kept as the bit-exactness
+    /// oracle: each output element starts at `+0.0` and adds `a * b` in
+    /// ascending `k`.
+    mod loop_oracle {
+        use super::Matrix;
+
+        pub fn matmul(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(lhs.rows(), rhs.cols());
+            for i in 0..lhs.rows() {
+                for k in 0..lhs.cols() {
+                    let a = lhs[(i, k)];
+                    for (o, &b) in out.row_mut(i).iter_mut().zip(rhs.row(k)) {
+                        *o += a * b;
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn t_matmul(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(lhs.cols(), rhs.cols());
+            for i in 0..lhs.cols() {
+                for k in 0..lhs.rows() {
+                    let a = lhs[(k, i)];
+                    for (o, &b) in out.row_mut(i).iter_mut().zip(rhs.row(k)) {
+                        *o += a * b;
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn matmul_t(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(lhs.rows(), rhs.rows());
+            for i in 0..lhs.rows() {
+                for j in 0..rhs.rows() {
+                    let mut acc = 0.0;
+                    for (&a, &b) in lhs.row(i).iter().zip(rhs.row(j)) {
+                        acc += a * b;
+                    }
+                    out[(i, j)] = acc;
+                }
+            }
+            out
+        }
+    }
+
+    /// A matrix whose entries are mostly ordinary values, with about one
+    /// in four drawn from the IEEE edge cases: signed zeros, NaN, both
+    /// infinities, subnormals and values whose products overflow.
+    fn edge_case_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        const EDGE: [f32; 10] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+            -1e-45,
+            f32::MIN_POSITIVE,
+            3e38,
+            -3e38,
+        ];
+        Matrix::from_fn(rows, cols, |_, _| {
+            if rng.gen_bool(0.25) {
+                EDGE[rng.gen_range(0..EDGE.len())]
+            } else {
+                rng.gen_range(-2.0f32..2.0)
+            }
+        })
+    }
+
+    /// Bit patterns, with every NaN folded into one: Rust leaves the
+    /// payload and sign of a NaN produced by arithmetic unspecified, so
+    /// only "is NaN" is a result both sides promise.
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.iter()
+            .map(|v| {
+                if v.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernels_bit_identical_to_loop_oracle() {
+        // Every shape with up to 9 rows and inner terms, at every output
+        // width from 0 to 40: both sides of the 32-wide register cutoff.
+        for rows in 0..=9 {
+            for inner in 0..=9 {
+                for width in 0..=40 {
+                    let seed = ((rows * 10 + inner) * 41 + width) as u64;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let shape = format!("rows {rows}, inner {inner}, width {width}");
+
+                    let lhs = edge_case_matrix(rows, inner, &mut rng);
+                    let rhs = edge_case_matrix(inner, width, &mut rng);
+                    let got = lhs.matmul(&rhs);
+                    assert_eq!(got.shape(), (rows, width), "matmul {shape}");
+                    let want = loop_oracle::matmul(&lhs, &rhs);
+                    assert_eq!(bits(&got), bits(&want), "matmul {shape}");
+
+                    let lhs_t = edge_case_matrix(inner, rows, &mut rng);
+                    let got = lhs_t.t_matmul(&rhs);
+                    assert_eq!(got.shape(), (rows, width), "t_matmul {shape}");
+                    let want = loop_oracle::t_matmul(&lhs_t, &rhs);
+                    assert_eq!(bits(&got), bits(&want), "t_matmul {shape}");
+
+                    let rhs_t = edge_case_matrix(width, inner, &mut rng);
+                    let got = lhs.matmul_t(&rhs_t);
+                    assert_eq!(got.shape(), (rows, width), "matmul_t {shape}");
+                    let want = loop_oracle::matmul_t(&lhs, &rhs_t);
+                    assert_eq!(bits(&got), bits(&want), "matmul_t {shape}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn zeros_has_correct_shape_and_content() {

@@ -78,6 +78,19 @@ echo "==> partition pins across thread counts"
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-graph --test partition_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-graph --test partition_pins
 
+echo "==> row kernel against the plain-loop oracle across thread counts"
+# Every dense product and every aggregation computes its output rows
+# through one register-accumulator kernel. Property tests pin matmul,
+# t_matmul, matmul_t and spmm by to_bits to the plain loops the kernel
+# replaced, kept as test-only oracles, over every small shape, widths on
+# both sides of the 32-wide register cutoff, and signed zeros, NaN,
+# infinities and subnormals. The products run on the pool, so check a
+# serial and an odd worker count.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- \
+    bit_identical_to_loop_oracle
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- \
+    bit_identical_to_loop_oracle
+
 echo "==> sparse GAT against the dense oracle across thread counts"
 # GAT attends over the view's CSR pattern; a property test pins its
 # output, attention and gradients bit for bit to the dense n x n GAT
