@@ -1,11 +1,11 @@
 //! Compute-core benchmark on a graph larger than any preset.
 //!
 //! It times one GCN forward+backward through the real [`fare_gnn::Gnn`]
-//! on a [`fare_graph::GraphView`] built once per graph, the sparse GCN
-//! aggregation `Â · X` that step runs twice, and the batched crossbar
-//! matmul through a faulty weight fabric. One more entry times a GAT
-//! forward+backward at the scale the trainer runs: the first Cluster-GCN
-//! mini-batch of the Amazon2M preset, where every product is tiny.
+//! on a [`fare_graph::GraphView`] built once per graph, and the sparse
+//! GCN aggregation `Â · X` that step runs twice. One more entry times a
+//! GAT forward+backward at the scale the trainer runs: the first
+//! Cluster-GCN mini-batch of the Amazon2M preset, where every product is
+//! tiny.
 //!
 //! ```text
 //! cargo run --release -p fare-bench --bin bench_core -- \
@@ -25,12 +25,9 @@ use fare_graph::batch::make_batches;
 use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare_graph::partition::partition;
 use fare_graph::{CsrGraph, GraphView};
-use fare_reram::mvm::crossbar_matmul;
-use fare_reram::weights::WeightFabric;
-use fare_reram::FaultSpec;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
-use fare_tensor::{init, ops, FixedFormat, Matrix};
+use fare_tensor::{init, ops, Matrix};
 
 /// Random undirected graph with ~`n * avg_degree / 2` distinct edges.
 /// Sampling pairs directly (instead of Erdős–Rényi's `n²` coin flips)
@@ -93,19 +90,6 @@ fn main() {
         std::hint::black_box(view.gcn_norm().spmm(&x));
     });
 
-    // Crossbar matmul: the fabric's stuck cells are applied once per
-    // call, then the input rows run in parallel.
-    let (xb_rows, xb_cols, xb_batch) = if smoke { (64, 32, 32) } else { (128, 64, 256) };
-    let mut frng = StdRng::seed_from_u64(7);
-    let mut fabric = WeightFabric::for_shape(xb_rows, xb_cols, 16, FixedFormat::default());
-    fabric.inject(&FaultSpec::density(0.05), &mut frng);
-    let w = Matrix::from_fn(xb_rows, xb_cols, |_, _| frng.gen_range(-1.0f32..1.0));
-    let input = Matrix::from_fn(xb_batch, xb_rows, |_, _| frng.gen_range(-1.0f32..1.0));
-    let xb_size = format!("w={xb_rows}x{xb_cols},batch={xb_batch}");
-    let xb_ns = time_ns(iters, || {
-        std::hint::black_box(crossbar_matmul(&fabric, &w, &input));
-    });
-
     // GAT at mini-batch scale: the first batch the trainer draws for
     // Amazon2M at seed 41 (partition and batches from the trainer's RNG
     // domain), on the preset's 24 → 16 → classes model.
@@ -142,14 +126,13 @@ fn main() {
         std::hint::black_box(fwd_bwd(&gat, &batch_view, &batch_x, &batch_labels));
     });
 
-    let rows: [(&str, &str, f64); 4] = [
+    let rows: [(&str, &str, f64); 3] = [
         ("gcn_fwd_bwd_csr", &size, step_ns),
         ("gcn_aggregate_csr", &size, agg_ns),
-        ("crossbar_matmul_batched", &xb_size, xb_ns),
         ("gat_fwd_bwd_batch", &batch_size, gat_ns),
     ];
-    let mut manifest = RunManifest::capture("bench_core", 7, &format!("{size};{xb_size}"))
-        .with_bench("threads", threads as f64);
+    let mut manifest =
+        RunManifest::capture("bench_core", 7, &size).with_bench("threads", threads as f64);
     for (kernel, _, ns) in &rows {
         manifest = manifest.with_bench(&format!("{kernel}.ns_per_iter"), *ns);
     }

@@ -12,11 +12,12 @@
 //!
 //! A run draws from its task's RNG stream in this order. [`prepare`],
 //! the host-side preprocessing, draws the partition and the
-//! mini-batches and nothing else, so any number of runs can share its
-//! [`Prepared`]. [`train`] continues from there: model init,
-//! weight-fabric faults and variation, then per batch the task's
-//! preparation followed by the adjacency pool's faults, then per epoch
-//! the task's per-batch loss draws, drift and post-deployment faults.
+//! mini-batches and nothing else, and gathers each batch's feature
+//! rows, so any number of runs can share its [`Prepared`]. [`train`]
+//! continues from there: model init, weight-fabric faults and
+//! variation, then per batch the task's preparation followed by the
+//! adjacency pool's faults, then per epoch the task's per-batch loss
+//! draws, drift and post-deployment faults.
 //! Faults are an overlay: the ideal hardware skips every fault step and
 //! so draws nothing for them.
 
@@ -41,7 +42,7 @@ use crate::mapping::{
 use crate::{FaultStrategy, TrainConfig};
 
 /// One prepared mini-batch.
-pub(crate) struct Batch<D, S> {
+pub(crate) struct Batch<'p, D, S> {
     /// Global ids of the batch's nodes; position = local id.
     pub nodes: Vec<usize>,
     /// The graph the hardware aggregates over (local ids).
@@ -49,7 +50,8 @@ pub(crate) struct Batch<D, S> {
     /// The adjacency as the hardware currently aggregates it, with its
     /// normalisations cached. Rebuilt only when the corruption changes.
     pub view: GraphView,
-    pub features: Matrix,
+    /// The batch's feature rows, gathered once by [`prepare`].
+    pub features: &'p Matrix,
     /// The task's per-batch data.
     pub data: D,
     /// The hardware's per-batch state.
@@ -81,7 +83,7 @@ pub(crate) trait Task {
     /// skip the batch's update.
     fn loss<S>(
         &self,
-        batch: &Batch<Self::Data, S>,
+        batch: &Batch<'_, Self::Data, S>,
         output: &Matrix,
         rng: &mut StdRng,
     ) -> Option<(f64, Matrix)>;
@@ -94,7 +96,7 @@ pub(crate) trait Task {
         loss: f64,
         model: &Gnn,
         reader: &impl WeightReader,
-        batches: &[Batch<Self::Data, S>],
+        batches: &[Batch<'_, Self::Data, S>],
     ) -> Self::Epoch;
 }
 
@@ -130,28 +132,30 @@ pub(crate) trait Hardware: Sized {
         &mut self,
         _epoch: usize,
         _model: &Gnn,
-        _batches: &mut [Batch<D, Self::Slot>],
+        _batches: &mut [Batch<'_, D, Self::Slot>],
         _rng: &mut StdRng,
     ) {
     }
 
     /// Timing and mapping cost of a finished run.
-    fn report<D>(&self, model: &Gnn, batches: &[Batch<D, Self::Slot>]) -> HardwareReport;
+    fn report<D>(&self, model: &Gnn, batches: &[Batch<'_, D, Self::Slot>]) -> HardwareReport;
 }
 
 /// A finished run.
-pub(crate) struct Trained<D, H: Hardware, E> {
+pub(crate) struct Trained<'p, D, H: Hardware, E> {
     pub model: Gnn,
     pub hardware: H,
-    pub batches: Vec<Batch<D, H::Slot>>,
+    pub batches: Vec<Batch<'p, D, H::Slot>>,
     pub history: Vec<E>,
 }
 
-/// The mini-batches of one partition of a dataset, and the RNG right
-/// after drawing them.
+/// The mini-batches of one partition of a dataset with their feature
+/// rows, and the RNG right after drawing them.
 pub(crate) struct Prepared<'d> {
     dataset: &'d Dataset,
     minibatches: Vec<MiniBatch>,
+    /// `minibatches[i]`'s feature rows.
+    features: Vec<Matrix>,
     rng: StdRng,
 }
 
@@ -162,9 +166,14 @@ pub(crate) fn prepare<'d>(dataset: &'d Dataset, seed: u64, domain: &'static str)
     let parts = partition(&dataset.graph, dataset.spec.partitions, &mut rng);
     let cpb = dataset.spec.clusters_per_batch;
     let minibatches = make_batches(&dataset.graph, &parts, cpb, &mut rng);
+    let features = minibatches
+        .iter()
+        .map(|batch| batch.gather_features(&dataset.features))
+        .collect();
     Prepared {
         dataset,
         minibatches,
+        features,
         rng,
     }
 }
@@ -176,11 +185,11 @@ pub(crate) fn prepare<'d>(dataset: &'d Dataset, seed: u64, domain: &'static str)
 ///
 /// Panics if `cfg` fails [`TrainConfig::validate`] or the task keeps no
 /// batch.
-pub(crate) fn train<T: Task, H: Hardware>(
-    prepared: &Prepared,
+pub(crate) fn train<'p, T: Task, H: Hardware>(
+    prepared: &'p Prepared,
     cfg: &TrainConfig,
     task: &mut T,
-) -> Trained<T::Data, H, T::Epoch> {
+) -> Trained<'p, T::Data, H, T::Epoch> {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
@@ -200,14 +209,15 @@ pub(crate) fn train<T: Task, H: Hardware>(
     let mut opt = Adam::new(cfg.learning_rate, &model).with_weight_decay(cfg.weight_decay);
 
     // Batch adjacencies onto the hardware.
-    let mut batches: Vec<Batch<T::Data, H::Slot>> = prepared
+    let mut batches: Vec<Batch<'_, T::Data, H::Slot>> = prepared
         .minibatches
         .iter()
-        .filter_map(|batch| {
+        .zip(&prepared.features)
+        .filter_map(|(batch, features)| {
             let (graph, data) = task.prepare(batch, dataset, &mut rng)?;
             let (slot, view) = hardware.program(&graph, &mut rng);
             Some(Batch {
-                features: batch.gather_features(&dataset.features),
+                features,
                 nodes: batch.nodes.clone(),
                 graph,
                 view,
@@ -225,7 +235,7 @@ pub(crate) fn train<T: Task, H: Hardware>(
         for (bi, batch) in batches.iter().enumerate() {
             fare_obs::counters::CORE_TRAINER_BATCHES.incr();
             let _batch_span = fare_obs::trace::span_arg("core.trainer.batch", bi as u64);
-            let (output, cache) = model.forward(&batch.view, &batch.features, hardware.reader());
+            let (output, cache) = model.forward(&batch.view, batch.features, hardware.reader());
             let Some((loss, grad)) = task.loss(batch, &output, &mut rng) else {
                 continue;
             };
@@ -303,7 +313,7 @@ impl Hardware for Ideal {
         ((), GraphView::from_graph(graph))
     }
 
-    fn report<D>(&self, _: &Gnn, _: &[Batch<D, ()>]) -> HardwareReport {
+    fn report<D>(&self, _: &Gnn, _: &[Batch<'_, D, ()>]) -> HardwareReport {
         HardwareReport {
             normalized_time: 1.0,
             mapping_cost: 0,
@@ -419,7 +429,7 @@ impl Hardware for Faulty {
         &mut self,
         epoch: usize,
         model: &Gnn,
-        batches: &mut [Batch<D, Crossbars>],
+        batches: &mut [Batch<'_, D, Crossbars>],
         rng: &mut StdRng,
     ) {
         let cfg = self.cfg;
@@ -480,7 +490,7 @@ impl Hardware for Faulty {
         }
     }
 
-    fn report<D>(&self, model: &Gnn, batches: &[Batch<D, Crossbars>]) -> HardwareReport {
+    fn report<D>(&self, model: &Gnn, batches: &[Batch<'_, D, Crossbars>]) -> HardwareReport {
         let cfg = &self.cfg;
         // Fig. 7 timing model: stages = aggregation + combination per
         // layer + the softmax/update stage.
@@ -519,7 +529,7 @@ impl Hardware for Faulty {
 /// forward, backward, evaluation forward — per layer per epoch) and the
 /// chip-level energy estimate apportioned by that traffic.
 fn crossbar_heatmap<D>(
-    batches: &[Batch<D, Crossbars>],
+    batches: &[Batch<'_, D, Crossbars>],
     epochs: usize,
     num_layers: usize,
     num_batches: usize,
@@ -583,11 +593,10 @@ mod tests {
                 *model.param(0, 0),
                 "the fabric corrupts reads"
             );
-            for batch in &prepared.minibatches {
+            for (batch, features) in prepared.minibatches.iter().zip(&prepared.features) {
                 let view = GraphView::from_graph(&batch.graph);
-                let features = batch.gather_features(&dataset.features);
-                let (direct, _) = model.forward(&view, &features, &reader);
-                let (snapped, _) = model.forward(&view, &features, &snapshot);
+                let (direct, _) = model.forward(&view, features, &reader);
+                let (snapped, _) = model.forward(&view, features, &snapshot);
                 let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&direct), bits(&snapped), "{kind}");
             }

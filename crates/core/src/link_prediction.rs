@@ -137,7 +137,7 @@ impl Task for LinkPrediction {
 
     fn loss<S>(
         &self,
-        batch: &Batch<Edges, S>,
+        batch: &Batch<'_, Edges, S>,
         emb: &Matrix,
         rng: &mut StdRng,
     ) -> Option<(f64, Matrix)> {
@@ -155,13 +155,13 @@ impl Task for LinkPrediction {
         loss: f64,
         model: &Gnn,
         reader: &impl WeightReader,
-        batches: &[Batch<Edges, S>],
+        batches: &[Batch<'_, Edges, S>],
     ) -> LinkEpochStats {
         let mut eval_rng = fare_rt::domain_rng(self.seed.wrapping_add(epoch as u64), "link-eval");
         let mut pos_scores = Vec::new();
         let mut neg_scores = Vec::new();
         for batch in batches {
-            let (emb, _) = model.forward(&batch.view, &batch.features, reader);
+            let (emb, _) = model.forward(&batch.view, batch.features, reader);
             let test_pos = &batch.data.test_pos;
             pos_scores.extend(pair_scores(&emb, test_pos));
             let negs = sample_negatives(&batch.graph, test_pos.len(), &mut eval_rng);
@@ -203,7 +203,7 @@ pub fn run_link_prediction(config: &TrainConfig, seed: u64, dataset: &Dataset) -
     for batch in &run.batches {
         let (emb, _) = run
             .model
-            .forward(&batch.view, &batch.features, run.hardware.reader());
+            .forward(&batch.view, batch.features, run.hardware.reader());
         for (local, &global) in batch.nodes.iter().enumerate() {
             embeddings.row_mut(global).copy_from_slice(emb.row(local));
         }

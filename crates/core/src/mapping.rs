@@ -773,10 +773,9 @@ fn assemble_mapping<C, T>(
     cfg: &MappingConfig,
     cost_at: C,
     take_at: T,
-    parallel_g2: bool,
 ) -> Mapping
 where
-    C: Fn(usize, usize) -> (usize, usize) + Sync,
+    C: Fn(usize, usize) -> (usize, usize),
     T: Fn(usize, usize) -> PairSolution,
 {
     let b = block_meta.len();
@@ -831,24 +830,10 @@ where
     let mut placements: Vec<BlockPlacement> = Vec::with_capacity(b);
     let mut used_xbars = vec![false; m];
     if !live_blocks.is_empty() {
-        let g2_entry = |i: usize, j: usize| -> f64 {
+        let g2 = CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
+            let (i, j) = (live_blocks[bi], live_xbars[xj]);
             cost_at(i, j).0 as f64 + locality_penalty(block_meta[i].0, j)
-        };
-        let g2 = if parallel_g2 {
-            // Row-parallel assembly; entries are computed by the exact
-            // expression the serial branch uses, so both are bit-equal.
-            let xbars = &live_xbars;
-            let rows: Vec<Vec<f64>> = scoped_map_init(
-                live_blocks.clone(),
-                || (),
-                |_, i| xbars.iter().map(|&j| g2_entry(i, j)).collect(),
-            );
-            CostMatrix::from_vec(live_blocks.len(), live_xbars.len(), rows.concat())
-        } else {
-            CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
-                g2_entry(live_blocks[bi], live_xbars[xj])
-            })
-        };
+        });
         let sol = cfg.matcher.solve(&g2);
         for (bi, assigned) in sol.assignment.iter().enumerate() {
             let i = live_blocks[bi];
@@ -1119,7 +1104,6 @@ pub fn map_blocks_cached(
                 &mut take_scratch.borrow_mut(),
             )
         },
-        true,
     );
 
     cache.clear();
@@ -1190,22 +1174,27 @@ pub fn reordered_block_mapping(
     matcher: Matcher,
 ) -> Mapping {
     blocks.check_fits(array);
-    let items: Vec<(usize, (usize, usize))> = blocks.positions().enumerate().collect();
-    let placements = scoped_map_init(items, G1Scratch::default, |scratch, (k, (br, bc))| {
-        let xbar = array.crossbar(k);
-        let packed = &blocks.blocks[k];
-        let col_idx = BlockColIdx::build(packed);
-        let ctx = XbarG1Ctx::build(xbar);
-        let (perm, cost, sa1) = solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, scratch);
-        BlockPlacement {
-            block_row: br,
-            block_col: bc,
-            crossbar: k,
-            row_perm: perm,
-            mismatch_cost: cost,
-            sa1_cost: sa1,
-        }
-    });
+    let mut scratch = G1Scratch::default();
+    let placements = blocks
+        .positions()
+        .enumerate()
+        .map(|(k, (br, bc))| {
+            let xbar = array.crossbar(k);
+            let packed = &blocks.blocks[k];
+            let col_idx = BlockColIdx::build(packed);
+            let ctx = XbarG1Ctx::build(xbar);
+            let (perm, cost, sa1) =
+                solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, &mut scratch);
+            BlockPlacement {
+                block_row: br,
+                block_col: bc,
+                crossbar: k,
+                row_perm: perm,
+                mismatch_cost: cost,
+                sa1_cost: sa1,
+            }
+        })
+        .collect();
     Mapping::new(blocks.n, blocks.grid, placements)
 }
 
@@ -1232,10 +1221,9 @@ pub fn refresh_row_permutations(
 
 /// [`refresh_row_permutations`] with cross-epoch memoisation: pairs whose
 /// crossbar's [`Crossbar::fault_version`] matches the cached entry reuse
-/// the stored permutation; only mutated crossbars are re-solved (in
-/// parallel). With an empty cache this degenerates to a full (parallel)
-/// recompute, so results are identical either way. A dense adapter onto
-/// [`refresh_blocks_cached`].
+/// the stored permutation; only mutated crossbars are re-solved. With an
+/// empty cache this degenerates to a full recompute, so results are
+/// identical either way. A dense adapter onto [`refresh_blocks_cached`].
 ///
 /// # Panics
 ///
@@ -1271,50 +1259,39 @@ pub fn refresh_blocks_cached(
     assert_eq!(blocks.n, n, "block size does not match the crossbars");
     assert_eq!(mapping.grid, blocks.grid, "mapping grid does not match adjacency");
 
-    let mut solutions: Vec<Option<PairSolution>> = vec![None; mapping.placements.len()];
-    let mut misses: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for (idx, p) in mapping.placements.iter().enumerate() {
-        let hit = cache.entries.get(&(p.block_row, p.block_col)).filter(|e| {
-            e.crossbar == p.crossbar
-                && e.version == array.crossbar(p.crossbar).fault_version()
-        });
-        match hit {
-            Some(e) => solutions[idx] = Some(e.solution.clone()),
-            None => misses.push((idx, p.block_row, p.block_col, p.crossbar)),
-        }
-    }
-    fare_obs::counters::CORE_REMAP_CACHE_HITS
-        .add((mapping.placements.len() - misses.len()) as u64);
-    fare_obs::counters::CORE_REMAP_CACHE_MISSES.add(misses.len() as u64);
-
-    let solved = scoped_map_init(misses, G1Scratch::default, |scratch, (idx, br, bc, xi)| {
-        let packed = blocks.block(br, bc);
-        let col_idx = BlockColIdx::build(packed);
-        let xbar = array.crossbar(xi);
-        let ctx = XbarG1Ctx::build(xbar);
-        (
-            idx,
-            solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, scratch),
-        )
-    });
-    for (idx, sol) in solved {
-        solutions[idx] = Some(sol);
-    }
-
+    let mut scratch = G1Scratch::default();
+    let mut misses = 0;
     let placements: Vec<BlockPlacement> = mapping
         .placements
         .iter()
-        .zip(solutions)
-        .map(|(p, sol)| {
-            let (perm, cost, sa1) = sol.expect("every placement solved or cached");
+        .map(|p| {
+            let xbar = array.crossbar(p.crossbar);
+            let hit = cache
+                .entries
+                .get(&(p.block_row, p.block_col))
+                .filter(|e| e.crossbar == p.crossbar && e.version == xbar.fault_version());
+            let (perm, cost, sa1) = match hit {
+                Some(e) => e.solution.clone(),
+                None => {
+                    misses += 1;
+                    let packed = blocks.block(p.block_row, p.block_col);
+                    let col_idx = BlockColIdx::build(packed);
+                    let ctx = XbarG1Ctx::build(xbar);
+                    solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, &mut scratch)
+                }
+            };
             BlockPlacement {
+                block_row: p.block_row,
+                block_col: p.block_col,
+                crossbar: p.crossbar,
                 row_perm: perm,
                 mismatch_cost: cost,
                 sa1_cost: sa1,
-                ..p.clone()
             }
         })
         .collect();
+    fare_obs::counters::CORE_REMAP_CACHE_HITS.add((placements.len() - misses) as u64);
+    fare_obs::counters::CORE_REMAP_CACHE_MISSES.add(misses as u64);
     let refreshed = Mapping::new(n, mapping.grid, placements);
     cache.store(array, refreshed.placements());
     refreshed
@@ -1413,7 +1390,6 @@ pub mod reference {
             cfg,
             |i, j| (pair[i][j].1, pair[i][j].2),
             |i, j| pair[i][j].clone(),
-            false,
         )
     }
 

@@ -217,7 +217,7 @@ impl Task for Classification {
 
     fn loss<S>(
         &self,
-        batch: &Batch<Labels, S>,
+        batch: &Batch<'_, Labels, S>,
         logits: &Matrix,
         _: &mut StdRng,
     ) -> Option<(f64, Matrix)> {
@@ -236,12 +236,12 @@ impl Task for Classification {
         loss: f64,
         model: &Gnn,
         reader: &impl WeightReader,
-        batches: &[Batch<Labels, S>],
+        batches: &[Batch<'_, Labels, S>],
     ) -> EpochStats {
         let mut train = (0usize, 0usize);
         let mut test = (0usize, 0usize);
         for batch in batches {
-            let (logits, _) = model.forward(&batch.view, &batch.features, reader);
+            let (logits, _) = model.forward(&batch.view, batch.features, reader);
             let preds = logits.argmax_rows();
             for (i, &label) in batch.data.labels.iter().enumerate() {
                 let correct = (preds[i] == label) as usize;

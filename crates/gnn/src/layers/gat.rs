@@ -135,15 +135,17 @@ impl GatLayer {
             ops::softmax_in_place(&mut attention[row[0]..row[1]]);
         }
         let mut pre_activation = Matrix::zeros(transformed.rows(), transformed.cols());
-        fare_rt::par::par_row_chunks(
-            pre_activation.as_mut_slice(),
-            transformed.cols(),
-            |i, out_row| {
-                let edges = offsets[i]..offsets[i + 1];
-                let terms = attention[edges.clone()].iter().zip(&cols[edges]);
-                accumulate_row(out_row, terms.map(|(&a, &j)| (a, transformed.row(j))));
-            },
-        );
+        // A zero-width output has no rows to visit.
+        let width = transformed.cols().max(1);
+        for (i, out_row) in pre_activation
+            .as_mut_slice()
+            .chunks_exact_mut(width)
+            .enumerate()
+        {
+            let edges = offsets[i]..offsets[i + 1];
+            let terms = attention[edges.clone()].iter().zip(&cols[edges]);
+            accumulate_row(out_row, terms.map(|(&a, &j)| (a, transformed.row(j))));
+        }
         let out = if output_layer {
             pre_activation.clone()
         } else {

@@ -19,7 +19,7 @@
 //!   Algorithm 1's pruning heuristic reasons about).
 //! - [`CsrMatrix`] / [`GraphView`] — weighted sparse matrices and the
 //!   once-per-graph cache of normalised propagation matrices the GNN
-//!   layers aggregate with (the sparse-parallel compute core), built
+//!   layers aggregate with (the sparse compute core), built
 //!   from a clean graph or a fault-corrupted binary pattern.
 //!
 //! # Example

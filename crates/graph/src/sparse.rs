@@ -213,12 +213,10 @@ impl CsrMatrix {
         m
     }
 
-    /// Sparse × dense product `self · x`, parallelised over output rows.
+    /// Sparse × dense product `self · x`.
     ///
-    /// Each output row is accumulated serially in ascending column
-    /// order by exactly one worker, through the row kernel
-    /// [`accumulate_row`], so the result is bit-identical for any thread
-    /// count.
+    /// Each output row is accumulated in ascending column order through
+    /// the row kernel [`accumulate_row`].
     ///
     /// # Panics
     ///
@@ -232,11 +230,13 @@ impl CsrMatrix {
             self.cols
         );
         let mut out = Matrix::zeros(self.rows, x.cols());
-        fare_rt::par::par_row_chunks(out.as_mut_slice(), x.cols(), |r, out_row| {
+        // A zero-width output has no rows to visit.
+        let width = x.cols().max(1);
+        for (r, out_row) in out.as_mut_slice().chunks_exact_mut(width).enumerate() {
             let span = self.offsets[r]..self.offsets[r + 1];
             let terms = self.values[span.clone()].iter().zip(&self.indices[span]);
             accumulate_row(out_row, terms.map(|(&a, &c)| (a, x.row(c))));
-        });
+        }
         out
     }
 }

@@ -127,7 +127,7 @@ fn bits(m: &fare_tensor::Matrix) -> Vec<u32> {
 }
 
 // Sparse kernels vs their dense reference paths, and thread-count
-// invariance of every parallel kernel. These are the contracts the GNN
+// invariance of the aggregation kernels. These are the contracts the GNN
 // layers rely on: the CSR aggregation must reproduce the seed's dense
 // `normalise + matmul` pipeline *bit for bit*, at any worker count.
 proptest! {

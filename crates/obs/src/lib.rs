@@ -3,8 +3,8 @@
 //! A zero-external-dependency, thread-safe observability layer:
 //!
 //! - **named monotonic counters** ([`Counter`]) — faults injected per
-//!   polarity, crossbars corrupted/remapped, MVM and matmul
-//!   invocations, `RemapCache` hits/misses, … The full taxonomy lives
+//!   polarity, crossbars corrupted/remapped, MVM invocations,
+//!   `RemapCache` hits/misses, … The full taxonomy lives
 //!   in [`counters`] and every counter is registered there, so a run
 //!   manifest can enumerate them all.
 //! - **spans** ([`trace::span`]), the one timer: every closed span adds
@@ -246,10 +246,6 @@ pub mod counters {
     pub static RERAM_MVM_CALLS: Counter = Counter::new("reram.mvm.calls");
     /// Pipeline cycles attributed to those MVMs.
     pub static RERAM_MVM_CYCLES: Counter = Counter::new("reram.mvm.cycles");
-    /// Whole-matrix faulty matmuls (`crossbar_matmul`).
-    pub static RERAM_MATMUL_CALLS: Counter = Counter::new("reram.matmul.calls");
-    /// Input rows pushed through `crossbar_matmul`.
-    pub static RERAM_MATMUL_ROWS: Counter = Counter::new("reram.matmul.rows");
     /// Discrete-event pipeline simulations (`pipeline::simulate`).
     pub static RERAM_PIPELINE_SIMS: Counter = Counter::new("reram.pipeline.sims");
     /// Batches scheduled across all pipeline simulations.
@@ -296,7 +292,7 @@ pub mod counters {
     /// Every counter, in manifest order. **Register new counters here**
     /// or they will silently stay out of every manifest.
     pub fn all() -> &'static [&'static Counter] {
-        static ALL: [&Counter; 26] = [
+        static ALL: [&Counter; 24] = [
             &RERAM_FAULTS_INJECTED_SA0,
             &RERAM_FAULTS_INJECTED_SA1,
             &RERAM_FAULTS_CLEARED,
@@ -304,8 +300,6 @@ pub mod counters {
             &RERAM_CROSSBARS_CORRUPTED,
             &RERAM_MVM_CALLS,
             &RERAM_MVM_CYCLES,
-            &RERAM_MATMUL_CALLS,
-            &RERAM_MATMUL_ROWS,
             &RERAM_PIPELINE_SIMS,
             &RERAM_PIPELINE_BATCHES,
             &RERAM_TIMING_EVALS,

@@ -111,43 +111,6 @@ fn accumulate_columns(stored: &Matrix, x_q: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Full matrix–matrix product through the fabric, column-batched MVMs:
-/// `out = input · W` where `W` lives on the fabric.
-///
-/// The fault corruption and the output rows are independent of the input
-/// row being driven, so the stored weights are materialised **once** per
-/// call (not once per input row as a naive loop over [`crossbar_mvm`]
-/// would) and the rows are computed in parallel across the `fare-rt`
-/// worker pool. Corruption is deterministic, so the result is
-/// bit-identical to per-row [`crossbar_mvm`] calls at any thread count.
-///
-/// # Panics
-///
-/// Same conditions as [`crossbar_mvm`] per row of `input`.
-pub fn crossbar_matmul(fabric: &WeightFabric, weights: &Matrix, input: &Matrix) -> Matrix {
-    let (rows, cols) = fabric.shape();
-    assert_eq!(
-        weights.shape(),
-        (rows, cols),
-        "weight shape mismatch with fabric"
-    );
-    assert_eq!(input.cols(), rows, "input width must equal weight rows");
-    let fmt = fabric.format();
-    let stored = fabric.corrupt(weights);
-    let _span = fare_obs::trace::span_arg("reram.matmul", input.rows() as u64);
-    fare_obs::counters::RERAM_MATMUL_CALLS.incr();
-    fare_obs::counters::RERAM_MATMUL_ROWS.add(input.rows() as u64);
-    let mut out = Matrix::zeros(input.rows(), cols);
-    if cols == 0 {
-        return out;
-    }
-    fare_rt::par::par_row_chunks(out.as_mut_slice(), cols, |i, out_row| {
-        let x_q: Vec<f32> = input.row(i).iter().map(|&v| fmt.quantise(v)).collect();
-        accumulate_columns(&stored, &x_q, out_row);
-    });
-    out
-}
-
 /// Cycles one MVM takes on this fabric (bit-serial input × cell slices),
 /// independent of the data.
 pub fn mvm_cycles(_fabric: &WeightFabric) -> usize {
@@ -233,18 +196,6 @@ mod tests {
         let y = crossbar_mvm(&fabric, &w, &x);
         assert!(y.output[0].abs() > 10.0, "no explosion: {}", y.output[0]);
         assert!((y.output[1] - 0.16).abs() < 0.05, "clean column disturbed");
-    }
-
-    #[test]
-    fn crossbar_matmul_matches_row_mvms() {
-        let (fabric, w) = fabric_and_weights(8, 4, 5);
-        let input = Matrix::from_fn(3, 8, |i, j| ((i * 8 + j) as f32 * 0.17).cos());
-        let out = crossbar_matmul(&fabric, &w, &input);
-        assert_eq!(out.shape(), (3, 4));
-        for i in 0..3 {
-            let y = crossbar_mvm(&fabric, &w, input.row(i));
-            assert_eq!(out.row(i), &y.output[..]);
-        }
     }
 
     #[test]

@@ -2,32 +2,31 @@
 //! workspace uses.
 //!
 //! Work runs on a process-wide worker pool that is spawned **once** (and
-//! grown lazily up to the configured thread count), not per call: the hot
-//! kernels in `fare-tensor`/`fare-graph` issue many small parallel
-//! batches per training step, and per-call `std::thread::scope` spawns
-//! would dominate their runtime.
+//! grown lazily up to the configured thread count), not per call. The
+//! pool carries coarse work only: the runs of a sweep and the mapping's
+//! pair fan-out. GNN, tensor and graph kernels are serial, because a
+//! Cluster-GCN mini-batch of a few dozen nodes gives a kernel less work
+//! than one hand-off to the pool costs.
 //!
-//! Two primitives sit directly on the pool:
-//!
-//! - [`par_row_chunks`] — splits a flat row-major buffer into disjoint
-//!   contiguous row ranges and hands each range to one worker. Each
-//!   output row is produced by exactly one closure invocation in fixed
-//!   order, so results are bit-identical for any thread count — the
-//!   repo's determinism contract (`tests/determinism.rs`).
 //! - [`scoped_map_init`] — order-preserving parallel map over owned
 //!   items (chunked, reassembled positionally), with an optional
 //!   per-chunk scratch value.
+//! - [`run_batch`] — runs `f(0..chunks)` across the pool; the primitive
+//!   under `scoped_map_init`.
 //!
 //! The thread count is a process-wide knob: [`set_threads`] wins, then
 //! the `FARE_RT_THREADS` environment variable, then
 //! `std::thread::available_parallelism()`. The last two are read once,
 //! on the first query, and kept for the life of the process.
 //!
-//! Nested parallelism is deadlock-free by construction: a thread that
-//! submits a batch *helps* — it pops and runs queued tasks (its own or
-//! another batch's) while it waits — so progress never depends on a free
-//! pool worker being available.
+//! There are no nested splits: a [`scoped_map_init`] called from inside
+//! a pool task runs inline on that task's thread, so a sweep
+//! parallelises across its runs only. A thread that submits a batch
+//! *helps* — it pops and runs queued tasks (its own or another batch's)
+//! while it waits — so progress never depends on a free pool worker
+//! being available.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -110,6 +109,17 @@ mod pool {
         workers: Mutex<usize>,
     }
 
+    thread_local! {
+        /// Whether this thread is running the body of a pool task.
+        static IN_TASK: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether the calling thread is inside a pool task, where
+    /// `scoped_map_init` runs inline instead of splitting again.
+    pub(super) fn in_task() -> bool {
+        IN_TASK.get()
+    }
+
     fn pool() -> &'static Pool {
         static POOL: OnceLock<Pool> = OnceLock::new();
         POOL.get_or_init(|| Pool {
@@ -125,7 +135,10 @@ mod pool {
         // `run_batch` until we decrement `remaining` below, so the
         // pointee is alive for the whole body of this function.
         let shared = unsafe { &*task.shared };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (shared.f)(task.index))) {
+        let outer = IN_TASK.replace(true);
+        let result = catch_unwind(AssertUnwindSafe(|| (shared.f)(task.index)));
+        IN_TASK.set(outer);
+        if let Err(payload) = result {
             let mut slot = shared.panic.lock().unwrap();
             if slot.is_none() {
                 *slot = Some(payload);
@@ -227,60 +240,8 @@ mod pool {
     }
 }
 
+use pool::in_task;
 pub use pool::run_batch;
-
-/// Applies `f` to every row of a flat row-major buffer, handing disjoint
-/// contiguous row ranges to pool workers.
-///
-/// `data` is interpreted as `data.len() / row_len` rows of `row_len`
-/// elements. `f(row_index, row)` is invoked exactly once per row, rows
-/// within a range in ascending order; because every output row is
-/// produced by exactly one invocation writing through its own disjoint
-/// `&mut` slice, the result is bit-identical for any thread count.
-///
-/// This is the primitive the parallel matmul / SpMM kernels are built
-/// on; rows are only ever partitioned, never split or reduced across
-/// threads.
-///
-/// # Panics
-/// Panics if `row_len` does not divide `data.len()` (unless both are 0).
-pub fn par_row_chunks<T, F>(data: &mut [T], row_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert!(row_len > 0, "par_row_chunks: row_len must be positive");
-    assert_eq!(data.len() % row_len, 0, "par_row_chunks: data is not whole rows");
-    let rows = data.len() / row_len;
-    let threads = current_threads().clamp(1, rows);
-    if threads <= 1 {
-        for (r, row) in data.chunks_mut(row_len).enumerate() {
-            f(r, row);
-        }
-        return;
-    }
-    let chunk_rows = rows.div_ceil(threads);
-    // Hand each worker its range through a one-shot slot: index `i` is
-    // claimed exactly once, so the locks are uncontended.
-    let slots: Vec<Mutex<Option<(usize, &mut [T])>>> = data
-        .chunks_mut(chunk_rows * row_len)
-        .enumerate()
-        .map(|(ci, chunk)| Mutex::new(Some((ci * chunk_rows, chunk))))
-        .collect();
-    run_batch(slots.len(), &|i| {
-        let (first_row, chunk) = slots[i]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("par_row_chunks: chunk claimed twice");
-        for (k, row) in chunk.chunks_mut(row_len).enumerate() {
-            f(first_row + k, row);
-        }
-    });
-}
 
 /// Maps `f` over `items` on the worker pool, preserving input order.
 ///
@@ -288,6 +249,9 @@ where
 /// threads it through its items — the `map_init` pattern for solvers
 /// with reusable internal buffers (allocate once per worker, not once
 /// per item). Callers with no scratch pass `|| ()`.
+///
+/// Called from inside a pool task, it maps every item inline on that
+/// task's thread with one scratch value.
 ///
 /// Determinism contract: `f`'s output must depend only on its item, not
 /// on scratch history, because chunk boundaries move with the thread
@@ -302,7 +266,7 @@ where
 {
     let n = items.len();
     let threads = current_threads().clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
+    if threads <= 1 || n <= 1 || in_task() {
         let mut scratch = init();
         return items.into_iter().map(|t| f(&mut scratch, t)).collect();
     }
@@ -408,72 +372,50 @@ mod tests {
     }
 
     #[test]
-    fn row_chunks_touches_every_row_once() {
-        for &threads in &[1usize, 2, 3, 8] {
+    fn maps_inside_a_pool_task_run_inline() {
+        use std::thread::{current, ThreadId};
+        for threads in [2usize, 3, 4] {
             set_threads(threads);
-            let mut data = vec![0u32; 7 * 3];
-            par_row_chunks(&mut data, 3, |r, row| {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v += (r * 10 + c) as u32;
-                }
+            // Per outer task: its thread, the inner map's scratch count
+            // and the inner results.
+            type Outer = (Option<ThreadId>, usize, Vec<(ThreadId, usize)>);
+            let outer: Vec<Mutex<Outer>> = (0..threads)
+                .map(|_| Mutex::new((None, 0, Vec::new())))
+                .collect();
+            // `run_batch` always hands two or more chunks to the pool, so
+            // every outer chunk is a pool task whatever the thread count.
+            run_batch(threads, &|i| {
+                let scratches = AtomicUsize::new(0);
+                let inner = scoped_map_init(
+                    (0..10).collect(),
+                    || scratches.fetch_add(1, Ordering::Relaxed),
+                    |_, j: usize| (current().id(), j),
+                );
+                *outer[i].lock().unwrap() = (Some(current().id()), scratches.into_inner(), inner);
             });
-            let expect: Vec<u32> =
-                (0..7).flat_map(|r| (0..3).map(move |c| (r * 10 + c) as u32)).collect();
-            assert_eq!(data, expect, "threads={threads}");
+            for slot in outer {
+                let (task_thread, scratches, inner) = slot.into_inner().unwrap();
+                assert!(
+                    inner.iter().all(|&(id, _)| Some(id) == task_thread),
+                    "threads={threads}: an inner item left its task's thread"
+                );
+                assert_eq!(scratches, 1, "threads={threads}: the inner map split");
+                let order: Vec<usize> = inner.iter().map(|&(_, j)| j).collect();
+                assert_eq!(order, (0..10).collect::<Vec<_>>(), "threads={threads}");
+            }
         }
         set_threads(0);
-    }
-
-    #[test]
-    fn row_chunks_identical_across_thread_counts() {
-        let run = |threads: usize| -> Vec<u64> {
-            set_threads(threads);
-            let mut data = vec![0u64; 41 * 5];
-            par_row_chunks(&mut data, 5, |r, row| {
-                let mut h = r as u64 ^ 0x9e37_79b9;
-                for v in row.iter_mut() {
-                    h = h.wrapping_mul(0x2545_f491_4f6c_dd1d).rotate_left(17);
-                    *v = h;
-                }
-            });
-            data
-        };
-        let one = run(1);
-        let two = run(2);
-        let eight = run(8);
-        set_threads(0);
-        assert_eq!(one, two);
-        assert_eq!(one, eight);
-    }
-
-    #[test]
-    fn row_chunks_nested_inside_map() {
-        set_threads(4);
-        let out: Vec<u32> = map((0..6).collect(), |i: usize| {
-            let mut data = vec![0u32; 12 * 4];
-            par_row_chunks(&mut data, 4, |r, row| {
-                for v in row.iter_mut() {
-                    *v = (i * 100 + r) as u32;
-                }
-            });
-            data.iter().sum()
-        });
-        set_threads(0);
-        let expect: Vec<u32> =
-            (0..6).map(|i| (0..12).map(|r| (i * 100 + r) as u32 * 4).sum()).collect();
-        assert_eq!(out, expect);
     }
 
     #[test]
     fn batch_panics_propagate() {
         set_threads(4);
         let result = std::panic::catch_unwind(|| {
-            let mut data = vec![0u8; 16];
-            par_row_chunks(&mut data, 2, |r, _| {
-                if r == 5 {
-                    panic!("boom in row 5");
+            run_batch(8, &|i| {
+                if i == 5 {
+                    panic!("boom in chunk 5");
                 }
-            });
+            })
         });
         set_threads(0);
         assert!(result.is_err());
@@ -483,9 +425,9 @@ mod tests {
     fn pool_survives_many_small_batches() {
         set_threads(3);
         for round in 0..200 {
-            let mut data = vec![0usize; 9];
-            par_row_chunks(&mut data, 1, |r, row| row[0] = r + round);
-            assert_eq!(data[8], 8 + round);
+            let data: Vec<Mutex<usize>> = (0..9).map(|_| Mutex::new(0)).collect();
+            run_batch(data.len(), &|i| *data[i].lock().unwrap() = i + round);
+            assert_eq!(*data[8].lock().unwrap(), 8 + round);
         }
         set_threads(0);
     }

@@ -287,16 +287,15 @@ impl Matrix {
         let mut out = Self::zeros(self.rows, rhs.cols);
         let (inner, rhs_cols) = (self.cols, rhs.cols);
         // Output row i is Σ_k lhs[i][k] · rhs row k, ascending k, through
-        // the one row kernel. Output rows are disjoint, so the row
-        // partition is bit-identical for any thread count. Nothing skips
-        // zero terms: sparse operands go through `CsrMatrix::spmm`.
-        fare_rt::par::par_row_chunks(&mut out.data, rhs_cols, |i, out_row| {
+        // the one row kernel. Nothing skips zero terms: sparse operands
+        // go through `CsrMatrix::spmm`. A zero-width output has no rows.
+        for (i, out_row) in out.data.chunks_exact_mut(rhs_cols.max(1)).enumerate() {
             let lhs_row = &self.data[i * inner..(i + 1) * inner];
             accumulate_row(
                 out_row,
                 lhs_row.iter().copied().zip(rhs.data.chunks_exact(rhs_cols)),
             );
-        });
+        }
         Ok(out)
     }
 
@@ -324,10 +323,10 @@ impl Matrix {
         let mut out = Self::zeros(self.cols, rhs.cols);
         let (lhs_cols, rhs_cols) = (self.cols, rhs.cols);
         // Output row i is Σ_k lhs[k][i] · rhs row k, ascending k.
-        fare_rt::par::par_row_chunks(&mut out.data, rhs_cols, |i, out_row| {
+        for (i, out_row) in out.data.chunks_exact_mut(rhs_cols.max(1)).enumerate() {
             let lhs_column = self.data.chunks_exact(lhs_cols).map(|lhs_row| lhs_row[i]);
             accumulate_row(out_row, lhs_column.zip(rhs.data.chunks_exact(rhs_cols)));
-        });
+        }
         out
     }
 

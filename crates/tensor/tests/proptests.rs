@@ -153,9 +153,8 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.iter().map(|v| v.to_bits()).collect()
 }
 
-// The dense matmul family runs on the fare-rt worker pool, partitioned
-// by disjoint output rows. That partitioning must keep results
-// bit-identical at every thread count (C-DETERMINISM).
+// The dense matmul family is serial: its results must not depend on the
+// worker-pool thread count, bit for bit (C-DETERMINISM).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -50,25 +50,29 @@ echo "==> offline test suite"
 cargo test -q --offline --workspace
 
 echo "==> determinism suite across thread counts"
-# The compute core promises bit-identical results at any worker count;
-# run the determinism suite under a serial pool, an odd worker count
-# (where uneven chunking would show) and an even one.
+# Training promises bit-identical results at any worker count. The pool
+# carries the runs of a sweep and the mapping's pair fan-out, and the
+# kernels are serial and must ignore the thread count. Run the
+# determinism suite under a serial pool, an odd worker count (where
+# uneven chunking of a fan-out would show) and an even one.
 FARE_RT_THREADS=1 cargo test -q --offline --test determinism
 FARE_RT_THREADS=3 cargo test -q --offline --test determinism
 FARE_RT_THREADS=4 cargo test -q --offline --test determinism
 
 echo "==> runner pins across thread counts"
 # Every training runner is pinned bit for bit by a digest of its
-# outcome. An odd worker count is where uneven chunking of the parallel
-# kernels would show, so run the pins on 1 and 3 threads.
+# outcome. A run's mapping fans out over the pool, and an odd worker
+# count is where uneven chunking would show, so run the pins on 1 and 3
+# threads; a kernel that stopped ignoring the thread count shows too.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test runner_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test runner_pins
 
 echo "==> sweep pins across thread counts"
 # Every trial-averaged figure sweep and training ablation is pinned by
 # a digest of its result. The sweeps share one partition per (dataset,
-# trial seed) across a flat parallel map of runs, so check a serial and
-# an odd worker count.
+# trial seed) across a flat parallel map of runs, and a run's own
+# mapping fan-out runs inline on its task, so check a serial and an odd
+# worker count.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sweep_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sweep_pins
 
@@ -84,8 +88,8 @@ echo "==> row kernel against the plain-loop oracle across thread counts"
 # t_matmul, matmul_t and spmm by to_bits to the plain loops the kernel
 # replaced, kept as test-only oracles, over every small shape, widths on
 # both sides of the 32-wide register cutoff, and signed zeros, NaN,
-# infinities and subnormals. The products run on the pool, so check a
-# serial and an odd worker count.
+# infinities and subnormals. The products are serial and must ignore
+# the thread count, so check a serial and an odd worker count.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- \
     bit_identical_to_loop_oracle
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- \
@@ -94,8 +98,9 @@ FARE_RT_THREADS=3 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- 
 echo "==> sparse GAT against the dense oracle across thread counts"
 # GAT attends over the view's CSR pattern; a property test pins its
 # output, attention and gradients bit for bit to the dense n x n GAT
-# kept as a test-only oracle. The sparse product P = S.Z runs on the
-# pool, so check a serial and an odd worker count.
+# kept as a test-only oracle. The sparse product P = S.Z is serial and
+# must ignore the thread count, so check a serial and an odd worker
+# count.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-gnn --lib -- \
     sparse_attention_bit_identical_to_dense_oracle
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-gnn --lib -- \
@@ -106,8 +111,8 @@ echo "==> sparse adjacency fault path against the dense oracle across thread cou
 # corrupt the CSR pattern with a sparse edit per stuck cell and
 # normalise the pattern directly. A property test pins blocks, pattern
 # and every view cache by to_bits to the dense n x n path, kept as a
-# test-only oracle. Mapping and refresh run on the pool, so check a
-# serial and an odd worker count.
+# test-only oracle. The mapping's pair fan-out runs on the pool, so
+# check a serial and an odd worker count.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sparse_adjacency
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sparse_adjacency
 
@@ -142,9 +147,9 @@ FARE_RT_THREADS=4 cargo test -q --offline -p fare-core --test proptests -- \
 
 echo "==> compute-core bench smoke"
 # The bench smokes time production code only: the sparse GCN step and
-# aggregation, the batched crossbar matmul, and the mapping, cached
-# refresh and corruption at the trainer's crossbar geometry, from a CSR
-# batch graph.
+# aggregation, a GAT step on a trainer mini-batch, and the mapping,
+# cached refresh and corruption at the trainer's crossbar geometry,
+# from a CSR batch graph.
 BENCH_TMP="$(mktemp /tmp/bench_core.XXXXXX.json)"
 trap 'rm -f "$BENCH_TMP"' EXIT
 cargo run -q --offline -p fare-bench --bin bench_core -- \
