@@ -95,8 +95,8 @@ pub(crate) enum Cell {
 /// Each (dataset, trial seed) is partitioned and batched once; every
 /// cell on that dataset continues from the shared preparation, so each
 /// run reads the RNG stream a stand-alone run would. All (cell × trial)
-/// runs go through one flat parallel map; a run's own parallel calls
-/// (the mapping's pair fan-out) execute inline on its pool task.
+/// runs go through one flat parallel map; inside a run everything is
+/// serial.
 pub(crate) fn run_cells(
     params: &ExperimentParams,
     kinds: &[DatasetKind],

@@ -40,8 +40,8 @@
 //! On top of the reduced kernel, [`map_adjacency`] deduplicates work by
 //! *content classes*: blocks with identical bit patterns and crossbars
 //! with identical fault planes share a single `G₁` solution, and the
-//! unique (block-class, fault-class) pairs are solved on the worker pool
-//! with per-worker solver scratch. [`RemapCache`] extends the same idea
+//! unique (block-class, fault-class) pairs are solved once each, through
+//! one reused solver scratch. [`RemapCache`] extends the same idea
 //! across BIST epochs: a (block, crossbar) pair whose fault state is
 //! unchanged (checked via [`Crossbar::fault_version`]) reuses its stored
 //! permutation instead of re-solving.
@@ -58,7 +58,6 @@ use fare_graph::{CsrGraph, CsrMatrix};
 use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
 use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
-use fare_rt::par::scoped_map_init;
 use fare_tensor::Matrix;
 
 /// Configuration of the mapping algorithm.
@@ -317,7 +316,7 @@ impl Mapping {
 /// `(row_perm, mismatch_cost, sa1_cost)` of one solved `G₁` instance.
 type PairSolution = (Vec<usize>, usize, usize);
 
-/// Reusable per-worker scratch for the `G₁` pair solves: the integer
+/// Reusable scratch for the `G₁` pair solves: the integer
 /// cost table, the per-row deviant index, the level set, and the
 /// matching state survive across pair solves so the hot loop allocates
 /// nothing (cost-only solves) or only the output permutation.
@@ -1049,37 +1048,32 @@ pub fn map_blocks_cached(
         .map(|&j| XbarG1Ctx::build(array.crossbar(j)))
         .collect();
 
-    // Solve each unique (block-class, fault-class) pair exactly once, on
-    // the worker pool, with per-worker solver scratch.
+    // Solve each unique (block-class, fault-class) pair exactly once,
+    // through one reused solver scratch.
     let bc_count = block_reps.len();
     let xc_count = xbar_reps.len();
-    let pairs: Vec<(usize, usize)> = (0..bc_count)
-        .flat_map(|ci| (0..xc_count).map(move |cj| (ci, cj)))
-        .collect();
-    fare_obs::counters::CORE_MAPPING_PAIRS_SOLVED.add(pairs.len() as u64);
+    fare_obs::counters::CORE_MAPPING_PAIRS_SOLVED.add((bc_count * xc_count) as u64);
     // The pair table needs only `(mismatch, sa1)` — `G₂` and the pruning
-    // heuristic consume costs, never permutations — so the fan-out solve
+    // heuristic consume costs, never permutations — so the pair solve
     // skips permutation assembly (and its per-pair allocation) entirely.
     // Full solutions are recomputed below for the ~`B` chosen pairs.
-    let unique: Vec<(usize, usize)> = {
-        let block_reps = &block_reps;
-        let xbar_reps = &xbar_reps;
-        let col_idx = &col_idx;
-        let xbar_ctx = &xbar_ctx;
-        scoped_map_init(pairs, G1Scratch::default, |scratch, (ci, cj)| {
+    let mut scratch = G1Scratch::default();
+    let unique: Vec<(usize, usize)> = (0..bc_count)
+        .flat_map(|ci| (0..xc_count).map(move |cj| (ci, cj)))
+        .map(|(ci, cj)| {
             solve_reduced_g1_costs(
                 &packed[block_reps[ci]],
                 &col_idx[ci],
                 array.crossbar(xbar_reps[cj]),
                 &xbar_ctx[cj],
                 cfg.matcher,
-                scratch,
+                &mut scratch,
             )
         })
-    };
+        .collect();
     let cost_at =
         |i: usize, j: usize| unique[block_class[i] as usize * xc_count + xbar_class[j] as usize];
-    let take_scratch = RefCell::new(G1Scratch::default());
+    let take_scratch = RefCell::new(scratch);
 
     let mapping = assemble_mapping(
         n,
@@ -1300,7 +1294,7 @@ pub fn refresh_blocks_cached(
 /// Naive serial oracles for the fast path.
 ///
 /// The functions here intentionally avoid the packed kernels, the class
-/// deduplication, the level-greedy `G₁` solver, and the worker pool: they
+/// deduplication and the level-greedy `G₁` solver: they
 /// are the smallest honest implementation of the mapping semantics. The
 /// property tests assert the production path is bit-identical to them.
 pub mod reference {

@@ -7,7 +7,7 @@
 //! | module          | replaces     | surface                                    |
 //! |-----------------|--------------|--------------------------------------------|
 //! | [`rand`]        | `rand` 0.8   | `StdRng`, `Rng`, `SeedableRng`, `RngCore`, `seq::SliceRandom` |
-//! | [`par`]         | `rayon`      | persistent worker pool: `scoped_map_init` order-preserving map, inline when nested |
+//! | [`par`]         | `rayon`      | persistent worker pool for sweep runs: `scoped_map_init` order-preserving map |
 //! | [`json`]        | `serde` + `serde_json` | [`json::Json`] value, parser, serializer, `ToJson`/`FromJson` + impl macros |
 //! | [`prop`]        | `proptest`   | seeded, shrink-free `proptest!` macro + `Strategy` combinators |
 //!

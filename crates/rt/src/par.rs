@@ -3,9 +3,9 @@
 //!
 //! Work runs on a process-wide worker pool that is spawned **once** (and
 //! grown lazily up to the configured thread count), not per call. The
-//! pool carries coarse work only: the runs of a sweep and the mapping's
-//! pair fan-out. GNN, tensor and graph kernels are serial, because a
-//! Cluster-GCN mini-batch of a few dozen nodes gives a kernel less work
+//! pool carries the runs of a sweep only. Everything inside a run — the
+//! GNN, tensor and graph kernels and the mapping — is serial, because a
+//! Cluster-GCN mini-batch of a few dozen nodes gives each step less work
 //! than one hand-off to the pool costs.
 //!
 //! - [`scoped_map_init`] — order-preserving parallel map over owned
@@ -19,14 +19,11 @@
 //! `std::thread::available_parallelism()`. The last two are read once,
 //! on the first query, and kept for the life of the process.
 //!
-//! There are no nested splits: a [`scoped_map_init`] called from inside
-//! a pool task runs inline on that task's thread, so a sweep
-//! parallelises across its runs only. A thread that submits a batch
-//! *helps* — it pops and runs queued tasks (its own or another batch's)
-//! while it waits — so progress never depends on a free pool worker
-//! being available.
+//! Nested parallelism is deadlock-free by construction: a thread that
+//! submits a batch *helps* — it pops and runs queued tasks (its own or
+//! another batch's) while it waits — so progress never depends on a free
+//! pool worker being available.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -109,17 +106,6 @@ mod pool {
         workers: Mutex<usize>,
     }
 
-    thread_local! {
-        /// Whether this thread is running the body of a pool task.
-        static IN_TASK: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Whether the calling thread is inside a pool task, where
-    /// `scoped_map_init` runs inline instead of splitting again.
-    pub(super) fn in_task() -> bool {
-        IN_TASK.get()
-    }
-
     fn pool() -> &'static Pool {
         static POOL: OnceLock<Pool> = OnceLock::new();
         POOL.get_or_init(|| Pool {
@@ -135,10 +121,7 @@ mod pool {
         // `run_batch` until we decrement `remaining` below, so the
         // pointee is alive for the whole body of this function.
         let shared = unsafe { &*task.shared };
-        let outer = IN_TASK.replace(true);
-        let result = catch_unwind(AssertUnwindSafe(|| (shared.f)(task.index)));
-        IN_TASK.set(outer);
-        if let Err(payload) = result {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (shared.f)(task.index))) {
             let mut slot = shared.panic.lock().unwrap();
             if slot.is_none() {
                 *slot = Some(payload);
@@ -240,7 +223,6 @@ mod pool {
     }
 }
 
-use pool::in_task;
 pub use pool::run_batch;
 
 /// Maps `f` over `items` on the worker pool, preserving input order.
@@ -249,9 +231,6 @@ pub use pool::run_batch;
 /// threads it through its items — the `map_init` pattern for solvers
 /// with reusable internal buffers (allocate once per worker, not once
 /// per item). Callers with no scratch pass `|| ()`.
-///
-/// Called from inside a pool task, it maps every item inline on that
-/// task's thread with one scratch value.
 ///
 /// Determinism contract: `f`'s output must depend only on its item, not
 /// on scratch history, because chunk boundaries move with the thread
@@ -266,7 +245,7 @@ where
 {
     let n = items.len();
     let threads = current_threads().clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 || in_task() {
+    if threads <= 1 || n <= 1 {
         let mut scratch = init();
         return items.into_iter().map(|t| f(&mut scratch, t)).collect();
     }
@@ -367,42 +346,6 @@ mod tests {
         for &threads in &[1usize, 4] {
             set_threads(threads);
             assert!(map(Vec::<u8>::new(), |x| x).is_empty());
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn maps_inside_a_pool_task_run_inline() {
-        use std::thread::{current, ThreadId};
-        for threads in [2usize, 3, 4] {
-            set_threads(threads);
-            // Per outer task: its thread, the inner map's scratch count
-            // and the inner results.
-            type Outer = (Option<ThreadId>, usize, Vec<(ThreadId, usize)>);
-            let outer: Vec<Mutex<Outer>> = (0..threads)
-                .map(|_| Mutex::new((None, 0, Vec::new())))
-                .collect();
-            // `run_batch` always hands two or more chunks to the pool, so
-            // every outer chunk is a pool task whatever the thread count.
-            run_batch(threads, &|i| {
-                let scratches = AtomicUsize::new(0);
-                let inner = scoped_map_init(
-                    (0..10).collect(),
-                    || scratches.fetch_add(1, Ordering::Relaxed),
-                    |_, j: usize| (current().id(), j),
-                );
-                *outer[i].lock().unwrap() = (Some(current().id()), scratches.into_inner(), inner);
-            });
-            for slot in outer {
-                let (task_thread, scratches, inner) = slot.into_inner().unwrap();
-                assert!(
-                    inner.iter().all(|&(id, _)| Some(id) == task_thread),
-                    "threads={threads}: an inner item left its task's thread"
-                );
-                assert_eq!(scratches, 1, "threads={threads}: the inner map split");
-                let order: Vec<usize> = inner.iter().map(|&(_, j)| j).collect();
-                assert_eq!(order, (0..10).collect::<Vec<_>>(), "threads={threads}");
-            }
         }
         set_threads(0);
     }

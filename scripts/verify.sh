@@ -51,28 +51,27 @@ cargo test -q --offline --workspace
 
 echo "==> determinism suite across thread counts"
 # Training promises bit-identical results at any worker count. The pool
-# carries the runs of a sweep and the mapping's pair fan-out, and the
-# kernels are serial and must ignore the thread count. Run the
-# determinism suite under a serial pool, an odd worker count (where
-# uneven chunking of a fan-out would show) and an even one.
+# carries the runs of a sweep; the kernels and the mapping are serial
+# and must ignore the thread count. Run the determinism suite under a
+# serial pool, an odd worker count (where uneven chunking of the runs
+# would show) and an even one.
 FARE_RT_THREADS=1 cargo test -q --offline --test determinism
 FARE_RT_THREADS=3 cargo test -q --offline --test determinism
 FARE_RT_THREADS=4 cargo test -q --offline --test determinism
 
 echo "==> runner pins across thread counts"
 # Every training runner is pinned bit for bit by a digest of its
-# outcome. A run's mapping fans out over the pool, and an odd worker
-# count is where uneven chunking would show, so run the pins on 1 and 3
-# threads; a kernel that stopped ignoring the thread count shows too.
+# outcome. A run is serial and must ignore the thread count, so run the
+# pins on 1 and 3 threads; a kernel or mapping step that started reading
+# the thread count would show.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test runner_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test runner_pins
 
 echo "==> sweep pins across thread counts"
 # Every trial-averaged figure sweep and training ablation is pinned by
 # a digest of its result. The sweeps share one partition per (dataset,
-# trial seed) across a flat parallel map of runs, and a run's own
-# mapping fan-out runs inline on its task, so check a serial and an odd
-# worker count.
+# trial seed) across a flat parallel map of runs, so check a serial and
+# an odd worker count, where uneven chunking of the runs would show.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sweep_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sweep_pins
 
@@ -111,8 +110,8 @@ echo "==> sparse adjacency fault path against the dense oracle across thread cou
 # corrupt the CSR pattern with a sparse edit per stuck cell and
 # normalise the pattern directly. A property test pins blocks, pattern
 # and every view cache by to_bits to the dense n x n path, kept as a
-# test-only oracle. The mapping's pair fan-out runs on the pool, so
-# check a serial and an odd worker count.
+# test-only oracle. The mapping and the corruption are serial and must
+# ignore the thread count, so check a serial and an odd worker count.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sparse_adjacency
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sparse_adjacency
 

@@ -65,8 +65,8 @@ fn different_seeds_diverge() {
     assert_ne!(a.history, b.history);
 }
 
-/// The fault-aware mapping pipeline (its unique pair solves run on the
-/// worker pool) produces the same placement on 1 thread and 4 threads.
+/// The fault-aware mapping pipeline is serial, so it must produce the
+/// same placement whatever the thread count: 1 thread and 4 threads.
 #[test]
 fn mapping_identical_across_thread_counts() {
     let _g = lock();
@@ -92,7 +92,7 @@ fn mapping_identical_across_thread_counts() {
 }
 
 /// The incremental post-BIST refresh — cache hits for untouched
-/// crossbars, parallel re-solves for mutated ones — is bit-identical to
+/// crossbars, serial re-solves for mutated ones — is bit-identical to
 /// the full recompute at 1, 2 and 8 threads.
 #[test]
 fn incremental_refresh_identical_across_thread_counts() {
