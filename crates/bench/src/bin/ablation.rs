@@ -4,8 +4,8 @@
 
 use fare_bench::{params_from_args, pct, render_table};
 use fare_core::ablation::{
-    clip_threshold_ablation, locality_ablation, matcher_ablation, prune_ablation,
-    refresh_ablation, slack_ablation,
+    clip_threshold_ablation, locality_ablation, matcher_ablation, prune_ablation, refresh_ablation,
+    slack_ablation,
 };
 
 fn main() {
@@ -23,7 +23,10 @@ fn main() {
             ]
         })
         .collect();
-    print!("{}", render_table(&["solver", "mapping cost", "wall time"], &rows));
+    print!(
+        "{}",
+        render_table(&["solver", "mapping cost", "wall time"], &rows)
+    );
 
     println!("\nAblation 2 — SA1-non-overlap pruning heuristic (lines 8-17)\n");
     let rows: Vec<Vec<String>> = prune_ablation(seed, 0.05)
@@ -36,7 +39,10 @@ fn main() {
             ]
         })
         .collect();
-    print!("{}", render_table(&["pruning", "mapping cost", "SA1 cost"], &rows));
+    print!(
+        "{}",
+        render_table(&["pruning", "mapping cost", "SA1 cost"], &rows)
+    );
 
     println!("\nAblation 3 — crossbar over-provisioning slack\n");
     let rows: Vec<Vec<String>> = slack_ablation(seed, 0.05, &[1.0, 1.25, 1.5, 2.0, 3.0])
@@ -49,13 +55,17 @@ fn main() {
             ]
         })
         .collect();
-    print!("{}", render_table(&["slack", "crossbars", "mapping cost"], &rows));
+    print!(
+        "{}",
+        render_table(&["slack", "crossbars", "mapping cost"], &rows)
+    );
 
     println!("\nAblation 4 — clip threshold θ (Reddit+GCN, 5% faults, 1:1)\n");
-    let rows: Vec<Vec<String>> = clip_threshold_ablation(&params, &[0.05, 0.25, 0.5, 1.0, 2.0, 8.0, 64.0])
-        .into_iter()
-        .map(|r| vec![format!("{}", r.threshold), pct(r.accuracy)])
-        .collect();
+    let rows: Vec<Vec<String>> =
+        clip_threshold_ablation(&params, &[0.05, 0.25, 0.5, 1.0, 2.0, 8.0, 64.0])
+            .into_iter()
+            .map(|r| vec![format!("{}", r.threshold), pct(r.accuracy)])
+            .collect();
     print!("{}", render_table(&["θ", "FARe accuracy"], &rows));
 
     println!("\nAblation 5 — tile-locality weight λ (extension; 8 crossbars/tile)\n");
@@ -79,7 +89,12 @@ fn main() {
         .into_iter()
         .map(|r| {
             vec![
-                if r.refresh { "refresh on" } else { "refresh off" }.into(),
+                if r.refresh {
+                    "refresh on"
+                } else {
+                    "refresh off"
+                }
+                .into(),
                 pct(r.accuracy),
             ]
         })

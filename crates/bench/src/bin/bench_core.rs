@@ -19,12 +19,12 @@
 //! across PRs with the one code path.
 
 use fare_bench::{string_flag, time_ns};
-use fare_obs::RunManifest;
 use fare_gnn::{Gnn, GnnDims, IdealReader};
 use fare_graph::batch::make_batches;
 use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare_graph::partition::partition;
 use fare_graph::{CsrGraph, GraphView};
+use fare_obs::RunManifest;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
 use fare_tensor::{init, ops, Matrix};

@@ -42,8 +42,7 @@ fn main() {
         };
         let auc: f64 = (0..params.trials.max(1))
             .map(|t| {
-                run_link_prediction(&config, seed.wrapping_add(1000 * t as u64), &dataset)
-                    .final_auc
+                run_link_prediction(&config, seed.wrapping_add(1000 * t as u64), &dataset).final_auc
             })
             .sum::<f64>()
             / params.trials.max(1) as f64;

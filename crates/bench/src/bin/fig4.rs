@@ -8,7 +8,10 @@ use fare_core::experiments::fig4;
 fn main() {
     let params = params_from_args();
     let densities = [0.01, 0.02, 0.03, 0.04, 0.05];
-    eprintln!("running fig4 (epochs={}, trials={}) ...", params.epochs, params.trials);
+    eprintln!(
+        "running fig4 (epochs={}, trials={}) ...",
+        params.epochs, params.trials
+    );
     let result = fig4(&params, &densities);
     fare_bench::maybe_write_json(&result);
 

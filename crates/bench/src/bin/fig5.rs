@@ -25,7 +25,15 @@ fn print_panel(cmp: &AccuracyComparison, densities: &[f64]) {
     print!(
         "{}",
         render_table(
-            &["workload", "density", "fault-free", "unaware", "NR", "clipping", "FARe"],
+            &[
+                "workload",
+                "density",
+                "fault-free",
+                "unaware",
+                "NR",
+                "clipping",
+                "FARe"
+            ],
             &rows,
         )
     );

@@ -38,7 +38,15 @@ fn main() {
         print!(
             "{}",
             render_table(
-                &["workload", "pre+post", "fault-free", "unaware", "NR", "clipping", "FARe"],
+                &[
+                    "workload",
+                    "pre+post",
+                    "fault-free",
+                    "unaware",
+                    "NR",
+                    "clipping",
+                    "FARe"
+                ],
                 &rows,
             )
         );

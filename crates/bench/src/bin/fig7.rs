@@ -26,7 +26,14 @@ fn main() {
     print!(
         "{}",
         render_table(
-            &["dataset", "fault-free", "clipping", "FARe", "NR", "FARe speedup over NR"],
+            &[
+                "dataset",
+                "fault-free",
+                "clipping",
+                "FARe",
+                "NR",
+                "FARe speedup over NR"
+            ],
             &rows,
         )
     );

@@ -16,15 +16,23 @@ fn main() {
             spec.name.to_string(),
             format!("{}", spec.paper_nodes),
             format!("{}", spec.paper_edges),
-            format!("Batch={}, Partitions={}", spec.paper_batch, spec.paper_partitions),
+            format!(
+                "Batch={}, Partitions={}",
+                spec.paper_batch, spec.paper_partitions
+            ),
             format!("{}", ds.graph.num_nodes()),
             format!("{}", ds.graph.num_edges()),
-            format!("Batch={}, Partitions={}", spec.clusters_per_batch, spec.partitions),
+            format!(
+                "Batch={}, Partitions={}",
+                spec.clusters_per_batch, spec.partitions
+            ),
             models.join("+"),
         ]);
     }
     println!("TABLE II. GRAPH DATASETS & GNN WORKLOAD CONFIGURATION");
-    println!("(lr = 0.01, epochs = 100 in the paper; scaled replicas generated with seed {seed})\n");
+    println!(
+        "(lr = 0.01, epochs = 100 in the paper; scaled replicas generated with seed {seed})\n"
+    );
     print!(
         "{}",
         render_table(

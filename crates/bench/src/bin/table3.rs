@@ -6,16 +6,19 @@ use fare_reram::ChipConfig;
 fn main() {
     let cfg = ChipConfig::date2024();
     let rows = vec![
-        vec!["crossbars / tile".into(), format!("{}", cfg.crossbars_per_tile)],
+        vec![
+            "crossbars / tile".into(),
+            format!("{}", cfg.crossbars_per_tile),
+        ],
         vec![
             "crossbar size".into(),
             format!("{0}x{0}", cfg.crossbar_size),
         ],
+        vec!["clock".into(), format!("{} MHz", cfg.frequency_hz / 1e6)],
         vec![
-            "clock".into(),
-            format!("{} MHz", cfg.frequency_hz / 1e6),
+            "cell resolution".into(),
+            format!("{}-bit/cell", cfg.bits_per_cell),
         ],
-        vec!["cell resolution".into(), format!("{}-bit/cell", cfg.bits_per_cell)],
         vec![
             "comparators".into(),
             format!(

@@ -90,11 +90,21 @@ fn main() {
     );
 
     let outcome = match strategy {
-        Some(s) => Trainer::new(TrainConfig { strategy: s, ..config }, params.seed).run(&dataset),
+        Some(s) => Trainer::new(
+            TrainConfig {
+                strategy: s,
+                ..config
+            },
+            params.seed,
+        )
+        .run(&dataset),
         None => run_fault_free(&config, params.seed, &dataset),
     };
 
-    println!("{:>6} {:>10} {:>10} {:>10}", "epoch", "loss", "train acc", "test acc");
+    println!(
+        "{:>6} {:>10} {:>10} {:>10}",
+        "epoch", "loss", "train acc", "test acc"
+    );
     for e in &outcome.history {
         println!(
             "{:>6} {:>10.4} {:>10.3} {:>10.3}",

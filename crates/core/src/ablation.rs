@@ -15,8 +15,8 @@ use std::time::Instant;
 use fare_graph::datasets::{DatasetKind, ModelKind};
 use fare_matching::Matcher;
 use fare_reram::{CrossbarArray, FaultSpec};
-use fare_tensor::Matrix;
 use fare_rt::rand::Rng;
+use fare_tensor::Matrix;
 
 use crate::experiments::{mean_accuracy, run_cells, Cell, ExperimentParams};
 use crate::mapping::{map_adjacency, MappingConfig};
@@ -59,7 +59,11 @@ pub struct MatcherAblation {
     pub wall_time_ms: f64,
 }
 
-fare_rt::json_struct!(MatcherAblation { matcher, mapping_cost, wall_time_ms });
+fare_rt::json_struct!(MatcherAblation {
+    matcher,
+    mapping_cost,
+    wall_time_ms
+});
 
 /// Sweeps the assignment solver on a standard instance.
 pub fn matcher_ablation(seed: u64, density: f64) -> Vec<MatcherAblation> {
@@ -70,22 +74,22 @@ pub fn matcher_ablation(seed: u64, density: f64) -> Vec<MatcherAblation> {
         Matcher::Auction,
         Matcher::Greedy,
     ]
-        .into_iter()
-        .map(|matcher| {
-            let cfg = MappingConfig {
-                matcher,
-                prune: true,
-                ..MappingConfig::default()
-            };
-            let t0 = Instant::now();
-            let mapping = map_adjacency(&adj, &array, &cfg);
-            MatcherAblation {
-                matcher,
-                mapping_cost: mapping.total_cost(),
-                wall_time_ms: t0.elapsed().as_secs_f64() * 1e3,
-            }
-        })
-        .collect()
+    .into_iter()
+    .map(|matcher| {
+        let cfg = MappingConfig {
+            matcher,
+            prune: true,
+            ..MappingConfig::default()
+        };
+        let t0 = Instant::now();
+        let mapping = map_adjacency(&adj, &array, &cfg);
+        MatcherAblation {
+            matcher,
+            mapping_cost: mapping.total_cost(),
+            wall_time_ms: t0.elapsed().as_secs_f64() * 1e3,
+        }
+    })
+    .collect()
 }
 
 /// One row of the pruning ablation.
@@ -99,7 +103,11 @@ pub struct PruneAblation {
     pub sa1_cost: usize,
 }
 
-fare_rt::json_struct!(PruneAblation { prune, mapping_cost, sa1_cost });
+fare_rt::json_struct!(PruneAblation {
+    prune,
+    mapping_cost,
+    sa1_cost
+});
 
 /// Sweeps the pruning heuristic on a sparse instance (where the paper's
 /// 0.001-density blocks make it bite).
@@ -134,7 +142,11 @@ pub struct SlackAblation {
     pub mapping_cost: usize,
 }
 
-fare_rt::json_struct!(SlackAblation { slack, crossbars, mapping_cost });
+fare_rt::json_struct!(SlackAblation {
+    slack,
+    crossbars,
+    mapping_cost
+});
 
 /// Sweeps the crossbar over-provisioning slack: more spare crossbars give
 /// Algorithm 1 more placement freedom at area cost.
@@ -162,7 +174,10 @@ pub struct ClipAblation {
     pub accuracy: f64,
 }
 
-fare_rt::json_struct!(ClipAblation { threshold, accuracy });
+fare_rt::json_struct!(ClipAblation {
+    threshold,
+    accuracy
+});
 
 /// Sweeps the clip threshold θ under 5 % faults (1:1 ratio, the regime
 /// where clipping matters most).
@@ -227,7 +242,11 @@ pub struct LocalityAblation {
     pub mapping_cost: usize,
 }
 
-fare_rt::json_struct!(LocalityAblation { weight, tile_spread, mapping_cost });
+fare_rt::json_struct!(LocalityAblation {
+    weight,
+    tile_spread,
+    mapping_cost
+});
 
 /// Sweeps the tile-locality weight λ: communication (tile spread) falls
 /// as λ rises, at the price of extra mismatches.
@@ -263,7 +282,11 @@ pub struct DepthAblation {
     pub normalized_time: f64,
 }
 
-fare_rt::json_struct!(DepthAblation { depth, accuracy, normalized_time });
+fare_rt::json_struct!(DepthAblation {
+    depth,
+    accuracy,
+    normalized_time
+});
 
 /// Sweeps model depth under FARe with 3 % faults — deeper models add
 /// pipeline stages (timing) and more fault-exposed parameters
@@ -331,7 +354,12 @@ mod tests {
         let rows = prune_ablation(5, 0.05);
         let on = rows.iter().find(|r| r.prune).unwrap();
         let off = rows.iter().find(|r| !r.prune).unwrap();
-        assert!(on.sa1_cost <= off.sa1_cost + 3, "on {} off {}", on.sa1_cost, off.sa1_cost);
+        assert!(
+            on.sa1_cost <= off.sa1_cost + 3,
+            "on {} off {}",
+            on.sa1_cost,
+            off.sa1_cost
+        );
     }
 
     #[test]
@@ -367,7 +395,9 @@ mod tests {
         assert!(rows.iter().all(|r| r.accuracy > 0.0 && r.accuracy <= 1.0));
         // Deeper model => more pipeline stages => same or slightly lower
         // relative FARe overhead is possible; just check sanity bounds.
-        assert!(rows.iter().all(|r| r.normalized_time > 1.0 && r.normalized_time < 2.0));
+        assert!(rows
+            .iter()
+            .all(|r| r.normalized_time > 1.0 && r.normalized_time < 2.0));
     }
 
     #[test]

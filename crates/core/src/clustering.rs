@@ -26,7 +26,12 @@ pub struct ClusteringOutcome {
     pub k: usize,
 }
 
-fare_rt::json_struct!(ClusteringOutcome { purity, nmi, link_auc, k });
+fare_rt::json_struct!(ClusteringOutcome {
+    purity,
+    nmi,
+    link_auc,
+    k
+});
 
 /// Trains an encoder self-supervised under `config`, clusters its
 /// embeddings into the dataset's community count, and scores against
@@ -39,7 +44,11 @@ fare_rt::json_struct!(ClusteringOutcome { purity, nmi, link_auc, k });
 ///
 /// Panics on the same configuration errors as
 /// [`run_link_prediction`].
-pub fn run_graph_clustering(config: &TrainConfig, seed: u64, dataset: &Dataset) -> ClusteringOutcome {
+pub fn run_graph_clustering(
+    config: &TrainConfig,
+    seed: u64,
+    dataset: &Dataset,
+) -> ClusteringOutcome {
     let link = run_link_prediction(config, seed, dataset);
     let k = dataset.num_classes;
     let mut rng = fare_rt::domain_rng(seed, "clustering");

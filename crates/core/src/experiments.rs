@@ -60,7 +60,11 @@ pub struct ExperimentParams {
     pub trials: usize,
 }
 
-fare_rt::json_struct!(ExperimentParams { epochs, seed, trials });
+fare_rt::json_struct!(ExperimentParams {
+    epochs,
+    seed,
+    trials
+});
 
 impl Default for ExperimentParams {
     fn default() -> Self {
@@ -173,7 +177,11 @@ pub struct Fig3Case {
     pub accuracy: f64,
 }
 
-fare_rt::json_struct!(Fig3Case { phase, polarity, accuracy });
+fare_rt::json_struct!(Fig3Case {
+    phase,
+    polarity,
+    accuracy
+});
 
 /// Fig. 3 result: four fault bars plus the fault-free reference.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,7 +270,12 @@ pub struct Fig4Result {
     pub fare: Vec<Vec<f64>>,
 }
 
-fare_rt::json_struct!(Fig4Result { densities, fault_free, unaware, fare });
+fare_rt::json_struct!(Fig4Result {
+    densities,
+    fault_free,
+    unaware,
+    fare
+});
 
 /// Runs Fig. 4: training accuracy vs epoch for fault-unaware vs FARe at
 /// each density (GCN + Reddit, SA0:SA1 = 9:1).
@@ -320,7 +333,12 @@ pub struct AccuracyCell {
     pub accuracy: f64,
 }
 
-fare_rt::json_struct!(AccuracyCell { workload, strategy, density, accuracy });
+fare_rt::json_struct!(AccuracyCell {
+    workload,
+    strategy,
+    density,
+    accuracy
+});
 
 /// Fig. 5 / Fig. 6 result: all bars plus per-workload fault-free
 /// references.
@@ -337,7 +355,12 @@ pub struct AccuracyComparison {
     pub cells: Vec<AccuracyCell>,
 }
 
-fare_rt::json_struct!(AccuracyComparison { sa1_fraction, post_deployment_density, fault_free, cells });
+fare_rt::json_struct!(AccuracyComparison {
+    sa1_fraction,
+    post_deployment_density,
+    fault_free,
+    cells
+});
 
 impl AccuracyComparison {
     /// Accuracy of a specific bar.
@@ -523,7 +546,11 @@ mod tests {
         let result = fig7();
         // Amazon2M (N=500) has more batches than PPI (N=50): larger NR
         // penalty.
-        let ppi = result.rows.iter().find(|(k, _)| *k == DatasetKind::Ppi).unwrap();
+        let ppi = result
+            .rows
+            .iter()
+            .find(|(k, _)| *k == DatasetKind::Ppi)
+            .unwrap();
         let amz = result
             .rows
             .iter()
@@ -535,7 +562,11 @@ mod tests {
     #[test]
     fn accuracy_comparison_lookup_helpers() {
         // Tiny run to exercise the bookkeeping, not the science.
-        let params = ExperimentParams { epochs: 1, seed: 1, trials: 1 };
+        let params = ExperimentParams {
+            epochs: 1,
+            seed: 1,
+            trials: 1,
+        };
         let w = vec![Workload {
             dataset: DatasetKind::Ppi,
             model: ModelKind::Gcn,

@@ -9,8 +9,8 @@ use fare_graph::{CsrGraph, CsrMatrix};
 use fare_reram::variation::{VariationField, VariationSpec};
 use fare_reram::weights::{FaultOverlay, WeightFabric};
 use fare_reram::{CrossbarArray, FaultSpec, StuckPolarity};
-use fare_tensor::{FixedFormat, Matrix};
 use fare_rt::rand::Rng;
+use fare_tensor::{FixedFormat, Matrix};
 
 use fare_matching::{CostMatrix, Matcher};
 
@@ -362,7 +362,10 @@ mod tests {
             let w = m.param(ps.layer, ps.param);
             let read = reader.read(ps.layer, ps.param, w);
             let res = reader.fabric(ps.layer, ps.param).format().resolution();
-            if w.iter().zip(read.iter()).any(|(a, b)| (a - b).abs() > 2.0 * res) {
+            if w.iter()
+                .zip(read.iter())
+                .any(|(a, b)| (a - b).abs() > 2.0 * res)
+            {
                 any_changed = true;
             }
         }
@@ -453,7 +456,10 @@ mod tests {
         // once deserialised: a cache keyed on fault versions would miss it.
         let mut other = reader.fabric(0, 0).clone();
         other.array_mut().clear_faults();
-        other.array_mut().crossbar_mut(0).inject_fault(1, 0, StuckPolarity::StuckAtOne);
+        other
+            .array_mut()
+            .crossbar_mut(0)
+            .inject_fault(1, 0, StuckPolarity::StuckAtOne);
         let text = fare_rt::json::to_string(&other).unwrap();
         *reader.fabric_mut(0, 0) = fare_rt::json::from_str(&text).unwrap();
         let after = reader.read(0, 0, w);
@@ -479,7 +485,10 @@ mod tests {
             let placement = reader.placements[&(ps.layer, ps.param)].clone();
             let read = reader.read(ps.layer, ps.param, w);
             let fabric = reader.fabric(ps.layer, ps.param);
-            assert_eq!(bits(&read), bits(&fabric.corrupt_permuted(w, Some(&placement))));
+            assert_eq!(
+                bits(&read),
+                bits(&fabric.corrupt_permuted(w, Some(&placement)))
+            );
             moved |= bits(&read) != bits(ident);
         }
         assert!(moved, "NR placement left every read unchanged");

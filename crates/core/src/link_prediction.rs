@@ -66,7 +66,12 @@ pub struct LinkOutcome {
     pub embeddings: Matrix,
 }
 
-fare_rt::json_struct!(LinkOutcome { history, final_auc, test_edges, embeddings });
+fare_rt::json_struct!(LinkOutcome {
+    history,
+    final_auc,
+    test_edges,
+    embeddings
+});
 
 /// Up to `count` uniformly drawn node pairs that are not edges of
 /// `graph`.

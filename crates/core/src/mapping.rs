@@ -71,7 +71,11 @@ pub struct MappingConfig {
     pub locality: Option<LocalityConfig>,
 }
 
-fare_rt::json_struct!(MappingConfig { matcher, prune, locality });
+fare_rt::json_struct!(MappingConfig {
+    matcher,
+    prune,
+    locality
+});
 
 impl Default for MappingConfig {
     fn default() -> Self {
@@ -98,7 +102,10 @@ pub struct LocalityConfig {
     pub weight: f64,
 }
 
-fare_rt::json_struct!(LocalityConfig { crossbars_per_tile, weight });
+fare_rt::json_struct!(LocalityConfig {
+    crossbars_per_tile,
+    weight
+});
 
 impl LocalityConfig {
     /// Creates a locality term.
@@ -107,8 +114,14 @@ impl LocalityConfig {
     ///
     /// Panics if `crossbars_per_tile == 0` or `weight` is negative.
     pub fn new(crossbars_per_tile: usize, weight: f64) -> Self {
-        assert!(crossbars_per_tile > 0, "crossbars_per_tile must be positive");
-        assert!(weight >= 0.0 && weight.is_finite(), "invalid weight {weight}");
+        assert!(
+            crossbars_per_tile > 0,
+            "crossbars_per_tile must be positive"
+        );
+        assert!(
+            weight >= 0.0 && weight.is_finite(),
+            "invalid weight {weight}"
+        );
         Self {
             crossbars_per_tile,
             weight,
@@ -133,7 +146,14 @@ pub struct BlockPlacement {
     pub sa1_cost: usize,
 }
 
-fare_rt::json_struct!(BlockPlacement { block_row, block_col, crossbar, row_perm, mismatch_cost, sa1_cost });
+fare_rt::json_struct!(BlockPlacement {
+    block_row,
+    block_col,
+    crossbar,
+    row_perm,
+    mismatch_cost,
+    sa1_cost
+});
 
 /// A complete fault-aware mapping `Π` of one adjacency matrix.
 #[derive(Debug, Clone)]
@@ -274,7 +294,10 @@ impl Mapping {
     ///
     /// Panics if `crossbars_per_tile == 0`.
     pub fn tile_spread(&self, crossbars_per_tile: usize) -> f64 {
-        assert!(crossbars_per_tile > 0, "crossbars_per_tile must be positive");
+        assert!(
+            crossbars_per_tile > 0,
+            "crossbars_per_tile must be positive"
+        );
         if self.grid == 0 {
             return 0.0;
         }
@@ -573,9 +596,11 @@ fn g1_assign(
             });
             let sol = matcher.solve(&cost);
             scratch.assign.clear();
-            scratch.assign.extend(sol.assignment.iter().map(|assigned| {
-                assigned.expect("reduced G1 assigns every faulty row") as u32
-            }));
+            scratch.assign.extend(
+                sol.assignment
+                    .iter()
+                    .map(|assigned| assigned.expect("reduced G1 assigns every faulty row") as u32),
+            );
         }
     }
 }
@@ -651,7 +676,9 @@ fn solve_reduced_g1(
     let mut free = (0..n).filter(move |&q| !is_faulty[q]);
     for slot in perm.iter_mut() {
         if *slot == usize::MAX {
-            *slot = free.next().expect("as many fault-free rows as unmatched logical rows");
+            *slot = free
+                .next()
+                .expect("as many fault-free rows as unmatched logical rows");
         }
     }
     (perm, mismatch, sa1)
@@ -734,7 +761,10 @@ impl AdjacencyBlocks {
     ///
     /// Panics if the block is outside the grid.
     pub fn block(&self, block_row: usize, block_col: usize) -> &PackedRows {
-        assert!(block_row < self.grid && block_col < self.grid, "block outside the grid");
+        assert!(
+            block_row < self.grid && block_col < self.grid,
+            "block outside the grid"
+        );
         &self.blocks[block_row * self.grid + block_col]
     }
 
@@ -793,10 +823,7 @@ where
                 .min()
                 .unwrap_or(0);
             // The sparsest still-live block.
-            let sparsest = live_blocks
-                .iter()
-                .copied()
-                .min_by_key(|&i| ones[i]);
+            let sparsest = live_blocks.iter().copied().min_by_key(|&i| ones[i]);
             let Some(sparsest) = sparsest else { break };
             if min_sa1 > ones[sparsest] {
                 if live_xbars.len() > live_blocks.len() {
@@ -973,7 +1000,12 @@ pub fn map_adjacency_cached(
     cfg: &MappingConfig,
     cache: &mut RemapCache,
 ) -> Mapping {
-    map_blocks_cached(&AdjacencyBlocks::from_matrix(adj, array.n()), array, cfg, cache)
+    map_blocks_cached(
+        &AdjacencyBlocks::from_matrix(adj, array.n()),
+        array,
+        cfg,
+        cache,
+    )
 }
 
 /// Algorithm 1 on a packed block grid; warms `cache` with the chosen
@@ -1075,30 +1107,21 @@ pub fn map_blocks_cached(
         |i: usize, j: usize| unique[block_class[i] as usize * xc_count + xbar_class[j] as usize];
     let take_scratch = RefCell::new(scratch);
 
-    let mapping = assemble_mapping(
-        n,
-        grid,
-        &block_meta,
-        &ones,
-        m,
-        cfg,
-        cost_at,
-        |i, j| {
-            // Deterministic re-solve of a chosen pair: same inputs as the
-            // cost-only pass, so the permutation realises exactly the
-            // `(mismatch, sa1)` the table promised. Crossbar `j` shares
-            // its fault planes with its class representative, so the
-            // class context applies verbatim.
-            solve_reduced_g1(
-                &packed[i],
-                &col_idx[block_class[i] as usize],
-                array.crossbar(j),
-                &xbar_ctx[xbar_class[j] as usize],
-                cfg.matcher,
-                &mut take_scratch.borrow_mut(),
-            )
-        },
-    );
+    let mapping = assemble_mapping(n, grid, &block_meta, &ones, m, cfg, cost_at, |i, j| {
+        // Deterministic re-solve of a chosen pair: same inputs as the
+        // cost-only pass, so the permutation realises exactly the
+        // `(mismatch, sa1)` the table promised. Crossbar `j` shares
+        // its fault planes with its class representative, so the
+        // class context applies verbatim.
+        solve_reduced_g1(
+            &packed[i],
+            &col_idx[block_class[i] as usize],
+            array.crossbar(j),
+            &xbar_ctx[xbar_class[j] as usize],
+            cfg.matcher,
+            &mut take_scratch.borrow_mut(),
+        )
+    });
 
     cache.clear();
     cache.store(array, mapping.placements());
@@ -1251,7 +1274,10 @@ pub fn refresh_blocks_cached(
     let n = array.n();
     assert_eq!(mapping.n, n, "mapping crossbar size mismatch");
     assert_eq!(blocks.n, n, "block size does not match the crossbars");
-    assert_eq!(mapping.grid, blocks.grid, "mapping grid does not match adjacency");
+    assert_eq!(
+        mapping.grid, blocks.grid,
+        "mapping grid does not match adjacency"
+    );
 
     let mut scratch = G1Scratch::default();
     let mut misses = 0;
@@ -1534,7 +1560,9 @@ mod tests {
         adj[(0, 1)] = 1.0;
         adj[(1, 0)] = 1.0;
         let mut array = CrossbarArray::new(2, 4);
-        array.crossbar_mut(0).inject_fault(0, 1, StuckPolarity::StuckAtZero);
+        array
+            .crossbar_mut(0)
+            .inject_fault(0, 1, StuckPolarity::StuckAtZero);
         let mapping = map_adjacency(&adj, &array, &MappingConfig::default());
         assert_eq!(mapping.total_cost(), 0);
     }
@@ -1728,7 +1756,11 @@ mod tests {
         drench_sa1(array.crossbar_mut(0));
         let cfg = MappingConfig::default();
         let mapping = map_adjacency(&adj, &array, &cfg);
-        assert_eq!(mapping.placements().len(), 4, "deferred block must still be placed");
+        assert_eq!(
+            mapping.placements().len(),
+            4,
+            "deferred block must still be placed"
+        );
         let mut used = std::collections::HashSet::new();
         for p in mapping.placements() {
             assert!(used.insert(p.crossbar));

@@ -4,7 +4,6 @@
 //! paper's comparison table, and so tests can assert that FARe is the
 //! only row with every capability at low overhead.
 
-
 /// Qualitative performance overhead of a technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Overhead {
@@ -44,7 +43,15 @@ pub struct Technique {
     pub post_deployment: bool,
 }
 
-fare_rt::json_struct_to!(Technique { reference, name, training, overhead, combination, aggregation, post_deployment });
+fare_rt::json_struct_to!(Technique {
+    reference,
+    name,
+    training,
+    overhead,
+    combination,
+    aggregation,
+    post_deployment
+});
 
 /// The rows of Table I, in paper order, with FARe appended.
 pub fn table1() -> Vec<Technique> {

@@ -1,4 +1,3 @@
-
 /// The fault-mitigation scheme a training run uses — FARe or one of the
 /// paper's baselines (Section V-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,7 +15,12 @@ pub enum FaultStrategy {
     FaRe,
 }
 
-fare_rt::json_enum!(FaultStrategy { FaultUnaware, NeuronReordering, ClippingOnly, FaRe });
+fare_rt::json_enum!(FaultStrategy {
+    FaultUnaware,
+    NeuronReordering,
+    ClippingOnly,
+    FaRe
+});
 
 impl FaultStrategy {
     /// All strategies in the paper's comparison order.

@@ -70,7 +70,27 @@ pub struct TrainConfig {
     pub post_refresh: bool,
 }
 
-fare_rt::json_struct!(TrainConfig { model, hidden_dim, depth, epochs, learning_rate, weight_decay, grad_clip_norm, clip_threshold, fault_spec, weight_variation_sigma, weight_drift_sigma, post_deployment_density, strategy, crossbar_size, crossbar_slack, matcher, weight_faults, adjacency_faults, post_refresh });
+fare_rt::json_struct!(TrainConfig {
+    model,
+    hidden_dim,
+    depth,
+    epochs,
+    learning_rate,
+    weight_decay,
+    grad_clip_norm,
+    clip_threshold,
+    fault_spec,
+    weight_variation_sigma,
+    weight_drift_sigma,
+    post_deployment_density,
+    strategy,
+    crossbar_size,
+    crossbar_slack,
+    matcher,
+    weight_faults,
+    adjacency_faults,
+    post_refresh
+});
 
 impl Default for TrainConfig {
     fn default() -> Self {
@@ -136,7 +156,12 @@ pub struct EpochStats {
     pub test_accuracy: f64,
 }
 
-fare_rt::json_struct!(EpochStats { epoch, loss, train_accuracy, test_accuracy });
+fare_rt::json_struct!(EpochStats {
+    epoch,
+    loss,
+    train_accuracy,
+    test_accuracy
+});
 
 /// Result of one training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,7 +183,15 @@ pub struct TrainOutcome {
     pub num_batches: usize,
 }
 
-fare_rt::json_struct!(TrainOutcome { history, final_train_accuracy, final_test_accuracy, best_test_accuracy, normalized_time, final_mapping_cost, num_batches });
+fare_rt::json_struct!(TrainOutcome {
+    history,
+    final_train_accuracy,
+    final_test_accuracy,
+    best_test_accuracy,
+    normalized_time,
+    final_mapping_cost,
+    num_batches
+});
 
 /// Cross-entropy restricted to masked rows: returns the mean loss over
 /// selected rows and a gradient that is zero elsewhere.
@@ -433,7 +466,11 @@ mod tests {
         let ds = Dataset::generate(DatasetKind::Ppi, 6);
         let times: Vec<f64> = FaultStrategy::all()
             .iter()
-            .map(|&s| Trainer::new(quick_config(s, 0.01), 6).run(&ds).normalized_time)
+            .map(|&s| {
+                Trainer::new(quick_config(s, 0.01), 6)
+                    .run(&ds)
+                    .normalized_time
+            })
             .collect();
         let (unaware, nr, clip, fare) = (times[0], times[1], times[2], times[3]);
         assert_eq!(unaware, 1.0);

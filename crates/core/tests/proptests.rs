@@ -2,16 +2,16 @@
 
 use fare_core::mapping::{
     map_adjacency, map_adjacency_cached, reference, refresh_row_permutations,
-    refresh_row_permutations_cached, reordered_block_mapping, sequential_mapping,
-    AdjacencyBlocks, MappingConfig, RemapCache,
+    refresh_row_permutations_cached, reordered_block_mapping, sequential_mapping, AdjacencyBlocks,
+    MappingConfig, RemapCache,
 };
 use fare_core::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
 use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{CrossbarArray, FaultSpec};
-use fare_tensor::Matrix;
 use fare_rt::prop::prelude::*;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::SeedableRng;
+use fare_tensor::Matrix;
 
 fn instance(nodes: usize, n: usize, seed: u64, density: f64) -> (Matrix, CrossbarArray) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -235,7 +235,11 @@ fn large_base_cost_spill_path_bit_identical() {
     }
     for exact in [false, true] {
         let cfg = MappingConfig {
-            matcher: if exact { Matcher::Hungarian } else { Matcher::BSuitor },
+            matcher: if exact {
+                Matcher::Hungarian
+            } else {
+                Matcher::BSuitor
+            },
             ..MappingConfig::default()
         };
         let fast = map_adjacency(&adj, &array, &cfg);

@@ -5,8 +5,8 @@
 //! the same community close together; [`kmeans`] then recovers the
 //! communities and [`purity`] / [`nmi`] score them against ground truth.
 
-use fare_tensor::Matrix;
 use fare_rt::rand::Rng;
+use fare_tensor::Matrix;
 
 /// Result of a k-means run.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,7 +239,12 @@ mod tests {
 
     #[test]
     fn kmeans_inertia_decreases_with_k() {
-        let (pts, _) = blobs(15, &[(0.0, 0.0), (8.0, 0.0), (0.0, 8.0), (8.0, 8.0)], 1.0, 3);
+        let (pts, _) = blobs(
+            15,
+            &[(0.0, 0.0), (8.0, 0.0), (0.0, 8.0), (8.0, 8.0)],
+            1.0,
+            3,
+        );
         let mut i1 = f64::INFINITY;
         for k in [1usize, 2, 4] {
             let mut rng = StdRng::seed_from_u64(4);

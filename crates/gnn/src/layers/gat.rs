@@ -1,9 +1,9 @@
 use std::borrow::Cow;
 
 use fare_graph::GraphView;
+use fare_rt::rand::Rng;
 use fare_tensor::kernel::accumulate_row;
 use fare_tensor::{init, ops, Matrix};
-use fare_rt::rand::Rng;
 
 use crate::WeightReader;
 
@@ -24,7 +24,11 @@ pub struct GatLayer {
     attn_dst: Matrix,
 }
 
-fare_rt::json_struct!(GatLayer { weight, attn_src, attn_dst });
+fare_rt::json_struct!(GatLayer {
+    weight,
+    attn_src,
+    attn_dst
+});
 
 /// Forward-pass cache for [`GatLayer::backward`]. Per-edge values are
 /// stored in the entry order of the view's

@@ -1,8 +1,8 @@
 use std::borrow::Cow;
 
 use fare_graph::GraphView;
-use fare_tensor::{init, ops, Matrix};
 use fare_rt::rand::Rng;
+use fare_tensor::{init, ops, Matrix};
 
 use crate::WeightReader;
 

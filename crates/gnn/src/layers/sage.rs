@@ -1,8 +1,8 @@
 use std::borrow::Cow;
 
 use fare_graph::GraphView;
-use fare_tensor::{init, ops, Matrix};
 use fare_rt::rand::Rng;
+use fare_tensor::{init, ops, Matrix};
 
 use crate::WeightReader;
 
@@ -139,13 +139,18 @@ impl SageLayer {
         };
         let (grad_w_self, grad_w_neigh) = {
             let _s = fare_obs::trace::span("gnn.matmul");
-            (cache.input.t_matmul(&grad_z), cache.aggregated.t_matmul(&grad_z))
+            (
+                cache.input.t_matmul(&grad_z),
+                cache.aggregated.t_matmul(&grad_z),
+            )
         };
         // dX = dZ Wsᵀ + Āᵀ (dZ Wnᵀ). Ā is not symmetric.
         let grad_input = input_grad.then(|| {
             let _s = fare_obs::trace::span("gnn.aggregate");
             &grad_z.matmul_t(&cache.w_self_read)
-                + &view.mean_norm_t().spmm(&grad_z.matmul_t(&cache.w_neigh_read))
+                + &view
+                    .mean_norm_t()
+                    .spmm(&grad_z.matmul_t(&cache.w_neigh_read))
         });
         (vec![grad_w_self, grad_w_neigh], grad_input)
     }

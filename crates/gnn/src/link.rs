@@ -136,12 +136,7 @@ mod tests {
     use super::*;
 
     fn embeddings() -> Matrix {
-        Matrix::from_rows(&[
-            &[1.0, 0.0],
-            &[0.9, 0.1],
-            &[0.0, 1.0],
-            &[-0.1, 0.9],
-        ])
+        Matrix::from_rows(&[&[1.0, 0.0], &[0.9, 0.1], &[0.0, 1.0], &[-0.1, 0.9]])
     }
 
     #[test]
@@ -189,17 +184,10 @@ mod tests {
 
     #[test]
     fn gradient_descent_improves_auc() {
-        let mut emb = Matrix::from_rows(&[
-            &[0.1, 0.2],
-            &[0.2, 0.1],
-            &[-0.1, 0.1],
-            &[0.1, -0.2],
-        ]);
+        let mut emb = Matrix::from_rows(&[&[0.1, 0.2], &[0.2, 0.1], &[-0.1, 0.1], &[0.1, -0.2]]);
         let pos = [(0usize, 1usize), (2usize, 3usize)];
         let neg = [(0usize, 2usize), (1usize, 3usize)];
-        let auc_of = |e: &Matrix| {
-            auc(&pair_scores(e, &pos), &pair_scores(e, &neg))
-        };
+        let auc_of = |e: &Matrix| auc(&pair_scores(e, &pos), &pair_scores(e, &neg));
         let before = auc_of(&emb);
         for _ in 0..200 {
             let (_, grad) = bce_loss_and_grad(&emb, &pos, &neg);

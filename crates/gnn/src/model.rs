@@ -1,7 +1,7 @@
 use fare_graph::datasets::ModelKind;
 use fare_graph::GraphView;
-use fare_tensor::Matrix;
 use fare_rt::rand::Rng;
+use fare_tensor::Matrix;
 
 use crate::layers::{GatCache, GatLayer, GcnCache, GcnLayer, SageCache, SageLayer};
 use crate::optim::Optimizer;
@@ -18,7 +18,11 @@ pub struct GnnDims {
     pub output: usize,
 }
 
-fare_rt::json_struct!(GnnDims { input, hidden, output });
+fare_rt::json_struct!(GnnDims {
+    input,
+    hidden,
+    output
+});
 
 /// Identity and shape of one model parameter, used to pre-allocate
 /// crossbar fabrics.
@@ -34,7 +38,12 @@ pub struct ParamShape {
     pub cols: usize,
 }
 
-fare_rt::json_struct!(ParamShape { layer, param, rows, cols });
+fare_rt::json_struct!(ParamShape {
+    layer,
+    param,
+    rows,
+    cols
+});
 
 #[derive(Debug, Clone, PartialEq)]
 enum Layer {
@@ -269,7 +278,11 @@ impl Gnn {
         features: &Matrix,
         reader: &impl WeightReader,
     ) -> (Matrix, ForwardCache) {
-        assert_eq!(view.num_nodes(), features.rows(), "graph/features node mismatch");
+        assert_eq!(
+            view.num_nodes(),
+            features.rows(),
+            "graph/features node mismatch"
+        );
         assert_eq!(
             features.cols(),
             self.dims.input,
@@ -317,7 +330,12 @@ impl Gnn {
     /// # Panics
     ///
     /// Panics if `cache` does not match this model's layer count.
-    pub fn backward(&self, view: &GraphView, cache: &ForwardCache, grad_logits: &Matrix) -> Gradients {
+    pub fn backward(
+        &self,
+        view: &GraphView,
+        cache: &ForwardCache,
+        grad_logits: &Matrix,
+    ) -> Gradients {
         assert_eq!(cache.caches.len(), self.layers.len(), "stale forward cache");
         fare_obs::counters::GNN_BACKWARD_CALLS.incr();
         let _span = fare_obs::trace::span("gnn.backward");
@@ -348,7 +366,11 @@ impl Gnn {
         for (li, layer_grads) in grads.per_layer.iter().enumerate() {
             for (pi, g) in layer_grads.iter().enumerate() {
                 let p = self.layers[li].param_mut(pi);
-                assert_eq!(p.shape(), g.shape(), "gradient shape mismatch at ({li},{pi})");
+                assert_eq!(
+                    p.shape(),
+                    g.shape(),
+                    "gradient shape mismatch at ({li},{pi})"
+                );
                 opt.step(key, p, g);
                 key += 1;
             }
@@ -385,9 +407,9 @@ impl Gnn {
 
 #[cfg(test)]
 mod tests {
-    use fare_tensor::{init, ops};
     use fare_rt::rand::rngs::StdRng;
     use fare_rt::rand::SeedableRng;
+    use fare_tensor::{init, ops};
 
     use super::*;
     use crate::{Adam, IdealReader};
@@ -425,9 +447,24 @@ mod tests {
     #[test]
     fn param_shapes_counts() {
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(Gnn::new(ModelKind::Gcn, dims(), &mut rng).param_shapes().len(), 2);
-        assert_eq!(Gnn::new(ModelKind::Sage, dims(), &mut rng).param_shapes().len(), 4);
-        assert_eq!(Gnn::new(ModelKind::Gat, dims(), &mut rng).param_shapes().len(), 6);
+        assert_eq!(
+            Gnn::new(ModelKind::Gcn, dims(), &mut rng)
+                .param_shapes()
+                .len(),
+            2
+        );
+        assert_eq!(
+            Gnn::new(ModelKind::Sage, dims(), &mut rng)
+                .param_shapes()
+                .len(),
+            4
+        );
+        assert_eq!(
+            Gnn::new(ModelKind::Gat, dims(), &mut rng)
+                .param_shapes()
+                .len(),
+            6
+        );
     }
 
     #[test]

@@ -4,10 +4,10 @@
 use fare_gnn::{Adam, Gnn, GnnDims, IdealReader, Sgd};
 use fare_graph::datasets::ModelKind;
 use fare_graph::GraphView;
-use fare_tensor::{init, ops, Matrix};
 use fare_rt::prop::prelude::*;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
+use fare_tensor::{init, ops, Matrix};
 
 fn random_case(seed: u64, n: usize) -> (GraphView, Matrix, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -116,7 +116,10 @@ pub fn make_batches(
     clusters_per_batch: usize,
     rng: &mut impl Rng,
 ) -> Vec<MiniBatch> {
-    assert!(clusters_per_batch > 0, "clusters_per_batch must be positive");
+    assert!(
+        clusters_per_batch > 0,
+        "clusters_per_batch must be positive"
+    );
     assert_eq!(
         graph.num_nodes(),
         partitioning.assignment().len(),

@@ -175,7 +175,10 @@ impl CsrGraph {
 
     /// Maximum node degree.
     pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes()).map(|u| self.degree(u)).max().unwrap_or(0)
+        (0..self.num_nodes())
+            .map(|u| self.degree(u))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Dense 0/1 adjacency matrix.

@@ -10,9 +10,9 @@
 //! genuinely improves accuracy — which is what makes adjacency-matrix
 //! faults measurably harmful, as in the paper.
 
-use fare_tensor::{init, Matrix};
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
+use fare_tensor::{init, Matrix};
 
 use crate::{generate, CsrGraph};
 
@@ -52,7 +52,12 @@ pub enum DatasetKind {
     Ogbl,
 }
 
-fare_rt::json_enum!(DatasetKind { Ppi, Reddit, Amazon2M, Ogbl });
+fare_rt::json_enum!(DatasetKind {
+    Ppi,
+    Reddit,
+    Amazon2M,
+    Ogbl
+});
 
 impl DatasetKind {
     /// All four presets in Table II order.
@@ -182,7 +187,23 @@ pub struct DatasetSpec {
     pub models: &'static [ModelKind],
 }
 
-fare_rt::json_struct_to!(DatasetSpec { kind, name, paper_nodes, paper_edges, paper_batch, paper_partitions, nodes, communities, p_in, p_out, hub_fraction, feature_dim, partitions, clusters_per_batch, models });
+fare_rt::json_struct_to!(DatasetSpec {
+    kind,
+    name,
+    paper_nodes,
+    paper_edges,
+    paper_batch,
+    paper_partitions,
+    nodes,
+    communities,
+    p_in,
+    p_out,
+    hub_fraction,
+    feature_dim,
+    partitions,
+    clusters_per_batch,
+    models
+});
 
 /// A generated dataset: graph + features + labels + split.
 #[derive(Debug, Clone)]
@@ -313,10 +334,7 @@ mod tests {
     #[test]
     fn relative_scale_ordering_matches_table2() {
         // Table II orders datasets by size: PPI < Reddit < Amazon2M ~ Ogbl.
-        let sizes: Vec<usize> = DatasetKind::all()
-            .iter()
-            .map(|k| k.spec().nodes)
-            .collect();
+        let sizes: Vec<usize> = DatasetKind::all().iter().map(|k| k.spec().nodes).collect();
         assert!(sizes[0] < sizes[1]);
         assert!(sizes[1] < sizes[2]);
     }
@@ -348,7 +366,10 @@ mod tests {
 
     #[test]
     fn models_match_table2() {
-        assert_eq!(DatasetKind::Ppi.spec().models, &[ModelKind::Gcn, ModelKind::Gat]);
+        assert_eq!(
+            DatasetKind::Ppi.spec().models,
+            &[ModelKind::Gcn, ModelKind::Gat]
+        );
         assert_eq!(DatasetKind::Reddit.spec().models, &[ModelKind::Gcn]);
         assert_eq!(
             DatasetKind::Amazon2M.spec().models,

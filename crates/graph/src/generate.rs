@@ -140,14 +140,7 @@ pub fn power_law(n: usize, m: usize, rng: &mut impl Rng) -> CsrGraph {
 /// assert_eq!(g.num_nodes(), 256);
 /// assert!(g.num_edges() > 300);
 /// ```
-pub fn rmat(
-    scale: u32,
-    edges: usize,
-    a: f64,
-    b: f64,
-    c: f64,
-    rng: &mut impl Rng,
-) -> CsrGraph {
+pub fn rmat(scale: u32, edges: usize, a: f64, b: f64, c: f64, rng: &mut impl Rng) -> CsrGraph {
     assert!(scale > 0, "scale must be positive");
     assert!(
         a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0,

@@ -20,9 +20,9 @@ use std::fmt;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-use fare_tensor::{init, Matrix};
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::{Rng, SeedableRng};
+use fare_tensor::{init, Matrix};
 
 use crate::datasets::{Dataset, DatasetKind, DatasetSpec, ModelKind};
 use crate::{CsrGraph, GraphView};
@@ -215,7 +215,9 @@ pub fn propagated_features(graph: &CsrGraph, dim: usize, seed: u64) -> Matrix {
     // Standardised log-degree channel.
     let n = graph.num_nodes();
     if n > 0 {
-        let logdeg: Vec<f32> = (0..n).map(|u| ((graph.degree(u) + 1) as f32).ln()).collect();
+        let logdeg: Vec<f32> = (0..n)
+            .map(|u| ((graph.degree(u) + 1) as f32).ln())
+            .collect();
         let mean = logdeg.iter().sum::<f32>() / n as f32;
         let var = logdeg.iter().map(|d| (d - mean).powi(2)).sum::<f32>() / n as f32;
         let std = var.sqrt().max(1e-6);
@@ -337,7 +339,14 @@ pub fn load_dataset(
     let features = features
         .map(|p| read_features(BufReader::new(std::fs::File::open(p)?)))
         .transpose()?;
-    assemble_dataset(graph, labels, features, partitions, clusters_per_batch, seed)
+    assemble_dataset(
+        graph,
+        labels,
+        features,
+        partitions,
+        clusters_per_batch,
+        seed,
+    )
 }
 
 #[cfg(test)]
@@ -397,7 +406,10 @@ mod tests {
 
     #[test]
     fn labels_parse() {
-        assert_eq!(read_labels("0\n1\n# c\n2\n".as_bytes()).unwrap(), vec![0, 1, 2]);
+        assert_eq!(
+            read_labels("0\n1\n# c\n2\n".as_bytes()).unwrap(),
+            vec![0, 1, 2]
+        );
         assert!(read_labels("1.5\n".as_bytes()).is_err());
     }
 
@@ -454,9 +466,8 @@ mod tests {
         }
         let g = CsrGraph::from_edges(12, &edges);
         let f = propagated_features(&g, 8, 3);
-        let dist = |a: usize, b: usize| -> f32 {
-            (0..8).map(|c| (f[(a, c)] - f[(b, c)]).powi(2)).sum()
-        };
+        let dist =
+            |a: usize, b: usize| -> f32 { (0..8).map(|c| (f[(a, c)] - f[(b, c)]).powi(2)).sum() };
         let intra = (dist(0, 1) + dist(6, 7)) / 2.0;
         let inter = (dist(0, 6) + dist(1, 7)) / 2.0;
         assert!(intra < inter, "intra {intra} vs inter {inter}");

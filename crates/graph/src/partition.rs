@@ -29,7 +29,10 @@ pub struct Partitioning {
     num_parts: usize,
 }
 
-fare_rt::json_struct_to!(Partitioning { assignment, num_parts });
+fare_rt::json_struct_to!(Partitioning {
+    assignment,
+    num_parts
+});
 
 impl FromJson for Partitioning {
     /// Rejects what [`Partitioning::new`] rejects: a part id `>=
@@ -195,9 +198,7 @@ impl WeightedGraph {
             // Match u with its heaviest unmatched neighbour.
             let mut best: Option<(usize, f64)> = None;
             for (v, w) in self.adj(u) {
-                if matched[v] == usize::MAX
-                    && best.is_none_or(|(_, bw)| w > bw)
-                {
+                if matched[v] == usize::MAX && best.is_none_or(|(_, bw)| w > bw) {
                     best = Some((v, w));
                 }
             }

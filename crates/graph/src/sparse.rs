@@ -54,7 +54,11 @@ impl CsrMatrix {
     ) -> Self {
         assert_eq!(offsets.len(), rows + 1, "pattern needs rows + 1 offsets");
         assert_eq!(offsets[0], 0, "pattern offsets must start at 0");
-        assert_eq!(offsets[rows], indices.len(), "pattern offsets must end at nnz");
+        assert_eq!(
+            offsets[rows],
+            indices.len(),
+            "pattern offsets must end at nnz"
+        );
         for w in offsets.windows(2) {
             let row = &indices[w[0]..w[1]];
             assert!(
@@ -67,7 +71,13 @@ impl CsrMatrix {
             );
         }
         let values = vec![1.0; indices.len()];
-        Self { rows, cols, offsets, indices, values }
+        Self {
+            rows,
+            cols,
+            offsets,
+            indices,
+            values,
+        }
     }
 
     /// The binary pattern of a dense matrix: entry `(r, c)` is stored,
@@ -87,7 +97,13 @@ impl CsrMatrix {
             offsets.push(indices.len());
         }
         let values = vec![1.0; indices.len()];
-        Self { rows, cols, offsets, indices, values }
+        Self {
+            rows,
+            cols,
+            offsets,
+            indices,
+            values,
+        }
     }
 
     /// Assembles a matrix from CSR arrays the caller has built valid.
@@ -100,7 +116,13 @@ impl CsrMatrix {
     ) -> Self {
         debug_assert_eq!(offsets.len(), rows + 1);
         debug_assert_eq!(indices.len(), values.len());
-        Self { rows, cols, offsets, indices, values }
+        Self {
+            rows,
+            cols,
+            offsets,
+            indices,
+            values,
+        }
     }
 
     /// Extracts the nonzero entries of a dense matrix.
@@ -119,7 +141,13 @@ impl CsrMatrix {
             }
             offsets.push(indices.len());
         }
-        Self { rows, cols, offsets, indices, values }
+        Self {
+            rows,
+            cols,
+            offsets,
+            indices,
+            values,
+        }
     }
 
     /// Number of rows.
@@ -199,7 +227,13 @@ impl CsrMatrix {
                 values[slot] = self.values[k];
             }
         }
-        Self { rows: self.cols, cols: self.rows, offsets, indices, values }
+        Self {
+            rows: self.cols,
+            cols: self.rows,
+            offsets,
+            indices,
+            values,
+        }
     }
 
     /// Dense copy (small matrices / tests).
@@ -399,7 +433,10 @@ mod tests {
         let s = CsrMatrix::from_pattern(2, 3, vec![0, 2, 3], vec![0, 2, 1]);
         assert_eq!(s.rows(), 2);
         assert_eq!(s.cols(), 3);
-        assert_eq!(s.row_entries(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 1.0)]);
+        assert_eq!(
+            s.row_entries(0).collect::<Vec<_>>(),
+            vec![(0, 1.0), (2, 1.0)]
+        );
         assert_eq!(s.row_entries(1).collect::<Vec<_>>(), vec![(1, 1.0)]);
         assert_eq!(s.offsets(), &[0, 2, 3]);
         assert_eq!(s.indices(), &[0, 2, 1]);

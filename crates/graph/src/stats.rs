@@ -26,7 +26,13 @@ pub struct DegreeStats {
     pub hub_fraction: f64,
 }
 
-fare_rt::json_struct!(DegreeStats { min, max, mean, variance, hub_fraction });
+fare_rt::json_struct!(DegreeStats {
+    min,
+    max,
+    mean,
+    variance,
+    hub_fraction
+});
 
 /// Computes the degree summary of `graph`.
 ///
@@ -130,7 +136,10 @@ pub fn cluster_density(graph: &CsrGraph, parts: &Partitioning) -> ClusterDensity
     }
     let total_pairs: f64 = {
         let n = graph.num_nodes() as f64;
-        let intra_pairs: f64 = sizes.iter().map(|&s| (s * s.saturating_sub(1) / 2) as f64).sum();
+        let intra_pairs: f64 = sizes
+            .iter()
+            .map(|&s| (s * s.saturating_sub(1) / 2) as f64)
+            .sum();
         (n * (n - 1.0) / 2.0) - intra_pairs
     };
     ClusterDensity {

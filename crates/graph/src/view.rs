@@ -235,7 +235,16 @@ mod tests {
     fn sample_graph() -> CsrGraph {
         CsrGraph::from_edges(
             6,
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4), (2, 5)],
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (0, 5),
+                (1, 4),
+                (2, 5),
+            ],
         )
     }
 
@@ -262,11 +271,7 @@ mod tests {
     #[test]
     fn dense_backed_view_handles_asymmetric_adjacency() {
         // A corrupted adjacency: asymmetric, with a diagonal entry.
-        let adj = Matrix::from_rows(&[
-            &[1.0, 1.0, 0.0],
-            &[0.0, 0.0, 1.0],
-            &[1.0, 0.0, 0.0],
-        ]);
+        let adj = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[1.0, 0.0, 0.0]]);
         let view = GraphView::from_dense(adj.clone());
         let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.5 - 1.0);
         let sparse = view.gcn_norm().spmm(&x);

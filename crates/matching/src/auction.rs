@@ -107,8 +107,7 @@ mod tests {
 
     #[test]
     fn classic_three_by_three() {
-        let cost =
-            CostMatrix::from_rows(&[&[4.0, 1.0, 3.0], &[2.0, 0.0, 5.0], &[3.0, 2.0, 2.0]]);
+        let cost = CostMatrix::from_rows(&[&[4.0, 1.0, 3.0], &[2.0, 0.0, 5.0], &[3.0, 2.0, 2.0]]);
         let sol = auction(&cost);
         assert_eq!(sol.total_cost, 5.0);
         assert!(sol.is_valid());

@@ -14,7 +14,6 @@
 
 use std::collections::BinaryHeap;
 
-
 use crate::{Assignment, CostMatrix};
 
 /// An undirected weighted edge between vertices `u` and `v`.
@@ -37,7 +36,10 @@ impl Edge {
     ///
     /// Panics if `weight` is negative or non-finite, or `u == v`.
     pub fn new(u: usize, v: usize, weight: f64) -> Self {
-        assert!(weight.is_finite() && weight >= 0.0, "invalid edge weight {weight}");
+        assert!(
+            weight.is_finite() && weight >= 0.0,
+            "invalid edge weight {weight}"
+        );
         assert_ne!(u, v, "self loops are not allowed in a matching");
         Self { u, v, weight }
     }
@@ -221,7 +223,10 @@ pub fn bsuitor_matching(n: usize, edges: &[Edge], b: &[usize]) -> Vec<Edge> {
 pub fn bsuitor_assignment(cost: &CostMatrix) -> Assignment {
     let n = cost.rows();
     let m = cost.cols();
-    assert!(n <= m, "bsuitor_assignment requires rows <= cols, got {n}x{m}");
+    assert!(
+        n <= m,
+        "bsuitor_assignment requires rows <= cols, got {n}x{m}"
+    );
     let max_cost = cost.max_cost();
     // Row r is vertex r; column c is vertex n + c.
     let mut edges = Vec::with_capacity(n * m);
@@ -239,7 +244,11 @@ pub fn bsuitor_assignment(cost: &CostMatrix) -> Assignment {
     let mut assignment: Vec<Option<usize>> = vec![None; n];
     let mut used = vec![false; m];
     for e in &matched {
-        let (row, col) = if e.u < n { (e.u, e.v - n) } else { (e.v, e.u - n) };
+        let (row, col) = if e.u < n {
+            (e.u, e.v - n)
+        } else {
+            (e.v, e.u - n)
+        };
         assignment[row] = Some(col);
         used[col] = true;
     }

@@ -1,4 +1,3 @@
-
 /// A dense rectangular cost matrix for assignment problems.
 ///
 /// Row `r` / column `c` holds the cost of assigning row-object `r` to
@@ -123,10 +122,7 @@ impl CostMatrix {
     /// Panics if `perm.len() != rows` or any column is out of bounds.
     pub fn permutation_cost(&self, perm: &[usize]) -> f64 {
         assert_eq!(perm.len(), self.rows, "permutation length mismatch");
-        perm.iter()
-            .enumerate()
-            .map(|(r, &c)| self.get(r, c))
-            .sum()
+        perm.iter().enumerate().map(|(r, &c)| self.get(r, c)).sum()
     }
 }
 

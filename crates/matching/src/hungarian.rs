@@ -133,8 +133,7 @@ mod tests {
     #[test]
     fn classic_three_by_three() {
         // Known optimum 5: (0,1)+(1,0)+(2,2) = 1+2+2.
-        let cost =
-            CostMatrix::from_rows(&[&[4.0, 1.0, 3.0], &[2.0, 0.0, 5.0], &[3.0, 2.0, 2.0]]);
+        let cost = CostMatrix::from_rows(&[&[4.0, 1.0, 3.0], &[2.0, 0.0, 5.0], &[3.0, 2.0, 2.0]]);
         let sol = hungarian(&cost);
         assert_eq!(sol.total_cost, 5.0);
         assert!(sol.is_valid());

@@ -46,7 +46,6 @@ pub use bsuitor::{bsuitor_assignment, bsuitor_matching, Edge};
 pub use cost::CostMatrix;
 pub use hungarian::hungarian;
 
-
 /// Solution of a (possibly rectangular) assignment problem.
 ///
 /// `assignment[r]` is the column assigned to row `r`, or `None` when the
@@ -61,7 +60,10 @@ pub struct Assignment {
     pub total_cost: f64,
 }
 
-fare_rt::json_struct!(Assignment { assignment, total_cost });
+fare_rt::json_struct!(Assignment {
+    assignment,
+    total_cost
+});
 
 impl Assignment {
     /// Number of rows that received a column.
@@ -84,10 +86,7 @@ impl Assignment {
     /// `true` if no two rows share a column.
     pub fn is_valid(&self) -> bool {
         let mut seen = std::collections::HashSet::new();
-        self.assignment
-            .iter()
-            .flatten()
-            .all(|&c| seen.insert(c))
+        self.assignment.iter().flatten().all(|&c| seen.insert(c))
     }
 }
 
@@ -108,7 +107,12 @@ pub enum Matcher {
     Greedy,
 }
 
-fare_rt::json_enum!(Matcher { Hungarian, BSuitor, Auction, Greedy });
+fare_rt::json_enum!(Matcher {
+    Hungarian,
+    BSuitor,
+    Auction,
+    Greedy
+});
 
 impl Matcher {
     /// Solves the min-cost assignment of `cost` with this solver.

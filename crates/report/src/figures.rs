@@ -81,7 +81,13 @@ pub fn epoch_curves(manifests: &[RunManifest], metric: CurveMetric) -> Result<St
     let py = |v: f64| MT + (H - MT - MB) * (1.0 - (v - y_min) / (y_max - y_min));
 
     let mut doc = SvgDoc::new(W, H);
-    doc.text(W / 2.0, 18.0, 13.0, "middle", &format!("{} per epoch", metric.label()));
+    doc.text(
+        W / 2.0,
+        18.0,
+        13.0,
+        "middle",
+        &format!("{} per epoch", metric.label()),
+    );
 
     // Axes.
     doc.line(ML, MT, ML, H - MB, "#333333", 1.0);

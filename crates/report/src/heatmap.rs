@@ -21,9 +21,7 @@ fn normalise(values: &[f64]) -> (Vec<f64>, f64, f64) {
 /// Render `grid`'s `metric` as an ASCII shade grid with a scale legend.
 /// Errors on an unknown metric name or an empty grid.
 pub fn ascii(grid: &HeatmapGrid, metric: &str) -> Result<String, String> {
-    let values = grid
-        .metric(metric)
-        .ok_or_else(|| bad_metric(metric))?;
+    let values = grid.metric(metric).ok_or_else(|| bad_metric(metric))?;
     if values.is_empty() {
         return Err("empty heatmap grid".to_string());
     }
@@ -31,7 +29,11 @@ pub fn ascii(grid: &HeatmapGrid, metric: &str) -> Result<String, String> {
     let cols = grid.cols as usize;
     let mut out = format!(
         "{} · {} ({} crossbars, {}x{})\n",
-        grid.name, metric, values.len(), grid.rows, grid.cols
+        grid.name,
+        metric,
+        values.len(),
+        grid.rows,
+        grid.cols
     );
     for (i, t) in norm.iter().enumerate() {
         if i > 0 && i % cols == 0 {
@@ -54,9 +56,7 @@ pub fn ascii(grid: &HeatmapGrid, metric: &str) -> Result<String, String> {
 
 /// Render `grid`'s `metric` as an SVG cell grid with a colour bar.
 pub fn svg(grid: &HeatmapGrid, metric: &str) -> Result<String, String> {
-    let values = grid
-        .metric(metric)
-        .ok_or_else(|| bad_metric(metric))?;
+    let values = grid.metric(metric).ok_or_else(|| bad_metric(metric))?;
     if values.is_empty() {
         return Err("empty heatmap grid".to_string());
     }

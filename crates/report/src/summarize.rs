@@ -9,10 +9,7 @@ pub fn to_markdown(m: &RunManifest) -> String {
     out.push_str(&format!("# Run manifest: `{}`\n\n", m.run));
     out.push_str(&format!("- seed: `{}`\n", m.seed));
     out.push_str(&format!("- config: `{}`\n", m.config));
-    out.push_str(&format!(
-        "- epochs recorded: {}\n\n",
-        m.epochs.len()
-    ));
+    out.push_str(&format!("- epochs recorded: {}\n\n", m.epochs.len()));
 
     if !m.counters.is_empty() {
         out.push_str("## Counters\n\n| counter | value |\n|---|---:|\n");

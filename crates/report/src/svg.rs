@@ -10,7 +10,9 @@ fn c(v: f64) -> String {
 
 /// Minimal XML text escaping.
 pub fn escape(text: &str) -> String {
-    text.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    text.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// An SVG document under construction.
@@ -41,7 +43,15 @@ impl SvgDoc {
         self
     }
 
-    pub fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) -> &mut Self {
+    pub fn line(
+        &mut self,
+        x1: f64,
+        y1: f64,
+        x2: f64,
+        y2: f64,
+        stroke: &str,
+        width: f64,
+    ) -> &mut Self {
         self.body.push_str(&format!(
             "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" stroke=\"{}\" stroke-width=\"{}\"/>\n",
             c(x1),

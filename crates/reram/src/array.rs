@@ -172,7 +172,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut array = CrossbarArray::new(32, 32);
         array.inject(&FaultSpec::density(0.05), &mut rng);
-        assert!((array.fault_density() - 0.05).abs() < 0.01, "{}", array.fault_density());
+        assert!(
+            (array.fault_density() - 0.05).abs() < 0.01,
+            "{}",
+            array.fault_density()
+        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! the simulator's internals — and the per-epoch timing charge, which the
 //! [`crate::timing`] model accounts for.
 
-
 use fare_tensor::fixed::StuckPolarity;
 
 use crate::CrossbarArray;
@@ -65,7 +64,10 @@ impl FaultMap {
     /// # Panics
     ///
     /// Panics if the two maps cover different geometry.
-    pub fn new_faults_since(&self, earlier: &FaultMap) -> Vec<(usize, usize, usize, StuckPolarity)> {
+    pub fn new_faults_since(
+        &self,
+        earlier: &FaultMap,
+    ) -> Vec<(usize, usize, usize, StuckPolarity)> {
         assert_eq!(self.n, earlier.n, "fault map geometry mismatch");
         assert_eq!(
             self.per_crossbar.len(),

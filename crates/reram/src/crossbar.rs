@@ -300,7 +300,10 @@ impl Crossbar {
         );
         if let Some(perm) = row_perm {
             assert_eq!(perm.len(), stored.rows(), "row permutation length mismatch");
-            assert!(perm.iter().all(|&p| p < self.n), "row permutation out of range");
+            assert!(
+                perm.iter().all(|&p| p < self.n),
+                "row permutation out of range"
+            );
         }
         fare_obs::counters::RERAM_CROSSBARS_CORRUPTED.incr();
         let mut out = stored.clone();
@@ -373,9 +376,7 @@ impl Crossbar {
         assert!(row.len() <= self.n, "row wider than crossbar");
         self.rows[physical]
             .iter()
-            .filter(|&&(c, pol)| {
-                c < row.len() && pol == StuckPolarity::StuckAtOne && row[c] <= 0.5
-            })
+            .filter(|&&(c, pol)| c < row.len() && pol == StuckPolarity::StuckAtOne && row[c] <= 0.5)
             .count()
     }
 
@@ -484,7 +485,11 @@ mod tests {
             };
             x.inject_fault(r, c, pol);
         }
-        let recount: usize = (0..70).map(|r| x.row_faults(r).len()).collect::<Vec<_>>().iter().sum();
+        let recount: usize = (0..70)
+            .map(|r| x.row_faults(r).len())
+            .collect::<Vec<_>>()
+            .iter()
+            .sum();
         let sa0_recount = (0..70)
             .flat_map(|r| x.row_faults(r).iter())
             .filter(|&&(_, p)| p == StuckPolarity::StuckAtZero)
@@ -520,13 +525,17 @@ mod tests {
                 };
                 x.inject_fault(rng.gen_range(0..n), rng.gen_range(0..n), pol);
             }
-            let block = Matrix::from_fn(n, n, |_, _| {
-                if rng.gen_range(0..3) == 0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            });
+            let block = Matrix::from_fn(
+                n,
+                n,
+                |_, _| {
+                    if rng.gen_range(0..3) == 0 {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                },
+            );
             let packed = PackedRows::from_matrix(&block);
             for p in 0..n {
                 for q in 0..n {

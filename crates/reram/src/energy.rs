@@ -6,7 +6,6 @@
 //! estimates, so experiments can report the cost of over-provisioning
 //! crossbars for FARe's mapping freedom.
 
-
 use crate::timing::PipelineSpec;
 use crate::ChipConfig;
 
@@ -25,7 +24,13 @@ pub struct EnergyReport {
     pub energy_j: f64,
 }
 
-fare_rt::json_struct!(EnergyReport { tiles, area_mm2, power_w, exec_time_s, energy_j });
+fare_rt::json_struct!(EnergyReport {
+    tiles,
+    area_mm2,
+    power_w,
+    exec_time_s,
+    energy_j
+});
 
 /// Computes the energy/area report for a training run needing
 /// `crossbars` crossbars with the pipelined schedule `pipeline`.

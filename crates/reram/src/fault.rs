@@ -17,7 +17,10 @@ pub struct FaultSpec {
     pub sa1_fraction: f64,
 }
 
-fare_rt::json_struct!(FaultSpec { density, sa1_fraction });
+fare_rt::json_struct!(FaultSpec {
+    density,
+    sa1_fraction
+});
 
 impl FaultSpec {
     /// Fault spec with the paper's default 9:1 SA0:SA1 ratio.
@@ -43,7 +46,10 @@ impl FaultSpec {
     ///
     /// Panics if either argument is outside `[0, 1]`.
     pub fn with_sa1_fraction(density: f64, sa1_fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&density), "density out of range: {density}");
+        assert!(
+            (0.0..=1.0).contains(&density),
+            "density out of range: {density}"
+        );
         assert!(
             (0.0..=1.0).contains(&sa1_fraction),
             "sa1_fraction out of range: {sa1_fraction}"
@@ -61,7 +67,10 @@ impl FaultSpec {
     /// Panics if both ratio components are zero or any argument is
     /// negative.
     pub fn with_ratio(density: f64, sa0: f64, sa1: f64) -> Self {
-        assert!(sa0 >= 0.0 && sa1 >= 0.0 && sa0 + sa1 > 0.0, "invalid ratio {sa0}:{sa1}");
+        assert!(
+            sa0 >= 0.0 && sa1 >= 0.0 && sa0 + sa1 > 0.0,
+            "invalid ratio {sa0}:{sa1}"
+        );
         Self::with_sa1_fraction(density, sa1 / (sa0 + sa1))
     }
 
@@ -106,7 +115,10 @@ impl Default for FaultSpec {
 ///
 /// Panics if `lambda` is negative or non-finite.
 pub fn poisson_sample(lambda: f64, rng: &mut impl Rng) -> usize {
-    assert!(lambda.is_finite() && lambda >= 0.0, "invalid lambda {lambda}");
+    assert!(
+        lambda.is_finite() && lambda >= 0.0,
+        "invalid lambda {lambda}"
+    );
     fare_obs::counters::RERAM_POISSON_SAMPLES.incr();
     if lambda == 0.0 {
         return 0;
@@ -188,8 +200,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let n = 20_000;
         let lambda = 3.5;
-        let mean: f64 =
-            (0..n).map(|_| poisson_sample(lambda, &mut rng) as f64).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n)
+            .map(|_| poisson_sample(lambda, &mut rng) as f64)
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - lambda).abs() < 0.1, "mean {mean}");
     }
 
@@ -198,7 +212,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let n = 20_000;
         let lambda = 200.0;
-        let samples: Vec<f64> = (0..n).map(|_| poisson_sample(lambda, &mut rng) as f64).collect();
+        let samples: Vec<f64> = (0..n)
+            .map(|_| poisson_sample(lambda, &mut rng) as f64)
+            .collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - lambda).abs() < 3.0, "mean {mean}");

@@ -56,5 +56,5 @@ pub use bist::{Bist, FaultMap};
 pub use bits::PackedRows;
 pub use config::ChipConfig;
 pub use crossbar::Crossbar;
-pub use fault::{poisson_sample, FaultSpec};
 pub use fare_tensor::fixed::StuckPolarity;
+pub use fault::{poisson_sample, FaultSpec};

@@ -10,7 +10,6 @@
 //! cycle counts equal the analytical model exactly, which is what makes
 //! Fig. 7's normalised ratios trustworthy.
 
-
 /// A pipeline schedule to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Schedule {
@@ -26,7 +25,13 @@ pub struct Schedule {
     pub epochs: usize,
 }
 
-fare_rt::json_struct!(Schedule { batches, stages, stall_after_batch, epoch_service, epochs });
+fare_rt::json_struct!(Schedule {
+    batches,
+    stages,
+    stall_after_batch,
+    epoch_service,
+    epochs
+});
 
 impl Schedule {
     /// Creates a schedule.
@@ -35,7 +40,10 @@ impl Schedule {
     ///
     /// Panics if `batches`, `stages` or `epochs` is zero.
     pub fn new(batches: usize, stages: usize, epochs: usize) -> Self {
-        assert!(batches > 0 && stages > 0 && epochs > 0, "counts must be positive");
+        assert!(
+            batches > 0 && stages > 0 && epochs > 0,
+            "counts must be positive"
+        );
         Self {
             batches,
             stages,
@@ -69,7 +77,11 @@ pub struct SimResult {
     pub utilization: f64,
 }
 
-fare_rt::json_struct!(SimResult { total_cycles, busy_cycles, utilization });
+fare_rt::json_struct!(SimResult {
+    total_cycles,
+    busy_cycles,
+    utilization
+});
 
 /// Simulates the schedule cycle by cycle.
 ///
@@ -81,8 +93,7 @@ fare_rt::json_struct!(SimResult { total_cycles, busy_cycles, utilization });
 /// the paper's per-epoch formula.
 pub fn simulate(schedule: &Schedule) -> SimResult {
     fare_obs::counters::RERAM_PIPELINE_SIMS.incr();
-    fare_obs::counters::RERAM_PIPELINE_BATCHES
-        .add((schedule.epochs * schedule.batches) as u64);
+    fare_obs::counters::RERAM_PIPELINE_BATCHES.add((schedule.epochs * schedule.batches) as u64);
     let s = schedule.stages;
     let mut total_cycles = 0usize;
     let mut busy_slots = 0usize;
@@ -100,7 +111,7 @@ pub fn simulate(schedule: &Schedule) -> SimResult {
             }
         }
         let drain = issue.last().expect("batches > 0") + s; // epoch length in cycles
-        // Count busy stage-slots cycle by cycle.
+                                                            // Count busy stage-slots cycle by cycle.
         for cycle in 0..drain {
             let mut any = false;
             for &at in issue.iter() {
@@ -132,11 +143,7 @@ mod tests {
         // N + S - 1 per epoch — the analytical model's core assumption.
         for (n, s, e) in [(1usize, 1usize, 1usize), (10, 5, 1), (50, 5, 3), (7, 2, 10)] {
             let sim = simulate(&Schedule::new(n, s, e));
-            assert_eq!(
-                sim.total_cycles,
-                e * (n + s - 1),
-                "N={n} S={s} E={e}"
-            );
+            assert_eq!(sim.total_cycles, e * (n + s - 1), "N={n} S={s} E={e}");
         }
     }
 

@@ -16,7 +16,6 @@
 //!   adjacency mapping, overlapped thereafter with execution on the
 //!   host), one clipping stage, and a per-epoch BIST scan (~0.13 %).
 
-
 /// Geometry of one training run's pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineSpec {
@@ -31,7 +30,12 @@ pub struct PipelineSpec {
     pub epochs: usize,
 }
 
-fare_rt::json_struct!(PipelineSpec { num_batches, num_stages, stage_delay_s, epochs });
+fare_rt::json_struct!(PipelineSpec {
+    num_batches,
+    num_stages,
+    stage_delay_s,
+    epochs
+});
 
 impl PipelineSpec {
     /// Creates a spec.
@@ -40,7 +44,10 @@ impl PipelineSpec {
     ///
     /// Panics if any count is zero or the delay is non-positive.
     pub fn new(num_batches: usize, num_stages: usize, stage_delay_s: f64, epochs: usize) -> Self {
-        assert!(num_batches > 0 && num_stages > 0 && epochs > 0, "counts must be positive");
+        assert!(
+            num_batches > 0 && num_stages > 0 && epochs > 0,
+            "counts must be positive"
+        );
         assert!(stage_delay_s > 0.0, "stage delay must be positive");
         Self {
             num_batches,
@@ -64,7 +71,12 @@ pub struct TimingModel {
     pub bist_fraction: f64,
 }
 
-fare_rt::json_struct!(TimingModel { spec, nr_stall_stages, fare_preprocess_fraction, bist_fraction });
+fare_rt::json_struct!(TimingModel {
+    spec,
+    nr_stall_stages,
+    fare_preprocess_fraction,
+    bist_fraction
+});
 
 impl TimingModel {
     /// Model with the paper's overhead constants.
@@ -92,8 +104,8 @@ impl TimingModel {
     /// Time with neuron reordering: a stall after every batch.
     pub fn neuron_reordering(&self) -> f64 {
         let s = &self.spec;
-        let per_epoch = (s.num_batches + s.num_stages - 1) as f64
-            + s.num_batches as f64 * self.nr_stall_stages;
+        let per_epoch =
+            (s.num_batches + s.num_stages - 1) as f64 + s.num_batches as f64 * self.nr_stall_stages;
         s.epochs as f64 * per_epoch * s.stage_delay_s
     }
 
@@ -131,7 +143,12 @@ pub struct NormalizedTimes {
     pub fare: f64,
 }
 
-fare_rt::json_struct!(NormalizedTimes { fault_free, clipping, neuron_reordering, fare });
+fare_rt::json_struct!(NormalizedTimes {
+    fault_free,
+    clipping,
+    neuron_reordering,
+    fare
+});
 
 impl NormalizedTimes {
     /// FARe's speedup over neuron reordering (the paper's "up to 4×").

@@ -12,8 +12,8 @@
 //! pre-deployment fault pattern), composing with stuck-at corruption in
 //! [`crate::weights::WeightFabric`]-based readers.
 
-use fare_tensor::Matrix;
 use fare_rt::rand::Rng;
+use fare_tensor::Matrix;
 
 /// Statistical description of programming variation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,8 +149,18 @@ mod tests {
 
     #[test]
     fn deterministic_from_seed() {
-        let a = VariationField::generate(6, 6, &VariationSpec::new(0.2), &mut StdRng::seed_from_u64(7));
-        let b = VariationField::generate(6, 6, &VariationSpec::new(0.2), &mut StdRng::seed_from_u64(7));
+        let a = VariationField::generate(
+            6,
+            6,
+            &VariationSpec::new(0.2),
+            &mut StdRng::seed_from_u64(7),
+        );
+        let b = VariationField::generate(
+            6,
+            6,
+            &VariationSpec::new(0.2),
+            &mut StdRng::seed_from_u64(7),
+        );
         assert_eq!(a, b);
     }
 

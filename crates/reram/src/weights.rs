@@ -54,7 +54,16 @@ pub struct WeightFabric {
     array: CrossbarArray,
 }
 
-fare_rt::json_struct_to!(WeightFabric { fmt, rows, cols, n, weights_per_row, grid_rows, grid_cols, array });
+fare_rt::json_struct_to!(WeightFabric {
+    fmt,
+    rows,
+    cols,
+    n,
+    weights_per_row,
+    grid_rows,
+    grid_cols,
+    array
+});
 
 /// Rejects a fabric whose stored geometry disagrees with its shape and
 /// crossbar size, which would otherwise index out of bounds on the first
@@ -429,12 +438,16 @@ mod tests {
             for &(pc, pol) in xbar.row_faults(pr) {
                 let col = gj * f.weights_per_row + pc / CELLS_PER_WORD;
                 if col < f.cols {
-                    per_col.entry(col).or_default().push((pc % CELLS_PER_WORD, pol));
+                    per_col
+                        .entry(col)
+                        .or_default()
+                        .push((pc % CELLS_PER_WORD, pol));
                 }
             }
             for (col, cell_faults) in per_col {
                 let value = weights[(logical, col)];
-                cost += (stuck_read(f.fmt, value, &cell_faults) - f.fmt.quantise(value)).abs() as f64;
+                cost +=
+                    (stuck_read(f.fmt, value, &cell_faults) - f.fmt.quantise(value)).abs() as f64;
             }
         }
         cost
@@ -544,7 +557,9 @@ mod tests {
         let mut f = fabric(32, 4);
         // Weight (0, 0) occupies crossbar 0, row 0, cells 0..8. Cell 0 is
         // the MSB slice.
-        f.array_mut().crossbar_mut(0).inject_fault(0, 0, StuckPolarity::StuckAtOne);
+        f.array_mut()
+            .crossbar_mut(0)
+            .inject_fault(0, 0, StuckPolarity::StuckAtOne);
         let w = Matrix::filled(32, 4, 0.1);
         let out = f.corrupt(&w);
         assert!(out[(0, 0)].abs() > 10.0, "no explosion: {}", out[(0, 0)]);
@@ -561,12 +576,18 @@ mod tests {
     #[test]
     fn lsb_fault_is_mild() {
         let mut f = fabric(32, 4);
-        f.array_mut()
-            .crossbar_mut(0)
-            .inject_fault(0, CELLS_PER_WORD - 1, StuckPolarity::StuckAtOne);
+        f.array_mut().crossbar_mut(0).inject_fault(
+            0,
+            CELLS_PER_WORD - 1,
+            StuckPolarity::StuckAtOne,
+        );
         let w = Matrix::filled(32, 4, 0.1);
         let out = f.corrupt(&w);
-        assert!((out[(0, 0)] - 0.1).abs() < 0.02, "lsb fault too strong: {}", out[(0, 0)]);
+        assert!(
+            (out[(0, 0)] - 0.1).abs() < 0.02,
+            "lsb fault too strong: {}",
+            out[(0, 0)]
+        );
     }
 
     #[test]
@@ -575,7 +596,9 @@ mod tests {
         assert_eq!(f.num_crossbars(), 2);
         // Crossbar 1 covers weight cols 4..8; fault at its row 3, cell 0
         // hits weight (3, 4) MSB.
-        f.array_mut().crossbar_mut(1).inject_fault(3, 0, StuckPolarity::StuckAtOne);
+        f.array_mut()
+            .crossbar_mut(1)
+            .inject_fault(3, 0, StuckPolarity::StuckAtOne);
         let w = Matrix::filled(32, 8, 0.05);
         let out = f.corrupt(&w);
         assert!(out[(3, 4)].abs() > 10.0);
@@ -585,7 +608,9 @@ mod tests {
     #[test]
     fn permutation_moves_row_away_from_fault() {
         let mut f = fabric(32, 4);
-        f.array_mut().crossbar_mut(0).inject_fault(0, 0, StuckPolarity::StuckAtOne);
+        f.array_mut()
+            .crossbar_mut(0)
+            .inject_fault(0, 0, StuckPolarity::StuckAtOne);
         let w = Matrix::filled(32, 4, 0.1);
         // Swap logical rows 0 and 1: logical 0 -> physical 1 (clean),
         // logical 1 -> physical 0 (faulty).
@@ -599,7 +624,9 @@ mod tests {
     #[test]
     fn placement_cost_reflects_damage() {
         let mut f = fabric(32, 4);
-        f.array_mut().crossbar_mut(0).inject_fault(0, 0, StuckPolarity::StuckAtOne);
+        f.array_mut()
+            .crossbar_mut(0)
+            .inject_fault(0, 0, StuckPolarity::StuckAtOne);
         let mut w = Matrix::filled(32, 4, 0.1);
         let identity_cost = f.placement_cost(&w, None);
         assert!(identity_cost > 10.0);
@@ -618,7 +645,10 @@ mod tests {
         // Identity placement: sum of per-row costs equals total cost.
         let total: f64 = (0..32).map(|r| f.row_placement_cost(&w, r, r)).sum();
         let full = f.placement_cost(&w, None);
-        assert!((total - full).abs() < 1e-4, "per-row {total} vs full {full}");
+        assert!(
+            (total - full).abs() < 1e-4,
+            "per-row {total} vs full {full}"
+        );
     }
 
     #[test]

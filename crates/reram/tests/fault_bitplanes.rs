@@ -95,8 +95,20 @@ fn check_planes(xbar: &Crossbar, naive: &NaiveFaults) {
             let bit0 = sa0[r * words + c / 64] >> (c % 64) & 1 == 1;
             let bit1 = sa1[r * words + c / 64] >> (c % 64) & 1 == 1;
             let expect = naive.cells[r * n + c];
-            prop_assert_eq!(bit0, expect == Some(StuckPolarity::StuckAtZero), "sa0 bit ({}, {})", r, c);
-            prop_assert_eq!(bit1, expect == Some(StuckPolarity::StuckAtOne), "sa1 bit ({}, {})", r, c);
+            prop_assert_eq!(
+                bit0,
+                expect == Some(StuckPolarity::StuckAtZero),
+                "sa0 bit ({}, {})",
+                r,
+                c
+            );
+            prop_assert_eq!(
+                bit1,
+                expect == Some(StuckPolarity::StuckAtOne),
+                "sa1 bit ({}, {})",
+                r,
+                c
+            );
             prop_assert_eq!(xbar.fault_at(r, c), expect);
         }
     }
@@ -112,7 +124,10 @@ fn check_kernels(xbar: &Crossbar, naive: &NaiveFaults, stored: &Matrix) {
             // … and to a shifted physical row (permutations matter).
             let naive_mm = naive.row_mismatch(stored, logical, phys);
             let naive_sa1 = naive.row_sa1_mismatch(stored, logical, phys);
-            prop_assert_eq!(xbar.row_mismatch_packed(packed.row(logical), phys), naive_mm);
+            prop_assert_eq!(
+                xbar.row_mismatch_packed(packed.row(logical), phys),
+                naive_mm
+            );
             prop_assert_eq!(xbar.row_mismatch(stored.row(logical), phys), naive_mm);
             prop_assert_eq!(
                 xbar.row_sa1_mismatch_packed(packed.row(logical), phys),

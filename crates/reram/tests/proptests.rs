@@ -2,10 +2,10 @@
 
 use fare_reram::weights::WeightFabric;
 use fare_reram::{Bist, Crossbar, CrossbarArray, FaultSpec, StuckPolarity};
-use fare_tensor::{FixedFormat, Matrix};
 use fare_rt::prop::prelude::*;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::SeedableRng;
+use fare_tensor::{FixedFormat, Matrix};
 
 fn faulty_crossbar(n: usize, seed: u64, density: f64) -> Crossbar {
     let mut rng = StdRng::seed_from_u64(seed);

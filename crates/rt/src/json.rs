@@ -214,7 +214,10 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end of input"))? {
+        match self
+            .peek()
+            .ok_or_else(|| self.err("unexpected end of input"))?
+        {
             b'n' => {
                 if self.eat_literal("null") {
                     Ok(Json::Null)
@@ -385,7 +388,10 @@ impl<'a> Parser<'a> {
                     // Consume one UTF-8 character.
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("unterminated string"))?;
+                    let c = rest
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("unterminated string"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -844,7 +850,10 @@ mod tests {
             ("a".into(), Json::Num("1".into())),
             ("b".into(), Json::Arr(vec![Json::Bool(true)])),
         ]);
-        assert_eq!(v.to_pretty(), "{\n  \"a\": 1,\n  \"b\": [\n    true\n  ]\n}");
+        assert_eq!(
+            v.to_pretty(),
+            "{\n  \"a\": 1,\n  \"b\": [\n    true\n  ]\n}"
+        );
     }
 
     #[test]

@@ -198,7 +198,10 @@ mod pool {
             let p = pool();
             let mut q = p.queue.lock().unwrap();
             for index in 0..chunks {
-                q.push_back(Task { shared: erased, index });
+                q.push_back(Task {
+                    shared: erased,
+                    index,
+                });
             }
             drop(q);
             p.available.notify_all();
@@ -261,7 +264,10 @@ where
         if chunk.is_empty() {
             break;
         }
-        slots.push(Mutex::new(Slot { input: chunk, output: Vec::new() }));
+        slots.push(Mutex::new(Slot {
+            input: chunk,
+            output: Vec::new(),
+        }));
     }
     run_batch(slots.len(), &|i| {
         let mut slot = slots[i].lock().unwrap();

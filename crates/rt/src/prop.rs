@@ -10,7 +10,7 @@
 //! reproducible case.
 
 use crate::rand::rngs::StdRng;
-use crate::rand::{SampleRange, SampleUniform, Standard, Distribution as RandDistribution};
+use crate::rand::{Distribution as RandDistribution, SampleRange, SampleUniform, Standard};
 use std::ops::{Range, RangeInclusive};
 
 /// Per-property configuration (mirrors `proptest::test_runner::Config`).
@@ -86,7 +86,11 @@ pub trait Strategy {
         Self: Sized,
         F: Fn(&Self::Value) -> bool,
     {
-        Filter { inner: self, why, keep }
+        Filter {
+            inner: self,
+            why,
+            keep,
+        }
     }
 }
 
@@ -183,7 +187,9 @@ pub fn any<T>() -> Any<T>
 where
     Standard: RandDistribution<T>,
 {
-    Any { _marker: std::marker::PhantomData }
+    Any {
+        _marker: std::marker::PhantomData,
+    }
 }
 
 impl<T> Strategy for Any<T>

@@ -121,8 +121,12 @@ impl Distribution<f32> for Standard {
 pub trait SampleUniform: PartialOrd + Copy {
     /// Uniform draw from `[lo, hi)` (`inclusive = false`) or `[lo, hi]`
     /// (`inclusive = true`).
-    fn sample_between<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool)
-        -> Self;
+    fn sample_between<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+    ) -> Self;
 }
 
 macro_rules! uniform_int {

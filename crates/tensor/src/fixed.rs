@@ -15,7 +15,6 @@
 //! - [`CellWord`] — the weight as eight 2-bit cells, MSB-first, with
 //!   stuck-at corruption applied per cell.
 
-
 /// Number of ReRAM cells a single 16-bit weight is distributed across.
 pub const CELLS_PER_WORD: usize = 8;
 
@@ -358,7 +357,10 @@ pub enum StuckPolarity {
     StuckAtOne,
 }
 
-fare_rt::json_enum!(StuckPolarity { StuckAtZero, StuckAtOne });
+fare_rt::json_enum!(StuckPolarity {
+    StuckAtZero,
+    StuckAtOne
+});
 
 impl std::fmt::Display for StuckPolarity {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -486,7 +488,10 @@ mod tests {
         let fmt = FixedFormat::default();
         // 0.0 encodes to all-zero cells: SA0 anywhere changes nothing.
         for i in 0..CELLS_PER_WORD {
-            assert_eq!(apply_cell_fault(0.0, fmt, i, StuckPolarity::StuckAtZero), 0.0);
+            assert_eq!(
+                apply_cell_fault(0.0, fmt, i, StuckPolarity::StuckAtZero),
+                0.0
+            );
         }
     }
 
@@ -497,7 +502,18 @@ mod tests {
             StuckPolarity::StuckAtZero => word.stick_at_zero(cell),
             StuckPolarity::StuckAtOne => word.stick_at_one(cell),
         };
-        for v in [0i16, 1, -1, 300, -300, i16::MAX, -i16::MAX, i16::MIN, 12345, -12345] {
+        for v in [
+            0i16,
+            1,
+            -1,
+            300,
+            -300,
+            i16::MAX,
+            -i16::MAX,
+            i16::MIN,
+            12345,
+            -12345,
+        ] {
             // Every ordered pair of sticks, including the same cell twice
             // (the later polarity wins).
             for a in 0..CELLS_PER_WORD {

@@ -236,7 +236,11 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`ShapeError`] when the shapes differ.
-    pub fn try_zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Result<Self, ShapeError> {
+    pub fn try_zip_map(
+        &self,
+        other: &Self,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Result<Self, ShapeError> {
         if self.shape() != other.shape() {
             return Err(ShapeError::new("zip_map", self.shape(), other.shape()));
         }
@@ -258,7 +262,8 @@ impl Matrix {
     ///
     /// Panics when the shapes differ.
     pub fn zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
-        self.try_zip_map(other, f).expect("shape mismatch in zip_map")
+        self.try_zip_map(other, f)
+            .expect("shape mismatch in zip_map")
     }
 
     /// Elementwise (Hadamard) product.
@@ -315,7 +320,8 @@ impl Matrix {
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn t_matmul(&self, rhs: &Self) -> Self {
         assert_eq!(
-            self.rows, rhs.rows,
+            self.rows,
+            rhs.rows,
             "shape mismatch in t_matmul: {:?} vs {:?}",
             self.shape(),
             rhs.shape()
@@ -340,7 +346,8 @@ impl Matrix {
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_t(&self, rhs: &Self) -> Self {
         assert_eq!(
-            self.cols, rhs.cols,
+            self.cols,
+            rhs.cols,
             "shape mismatch in matmul_t: {:?} vs {:?}",
             self.shape(),
             rhs.shape()

@@ -92,12 +92,7 @@ pub fn log_softmax_rows(m: &Matrix) -> Matrix {
     for r in 0..out.rows() {
         let row = out.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let lse = max
-            + row
-                .iter()
-                .map(|&v| (v - max).exp())
-                .sum::<f32>()
-                .ln();
+        let lse = max + row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
         for v in row.iter_mut() {
             *v -= lse;
         }
@@ -149,11 +144,7 @@ pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
         return 0.0;
     }
     let preds = logits.argmax_rows();
-    let correct = preds
-        .iter()
-        .zip(labels)
-        .filter(|(p, l)| p == l)
-        .count();
+    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
     correct as f64 / labels.len() as f64
 }
 
@@ -178,7 +169,9 @@ pub fn gcn_normalise(adj: &Matrix) -> Matrix {
             }
         })
         .collect();
-    Matrix::from_fn(n, n, |r, c| a_hat[(r, c)] * deg_inv_sqrt[r] * deg_inv_sqrt[c])
+    Matrix::from_fn(n, n, |r, c| {
+        a_hat[(r, c)] * deg_inv_sqrt[r] * deg_inv_sqrt[c]
+    })
 }
 
 /// Row-normalises `adj` (mean aggregation): `D^{-1} A`.

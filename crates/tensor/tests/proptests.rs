@@ -1,8 +1,8 @@
 //! Property-based tests for the tensor crate.
 
+use fare_rt::prop::prelude::*;
 use fare_tensor::fixed::{apply_cell_fault, StuckPolarity, CELLS_PER_WORD};
 use fare_tensor::{ops, CellWord, Fixed16, FixedFormat, Matrix};
-use fare_rt::prop::prelude::*;
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {

@@ -51,10 +51,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         ..TrainConfig::default()
     };
     let ideal = run_fault_free(&base, 7, &dataset);
-    println!("fault-free   : test accuracy {:.3}", ideal.final_test_accuracy);
+    println!(
+        "fault-free   : test accuracy {:.3}",
+        ideal.final_test_accuracy
+    );
     for strategy in [FaultStrategy::FaultUnaware, FaultStrategy::FaRe] {
         let out = Trainer::new(TrainConfig { strategy, ..base }, 7).run(&dataset);
-        println!("{strategy:<13}: test accuracy {:.3} (5% faults, 1:1)", out.final_test_accuracy);
+        println!(
+            "{strategy:<13}: test accuracy {:.3} (5% faults, 1:1)",
+            out.final_test_accuracy
+        );
     }
 
     std::fs::remove_dir_all(&dir).ok();

@@ -36,7 +36,11 @@ fn main() {
     let (kind, epochs, densities): (_, _, &[f64]) = if smoke {
         (DatasetKind::Ppi, 4, &[0.0, 0.05])
     } else {
-        (DatasetKind::Amazon2M, 25, &[0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
+        (
+            DatasetKind::Amazon2M,
+            25,
+            &[0.0, 0.01, 0.02, 0.03, 0.04, 0.05],
+        )
     };
     let dataset = Dataset::generate(kind, seed);
     let base = TrainConfig {
@@ -50,7 +54,10 @@ fn main() {
         "{kind:?} + SAGE, SA0:SA1 = {ratio_arg}; fault-free test accuracy {:.3}",
         ideal.final_test_accuracy
     );
-    println!("{:>8} {:>14} {:>8} {:>10} {:>8}", "density", "fault-unaware", "NR", "clipping", "FARe");
+    println!(
+        "{:>8} {:>14} {:>8} {:>10} {:>8}",
+        "density", "fault-unaware", "NR", "clipping", "FARe"
+    );
 
     let mut worst_fare_manifest = None;
     for &density in densities {

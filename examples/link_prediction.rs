@@ -48,6 +48,9 @@ fn main() {
             ..base
         };
         let out = run_link_prediction(&config, seed, &dataset);
-        println!("{strategy:<20}: AUC {:.3} (5% faults, SA0:SA1 = 1:1)", out.final_auc);
+        println!(
+            "{strategy:<20}: AUC {:.3} (5% faults, SA0:SA1 = 1:1)",
+            out.final_auc
+        );
     }
 }

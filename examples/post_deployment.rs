@@ -40,23 +40,25 @@ fn main() {
         ..TrainConfig::default()
     };
 
-    println!(
-        "{kind:?} + GCN, 2% pre-deployment + 1% post-deployment faults (SA0:SA1 = 1:1)\n"
-    );
+    println!("{kind:?} + GCN, 2% pre-deployment + 1% post-deployment faults (SA0:SA1 = 1:1)\n");
 
     let ideal = run_fault_free(&base, seed, &dataset);
     let outcomes: Vec<_> = FaultStrategy::all()
         .iter()
         .map(|&s| {
-            let config = TrainConfig { strategy: s, ..base };
+            let config = TrainConfig {
+                strategy: s,
+                ..base
+            };
             obs::reset();
             let out = Trainer::new(config, seed).run(&dataset);
-            let manifest = obs::RunManifest::capture(&format!("post_deployment/{s}"), seed, &config)
-                .with_bench("final_test_accuracy", out.final_test_accuracy)
-                .with_bench(
-                    "accuracy_vs_fault_free",
-                    out.final_test_accuracy - ideal.final_test_accuracy,
-                );
+            let manifest =
+                obs::RunManifest::capture(&format!("post_deployment/{s}"), seed, &config)
+                    .with_bench("final_test_accuracy", out.final_test_accuracy)
+                    .with_bench(
+                        "accuracy_vs_fault_free",
+                        out.final_test_accuracy - ideal.final_test_accuracy,
+                    );
             (s, out, manifest)
         })
         .collect();
@@ -74,7 +76,11 @@ fn main() {
                 FaultStrategy::ClippingOnly => 10,
                 FaultStrategy::FaRe => 8,
             };
-            row.push_str(&format!(" {:>w$.3}", out.history[e].test_accuracy, w = width));
+            row.push_str(&format!(
+                " {:>w$.3}",
+                out.history[e].test_accuracy,
+                w = width
+            ));
         }
         println!("{row}");
     }

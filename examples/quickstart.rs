@@ -26,7 +26,10 @@ fn main() {
     };
 
     let ideal = run_fault_free(&base, seed, &dataset);
-    println!("fault-free      : test accuracy {:.3}", ideal.final_test_accuracy);
+    println!(
+        "fault-free      : test accuracy {:.3}",
+        ideal.final_test_accuracy
+    );
 
     for strategy in FaultStrategy::all() {
         let config = TrainConfig { strategy, ..base };

@@ -48,9 +48,9 @@
 
 pub use fare_core as core;
 pub use fare_gnn as gnn;
-pub use fare_obs as obs;
 pub use fare_graph as graph;
 pub use fare_matching as matching;
+pub use fare_obs as obs;
 pub use fare_report as report;
 pub use fare_reram as reram;
 pub use fare_tensor as tensor;

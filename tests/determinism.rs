@@ -9,8 +9,8 @@
 use std::sync::Mutex;
 
 use fare::core::mapping::{
-    map_adjacency, map_adjacency_cached, refresh_row_permutations,
-    refresh_row_permutations_cached, MappingConfig, RemapCache,
+    map_adjacency, map_adjacency_cached, refresh_row_permutations, refresh_row_permutations_cached,
+    MappingConfig, RemapCache,
 };
 use fare::core::{FaultStrategy, TrainConfig, Trainer};
 use fare::graph::datasets::{Dataset, DatasetKind, ModelKind};
@@ -203,8 +203,16 @@ fn compute_kernels_identical_across_thread_counts() {
     let eight = run(8);
     fare_rt::par::set_threads(0);
     for (k, serial) in one.iter().enumerate() {
-        assert_eq!(bits(serial), bits(&two[k]), "kernel {k} differs at 2 threads");
-        assert_eq!(bits(serial), bits(&eight[k]), "kernel {k} differs at 8 threads");
+        assert_eq!(
+            bits(serial),
+            bits(&two[k]),
+            "kernel {k} differs at 2 threads"
+        );
+        assert_eq!(
+            bits(serial),
+            bits(&eight[k]),
+            "kernel {k} differs at 8 threads"
+        );
     }
 }
 

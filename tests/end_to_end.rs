@@ -156,12 +156,18 @@ fn outcome_metadata_is_consistent() {
     };
     let out = Trainer::new(config, 21).run(&ds);
     assert_eq!(out.history.len(), 4);
-    assert_eq!(out.history.last().unwrap().test_accuracy, out.final_test_accuracy);
+    assert_eq!(
+        out.history.last().unwrap().test_accuracy,
+        out.final_test_accuracy
+    );
     assert_eq!(
         out.history.last().unwrap().train_accuracy,
         out.final_train_accuracy
     );
-    assert_eq!(out.num_batches, ds.spec.partitions.div_ceil(ds.spec.clusters_per_batch));
+    assert_eq!(
+        out.num_batches,
+        ds.spec.partitions.div_ceil(ds.spec.clusters_per_batch)
+    );
     assert!(out.normalized_time > 1.0);
     for (i, e) in out.history.iter().enumerate() {
         assert_eq!(e.epoch, i);

@@ -85,10 +85,8 @@ fn all_nonidealities_compose_in_one_run() {
     // SAFs + programming variation + drift + post-deployment faults +
     // regularisation, all at once, with FARe: training must remain
     // stable and learn.
-    let ds = fare::graph::datasets::Dataset::generate(
-        fare::graph::datasets::DatasetKind::Reddit,
-        4,
-    );
+    let ds =
+        fare::graph::datasets::Dataset::generate(fare::graph::datasets::DatasetKind::Reddit, 4);
     let out = Trainer::new(
         TrainConfig {
             epochs: 10,

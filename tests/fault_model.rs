@@ -13,7 +13,11 @@ use fare_rt::rand::SeedableRng;
 #[test]
 fn injection_statistics_match_spec_across_scales() {
     let mut rng = StdRng::seed_from_u64(1);
-    for (count, n, density) in [(64usize, 32usize, 0.05f64), (16, 128, 0.01), (100, 16, 0.03)] {
+    for (count, n, density) in [
+        (64usize, 32usize, 0.05f64),
+        (16, 128, 0.01),
+        (100, 16, 0.03),
+    ] {
         let mut array = CrossbarArray::new(count, n);
         array.inject(&FaultSpec::with_ratio(density, 9.0, 1.0), &mut rng);
         let measured = array.fault_density();
@@ -103,9 +107,15 @@ fn adjacency_polarity_semantics_through_full_stack() {
     adj[(2, 3)] = 1.0;
     adj[(3, 2)] = 1.0;
     let mut array = CrossbarArray::new(1, 8);
-    array.crossbar_mut(0).inject_fault(0, 1, StuckPolarity::StuckAtZero); // on edge
-    array.crossbar_mut(0).inject_fault(4, 5, StuckPolarity::StuckAtOne); // on non-edge
-    array.crossbar_mut(0).inject_fault(2, 3, StuckPolarity::StuckAtOne); // matches stored 1
+    array
+        .crossbar_mut(0)
+        .inject_fault(0, 1, StuckPolarity::StuckAtZero); // on edge
+    array
+        .crossbar_mut(0)
+        .inject_fault(4, 5, StuckPolarity::StuckAtOne); // on non-edge
+    array
+        .crossbar_mut(0)
+        .inject_fault(2, 3, StuckPolarity::StuckAtOne); // matches stored 1
 
     let out = fare::core::corrupt_adjacency_unaware(&adj, &array);
     assert_eq!(out[(0, 1)], 0.0, "SA0 must delete the edge");

@@ -91,11 +91,27 @@ fn disabled_telemetry_runs_are_identical_and_silent() {
     obs::reset();
     let off = Trainer::new(fare::golden::config(), fare::golden::SEED).run(&dataset);
     let silent = obs::RunManifest::capture("off", fare::golden::SEED, &fare::golden::config());
-    assert!(silent.counters.is_empty(), "disabled telemetry recorded counters");
-    assert!(silent.timers.is_empty(), "disabled telemetry recorded timers");
-    assert!(silent.epochs.is_empty(), "disabled telemetry recorded epochs");
-    assert!(silent.heatmaps.is_empty(), "disabled telemetry recorded heatmaps");
-    assert_eq!(obs::trace::buffered(), 0, "disabled telemetry recorded spans");
+    assert!(
+        silent.counters.is_empty(),
+        "disabled telemetry recorded counters"
+    );
+    assert!(
+        silent.timers.is_empty(),
+        "disabled telemetry recorded timers"
+    );
+    assert!(
+        silent.epochs.is_empty(),
+        "disabled telemetry recorded epochs"
+    );
+    assert!(
+        silent.heatmaps.is_empty(),
+        "disabled telemetry recorded heatmaps"
+    );
+    assert_eq!(
+        obs::trace::buffered(),
+        0,
+        "disabled telemetry recorded spans"
+    );
 
     obs::set_mode(Mode::Json);
     obs::set_clock(ClockMode::Fixed(1_000));

@@ -22,7 +22,11 @@ fn workspace_manifests() -> Vec<PathBuf> {
             out.push(manifest);
         }
     }
-    assert!(out.len() >= 11, "expected root + 10 crates, found {}", out.len());
+    assert!(
+        out.len() >= 11,
+        "expected root + 10 crates, found {}",
+        out.len()
+    );
     out
 }
 

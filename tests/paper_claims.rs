@@ -120,7 +120,10 @@ fn fig5_shape_fare_restores_accuracy_at_one_to_one() {
     );
     // FARe >= clipping-only (the adjacency mapping must not hurt);
     // median FARe actually edges out clipping (observed +0.006).
-    assert!(fare + 0.02 >= clip, "FARe ({fare:.3}) vs clipping ({clip:.3})");
+    assert!(
+        fare + 0.02 >= clip,
+        "FARe ({fare:.3}) vs clipping ({clip:.3})"
+    );
 }
 
 #[test]
@@ -159,7 +162,11 @@ fn fig7_claims_hold_at_paper_scale() {
         // Clipping negligible and below FARe.
         assert!(t.clipping < t.fare);
         // NR pays per-batch stalls.
-        assert!(t.neuron_reordering > 3.0, "{kind}: NR {}", t.neuron_reordering);
+        assert!(
+            t.neuron_reordering > 3.0,
+            "{kind}: NR {}",
+            t.neuron_reordering
+        );
     }
     // "Up to 4x speedup" over NR.
     let max_speedup = result

@@ -5,8 +5,8 @@
 use fare::core::mapping::{map_adjacency, BlockPlacement, Mapping, MappingConfig};
 use fare::core::{EpochStats, FaultStrategy, TrainConfig, TrainOutcome, Trainer};
 use fare::gnn::{Gnn, GnnDims};
-use fare::graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare::graph::batch::{make_batches, MiniBatch};
+use fare::graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare::graph::partition::partition;
 use fare::graph::{CsrGraph, Partitioning};
 use fare::reram::weights::WeightFabric;
@@ -167,7 +167,10 @@ fn partitioning_and_minibatch_round_trip() {
 #[test]
 fn partitioning_from_json_rejects_part_id_out_of_range() {
     let parts = Partitioning::new(vec![0, 1, 1, 0], 2);
-    rejects::<Partitioning>(&with_field(&parts, "assignment", "[0, 2, 1, 0]"), "part id 2 of 2");
+    rejects::<Partitioning>(
+        &with_field(&parts, "assignment", "[0, 2, 1, 0]"),
+        "part id 2 of 2",
+    );
     rejects::<Partitioning>(&with_field(&parts, "num_parts", "0"), "no parts");
 }
 
@@ -178,7 +181,10 @@ fn minibatch_from_json_rejects_node_list_not_matching_graph() {
         graph: CsrGraph::from_edges(3, &[(0, 1), (1, 2)]),
     };
     rejects::<MiniBatch>(&with_field(&batch, "nodes", "[4, 7]"), "too few nodes");
-    rejects::<MiniBatch>(&with_field(&batch, "nodes", "[4, 7, 9, 11]"), "too many nodes");
+    rejects::<MiniBatch>(
+        &with_field(&batch, "nodes", "[4, 7, 9, 11]"),
+        "too many nodes",
+    );
     rejects::<MiniBatch>(&with_field(&batch, "nodes", "[4, 7, 4]"), "repeated node");
 }
 

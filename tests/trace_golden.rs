@@ -79,7 +79,8 @@ fn golden_span_trace_matches_committed_digest() {
     let _g = lock();
     let (_, log) = fare::golden::capture_trace();
 
-    log.validate_nesting().expect("balanced, monotone span stream");
+    log.validate_nesting()
+        .expect("balanced, monotone span stream");
     assert_eq!(log.dropped, 0, "golden trace must fit the ring buffer");
 
     // Round trip and Chrome export stay healthy on the real stream.
