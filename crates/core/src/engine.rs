@@ -462,10 +462,10 @@ impl Hardware for Faulty {
         if cfg.strategy.maps_adjacency() && cfg.adjacency_faults && cfg.post_refresh {
             for b in batches.iter_mut() {
                 let x = &mut b.slot;
-                x.mapping = refresh_blocks_cached(
+                refresh_blocks_cached(
                     &x.blocks,
                     &x.array,
-                    &x.mapping,
+                    &mut x.mapping,
                     cfg.matcher,
                     &mut x.remap,
                 );

@@ -9,7 +9,7 @@
 use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare_reram::timing::{NormalizedTimes, PipelineSpec, TimingModel};
 use fare_reram::FaultSpec;
-use fare_rt::par::scoped_map_init;
+use fare_rt::par::scoped_map;
 use fare_tensor::fixed::StuckPolarity;
 
 use crate::engine::{Faulty, Ideal, Prepared};
@@ -123,17 +123,13 @@ pub(crate) fn run_cells(
         .iter()
         .flat_map(|cell| (0..trials).map(move |t| (cell, t)))
         .collect();
-    let outcomes = scoped_map_init(
-        runs,
-        || (),
-        |_, (cell, t)| match *cell {
-            Cell::FaultFree(d, model) => classify::<Ideal>(
-                &prepared[d * trials + t],
-                &base_config(model, params.epochs),
-            ),
-            Cell::Faulty(d, ref config) => classify::<Faulty>(&prepared[d * trials + t], config),
-        },
-    );
+    let outcomes = scoped_map(runs, |(cell, t)| match *cell {
+        Cell::FaultFree(d, model) => classify::<Ideal>(
+            &prepared[d * trials + t],
+            &base_config(model, params.epochs),
+        ),
+        Cell::Faulty(d, ref config) => classify::<Faulty>(&prepared[d * trials + t], config),
+    });
     outcomes.chunks(trials).map(<[_]>::to_vec).collect()
 }
 

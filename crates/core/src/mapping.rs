@@ -37,22 +37,46 @@
 //! common edge order `(cost, row, col)` the suitor fixed point *is* the
 //! greedy matching by that order (see `G1Scratch::greedy_assign`).
 //!
-//! On top of the reduced kernel, [`map_adjacency`] deduplicates work by
-//! *content classes*: blocks with identical bit patterns and crossbars
-//! with identical fault planes share a single `G₁` solution, and the
-//! unique (block-class, fault-class) pairs are solved once each, through
-//! one reused solver scratch. [`RemapCache`] extends the same idea
-//! across BIST epochs: a (block, crossbar) pair whose fault state is
-//! unchanged (checked via [`Crossbar::fault_version`]) reuses its stored
-//! permutation instead of re-solving.
+//! On top of the reduced kernel, [`map_blocks_cached`] deduplicates work
+//! by *content classes*: blocks with identical bit patterns and crossbars
+//! with identical fault planes share a single `G₁` solution, so each
+//! (block-class, fault-class) pair is solved at most once, through one
+//! reused solver scratch.
+//!
+//! It also solves a pair only when a cheap lower bound cannot decide.
+//! A row permutation keeps each column's contents, so with `k_c` ones in
+//! block column `c` and `s0_c`/`s1_c` stuck cells in crossbar column `c`,
+//! `LB = Σ_c max(0, s1_c − k_c) + max(0, s0_c − (n − k_c))` bounds the
+//! mismatch of *every* permutation, and its first term (`LB_sa1`) bounds
+//! the SA1 cost. The selection reads exact costs in bound order:
+//!
+//! - **Pruning** solves only the blocks whose `LB_sa1` is within the
+//!   sparsest block's ones, and stops at the first that passes.
+//! - **`G₂` under b-Suitor** (locality off) is the greedy matching in
+//!   `(cost, block, crossbar)` order, by the same argument as for `G₁`.
+//!   A min-heap starts keyed on `LB`; a popped pair whose exact cost
+//!   equals its key is matched, any other is pushed back on its exact
+//!   cost. Since exact ≥ `LB`, a matched pair precedes every other free
+//!   pair's exact key, so the matching is the greedy one. Other matchers
+//!   and the locality term read the whole table.
+//! - **Deferred blocks** skip a crossbar whose `LB` reaches the best
+//!   exact cost so far: it cannot be strictly cheaper, and ties keep
+//!   the first crossbar.
+//!
+//! Every decision is the one the full table gives, so the mapping is
+//! bit-identical. [`RemapCache`] carries the work across BIST epochs: a
+//! placement whose crossbar is unchanged (checked via
+//! [`Crossbar::fault_version`]) keeps its permutation instead of being
+//! re-solved.
 //!
 //! The [`reference`] module keeps a naive serial implementation of the
-//! same semantics: the oracle the property tests pin the fast path
-//! against. A property test also checks that the reduced `f × n` Hungarian
-//! optimum equals the full `n × n` one, pair by pair.
+//! same semantics, full cost table included: the oracle the property
+//! tests pin the fast path against. Property tests also check that the
+//! reduced `f × n` Hungarian optimum equals the full `n × n` one and that
+//! both bounds stay below the exact costs, pair by pair.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use fare_graph::{CsrGraph, CsrMatrix};
 use fare_matching::{CostMatrix, Matcher};
@@ -416,6 +440,11 @@ impl BlockColIdx {
     /// Block rows (ascending) whose bit in column `c` is set.
     fn col(&self, c: usize) -> &[u32] {
         &self.rows[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+
+    /// Ones in column `c` of the block.
+    fn count(&self, c: usize) -> usize {
+        (self.starts[c + 1] - self.starts[c]) as usize
     }
 }
 
@@ -784,32 +813,216 @@ impl AdjacencyBlocks {
     }
 }
 
-/// Shared back half of Algorithm 1: pruning (lines 8–17), the `G₂`
-/// placement over the live sets, and greedy placement of deferred
-/// blocks. Parameterised over how pair costs/solutions are produced so
-/// the fast path (deduplicated class table) and the reference oracle
-/// (naive per-pair table) provably run the identical selection logic.
-///
-/// `cost_at(i, j)` returns `(mismatch, sa1)` for block `i` on crossbar
-/// `j`; `take_at(i, j)` materialises the full solution for the chosen
-/// pairs only.
-fn assemble_mapping<C, T>(
+/// Stuck cells per crossbar column, as `(column, sa0, sa1)` for every
+/// column that holds one, ascending: the crossbar half of
+/// [`pair_bounds`].
+fn column_faults(xbar: &Crossbar) -> Vec<(usize, usize, usize)> {
+    let mut per_col = vec![(0, 0); xbar.n()];
+    for r in 0..xbar.n() {
+        for &(c, pol) in xbar.row_faults(r) {
+            match pol {
+                StuckPolarity::StuckAtZero => per_col[c].0 += 1,
+                StuckPolarity::StuckAtOne => per_col[c].1 += 1,
+            }
+        }
+    }
+    per_col
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, (s0, s1))| s0 + s1 > 0)
+        .map(|(c, (s0, s1))| (c, s0, s1))
+        .collect()
+}
+
+/// Lower bounds `(LB, LB_sa1)` on the `(mismatch, sa1)` cost of a block
+/// on a crossbar, under *any* row permutation and hence under every
+/// matcher. A row permutation keeps each column's contents: column `c`
+/// stores the block's `k_c` ones on `k_c` of its `n` cells, so at least
+/// `s1_c − k_c` of its SA1 cells hold a 0 (the SA1 cost) and at least
+/// `s0_c − (n − k_c)` of its SA0 cells hold a 1.
+fn pair_bounds(
+    col_idx: &BlockColIdx,
     n: usize,
+    faults: &[(usize, usize, usize)],
+) -> (usize, usize) {
+    let (mut lb, mut lb_sa1) = (0, 0);
+    for &(c, s0, s1) in faults {
+        let k = col_idx.count(c);
+        let sa1 = s1.saturating_sub(k);
+        lb_sa1 += sa1;
+        lb += sa1 + s0.saturating_sub(n - k);
+    }
+    (lb, lb_sa1)
+}
+
+/// The `(mismatch, sa1)` `G₁` cost of every (block, crossbar) pair,
+/// solved on demand.
+///
+/// Blocks with identical bits share a class, and so do crossbars with
+/// identical fault planes. `G₁` solutions are pure functions of (block
+/// bits, fault planes, matcher), so each (block class, fault class) pair
+/// is solved at most once, through one reused scratch, and is exact for
+/// every member pair. Its [`pair_bounds`] are computed up front; the
+/// selection asks for an exact cost only where a bound cannot decide.
+struct PairCosts<'a> {
+    blocks: &'a AdjacencyBlocks,
+    array: &'a CrossbarArray,
+    matcher: Matcher,
+    block_class: Vec<u32>,
+    xbar_class: Vec<u32>,
+    /// Transposed column index per block class.
+    col_idx: Vec<BlockColIdx>,
+    /// Faulty rows and base costs per fault class.
+    xbar_ctx: Vec<XbarG1Ctx>,
+    /// `(LB, LB_sa1)` per class pair, row-major by block class.
+    bounds: Vec<(usize, usize)>,
+    /// Exact `(mismatch, sa1)` per class pair, once solved.
+    exact: Vec<Option<(usize, usize)>>,
+    scratch: G1Scratch,
+    /// Class pairs solved exactly so far.
+    solved: usize,
+}
+
+impl<'a> PairCosts<'a> {
+    fn new(blocks: &'a AdjacencyBlocks, array: &'a CrossbarArray, matcher: Matcher) -> Self {
+        let mut block_class = Vec::with_capacity(blocks.blocks.len());
+        let mut col_idx = Vec::new();
+        let mut seen: HashMap<&[u64], u32> = HashMap::new();
+        for p in &blocks.blocks {
+            let class = *seen.entry(p.bits()).or_insert_with(|| {
+                col_idx.push(BlockColIdx::build(p));
+                col_idx.len() as u32 - 1
+            });
+            block_class.push(class);
+        }
+        let mut xbar_class = Vec::with_capacity(array.len());
+        let mut xbar_ctx = Vec::new();
+        let mut faults = Vec::new();
+        let mut seen: HashMap<(&[u64], &[u64]), u32> = HashMap::new();
+        for j in 0..array.len() {
+            let xbar = array.crossbar(j);
+            let class = *seen.entry(xbar.fault_bits()).or_insert_with(|| {
+                faults.push(column_faults(xbar));
+                xbar_ctx.push(XbarG1Ctx::build(xbar));
+                xbar_ctx.len() as u32 - 1
+            });
+            xbar_class.push(class);
+        }
+        let bounds: Vec<(usize, usize)> = col_idx
+            .iter()
+            .flat_map(|idx| faults.iter().map(move |f| pair_bounds(idx, blocks.n, f)))
+            .collect();
+        Self {
+            blocks,
+            array,
+            matcher,
+            block_class,
+            xbar_class,
+            col_idx,
+            xbar_ctx,
+            exact: vec![None; bounds.len()],
+            bounds,
+            scratch: G1Scratch::default(),
+            solved: 0,
+        }
+    }
+
+    fn class_pair(&self, i: usize, j: usize) -> usize {
+        self.block_class[i] as usize * self.xbar_ctx.len() + self.xbar_class[j] as usize
+    }
+
+    /// `(LB, LB_sa1)` of block `i` on crossbar `j`.
+    fn bound(&self, i: usize, j: usize) -> (usize, usize) {
+        self.bounds[self.class_pair(i, j)]
+    }
+
+    /// Exact `(mismatch, sa1)` of block `i` on crossbar `j`, solving its
+    /// class pair on first use. The cost-only solve skips permutation
+    /// assembly; [`Self::solution`] rebuilds it for the chosen pairs.
+    fn exact(&mut self, i: usize, j: usize) -> (usize, usize) {
+        let k = self.class_pair(i, j);
+        if let Some(cost) = self.exact[k] {
+            return cost;
+        }
+        // Block `i` and crossbar `j` share their class's bits and fault
+        // planes, so they stand for the class pair.
+        let cost = solve_reduced_g1_costs(
+            &self.blocks.blocks[i],
+            &self.col_idx[self.block_class[i] as usize],
+            self.array.crossbar(j),
+            &self.xbar_ctx[self.xbar_class[j] as usize],
+            self.matcher,
+            &mut self.scratch,
+        );
+        debug_assert!(
+            cost.0 >= self.bounds[k].0 && cost.1 >= self.bounds[k].1,
+            "pair bound {:?} exceeds the exact cost {cost:?}",
+            self.bounds[k]
+        );
+        self.exact[k] = Some(cost);
+        self.solved += 1;
+        cost
+    }
+
+    /// Full solution of a chosen pair: a deterministic re-solve from the
+    /// same inputs as [`Self::exact`], so the permutation realises exactly
+    /// the cost the selection read.
+    fn solution(&mut self, i: usize, j: usize) -> PairSolution {
+        solve_reduced_g1(
+            &self.blocks.blocks[i],
+            &self.col_idx[self.block_class[i] as usize],
+            self.array.crossbar(j),
+            &self.xbar_ctx[self.xbar_class[j] as usize],
+            self.matcher,
+            &mut self.scratch,
+        )
+    }
+}
+
+/// Tile-locality penalty of block-row `block_row` on crossbar `xbar` in a
+/// pool of `m` crossbars (0 with locality off).
+fn locality_penalty(
+    cfg: &MappingConfig,
+    m: usize,
     grid: usize,
-    block_meta: &[(usize, usize)],
-    ones: &[usize],
+    block_row: usize,
+    xbar: usize,
+) -> f64 {
+    match &cfg.locality {
+        None => 0.0,
+        Some(loc) => {
+            let num_tiles = m.div_ceil(loc.crossbars_per_tile).max(1);
+            let target_tile = block_row * num_tiles / grid.max(1);
+            let tile = xbar / loc.crossbars_per_tile;
+            loc.weight * target_tile.abs_diff(tile) as f64
+        }
+    }
+}
+
+/// The selection half of Algorithm 1 over lazily solved pair costs: the
+/// pruning heuristic (lines 8–17), the `G₂` placement of the live blocks
+/// on the live crossbars, and the greedy placement of deferred blocks.
+/// Every decision equals the one taken over the full cost table
+/// ([`reference::map_adjacency`]); a pair is solved only when its bound
+/// cannot make the decision alone.
+fn select_placements(
+    blocks: &AdjacencyBlocks,
     m: usize,
     cfg: &MappingConfig,
-    cost_at: C,
-    take_at: T,
-) -> Mapping
-where
-    C: Fn(usize, usize) -> (usize, usize),
-    T: Fn(usize, usize) -> PairSolution,
-{
-    let b = block_meta.len();
+    pairs: &mut PairCosts,
+) -> Mapping {
+    let b = blocks.blocks.len();
+    let grid = blocks.grid;
+    let ones: Vec<usize> = blocks
+        .blocks
+        .iter()
+        .map(|p| (0..p.rows()).map(|r| p.ones(r)).sum())
+        .collect();
 
-    // Pruning heuristic (lines 8-17).
+    // Pruning (lines 8–17): crossbar `j` is hopeless iff no live block
+    // has an SA1 cost within the sparsest live block's ones. A block
+    // whose SA1 bound exceeds that budget cannot pass, so only the others
+    // are solved, up to the first that passes.
     let mut live_blocks: Vec<usize> = (0..b).collect();
     let mut live_xbars: Vec<usize> = (0..m).collect();
     let mut deferred_blocks: Vec<usize> = Vec::new();
@@ -817,112 +1030,135 @@ where
         let mut j_idx = 0;
         while j_idx < live_xbars.len() {
             let j = live_xbars[j_idx];
-            let min_sa1 = live_blocks
+            let Some(sparsest) = live_blocks.iter().copied().min_by_key(|&i| ones[i]) else {
+                break;
+            };
+            let budget = ones[sparsest];
+            let hopeless = !live_blocks
                 .iter()
-                .map(|&i| cost_at(i, j).1)
-                .min()
-                .unwrap_or(0);
-            // The sparsest still-live block.
-            let sparsest = live_blocks.iter().copied().min_by_key(|&i| ones[i]);
-            let Some(sparsest) = sparsest else { break };
-            if min_sa1 > ones[sparsest] {
+                .any(|&i| pairs.bound(i, j).1 <= budget && pairs.exact(i, j).1 <= budget);
+            if hopeless {
                 if live_xbars.len() > live_blocks.len() {
                     // Plenty of crossbars: drop this hopeless one.
                     live_xbars.remove(j_idx);
                     continue; // same j_idx now points at the next crossbar
-                } else {
-                    // b == m: defer the sparsest block instead for freedom.
-                    live_blocks.retain(|&i| i != sparsest);
-                    deferred_blocks.push(sparsest);
                 }
+                // b == m: defer the sparsest block instead for freedom.
+                live_blocks.retain(|&i| i != sparsest);
+                deferred_blocks.push(sparsest);
             }
             j_idx += 1;
         }
     }
 
-    // Final G₂ assignment over the live sets, optionally with the
-    // tile-locality penalty.
-    let locality_penalty = |block_row: usize, xbar: usize| -> f64 {
-        match &cfg.locality {
-            None => 0.0,
-            Some(loc) => {
-                let num_tiles = m.div_ceil(loc.crossbars_per_tile).max(1);
-                let target_tile = block_row * num_tiles / grid.max(1);
-                let tile = xbar / loc.crossbars_per_tile;
-                loc.weight * target_tile.abs_diff(tile) as f64
+    // G₂ over the live sets: `chosen` collects (block, crossbar) pairs.
+    let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(b);
+    let mut used_xbars = vec![false; m];
+    let live_pairs = || {
+        live_blocks
+            .iter()
+            .flat_map(|&i| live_xbars.iter().map(move |&j| (i, j)))
+    };
+    if cfg.matcher == Matcher::BSuitor && cfg.locality.is_none() {
+        // b-Suitor on integer costs is the greedy matching in `(cost,
+        // block, crossbar)` order (see `G1Scratch::greedy_assign`), so it
+        // needs a pair's exact cost only once the pair reaches the front
+        // of that order. The heap starts keyed on lower bounds. A popped
+        // pair whose exact cost equals its key precedes every other free
+        // pair's exact key and is matched; any other goes back keyed on
+        // its exact cost.
+        let mut heap: BinaryHeap<Reverse<(usize, usize, usize)>> = live_pairs()
+            .map(|(i, j)| Reverse((pairs.bound(i, j).0, i, j)))
+            .collect();
+        let mut placed = vec![false; b];
+        while chosen.len() < live_blocks.len() {
+            let Reverse((key, i, j)) = heap.pop().expect("G2 assigns every block");
+            if placed[i] || used_xbars[j] {
+                continue;
+            }
+            let cost = pairs.exact(i, j).0;
+            if cost == key {
+                placed[i] = true;
+                used_xbars[j] = true;
+                chosen.push((i, j));
+            } else {
+                heap.push(Reverse((cost, i, j)));
             }
         }
-    };
-    let mut placements: Vec<BlockPlacement> = Vec::with_capacity(b);
-    let mut used_xbars = vec![false; m];
-    if !live_blocks.is_empty() {
-        let g2 = CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
-            let (i, j) = (live_blocks[bi], live_xbars[xj]);
-            cost_at(i, j).0 as f64 + locality_penalty(block_meta[i].0, j)
-        });
+    } else if !live_blocks.is_empty() {
+        // Other matchers, or a locality term, read the whole table.
+        let costs: Vec<f64> = live_pairs()
+            .map(|(i, j)| pairs.exact(i, j).0 as f64 + locality_penalty(cfg, m, grid, i / grid, j))
+            .collect();
+        let g2 = CostMatrix::from_vec(live_blocks.len(), live_xbars.len(), costs);
         let sol = cfg.matcher.solve(&g2);
-        for (bi, assigned) in sol.assignment.iter().enumerate() {
-            let i = live_blocks[bi];
+        for (&i, assigned) in live_blocks.iter().zip(&sol.assignment) {
             let j = live_xbars[assigned.expect("G2 assigns every block")];
             used_xbars[j] = true;
-            let (perm, cost, sa1) = take_at(i, j);
-            let (br, bc) = block_meta[i];
-            placements.push(BlockPlacement {
-                block_row: br,
-                block_col: bc,
+            chosen.push((i, j));
+        }
+    }
+
+    // Deferred blocks: each takes its cheapest free crossbar, the first
+    // on ties. A crossbar whose bound reaches the best exact cost so far
+    // cannot be strictly cheaper, so it is not solved.
+    for &i in &deferred_blocks {
+        let mut best: Option<(usize, usize)> = None;
+        for j in (0..m).filter(|&j| !used_xbars[j]) {
+            if best.is_some_and(|(cost, _)| pairs.bound(i, j).0 >= cost) {
+                continue;
+            }
+            let cost = pairs.exact(i, j).0;
+            if best.is_none_or(|(min, _)| cost < min) {
+                best = Some((cost, j));
+            }
+        }
+        let (_, j) = best.expect("b <= m guarantees a free crossbar for deferred blocks");
+        used_xbars[j] = true;
+        chosen.push((i, j));
+    }
+
+    let placements = chosen
+        .into_iter()
+        .map(|(i, j)| {
+            let (perm, cost, sa1) = pairs.solution(i, j);
+            BlockPlacement {
+                block_row: i / grid,
+                block_col: i % grid,
                 crossbar: j,
                 row_perm: perm,
                 mismatch_cost: cost,
                 sa1_cost: sa1,
-            });
-        }
-    }
-
-    // Deferred blocks: greedy best-remaining-crossbar placement.
-    for &i in &deferred_blocks {
-        let (br, bc) = block_meta[i];
-        let best = (0..m)
-            .filter(|&j| !used_xbars[j])
-            .min_by_key(|&j| cost_at(i, j).0)
-            .expect("b <= m guarantees a free crossbar for deferred blocks");
-        used_xbars[best] = true;
-        let (perm, cost, sa1) = take_at(i, best);
-        placements.push(BlockPlacement {
-            block_row: br,
-            block_col: bc,
-            crossbar: best,
-            row_perm: perm,
-            mismatch_cost: cost,
-            sa1_cost: sa1,
-        });
-    }
-
-    Mapping::new(n, grid, placements)
+            }
+        })
+        .collect();
+    Mapping::new(blocks.n, grid, placements)
 }
 
 /// Cross-epoch memo of solved `G₁` instances, keyed by block position.
 ///
-/// [`map_adjacency_cached`] fills it with the chosen placements;
-/// [`refresh_row_permutations_cached`] re-solves only the pairs whose
-/// crossbar mutated since (detected via [`Crossbar::fault_version`]) and
-/// reuses the stored permutation for the rest — the common case after a
-/// BIST scan that found few new faults.
+/// [`map_blocks_cached`] records which crossbar each block went to and
+/// that crossbar's [`Crossbar::fault_version`]; [`refresh_blocks_cached`]
+/// re-solves only the pairs whose crossbar mutated since and keeps the
+/// mapping's own permutation for the rest — the common case after a BIST
+/// scan that found few new faults. An entry holds no permutation, so a
+/// hit allocates nothing.
 ///
-/// The cache assumes the adjacency block at a given `(block_row,
-/// block_col)` key is the same across calls (true per batch in the
-/// trainer, which owns one cache per batch state). A full
-/// [`map_adjacency_cached`] clears it first, so re-mapping a different
-/// adjacency through the same cache is safe.
+/// The cache tracks one mapping of one adjacency: refresh the mapping
+/// that [`map_blocks_cached`] returned with it, or that the last refresh
+/// through it updated (true per batch in the trainer, which owns one
+/// cache per batch state). A full [`map_blocks_cached`] clears it first,
+/// so re-mapping a different adjacency through the same cache is safe.
 #[derive(Debug, Clone, Default)]
 pub struct RemapCache {
     entries: HashMap<(usize, usize), CacheEntry>,
 }
 
-#[derive(Debug, Clone)]
+/// The crossbar a block was solved against, at which fault version.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct CacheEntry {
     crossbar: usize,
     version: u64,
-    solution: PairSolution,
 }
 
 impl RemapCache {
@@ -946,16 +1182,10 @@ impl RemapCache {
         self.entries.clear();
     }
 
-    fn store(&mut self, array: &CrossbarArray, placements: &[BlockPlacement]) {
-        for p in placements {
-            self.entries.insert(
-                (p.block_row, p.block_col),
-                CacheEntry {
-                    crossbar: p.crossbar,
-                    version: array.crossbar(p.crossbar).fault_version(),
-                    solution: (p.row_perm.clone(), p.mismatch_cost, p.sa1_cost),
-                },
-            );
+    fn entry(array: &CrossbarArray, p: &BlockPlacement) -> CacheEntry {
+        CacheEntry {
+            crossbar: p.crossbar,
+            version: array.crossbar(p.crossbar).fault_version(),
         }
     }
 }
@@ -1025,106 +1255,15 @@ pub fn map_blocks_cached(
     let _span = fare_obs::trace::span("core.mapping.map_adjacency");
     fare_obs::counters::CORE_MAPPINGS_BUILT.incr();
     blocks.check_fits(array);
-    let n = blocks.n;
-    let grid = blocks.grid;
-    let packed = &blocks.blocks;
-    let b = packed.len();
-    let m = array.len();
-    let block_meta: Vec<(usize, usize)> = blocks.positions().collect();
-    let ones: Vec<usize> = packed
-        .iter()
-        .map(|p| (0..p.rows()).map(|r| p.ones(r)).sum())
-        .collect();
-
-    // Content classes: identical blocks share one class; crossbars with
-    // identical fault planes share one class. G₁ solutions are pure
-    // functions of (block bits, fault planes, matcher), so solving one
-    // representative per class pair is bit-exact.
-    let mut block_class: Vec<u32> = vec![0; b];
-    let mut block_reps: Vec<usize> = Vec::new();
-    {
-        let mut seen: HashMap<&[u64], u32> = HashMap::new();
-        for (i, p) in packed.iter().enumerate() {
-            let next = block_reps.len() as u32;
-            let class = *seen.entry(p.bits()).or_insert_with(|| {
-                block_reps.push(i);
-                next
-            });
-            block_class[i] = class;
-        }
-    }
-    let mut xbar_class: Vec<u32> = vec![0; m];
-    let mut xbar_reps: Vec<usize> = Vec::new();
-    {
-        let mut seen: HashMap<(&[u64], &[u64]), u32> = HashMap::new();
-        for j in 0..m {
-            let planes = array.crossbar(j).fault_bits();
-            let next = xbar_reps.len() as u32;
-            let class = *seen.entry(planes).or_insert_with(|| {
-                xbar_reps.push(j);
-                next
-            });
-            xbar_class[j] = class;
-        }
-    }
-    // Per-class precomputation, amortised across every pair the class
-    // participates in: each block class gets its transposed column index
-    // (reused against all fault classes), each fault class its base
-    // costs/histogram (reused against all block classes).
-    let col_idx: Vec<BlockColIdx> = block_reps
-        .iter()
-        .map(|&i| BlockColIdx::build(&packed[i]))
-        .collect();
-    let xbar_ctx: Vec<XbarG1Ctx> = xbar_reps
-        .iter()
-        .map(|&j| XbarG1Ctx::build(array.crossbar(j)))
-        .collect();
-
-    // Solve each unique (block-class, fault-class) pair exactly once,
-    // through one reused solver scratch.
-    let bc_count = block_reps.len();
-    let xc_count = xbar_reps.len();
-    fare_obs::counters::CORE_MAPPING_PAIRS_SOLVED.add((bc_count * xc_count) as u64);
-    // The pair table needs only `(mismatch, sa1)` — `G₂` and the pruning
-    // heuristic consume costs, never permutations — so the pair solve
-    // skips permutation assembly (and its per-pair allocation) entirely.
-    // Full solutions are recomputed below for the ~`B` chosen pairs.
-    let mut scratch = G1Scratch::default();
-    let unique: Vec<(usize, usize)> = (0..bc_count)
-        .flat_map(|ci| (0..xc_count).map(move |cj| (ci, cj)))
-        .map(|(ci, cj)| {
-            solve_reduced_g1_costs(
-                &packed[block_reps[ci]],
-                &col_idx[ci],
-                array.crossbar(xbar_reps[cj]),
-                &xbar_ctx[cj],
-                cfg.matcher,
-                &mut scratch,
-            )
-        })
-        .collect();
-    let cost_at =
-        |i: usize, j: usize| unique[block_class[i] as usize * xc_count + xbar_class[j] as usize];
-    let take_scratch = RefCell::new(scratch);
-
-    let mapping = assemble_mapping(n, grid, &block_meta, &ones, m, cfg, cost_at, |i, j| {
-        // Deterministic re-solve of a chosen pair: same inputs as the
-        // cost-only pass, so the permutation realises exactly the
-        // `(mismatch, sa1)` the table promised. Crossbar `j` shares
-        // its fault planes with its class representative, so the
-        // class context applies verbatim.
-        solve_reduced_g1(
-            &packed[i],
-            &col_idx[block_class[i] as usize],
-            array.crossbar(j),
-            &xbar_ctx[xbar_class[j] as usize],
-            cfg.matcher,
-            &mut take_scratch.borrow_mut(),
-        )
-    });
-
+    let mut pairs = PairCosts::new(blocks, array, cfg.matcher);
+    let mapping = select_placements(blocks, array.len(), cfg, &mut pairs);
+    fare_obs::counters::CORE_MAPPING_PAIRS_SOLVED.add(pairs.solved as u64);
     cache.clear();
-    cache.store(array, mapping.placements());
+    for p in mapping.placements() {
+        cache
+            .entries
+            .insert((p.block_row, p.block_col), RemapCache::entry(array, p));
+    }
     mapping
 }
 
@@ -1237,10 +1376,11 @@ pub fn refresh_row_permutations(
 }
 
 /// [`refresh_row_permutations`] with cross-epoch memoisation: pairs whose
-/// crossbar's [`Crossbar::fault_version`] matches the cached entry reuse
-/// the stored permutation; only mutated crossbars are re-solved. With an
+/// crossbar's [`Crossbar::fault_version`] matches the cached entry keep
+/// their permutation; only mutated crossbars are re-solved. With an
 /// empty cache this degenerates to a full recompute, so results are
-/// identical either way. A dense adapter onto [`refresh_blocks_cached`].
+/// identical either way. A dense adapter onto [`refresh_blocks_cached`]
+/// that refreshes a copy of `mapping`.
 ///
 /// # Panics
 ///
@@ -1254,10 +1394,14 @@ pub fn refresh_row_permutations_cached(
     cache: &mut RemapCache,
 ) -> Mapping {
     let blocks = AdjacencyBlocks::from_matrix(adj, array.n());
-    refresh_blocks_cached(&blocks, array, mapping, matcher, cache)
+    let mut refreshed = mapping.clone();
+    refresh_blocks_cached(&blocks, array, &mut refreshed, matcher, cache);
+    refreshed
 }
 
-/// [`refresh_row_permutations_cached`] of a packed block grid.
+/// [`refresh_row_permutations_cached`] of a packed block grid, in place:
+/// a placement whose crossbar is unchanged since `cache` saw it is left
+/// as it is, without allocating.
 ///
 /// # Panics
 ///
@@ -1266,10 +1410,10 @@ pub fn refresh_row_permutations_cached(
 pub fn refresh_blocks_cached(
     blocks: &AdjacencyBlocks,
     array: &CrossbarArray,
-    mapping: &Mapping,
+    mapping: &mut Mapping,
     matcher: Matcher,
     cache: &mut RemapCache,
-) -> Mapping {
+) {
     let _span = fare_obs::trace::span("core.mapping.refresh");
     let n = array.n();
     assert_eq!(mapping.n, n, "mapping crossbar size mismatch");
@@ -1281,40 +1425,24 @@ pub fn refresh_blocks_cached(
 
     let mut scratch = G1Scratch::default();
     let mut misses = 0;
-    let placements: Vec<BlockPlacement> = mapping
-        .placements
-        .iter()
-        .map(|p| {
-            let xbar = array.crossbar(p.crossbar);
-            let hit = cache
-                .entries
-                .get(&(p.block_row, p.block_col))
-                .filter(|e| e.crossbar == p.crossbar && e.version == xbar.fault_version());
-            let (perm, cost, sa1) = match hit {
-                Some(e) => e.solution.clone(),
-                None => {
-                    misses += 1;
-                    let packed = blocks.block(p.block_row, p.block_col);
-                    let col_idx = BlockColIdx::build(packed);
-                    let ctx = XbarG1Ctx::build(xbar);
-                    solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, &mut scratch)
-                }
-            };
-            BlockPlacement {
-                block_row: p.block_row,
-                block_col: p.block_col,
-                crossbar: p.crossbar,
-                row_perm: perm,
-                mismatch_cost: cost,
-                sa1_cost: sa1,
-            }
-        })
-        .collect();
-    fare_obs::counters::CORE_REMAP_CACHE_HITS.add((placements.len() - misses) as u64);
+    for p in &mut mapping.placements {
+        let entry = RemapCache::entry(array, p);
+        let key = (p.block_row, p.block_col);
+        if cache.entries.get(&key) == Some(&entry) {
+            continue;
+        }
+        misses += 1;
+        let xbar = array.crossbar(p.crossbar);
+        let packed = blocks.block(p.block_row, p.block_col);
+        let col_idx = BlockColIdx::build(packed);
+        let ctx = XbarG1Ctx::build(xbar);
+        (p.row_perm, p.mismatch_cost, p.sa1_cost) =
+            solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, &mut scratch);
+        cache.entries.insert(key, entry);
+    }
+    let hits = mapping.placements.len() - misses;
+    fare_obs::counters::CORE_REMAP_CACHE_HITS.add(hits as u64);
     fare_obs::counters::CORE_REMAP_CACHE_MISSES.add(misses as u64);
-    let refreshed = Mapping::new(n, mapping.grid, placements);
-    cache.store(array, refreshed.placements());
-    refreshed
 }
 
 /// Naive serial oracles for the fast path.
@@ -1383,8 +1511,10 @@ pub mod reference {
     }
 
     /// Serial oracle for [`super::map_adjacency`]: solves every
-    /// (block, crossbar) pair naively, then runs the identical pruning
-    /// and `G₂` selection.
+    /// (block, crossbar) pair naively, then runs the selection half of
+    /// Algorithm 1 — pruning (lines 8–17), the `G₂` placement over the
+    /// live sets and greedy placement of deferred blocks — reading the
+    /// full cost table.
     pub fn map_adjacency(adj: &Matrix, array: &CrossbarArray, cfg: &MappingConfig) -> Mapping {
         let n = array.n();
         let (grid, blocks) = decompose(adj, n);
@@ -1401,16 +1531,87 @@ pub mod reference {
             .collect();
         let block_meta: Vec<(usize, usize)> = blocks.iter().map(|(br, bc, _)| (*br, *bc)).collect();
         let ones: Vec<usize> = blocks.iter().map(|(_, _, bl)| ones_count(bl)).collect();
-        assemble_mapping(
-            n,
-            grid,
-            &block_meta,
-            &ones,
-            m,
-            cfg,
-            |i, j| (pair[i][j].1, pair[i][j].2),
-            |i, j| pair[i][j].clone(),
-        )
+        let cost_at = |i: usize, j: usize| (pair[i][j].1, pair[i][j].2);
+        let take_at = |i: usize, j: usize| pair[i][j].clone();
+
+        // Pruning heuristic (lines 8-17).
+        let mut live_blocks: Vec<usize> = (0..b).collect();
+        let mut live_xbars: Vec<usize> = (0..m).collect();
+        let mut deferred_blocks: Vec<usize> = Vec::new();
+        if cfg.prune {
+            let mut j_idx = 0;
+            while j_idx < live_xbars.len() {
+                let j = live_xbars[j_idx];
+                let min_sa1 = live_blocks
+                    .iter()
+                    .map(|&i| cost_at(i, j).1)
+                    .min()
+                    .unwrap_or(0);
+                // The sparsest still-live block.
+                let sparsest = live_blocks.iter().copied().min_by_key(|&i| ones[i]);
+                let Some(sparsest) = sparsest else { break };
+                if min_sa1 > ones[sparsest] {
+                    if live_xbars.len() > live_blocks.len() {
+                        // Plenty of crossbars: drop this hopeless one.
+                        live_xbars.remove(j_idx);
+                        continue; // same j_idx now points at the next crossbar
+                    } else {
+                        // b == m: defer the sparsest block instead for freedom.
+                        live_blocks.retain(|&i| i != sparsest);
+                        deferred_blocks.push(sparsest);
+                    }
+                }
+                j_idx += 1;
+            }
+        }
+
+        // Final G₂ assignment over the live sets, optionally with the
+        // tile-locality penalty.
+        let mut placements: Vec<BlockPlacement> = Vec::with_capacity(b);
+        let mut used_xbars = vec![false; m];
+        if !live_blocks.is_empty() {
+            let g2 = CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
+                let (i, j) = (live_blocks[bi], live_xbars[xj]);
+                cost_at(i, j).0 as f64 + locality_penalty(cfg, m, grid, block_meta[i].0, j)
+            });
+            let sol = cfg.matcher.solve(&g2);
+            for (bi, assigned) in sol.assignment.iter().enumerate() {
+                let i = live_blocks[bi];
+                let j = live_xbars[assigned.expect("G2 assigns every block")];
+                used_xbars[j] = true;
+                let (perm, cost, sa1) = take_at(i, j);
+                let (br, bc) = block_meta[i];
+                placements.push(BlockPlacement {
+                    block_row: br,
+                    block_col: bc,
+                    crossbar: j,
+                    row_perm: perm,
+                    mismatch_cost: cost,
+                    sa1_cost: sa1,
+                });
+            }
+        }
+
+        // Deferred blocks: greedy best-remaining-crossbar placement.
+        for &i in &deferred_blocks {
+            let (br, bc) = block_meta[i];
+            let best = (0..m)
+                .filter(|&j| !used_xbars[j])
+                .min_by_key(|&j| cost_at(i, j).0)
+                .expect("b <= m guarantees a free crossbar for deferred blocks");
+            used_xbars[best] = true;
+            let (perm, cost, sa1) = take_at(i, best);
+            placements.push(BlockPlacement {
+                block_row: br,
+                block_col: bc,
+                crossbar: best,
+                row_perm: perm,
+                mismatch_cost: cost,
+                sa1_cost: sa1,
+            });
+        }
+
+        Mapping::new(n, grid, placements)
     }
 
     /// Serial oracle for [`super::refresh_row_permutations`].
@@ -1449,6 +1650,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use fare_reram::{FaultSpec, StuckPolarity};
+    use fare_rt::prop::prelude::*;
     use fare_rt::rand::rngs::StdRng;
     use fare_rt::rand::{Rng, SeedableRng};
 
@@ -1794,6 +1996,35 @@ mod tests {
     }
 
     #[test]
+    fn deferred_blocks_take_their_cheapest_free_crossbar() {
+        // b == m == 4. Crossbars 0–2 are all-SA1 but for 0, 1 and 2 SA0
+        // cells in row 3; crossbar 3 is clean. Pruning defers the empty
+        // block at crossbar 0, drops crossbar 1 and defers the 3-one
+        // block (1, 0) at crossbar 2. `G₂` puts block (0, 1) on crossbar
+        // 3 and block (1, 1) on crossbar 2, its cheapest faulty one. The
+        // empty block then takes crossbar 1 (15 SA1 cells) over crossbar
+        // 0 (16), although crossbar 0 comes first and set the best cost.
+        let adj = defer_fixture();
+        let mut array = CrossbarArray::new(4, 4);
+        for (j, sa0_cols) in [(0, 0..0), (1, 3..4), (2, 2..4)] {
+            let xbar = array.crossbar_mut(j);
+            drench_sa1(xbar);
+            for c in sa0_cols {
+                xbar.inject_fault(3, c, StuckPolarity::StuckAtZero);
+            }
+        }
+        let cfg = MappingConfig::default();
+        let mapping = map_adjacency(&adj, &array, &cfg);
+        let placed: Vec<(usize, usize)> = mapping
+            .placements()
+            .iter()
+            .map(|p| (p.crossbar, p.mismatch_cost))
+            .collect();
+        assert_eq!(placed, [(1, 15), (3, 0), (0, 13), (2, 8)]);
+        assert_eq!(mapping, reference::map_adjacency(&adj, &array, &cfg));
+    }
+
+    #[test]
     fn fast_path_matches_reference_oracle() {
         for (seed, matcher) in [
             (50, Matcher::BSuitor),
@@ -1854,5 +2085,57 @@ mod tests {
         let back = Mapping::from_json(&mapping.to_json()).unwrap();
         assert_eq!(back, mapping);
         assert_eq!(back.placement_for(1, 0), mapping.placement_for(1, 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // The lazy selection is bit-exact only because `LB` and `LB_sa1`
+        // never exceed a pair's exact costs. Check every (block, crossbar)
+        // pair under both exact and approximate `G₁` matchers, over block
+        // densities 0–100%, fault densities 0–100% at SA1 shares 0, ½
+        // and 1, with padded, empty and full blocks in every case.
+        #[test]
+        fn pair_bounds_never_exceed_exact_costs(
+            seed in 0u64..100_000,
+            edge_p in 0.0f64..=1.0,
+            fault_density in 0.0f64..=1.0,
+            sa1_pick in 0usize..3,
+        ) {
+            let n = 8;
+            // 21 nodes: the last block row and column are 5/8 padding.
+            let adj = random_adj(21, edge_p, seed);
+            let mut blocks = AdjacencyBlocks::from_matrix(&adj, n).blocks;
+            let mut full = PackedRows::zeros(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    full.set(r, c);
+                }
+            }
+            blocks.push(full);
+            blocks.push(PackedRows::zeros(n, n));
+            let sa1_fraction = [0.0, 0.5, 1.0][sa1_pick];
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xB0D);
+            let mut array = CrossbarArray::new(6, n);
+            array.inject(&FaultSpec::with_sa1_fraction(fault_density, sa1_fraction), &mut rng);
+            let mut scratch = G1Scratch::default();
+            for (i, block) in blocks.iter().enumerate() {
+                let col_idx = BlockColIdx::build(block);
+                for j in 0..array.len() {
+                    let xbar = array.crossbar(j);
+                    let ctx = XbarG1Ctx::build(xbar);
+                    let (lb, lb_sa1) = pair_bounds(&col_idx, n, &column_faults(xbar));
+                    for matcher in [Matcher::BSuitor, Matcher::Hungarian] {
+                        let (mismatch, sa1) =
+                            solve_reduced_g1_costs(block, &col_idx, xbar, &ctx, matcher, &mut scratch);
+                        prop_assert!(
+                            lb <= mismatch && lb_sa1 <= sa1,
+                            "block {} on crossbar {} ({}): bounds ({}, {}) > costs ({}, {})",
+                            i, j, matcher, lb, lb_sa1, mismatch, sa1
+                        );
+                    }
+                }
+            }
+        }
     }
 }

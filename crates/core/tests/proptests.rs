@@ -3,7 +3,7 @@
 use fare_core::mapping::{
     map_adjacency, map_adjacency_cached, reference, refresh_row_permutations,
     refresh_row_permutations_cached, reordered_block_mapping, sequential_mapping, AdjacencyBlocks,
-    MappingConfig, RemapCache,
+    LocalityConfig, MappingConfig, RemapCache,
 };
 use fare_core::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
 use fare_matching::{CostMatrix, Matcher};
@@ -14,19 +14,38 @@ use fare_rt::rand::SeedableRng;
 use fare_tensor::Matrix;
 
 fn instance(nodes: usize, n: usize, seed: u64, density: f64) -> (Matrix, CrossbarArray) {
+    instance_with(nodes, n, seed, 0.15, 2.0, density, 0.5)
+}
+
+/// A random symmetric `nodes`-node adjacency with edge probability
+/// `edge_p`, and `slack` times as many `n × n` crossbars as it has
+/// blocks, with stuck cells at `density` of which `sa1_fraction` are SA1.
+fn instance_with(
+    nodes: usize,
+    n: usize,
+    seed: u64,
+    edge_p: f64,
+    slack: f64,
+    density: f64,
+    sa1_fraction: f64,
+) -> (Matrix, CrossbarArray) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut adj = Matrix::zeros(nodes, nodes);
     for i in 0..nodes {
         for j in (i + 1)..nodes {
-            if fare_rt::rand::Rng::gen_bool(&mut rng, 0.15) {
+            if fare_rt::rand::Rng::gen_bool(&mut rng, edge_p) {
                 adj[(i, j)] = 1.0;
                 adj[(j, i)] = 1.0;
             }
         }
     }
     let blocks = nodes.div_ceil(n).pow(2);
-    let mut array = CrossbarArray::new(blocks * 2, n);
-    array.inject(&FaultSpec::with_sa1_fraction(density, 0.5), &mut rng);
+    let pool = ((blocks as f64 * slack).ceil() as usize).max(blocks);
+    let mut array = CrossbarArray::new(pool, n);
+    array.inject(
+        &FaultSpec::with_sa1_fraction(density, sa1_fraction),
+        &mut rng,
+    );
     (adj, array)
 }
 
@@ -128,23 +147,55 @@ proptest! {
         prop_assert_eq!(mapping.total_sa1_cost(), 0);
     }
 
-    // The fast path (packed kernels, class dedup, dense integer
-    // b-Suitor, pair-level parallelism) is bit-identical to the naive
-    // serial reference oracle for both the paper's b-Suitor and the
-    // exact Hungarian solver: same placements, same permutations, same
-    // mismatch and SA1 costs.
+    // The fast path (packed kernels, class dedup, level-greedy `G₁`,
+    // bound-ordered selection) is bit-identical to the naive serial
+    // reference oracle, which reads the full cost table, for both the
+    // paper's b-Suitor and the exact Hungarian solver: same placements,
+    // same permutations, same mismatch and SA1 costs. The instances
+    // cover pools with no spare crossbar (slack 1, where pruning
+    // defers blocks), SA1 shares 0, ½ and 1, fault and edge densities
+    // up to 30%, node counts that leave padded blocks, and the locality
+    // term.
     #[test]
     fn fast_path_bit_identical_to_reference(
         seed in 0u64..1000,
-        density in 0.0f64..0.12,
+        nodes in 17usize..=32,
+        edge_p in 0.0f64..0.3,
+        density in 0.0f64..0.3,
+        mix in (0usize..3, 0usize..3),
         exact in any::<bool>(),
         prune in any::<bool>(),
+        local in any::<bool>(),
     ) {
-        let (adj, array) = instance(24, 8, seed, density);
+        let (slack, sa1_fraction) = ([1.0, 1.5, 2.0][mix.0], [0.0, 0.5, 1.0][mix.1]);
+        let (adj, array) = instance_with(nodes, 8, seed, edge_p, slack, density, sa1_fraction);
         let cfg = MappingConfig {
             matcher: if exact { Matcher::Hungarian } else { Matcher::BSuitor },
             prune,
-            ..MappingConfig::default()
+            locality: local.then(|| LocalityConfig::new(4, 1.5)),
+        };
+        let fast = map_adjacency(&adj, &array, &cfg);
+        let oracle = reference::map_adjacency(&adj, &array, &cfg);
+        prop_assert_eq!(fast, oracle);
+    }
+
+    // The matchers that read the whole `G₂` table (auction, row greedy)
+    // take the same exact costs as the oracle, so their mappings are
+    // bit-identical to it too, with and without pruning or locality.
+    #[test]
+    fn every_matcher_bit_identical_to_reference(
+        seed in 0u64..1000,
+        nodes in 17usize..=32,
+        density in 0.0f64..0.12,
+        greedy in any::<bool>(),
+        prune in any::<bool>(),
+        local in any::<bool>(),
+    ) {
+        let (adj, array) = instance_with(nodes, 8, seed, 0.15, 1.5, density, 0.5);
+        let cfg = MappingConfig {
+            matcher: if greedy { Matcher::Greedy } else { Matcher::Auction },
+            prune,
+            locality: local.then(|| LocalityConfig::new(4, 1.5)),
         };
         let fast = map_adjacency(&adj, &array, &cfg);
         let oracle = reference::map_adjacency(&adj, &array, &cfg);

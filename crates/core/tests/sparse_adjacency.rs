@@ -152,8 +152,8 @@ proptest! {
         let mapped = map_blocks_cached(&blocks, &array, &MappingConfig::default(), &mut cache);
         check_view(&g, &array, &mapped);
         array.inject(&FaultSpec::with_sa1_fraction(0.05, 0.5), &mut rng);
-        let refreshed =
-            refresh_blocks_cached(&blocks, &array, &mapped, Matcher::BSuitor, &mut cache);
+        let mut refreshed = mapped;
+        refresh_blocks_cached(&blocks, &array, &mut refreshed, Matcher::BSuitor, &mut cache);
         check_view(&g, &array, &refreshed);
     }
 }

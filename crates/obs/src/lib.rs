@@ -276,7 +276,8 @@ pub mod counters {
         Counter::new("core.trainer.post_deployment_injections");
     /// Full Algorithm-1 adjacency mappings built.
     pub static CORE_MAPPINGS_BUILT: Counter = Counter::new("core.mapping.built");
-    /// Distinct (block-class, crossbar-class) G1 pairs actually solved.
+    /// G₁ pairs solved exactly; pairs settled by the bound are not
+    /// counted.
     pub static CORE_MAPPING_PAIRS_SOLVED: Counter = Counter::new("core.mapping.pairs_solved");
     /// `RemapCache` probes that reused a cached row permutation.
     pub static CORE_REMAP_CACHE_HITS: Counter = Counter::new("core.remap_cache.hits");
@@ -592,17 +593,13 @@ mod tests {
         // all threads at once.
         let barrier = std::sync::Barrier::new(THREADS);
         fare_rt::par::set_threads(THREADS);
-        fare_rt::par::scoped_map_init(
-            (0..THREADS).collect(),
-            || (),
-            |_, _| {
-                let _outer = trace::span("core.trainer.run");
-                barrier.wait();
-                for j in 0..1000 {
-                    let _inner = trace::span_arg("core.mapping.refresh", j);
-                }
-            },
-        );
+        fare_rt::par::scoped_map((0..THREADS).collect(), |_: usize| {
+            let _outer = trace::span("core.trainer.run");
+            barrier.wait();
+            for j in 0..1000 {
+                let _inner = trace::span_arg("core.mapping.refresh", j);
+            }
+        });
         fare_rt::par::set_threads(0);
         let timers = RunManifest::capture("unit", 0, &0u32).timers;
         set_clock(ClockMode::Wall);

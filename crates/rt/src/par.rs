@@ -8,11 +8,10 @@
 //! Cluster-GCN mini-batch of a few dozen nodes gives each step less work
 //! than one hand-off to the pool costs.
 //!
-//! - [`scoped_map_init`] — order-preserving parallel map over owned
-//!   items (chunked, reassembled positionally), with an optional
-//!   per-chunk scratch value.
+//! - [`scoped_map`] — order-preserving parallel map over owned items
+//!   (chunked, reassembled positionally).
 //! - [`run_batch`] — runs `f(0..chunks)` across the pool; the primitive
-//!   under `scoped_map_init`.
+//!   under `scoped_map`.
 //!
 //! The thread count is a process-wide knob: [`set_threads`] wins, then
 //! the `FARE_RT_THREADS` environment variable, then
@@ -230,27 +229,19 @@ pub use pool::run_batch;
 
 /// Maps `f` over `items` on the worker pool, preserving input order.
 ///
-/// Each worker chunk first builds a scratch value with `init()` and
-/// threads it through its items — the `map_init` pattern for solvers
-/// with reusable internal buffers (allocate once per worker, not once
-/// per item). Callers with no scratch pass `|| ()`.
-///
-/// Determinism contract: `f`'s output must depend only on its item, not
-/// on scratch history, because chunk boundaries move with the thread
-/// count. Results are reassembled positionally, so the output order is
-/// always the input order.
-pub fn scoped_map_init<T, S, U, I, F>(items: Vec<T>, init: I, f: F) -> Vec<U>
+/// Determinism contract: chunk boundaries move with the thread count,
+/// but each item is mapped on its own and results are reassembled
+/// positionally, so the output is the input order at any thread count.
+pub fn scoped_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> U + Sync,
+    F: Fn(T) -> U + Sync,
 {
     let n = items.len();
     let threads = current_threads().clamp(1, n.max(1));
     if threads <= 1 || n <= 1 {
-        let mut scratch = init();
-        return items.into_iter().map(|t| f(&mut scratch, t)).collect();
+        return items.into_iter().map(f).collect();
     }
     let chunk_len = n.div_ceil(threads);
     struct Slot<T, U> {
@@ -272,8 +263,7 @@ where
     run_batch(slots.len(), &|i| {
         let mut slot = slots[i].lock().unwrap();
         let input = std::mem::take(&mut slot.input);
-        let mut scratch = init();
-        slot.output = input.into_iter().map(|t| f(&mut scratch, t)).collect();
+        slot.output = input.into_iter().map(&f).collect();
     });
     slots
         .into_iter()
@@ -285,16 +275,11 @@ where
 mod tests {
     use super::*;
 
-    /// `scoped_map_init` without scratch.
-    fn map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
-        scoped_map_init(items, || (), |_, x| f(x))
-    }
-
     #[test]
     fn map_preserves_order() {
         for &threads in &[1usize, 2, 3, 8] {
             set_threads(threads);
-            let out = map((0..100).collect(), |x: usize| x * 2);
+            let out = scoped_map((0..100).collect(), |x: usize| x * 2);
             assert_eq!(
                 out,
                 (0..100).map(|x| x * 2).collect::<Vec<_>>(),
@@ -306,8 +291,8 @@ mod tests {
 
     #[test]
     fn nested_parallel_maps() {
-        let out = map((0..8).collect(), |i: usize| {
-            map((0..10).collect(), |j: usize| i * j)
+        let out = scoped_map((0..8).collect(), |i: usize| {
+            scoped_map((0..10).collect(), |j: usize| i * j)
                 .into_iter()
                 .sum::<usize>()
         });
@@ -318,40 +303,18 @@ mod tests {
     fn identical_across_thread_counts() {
         let input: Vec<u64> = (0..37).collect();
         set_threads(1);
-        let one = map(input.clone(), |x| x.wrapping_mul(x));
+        let one = scoped_map(input.clone(), |x| x.wrapping_mul(x));
         set_threads(4);
-        let four = map(input, |x| x.wrapping_mul(x));
+        let four = scoped_map(input, |x| x.wrapping_mul(x));
         set_threads(0);
         assert_eq!(one, four);
-    }
-
-    #[test]
-    fn map_init_reuses_scratch_and_preserves_order() {
-        for &threads in &[1usize, 2, 3, 8] {
-            set_threads(threads);
-            let items: Vec<usize> = (0..41).collect();
-            let out: Vec<usize> = scoped_map_init(
-                items,
-                || Vec::<usize>::new(),
-                |scratch, x| {
-                    // Scratch is reusable storage only — results never
-                    // depend on what earlier items left behind.
-                    scratch.clear();
-                    scratch.extend(0..=x);
-                    scratch.iter().sum()
-                },
-            );
-            let expect: Vec<usize> = (0..41).map(|x| x * (x + 1) / 2).collect();
-            assert_eq!(out, expect, "threads={threads}");
-        }
-        set_threads(0);
     }
 
     #[test]
     fn empty_input() {
         for &threads in &[1usize, 4] {
             set_threads(threads);
-            assert!(map(Vec::<u8>::new(), |x| x).is_empty());
+            assert!(scoped_map(Vec::<u8>::new(), |x| x).is_empty());
         }
         set_threads(0);
     }

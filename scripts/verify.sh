@@ -19,6 +19,12 @@ for arg in "$@"; do
     esac
 done
 
+echo "==> formatting"
+# The root workspace is rustfmt-clean with the default style; any
+# unformatted line fails the gate. (The stand-alone perfbench package is
+# not a workspace member and is not checked.)
+cargo fmt --check
+
 echo "==> offline release build"
 if [ "$QUICK" -eq 0 ]; then
     cargo build --release --offline --workspace
@@ -137,12 +143,17 @@ FARE_RT_THREADS=4 cargo test -q --offline --test golden_trace
 
 echo "==> mapping fast-path equivalence across thread counts"
 # The mapping fast path promises bit-identical Mappings to the serial
-# reference oracle; re-run the pinning proptests under a serial and a
-# parallel pool.
-FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test proptests -- \
-    fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full
-FARE_RT_THREADS=4 cargo test -q --offline -p fare-core --test proptests -- \
-    fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full
+# reference oracle, which reads the full cost table, for every matcher;
+# its bound-ordered selection is exact only while the pair lower bounds
+# stay below the exact costs. Re-run the pinning proptests under a
+# serial and a parallel pool.
+for threads in 1 4; do
+    FARE_RT_THREADS=$threads cargo test -q --offline -p fare-core --test proptests -- \
+        fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full \
+        every_matcher_bit_identical_to_reference
+    FARE_RT_THREADS=$threads cargo test -q --offline -p fare-core --lib -- \
+        pair_bounds_never_exceed_exact_costs
+done
 
 echo "==> compute-core bench smoke"
 # The bench smokes time production code only: the sparse GCN step and
