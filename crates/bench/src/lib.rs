@@ -90,15 +90,32 @@ pub fn string_flag(flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// Times `f` over `iters` runs (after one untimed warmup) in ns/iter —
-/// the one timing loop of the `bench_*` manifest writers.
+/// Times `f` over `iters` runs (after one untimed warmup) in ns/iter.
 pub fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
+    time_ns_with_input(iters, || (), |_| f())
+}
+
+/// Times `f` over `iters` runs (after one untimed warmup) in ns/iter,
+/// each run on its own input from `setup` — the one timing loop of the
+/// `bench_*` manifest writers. Neither `setup` nor dropping the inputs
+/// is timed: inputs are built in batches of up to 64 before the clock
+/// starts and dropped after it stops.
+pub fn time_ns_with_input<T>(
+    iters: usize,
+    mut setup: impl FnMut() -> T,
+    mut f: impl FnMut(&mut T),
+) -> f64 {
+    f(&mut setup());
+    let mut timed = std::time::Duration::ZERO;
+    let mut left = iters;
+    while left > 0 {
+        let mut batch: Vec<T> = (0..left.min(64)).map(|_| setup()).collect();
+        left -= batch.len();
+        let start = std::time::Instant::now();
+        batch.iter_mut().for_each(&mut f);
+        timed += start.elapsed();
     }
-    start.elapsed().as_nanos() as f64 / iters as f64
+    timed.as_nanos() as f64 / iters as f64
 }
 
 /// Renders an aligned text table.

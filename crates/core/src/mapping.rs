@@ -546,14 +546,14 @@ impl G1Scratch {
         self.used.resize(n, false);
         let mut matched = 0usize;
         let level = |scratch: &mut Self, v: u32, matched: &mut usize| {
-            for k in 0..f {
+            for (k, &base_k) in base[..f].iter().enumerate() {
                 if scratch.assign[k] != u32::MAX {
                     continue;
                 }
                 let devs = &scratch.dev_cols
                     [scratch.dev_start[k] as usize..scratch.dev_start[k + 1] as usize];
                 let row = &scratch.costs[k * n..(k + 1) * n];
-                let hit = if base[k] == v {
+                let hit = if base_k == v {
                     // Every non-deviant column sits at the base level;
                     // deviants count only if their net cost is back at
                     // `v`. First free column in ascending order wins.

@@ -183,7 +183,8 @@ fn ideal_runner_ignores_exactly_its_documented_hardware_fields() {
 #[test]
 fn validate_names_each_inconsistency() {
     assert_eq!(TrainConfig::default().validate(), Ok(()));
-    let cases: [(fn(&mut TrainConfig), &str); 7] = [
+    type Edit = fn(&mut TrainConfig);
+    let cases: [(Edit, &str); 7] = [
         (|c| c.epochs = 0, "epochs must be positive"),
         (|c| c.depth = 1, "depth must be at least 2"),
         (|c| c.crossbar_size = 12, "multiple of 8"),

@@ -48,6 +48,8 @@
 //! across thread counts, the property `tests/golden_trace.rs` and
 //! `tests/trace_golden.rs` snapshot.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 

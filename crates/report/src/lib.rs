@@ -20,6 +20,8 @@
 //! byte-deterministically; file IO lives in the `fare-report` binary
 //! (`src/bin/fare-report.rs` in the facade crate).
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod figures;
 pub mod heatmap;

@@ -566,8 +566,8 @@ mod tests {
         x.clear_faults();
         assert_eq!(x.fault_version(), 3);
         assert_eq!(x.fault_count(), 0);
-        assert_eq!(x.fault_bits().0.iter().all(|&w| w == 0), true);
-        assert_eq!(x.fault_bits().1.iter().all(|&w| w == 0), true);
+        assert!(x.fault_bits().0.iter().all(|&w| w == 0));
+        assert!(x.fault_bits().1.iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -128,13 +128,13 @@ fn write_seq(
         }
         if let Some(width) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(width * (depth + 1)));
+            out.extend(std::iter::repeat_n(' ', width * (depth + 1)));
         }
         item(out, i);
     }
     if let Some(width) = indent {
         out.push('\n');
-        out.extend(std::iter::repeat(' ').take(width * depth));
+        out.extend(std::iter::repeat_n(' ', width * depth));
     }
     out.push(close);
 }

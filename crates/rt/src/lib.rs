@@ -7,7 +7,7 @@
 //! | module          | replaces     | surface                                    |
 //! |-----------------|--------------|--------------------------------------------|
 //! | [`rand`]        | `rand` 0.8   | `StdRng`, `Rng`, `SeedableRng`, `RngCore`, `seq::SliceRandom` |
-//! | [`par`]         | `rayon`      | persistent worker pool for sweep runs: `scoped_map` order-preserving map |
+//! | [`par`]         | `rayon`      | scoped fan-out for sweep runs: `scoped_map` order-preserving map |
 //! | [`json`]        | `serde` + `serde_json` | [`json::Json`] value, parser, serializer, `ToJson`/`FromJson` + impl macros |
 //! | [`prop`]        | `proptest`   | seeded, shrink-free `proptest!` macro + `Strategy` combinators |
 //!
@@ -15,11 +15,7 @@
 //! (and any thread count) produce bit-identical results, which is what
 //! makes the FARe fault-injection experiments reproducible.
 
-// Unsafe is denied crate-wide except for the single audited lifetime
-// erasure inside `par::pool` (the persistent worker pool shares
-// stack-borrowed batch state with pool threads, exactly like
-// `std::thread::scope` / `rayon` do internally).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

@@ -46,6 +46,11 @@ if grep -q '^warning' <<< "$BUILD_OUT"; then
     exit 1
 fi
 
+echo "==> clippy (all targets), warning-free"
+# Every clippy lint at its default level is an error here, in library,
+# binary, test and example code alike.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "==> benchmark package build"
 # perfbench is a stand-alone package outside the workspace that drives
 # the public API; building it catches an API break the benchmark would
@@ -56,11 +61,11 @@ echo "==> offline test suite"
 cargo test -q --offline --workspace
 
 echo "==> determinism suite across thread counts"
-# Training promises bit-identical results at any worker count. The pool
-# carries the runs of a sweep; the kernels and the mapping are serial
-# and must ignore the thread count. Run the determinism suite under a
-# serial pool, an odd worker count (where uneven chunking of the runs
-# would show) and an even one.
+# Training promises bit-identical results at any worker count. The
+# scoped fan-out carries the runs of a sweep; the kernels and the
+# mapping are serial and must ignore the thread count. Run the
+# determinism suite on one thread, an odd thread count (where an uneven
+# split of the runs would show) and an even one.
 FARE_RT_THREADS=1 cargo test -q --offline --test determinism
 FARE_RT_THREADS=3 cargo test -q --offline --test determinism
 FARE_RT_THREADS=4 cargo test -q --offline --test determinism
@@ -77,7 +82,7 @@ echo "==> sweep pins across thread counts"
 # Every trial-averaged figure sweep and training ablation is pinned by
 # a digest of its result. The sweeps share one partition per (dataset,
 # trial seed) across a flat parallel map of runs, so check a serial and
-# an odd worker count, where uneven chunking of the runs would show.
+# an odd thread count, where an uneven split of the runs would show.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sweep_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sweep_pins
 
@@ -134,7 +139,7 @@ cargo test -q --offline --test serialization -- from_json_rejects
 
 echo "==> golden telemetry trace across thread counts"
 # The committed golden manifest (tests/golden/golden_trace.json) must be
-# reproduced bit-for-bit on a serial and a parallel pool: counters count
+# reproduced bit-for-bit on one thread and several: counters count
 # logical events and the telemetry clock is fixed, so the trace may not
 # depend on worker count.
 FARE_RT_THREADS=1 cargo test -q --offline --test golden_trace
@@ -146,7 +151,7 @@ echo "==> mapping fast-path equivalence across thread counts"
 # reference oracle, which reads the full cost table, for every matcher;
 # its bound-ordered selection is exact only while the pair lower bounds
 # stay below the exact costs. Re-run the pinning proptests under a
-# serial and a parallel pool.
+# serial and a parallel thread count.
 for threads in 1 4; do
     FARE_RT_THREADS=$threads cargo test -q --offline -p fare-core --test proptests -- \
         fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full \

@@ -46,6 +46,8 @@
 //! assert!(outcome.final_test_accuracy > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fare_core as core;
 pub use fare_gnn as gnn;
 pub use fare_graph as graph;

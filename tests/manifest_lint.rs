@@ -8,6 +8,9 @@
 //! without a `path` key — would reintroduce crates.io and break every
 //! offline environment; this test makes that a test failure instead of
 //! a CI surprise.
+//!
+//! The same file checks that every crate root forbids `unsafe` code, so
+//! no crate can opt back in with an `allow`.
 
 use std::path::{Path, PathBuf};
 
@@ -104,6 +107,26 @@ fn workspace_dependency_table_only_names_fare_crates() {
         assert!(
             name.starts_with("fare-"),
             "[workspace.dependencies] names a non-workspace crate: {name}"
+        );
+    }
+}
+
+#[test]
+fn every_crate_root_forbids_unsafe_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut roots = vec![root.join("src/lib.rs")];
+    for manifest in workspace_manifests().into_iter().skip(1) {
+        roots.push(manifest.with_file_name("src").join("lib.rs"));
+    }
+    for lib in roots {
+        let source =
+            std::fs::read_to_string(&lib).unwrap_or_else(|e| panic!("read {}: {e}", lib.display()));
+        assert!(
+            source
+                .lines()
+                .any(|l| l.trim() == "#![forbid(unsafe_code)]"),
+            "{} does not declare #![forbid(unsafe_code)]",
+            lib.display()
         );
     }
 }

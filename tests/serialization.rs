@@ -313,7 +313,8 @@ fn mapping_from_json_rejects_bad_geometry() {
 #[test]
 fn mapping_from_json_rejects_bad_placements() {
     let mapping = sample_mapping();
-    let edits: [(&str, fn(&mut [BlockPlacement])); 7] = [
+    type Edit = fn(&mut [BlockPlacement]);
+    let edits: [(&str, Edit); 7] = [
         ("block outside the grid", |p| p[0].block_row = 2),
         ("block placed twice", |p| {
             p[1].block_row = p[0].block_row;
