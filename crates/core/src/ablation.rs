@@ -13,39 +13,39 @@
 use std::time::Instant;
 
 use fare_graph::datasets::{DatasetKind, ModelKind};
+use fare_graph::CsrGraph;
 use fare_matching::Matcher;
 use fare_reram::{CrossbarArray, FaultSpec};
 use fare_rt::rand::Rng;
-use fare_tensor::Matrix;
 
 use crate::experiments::{mean_accuracy, run_cells, Cell, ExperimentParams};
-use crate::mapping::{map_adjacency, MappingConfig};
+use crate::mapping::{map_blocks_cached, AdjacencyBlocks, MappingConfig, RemapCache};
 use crate::{FaultStrategy, TrainConfig, TrainOutcome};
 
-/// Standard mapping instance used by the structural ablations: a random
-/// symmetric adjacency plus a faulty crossbar pool.
+/// Standard mapping instance used by the structural ablations: the
+/// packed blocks of a random graph plus a faulty crossbar pool.
 fn mapping_instance(
     nodes: usize,
     n: usize,
     slack: f64,
     density: f64,
     seed: u64,
-) -> (Matrix, CrossbarArray) {
+) -> (AdjacencyBlocks, CrossbarArray) {
     let mut rng = fare_rt::rng(seed);
-    let mut adj = Matrix::zeros(nodes, nodes);
+    let mut edges = Vec::new();
     for i in 0..nodes {
         for j in (i + 1)..nodes {
             if rng.gen_bool(0.08) {
-                adj[(i, j)] = 1.0;
-                adj[(j, i)] = 1.0;
+                edges.push((i, j));
             }
         }
     }
-    let blocks = nodes.div_ceil(n).pow(2);
-    let pool = ((blocks as f64 * slack).ceil() as usize).max(blocks);
+    let blocks = AdjacencyBlocks::from_graph(&CsrGraph::from_edges(nodes, &edges), n);
+    let count = blocks.grid().pow(2);
+    let pool = ((count as f64 * slack).ceil() as usize).max(count);
     let mut array = CrossbarArray::new(pool, n);
     array.inject(&FaultSpec::with_ratio(density, 1.0, 1.0), &mut rng);
-    (adj, array)
+    (blocks, array)
 }
 
 /// One row of the matcher ablation.
@@ -67,7 +67,7 @@ fare_rt::json_struct!(MatcherAblation {
 
 /// Sweeps the assignment solver on a standard instance.
 pub fn matcher_ablation(seed: u64, density: f64) -> Vec<MatcherAblation> {
-    let (adj, array) = mapping_instance(96, 16, 1.5, density, seed);
+    let (blocks, array) = mapping_instance(96, 16, 1.5, density, seed);
     [
         Matcher::Hungarian,
         Matcher::BSuitor,
@@ -82,7 +82,7 @@ pub fn matcher_ablation(seed: u64, density: f64) -> Vec<MatcherAblation> {
             ..MappingConfig::default()
         };
         let t0 = Instant::now();
-        let mapping = map_adjacency(&adj, &array, &cfg);
+        let mapping = map_blocks_cached(&blocks, &array, &cfg, &mut RemapCache::new());
         MatcherAblation {
             matcher,
             mapping_cost: mapping.total_cost(),
@@ -112,7 +112,7 @@ fare_rt::json_struct!(PruneAblation {
 /// Sweeps the pruning heuristic on a sparse instance (where the paper's
 /// 0.001-density blocks make it bite).
 pub fn prune_ablation(seed: u64, density: f64) -> Vec<PruneAblation> {
-    let (adj, array) = mapping_instance(96, 16, 1.5, density, seed);
+    let (blocks, array) = mapping_instance(96, 16, 1.5, density, seed);
     [false, true]
         .into_iter()
         .map(|prune| {
@@ -121,7 +121,7 @@ pub fn prune_ablation(seed: u64, density: f64) -> Vec<PruneAblation> {
                 prune,
                 ..MappingConfig::default()
             };
-            let mapping = map_adjacency(&adj, &array, &cfg);
+            let mapping = map_blocks_cached(&blocks, &array, &cfg, &mut RemapCache::new());
             PruneAblation {
                 prune,
                 mapping_cost: mapping.total_cost(),
@@ -154,8 +154,13 @@ pub fn slack_ablation(seed: u64, density: f64, slacks: &[f64]) -> Vec<SlackAblat
     slacks
         .iter()
         .map(|&slack| {
-            let (adj, array) = mapping_instance(96, 16, slack, density, seed);
-            let mapping = map_adjacency(&adj, &array, &MappingConfig::default());
+            let (blocks, array) = mapping_instance(96, 16, slack, density, seed);
+            let mapping = map_blocks_cached(
+                &blocks,
+                &array,
+                &MappingConfig::default(),
+                &mut RemapCache::new(),
+            );
             SlackAblation {
                 slack,
                 crossbars: array.len(),
@@ -252,7 +257,7 @@ fare_rt::json_struct!(LocalityAblation {
 /// as λ rises, at the price of extra mismatches.
 pub fn locality_ablation(seed: u64, density: f64, weights: &[f64]) -> Vec<LocalityAblation> {
     use crate::mapping::LocalityConfig;
-    let (adj, array) = mapping_instance(96, 16, 1.5, density, seed);
+    let (blocks, array) = mapping_instance(96, 16, 1.5, density, seed);
     let crossbars_per_tile = 8;
     weights
         .iter()
@@ -261,7 +266,7 @@ pub fn locality_ablation(seed: u64, density: f64, weights: &[f64]) -> Vec<Locali
                 locality: Some(LocalityConfig::new(crossbars_per_tile, weight)),
                 ..MappingConfig::default()
             };
-            let mapping = map_adjacency(&adj, &array, &cfg);
+            let mapping = map_blocks_cached(&blocks, &array, &cfg, &mut RemapCache::new());
             LocalityAblation {
                 weight,
                 tile_spread: mapping.tile_spread(crossbars_per_tile),

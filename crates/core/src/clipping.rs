@@ -5,12 +5,10 @@
 //! `[-θ, θ]`, so a stuck-at-1 cell near the MSB can inflate a weight by
 //! at most `θ` instead of by the full fixed-point range. The threshold is
 //! a hyper-parameter fixed for the whole run. This module provides the
-//! default and a data-driven selector; the clamp itself lives in
+//! default; the clamp itself lives in
 //! [`crate::FaultyWeightReader::set_clip`] (hardware read path) and
 //! [`fare_gnn::Gnn::clip_weights`] (master-copy regularisation after each
 //! update).
-
-use fare_gnn::Gnn;
 
 /// Default clip threshold used by the experiments.
 ///
@@ -19,41 +17,9 @@ use fare_gnn::Gnn;
 /// explosions at ~1 % of the fixed-point range.
 pub const DEFAULT_THRESHOLD: f32 = 1.0;
 
-/// Picks a clip threshold from the model's current weight distribution:
-/// `margin ×` the largest weight magnitude.
-///
-/// Useful when resuming training of a pre-trained model whose weights
-/// exceed the default threshold.
-///
-/// # Panics
-///
-/// Panics if `margin` is not positive.
-///
-/// # Example
-///
-/// ```
-/// use fare_core::clipping::threshold_for;
-/// use fare_gnn::{Gnn, GnnDims};
-/// use fare_graph::datasets::ModelKind;
-/// use fare_rt::rand::SeedableRng;
-/// let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(0);
-/// let model = Gnn::new(ModelKind::Gcn, GnnDims { input: 8, hidden: 8, output: 4 }, &mut rng);
-/// let theta = threshold_for(&model, 2.0);
-/// assert!(theta >= model.max_weight_magnitude());
-/// ```
-pub fn threshold_for(model: &Gnn, margin: f32) -> f32 {
-    assert!(margin > 0.0, "margin must be positive");
-    let max = model.max_weight_magnitude();
-    if max == 0.0 {
-        DEFAULT_THRESHOLD
-    } else {
-        margin * max
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use fare_gnn::GnnDims;
+    use fare_gnn::{Gnn, GnnDims};
     use fare_graph::datasets::ModelKind;
     use fare_rt::rand::rngs::StdRng;
     use fare_rt::rand::SeedableRng;
@@ -78,28 +44,5 @@ mod tests {
         // Xavier-initialised weights must never be clipped by the default.
         let m = model();
         assert!(m.max_weight_magnitude() < DEFAULT_THRESHOLD);
-    }
-
-    #[test]
-    fn threshold_scales_with_margin() {
-        let m = model();
-        let t1 = threshold_for(&m, 1.0);
-        let t2 = threshold_for(&m, 2.0);
-        assert!((t2 - 2.0 * t1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_weights_fall_back_to_default() {
-        let mut m = model();
-        for ps in m.param_shapes() {
-            m.param_mut(ps.layer, ps.param).map_inplace(|_| 0.0);
-        }
-        assert_eq!(threshold_for(&m, 2.0), DEFAULT_THRESHOLD);
-    }
-
-    #[test]
-    #[should_panic(expected = "margin must be positive")]
-    fn rejects_nonpositive_margin() {
-        threshold_for(&model(), 0.0);
     }
 }

@@ -36,8 +36,8 @@ use fare_tensor::Matrix;
 
 use crate::faulty::{corrupt_graph_mapped, FaultyWeightReader};
 use crate::mapping::{
-    map_blocks_cached, refresh_blocks_cached, reordered_block_mapping, sequential_block_mapping,
-    AdjacencyBlocks, Mapping, MappingConfig, RemapCache,
+    map_blocks_cached, refresh_blocks_cached, sequential_block_mapping, AdjacencyBlocks, Mapping,
+    MappingConfig, RemapCache,
 };
 use crate::{FaultStrategy, TrainConfig};
 
@@ -193,7 +193,6 @@ pub(crate) fn train<'p, T: Task, H: Hardware>(
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
-    fare_obs::counters::CORE_TRAINER_RUNS.incr();
     let _run_span = fare_obs::trace::span("core.trainer.run");
     let dataset = prepared.dataset;
     let mut rng = prepared.rng.clone();
@@ -233,7 +232,6 @@ pub(crate) fn train<'p, T: Task, H: Hardware>(
         let _epoch_span = fare_obs::trace::span_arg("core.trainer.epoch", epoch as u64);
         let mut epoch_loss = 0.0f64;
         for (bi, batch) in batches.iter().enumerate() {
-            fare_obs::counters::CORE_TRAINER_BATCHES.incr();
             let _batch_span = fare_obs::trace::span_arg("core.trainer.batch", bi as u64);
             let (output, cache) = model.forward(&batch.view, batch.features, hardware.reader());
             let Some((loss, grad)) = task.loss(batch, &output, &mut rng) else {
@@ -251,7 +249,6 @@ pub(crate) fn train<'p, T: Task, H: Hardware>(
         let loss = epoch_loss / batches.len() as f64;
         let weights = ReadOnce::new(&model, hardware.reader());
         history.push(task.evaluate(epoch, loss, &model, &weights, &batches));
-        fare_obs::counters::CORE_TRAINER_EPOCHS.incr();
     }
     Trained {
         model,
@@ -402,12 +399,16 @@ impl Hardware for Faulty {
             prune: true,
             ..MappingConfig::default()
         };
-        let mapping = match cfg.strategy {
-            FaultStrategy::FaRe => map_blocks_cached(&blocks, &array, &map_cfg, &mut remap),
-            FaultStrategy::NeuronReordering => {
-                reordered_block_mapping(&blocks, &array, cfg.matcher)
+        // NR keeps the sequential block order and re-solves each block's
+        // row permutation; the cache is empty, so every block is solved.
+        let mapping = if cfg.strategy.maps_adjacency() {
+            map_blocks_cached(&blocks, &array, &map_cfg, &mut remap)
+        } else {
+            let mut mapping = sequential_block_mapping(&blocks, &array);
+            if cfg.strategy.reorders_per_batch() {
+                refresh_blocks_cached(&blocks, &array, &mut mapping, cfg.matcher, &mut remap);
             }
-            _ => sequential_block_mapping(&blocks, &array),
+            mapping
         };
         let xbars = Crossbars {
             blocks,
@@ -444,8 +445,9 @@ impl Hardware for Faulty {
             return;
         }
         // Post-deployment faults appear in equal per-epoch increments;
-        // BIST reveals them; FARe refreshes its row permutations on the
-        // existing assignment Π.
+        // BIST reveals them; FARe and NR refresh their row permutations on
+        // the existing assignment Π, re-solving only the crossbars whose
+        // fault state changed.
         fare_obs::counters::CORE_TRAINER_POST_INJECTIONS.incr();
         let extra = FaultSpec::with_sa1_fraction(
             cfg.post_deployment_density / cfg.epochs as f64,
@@ -459,34 +461,28 @@ impl Hardware for Faulty {
         if cfg.weight_faults {
             self.reader.inject(&extra, rng);
         }
-        if cfg.strategy.maps_adjacency() && cfg.adjacency_faults && cfg.post_refresh {
+        if cfg.adjacency_faults {
+            let refresh = cfg.strategy.reorders_per_batch()
+                || (cfg.strategy.maps_adjacency() && cfg.post_refresh);
             for b in batches.iter_mut() {
                 let x = &mut b.slot;
-                refresh_blocks_cached(
-                    &x.blocks,
-                    &x.array,
-                    &mut x.mapping,
-                    cfg.matcher,
-                    &mut x.remap,
-                );
-            }
-        }
-        // NR reacts to the BIST-detected new faults too.
-        if cfg.strategy.reorders_per_batch() {
-            if cfg.adjacency_faults {
-                for b in batches.iter_mut() {
-                    let x = &mut b.slot;
-                    x.mapping = reordered_block_mapping(&x.blocks, &x.array, cfg.matcher);
+                if refresh {
+                    refresh_blocks_cached(
+                        &x.blocks,
+                        &x.array,
+                        &mut x.mapping,
+                        cfg.matcher,
+                        &mut x.remap,
+                    );
                 }
-            }
-            self.reader.optimize_placements(model, cfg.matcher);
-        }
-        // The corruption changed (new faults and possibly new
-        // permutations) — rebuild the cached views.
-        if cfg.adjacency_faults {
-            for b in batches.iter_mut() {
+                // The corruption changed (new faults and possibly new
+                // permutations) — rebuild the cached view.
                 b.view = self.view(&b.graph, &b.slot);
             }
+        }
+        // NR reacts to the BIST-detected new weight faults too.
+        if cfg.strategy.reorders_per_batch() {
+            self.reader.optimize_placements(model, cfg.matcher);
         }
     }
 

@@ -23,9 +23,8 @@
 //! - *Clip threshold*: θ is task-dependent (the paper fixes it per
 //!   run). Classification keeps weights inside [−1, 1] naturally, but
 //!   the dot-product BCE objective legitimately grows weights larger, so
-//!   link tasks should use a wider window (θ ≈ 4, or
-//!   [`crate::clipping::threshold_for`]) — with θ = 1 the comparator
-//!   clips *healthy* weights and FARe loses its edge.
+//!   link tasks should use a wider window (θ ≈ 4) — with θ = 1 the
+//!   comparator clips *healthy* weights and FARe loses its edge.
 
 use fare_gnn::link::{auc, bce_loss_and_grad, pair_scores};
 use fare_gnn::{Gnn, WeightReader};

@@ -69,7 +69,7 @@
 //! [`Crossbar::fault_version`]) keeps its permutation instead of being
 //! re-solved.
 //!
-//! The [`reference`] module keeps a naive serial implementation of the
+//! The [`mod@reference`] module keeps a naive serial implementation of the
 //! same semantics, full cost table included: the oracle the property
 //! tests pin the fast path against. Property tests also check that the
 //! reduced `f × n` Hungarian optimum equals the full `n × n` one and that
@@ -1253,7 +1253,6 @@ pub fn map_blocks_cached(
     cache: &mut RemapCache,
 ) -> Mapping {
     let _span = fare_obs::trace::span("core.mapping.map_adjacency");
-    fare_obs::counters::CORE_MAPPINGS_BUILT.incr();
     blocks.check_fits(array);
     let mut pairs = PairCosts::new(blocks, array, cfg.matcher);
     let mapping = select_placements(blocks, array.len(), cfg, &mut pairs);
@@ -1312,46 +1311,6 @@ pub fn sequential_block_mapping(blocks: &AdjacencyBlocks, array: &CrossbarArray)
         })
         .collect();
     Mapping::new(n, blocks.grid, placements)
-}
-
-/// Neuron-reordering-style mapping: keeps the sequential block→crossbar
-/// assignment but optimises the row permutation within each crossbar.
-///
-/// This is the aggregation-phase half of the NR baseline — permutation
-/// without fault-polarity-aware block placement.
-///
-/// # Panics
-///
-/// Panics if the blocks are not `array.n()` wide or there are fewer
-/// crossbars than blocks.
-pub fn reordered_block_mapping(
-    blocks: &AdjacencyBlocks,
-    array: &CrossbarArray,
-    matcher: Matcher,
-) -> Mapping {
-    blocks.check_fits(array);
-    let mut scratch = G1Scratch::default();
-    let placements = blocks
-        .positions()
-        .enumerate()
-        .map(|(k, (br, bc))| {
-            let xbar = array.crossbar(k);
-            let packed = &blocks.blocks[k];
-            let col_idx = BlockColIdx::build(packed);
-            let ctx = XbarG1Ctx::build(xbar);
-            let (perm, cost, sa1) =
-                solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, &mut scratch);
-            BlockPlacement {
-                block_row: br,
-                block_col: bc,
-                crossbar: k,
-                row_perm: perm,
-                mismatch_cost: cost,
-                sa1_cost: sa1,
-            }
-        })
-        .collect();
-    Mapping::new(blocks.n, blocks.grid, placements)
 }
 
 /// Post-deployment refresh (Section IV-A): keeps the block→crossbar
@@ -1770,11 +1729,14 @@ mod tests {
     }
 
     #[test]
-    fn reordered_sequential_keeps_block_order() {
+    fn refreshed_sequential_keeps_block_order() {
+        // NR's layout: sequential placement, every row permutation solved.
         let adj = random_adj(16, 0.2, 11);
         let array = faulty_array(4, 8, 0.05, 12);
         let blocks = AdjacencyBlocks::from_matrix(&adj, 8);
-        let nr = reordered_block_mapping(&blocks, &array, Matcher::BSuitor);
+        let mut nr = sequential_block_mapping(&blocks, &array);
+        let mut cache = RemapCache::new();
+        refresh_blocks_cached(&blocks, &array, &mut nr, Matcher::BSuitor, &mut cache);
         for (k, p) in nr.placements().iter().enumerate() {
             assert_eq!(p.crossbar, k);
         }

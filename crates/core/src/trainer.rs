@@ -121,8 +121,8 @@ impl Default for TrainConfig {
 impl TrainConfig {
     /// Checks the configuration for inconsistencies every runner
     /// rejects: zero epochs, fewer than two layers, a crossbar size that
-    /// is not a multiple of 8, crossbar slack below 1, or a
-    /// post-deployment fault density outside `[0, 1]`.
+    /// is not a positive multiple of 8, crossbar slack below 1 or not
+    /// finite, or a post-deployment fault density outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
         if self.epochs == 0 {
             return Err("epochs must be positive".into());
@@ -130,11 +130,11 @@ impl TrainConfig {
         if self.depth < 2 {
             return Err("depth must be at least 2".into());
         }
-        if !self.crossbar_size.is_multiple_of(8) {
-            return Err("crossbar size must be a multiple of 8".into());
+        if self.crossbar_size == 0 || !self.crossbar_size.is_multiple_of(8) {
+            return Err("crossbar size must be a positive multiple of 8".into());
         }
-        if self.crossbar_slack.is_nan() || self.crossbar_slack < 1.0 {
-            return Err("crossbar slack must be >= 1.0".into());
+        if !(self.crossbar_slack.is_finite() && self.crossbar_slack >= 1.0) {
+            return Err("crossbar slack must be >= 1.0 and finite".into());
         }
         if !(0.0..=1.0).contains(&self.post_deployment_density) {
             return Err("post-deployment density must be in [0, 1]".into());

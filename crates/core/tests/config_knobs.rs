@@ -184,12 +184,14 @@ fn ideal_runner_ignores_exactly_its_documented_hardware_fields() {
 fn validate_names_each_inconsistency() {
     assert_eq!(TrainConfig::default().validate(), Ok(()));
     type Edit = fn(&mut TrainConfig);
-    let cases: [(Edit, &str); 7] = [
+    let cases: [(Edit, &str); 9] = [
         (|c| c.epochs = 0, "epochs must be positive"),
         (|c| c.depth = 1, "depth must be at least 2"),
         (|c| c.crossbar_size = 12, "multiple of 8"),
+        (|c| c.crossbar_size = 0, "positive multiple of 8"),
         (|c| c.crossbar_slack = 0.5, "slack must be >= 1.0"),
         (|c| c.crossbar_slack = f64::NAN, "slack must be >= 1.0"),
+        (|c| c.crossbar_slack = f64::INFINITY, "finite"),
         (
             |c| c.post_deployment_density = -0.1,
             "density must be in [0, 1]",

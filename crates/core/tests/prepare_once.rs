@@ -6,7 +6,8 @@
 
 use fare_core::experiments::{fig5, ExperimentParams, Workload};
 use fare_graph::datasets::{DatasetKind, ModelKind};
-use fare_obs::counters::{CORE_EXPERIMENT_PREPARED, CORE_TRAINER_RUNS};
+use fare_obs::counters::CORE_EXPERIMENT_PREPARED;
+use fare_obs::RunManifest;
 
 #[test]
 fn fig5_prepares_each_dataset_and_trial_once() {
@@ -32,7 +33,12 @@ fn fig5_prepares_each_dataset_and_trial_once() {
 
     let (w, t, d) = (workloads.len() as u64, 2, densities.len() as u64);
     assert_eq!(CORE_EXPERIMENT_PREPARED.get(), w * t);
+    let runs = RunManifest::capture("fig5", params.seed, &0u32)
+        .timers
+        .into_iter()
+        .find(|timer| timer.name == "core.trainer.run")
+        .map_or(0, |timer| timer.count);
     // Four strategies per density plus the fault-free reference.
-    assert_eq!(CORE_TRAINER_RUNS.get(), w * t * (4 * d + 1));
+    assert_eq!(runs, w * t * (4 * d + 1));
     fare_obs::set_mode(fare_obs::Mode::Off);
 }

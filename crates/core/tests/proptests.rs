@@ -1,9 +1,9 @@
 //! Property-based tests for the FARe mapping algorithm.
 
 use fare_core::mapping::{
-    map_adjacency, map_adjacency_cached, reference, refresh_row_permutations,
-    refresh_row_permutations_cached, reordered_block_mapping, sequential_mapping, AdjacencyBlocks,
-    LocalityConfig, MappingConfig, RemapCache,
+    map_adjacency, map_adjacency_cached, reference, refresh_blocks_cached,
+    refresh_row_permutations, refresh_row_permutations_cached, sequential_block_mapping,
+    sequential_mapping, AdjacencyBlocks, LocalityConfig, MappingConfig, RemapCache,
 };
 use fare_core::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
 use fare_matching::{CostMatrix, Matcher};
@@ -96,7 +96,8 @@ proptest! {
             ..MappingConfig::default()
         });
         let blocks = AdjacencyBlocks::from_matrix(&adj, 8);
-        let nr = reordered_block_mapping(&blocks, &array, Matcher::Hungarian);
+        let mut nr = sequential_block_mapping(&blocks, &array);
+        refresh_blocks_cached(&blocks, &array, &mut nr, Matcher::Hungarian, &mut RemapCache::new());
         let unaware = sequential_mapping(&adj, &array);
         prop_assert!(fare.total_cost() <= nr.total_cost());
         prop_assert!(nr.total_cost() <= unaware.total_cost());

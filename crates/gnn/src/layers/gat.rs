@@ -305,12 +305,11 @@ mod tests {
 
         pub fn forward(
             layer: &GatLayer,
-            view: &GraphView,
+            adj: &Matrix,
             input: &Matrix,
             output_layer: bool,
         ) -> (Matrix, DenseCache) {
-            let n = view.num_nodes();
-            let adj = view.dense();
+            let n = adj.rows();
             let weight_read = layer.param(0).clone();
             let attn_src_read = layer.param(1).clone();
             let attn_dst_read = layer.param(2).clone();
@@ -432,10 +431,11 @@ mod tests {
         m.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// A random `n`-node view whose last node is isolated: a symmetric
-    /// graph-backed one, or a dense one with asymmetric and diagonal
-    /// entries, some of them at or below the 0.5 edge threshold.
-    fn random_view(seed: u64, n: usize, from_graph: bool) -> GraphView {
+    /// A random `n`-node view whose last node is isolated, with the
+    /// dense adjacency it was built from: a symmetric graph-backed view,
+    /// or a dense one with asymmetric and diagonal entries, some of them
+    /// at or below the 0.5 edge threshold.
+    fn random_view(seed: u64, n: usize, from_graph: bool) -> (GraphView, Matrix) {
         let mut rng = StdRng::seed_from_u64(seed);
         let linked = n - 1;
         if from_graph {
@@ -447,7 +447,8 @@ mod tests {
                     }
                 }
             }
-            GraphView::from_graph(&CsrGraph::from_edges(n, &edges))
+            let g = CsrGraph::from_edges(n, &edges);
+            (GraphView::from_graph(&g), g.to_dense())
         } else {
             let mut adj = Matrix::zeros(n, n);
             for i in 0..linked {
@@ -457,7 +458,7 @@ mod tests {
                     }
                 }
             }
-            GraphView::from_dense(adj)
+            (GraphView::from_dense(adj.clone()), adj)
         }
     }
 
@@ -471,14 +472,14 @@ mod tests {
             from_graph in any::<bool>(),
             output_layer in any::<bool>(),
         ) {
-            let view = random_view(seed, n, from_graph);
+            let (view, adj) = random_view(seed, n, from_graph);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
             let layer = GatLayer::new(4, 3, &mut rng);
             let x = init::normal(n, 4, 1.5, &mut rng);
             let grad_out = init::normal(n, 3, 1.0, &mut rng);
 
             let (out, cache) = layer.forward(&view, &x, &IdealReader, 0, output_layer);
-            let (dense_out, dense_cache) = dense_oracle::forward(&layer, &view, &x, output_layer);
+            let (dense_out, dense_cache) = dense_oracle::forward(&layer, &adj, &x, output_layer);
             prop_assert_eq!(bits(&out), bits(&dense_out));
             prop_assert_eq!(
                 bits(&attention_matrix(&view, &cache)),
@@ -494,12 +495,16 @@ mod tests {
         }
     }
 
+    /// The 3-node path graph `setup` trains on.
+    fn path_adjacency() -> Matrix {
+        Matrix::from_rows(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 1.0], &[0.0, 1.0, 0.0]])
+    }
+
     fn setup() -> (GatLayer, GraphView, Matrix) {
         let mut rng = StdRng::seed_from_u64(4);
         let layer = GatLayer::new(3, 2, &mut rng);
-        let adj = Matrix::from_rows(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 1.0], &[0.0, 1.0, 0.0]]);
         let x = init::normal(3, 3, 1.0, &mut rng);
-        (layer, GraphView::from_dense(adj), x)
+        (layer, GraphView::from_dense(path_adjacency()), x)
     }
 
     #[test]
@@ -515,11 +520,12 @@ mod tests {
         let (layer, adj, x) = setup();
         let (_, cache) = layer.forward(&adj, &x, &IdealReader, 0, false);
         let attention = attention_matrix(&adj, &cache);
+        let dense = path_adjacency();
         for i in 0..3 {
             let sum: f32 = attention.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
             for j in 0..3 {
-                if i != j && adj.dense()[(i, j)] < 0.5 {
+                if i != j && dense[(i, j)] < 0.5 {
                     assert_eq!(attention[(i, j)], 0.0);
                 }
             }

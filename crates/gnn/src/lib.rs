@@ -17,6 +17,9 @@
 //! normalised propagation matrices once per graph and the layers
 //! aggregate with sparse kernels.
 //!
+//! [`Adam`] is the one optimiser: [`Gnn::apply_gradients`] steps every
+//! parameter through it under a stable per-parameter key.
+//!
 //! [`Gnn::backward`] returns only parameter gradients, so its first
 //! layer skips the gradient w.r.t. the input features: GCN saves a
 //! `matmul_t` and an aggregation, SAGE two `matmul_t`, an aggregation
@@ -28,14 +31,14 @@
 //! ```
 //! use fare_gnn::{Adam, Gnn, GnnDims, IdealReader};
 //! use fare_graph::datasets::ModelKind;
-//! use fare_graph::GraphView;
+//! use fare_graph::{CsrGraph, GraphView};
 //! use fare_tensor::{ops, Matrix};
 //! use fare_rt::rand::SeedableRng;
 //!
 //! let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(0);
 //! let dims = GnnDims { input: 4, hidden: 8, output: 2 };
 //! let mut model = Gnn::new(ModelKind::Gcn, dims, &mut rng);
-//! let adj = GraphView::from_dense(Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]));
+//! let adj = GraphView::from_graph(&CsrGraph::from_edges(2, &[(0, 1)]));
 //! let x = Matrix::from_rows(&[&[1.0, 0.0, 0.0, 0.0], &[0.0, 1.0, 0.0, 0.0]]);
 //! let mut opt = Adam::new(0.01, &model);
 //!
@@ -51,11 +54,10 @@
 pub mod cluster;
 pub mod layers;
 pub mod link;
-pub mod metrics;
 mod model;
 mod optim;
 mod reader;
 
 pub use model::{Gnn, GnnDims, Gradients, ParamShape};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use reader::{IdealReader, WeightReader};

@@ -4,7 +4,7 @@ use fare_rt::rand::Rng;
 use fare_tensor::Matrix;
 
 use crate::layers::{GatCache, GatLayer, GcnCache, GcnLayer, SageCache, SageLayer};
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use crate::WeightReader;
 
 /// Layer dimensions of a two-layer GNN.
@@ -290,7 +290,6 @@ impl Gnn {
             features.cols(),
             self.dims.input
         );
-        fare_obs::counters::GNN_FORWARD_CALLS.incr();
         let _span = fare_obs::trace::span("gnn.forward");
         let mut h: Option<Matrix> = None;
         let mut caches = Vec::with_capacity(self.layers.len());
@@ -337,7 +336,6 @@ impl Gnn {
         grad_logits: &Matrix,
     ) -> Gradients {
         assert_eq!(cache.caches.len(), self.layers.len(), "stale forward cache");
-        fare_obs::counters::GNN_BACKWARD_CALLS.incr();
         let _span = fare_obs::trace::span("gnn.backward");
         let mut per_layer = vec![Vec::new(); self.layers.len()];
         let mut grad: Option<Matrix> = None;
@@ -361,7 +359,7 @@ impl Gnn {
     /// # Panics
     ///
     /// Panics if `grads` does not match this model's parameters.
-    pub fn apply_gradients(&mut self, grads: &Gradients, opt: &mut impl Optimizer) {
+    pub fn apply_gradients(&mut self, grads: &Gradients, opt: &mut Adam) {
         let mut key = 0usize;
         for (li, layer_grads) in grads.per_layer.iter().enumerate() {
             for (pi, g) in layer_grads.iter().enumerate() {

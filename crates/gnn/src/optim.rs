@@ -4,16 +4,6 @@ use fare_tensor::Matrix;
 
 use crate::Gnn;
 
-/// First-order optimizer interface.
-///
-/// `key` is a stable global parameter index (assigned by
-/// [`Gnn::apply_gradients`]) so the optimizer can keep per-parameter
-/// state.
-pub trait Optimizer {
-    /// Updates `param` in place given its gradient.
-    fn step(&mut self, key: usize, param: &mut Matrix, grad: &Matrix);
-}
-
 /// Adam optimizer (Kingma & Ba) with bias correction.
 ///
 /// # Example
@@ -82,10 +72,11 @@ impl Adam {
     pub fn learning_rate(&self) -> f32 {
         self.lr
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, key: usize, param: &mut Matrix, grad: &Matrix) {
+    /// Updates `param` in place given its gradient. `key` is a stable
+    /// global parameter index (assigned by [`Gnn::apply_gradients`]) under
+    /// which the per-parameter moments are kept.
+    pub fn step(&mut self, key: usize, param: &mut Matrix, grad: &Matrix) {
         let (m, v, t) = self.state.entry(key).or_insert_with(|| {
             (
                 Matrix::zeros(grad.rows(), grad.cols()),
@@ -111,51 +102,6 @@ impl Optimizer for Adam {
             // Decoupled decay (AdamW): applied to the parameter directly,
             // not mixed into the adaptive moments.
             *p -= lr * (m_hat / (v_hat.sqrt() + eps) + self.weight_decay * *p);
-        }
-    }
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: HashMap<usize, Matrix>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive or `momentum` is outside `[0, 1)`.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        Self {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, key: usize, param: &mut Matrix, grad: &Matrix) {
-        if self.momentum == 0.0 {
-            for i in 0..grad.len() {
-                param.as_mut_slice()[i] -= self.lr * grad.as_slice()[i];
-            }
-            return;
-        }
-        let vel = self
-            .velocity
-            .entry(key)
-            .or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-        for i in 0..grad.len() {
-            let v = &mut vel.as_mut_slice()[i];
-            *v = self.momentum * *v + grad.as_slice()[i];
-            param.as_mut_slice()[i] -= self.lr * *v;
         }
     }
 }
@@ -192,31 +138,6 @@ mod tests {
             opt.step(0, &mut w, &grad);
         }
         assert!(w.iter().all(|&v| (v - 3.0).abs() < 0.05), "{w}");
-    }
-
-    #[test]
-    fn sgd_minimises_quadratic() {
-        let mut opt = Sgd::new(0.05, 0.0);
-        let mut w = Matrix::filled(1, 2, 10.0);
-        for _ in 0..200 {
-            let grad = w.map(|v| 2.0 * v);
-            opt.step(0, &mut w, &grad);
-        }
-        assert!(w.iter().all(|&v| v.abs() < 0.1));
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let run = |momentum: f32| {
-            let mut opt = Sgd::new(0.01, momentum);
-            let mut w = Matrix::filled(1, 1, 10.0);
-            for _ in 0..50 {
-                let grad = w.map(|v| 2.0 * v);
-                opt.step(0, &mut w, &grad);
-            }
-            w[(0, 0)].abs()
-        };
-        assert!(run(0.9) < run(0.0));
     }
 
     #[test]
@@ -285,11 +206,5 @@ mod tests {
     #[should_panic(expected = "learning rate must be positive")]
     fn adam_rejects_zero_lr() {
         Adam::new(0.0, &dummy_model());
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum must be in [0,1)")]
-    fn sgd_rejects_bad_momentum() {
-        Sgd::new(0.1, 1.0);
     }
 }

@@ -265,26 +265,6 @@ impl Dataset {
             train_mask,
         }
     }
-
-    /// Nodes in the training split.
-    pub fn train_nodes(&self) -> Vec<usize> {
-        self.train_mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(u, _)| u)
-            .collect()
-    }
-
-    /// Nodes in the test split.
-    pub fn test_nodes(&self) -> Vec<usize> {
-        self.train_mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| !m)
-            .map(|(u, _)| u)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -323,12 +303,12 @@ mod tests {
     #[test]
     fn split_partitions_nodes() {
         let ds = Dataset::generate(DatasetKind::Ogbl, 5);
-        let train = ds.train_nodes();
-        let test = ds.test_nodes();
-        assert_eq!(train.len() + test.len(), ds.spec.nodes);
+        let train = ds.train_mask.iter().filter(|&&m| m).count();
+        let test = ds.train_mask.iter().filter(|&&m| !m).count();
+        assert_eq!(train + test, ds.spec.nodes);
         // ~70/30 split with slack.
-        assert!(train.len() > ds.spec.nodes / 2);
-        assert!(!test.is_empty());
+        assert!(train > ds.spec.nodes / 2);
+        assert!(test > 0);
     }
 
     #[test]

@@ -304,22 +304,16 @@ mod tests {
         assert!(g.num_edges() > 500, "too few edges: {}", g.num_edges());
         // Graph500 parameters concentrate edges in low-id quadrants:
         // heavy-tailed degrees.
-        let stats = crate::stats::degree_stats(&g);
-        assert!(
-            stats.max as f64 > 4.0 * stats.mean,
-            "no skew: max {} mean {}",
-            stats.max,
-            stats.mean
-        );
+        let (max, mean) = (g.max_degree(), g.average_degree());
+        assert!(max as f64 > 4.0 * mean, "no skew: max {max} mean {mean}");
     }
 
     #[test]
     fn rmat_uniform_parameters_are_unskewed() {
         let mut rng = StdRng::seed_from_u64(9);
         let g = rmat(8, 2048, 0.25, 0.25, 0.25, &mut rng);
-        let stats = crate::stats::degree_stats(&g);
         // a=b=c=d=0.25 is Erdős–Rényi-like: modest max degree.
-        assert!((stats.max as f64) < 4.0 * stats.mean + 6.0);
+        assert!((g.max_degree() as f64) < 4.0 * g.average_degree() + 6.0);
     }
 
     #[test]

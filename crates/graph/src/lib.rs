@@ -15,8 +15,6 @@
 //!   subgraph).
 //! - [`datasets`] — scaled-down presets mirroring Table II (PPI, Reddit,
 //!   Amazon2M, Ogbl-citation2) with learnable features/labels.
-//! - [`stats`] — degree and block-density statistics (the profile
-//!   Algorithm 1's pruning heuristic reasons about).
 //! - [`CsrMatrix`] / [`GraphView`] — weighted sparse matrices and the
 //!   once-per-graph cache of normalised propagation matrices the GNN
 //!   layers aggregate with (the sparse compute core), built
@@ -42,7 +40,6 @@ pub mod generate;
 pub mod io;
 pub mod partition;
 mod sparse;
-pub mod stats;
 mod view;
 
 pub use csr::CsrGraph;

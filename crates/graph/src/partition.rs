@@ -92,16 +92,6 @@ impl Partitioning {
         &self.assignment
     }
 
-    /// Nodes belonging to part `p`, ascending.
-    pub fn part_nodes(&self, p: usize) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &q)| q == p)
-            .map(|(u, _)| u)
-            .collect()
-    }
-
     /// Sizes of all parts.
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.num_parts];
@@ -558,7 +548,7 @@ mod tests {
     fn partitioning_accessors() {
         let p = Partitioning::new(vec![0, 1, 0, 1], 2);
         assert_eq!(p.part_of(2), 0);
-        assert_eq!(p.part_nodes(1), vec![1, 3]);
+        assert_eq!(p.assignment(), &[0, 1, 0, 1]);
         assert_eq!(p.sizes(), vec![2, 2]);
         assert!((p.imbalance() - 1.0).abs() < 1e-12);
     }

@@ -12,8 +12,7 @@
 //! the faulty crossbars read it back ([`GraphView::from_pattern`]),
 //! which may be asymmetric and may carry diagonal entries. No dense
 //! `n × n` adjacency is involved; [`GraphView::from_dense`] only
-//! extracts the pattern of a dense matrix and [`GraphView::dense`]
-//! materialises one on request, for tests and dense oracles.
+//! extracts the pattern of a dense matrix.
 //!
 //! All propagation matrices are stored sparse ([`CsrMatrix`]), and so
 //! is GAT's attention neighbourhood ([`GraphView::attention_pattern`]),
@@ -60,7 +59,6 @@ use crate::CsrGraph;
 pub struct GraphView {
     /// The adjacency: every stored entry is an edge `(i, j)`.
     adj: CsrMatrix,
-    dense: OnceLock<Matrix>,
     gcn: OnceLock<CsrMatrix>,
     mean: OnceLock<CsrMatrix>,
     mean_t: OnceLock<CsrMatrix>,
@@ -96,7 +94,6 @@ impl GraphView {
         );
         Self {
             adj,
-            dense: OnceLock::new(),
             gcn: OnceLock::new(),
             mean: OnceLock::new(),
             mean_t: OnceLock::new(),
@@ -120,12 +117,6 @@ impl GraphView {
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.adj.rows()
-    }
-
-    /// The dense 0/1 adjacency, built on first use. No layer reads it:
-    /// the propagation matrices and the attention pattern are sparse.
-    pub fn dense(&self) -> &Matrix {
-        self.dense.get_or_init(|| self.adj.to_dense())
     }
 
     /// The GCN propagation matrix `Â = D^{-1/2}(A+I)D^{-1/2}` as a
@@ -296,7 +287,7 @@ mod tests {
         assert_eq!(view.mean_norm(), &mean);
         assert_eq!(view.mean_norm_t(), &mean.transpose());
         assert_eq!(view.attention_pattern(), &CsrMatrix::from_dense(&attention));
-        assert_eq!(view.dense(), &adj);
+        assert_eq!(view.adj.to_dense(), adj);
     }
 
     #[test]
@@ -344,8 +335,6 @@ mod tests {
             dense_view.attention_pattern(),
             graph_view.attention_pattern()
         );
-        // The graph-backed pattern never materialises the dense adjacency.
-        assert!(graph_view.dense.get().is_none());
     }
 
     #[test]
@@ -358,10 +347,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_accessor_round_trips_graph() {
+    fn graph_view_round_trips_graph() {
         let g = sample_graph();
         let view = GraphView::from_graph(&g);
-        assert_eq!(view.dense(), &g.to_dense());
+        assert_eq!(view.adj.to_dense(), g.to_dense());
         assert_eq!(view.num_nodes(), 6);
     }
 }

@@ -113,17 +113,6 @@ impl CostMatrix {
     pub fn max_cost(&self) -> f64 {
         self.data.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Evaluates the total cost of a full permutation `perm` where
-    /// `perm[r]` is row `r`'s column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm.len() != rows` or any column is out of bounds.
-    pub fn permutation_cost(&self, perm: &[usize]) -> f64 {
-        assert_eq!(perm.len(), self.rows, "permutation length mismatch");
-        perm.iter().enumerate().map(|(r, &c)| self.get(r, c)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -137,13 +126,6 @@ mod tests {
         assert_eq!(c.get(0, 1), 1.0);
         assert_eq!(c.get(1, 0), 10.0);
         assert_eq!(c.get(1, 1), 11.0);
-    }
-
-    #[test]
-    fn permutation_cost_sums_entries() {
-        let c = CostMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(c.permutation_cost(&[1, 0]), 5.0);
-        assert_eq!(c.permutation_cost(&[0, 1]), 5.0);
     }
 
     #[test]

@@ -257,27 +257,11 @@ pub mod counters {
     /// Energy-model estimates (`energy::estimate`).
     pub static RERAM_ENERGY_ESTIMATES: Counter = Counter::new("reram.energy.estimates");
 
-    // -- fare-gnn ---------------------------------------------------------
-    /// Full-model forward passes.
-    pub static GNN_FORWARD_CALLS: Counter = Counter::new("gnn.forward.calls");
-    /// Full-model backward passes.
-    pub static GNN_BACKWARD_CALLS: Counter = Counter::new("gnn.backward.calls");
-    /// Masked-accuracy evaluations.
-    pub static GNN_ACCURACY_EVALS: Counter = Counter::new("gnn.metrics.accuracy_evals");
-
     // -- fare-core --------------------------------------------------------
-    /// `Trainer::run` invocations.
-    pub static CORE_TRAINER_RUNS: Counter = Counter::new("core.trainer.runs");
-    /// Training epochs completed.
-    pub static CORE_TRAINER_EPOCHS: Counter = Counter::new("core.trainer.epochs");
-    /// Mini-batches trained.
-    pub static CORE_TRAINER_BATCHES: Counter = Counter::new("core.trainer.batches");
     /// Post-deployment fault-injection events (per-epoch BIST rounds
     /// that actually added faults).
     pub static CORE_TRAINER_POST_INJECTIONS: Counter =
         Counter::new("core.trainer.post_deployment_injections");
-    /// Full Algorithm-1 adjacency mappings built.
-    pub static CORE_MAPPINGS_BUILT: Counter = Counter::new("core.mapping.built");
     /// G₁ pairs solved exactly; pairs settled by the bound are not
     /// counted.
     pub static CORE_MAPPING_PAIRS_SOLVED: Counter = Counter::new("core.mapping.pairs_solved");
@@ -295,7 +279,7 @@ pub mod counters {
     /// Every counter, in manifest order. **Register new counters here**
     /// or they will silently stay out of every manifest.
     pub fn all() -> &'static [&'static Counter] {
-        static ALL: [&Counter; 24] = [
+        static ALL: [&Counter; 17] = [
             &RERAM_FAULTS_INJECTED_SA0,
             &RERAM_FAULTS_INJECTED_SA1,
             &RERAM_FAULTS_CLEARED,
@@ -307,14 +291,7 @@ pub mod counters {
             &RERAM_PIPELINE_BATCHES,
             &RERAM_TIMING_EVALS,
             &RERAM_ENERGY_ESTIMATES,
-            &GNN_FORWARD_CALLS,
-            &GNN_BACKWARD_CALLS,
-            &GNN_ACCURACY_EVALS,
-            &CORE_TRAINER_RUNS,
-            &CORE_TRAINER_EPOCHS,
-            &CORE_TRAINER_BATCHES,
             &CORE_TRAINER_POST_INJECTIONS,
-            &CORE_MAPPINGS_BUILT,
             &CORE_MAPPING_PAIRS_SOLVED,
             &CORE_REMAP_CACHE_HITS,
             &CORE_REMAP_CACHE_MISSES,

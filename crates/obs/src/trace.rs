@@ -18,7 +18,7 @@
 //! ## Timestamps and determinism
 //!
 //! Timestamps and span durations come from the installed
-//! [`ClockMode`](crate::ClockMode):
+//! [`ClockMode`]:
 //!
 //! * `Wall` — nanoseconds since the first event of the process, and
 //!   real elapsed time per span; a real profile, not reproducible.
@@ -112,16 +112,6 @@ static SEQ: AtomicU64 = AtomicU64::new(0);
 /// Wall epoch: the `Instant` of the first wall-clocked event since the
 /// last reset (nanos offset stored lazily under the ring lock).
 static WALL_EPOCH: Mutex<Option<Instant>> = Mutex::new(None);
-
-/// Change the ring capacity (existing overflow is trimmed oldest-first).
-pub fn set_capacity(capacity: usize) {
-    let mut ring = RING.lock().unwrap();
-    ring.capacity = capacity.max(2);
-    while ring.events.len() > ring.capacity {
-        ring.events.pop_front();
-        ring.dropped += 1;
-    }
-}
 
 /// Per-name span count and total duration in ns, in name order.
 static TOTALS: Mutex<BTreeMap<&'static str, (u64, u64)>> = Mutex::new(BTreeMap::new());
@@ -569,24 +559,22 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest_and_counts() {
-        let _g = test_lock();
-        set_mode(Mode::Trace);
-        set_clock(ClockMode::Fixed(1));
-        crate::reset();
-        set_capacity(4);
-        for i in 0..6u64 {
-            let _s = span_arg("reram.mvm", i); // 2 events each
+        let mut ring = Ring::new();
+        ring.capacity = 4;
+        for ts_ns in 0..12u64 {
+            ring.push(TraceEvent {
+                name: "reram.mvm".into(),
+                ph: if ts_ns % 2 == 0 { Phase::B } else { Phase::E },
+                ts_ns,
+                track: 0,
+                arg: Some(ts_ns / 2),
+            });
         }
-        let log = take();
-        set_capacity(DEFAULT_CAPACITY);
-        set_clock(ClockMode::Wall);
-        set_mode(Mode::Off);
-        crate::reset();
 
-        assert_eq!(log.events.len(), 4);
-        assert_eq!(log.dropped, 8);
+        assert_eq!(ring.events.len(), 4);
+        assert_eq!(ring.dropped, 8);
         // Survivors are the newest events.
-        assert_eq!(log.events.last().unwrap().ts_ns, 11);
+        assert_eq!(ring.events.back().unwrap().ts_ns, 11);
     }
 
     #[test]

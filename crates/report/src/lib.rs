@@ -1,7 +1,7 @@
 //! # fare-report — manifest analyzers for the FARe workspace
 //!
 //! The read side of the observability stack: where `fare-obs` *writes*
-//! [`RunManifest`](fare_obs::RunManifest)s, this crate turns them back
+//! [`RunManifest`]s, this crate turns them back
 //! into something an operator can act on:
 //!
 //! - [`summarize`] — one manifest → markdown tables (counters, timers,

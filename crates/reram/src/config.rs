@@ -78,11 +78,6 @@ impl ChipConfig {
         }
     }
 
-    /// Cells per crossbar.
-    pub fn cells_per_crossbar(&self) -> usize {
-        self.crossbar_size * self.crossbar_size
-    }
-
     /// 16-bit weights stored per crossbar row (each weight spans
     /// `16 / bits_per_cell` cells).
     ///
@@ -162,10 +157,5 @@ mod tests {
         assert!((cfg.chip_power_w(2) - 0.68).abs() < 1e-12);
         let area = cfg.chip_area_mm2(1);
         assert!(area > 0.157 && area < 0.158);
-    }
-
-    #[test]
-    fn cells_per_crossbar() {
-        assert_eq!(ChipConfig::date2024().cells_per_crossbar(), 16384);
     }
 }

@@ -119,11 +119,6 @@ impl Fixed16 {
     pub fn to_bits(self) -> u16 {
         self.0 as u16
     }
-
-    /// Reconstructs from raw bits.
-    pub fn from_bits(bits: u16) -> Self {
-        Self(bits as i16)
-    }
 }
 
 /// Converts a two's-complement value to the **sign-magnitude** bit layout

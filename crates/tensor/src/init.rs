@@ -26,14 +26,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matr
     Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..=a))
 }
 
-/// He/Kaiming uniform initialisation: `U(-a, a)` with `a = sqrt(6 / fan_in)`.
-///
-/// Preferred for ReLU networks.
-pub fn he_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let a = (6.0 / fan_in.max(1) as f32).sqrt();
-    Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..=a))
-}
-
 /// Uniform initialisation in `[lo, hi)`.
 ///
 /// # Panics
@@ -66,14 +58,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let w = xavier_uniform(10, 20, &mut rng);
         let a = (6.0f32 / 30.0).sqrt();
-        assert!(w.iter().all(|v| v.abs() <= a + 1e-6));
-    }
-
-    #[test]
-    fn he_bounds_respected() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let w = he_uniform(16, 8, &mut rng);
-        let a = (6.0f32 / 16.0).sqrt();
         assert!(w.iter().all(|v| v.abs() <= a + 1e-6));
     }
 

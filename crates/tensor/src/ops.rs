@@ -86,20 +86,6 @@ pub fn softmax_in_place(row: &mut [f32]) {
     }
 }
 
-/// Numerically stable row-wise log-softmax.
-pub fn log_softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let lse = max + row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
-        for v in row.iter_mut() {
-            *v -= lse;
-        }
-    }
-    out
-}
-
 /// Mean cross-entropy loss between row-softmaxed `logits` and integer
 /// `labels`, together with the gradient w.r.t. the logits.
 ///
@@ -243,16 +229,6 @@ mod tests {
         let kept = [full[(0, 0)], full[(0, 2)], full[(0, 4)]];
         assert_eq!(packed.map(f32::to_bits), kept.map(f32::to_bits));
         assert_eq!((full[(0, 1)], full[(0, 3)]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn log_softmax_matches_softmax_log() {
-        let m = Matrix::from_rows(&[&[0.5, -1.0, 2.0]]);
-        let ls = log_softmax_rows(&m);
-        let s = softmax_rows(&m);
-        for c in 0..3 {
-            assert!((ls[(0, c)] - s[(0, c)].ln()).abs() < 1e-5);
-        }
     }
 
     #[test]

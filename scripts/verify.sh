@@ -51,6 +51,11 @@ echo "==> clippy (all targets), warning-free"
 # binary, test and example code alike.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc, warning-free"
+# A broken, ambiguous or redundant doc link is an error, so a doc that
+# still links to a deleted item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
+
 echo "==> benchmark package build"
 # perfbench is a stand-alone package outside the workspace that drives
 # the public API; building it catches an API break the benchmark would
