@@ -3,13 +3,18 @@
 //! Each case runs one sweep — [`fig3`], [`fig4`], [`fig5`], [`fig6`]
 //! or one of the training ablations — at a tiny configuration (two
 //! epochs, two trials) and folds the `to_bits` of every number in its
-//! result into one FNV-1a digest. The expected digests were recorded
+//! result into one FNV-1a digest. The structural ablations (matcher,
+//! pruning, slack, tile locality) map one instance per row; their
+//! digests fold every field except the host wall time. The expected digests were recorded
 //! once and must not move: a change to how a sweep seeds, schedules,
 //! shares or reduces its runs shows up here. The digests are
 //! thread-count invariant, so the suite must pass under any
 //! `FARE_RT_THREADS`.
 
-use fare_core::ablation::{clip_threshold_ablation, depth_ablation, refresh_ablation};
+use fare_core::ablation::{
+    clip_threshold_ablation, depth_ablation, locality_ablation, matcher_ablation, prune_ablation,
+    refresh_ablation, slack_ablation,
+};
 use fare_core::experiments::{
     fig3, fig4, fig5, fig6, AccuracyComparison, ExperimentParams, Workload,
 };
@@ -137,6 +142,61 @@ fn depth_digest() -> u64 {
         .0
 }
 
+/// Seed and fault density of the structural ablations, as the
+/// `ablation` binary runs them.
+const STRUCTURAL_SEED: u64 = 17;
+const STRUCTURAL_DENSITY: f64 = 0.05;
+
+fn matcher_digest() -> u64 {
+    matcher_ablation(STRUCTURAL_SEED, STRUCTURAL_DENSITY)
+        .iter()
+        .fold(Fnv::new(), |h, r| {
+            h.word(r.matcher as u64).word(r.mapping_cost as u64)
+        })
+        .0
+}
+
+fn prune_digest() -> u64 {
+    prune_ablation(STRUCTURAL_SEED, STRUCTURAL_DENSITY)
+        .iter()
+        .fold(Fnv::new(), |h, r| {
+            h.word(r.prune as u64)
+                .word(r.mapping_cost as u64)
+                .word(r.sa1_cost as u64)
+        })
+        .0
+}
+
+fn slack_digest() -> u64 {
+    slack_ablation(
+        STRUCTURAL_SEED,
+        STRUCTURAL_DENSITY,
+        &[1.0, 1.25, 1.5, 2.0, 3.0],
+    )
+    .iter()
+    .fold(Fnv::new(), |h, r| {
+        h.f64(r.slack)
+            .word(r.crossbars as u64)
+            .word(r.mapping_cost as u64)
+    })
+    .0
+}
+
+fn locality_digest() -> u64 {
+    locality_ablation(
+        STRUCTURAL_SEED,
+        STRUCTURAL_DENSITY,
+        &[0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 50.0],
+    )
+    .iter()
+    .fold(Fnv::new(), |h, r| {
+        h.f64(r.weight)
+            .f64(r.tile_spread)
+            .word(r.mapping_cost as u64)
+    })
+    .0
+}
+
 fn check(name: &str, got: u64, want: u64) {
     assert_eq!(
         got, want,
@@ -181,4 +241,28 @@ fn refresh_ablation_pinned() {
 #[test]
 fn depth_ablation_pinned() {
     check("depth_ablation", depth_digest(), 0xdbe5_0dbd_1585_020b);
+}
+
+#[test]
+fn matcher_ablation_pinned() {
+    check("matcher_ablation", matcher_digest(), 0xa107_3938_bec1_fc40);
+}
+
+#[test]
+fn prune_ablation_pinned() {
+    check("prune_ablation", prune_digest(), 0x81e2_9c83_87f0_7704);
+}
+
+#[test]
+fn slack_ablation_pinned() {
+    check("slack_ablation", slack_digest(), 0x9150_1d83_84f9_9533);
+}
+
+#[test]
+fn locality_ablation_pinned() {
+    check(
+        "locality_ablation",
+        locality_digest(),
+        0x45c6_7bbb_0c9c_fb49,
+    );
 }

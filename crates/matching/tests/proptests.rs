@@ -72,50 +72,6 @@ proptest! {
         prop_assert!(approx_w >= 0.5 * exact_w - 1e-6);
     }
 
-    // The structural theorem the mapping layer's level-greedy G₁ solver
-    // rests on: every vertex ranks its edges by the common total order
-    // (cost asc, row id asc, col id asc), so the b-Suitor fixed point is
-    // the unique stable matching — the greedy matching over globally
-    // sorted edges.
-    #[test]
-    fn bsuitor_equals_greedy_by_edge_order(
-        dims in (1usize..10, 1usize..14).prop_filter("r<=c", |(r, c)| r <= c),
-        seed in 0u64..500,
-        max_cost in 0u32..12,
-    ) {
-        use fare_rt::rand::{Rng, SeedableRng};
-        let (r, c) = dims;
-        let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(seed ^ 0x6EED);
-        let ints: Vec<u32> = (0..r * c).map(|_| rng.gen_range(0..=max_cost)).collect();
-
-        let mut edges: Vec<(u32, u32, u32)> = (0..r * c)
-            .map(|i| (ints[i], (i / c) as u32, (i % c) as u32))
-            .collect();
-        edges.sort_unstable();
-        let mut greedy = vec![u32::MAX; r];
-        let mut used = vec![false; c];
-        let mut matched = 0;
-        for (_, er, ec) in edges {
-            if matched == r {
-                break;
-            }
-            if greedy[er as usize] == u32::MAX && !used[ec as usize] {
-                greedy[er as usize] = ec;
-                used[ec as usize] = true;
-                matched += 1;
-            }
-        }
-
-        let cost = CostMatrix::from_vec(r, c, ints.iter().map(|&v| v as f64).collect());
-        let suitor = bsuitor_assignment(&cost);
-        let suitor_cols: Vec<u32> = suitor
-            .assignment
-            .iter()
-            .map(|col| col.expect("complete") as u32)
-            .collect();
-        prop_assert_eq!(greedy, suitor_cols);
-    }
-
     #[test]
     fn all_matchers_agree_on_validity(cost in cost_matrix(5, 7)) {
         for m in [
@@ -128,5 +84,82 @@ proptest! {
             prop_assert!(sol.is_valid());
             prop_assert_eq!(sol.matched_count(), cost.rows());
         }
+    }
+}
+
+proptest! {
+    // Three cost shapes share the cases, so run more than the default.
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    // The structural theorem the mapping layer's level-greedy G₁ solver
+    // and lower-bound G₂ heap rest on: every vertex ranks its edges by
+    // the common total order (cost asc, row id asc, col id asc), so the
+    // b-Suitor fixed point is the unique stable matching — the greedy
+    // matching over globally sorted edges. Checked on the three cost
+    // shapes the runs produce: integer mismatch counts (G₁, G₂), NR's
+    // weight-row costs (sums of fixed-point resolution steps) and G₂
+    // costs with a tile-locality term (integer + λ·hops).
+    #[test]
+    fn bsuitor_equals_greedy_by_edge_order(
+        dims in (1usize..10, 1usize..14).prop_filter("r<=c", |(r, c)| r <= c),
+        seed in 0u64..500,
+        max_cost in 0u32..12,
+        shape in 0usize..3,
+    ) {
+        use fare_rt::rand::{Rng, SeedableRng};
+        let (r, c) = dims;
+        let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(seed ^ 0x6EED);
+        let costs: Vec<f64> = match shape {
+            0 => (0..r * c).map(|_| rng.gen_range(0..=max_cost) as f64).collect(),
+            1 => {
+                // `row_placement_cost`: Σ |faulty − clean| over a row's
+                // patched cells, each an f32 multiple of the resolution.
+                let res = fare_tensor::fixed::FixedFormat::default().resolution();
+                let scale = [1u32, 37, 4096][rng.gen_range(0..3)];
+                (0..r * c)
+                    .map(|_| {
+                        let mut cost = 0.0f64;
+                        for _ in 0..rng.gen_range(0..4) {
+                            let steps = rng.gen_range(0..=max_cost) * scale;
+                            cost += (steps as f32 * res) as f64;
+                        }
+                        cost
+                    })
+                    .collect()
+            }
+            _ => {
+                // G₂ with locality: mismatch count + λ · tile hops.
+                let lambda = [0.25, 0.5, 1.0, 2.0][rng.gen_range(0..4)];
+                (0..r * c)
+                    .map(|_| rng.gen_range(0..=max_cost) as f64 + lambda * rng.gen_range(0..5) as f64)
+                    .collect()
+            }
+        };
+
+        let mut order: Vec<usize> = (0..r * c).collect();
+        order.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]).then(a.cmp(&b)));
+        let mut greedy = vec![u32::MAX; r];
+        let mut used = vec![false; c];
+        let mut matched = 0;
+        for i in order {
+            let (er, ec) = (i / c, i % c);
+            if matched == r {
+                break;
+            }
+            if greedy[er] == u32::MAX && !used[ec] {
+                greedy[er] = ec as u32;
+                used[ec] = true;
+                matched += 1;
+            }
+        }
+
+        let cost = CostMatrix::from_vec(r, c, costs);
+        let suitor = bsuitor_assignment(&cost);
+        let suitor_cols: Vec<u32> = suitor
+            .assignment
+            .iter()
+            .map(|col| col.expect("complete") as u32)
+            .collect();
+        prop_assert_eq!(greedy, suitor_cols);
     }
 }
