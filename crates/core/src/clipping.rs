@@ -43,6 +43,11 @@ mod tests {
     fn default_threshold_covers_fresh_weights() {
         // Xavier-initialised weights must never be clipped by the default.
         let m = model();
-        assert!(m.max_weight_magnitude() < DEFAULT_THRESHOLD);
+        let max = m
+            .param_shapes()
+            .iter()
+            .flat_map(|s| m.param(s.layer, s.param).iter())
+            .fold(0.0f32, |acc, v| acc.max(v.abs()));
+        assert!(max < DEFAULT_THRESHOLD);
     }
 }

@@ -32,10 +32,10 @@
 //! cell, set block bit) incidence, walked through a transposed column
 //! index of the packed block ([`fare_reram::PackedRows`]). For the
 //! paper's default b-Suitor matcher the instance is then solved by a
-//! level-greedy matching over the same base/deviant split — exactly the
-//! b-Suitor assignment, because with all preferences derived from the
-//! common edge order `(cost, row, col)` the suitor fixed point *is* the
-//! greedy matching by that order (see `G1Scratch::greedy_assign`).
+//! level-greedy matching over the same base/deviant split. It returns
+//! exactly what [`fare_matching::bsuitor_assignment`] returns on the full
+//! table: b-Suitor, computed as the greedy matching in `(cost, row, col)`
+//! edge order, which it equals (see `G1Scratch::greedy_assign`).
 //!
 //! On top of the reduced kernel, [`map_blocks_cached`] deduplicates work
 //! by *content classes*: blocks with identical bit patterns and crossbars
@@ -530,15 +530,16 @@ impl G1Scratch {
     /// Greedy matching over the edges of the cost table in ascending
     /// `(cost, row, col)` order, written into `self.assign`.
     ///
-    /// This produces *exactly* the b-Suitor assignment: every vertex
-    /// ranks its edges by the common total order `(cost, row id, col
-    /// id)`, and with preferences derived from one global edge ranking
-    /// the suitor fixed point is the unique stable matching — the greedy
-    /// matching by that ranking. (Pinned structurally by the matching
-    /// crate's `bsuitor_equals_greedy_by_edge_order` property test and
-    /// end-to-end by the mapping oracles.) Walking levels through the
-    /// base/deviant split costs `O(f·n)` per populated level instead of
-    /// materialising and replaying `2·f·n` proposal orders.
+    /// This is the matching [`fare_matching::bsuitor_assignment`] builds
+    /// by sorting the full `f × n` table, and so the b-Suitor assignment:
+    /// every vertex ranks its edges by the common total order `(cost,
+    /// row id, col id)`, and with preferences derived from one global
+    /// edge ranking the suitor fixed point is the greedy matching by that
+    /// ranking. (The tie order is pinned by the matching crate's
+    /// `bsuitor_equals_greedy_by_edge_order` property test, this walk by
+    /// the mapping oracles.) Walking levels through the base/deviant
+    /// split costs `O(f·n)` per populated level instead of sorting all
+    /// `f·n` edges.
     fn greedy_assign(&mut self, f: usize, n: usize, base: &[u32]) {
         self.assign.clear();
         self.assign.resize(f, u32::MAX);

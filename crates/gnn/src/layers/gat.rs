@@ -172,27 +172,16 @@ impl GatLayer {
     }
 
     /// Backward pass over the view the forward pass ran on: returns
-    /// `([grad_W, grad_a_src, grad_a_dst], grad_input)`. Like the forward
-    /// pass it touches only the attention pattern's edges, in the dense
-    /// kernels' accumulation order.
+    /// `([grad_W, grad_a_src, grad_a_dst], grad_input)`, building the
+    /// input gradient `dZ·Wᵀ` only when `input_grad` is set. Like the
+    /// forward pass it touches only the attention pattern's edges, in the
+    /// dense kernels' accumulation order.
     ///
     /// # Panics
     ///
     /// Panics if `cache` was built over a view with a different number of
     /// attention edges.
     pub fn backward(
-        &self,
-        view: &GraphView,
-        cache: &GatCache,
-        grad_output: &Matrix,
-    ) -> (Vec<Matrix>, Matrix) {
-        let (grads, grad_input) = self.backward_with(view, cache, grad_output, true);
-        (grads, grad_input.expect("input gradient was requested"))
-    }
-
-    /// [`GatLayer::backward`], building the input gradient `dZ·Wᵀ` only
-    /// when `input_grad` is set.
-    pub(crate) fn backward_with(
         &self,
         view: &GraphView,
         cache: &GatCache,
@@ -486,12 +475,12 @@ mod tests {
                 bits(&dense_cache.attention)
             );
 
-            let (grads, grad_in) = layer.backward(&view, &cache, &grad_out);
+            let (grads, grad_in) = layer.backward(&view, &cache, &grad_out, true);
             let (dense_grads, dense_grad_in) = dense_oracle::backward(&dense_cache, &grad_out);
             for p in 0..3 {
                 prop_assert_eq!(bits(&grads[p]), bits(&dense_grads[p]), "parameter {}", p);
             }
-            prop_assert_eq!(bits(&grad_in), bits(&dense_grad_in));
+            prop_assert_eq!(bits(&grad_in.unwrap()), bits(&dense_grad_in));
         }
     }
 
@@ -554,7 +543,7 @@ mod tests {
         };
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (grads, _) = layer.backward(&adj, &cache, &grad_logits);
+        let (grads, _) = layer.backward(&adj, &cache, &grad_logits, false);
 
         let eps = 1e-3f32;
         for p in 0..3 {
@@ -584,7 +573,7 @@ mod tests {
         let labels = [0usize, 1, 1];
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (_, grad_input) = layer.backward(&adj, &cache, &grad_logits);
+        let grad_input = layer.backward(&adj, &cache, &grad_logits, true).1.unwrap();
 
         let eps = 1e-3f32;
         let mut x2 = x.clone();

@@ -97,21 +97,10 @@ impl GcnLayer {
         )
     }
 
-    /// Backward pass: returns `(param_grads, grad_input)`. `view` must
-    /// be the one the forward pass ran with.
+    /// Backward pass: returns `([grad_W], grad_input)`, building the
+    /// input gradient `Â·dZ·Wᵀ` only when `input_grad` is set. `view`
+    /// must be the one the forward pass ran with.
     pub fn backward(
-        &self,
-        view: &GraphView,
-        cache: &GcnCache,
-        grad_output: &Matrix,
-    ) -> (Vec<Matrix>, Matrix) {
-        let (grads, grad_input) = self.backward_with(view, cache, grad_output, true);
-        (grads, grad_input.expect("input gradient was requested"))
-    }
-
-    /// [`GcnLayer::backward`], building the input gradient `Â·dZ·Wᵀ` only
-    /// when `input_grad` is set.
-    pub(crate) fn backward_with(
         &self,
         view: &GraphView,
         cache: &GcnCache,
@@ -183,7 +172,7 @@ mod tests {
         };
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (grads, _) = layer.backward(&adj, &cache, &grad_logits);
+        let (grads, _) = layer.backward(&adj, &cache, &grad_logits, false);
 
         let eps = 1e-3f32;
         for r in 0..3 {
@@ -210,7 +199,7 @@ mod tests {
         let labels = [0usize, 1, 0];
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (_, grad_input) = layer.backward(&adj, &cache, &grad_logits);
+        let grad_input = layer.backward(&adj, &cache, &grad_logits, true).1.unwrap();
 
         let eps = 1e-3f32;
         let mut x2 = x.clone();
@@ -239,7 +228,7 @@ mod tests {
         let (layer, adj, x) = setup();
         let (_, cache) = layer.forward(&adj, &x, &IdealReader, 0, false);
         let ones = Matrix::filled(3, 2, 1.0);
-        let (grads, _) = layer.backward(&adj, &cache, &ones);
+        let (grads, _) = layer.backward(&adj, &cache, &ones, false);
         assert_eq!(grads.len(), 1);
         assert_eq!(grads[0].shape(), layer.weight().shape());
     }

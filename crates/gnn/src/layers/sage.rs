@@ -111,21 +111,10 @@ impl SageLayer {
         )
     }
 
-    /// Backward pass: returns `([grad_w_self, grad_w_neigh], grad_input)`.
-    /// `view` must be the one the forward pass ran with.
+    /// Backward pass: returns `([grad_w_self, grad_w_neigh], grad_input)`,
+    /// building the input gradient only when `input_grad` is set. `view`
+    /// must be the one the forward pass ran with.
     pub fn backward(
-        &self,
-        view: &GraphView,
-        cache: &SageCache,
-        grad_output: &Matrix,
-    ) -> (Vec<Matrix>, Matrix) {
-        let (grads, grad_input) = self.backward_with(view, cache, grad_output, true);
-        (grads, grad_input.expect("input gradient was requested"))
-    }
-
-    /// [`SageLayer::backward`], building the input gradient only when
-    /// `input_grad` is set.
-    pub(crate) fn backward_with(
         &self,
         view: &GraphView,
         cache: &SageCache,
@@ -202,7 +191,7 @@ mod tests {
         };
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (grads, _) = layer.backward(&adj, &cache, &grad_logits);
+        let (grads, _) = layer.backward(&adj, &cache, &grad_logits, false);
 
         let eps = 1e-3f32;
         for p in 0..2 {
@@ -231,7 +220,7 @@ mod tests {
         let labels = [1usize, 0, 1];
         let (out, cache) = layer.forward(&adj, &x, &IdealReader, 0, true);
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out, &labels);
-        let (_, grad_input) = layer.backward(&adj, &cache, &grad_logits);
+        let grad_input = layer.backward(&adj, &cache, &grad_logits, true).1.unwrap();
 
         let eps = 1e-3f32;
         let mut x2 = x.clone();

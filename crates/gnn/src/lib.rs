@@ -23,8 +23,8 @@
 //! [`Gnn::backward`] returns only parameter gradients, so its first
 //! layer skips the gradient w.r.t. the input features: GCN saves a
 //! `matmul_t` and an aggregation, SAGE two `matmul_t`, an aggregation
-//! and an add, GAT one `matmul_t`. Each layer's public `backward` still
-//! returns its input gradient.
+//! and an add, GAT one `matmul_t`. Each layer's `backward` takes an
+//! `input_grad` flag and builds its input gradient only when it is set.
 //!
 //! # Example
 //!

@@ -12,10 +12,15 @@ use crate::Gnn;
 /// use fare_gnn::{Adam, Gnn, GnnDims};
 /// use fare_graph::datasets::ModelKind;
 /// use fare_rt::rand::SeedableRng;
+/// use fare_tensor::Matrix;
 /// let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(0);
 /// let model = Gnn::new(ModelKind::Gcn, GnnDims { input: 2, hidden: 4, output: 2 }, &mut rng);
-/// let opt = Adam::new(0.01, &model);
-/// assert_eq!(opt.learning_rate(), 0.01);
+/// let mut opt = Adam::new(0.01, &model);
+/// let mut param = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
+/// opt.step(0, &mut param, &Matrix::from_vec(1, 2, vec![0.5, -0.5]));
+/// // Adam's first step moves each entry by about `lr` against its gradient.
+/// assert!((param.get(0, 0).unwrap() - 0.99).abs() < 1e-6);
+/// assert!((param.get(0, 1).unwrap() + 0.99).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -61,16 +66,6 @@ impl Adam {
         assert!(decay >= 0.0, "weight decay must be non-negative");
         self.weight_decay = decay;
         self
-    }
-
-    /// The configured decoupled weight decay.
-    pub fn weight_decay(&self) -> f32 {
-        self.weight_decay
-    }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
     }
 
     /// Updates `param` in place given its gradient. `key` is a stable

@@ -11,9 +11,10 @@
 //! Both are linear assignment problems. This crate provides:
 //!
 //! - [`hungarian`] — exact O(n³) Kuhn–Munkres with potentials,
-//! - [`bsuitor`] — the suitor-based ½-approximation for weighted
-//!   b-matching from Khan et al. (the algorithm the paper cites as its
-//!   implementation choice),
+//! - [`bsuitor_assignment`] — b-Suitor (Khan et al.), the ½-approximation
+//!   the paper cites as its implementation choice. For these one-to-one
+//!   instances it equals the greedy matching in `(cost, row, col)` edge
+//!   order, and it is computed as that matching,
 //! - [`auction`] — Bertsekas' ε-scaled auction algorithm (exact on the
 //!   integer mismatch costs Algorithm 1 produces),
 //! - [`greedy`] — a cheap baseline used in ablations,
@@ -37,12 +38,12 @@
 #![warn(missing_docs)]
 
 mod auction;
-pub mod bsuitor;
+mod bsuitor;
 mod cost;
 mod hungarian;
 
 pub use auction::auction;
-pub use bsuitor::{bsuitor_assignment, bsuitor_matching, Edge};
+pub use bsuitor::bsuitor_assignment;
 pub use cost::CostMatrix;
 pub use hungarian::hungarian;
 
@@ -93,12 +94,15 @@ impl Assignment {
 /// Selector for the assignment solver used inside Algorithm 1.
 ///
 /// The paper uses b-Suitor (a ½-approximation) for speed; the exact
-/// Hungarian solver is provided for quality ablations.
+/// Hungarian solver is provided for quality ablations. b-Suitor is
+/// computed as the greedy matching in `(cost, row, col)` edge order,
+/// which it equals on these instances (see [`bsuitor_assignment`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Matcher {
     /// Exact O(n³) Kuhn–Munkres.
     Hungarian,
-    /// Suitor-based ½-approximation (paper's choice).
+    /// b-Suitor ½-approximation (paper's choice), computed as the
+    /// greedy edge-order matching it equals.
     #[default]
     BSuitor,
     /// Bertsekas auction with ε-scaling (exact on integer costs).

@@ -156,7 +156,11 @@ echo "==> mapping fast-path equivalence across thread counts"
 # reference oracle, which reads the full cost table, for every matcher;
 # its bound-ordered selection is exact only while the pair lower bounds
 # stay below the exact costs. Re-run the pinning proptests under a
-# serial and a parallel thread count.
+# serial and a parallel thread count. The level-greedy G1 solve and the
+# G2 heap both rely on b-Suitor's tie order, greedy by (cost, row, col);
+# the matching crate's bsuitor proptests pin it on every cost shape the
+# runs produce.
+cargo test -q --offline -p fare-matching --test proptests -- bsuitor
 for threads in 1 4; do
     FARE_RT_THREADS=$threads cargo test -q --offline -p fare-core --test proptests -- \
         fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full \
