@@ -6,11 +6,11 @@
 //! eligible neighbour, and a vertex keeps the best suitor it has seen.
 //! The result weighs at least half the optimum.
 //!
-//! Both FARe matchings are one-to-one (`b ≡ 1`) minimum-cost problems on
-//! a complete bipartite graph. There, when every vertex ranks its edges
-//! by one common total order, Khan et al. show that the suitor fixed
-//! point is the greedy matching by that order. [`bsuitor_assignment`]
-//! therefore computes b-Suitor as the greedy matching over the edges in
+//! Khan et al. also show that, with ties broken consistently, b-Suitor
+//! returns the matching of the greedy algorithm that takes edges in that
+//! order. Both FARe matchings are one-to-one (`b ≡ 1`) minimum-cost
+//! problems on a complete bipartite graph, so [`bsuitor_assignment`]
+//! computes b-Suitor as the greedy matching over the edges in
 //! `(cost, row, col)` order; no proposals are replayed.
 
 use crate::{Assignment, CostMatrix};
