@@ -207,10 +207,10 @@ fn masked_cross_entropy(logits: &Matrix, labels: &[usize], mask: &[bool]) -> (f6
     let mut loss = 0.0f64;
     let mut grad = Matrix::zeros(logits.rows(), logits.cols());
     for &i in &selected {
-        let label = labels[i];
-        loss -= (probs[(i, label)].max(1e-12) as f64).ln();
-        for c in 0..logits.cols() {
-            grad[(i, c)] = (probs[(i, c)] - if c == label { 1.0 } else { 0.0 }) / n;
+        let (label, probs_i) = (labels[i], probs.row(i));
+        loss -= (probs_i[label].max(1e-12) as f64).ln();
+        for (c, (g, &p)) in grad.row_mut(i).iter_mut().zip(probs_i).enumerate() {
+            *g = (p - if c == label { 1.0 } else { 0.0 }) / n;
         }
     }
     (loss / selected.len() as f64, grad)

@@ -1,3 +1,14 @@
+//! Single-head graph attention over a view's sparse attention pattern.
+//!
+//! Both passes walk the pattern's rows once each. The forward pass
+//! computes each edge's logit, its LeakyReLU, the row's softmax and the
+//! row of `P = S·Z` in one go; the backward pass computes the row's
+//! `dS` dots (four edges at a time, each on its own chain), the softmax
+//! and LeakyReLU backward, the `Sᵀ·dP` scatter into `dZ` and the score
+//! gradients. Every output element sees the same operations, in the
+//! same order, as the dense `n × n` formulation the test-only oracle
+//! keeps, so the two agree bit for bit.
+
 use std::borrow::Cow;
 
 use fare_graph::GraphView;
@@ -101,13 +112,15 @@ impl GatLayer {
     /// Forward pass over the batch graph view.
     ///
     /// Attention runs only over the view's
-    /// [`GraphView::attention_pattern`] (the adjacency plus self loops):
-    /// per edge the logit `LeakyReLU(s_i + t_j)`, a softmax over each
-    /// row's edges, then `P = S·Z` walked edge by edge in ascending
-    /// column order. Each step repeats the dense `n × n` formulation's
-    /// arithmetic in its order, and the masked entries the dense path
-    /// carried only ever added exact zeros, so the result equals it bit
-    /// for bit on finite inputs at `O(nnz · d)` cost.
+    /// [`GraphView::attention_pattern`] (the adjacency plus self loops).
+    /// After `Z = H·W` and the per-node scores `s = Z·a_src`,
+    /// `t = Z·a_dst`, one pass per row computes each edge's logit
+    /// `LeakyReLU(s_i + t_j)`, the row's softmax and its row of
+    /// `P = S·Z`, in ascending column order. Each step repeats the dense
+    /// `n × n` formulation's arithmetic in its order, and the masked
+    /// entries the dense path carried only ever added exact zeros, so the
+    /// result equals it bit for bit on finite inputs at `O(nnz · d)`
+    /// cost.
     pub fn forward(
         &self,
         view: &GraphView,
@@ -124,31 +137,42 @@ impl GatLayer {
         let attn_dst_read = reader.read(layer_index, 2, &self.attn_dst);
 
         let transformed = input.matmul(&weight_read); // Z
-        let s = transformed.matmul(&attn_src_read); // n×1
-        let t = transformed.matmul(&attn_dst_read); // n×1
+        let (n, d) = transformed.shape();
+        // s_i = z_i·a_src and t_i = z_i·a_dst, each from +0.0 in
+        // ascending k: the width-1 matmul's sums.
+        let (a_src, a_dst) = (attn_src_read.as_slice(), attn_dst_read.as_slice());
+        let (mut s, mut t) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for i in 0..n {
+            let (mut s_i, mut t_i) = (0.0f32, 0.0f32);
+            for ((&z, &a), &b) in transformed.row(i).iter().zip(a_src).zip(a_dst) {
+                s_i += z * a;
+                t_i += z * b;
+            }
+            s.push(s_i);
+            t.push(t_i);
+        }
 
-        let mut logit_sum = Vec::with_capacity(cols.len());
-        for (i, row) in offsets.windows(2).enumerate() {
-            logit_sum.extend(cols[row[0]..row[1]].iter().map(|&j| s[(i, 0)] + t[(j, 0)]));
-        }
-        let mut attention: Vec<f32> = logit_sum
-            .iter()
-            .map(|&v| if v > 0.0 { v } else { ATTENTION_SLOPE * v })
-            .collect();
-        for row in offsets.windows(2) {
-            ops::softmax_in_place(&mut attention[row[0]..row[1]]);
-        }
-        let mut pre_activation = Matrix::zeros(transformed.rows(), transformed.cols());
-        // A zero-width output has no rows to visit.
-        let width = transformed.cols().max(1);
-        for (i, out_row) in pre_activation
-            .as_mut_slice()
-            .chunks_exact_mut(width)
-            .enumerate()
-        {
+        let mut logit_sum = vec![0.0f32; cols.len()];
+        let mut attention = vec![0.0f32; cols.len()];
+        let mut pre_activation = Matrix::zeros(n, d);
+        for i in 0..n {
             let edges = offsets[i]..offsets[i + 1];
-            let terms = attention[edges.clone()].iter().zip(&cols[edges]);
-            accumulate_row(out_row, terms.map(|(&a, &j)| (a, transformed.row(j))));
+            let row_cols = &cols[edges.clone()];
+            let row_attention = &mut attention[edges.clone()];
+            for ((l, a), &j) in logit_sum[edges]
+                .iter_mut()
+                .zip(row_attention.iter_mut())
+                .zip(row_cols)
+            {
+                *l = s[i] + t[j];
+                *a = if *l > 0.0 { *l } else { ATTENTION_SLOPE * *l };
+            }
+            ops::softmax_in_place(row_attention);
+            let terms = row_attention.iter().zip(row_cols);
+            accumulate_row(
+                pre_activation.row_mut(i),
+                terms.map(|(&a, &j)| (a, transformed.row(j))),
+            );
         }
         let out = if output_layer {
             pre_activation.clone()
@@ -174,8 +198,8 @@ impl GatLayer {
     /// Backward pass over the view the forward pass ran on: returns
     /// `([grad_W, grad_a_src, grad_a_dst], grad_input)`, building the
     /// input gradient `dZ·Wᵀ` only when `input_grad` is set. Like the
-    /// forward pass it touches only the attention pattern's edges, in the
-    /// dense kernels' accumulation order.
+    /// forward pass it makes one pass per row of the attention pattern,
+    /// in the dense kernels' accumulation order per element.
     ///
     /// # Panics
     ///
@@ -196,69 +220,101 @@ impl GatLayer {
             cache.attention.len(),
             "GAT cache does not match the view"
         );
-        let attention = &cache.attention;
-        let (n, d) = cache.transformed.shape();
+        let z = &cache.transformed;
+        let (n, d) = z.shape();
         let grad_p = if cache.output_layer {
             Cow::Borrowed(grad_output)
         } else {
             Cow::Owned(grad_output.hadamard(&ops::elu_grad(&cache.pre_activation)))
         };
 
-        // Per row: dS_ij = dP_i·z_j (P = S·Z, the `matmul_t` dot), the
-        // softmax backward dE_ij = S_ij (dS_ij − Σ_k dS_ik S_ik), then the
-        // LeakyReLU backward on the logits.
-        let mut grad_pre = vec![0.0f32; cols.len()];
-        for (i, row) in offsets.windows(2).enumerate() {
-            let edges = row[0]..row[1];
-            let dp = grad_p.row(i);
-            for k in edges.clone() {
-                let mut acc = 0.0;
-                for (&a, &b) in dp.iter().zip(cache.transformed.row(cols[k])) {
-                    acc += a * b;
-                }
-                grad_pre[k] = acc;
-            }
-            let mut dot = 0.0f32;
-            for k in edges.clone() {
-                dot += grad_pre[k] * attention[k];
-            }
-            for k in edges {
-                let slope = if cache.logit_sum[k] > 0.0 {
-                    1.0
-                } else {
-                    ATTENTION_SLOPE
-                };
-                grad_pre[k] = attention[k] * (grad_pre[k] - dot) * slope;
-            }
-        }
-
-        // Sᵀ·dP, scattered in ascending row order (the `t_matmul` order),
-        // and ds_i = Σ_j dPre_ij, dt_j = Σ_i dPre_ij in (i, j) order.
+        // Per row i, with every sum in the dense formulation's order:
+        // dS_ij = dP_i·z_j (the `matmul_t` dot), the softmax backward
+        // dE_ij = S_ij (dS_ij − Σ_k dS_ik S_ik), the LeakyReLU backward
+        // dPre_ij, then dZ_j += S_ij dP_i (`Sᵀ·dP`, rows i ascending as
+        // `t_matmul` adds them), ds_i = Σ_j dPre_ij and dt_j += dPre_ij.
+        // Row i of `grad_st` is (ds_i, dt_i).
         let mut grad_z = Matrix::zeros(n, d);
-        let mut grad_s_vec = Matrix::zeros(n, 1);
-        let mut grad_t_vec = Matrix::zeros(n, 1);
-        for (i, row) in offsets.windows(2).enumerate() {
+        let mut grad_st = Matrix::zeros(n, 2);
+        let mut grad_pre = Vec::new();
+        for i in 0..n {
+            let edges = offsets[i]..offsets[i + 1];
+            let row_cols = &cols[edges.clone()];
+            let row_attention = &cache.attention[edges.clone()];
             let dp = grad_p.row(i);
-            for k in row[0]..row[1] {
-                let (j, a) = (cols[k], attention[k]);
-                for (o, &g) in grad_z.row_mut(j).iter_mut().zip(dp) {
-                    *o += a * g;
-                }
-                grad_s_vec[(i, 0)] += grad_pre[k];
-                grad_t_vec[(j, 0)] += grad_pre[k];
+            grad_pre.clear();
+            edge_dots(&mut grad_pre, dp, z, row_cols);
+            let mut dot = 0.0f32;
+            for (&g, &a) in grad_pre.iter().zip(row_attention) {
+                dot += g * a;
             }
+            let mut grad_s_i = 0.0f32;
+            for (((g, &a), &l), &j) in grad_pre
+                .iter_mut()
+                .zip(row_attention)
+                .zip(&cache.logit_sum[edges])
+                .zip(row_cols)
+            {
+                let slope = if l > 0.0 { 1.0 } else { ATTENTION_SLOPE };
+                *g = a * (*g - dot) * slope;
+                for (o, &p) in grad_z.row_mut(j).iter_mut().zip(dp) {
+                    *o += a * p;
+                }
+                grad_s_i += *g;
+                grad_st.row_mut(j)[1] += *g;
+            }
+            grad_st.row_mut(i)[0] = grad_s_i;
         }
 
-        // s = Z·a_src, t = Z·a_dst.
-        grad_z += &grad_s_vec.matmul_t(&cache.attn_src_read);
-        grad_z += &grad_t_vec.matmul_t(&cache.attn_dst_read);
-        let grad_attn_src = cache.transformed.t_matmul(&grad_s_vec);
-        let grad_attn_dst = cache.transformed.t_matmul(&grad_t_vec);
+        // s = Z·a_src, t = Z·a_dst: dZ_i gains ds_i·a_src, then
+        // dt_i·a_dst, each a one-term product from +0.0 as `matmul_t`
+        // wrote it.
+        let (a_src, a_dst) = (
+            cache.attn_src_read.as_slice(),
+            cache.attn_dst_read.as_slice(),
+        );
+        for (i, st) in grad_st.as_slice().chunks_exact(2).enumerate() {
+            for ((o, &a), &b) in grad_z.row_mut(i).iter_mut().zip(a_src).zip(a_dst) {
+                *o += 0.0 + st[0] * a;
+                *o += 0.0 + st[1] * b;
+            }
+        }
+        // grad_a_src = Zᵀ·ds and grad_a_dst = Zᵀ·dt, element c summed
+        // over ascending i from +0.0: the two rows of (ds, dt)ᵀ·Z.
+        let grad_a = grad_st.t_matmul(z);
+        let grad_attn_src = Matrix::from_vec(d, 1, grad_a.row(0).to_vec());
+        let grad_attn_dst = Matrix::from_vec(d, 1, grad_a.row(1).to_vec());
 
         // Z = H·W.
         let grad_w = cache.input.t_matmul(&grad_z);
         let grad_input = input_grad.then(|| grad_z.matmul_t(&cache.weight_read));
         (vec![grad_w, grad_attn_src, grad_attn_dst], grad_input)
+    }
+}
+
+/// Appends `dp·z_j` for each `j` in `cols`, in order. Every dot starts
+/// at `+0.0` and adds `dp[c] * z_j[c]` in ascending `c`. Four edges run
+/// side by side, so their independent chains overlap; a row's last
+/// edges run one at a time.
+fn edge_dots(out: &mut Vec<f32>, dp: &[f32], z: &Matrix, cols: &[usize]) {
+    let mut groups = cols.chunks_exact(4);
+    for group in &mut groups {
+        let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|m| z.row(group[m]));
+        let mut acc = [0.0f32; 4];
+        for ((((&g, &b0), &b1), &b2), &b3) in dp.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            acc[0] += g * b0;
+            acc[1] += g * b1;
+            acc[2] += g * b2;
+            acc[3] += g * b3;
+        }
+        out.extend_from_slice(&acc);
+    }
+    for &j in groups.remainder() {
+        let mut acc = 0.0f32;
+        for (&g, &b) in dp.iter().zip(z.row(j)) {
+            acc += g * b;
+        }
+        out.push(acc);
     }
 }
 
@@ -423,15 +479,16 @@ mod tests {
     /// A random `n`-node view whose last node is isolated, with the
     /// dense adjacency it was built from: a symmetric graph-backed view,
     /// or a dense one with asymmetric and diagonal entries, some of them
-    /// at or below the 0.5 edge threshold.
-    fn random_view(seed: u64, n: usize, from_graph: bool) -> (GraphView, Matrix) {
+    /// at or below the 0.5 edge threshold. Each candidate edge is drawn
+    /// with probability `density`.
+    fn random_view(seed: u64, n: usize, density: f64, from_graph: bool) -> (GraphView, Matrix) {
         let mut rng = StdRng::seed_from_u64(seed);
         let linked = n - 1;
         if from_graph {
             let mut edges = Vec::new();
             for i in 0..linked {
                 for j in (i + 1)..linked {
-                    if rng.gen_bool(0.35) {
+                    if rng.gen_bool(density) {
                         edges.push((i, j));
                     }
                 }
@@ -442,7 +499,7 @@ mod tests {
             let mut adj = Matrix::zeros(n, n);
             for i in 0..linked {
                 for j in 0..linked {
-                    if rng.gen_bool(0.35) {
+                    if rng.gen_bool(density) {
                         adj[(i, j)] = [1.0, 0.7, 0.5, 0.3][rng.gen_range(0..4usize)];
                     }
                 }
@@ -451,21 +508,33 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Layer widths the oracle test draws from: a small layer, and the
+    /// trainer's hidden (24 → 16) and output (16 → 9) GAT layers, whose
+    /// widths take the row kernels' fixed-width forms.
+    const WIDTHS: [(usize, usize); 3] = [(4, 3), (24, 16), (16, 9)];
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Up to 80 nodes at densities from edgeless to 0.4: rows hold
+        // from one edge (the isolated node's self loop) to dozens, so
+        // the backward pass's four-edge dot groups and its one-edge
+        // remainder both run.
         #[test]
         fn sparse_attention_bit_identical_to_dense_oracle(
             seed in 0u64..100_000,
-            n in 1usize..14,
+            n in 1usize..=80,
+            density in 0.0f64..0.4,
+            widths in 0usize..WIDTHS.len(),
             from_graph in any::<bool>(),
             output_layer in any::<bool>(),
         ) {
-            let (view, adj) = random_view(seed, n, from_graph);
+            let (view, adj) = random_view(seed, n, density, from_graph);
+            let (in_dim, out_dim) = WIDTHS[widths];
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
-            let layer = GatLayer::new(4, 3, &mut rng);
-            let x = init::normal(n, 4, 1.5, &mut rng);
-            let grad_out = init::normal(n, 3, 1.0, &mut rng);
+            let layer = GatLayer::new(in_dim, out_dim, &mut rng);
+            let x = init::normal(n, in_dim, 1.5, &mut rng);
+            let grad_out = init::normal(n, out_dim, 1.0, &mut rng);
 
             let (out, cache) = layer.forward(&view, &x, &IdealReader, 0, output_layer);
             let (dense_out, dense_cache) = dense_oracle::forward(&layer, &adj, &x, output_layer);

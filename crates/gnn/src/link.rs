@@ -87,11 +87,15 @@ pub fn bce_loss_and_grad(
                 -((1.0 - p).max(1e-12)).ln()
             };
             loss += (scale * l) as f64;
-            // dL/ds = p - t, then ds/de_u = e_v, ds/de_v = e_u.
+            // dL/ds = p - t, then ds/de_u = e_v, ds/de_v = e_u. The u row
+            // takes its term before the v row, so a pair (u, u) adds
+            // both to one row in that order.
             let ds = scale * (p - target);
-            for c in 0..embeddings.cols() {
-                grad[(u, c)] += ds * embeddings[(v, c)];
-                grad[(v, c)] += ds * embeddings[(u, c)];
+            for (g, &e) in grad.row_mut(u).iter_mut().zip(embeddings.row(v)) {
+                *g += ds * e;
+            }
+            for (g, &e) in grad.row_mut(v).iter_mut().zip(embeddings.row(u)) {
+                *g += ds * e;
             }
         }
     };
@@ -103,8 +107,13 @@ pub fn bce_loss_and_grad(
 /// Area under the ROC curve given scores of positive and negative pairs.
 ///
 /// Computed exactly as the fraction of (positive, negative) score pairs
-/// ranked correctly (ties count ½). Returns 0.5 when either set is
-/// empty.
+/// ranked correctly (ties count ½; a NaN score wins and ties with
+/// nothing). Returns 0.5 when either set is empty.
+///
+/// The negatives are sorted once and each positive counts the ones below
+/// and equal to it by binary search, in `O((P + N) log N)`. Wins and
+/// ties are whole counts, so the result is the same `f64` that summing
+/// every pair's 1 or ½ gives in any order.
 ///
 /// # Example
 ///
@@ -118,22 +127,91 @@ pub fn auc(positive_scores: &[f32], negative_scores: &[f32]) -> f64 {
     if positive_scores.is_empty() || negative_scores.is_empty() {
         return 0.5;
     }
-    let mut wins = 0.0f64;
+    // `total_cmp` keeps -0.0 and +0.0 adjacent, so `< p` and `<= p` each
+    // hold on a prefix of the sorted negatives.
+    let mut negatives: Vec<f32> = negative_scores
+        .iter()
+        .copied()
+        .filter(|n| !n.is_nan())
+        .collect();
+    negatives.sort_unstable_by(f32::total_cmp);
+    let (mut wins, mut ties) = (0usize, 0usize);
     for &p in positive_scores {
-        for &n in negative_scores {
-            if p > n {
-                wins += 1.0;
-            } else if p == n {
-                wins += 0.5;
-            }
-        }
+        let below = negatives.partition_point(|&n| n < p);
+        wins += below;
+        ties += negatives.partition_point(|&n| n <= p) - below;
     }
-    wins / (positive_scores.len() * negative_scores.len()) as f64
+    (wins as f64 + 0.5 * ties as f64) / (positive_scores.len() * negative_scores.len()) as f64
 }
 
 #[cfg(test)]
 mod tests {
+    use fare_rt::prop::prelude::*;
+    use fare_rt::rand::rngs::StdRng;
+    use fare_rt::rand::{Rng, SeedableRng};
+
     use super::*;
+
+    /// The quadratic AUC the sorted count replaced, kept as its oracle:
+    /// every (positive, negative) pair adds 1 for a win and ½ for a tie.
+    fn pairwise_auc(positive_scores: &[f32], negative_scores: &[f32]) -> f64 {
+        if positive_scores.is_empty() || negative_scores.is_empty() {
+            return 0.5;
+        }
+        let mut wins = 0.0f64;
+        for &p in positive_scores {
+            for &n in negative_scores {
+                if p > n {
+                    wins += 1.0;
+                } else if p == n {
+                    wins += 0.5;
+                }
+            }
+        }
+        wins / (positive_scores.len() * negative_scores.len()) as f64
+    }
+
+    /// `len` scores drawn mostly from a few repeated values, so ties are
+    /// common, with signed zeros, infinities and NaNs of both signs among
+    /// them (`total_cmp` sorts a negative NaN first, a positive one last).
+    fn tied_scores(len: usize, rng: &mut StdRng) -> Vec<f32> {
+        const POOL: [f32; 9] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            1.0,
+            -1.0,
+            0.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        (0..len)
+            .map(|_| {
+                if rng.gen_bool(0.7) {
+                    POOL[rng.gen_range(0..POOL.len())]
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn sorted_auc_bit_identical_to_pairwise_oracle(
+            seed in 0u64..1_000_000,
+            positives in 0usize..40,
+            negatives in 0usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pos = tied_scores(positives, &mut rng);
+            let neg = tied_scores(negatives, &mut rng);
+            prop_assert_eq!(auc(&pos, &neg).to_bits(), pairwise_auc(&pos, &neg).to_bits());
+        }
+    }
 
     fn embeddings() -> Matrix {
         Matrix::from_rows(&[&[1.0, 0.0], &[0.9, 0.1], &[0.0, 1.0], &[-0.1, 0.9]])
@@ -204,6 +282,8 @@ mod tests {
         assert_eq!(auc(&[1.0], &[5.0]), 0.0);
         assert_eq!(auc(&[], &[1.0]), 0.5);
         assert_eq!(auc(&[1.0, 1.0], &[1.0]), 0.5);
+        assert_eq!(auc(&[0.0], &[-0.0]), 0.5);
+        assert_eq!(auc(&[f32::NAN, 2.0], &[1.0, f32::NAN]), 0.25);
     }
 
     #[test]

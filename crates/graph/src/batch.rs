@@ -70,9 +70,11 @@ impl MiniBatch {
     ///
     /// Panics if any node id is out of range for `features`.
     pub fn gather_features(&self, features: &Matrix) -> Matrix {
-        Matrix::from_fn(self.nodes.len(), features.cols(), |r, c| {
-            features[(self.nodes[r], c)]
-        })
+        let mut data = Vec::with_capacity(self.nodes.len() * features.cols());
+        for &u in &self.nodes {
+            data.extend_from_slice(features.row(u));
+        }
+        Matrix::from_vec(self.nodes.len(), features.cols(), data)
     }
 
     /// Gathers the labels of this batch's nodes.

@@ -125,6 +125,7 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics if `u >= num_nodes()`.
+    #[inline]
     pub fn neighbors(&self, u: usize) -> &[usize] {
         assert!(u < self.num_nodes(), "node {u} out of range");
         &self.neighbors[self.offsets[u]..self.offsets[u + 1]]
@@ -140,6 +141,7 @@ impl CsrGraph {
     }
 
     /// `true` if the undirected edge `{u, v}` exists.
+    #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         u < self.num_nodes() && self.neighbors(u).binary_search(&v).is_ok()
     }

@@ -183,6 +183,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[inline]
     pub fn row_indices(&self, r: usize) -> &[usize] {
         assert!(r < self.rows, "row {r} out of range");
         &self.indices[self.offsets[r]..self.offsets[r + 1]]

@@ -68,6 +68,7 @@ impl FixedFormat {
     }
 
     /// Smallest representable positive increment.
+    #[inline]
     pub fn resolution(&self) -> f32 {
         1.0 / (1i32 << self.frac_bits) as f32
     }
@@ -78,6 +79,7 @@ impl FixedFormat {
     }
 
     /// Encodes an `f32` with saturation (NaN encodes to zero).
+    #[inline]
     pub fn encode(&self, value: f32) -> Fixed16 {
         if value.is_nan() {
             return Fixed16(0);
@@ -89,11 +91,13 @@ impl FixedFormat {
     }
 
     /// Decodes a [`Fixed16`] back to `f32`.
+    #[inline]
     pub fn decode(&self, value: Fixed16) -> f32 {
         value.0 as f32 * self.resolution()
     }
 
     /// Convenience round-trip: quantises `value` to this format's grid.
+    #[inline]
     pub fn quantise(&self, value: f32) -> f32 {
         self.decode(self.encode(value))
     }

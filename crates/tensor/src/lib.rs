@@ -10,8 +10,9 @@
 //!   by ReRAM-based PIM accelerators, together with the 2-bit-per-cell
 //!   slicing that determines how stuck-at faults corrupt a stored weight.
 //! - [`init`]: weight initialisers (Xavier/Glorot, He, uniform).
-//! - [`kernel`]: the one register-accumulator row kernel every dense and
-//!   sparse product runs on.
+//! - [`kernel`]: the register-accumulator row kernels (one row, or two
+//!   rows sharing their term rows) every dense and sparse product runs
+//!   on.
 //!
 //! # Example
 //!

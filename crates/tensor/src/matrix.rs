@@ -3,7 +3,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 use fare_rt::json::{field, FromJson, Json, JsonError};
 
-use crate::kernel::accumulate_row;
+use crate::kernel::{accumulate_row, accumulate_row_pair};
 use crate::ShapeError;
 
 /// A dense, row-major `f32` matrix.
@@ -172,6 +172,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -182,6 +183,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
@@ -290,17 +292,10 @@ impl Matrix {
             return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
         }
         let mut out = Self::zeros(self.rows, rhs.cols);
-        let (inner, rhs_cols) = (self.cols, rhs.cols);
-        // Output row i is Σ_k lhs[i][k] · rhs row k, ascending k, through
-        // the one row kernel. Nothing skips zero terms: sparse operands
-        // go through `CsrMatrix::spmm`. A zero-width output has no rows.
-        for (i, out_row) in out.data.chunks_exact_mut(rhs_cols.max(1)).enumerate() {
-            let lhs_row = &self.data[i * inner..(i + 1) * inner];
-            accumulate_row(
-                out_row,
-                lhs_row.iter().copied().zip(rhs.data.chunks_exact(rhs_cols)),
-            );
-        }
+        let inner = self.cols;
+        // Output row i is Σ_k lhs[i][k] · rhs row k, ascending k. Nothing
+        // skips zero terms: sparse operands go through `CsrMatrix::spmm`.
+        combine_rows(&mut out, rhs, |i, k| self.data[i * inner + k]);
         Ok(out)
     }
 
@@ -327,12 +322,9 @@ impl Matrix {
             rhs.shape()
         );
         let mut out = Self::zeros(self.cols, rhs.cols);
-        let (lhs_cols, rhs_cols) = (self.cols, rhs.cols);
+        let lhs_cols = self.cols;
         // Output row i is Σ_k lhs[k][i] · rhs row k, ascending k.
-        for (i, out_row) in out.data.chunks_exact_mut(rhs_cols.max(1)).enumerate() {
-            let lhs_column = self.data.chunks_exact(lhs_cols).map(|lhs_row| lhs_row[i]);
-            accumulate_row(out_row, lhs_column.zip(rhs.data.chunks_exact(rhs_cols)));
-        }
+        combine_rows(&mut out, rhs, |i, k| self.data[k * lhs_cols + i]);
         out
     }
 
@@ -440,9 +432,32 @@ impl Matrix {
     }
 }
 
+/// Writes every row `i` of `out` as `Σ_k coeff(i, k) · rhs row k` over
+/// ascending `k`: row pairs through
+/// [`accumulate_row_pair`](crate::kernel::accumulate_row_pair), an odd
+/// last row through [`accumulate_row`]. `out` is `rhs.cols()` wide.
+fn combine_rows(out: &mut Matrix, rhs: &Matrix, coeff: impl Fn(usize, usize) -> f32) {
+    // A zero-width output has no rows to visit.
+    let width = rhs.cols.max(1);
+    let rhs_rows = || rhs.data.chunks_exact(width).enumerate();
+    let mut pairs = out.data.chunks_exact_mut(2 * width);
+    for (p, pair) in (&mut pairs).enumerate() {
+        let (i0, i1) = (2 * p, 2 * p + 1);
+        let (out0, out1) = pair.split_at_mut(width);
+        let terms = rhs_rows().map(|(k, row)| ((coeff(i0, k), coeff(i1, k)), row));
+        accumulate_row_pair(out0, out1, terms);
+    }
+    let last = pairs.into_remainder();
+    if !last.is_empty() {
+        let i = out.rows - 1;
+        accumulate_row(last, rhs_rows().map(|(k, row)| (coeff(i, k), row)));
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
+    #[inline]
     fn index(&self, (r, c): (usize, usize)) -> &f32 {
         assert!(
             r < self.rows && c < self.cols,
@@ -455,6 +470,7 @@ impl Index<(usize, usize)> for Matrix {
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
+    #[inline]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
         assert!(
             r < self.rows && c < self.cols,

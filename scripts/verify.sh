@@ -99,11 +99,13 @@ FARE_RT_THREADS=3 cargo test -q --offline -p fare-graph --test partition_pins
 
 echo "==> row kernel against the plain-loop oracle across thread counts"
 # Every dense product and every aggregation computes its output rows
-# through one register-accumulator kernel. Property tests pin matmul,
-# t_matmul, matmul_t and spmm by to_bits to the plain loops the kernel
-# replaced, kept as test-only oracles, over every small shape, widths on
-# both sides of the 32-wide register cutoff, and signed zeros, NaN,
-# infinities and subnormals. The products are serial and must ignore
+# through the register-accumulator kernels: matmul and t_matmul two rows
+# at a time through the paired kernel, spmm one row at a time. Property
+# tests pin matmul, t_matmul, matmul_t and spmm by to_bits to the plain
+# loops the kernels replaced, kept as test-only oracles, over every
+# small shape (odd and even row counts), widths on both sides of the
+# 32-wide register cutoff, and signed zeros, NaN, infinities and
+# subnormals. The products are serial and must ignore
 # the thread count, so check a serial and an odd worker count.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- \
     bit_identical_to_loop_oracle
@@ -111,15 +113,23 @@ FARE_RT_THREADS=3 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- 
     bit_identical_to_loop_oracle
 
 echo "==> sparse GAT against the dense oracle across thread counts"
-# GAT attends over the view's CSR pattern; a property test pins its
-# output, attention and gradients bit for bit to the dense n x n GAT
-# kept as a test-only oracle. The sparse product P = S.Z is serial and
-# must ignore the thread count, so check a serial and an odd worker
-# count.
+# GAT attends over the view's CSR pattern in one fused pass per row,
+# forward and backward; a property test pins its output, attention and
+# gradients bit for bit to the dense n x n GAT kept as a test-only
+# oracle, at the trainer's layer widths and up to 80 nodes. The passes
+# are serial and must ignore the thread count, so check a serial and an
+# odd worker count.
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-gnn --lib -- \
     sparse_attention_bit_identical_to_dense_oracle
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-gnn --lib -- \
     sparse_attention_bit_identical_to_dense_oracle
+
+echo "==> sorted AUC against the pairwise oracle"
+# Link prediction's AUC sorts the negative scores once and counts each
+# positive's wins and ties by binary search. A property test pins it by
+# to_bits to the quadratic pairwise count, kept as a test-only oracle,
+# over heavily tied scores with signed zeros, infinities and NaN.
+cargo test -q --offline -p fare-gnn --lib -- sorted_auc_bit_identical_to_pairwise_oracle
 
 echo "==> sparse adjacency fault path against the dense oracle across thread counts"
 # Faulty runs pack each batch's CSR graph into the crossbar blocks,
