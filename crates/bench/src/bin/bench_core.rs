@@ -18,7 +18,7 @@
 //! `fare-report diff BENCH_core.json <fresh.json>` compares bench runs
 //! across PRs with the one code path.
 
-use fare_bench::{string_flag, time_ns};
+use fare_bench::{numeric_flag, string_flag, time_ns};
 use fare_gnn::{Gnn, GnnDims, IdealReader};
 use fare_graph::batch::make_batches;
 use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
@@ -56,15 +56,9 @@ fn fwd_bwd(model: &Gnn, view: &GraphView, x: &Matrix, labels: &[usize]) -> f32 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let n: usize = string_flag("--nodes")
-        .map(|v| v.parse().expect("numeric --nodes"))
-        .unwrap_or(if smoke { 2_000 } else { 20_000 });
-    let avg_degree: usize = string_flag("--avg-degree")
-        .map(|v| v.parse().expect("numeric --avg-degree"))
-        .unwrap_or(20);
-    let iters: usize = string_flag("--iters")
-        .map(|v| v.parse().expect("numeric --iters"))
-        .unwrap_or(if smoke { 1 } else { 3 });
+    let n: usize = numeric_flag("--nodes", if smoke { 2_000 } else { 20_000 });
+    let avg_degree: usize = numeric_flag("--avg-degree", 20);
+    let iters: usize = numeric_flag("--iters", if smoke { 1 } else { 3 });
     let out_path = string_flag("--out").unwrap_or_else(|| "BENCH_core.json".into());
     let threads = fare_rt::par::current_threads() as u64;
 

@@ -31,7 +31,7 @@
 //! `fare-report diff BENCH_mapping.json <fresh.json>` compares bench
 //! runs across PRs with the one code path.
 
-use fare_bench::{string_flag, time_ns, time_ns_with_input};
+use fare_bench::{numeric_flag, string_flag, time_ns, time_ns_with_input};
 use fare_core::mapping::reference;
 use fare_core::{
     corrupt_graph_mapped, map_blocks_cached, refresh_blocks_cached, AdjacencyBlocks, MappingConfig,
@@ -55,18 +55,10 @@ fn random_graph(nodes: usize, avg_degree: usize, seed: u64) -> CsrGraph {
 fn main() {
     let train = TrainConfig::default();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let nodes: usize = string_flag("--nodes")
-        .map(|v| v.parse().expect("numeric --nodes"))
-        .unwrap_or(60);
-    let n: usize = string_flag("--xbar-size")
-        .map(|v| v.parse().expect("numeric --xbar-size"))
-        .unwrap_or(train.crossbar_size);
-    let density: f64 = string_flag("--density")
-        .map(|v| v.parse().expect("numeric --density"))
-        .unwrap_or(0.05);
-    let iters: usize = string_flag("--iters")
-        .map(|v| v.parse().expect("numeric --iters"))
-        .unwrap_or(if smoke { 10 } else { 2_000 });
+    let nodes: usize = numeric_flag("--nodes", 60);
+    let n: usize = numeric_flag("--xbar-size", train.crossbar_size);
+    let density: f64 = numeric_flag("--density", 0.05);
+    let iters: usize = numeric_flag("--iters", if smoke { 10 } else { 2_000 });
     let out_path = string_flag("--out").unwrap_or_else(|| "BENCH_mapping.json".into());
     let threads = fare_rt::par::current_threads() as u64;
 

@@ -5,7 +5,7 @@
 //! Panel (a) is SA0:SA1 = 9:1, panel (b) is 1:1. Select with
 //! `--ratio 9:1` (default) or `--ratio 1:1`; `--ratio both` prints both.
 
-use fare_bench::{params_from_args, pct, render_table, string_flag};
+use fare_bench::{params_from_args, pct, render_table, string_flag, usage_error};
 use fare_core::experiments::{fig5, table2_workloads, AccuracyComparison};
 use fare_core::FaultStrategy;
 
@@ -53,7 +53,7 @@ fn main() {
         "9:1" => vec![(0.1, "(a) SA0:SA1 = 9:1")],
         "1:1" => vec![(0.5, "(b) SA0:SA1 = 1:1")],
         "both" => vec![(0.1, "(a) SA0:SA1 = 9:1"), (0.5, "(b) SA0:SA1 = 1:1")],
-        other => panic!("unknown --ratio {other}; use 9:1, 1:1 or both"),
+        other => usage_error(&format!("unknown --ratio {other}; use 9:1, 1:1 or both")),
     };
     let mut results = Vec::new();
     for (sa1, title) in panels {

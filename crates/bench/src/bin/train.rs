@@ -7,7 +7,7 @@
 //!     --density 0.05 --ratio 1:1 --epochs 30 [--post 0.01] [--seed 42]
 //! ```
 
-use fare_bench::{params_from_args, string_flag};
+use fare_bench::{numeric_flag, params_from_args, string_flag, usage_error};
 use fare_core::{run_fault_free, FaultStrategy, TrainConfig, Trainer};
 use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare_reram::FaultSpec;
@@ -18,7 +18,9 @@ fn parse_dataset(s: &str) -> DatasetKind {
         "reddit" => DatasetKind::Reddit,
         "amazon2m" | "amazon" => DatasetKind::Amazon2M,
         "ogbl" => DatasetKind::Ogbl,
-        other => panic!("unknown dataset {other}; use ppi|reddit|amazon2m|ogbl"),
+        other => usage_error(&format!(
+            "unknown dataset {other}; use ppi|reddit|amazon2m|ogbl"
+        )),
     }
 }
 
@@ -27,7 +29,7 @@ fn parse_model(s: &str) -> ModelKind {
         "gcn" => ModelKind::Gcn,
         "gat" => ModelKind::Gat,
         "sage" => ModelKind::Sage,
-        other => panic!("unknown model {other}; use gcn|gat|sage"),
+        other => usage_error(&format!("unknown model {other}; use gcn|gat|sage")),
     }
 }
 
@@ -38,17 +40,22 @@ fn parse_strategy(s: &str) -> Option<FaultStrategy> {
         "clip" | "clipping" => Some(FaultStrategy::ClippingOnly),
         "fare" => Some(FaultStrategy::FaRe),
         "ideal" | "fault-free" => None,
-        other => panic!("unknown strategy {other}; use unaware|nr|clip|fare|ideal"),
+        other => usage_error(&format!(
+            "unknown strategy {other}; use unaware|nr|clip|fare|ideal"
+        )),
     }
 }
 
+/// The SA1 fraction of an `SA0:SA1` ratio such as `9:1`.
 fn parse_ratio(s: &str) -> f64 {
-    let parts: Vec<&str> = s.split(':').collect();
-    assert_eq!(parts.len(), 2, "ratio must look like 9:1");
-    let sa0: f64 = parts[0].parse().expect("numeric SA0 ratio");
-    let sa1: f64 = parts[1].parse().expect("numeric SA1 ratio");
-    assert!(sa0 + sa1 > 0.0, "ratio must be positive");
-    sa1 / (sa0 + sa1)
+    let fraction = s.split_once(':').and_then(|(sa0, sa1)| {
+        let (sa0, sa1): (f64, f64) = (sa0.parse().ok()?, sa1.parse().ok()?);
+        Some(sa1 / (sa0 + sa1))
+    });
+    match fraction {
+        Some(f) if (0.0..=1.0).contains(&f) => f,
+        _ => usage_error(&format!("--ratio must look like 9:1, got {s:?}")),
+    }
 }
 
 fn main() {
@@ -56,16 +63,13 @@ fn main() {
     let dataset_kind = parse_dataset(&string_flag("--dataset").unwrap_or_else(|| "ppi".into()));
     let model = parse_model(&string_flag("--model").unwrap_or_else(|| "gcn".into()));
     let strategy = parse_strategy(&string_flag("--strategy").unwrap_or_else(|| "fare".into()));
-    let density: f64 = string_flag("--density")
-        .map(|v| v.parse().expect("numeric density"))
-        .unwrap_or(0.05);
+    let density: f64 = numeric_flag("--density", 0.05);
+    if !(0.0..=1.0).contains(&density) {
+        usage_error(&format!("--density must be in [0, 1], got {density}"));
+    }
     let sa1_fraction = parse_ratio(&string_flag("--ratio").unwrap_or_else(|| "9:1".into()));
-    let post: f64 = string_flag("--post")
-        .map(|v| v.parse().expect("numeric post-deployment density"))
-        .unwrap_or(0.0);
-    let theta: f32 = string_flag("--theta")
-        .map(|v| v.parse().expect("numeric clip threshold"))
-        .unwrap_or(1.0);
+    let post: f64 = numeric_flag("--post", 0.0);
+    let theta: f32 = numeric_flag("--theta", 1.0);
 
     let dataset = Dataset::generate(dataset_kind, params.seed);
     let config = TrainConfig {
@@ -77,6 +81,9 @@ fn main() {
         strategy: strategy.unwrap_or(FaultStrategy::FaRe),
         ..TrainConfig::default()
     };
+    if let Err(e) = config.validate() {
+        usage_error(&e);
+    }
 
     println!(
         "dataset {} ({} nodes, {} edges) | model {model} | {} | density {:.1}% (SA1 fraction {:.2}) | post +{:.1}% | θ={theta}",

@@ -15,42 +15,35 @@ use fare_core::experiments::ExperimentParams;
 
 /// Parses the common experiment flags from `std::env::args`.
 ///
-/// Unknown flags are ignored so binaries can add their own.
-///
-/// # Panics
-///
-/// Panics (with a usage message) when a flag's value is missing or not a
-/// number.
+/// Unknown flags are ignored so binaries can add their own. A flag whose
+/// value is missing or not a number is a [`usage_error`].
 pub fn params_from_args() -> ExperimentParams {
     let args: Vec<String> = std::env::args().collect();
-    params_from(&args)
+    params_from(&args).unwrap_or_else(|e| usage_error(&e))
 }
 
 /// Parses experiment flags from an explicit argument list (testable).
-///
-/// # Panics
-///
-/// Panics when a flag's value is missing or not a number.
-pub fn params_from(args: &[String]) -> ExperimentParams {
+/// Errors when a flag's value is missing or not a number.
+pub fn params_from(args: &[String]) -> Result<ExperimentParams, String> {
     let mut params = ExperimentParams::default();
     let mut i = 0;
     while i < args.len() {
-        let take = |i: usize| -> u64 {
+        let take = |i: usize| -> Result<u64, String> {
             args.get(i + 1)
                 .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("flag {} needs a numeric value", args[i]))
+                .ok_or_else(|| format!("flag {} needs a numeric value", args[i]))
         };
         match args[i].as_str() {
             "--epochs" => {
-                params.epochs = take(i) as usize;
+                params.epochs = take(i)? as usize;
                 i += 1;
             }
             "--trials" => {
-                params.trials = take(i) as usize;
+                params.trials = take(i)? as usize;
                 i += 1;
             }
             "--seed" => {
-                params.seed = take(i);
+                params.seed = take(i)?;
                 i += 1;
             }
             "--quick" => {
@@ -61,7 +54,25 @@ pub fn params_from(args: &[String]) -> ExperimentParams {
         }
         i += 1;
     }
-    params
+    Ok(params)
+}
+
+/// Reports a bad command line on stderr and exits with status 2, the
+/// usage-error code `fare-report` uses too.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// The value following `flag` parsed as a `T`, or `default` when the flag
+/// is absent; a value that does not parse is a [`usage_error`].
+pub fn numeric_flag<T: std::str::FromStr>(flag: &str, default: T) -> T {
+    match string_flag(flag) {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} needs a numeric value, got {v:?}"))),
+        None => default,
+    }
 }
 
 /// Writes a serialisable experiment result as pretty-printed JSON when
@@ -176,7 +187,7 @@ mod tests {
 
     #[test]
     fn defaults_without_flags() {
-        let p = params_from(&argv("prog"));
+        let p = params_from(&argv("prog")).unwrap();
         assert_eq!(p.epochs, 30);
         assert_eq!(p.trials, 3);
         assert_eq!(p.seed, 42);
@@ -184,7 +195,7 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let p = params_from(&argv("prog --epochs 50 --trials 5 --seed 7"));
+        let p = params_from(&argv("prog --epochs 50 --trials 5 --seed 7")).unwrap();
         assert_eq!(p.epochs, 50);
         assert_eq!(p.trials, 5);
         assert_eq!(p.seed, 7);
@@ -192,21 +203,23 @@ mod tests {
 
     #[test]
     fn quick_mode() {
-        let p = params_from(&argv("prog --quick"));
+        let p = params_from(&argv("prog --quick")).unwrap();
         assert_eq!(p.epochs, 8);
         assert_eq!(p.trials, 1);
     }
 
     #[test]
     fn ignores_unknown_flags() {
-        let p = params_from(&argv("prog --ratio 1:1 --epochs 9"));
+        let p = params_from(&argv("prog --ratio 1:1 --epochs 9")).unwrap();
         assert_eq!(p.epochs, 9);
     }
 
     #[test]
-    #[should_panic(expected = "needs a numeric value")]
-    fn missing_value_panics() {
-        params_from(&argv("prog --epochs"));
+    fn missing_or_non_numeric_value_is_an_error() {
+        for bad in ["prog --epochs", "prog --trials x", "prog --seed -1"] {
+            let err = params_from(&argv(bad)).unwrap_err();
+            assert!(err.contains("needs a numeric value"), "{bad}: {err}");
+        }
     }
 
     #[test]

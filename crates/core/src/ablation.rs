@@ -59,12 +59,6 @@ pub struct MatcherAblation {
     pub wall_time_ms: f64,
 }
 
-fare_rt::json_struct!(MatcherAblation {
-    matcher,
-    mapping_cost,
-    wall_time_ms
-});
-
 /// Sweeps the assignment solver on a standard instance.
 pub fn matcher_ablation(seed: u64, density: f64) -> Vec<MatcherAblation> {
     let (blocks, array) = mapping_instance(96, 16, 1.5, density, seed);
@@ -103,12 +97,6 @@ pub struct PruneAblation {
     pub sa1_cost: usize,
 }
 
-fare_rt::json_struct!(PruneAblation {
-    prune,
-    mapping_cost,
-    sa1_cost
-});
-
 /// Sweeps the pruning heuristic on a sparse instance (where the paper's
 /// 0.001-density blocks make it bite).
 pub fn prune_ablation(seed: u64, density: f64) -> Vec<PruneAblation> {
@@ -142,12 +130,6 @@ pub struct SlackAblation {
     pub mapping_cost: usize,
 }
 
-fare_rt::json_struct!(SlackAblation {
-    slack,
-    crossbars,
-    mapping_cost
-});
-
 /// Sweeps the crossbar over-provisioning slack: more spare crossbars give
 /// Algorithm 1 more placement freedom at area cost.
 pub fn slack_ablation(seed: u64, density: f64, slacks: &[f64]) -> Vec<SlackAblation> {
@@ -179,11 +161,6 @@ pub struct ClipAblation {
     pub accuracy: f64,
 }
 
-fare_rt::json_struct!(ClipAblation {
-    threshold,
-    accuracy
-});
-
 /// Sweeps the clip threshold θ under 5 % faults (1:1 ratio, the regime
 /// where clipping matters most).
 pub fn clip_threshold_ablation(params: &ExperimentParams, thresholds: &[f32]) -> Vec<ClipAblation> {
@@ -212,8 +189,6 @@ pub struct RefreshAblation {
     /// Final FARe test accuracy.
     pub accuracy: f64,
 }
-
-fare_rt::json_struct!(RefreshAblation { refresh, accuracy });
 
 /// FARe with vs without the per-epoch row-permutation refresh, under
 /// growing post-deployment faults.
@@ -246,12 +221,6 @@ pub struct LocalityAblation {
     /// Total mismatch cost paid for the locality.
     pub mapping_cost: usize,
 }
-
-fare_rt::json_struct!(LocalityAblation {
-    weight,
-    tile_spread,
-    mapping_cost
-});
 
 /// Sweeps the tile-locality weight λ: communication (tile spread) falls
 /// as λ rises, at the price of extra mismatches.
@@ -286,12 +255,6 @@ pub struct DepthAblation {
     /// Normalised execution time (deeper models add pipeline stages).
     pub normalized_time: f64,
 }
-
-fare_rt::json_struct!(DepthAblation {
-    depth,
-    accuracy,
-    normalized_time
-});
 
 /// Sweeps model depth under FARe with 3 % faults — deeper models add
 /// pipeline stages (timing) and more fault-exposed parameters

@@ -26,13 +26,6 @@ pub struct ClusteringOutcome {
     pub k: usize,
 }
 
-fare_rt::json_struct!(ClusteringOutcome {
-    purity,
-    nmi,
-    link_auc,
-    k
-});
-
 /// Trains an encoder self-supervised under `config`, clusters its
 /// embeddings into the dataset's community count, and scores against
 /// ground truth.

@@ -25,7 +25,7 @@ pub struct Workload {
     pub model: ModelKind,
 }
 
-fare_rt::json_struct!(Workload { dataset, model });
+fare_rt::json_struct_to!(Workload { dataset, model });
 
 impl std::fmt::Display for Workload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -59,12 +59,6 @@ pub struct ExperimentParams {
     /// graphs here need a few trials to tame fault-placement variance.
     pub trials: usize,
 }
-
-fare_rt::json_struct!(ExperimentParams {
-    epochs,
-    seed,
-    trials
-});
 
 impl Default for ExperimentParams {
     fn default() -> Self {
@@ -173,7 +167,7 @@ pub struct Fig3Case {
     pub accuracy: f64,
 }
 
-fare_rt::json_struct!(Fig3Case {
+fare_rt::json_struct_to!(Fig3Case {
     phase,
     polarity,
     accuracy
@@ -188,7 +182,7 @@ pub struct Fig3Result {
     pub cases: Vec<Fig3Case>,
 }
 
-fare_rt::json_struct!(Fig3Result { fault_free, cases });
+fare_rt::json_struct_to!(Fig3Result { fault_free, cases });
 
 impl Fig3Result {
     /// Accuracy of a specific bar.
@@ -266,7 +260,7 @@ pub struct Fig4Result {
     pub fare: Vec<Vec<f64>>,
 }
 
-fare_rt::json_struct!(Fig4Result {
+fare_rt::json_struct_to!(Fig4Result {
     densities,
     fault_free,
     unaware,
@@ -329,7 +323,7 @@ pub struct AccuracyCell {
     pub accuracy: f64,
 }
 
-fare_rt::json_struct!(AccuracyCell {
+fare_rt::json_struct_to!(AccuracyCell {
     workload,
     strategy,
     density,
@@ -351,7 +345,7 @@ pub struct AccuracyComparison {
     pub cells: Vec<AccuracyCell>,
 }
 
-fare_rt::json_struct!(AccuracyComparison {
+fare_rt::json_struct_to!(AccuracyComparison {
     sa1_fraction,
     post_deployment_density,
     fault_free,
@@ -485,7 +479,7 @@ pub struct Fig7Result {
     pub rows: Vec<(DatasetKind, NormalizedTimes)>,
 }
 
-fare_rt::json_struct!(Fig7Result { rows });
+fare_rt::json_struct_to!(Fig7Result { rows });
 
 /// Runs the Fig. 7 timing model with each dataset's paper-scale pipeline
 /// geometry.

@@ -445,23 +445,22 @@ mod tests {
     }
 
     #[test]
-    fn fabric_replaced_by_deserialised_copy_is_seen_by_next_read() {
+    fn fabric_replaced_through_fabric_mut_is_seen_by_next_read() {
         let m = model();
         let mut reader = FaultyWeightReader::for_model(&m, 16);
         let mut rng = StdRng::seed_from_u64(6);
         reader.inject(&FaultSpec::density(0.05), &mut rng);
         let w = m.param(0, 0);
         let before = reader.read(0, 0, w);
-        // A different fault pattern whose crossbars restart at version 0
-        // once deserialised: a cache keyed on fault versions would miss it.
+        // A whole fabric swapped in: the reader drops the cached overlay
+        // on `fabric_mut`, not on a fault-version change it cannot see.
         let mut other = reader.fabric(0, 0).clone();
         other.array_mut().clear_faults();
         other
             .array_mut()
             .crossbar_mut(0)
             .inject_fault(1, 0, StuckPolarity::StuckAtOne);
-        let text = fare_rt::json::to_string(&other).unwrap();
-        *reader.fabric_mut(0, 0) = fare_rt::json::from_str(&text).unwrap();
+        *reader.fabric_mut(0, 0) = other.clone();
         let after = reader.read(0, 0, w);
         assert_ne!(bits(&after), bits(&before));
         assert_eq!(bits(&after), bits(&other.corrupt(w)));

@@ -49,8 +49,6 @@ pub struct LinkEpochStats {
     pub auc: f64,
 }
 
-fare_rt::json_struct!(LinkEpochStats { epoch, loss, auc });
-
 /// Outcome of a link-prediction run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkOutcome {
@@ -64,13 +62,6 @@ pub struct LinkOutcome {
     /// global node id; nodes in batches the runner skipped stay zero).
     pub embeddings: Matrix,
 }
-
-fare_rt::json_struct!(LinkOutcome {
-    history,
-    final_auc,
-    test_edges,
-    embeddings
-});
 
 /// Up to `count` uniformly drawn node pairs that are not edges of
 /// `graph`.

@@ -76,12 +76,11 @@
 //! both bounds stay below the exact costs, pair by pair.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 use fare_graph::{CsrGraph, CsrMatrix};
 use fare_matching::{CostMatrix, Matcher};
 use fare_reram::{Crossbar, CrossbarArray, PackedRows, StuckPolarity};
-use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use fare_tensor::Matrix;
 
 /// Configuration of the mapping algorithm.
@@ -94,12 +93,6 @@ pub struct MappingConfig {
     /// Optional tile-locality term (extension beyond the paper).
     pub locality: Option<LocalityConfig>,
 }
-
-fare_rt::json_struct!(MappingConfig {
-    matcher,
-    prune,
-    locality
-});
 
 impl Default for MappingConfig {
     fn default() -> Self {
@@ -125,11 +118,6 @@ pub struct LocalityConfig {
     /// hop.
     pub weight: f64,
 }
-
-fare_rt::json_struct!(LocalityConfig {
-    crossbars_per_tile,
-    weight
-});
 
 impl LocalityConfig {
     /// Creates a locality term.
@@ -170,15 +158,6 @@ pub struct BlockPlacement {
     pub sa1_cost: usize,
 }
 
-fare_rt::json_struct!(BlockPlacement {
-    block_row,
-    block_col,
-    crossbar,
-    row_perm,
-    mismatch_cost,
-    sa1_cost
-});
-
 /// A complete fault-aware mapping `Π` of one adjacency matrix.
 #[derive(Debug, Clone)]
 pub struct Mapping {
@@ -186,83 +165,13 @@ pub struct Mapping {
     grid: usize,
     placements: Vec<BlockPlacement>,
     /// `grid × grid` row-major lookup: placement index of block
-    /// `(br, bc)`, or `u32::MAX` when absent. Derived; rebuilt on load.
+    /// `(br, bc)`, or `u32::MAX` when absent. Derived from `placements`.
     index: Vec<u32>,
 }
 
 impl PartialEq for Mapping {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && self.grid == other.grid && self.placements == other.placements
-    }
-}
-
-impl ToJson for Mapping {
-    fn to_json(&self) -> Json {
-        // Serialise only the semantic fields; the lookup index is
-        // rebuilt on load.
-        Json::Obj(vec![
-            ("n".to_string(), self.n.to_json()),
-            ("grid".to_string(), self.grid.to_json()),
-            ("placements".to_string(), self.placements.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Mapping {
-    /// Rejects anything [`map_adjacency`] and friends cannot produce: a
-    /// zero crossbar size, a placement count other than `grid²`, a block
-    /// outside the grid or placed twice, a crossbar used twice, or a
-    /// `row_perm` that is not a permutation of `0..n`.
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let n: usize = field(v, "n")?;
-        let grid: usize = field(v, "grid")?;
-        let placements: Vec<BlockPlacement> = field(v, "placements")?;
-        if n == 0 {
-            return Err(JsonError::new("mapping crossbar size must be positive"));
-        }
-        if grid.checked_mul(grid) != Some(placements.len()) {
-            return Err(JsonError::new(format!(
-                "mapping has {} placements for a {grid}x{grid} block grid",
-                placements.len()
-            )));
-        }
-        let mut blocks = vec![false; placements.len()];
-        let mut crossbars = HashSet::new();
-        for p in &placements {
-            if p.block_row >= grid || p.block_col >= grid {
-                return Err(JsonError::new(format!(
-                    "block ({}, {}) outside the {grid}x{grid} grid",
-                    p.block_row, p.block_col
-                )));
-            }
-            if std::mem::replace(&mut blocks[p.block_row * grid + p.block_col], true) {
-                return Err(JsonError::new(format!(
-                    "block ({}, {}) placed twice",
-                    p.block_row, p.block_col
-                )));
-            }
-            if !crossbars.insert(p.crossbar) {
-                return Err(JsonError::new(format!(
-                    "crossbar {} used twice",
-                    p.crossbar
-                )));
-            }
-            // Length first: `n` is untrusted, so size `seen` only once it
-            // is known to match data that was actually read.
-            let is_perm = p.row_perm.len() == n && {
-                let mut seen = vec![false; n];
-                p.row_perm
-                    .iter()
-                    .all(|&q| q < n && !std::mem::replace(&mut seen[q], true))
-            };
-            if !is_perm {
-                return Err(JsonError::new(format!(
-                    "row_perm of block ({}, {}) is not a permutation of 0..{n}",
-                    p.block_row, p.block_col
-                )));
-            }
-        }
-        Ok(Mapping::new(n, grid, placements))
     }
 }
 
@@ -2038,16 +1947,6 @@ mod tests {
             refresh_row_permutations_cached(&adj, &array, &warm, Matcher::BSuitor, &mut cache);
         let cold = refresh_row_permutations(&adj, &array, &mapping, Matcher::BSuitor);
         assert_eq!(warm, cold);
-    }
-
-    #[test]
-    fn mapping_json_round_trip_rebuilds_lookup() {
-        let adj = random_adj(16, 0.2, 80);
-        let array = faulty_array(4, 8, 0.05, 81);
-        let mapping = map_adjacency(&adj, &array, &MappingConfig::default());
-        let back = Mapping::from_json(&mapping.to_json()).unwrap();
-        assert_eq!(back, mapping);
-        assert_eq!(back.placement_for(1, 0), mapping.placement_for(1, 0));
     }
 
     proptest! {

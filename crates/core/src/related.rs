@@ -13,8 +13,6 @@ pub enum Overhead {
     High,
 }
 
-fare_rt::json_enum!(Overhead { Low, High });
-
 impl std::fmt::Display for Overhead {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -42,16 +40,6 @@ pub struct Technique {
     /// Mitigates post-deployment faults?
     pub post_deployment: bool,
 }
-
-fare_rt::json_struct_to!(Technique {
-    reference,
-    name,
-    training,
-    overhead,
-    combination,
-    aggregation,
-    post_deployment
-});
 
 /// The rows of Table I, in paper order, with FARe appended.
 pub fn table1() -> Vec<Technique> {

@@ -70,7 +70,7 @@ pub struct TrainConfig {
     pub post_refresh: bool,
 }
 
-fare_rt::json_struct!(TrainConfig {
+fare_rt::json_struct_to!(TrainConfig {
     model,
     hidden_dim,
     depth,
@@ -156,7 +156,7 @@ pub struct EpochStats {
     pub test_accuracy: f64,
 }
 
-fare_rt::json_struct!(EpochStats {
+fare_rt::json_struct_to!(EpochStats {
     epoch,
     loss,
     train_accuracy,
@@ -183,7 +183,7 @@ pub struct TrainOutcome {
     pub num_batches: usize,
 }
 
-fare_rt::json_struct!(TrainOutcome {
+fare_rt::json_struct_to!(TrainOutcome {
     history,
     final_train_accuracy,
     final_test_accuracy,

@@ -33,7 +33,7 @@ fn fig5_prepares_each_dataset_and_trial_once() {
 
     let (w, t, d) = (workloads.len() as u64, 2, densities.len() as u64);
     assert_eq!(CORE_EXPERIMENT_PREPARED.get(), w * t);
-    let runs = RunManifest::capture("fig5", params.seed, &0u32)
+    let runs = RunManifest::capture("fig5", params.seed, &0u64)
         .timers
         .into_iter()
         .find(|timer| timer.name == "core.trainer.run")

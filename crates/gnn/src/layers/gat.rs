@@ -35,12 +35,6 @@ pub struct GatLayer {
     attn_dst: Matrix,
 }
 
-fare_rt::json_struct!(GatLayer {
-    weight,
-    attn_src,
-    attn_dst
-});
-
 /// Forward-pass cache for [`GatLayer::backward`]. Per-edge values are
 /// stored in the entry order of the view's
 /// [`GraphView::attention_pattern`].

@@ -16,8 +16,6 @@ pub struct GcnLayer {
     weight: Matrix,
 }
 
-fare_rt::json_struct!(GcnLayer { weight });
-
 /// Forward-pass cache for [`GcnLayer::backward`].
 ///
 /// The propagation matrix Â is *not* cached here — it lives in the

@@ -14,8 +14,6 @@ pub struct SageLayer {
     w_neigh: Matrix,
 }
 
-fare_rt::json_struct!(SageLayer { w_self, w_neigh });
-
 /// Forward-pass cache for [`SageLayer::backward`].
 ///
 /// The propagation matrix Ā (and its transpose, which the backward

@@ -18,12 +18,6 @@ pub struct GnnDims {
     pub output: usize,
 }
 
-fare_rt::json_struct!(GnnDims {
-    input,
-    hidden,
-    output
-});
-
 /// Identity and shape of one model parameter, used to pre-allocate
 /// crossbar fabrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,21 +32,12 @@ pub struct ParamShape {
     pub cols: usize,
 }
 
-fare_rt::json_struct!(ParamShape {
-    layer,
-    param,
-    rows,
-    cols
-});
-
 #[derive(Debug, Clone, PartialEq)]
 enum Layer {
     Gcn(GcnLayer),
     Sage(SageLayer),
     Gat(GatLayer),
 }
-
-fare_rt::json_enum_newtype!(Layer { Gcn, Sage, Gat });
 
 impl Layer {
     fn param_shapes(&self) -> Vec<(usize, usize)> {
@@ -170,8 +155,6 @@ pub struct Gnn {
     dims: GnnDims,
     layers: Vec<Layer>,
 }
-
-fare_rt::json_struct!(Gnn { kind, dims, layers });
 
 impl Gnn {
     /// Builds a two-layer model of the given kind.

@@ -8,7 +8,6 @@
 //! sparse pattern, so no dense adjacency is built.
 //! [`MiniBatch::dense_adjacency`] remains for tests and dense oracles.
 
-use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::seq::SliceRandom;
 use fare_rt::rand::Rng;
 use fare_tensor::Matrix;
@@ -16,38 +15,12 @@ use fare_tensor::Matrix;
 use crate::{CsrGraph, Partitioning};
 
 /// One training mini-batch: a cluster-union induced subgraph.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MiniBatch {
     /// Global ids of the nodes in this batch; position = local id.
     pub nodes: Vec<usize>,
     /// Induced subgraph over `nodes` (local ids).
     pub graph: CsrGraph,
-}
-
-fare_rt::json_struct_to!(MiniBatch { nodes, graph });
-
-impl FromJson for MiniBatch {
-    /// Rejects a batch whose node list does not give every node of its
-    /// graph exactly one global id: a length other than the graph's node
-    /// count, or a repeated id. The graph itself is checked by
-    /// [`CsrGraph`]'s deserialiser.
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let nodes: Vec<usize> = field(v, "nodes")?;
-        let graph: CsrGraph = field(v, "graph")?;
-        if nodes.len() != graph.num_nodes() {
-            return Err(JsonError::new(format!(
-                "batch lists {} nodes for a graph of {}",
-                nodes.len(),
-                graph.num_nodes()
-            )));
-        }
-        let mut sorted = nodes.clone();
-        sorted.sort_unstable();
-        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-            return Err(JsonError::new(format!("node {} listed twice", w[0])));
-        }
-        Ok(Self { nodes, graph })
-    }
 }
 
 impl MiniBatch {

@@ -1,6 +1,5 @@
 use std::collections::BTreeSet;
 
-use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_tensor::Matrix;
 
 /// An undirected graph in compressed sparse row form.
@@ -23,52 +22,6 @@ use fare_tensor::Matrix;
 pub struct CsrGraph {
     offsets: Vec<usize>,
     neighbors: Vec<usize>,
-}
-
-fare_rt::json_struct_to!(CsrGraph { offsets, neighbors });
-
-impl FromJson for CsrGraph {
-    /// Rejects anything [`CsrGraph::from_edges`] cannot produce: offsets
-    /// that are empty, do not start at 0, decrease or do not end at the
-    /// neighbour count, and neighbour lists that are not strictly
-    /// ascending, leave the node range, hold a self loop or lack the
-    /// reverse edge.
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let offsets: Vec<usize> = field(v, "offsets")?;
-        let neighbors: Vec<usize> = field(v, "neighbors")?;
-        if offsets.first() != Some(&0) {
-            return Err(JsonError::new("graph offsets must start at 0"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(JsonError::new("graph offsets decrease"));
-        }
-        if offsets.last() != Some(&neighbors.len()) {
-            return Err(JsonError::new(format!(
-                "graph offsets end at {}, not at the {} neighbours",
-                offsets[offsets.len() - 1],
-                neighbors.len()
-            )));
-        }
-        let graph = Self { offsets, neighbors };
-        let n = graph.num_nodes();
-        for u in 0..n {
-            let list = graph.neighbors(u);
-            let bad = |what: &str| Err(JsonError::new(format!("node {u}: {what}")));
-            if list.windows(2).any(|w| w[0] >= w[1]) {
-                return bad("neighbours not strictly ascending");
-            }
-            if list.iter().any(|&v| v >= n) {
-                return bad("neighbour out of range");
-            }
-            if list.contains(&u) {
-                return bad("self loop");
-            }
-            if list.iter().any(|&v| !graph.has_edge(v, u)) {
-                return bad("edge without its reverse");
-            }
-        }
-        Ok(graph)
-    }
 }
 
 impl CsrGraph {

@@ -187,24 +187,6 @@ pub struct DatasetSpec {
     pub models: &'static [ModelKind],
 }
 
-fare_rt::json_struct_to!(DatasetSpec {
-    kind,
-    name,
-    paper_nodes,
-    paper_edges,
-    paper_batch,
-    paper_partitions,
-    nodes,
-    communities,
-    p_in,
-    p_out,
-    hub_fraction,
-    feature_dim,
-    partitions,
-    clusters_per_batch,
-    models
-});
-
 /// A generated dataset: graph + features + labels + split.
 #[derive(Debug, Clone)]
 pub struct Dataset {

@@ -16,44 +16,16 @@
 //! adjacency matrices), and that is exactly what edge-cut minimisation
 //! produces.
 
-use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::seq::SliceRandom;
 use fare_rt::rand::Rng;
 
 use crate::CsrGraph;
 
 /// Assignment of every node to one of `num_parts` clusters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Partitioning {
     assignment: Vec<usize>,
     num_parts: usize,
-}
-
-fare_rt::json_struct_to!(Partitioning {
-    assignment,
-    num_parts
-});
-
-impl FromJson for Partitioning {
-    /// Rejects what [`Partitioning::new`] rejects: a part id `>=
-    /// num_parts`.
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let assignment: Vec<usize> = field(v, "assignment")?;
-        let num_parts: usize = field(v, "num_parts")?;
-        if let Some((u, &p)) = assignment
-            .iter()
-            .enumerate()
-            .find(|&(_, &p)| p >= num_parts)
-        {
-            return Err(JsonError::new(format!(
-                "node {u} is in part {p}, out of range for {num_parts} parts"
-            )));
-        }
-        Ok(Self {
-            assignment,
-            num_parts,
-        })
-    }
 }
 
 impl Partitioning {

@@ -19,8 +19,6 @@ pub struct CostMatrix {
     data: Vec<f64>,
 }
 
-fare_rt::json_struct!(CostMatrix { rows, cols, data });
-
 impl CostMatrix {
     /// Creates a cost matrix from a flat row-major vector.
     ///

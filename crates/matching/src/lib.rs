@@ -61,11 +61,6 @@ pub struct Assignment {
     pub total_cost: f64,
 }
 
-fare_rt::json_struct!(Assignment {
-    assignment,
-    total_cost
-});
-
 impl Assignment {
     /// Number of rows that received a column.
     pub fn matched_count(&self) -> usize {

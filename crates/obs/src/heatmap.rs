@@ -101,6 +101,37 @@ impl HeatmapGrid {
         Some(vals)
     }
 
+    /// Checks what renderers and totals rely on: every per-crossbar
+    /// array has one entry per cell, the `rows × cols` display shape
+    /// holds every cell, and no count total (SA0 plus SA1 included)
+    /// overflows `u64`.
+    pub fn check(&self) -> Result<(), String> {
+        let cells = self.cells();
+        let lens = [
+            self.sa1.len(),
+            self.mismatch.len(),
+            self.mvms.len(),
+            self.energy_nj.len(),
+        ];
+        if lens.iter().any(|&len| len != cells) {
+            return Err(format!("grid {:?}: arrays differ in length", self.name));
+        }
+        if self.rows.saturating_mul(self.cols) < cells as u64 {
+            return Err(format!(
+                "grid {:?}: a {}x{} display cannot hold {cells} cells",
+                self.name, self.rows, self.cols
+            ));
+        }
+        let total = |v: &[u64]| v.iter().try_fold(0u64, |sum, &x| sum.checked_add(x));
+        let faults = total(&self.sa0)
+            .zip(total(&self.sa1))
+            .and_then(|(a, b)| a.checked_add(b));
+        if faults.is_none() || total(&self.mismatch).is_none() || total(&self.mvms).is_none() {
+            return Err(format!("grid {:?}: a count total overflows u64", self.name));
+        }
+        Ok(())
+    }
+
     /// Metric names [`metric`](Self::metric) understands.
     pub fn metric_names() -> &'static [&'static str] {
         &["sa0", "sa1", "faults", "mismatch", "mvms", "energy"]

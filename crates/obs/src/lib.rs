@@ -580,7 +580,7 @@ mod tests {
             }
         });
         fare_rt::par::set_threads(0);
-        let timers = RunManifest::capture("unit", 0, &0u32).timers;
+        let timers = RunManifest::capture("unit", 0, &0u64).timers;
         set_clock(ClockMode::Wall);
         set_mode(Mode::Off);
         reset();
@@ -602,7 +602,7 @@ mod tests {
             let _s = trace::span("core.trainer.run");
             let _t = trace::span_arg("core.trainer.epoch", 0);
         }
-        assert!(RunManifest::capture("unit", 0, &0u32).timers.is_empty());
+        assert!(RunManifest::capture("unit", 0, &0u64).timers.is_empty());
         assert_eq!(trace::buffered(), 0);
     }
 
@@ -613,7 +613,7 @@ mod tests {
         reset();
         counters::CORE_REMAP_CACHE_HITS.add(3);
         record_epoch(0, 1.5, 0.4, 0.35);
-        let m = RunManifest::capture("unit", 9, &7u32).with_bench("secs", 0.25);
+        let m = RunManifest::capture("unit", 9, &7u64).with_bench("secs", 0.25);
         assert_eq!(m.counters.len(), 1);
         assert_eq!(m.counters[0].name, "core.remap_cache.hits");
         assert_eq!(m.epochs.len(), 1);

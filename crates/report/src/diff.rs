@@ -14,10 +14,11 @@ use std::collections::BTreeMap;
 /// Diff configuration.
 #[derive(Debug, Clone)]
 pub struct DiffOptions {
-    /// Relative tolerance: a line passes when
-    /// `|candidate - baseline| <= tolerance * |baseline|`
-    /// (so `0.0` demands exact equality, and any change away from a
-    /// zero baseline beyond exact equality fails).
+    /// Relative tolerance: a line passes when both sides are equal
+    /// (NaN on both sides included: a diverged loss diffs clean
+    /// against itself) or `|candidate - baseline| <= tolerance *
+    /// |baseline|` (so `0.0` demands exact equality, and any change
+    /// away from a zero baseline beyond exact equality fails).
     pub tolerance: f64,
     /// Skip `timer.ns` lines (wall-clock runs make them incomparable;
     /// fixed-clock runs keep them exact).
@@ -50,7 +51,8 @@ pub struct DiffLine {
 
 impl DiffLine {
     fn check(kind: &str, name: &str, baseline: f64, candidate: f64, tol: f64) -> DiffLine {
-        let within = (candidate - baseline).abs() <= tol * baseline.abs();
+        let within =
+            same(baseline, candidate) || (candidate - baseline).abs() <= tol * baseline.abs();
         DiffLine {
             kind: kind.to_string(),
             name: name.to_string(),
@@ -81,17 +83,20 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Lines beyond tolerance.
-    pub fn regressions(&self) -> usize {
+    /// Lines beyond tolerance, in either direction.
+    pub fn beyond_tolerance(&self) -> usize {
         self.lines.iter().filter(|l| !l.within).count()
     }
 
     /// True when every line is within tolerance — the gate condition.
     pub fn ok(&self) -> bool {
-        self.regressions() == 0
+        self.beyond_tolerance() == 0
     }
 
-    /// Markdown table; `only_changed` drops lines with zero delta.
+    /// Markdown table; `only_changed` drops lines whose sides are equal
+    /// (or both NaN). A line beyond tolerance reads `CHANGED` whichever
+    /// way it moved: the gate cannot tell a better value from a worse
+    /// one.
     pub fn to_markdown(&self, only_changed: bool) -> String {
         let mut out = String::new();
         for note in &self.notes {
@@ -105,7 +110,7 @@ impl DiffReport {
         let mut shown = 0usize;
         for l in &self.lines {
             let delta = l.candidate - l.baseline;
-            if only_changed && delta == 0.0 {
+            if only_changed && same(l.baseline, l.candidate) {
                 continue;
             }
             shown += 1;
@@ -121,7 +126,7 @@ impl DiffReport {
                 trim_float(l.baseline),
                 trim_float(l.candidate),
                 delta_text,
-                if l.within { "ok" } else { "REGRESSION" }
+                if l.within { "ok" } else { "CHANGED" }
             ));
         }
         if shown == 0 {
@@ -130,10 +135,15 @@ impl DiffReport {
         out.push_str(&format!(
             "\n{} quantities compared, {} beyond tolerance\n",
             self.lines.len(),
-            self.regressions()
+            self.beyond_tolerance()
         ));
         out
     }
+}
+
+/// Equal, or the same bits (NaN on both sides).
+fn same(a: f64, b: f64) -> bool {
+    a == b || a.to_bits() == b.to_bits()
 }
 
 fn trim_float(v: f64) -> String {
@@ -311,7 +321,7 @@ mod tests {
         let m = manifest(&[("a.b.c", 10), ("d.e.f", 0)]);
         let report = diff(&m, &m, &DiffOptions::default());
         assert!(report.ok());
-        assert_eq!(report.regressions(), 0);
+        assert_eq!(report.beyond_tolerance(), 0);
         assert!(report.notes.is_empty());
         assert!(report.to_markdown(true).contains("no differences"));
     }
@@ -394,7 +404,7 @@ mod tests {
         let mut b = a.clone();
         b.epochs[0].test_accuracy = 0.41;
         let report = diff(&a, &b, &DiffOptions::default());
-        assert_eq!(report.regressions(), 1);
+        assert_eq!(report.beyond_tolerance(), 1);
         assert!(diff(
             &a,
             &b,
@@ -412,6 +422,39 @@ mod tests {
             .lines
             .iter()
             .any(|l| l.kind == "epoch.count" && !l.within));
+    }
+
+    #[test]
+    fn nan_on_both_sides_is_within_tolerance() {
+        let mut a = manifest(&[]);
+        a.epochs.push(EpochRecord {
+            epoch: 0,
+            loss: f64::NAN,
+            train_accuracy: 0.5,
+            test_accuracy: 0.4,
+        });
+        a.bench.push(BenchEntry {
+            name: "loss".into(),
+            value: f64::NAN,
+        });
+        let report = diff(&a, &a, &DiffOptions::default());
+        assert!(report.ok(), "{}", report.to_markdown(false));
+        assert!(report.to_markdown(true).contains("no differences"));
+        // A NaN against a number is still a change.
+        let mut b = a.clone();
+        b.epochs[0].loss = 1.0;
+        assert_eq!(diff(&a, &b, &DiffOptions::default()).beyond_tolerance(), 1);
+    }
+
+    #[test]
+    fn changes_are_labelled_the_same_in_either_direction() {
+        let a = manifest(&[("x.y.z", 100)]);
+        let b = manifest(&[("x.y.z", 80)]);
+        for (base, cand) in [(&a, &b), (&b, &a)] {
+            let text = diff(base, cand, &DiffOptions::default()).to_markdown(true);
+            assert!(text.contains("| CHANGED |"), "{text}");
+            assert!(!text.contains("REGRESSION"), "{text}");
+        }
     }
 
     #[test]

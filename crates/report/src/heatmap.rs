@@ -18,13 +18,21 @@ fn normalise(values: &[f64]) -> (Vec<f64>, f64, f64) {
     (norm, lo, hi)
 }
 
-/// Render `grid`'s `metric` as an ASCII shade grid with a scale legend.
-/// Errors on an unknown metric name or an empty grid.
-pub fn ascii(grid: &HeatmapGrid, metric: &str) -> Result<String, String> {
+/// `grid`'s `metric` values.
+fn values(grid: &HeatmapGrid, metric: &str) -> Result<Vec<f64>, String> {
+    grid.check()?;
     let values = grid.metric(metric).ok_or_else(|| bad_metric(metric))?;
     if values.is_empty() {
         return Err("empty heatmap grid".to_string());
     }
+    Ok(values)
+}
+
+/// Render `grid`'s `metric` as an ASCII shade grid with a scale legend.
+/// Errors on an inconsistent grid (see [`HeatmapGrid::check`]), an
+/// unknown metric name or an empty grid.
+pub fn ascii(grid: &HeatmapGrid, metric: &str) -> Result<String, String> {
+    let values = values(grid, metric)?;
     let (norm, lo, hi) = normalise(&values);
     let cols = grid.cols as usize;
     let mut out = format!(
@@ -55,11 +63,9 @@ pub fn ascii(grid: &HeatmapGrid, metric: &str) -> Result<String, String> {
 }
 
 /// Render `grid`'s `metric` as an SVG cell grid with a colour bar.
+/// Errors as [`ascii`] does.
 pub fn svg(grid: &HeatmapGrid, metric: &str) -> Result<String, String> {
-    let values = grid.metric(metric).ok_or_else(|| bad_metric(metric))?;
-    if values.is_empty() {
-        return Err("empty heatmap grid".to_string());
-    }
+    let values = values(grid, metric)?;
     let (norm, lo, hi) = normalise(&values);
     let cols = grid.cols as usize;
     let rows = grid.rows as usize;
@@ -154,5 +160,19 @@ mod tests {
         let empty = HeatmapGrid::zeros("x", 0);
         assert!(ascii(&empty, "sa0").is_err());
         assert!(svg(&empty, "sa0").is_err());
+    }
+
+    #[test]
+    fn inconsistent_grids_error_instead_of_panicking() {
+        let mut no_cols = grid();
+        no_cols.cols = 0;
+        let mut overflow = grid();
+        overflow.sa0[0] = u64::MAX;
+        let mut ragged = grid();
+        ragged.mvms.pop();
+        for g in [no_cols, overflow, ragged] {
+            assert!(ascii(&g, "faults").is_err());
+            assert!(svg(&g, "faults").is_err());
+        }
     }
 }

@@ -32,8 +32,16 @@ use fare_obs::RunManifest;
 
 /// Parse a manifest from its pretty-JSON text (the format written by
 /// [`RunManifest::to_json_pretty`](fare_obs::RunManifest::to_json_pretty)).
+/// Rejects a heatmap grid that fails
+/// [`HeatmapGrid::check`](fare_obs::HeatmapGrid::check), so every
+/// analyzer here can render and total what this returns.
 pub fn parse_manifest(text: &str) -> Result<RunManifest, String> {
-    fare_rt::json::from_str(text).map_err(|e| format!("not a RunManifest: {e:?}"))
+    let manifest: RunManifest =
+        fare_rt::json::from_str(text).map_err(|e| format!("not a RunManifest: {e:?}"))?;
+    for grid in &manifest.heatmaps {
+        grid.check()?;
+    }
+    Ok(manifest)
 }
 
 /// FNV-1a 64-bit digest of a byte stream — stable fingerprint used by

@@ -26,10 +26,11 @@ pub fn to_markdown(m: &RunManifest) -> String {
         };
         let hits = get("core.remap_cache.hits");
         let misses = get("core.remap_cache.misses");
-        if hits + misses > 0 {
+        let lookups = hits as f64 + misses as f64;
+        if lookups > 0.0 {
             out.push_str(&format!(
                 "Derived: remap-cache hit rate {:.1}% ({hits} hits / {misses} misses)\n\n",
-                100.0 * hits as f64 / (hits + misses) as f64
+                100.0 * hits as f64 / lookups
             ));
         }
     }

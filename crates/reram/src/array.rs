@@ -1,4 +1,3 @@
-use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::Rng;
 
 use fare_tensor::fixed::StuckPolarity;
@@ -23,29 +22,10 @@ use crate::{poisson_sample, Crossbar, FaultSpec};
 /// array.inject(&FaultSpec::with_ratio(0.03, 9.0, 1.0), &mut rng);
 /// assert!((array.fault_density() - 0.03).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CrossbarArray {
     n: usize,
     crossbars: Vec<Crossbar>,
-}
-
-fare_rt::json_struct_to!(CrossbarArray { n, crossbars });
-
-impl FromJson for CrossbarArray {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let n: usize = field(v, "n")?;
-        let crossbars: Vec<Crossbar> = field(v, "crossbars")?;
-        if crossbars.is_empty() {
-            return Err(JsonError::new("crossbar array has no crossbars"));
-        }
-        if let Some((i, x)) = crossbars.iter().enumerate().find(|(_, x)| x.n() != n) {
-            return Err(JsonError::new(format!(
-                "crossbar {i} is {0}x{0} in an array of {n}x{n} crossbars",
-                x.n()
-            )));
-        }
-        Ok(Self { n, crossbars })
-    }
 }
 
 impl CrossbarArray {

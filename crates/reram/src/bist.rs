@@ -14,14 +14,12 @@ use fare_tensor::fixed::StuckPolarity;
 use crate::CrossbarArray;
 
 /// Snapshot of all detected faults, one sparse list per crossbar.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FaultMap {
     n: usize,
     /// `per_crossbar[j]` = sorted `(row, col, polarity)` triples.
     per_crossbar: Vec<Vec<(usize, usize, StuckPolarity)>>,
 }
-
-fare_rt::json_struct!(FaultMap { n, per_crossbar });
 
 impl FaultMap {
     /// Crossbar dimension the map was scanned from.

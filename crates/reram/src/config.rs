@@ -30,19 +30,6 @@ pub struct ChipConfig {
     pub bist_area_overhead: f64,
 }
 
-fare_rt::json_struct!(ChipConfig {
-    crossbar_size,
-    crossbars_per_tile,
-    frequency_hz,
-    bits_per_cell,
-    comparators,
-    comparator_frequency_hz,
-    muxes,
-    tile_power_w,
-    tile_area_mm2,
-    bist_area_overhead
-});
-
 impl ChipConfig {
     /// The exact Table III configuration from the paper.
     ///

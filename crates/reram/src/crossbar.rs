@@ -1,4 +1,3 @@
-use fare_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use fare_tensor::fixed::StuckPolarity;
 use fare_tensor::Matrix;
 
@@ -11,9 +10,9 @@ use fare_tensor::Matrix;
 /// programmed.
 ///
 /// Fault state is kept in two synchronised representations: sparse
-/// per-row `(column, polarity)` lists (the query/serialisation format)
-/// and packed per-row `u64` bit planes, one for each polarity, which turn
-/// the mapping pipeline's mismatch counts into a handful of popcounts
+/// per-row `(column, polarity)` lists (the query format) and packed
+/// per-row `u64` bit planes, one for each polarity, which turn the
+/// mapping pipeline's mismatch counts into a handful of popcounts
 /// (see [`Crossbar::row_mismatch_packed`]). Fault totals are cached and
 /// a monotone [`Crossbar::fault_version`] counter is bumped on every
 /// mutation so callers can cache work keyed on fault state.
@@ -47,54 +46,6 @@ pub struct Crossbar {
     sa1: usize,
     /// Bumped on every `inject_fault` / `clear_faults`.
     version: u64,
-}
-
-/// Two crossbars are equal when their fault state is: the packed planes,
-/// counts and version are derived/bookkeeping state, not identity.
-impl PartialEq for Crossbar {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.rows == other.rows
-    }
-}
-
-impl ToJson for Crossbar {
-    fn to_json(&self) -> Json {
-        // Serialise only the semantic fields; the packed planes, cached
-        // counts and version counter are rebuilt on load.
-        Json::Obj(vec![
-            ("n".to_string(), self.n.to_json()),
-            ("rows".to_string(), self.rows.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Crossbar {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let n: usize = field(v, "n")?;
-        let rows: Vec<Vec<(usize, StuckPolarity)>> = field(v, "rows")?;
-        if n == 0 {
-            return Err(JsonError::new("crossbar size must be positive"));
-        }
-        if rows.len() != n {
-            return Err(JsonError::new(format!(
-                "crossbar has {} fault rows for dimension {n}",
-                rows.len()
-            )));
-        }
-        let mut xbar = Crossbar::new(n);
-        for (r, row) in rows.into_iter().enumerate() {
-            for (c, pol) in row {
-                if c >= n {
-                    return Err(JsonError::new(format!(
-                        "fault column {c} out of range for crossbar {n}"
-                    )));
-                }
-                xbar.place_fault(r, c, pol);
-            }
-        }
-        xbar.version = 0;
-        Ok(xbar)
-    }
 }
 
 impl Crossbar {
@@ -139,13 +90,6 @@ impl Crossbar {
             StuckPolarity::StuckAtZero => fare_obs::counters::RERAM_FAULTS_INJECTED_SA0.incr(),
             StuckPolarity::StuckAtOne => fare_obs::counters::RERAM_FAULTS_INJECTED_SA1.incr(),
         }
-        self.place_fault(r, c, polarity);
-    }
-
-    /// [`inject_fault`](Self::inject_fault) without telemetry: used when
-    /// rebuilding a crossbar from its serialised fault map, which is a
-    /// reconstruction, not a physical injection event.
-    fn place_fault(&mut self, r: usize, c: usize, polarity: StuckPolarity) {
         assert!(r < self.n && c < self.n, "fault ({r},{c}) out of range");
         let row = &mut self.rows[r];
         match row.binary_search_by_key(&c, |&(col, _)| col) {
@@ -630,23 +574,6 @@ mod tests {
         x.inject_fault(0, 0, StuckPolarity::StuckAtOne);
         x.clear_faults();
         assert_eq!(x.fault_count(), 0);
-    }
-
-    #[test]
-    fn json_round_trip_rebuilds_derived_state() {
-        let mut x = Crossbar::new(70);
-        x.inject_fault(3, 65, StuckPolarity::StuckAtOne);
-        x.inject_fault(3, 2, StuckPolarity::StuckAtZero);
-        x.inject_fault(69, 0, StuckPolarity::StuckAtOne);
-        let text = fare_rt::json::to_string(&x).unwrap();
-        let back: Crossbar = fare_rt::json::from_str(&text).unwrap();
-        assert_eq!(back, x);
-        assert_eq!(back.fault_count(), 3);
-        assert_eq!(back.sa0_count(), 1);
-        assert_eq!(back.sa1_count(), 2);
-        assert_eq!(back.sa0_row_bits(3), x.sa0_row_bits(3));
-        assert_eq!(back.sa1_row_bits(3), x.sa1_row_bits(3));
-        assert_eq!(back.sa1_row_bits(69), x.sa1_row_bits(69));
     }
 
     #[test]

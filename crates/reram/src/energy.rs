@@ -24,14 +24,6 @@ pub struct EnergyReport {
     pub energy_j: f64,
 }
 
-fare_rt::json_struct!(EnergyReport {
-    tiles,
-    area_mm2,
-    power_w,
-    exec_time_s,
-    energy_j
-});
-
 /// Computes the energy/area report for a training run needing
 /// `crossbars` crossbars with the pipelined schedule `pipeline`.
 ///

@@ -17,7 +17,7 @@ pub struct FaultSpec {
     pub sa1_fraction: f64,
 }
 
-fare_rt::json_struct!(FaultSpec {
+fare_rt::json_struct_to!(FaultSpec {
     density,
     sa1_fraction
 });

@@ -25,14 +25,6 @@ pub struct Schedule {
     pub epochs: usize,
 }
 
-fare_rt::json_struct!(Schedule {
-    batches,
-    stages,
-    stall_after_batch,
-    epoch_service,
-    epochs
-});
-
 impl Schedule {
     /// Creates a schedule.
     ///
@@ -76,12 +68,6 @@ pub struct SimResult {
     /// Pipeline utilisation: busy stage-slots / (stages × total cycles).
     pub utilization: f64,
 }
-
-fare_rt::json_struct!(SimResult {
-    total_cycles,
-    busy_cycles,
-    utilization
-});
 
 /// Simulates the schedule cycle by cycle.
 ///

@@ -30,13 +30,6 @@ pub struct PipelineSpec {
     pub epochs: usize,
 }
 
-fare_rt::json_struct!(PipelineSpec {
-    num_batches,
-    num_stages,
-    stage_delay_s,
-    epochs
-});
-
 impl PipelineSpec {
     /// Creates a spec.
     ///
@@ -70,13 +63,6 @@ pub struct TimingModel {
     /// Per-epoch BIST scan charge as a fraction of epoch time (~0.13 %).
     pub bist_fraction: f64,
 }
-
-fare_rt::json_struct!(TimingModel {
-    spec,
-    nr_stall_stages,
-    fare_preprocess_fraction,
-    bist_fraction
-});
 
 impl TimingModel {
     /// Model with the paper's overhead constants.
@@ -143,7 +129,7 @@ pub struct NormalizedTimes {
     pub fare: f64,
 }
 
-fare_rt::json_struct!(NormalizedTimes {
+fare_rt::json_struct_to!(NormalizedTimes {
     fault_free,
     clipping,
     neuron_reordering,

@@ -23,8 +23,6 @@ pub struct VariationSpec {
     pub sigma: f64,
 }
 
-fare_rt::json_struct!(VariationSpec { sigma });
-
 impl VariationSpec {
     /// Creates a spec.
     ///
@@ -42,8 +40,6 @@ impl VariationSpec {
 pub struct VariationField {
     factors: Matrix,
 }
-
-fare_rt::json_struct!(VariationField { factors });
 
 impl VariationField {
     /// Draws a `rows × cols` field from `spec`.

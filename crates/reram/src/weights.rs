@@ -16,7 +16,6 @@
 //! until the faults or the placement change pays one quantise plus a
 //! sparse patch per read.
 
-use fare_rt::json::{field, FromJson, Json, JsonError};
 use fare_rt::rand::Rng;
 
 use fare_tensor::fixed::CELLS_PER_WORD;
@@ -42,7 +41,7 @@ use crate::{CrossbarArray, FaultSpec};
 /// let faulty = fabric.corrupt(&w);
 /// assert_eq!(faulty.shape(), (16, 8));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct WeightFabric {
     fmt: FixedFormat,
     rows: usize,
@@ -52,67 +51,6 @@ pub struct WeightFabric {
     grid_rows: usize,
     grid_cols: usize,
     array: CrossbarArray,
-}
-
-fare_rt::json_struct_to!(WeightFabric {
-    fmt,
-    rows,
-    cols,
-    n,
-    weights_per_row,
-    grid_rows,
-    grid_cols,
-    array
-});
-
-/// Rejects a fabric whose stored geometry disagrees with its shape and
-/// crossbar size, which would otherwise index out of bounds on the first
-/// read.
-impl FromJson for WeightFabric {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let fabric = Self {
-            fmt: field(v, "fmt")?,
-            rows: field(v, "rows")?,
-            cols: field(v, "cols")?,
-            n: field(v, "n")?,
-            weights_per_row: field(v, "weights_per_row")?,
-            grid_rows: field(v, "grid_rows")?,
-            grid_cols: field(v, "grid_cols")?,
-            array: field(v, "array")?,
-        };
-        let (rows, cols, n) = (fabric.rows, fabric.cols, fabric.n);
-        if rows == 0 || cols == 0 {
-            return Err(JsonError::new(format!(
-                "weight matrix {rows}x{cols} is empty"
-            )));
-        }
-        if n == 0 || n % CELLS_PER_WORD != 0 {
-            return Err(JsonError::new(format!(
-                "crossbar size {n} must be a positive multiple of {CELLS_PER_WORD} cells/weight"
-            )));
-        }
-        let expected = (
-            n / CELLS_PER_WORD,
-            rows.div_ceil(n),
-            cols.div_ceil(n / CELLS_PER_WORD),
-        );
-        let stored = (fabric.weights_per_row, fabric.grid_rows, fabric.grid_cols);
-        if stored != expected {
-            return Err(JsonError::new(format!(
-                "(weights_per_row, grid_rows, grid_cols) = {stored:?} does not fit \
-                 {rows}x{cols} weights on {n}x{n} crossbars, expected {expected:?}"
-            )));
-        }
-        if fabric.array.n() != n || fabric.array.len() != expected.1 * expected.2 {
-            return Err(JsonError::new(format!(
-                "fabric needs {} crossbars of size {n}, array has {} of size {}",
-                expected.1 * expected.2,
-                fabric.array.len(),
-                fabric.array.n()
-            )));
-        }
-        Ok(fabric)
-    }
 }
 
 /// A fabric's stuck cells under one row placement, folded into one

@@ -1,18 +1,20 @@
 //! Minimal JSON tree, parser and serializer — the subset of
 //! `serde`/`serde_json` the workspace uses.
 //!
-//! Types opt in with the [`ToJson`]/[`FromJson`] traits; the
-//! [`json_struct!`](crate::json_struct), [`json_enum!`](crate::json_enum),
-//! [`json_enum_newtype!`](crate::json_enum_newtype) and
-//! [`json_newtype!`](crate::json_newtype) macros generate both impls from
-//! a field/variant list, replacing `#[derive(Serialize, Deserialize)]`.
+//! JSON is a boundary format only: the binaries write results, run
+//! manifests and traces with [`ToJson`], and the readers a binary runs
+//! (`fare_report::parse_manifest`, `TraceLog::from_jsonl`) decode them
+//! with [`FromJson`]. No crossbar, mapping, graph or model is serialised:
+//! those never leave the process. The
+//! [`json_struct!`](crate::json_struct) and [`json_enum!`](crate::json_enum)
+//! macros generate both impls from a field/variant list;
+//! [`json_struct_to!`](crate::json_struct_to) generates the writer alone.
 //!
 //! Encoding matches `serde_json`'s external conventions: structs are
-//! objects, unit enum variants are strings, newtype variants are
-//! single-key objects, tuples are arrays, `Option::None` is `null`.
-//! Non-finite floats (NaN/±inf — e.g. from diverging faulty training)
-//! serialise to `null` instead of producing invalid JSON, and `null`
-//! deserialises back to NaN.
+//! objects, unit enum variants are strings, pairs are arrays,
+//! `Option::None` is `null`. Non-finite floats (NaN/±inf — e.g. from
+//! diverging faulty training) serialise to `null` instead of producing
+//! invalid JSON, and `null` deserialises back to NaN.
 //!
 //! Numbers are kept as their exact decimal token, so `u64` seeds
 //! round-trip losslessly and floats round-trip bit-exactly via Rust's
@@ -446,13 +448,13 @@ pub trait FromJson: Sized {
 }
 
 /// Serializes `value` compactly (mirrors `serde_json::to_string`).
-pub fn to_string<T: ToJson + ?Sized>(value: &T) -> Result<String, JsonError> {
+pub fn to_string<T: ToJson>(value: &T) -> Result<String, JsonError> {
     Ok(value.to_json().to_compact())
 }
 
 /// Serializes `value` with indentation (mirrors
 /// `serde_json::to_string_pretty`).
-pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String, JsonError> {
+pub fn to_string_pretty<T: ToJson>(value: &T) -> Result<String, JsonError> {
     Ok(value.to_json().to_pretty())
 }
 
@@ -470,30 +472,9 @@ pub fn field<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
     T::from_json(inner).map_err(|e| JsonError::new(format!("field `{name}`: {e}")))
 }
 
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl FromJson for Json {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(v.clone())
-    }
-}
-
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            other => Err(JsonError::new(format!("expected bool, got {other}"))),
-        }
     }
 }
 
@@ -509,18 +490,6 @@ impl FromJson for String {
             Json::Str(s) => Ok(s.clone()),
             other => Err(JsonError::new(format!("expected string, got {other}"))),
         }
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
     }
 }
 
@@ -548,7 +517,7 @@ macro_rules! json_int {
         }
     )+};
 }
-json_int!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
+json_int!(u64, usize);
 
 macro_rules! json_float {
     ($($t:ty),+) => {$(
@@ -587,34 +556,12 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         match v {
             Json::Arr(items) => items.iter().map(T::from_json).collect(),
             other => Err(JsonError::new(format!("expected array, got {other}"))),
         }
-    }
-}
-
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson, const N: usize> FromJson for [T; N] {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let items: Vec<T> = Vec::from_json(v)?;
-        let len = items.len();
-        items
-            .try_into()
-            .map_err(|_| JsonError::new(format!("expected array of {N}, got {len}")))
     }
 }
 
@@ -636,34 +583,13 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-macro_rules! json_tuple {
-    ($(($($name:ident : $idx:tt),+)),+) => {$(
-        impl<$($name: ToJson),+> ToJson for ($($name,)+) {
-            fn to_json(&self) -> Json {
-                Json::Arr(vec![$(self.$idx.to_json()),+])
-            }
-        }
-        impl<$($name: FromJson),+> FromJson for ($($name,)+) {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                const LEN: usize = [$($idx),+].len();
-                match v {
-                    Json::Arr(items) if items.len() == LEN => {
-                        Ok(($($name::from_json(&items[$idx])?,)+))
-                    }
-                    other => Err(JsonError::new(format!(
-                        "expected {LEN}-tuple, got {other}"
-                    ))),
-                }
-            }
-        }
-    )+};
+/// Pairs encode as two-element arrays (the `(workload, accuracy)` and
+/// `(dataset, times)` rows of the figure results).
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
 }
-json_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3)
-);
 
 // ---------------------------------------------------------------------
 // Impl-generating macros (the `#[derive(Serialize, Deserialize)]`
@@ -694,7 +620,7 @@ macro_rules! json_struct {
 }
 
 /// Serialize-only variant of [`json_struct!`](crate::json_struct), for
-/// types with non-deserializable fields (e.g. `&'static str`).
+/// types a binary writes but nothing reads back.
 #[macro_export]
 macro_rules! json_struct_to {
     ($ty:ident { $($field:ident),+ $(,)? }) => {
@@ -739,53 +665,6 @@ macro_rules! json_enum {
     };
 }
 
-/// Generates both traits for an enum of **newtype** variants, encoded as
-/// `{"VariantName": payload}` (serde's external tagging).
-#[macro_export]
-macro_rules! json_enum_newtype {
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                match self {
-                    $(Self::$variant(inner) => $crate::json::Json::Obj(vec![(
-                        stringify!($variant).to_string(),
-                        $crate::json::ToJson::to_json(inner),
-                    )])),+
-                }
-            }
-        }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                $(if let Some(inner) = v.get(stringify!($variant)) {
-                    return Ok(Self::$variant($crate::json::FromJson::from_json(inner)?));
-                })+
-                Err($crate::json::JsonError::new(format!(
-                    "unknown {} variant: {v}",
-                    stringify!($ty)
-                )))
-            }
-        }
-    };
-}
-
-/// Generates both traits for a single-field tuple struct, encoded as the
-/// bare inner value (serde's newtype-struct convention).
-#[macro_export]
-macro_rules! json_newtype {
-    ($ty:ident) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::ToJson::to_json(&self.0)
-            }
-        }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                Ok(Self($crate::json::FromJson::from_json(v)?))
-            }
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,7 +679,7 @@ mod tests {
     #[test]
     fn string_escaping() {
         let nasty = "quote\" backslash\\ newline\n tab\t ctrl\u{1} unicode\u{1F600}";
-        let json = to_string(nasty).unwrap();
+        let json = to_string(&nasty.to_string()).unwrap();
         let back: String = from_str(&json).unwrap();
         assert_eq!(back, nasty);
     }
@@ -836,12 +715,11 @@ mod tests {
 
     #[test]
     fn containers_round_trip() {
-        let v: (Vec<usize>, Option<f64>, [u8; 3]) = (vec![1, 2, 3], None, [7, 8, 9]);
+        let v: Vec<Option<u64>> = vec![Some(1), None, Some(3)];
         let json = to_string(&v).unwrap();
-        let back: (Vec<usize>, Option<f64>, [u8; 3]) = from_str(&json).unwrap();
-        assert_eq!(back.0, v.0);
-        assert!(back.1.is_none());
-        assert_eq!(back.2, v.2);
+        assert_eq!(json, "[1,null,3]");
+        assert_eq!(from_str::<Vec<Option<u64>>>(&json).unwrap(), v);
+        assert_eq!(to_string(&(7u64, "x".to_string())).unwrap(), r#"[7,"x"]"#);
     }
 
     #[test]
@@ -903,17 +781,6 @@ mod tests {
     }
     crate::json_enum!(Kind { Alpha, Beta });
 
-    #[derive(Debug, PartialEq)]
-    struct Wrap(i16);
-    crate::json_newtype!(Wrap);
-
-    #[derive(Debug, PartialEq)]
-    enum Payload {
-        Int(i32),
-        Text(String),
-    }
-    crate::json_enum_newtype!(Payload { Int, Text });
-
     #[test]
     fn macros_generate_round_trips() {
         let p: Point = from_str(r#"{"x":1.5,"y":-2.0}"#).unwrap();
@@ -923,18 +790,6 @@ mod tests {
         assert_eq!(to_string(&Kind::Beta).unwrap(), r#""Beta""#);
         assert_eq!(from_str::<Kind>(r#""Alpha""#).unwrap(), Kind::Alpha);
         assert!(from_str::<Kind>(r#""Gamma""#).is_err());
-
-        assert_eq!(to_string(&Wrap(-7)).unwrap(), "-7");
-        assert_eq!(from_str::<Wrap>("-7").unwrap(), Wrap(-7));
-
-        let payload = Payload::Text("hi".into());
-        let json = to_string(&payload).unwrap();
-        assert_eq!(json, r#"{"Text":"hi"}"#);
-        assert_eq!(from_str::<Payload>(&json).unwrap(), payload);
-        assert_eq!(
-            from_str::<Payload>(r#"{"Int":3}"#).unwrap(),
-            Payload::Int(3)
-        );
     }
 
     #[test]

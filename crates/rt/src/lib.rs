@@ -8,7 +8,7 @@
 //! |-----------------|--------------|--------------------------------------------|
 //! | [`rand`]        | `rand` 0.8   | `StdRng`, `Rng`, `SeedableRng`, `RngCore`, `seq::SliceRandom` |
 //! | [`par`]         | `rayon`      | scoped fan-out for sweep runs: `scoped_map` order-preserving map |
-//! | [`json`]        | `serde` + `serde_json` | [`json::Json`] value, parser, serializer, `ToJson`/`FromJson` + impl macros |
+//! | [`json`]        | `serde` + `serde_json` | [`json::Json`] value, parser, serializer, `ToJson` writers, `FromJson` readers for manifests and traces |
 //! | [`prop`]        | `proptest`   | seeded, shrink-free `proptest!` macro + `Strategy` combinators |
 //!
 //! Everything is seeded and deterministic: two runs with the same seed

@@ -37,20 +37,6 @@ pub struct FixedFormat {
     frac_bits: u32,
 }
 
-fare_rt::json_struct_to!(FixedFormat { frac_bits });
-
-impl fare_rt::json::FromJson for FixedFormat {
-    fn from_json(v: &fare_rt::json::Json) -> Result<Self, fare_rt::json::JsonError> {
-        let frac_bits: u32 = fare_rt::json::field(v, "frac_bits")?;
-        if frac_bits >= 16 {
-            return Err(fare_rt::json::JsonError::new(format!(
-                "frac_bits must be < 16, got {frac_bits}"
-            )));
-        }
-        Ok(Self { frac_bits })
-    }
-}
-
 impl FixedFormat {
     /// Creates a format with the given number of fractional bits.
     ///
@@ -116,8 +102,6 @@ impl Default for FixedFormat {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Fixed16(pub i16);
 
-fare_rt::json_newtype!(Fixed16);
-
 impl Fixed16 {
     /// Raw two's-complement bits.
     pub fn to_bits(self) -> u16 {
@@ -179,8 +163,6 @@ fn from_sign_magnitude(bits: u16) -> i16 {
 pub struct CellWord {
     cells: [u8; CELLS_PER_WORD],
 }
-
-fare_rt::json_struct!(CellWord { cells });
 
 impl CellWord {
     /// Slices a fixed-point value into cells (sign-magnitude layout).

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use fare_rt::json::{field, FromJson, Json, JsonError};
-
 use crate::kernel::{accumulate_row, accumulate_row_pair};
 use crate::ShapeError;
 
@@ -29,24 +27,6 @@ pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-}
-
-fare_rt::json_struct_to!(Matrix { rows, cols, data });
-
-impl FromJson for Matrix {
-    /// Rejects a `data` length other than `rows × cols`.
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let rows: usize = field(v, "rows")?;
-        let cols: usize = field(v, "cols")?;
-        let data: Vec<f32> = field(v, "data")?;
-        if rows.checked_mul(cols) != Some(data.len()) {
-            return Err(JsonError::new(format!(
-                "{rows}x{cols} matrix with {} entries",
-                data.len()
-            )));
-        }
-        Ok(Self { rows, cols, data })
-    }
 }
 
 impl Matrix {

@@ -149,8 +149,14 @@ echo "==> weight fault overlay against the per-read oracle"
 # injections and NaN/inf/saturating weights.
 cargo test -q --offline -p fare-reram --lib -- overlay_read_bit_identical_to_oracle
 
-echo "==> matrix, graph, partitioning, mini-batch, crossbar, weight-fabric and mapping deserialisers reject bad input"
-cargo test -q --offline --test serialization -- from_json_rejects
+echo "==> the readers a binary runs reject bad input with an error, not an abort"
+# fare-report must exit 2 on a manifest it cannot read or render;
+# seeded mutations of the golden manifest and JSONL trace must parse or
+# error, and every mutant that parses must summarize, diff, render and
+# plot; train must exit 2 on a bad flag.
+cargo test -q --offline --test report_cli
+cargo test -q --offline --test reader_props
+cargo test -q --offline -p fare-bench --test train_cli
 
 echo "==> golden telemetry trace across thread counts"
 # The committed golden manifest (tests/golden/golden_trace.json) must be

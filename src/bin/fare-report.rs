@@ -103,7 +103,7 @@ fn cmd_diff(mut args: Vec<String>) -> Result<ExitCode, String> {
     } else {
         println!(
             "diff: {} quantities beyond tolerance {tolerance}",
-            report.regressions()
+            report.beyond_tolerance()
         );
         Ok(ExitCode::FAILURE)
     }
