@@ -31,7 +31,7 @@
 //! `fare-report diff BENCH_mapping.json <fresh.json>` compares bench
 //! runs across PRs with the one code path.
 
-use fare_bench::{numeric_flag, string_flag, time_ns, time_ns_with_input};
+use fare_bench::{numeric_flag, string_flag, time_ns, time_ns_with_input, usage_error};
 use fare_core::mapping::reference;
 use fare_core::{
     corrupt_graph_mapped, map_blocks_cached, refresh_blocks_cached, AdjacencyBlocks, MappingConfig,
@@ -59,6 +59,14 @@ fn main() {
     let n: usize = numeric_flag("--xbar-size", train.crossbar_size);
     let density: f64 = numeric_flag("--density", 0.05);
     let iters: usize = numeric_flag("--iters", if smoke { 10 } else { 2_000 });
+    for (flag, value) in [("--nodes", nodes), ("--xbar-size", n), ("--iters", iters)] {
+        if value == 0 {
+            usage_error(&format!("{flag} must be positive"));
+        }
+    }
+    if !(0.0..=1.0).contains(&density) {
+        usage_error(&format!("--density must be in [0, 1], got {density}"));
+    }
     let out_path = string_flag("--out").unwrap_or_else(|| "BENCH_mapping.json".into());
     let threads = fare_rt::par::current_threads() as u64;
 

@@ -92,13 +92,25 @@ pub fn maybe_write_json<T: fare_rt::json::ToJson>(value: &T) {
     }
 }
 
-/// Returns the value following `flag` in the process arguments, if any.
+/// Returns the value following `flag` in the process arguments, or
+/// `None` when the flag is absent. A flag given as the last argument,
+/// with no value after it, is a [`usage_error`].
 pub fn string_flag(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    flag_value(&args, flag).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// The value following `flag` in `args`: `Ok(None)` when the flag is
+/// absent, an error when nothing follows it.
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .cloned()
+            .map(Some)
+            .ok_or_else(|| format!("flag {flag} needs a value")),
+    }
 }
 
 /// Times `f` over `iters` runs (after one untimed warmup) in ns/iter.
@@ -220,6 +232,15 @@ mod tests {
             let err = params_from(&argv(bad)).unwrap_err();
             assert!(err.contains("needs a numeric value"), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn flag_values() {
+        let args = argv("prog --out x.json --json");
+        assert_eq!(flag_value(&args, "--out"), Ok(Some("x.json".into())));
+        assert_eq!(flag_value(&args, "--ratio"), Ok(None));
+        let err = flag_value(&args, "--json").unwrap_err();
+        assert!(err.contains("--json needs a value"), "{err}");
     }
 
     #[test]

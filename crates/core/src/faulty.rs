@@ -8,7 +8,7 @@ use fare_gnn::{Gnn, WeightReader};
 use fare_graph::{CsrGraph, CsrMatrix};
 use fare_reram::variation::{VariationField, VariationSpec};
 use fare_reram::weights::{FaultOverlay, WeightFabric};
-use fare_reram::{CrossbarArray, FaultSpec, StuckPolarity};
+use fare_reram::{Crossbar, CrossbarArray, FaultSpec, StuckPolarity};
 use fare_rt::rand::Rng;
 use fare_tensor::{FixedFormat, Matrix};
 
@@ -267,21 +267,38 @@ pub(crate) fn corrupt_rows<'a>(
     );
     // One read-back per placed block.
     fare_obs::counters::RERAM_CROSSBARS_CORRUPTED.add(mapping.placements().len() as u64);
+    // The output holds at most the clean entries plus one per SA1 cell.
+    let clean: usize = (0..size).map(|r| row(r).len()).sum();
+    let sa1: usize = mapping
+        .placements()
+        .iter()
+        .map(|p| array.crossbar(p.crossbar).sa1_count())
+        .sum();
     let mut offsets = Vec::with_capacity(size + 1);
-    let mut indices = Vec::new();
+    let mut indices = Vec::with_capacity(clean + sa1);
     offsets.push(0);
+    // Per block column of the current block row: the crossbar its block
+    // is stored on and the block's row permutation.
+    let mut placed: Vec<Option<(&Crossbar, &[usize])>> = Vec::with_capacity(mapping.grid());
     for r in 0..size {
         let (br, logical) = (r / n, r % n);
+        if logical == 0 {
+            placed.clear();
+            placed.extend((0..mapping.grid()).map(|bc| {
+                mapping
+                    .placement_for(br, bc)
+                    .map(|p| (array.crossbar(p.crossbar), p.row_perm.as_slice()))
+            }));
+        }
         let clean = row(r);
         let mut next = 0;
         // Fault cells come in ascending column order: block columns
         // ascend, and each crossbar row lists its faults by column.
-        for bc in 0..mapping.grid() {
-            let Some(p) = mapping.placement_for(br, bc) else {
+        for (bc, slot) in placed.iter().enumerate() {
+            let Some((xbar, perm)) = slot else {
                 continue;
             };
-            let physical = p.row_perm[logical];
-            for &(c, pol) in array.crossbar(p.crossbar).row_faults(physical) {
+            for &(c, pol) in xbar.row_faults(perm[logical]) {
                 let col = bc * n + c;
                 if col >= size {
                     break;

@@ -76,7 +76,7 @@
 //! both bounds stay below the exact costs, pair by pair.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use fare_graph::{CsrGraph, CsrMatrix};
 use fare_matching::{CostMatrix, Matcher};
@@ -276,7 +276,11 @@ type PairSolution = (Vec<usize>, usize, usize);
 /// cost table, the per-row deviant index, the level set, and the
 /// matching state survive across pair solves so the hot loop allocates
 /// nothing (cost-only solves) or only the output permutation.
-#[derive(Default)]
+///
+/// Column sets are bitsets of `words = ⌈n / 64⌉` words per row, so
+/// deduplicating a row's deviants and finding its first free column are
+/// a few word operations.
+#[derive(Debug, Clone, Default)]
 struct G1Scratch {
     /// `f × n` cost table, row-major.
     costs: Vec<u32>,
@@ -286,16 +290,16 @@ struct G1Scratch {
     dev_start: Vec<u32>,
     /// Deviant column ids, ascending within each row, deduplicated.
     dev_cols: Vec<u32>,
-    /// Per-row collection buffer for deviants before sort/dedup.
-    dev_tmp: Vec<u32>,
+    /// `f × words` bitsets of each row's deviant columns.
+    dev_bits: Vec<u64>,
     /// Bit `v` set iff some entry (base or deviant) has cost `v < 64`.
     level_mask: u64,
     /// Cost levels `≥ 64` (rare: a row with 64+ SA1 cells).
     level_spill: Vec<u32>,
     /// Row → column assignment of the greedy matching.
     assign: Vec<u32>,
-    /// Column-taken flags.
-    used: Vec<bool>,
+    /// Bitset of the columns taken, and of the padding bits past `n`.
+    used: Vec<u64>,
     is_faulty: Vec<bool>,
 }
 
@@ -304,6 +308,7 @@ struct G1Scratch {
 /// (or block class) and reused against every crossbar, it turns the
 /// `f × n` cost build into sparse deltas — each fault cell `(c, pol)`
 /// touches only the rows listed under column `c`.
+#[derive(Debug, Clone)]
 struct BlockColIdx {
     starts: Vec<u32>,
     rows: Vec<u32>,
@@ -357,9 +362,10 @@ impl BlockColIdx {
     }
 }
 
-/// Per-crossbar (or per-fault-class) context for [`solve_reduced_g1`]:
+/// Per-crossbar (or per-fault-class) context for [`solve_reduced_g1_costs`]:
 /// the faulty physical rows and each one's SA1 count — the *base cost* a
 /// block row with no bits under that row's fault cells pays.
+#[derive(Debug, Clone, Default)]
 struct XbarG1Ctx {
     faulty: Vec<usize>,
     base: Vec<u32>,
@@ -367,12 +373,26 @@ struct XbarG1Ctx {
 
 impl XbarG1Ctx {
     fn build(xbar: &Crossbar) -> Self {
-        let faulty = xbar.faulty_rows();
-        let base = faulty
-            .iter()
-            .map(|&phys| xbar.sa1_row_bits(phys).iter().map(|w| w.count_ones()).sum())
-            .collect();
-        Self { faulty, base }
+        let mut ctx = Self {
+            faulty: Vec::with_capacity(xbar.n()),
+            base: Vec::with_capacity(xbar.n()),
+        };
+        ctx.fill(xbar);
+        ctx
+    }
+
+    /// Refills the context for `xbar`, keeping its buffers.
+    fn fill(&mut self, xbar: &Crossbar) {
+        self.faulty.clear();
+        self.faulty
+            .extend((0..xbar.n()).filter(|&r| !xbar.row_faults(r).is_empty()));
+        self.base.clear();
+        self.base.extend(self.faulty.iter().map(|&phys| {
+            xbar.sa1_row_bits(phys)
+                .iter()
+                .map(|w| w.count_ones())
+                .sum::<u32>()
+        }));
     }
 }
 
@@ -387,23 +407,30 @@ impl G1Scratch {
     /// the set of distinct cost levels present.
     fn build_costs(&mut self, xbar: &Crossbar, col_idx: &BlockColIdx, ctx: &XbarG1Ctx) {
         let n = xbar.n();
+        let words = n.div_ceil(64);
         let f = ctx.faulty.len();
         self.costs.clear();
         self.costs.resize(f * n, 0);
+        self.dev_bits.clear();
+        self.dev_bits.resize(f * words, 0);
         self.dev_start.clear();
         self.dev_start.push(0);
         self.dev_cols.clear();
-        self.level_mask = 0;
+        let mut levels = 0u64;
         self.level_spill.clear();
-        for (k, &base) in ctx.base.iter().enumerate() {
-            self.costs[k * n..(k + 1) * n].fill(base);
-            if base < 64 {
-                self.level_mask |= 1 << base;
+        let mut level = |v: u32, spill: &mut Vec<u32>| {
+            if v < 64 {
+                levels |= 1 << v;
             } else {
-                self.level_spill.push(base);
+                spill.push(v);
             }
-            self.dev_tmp.clear();
-            for &(c, pol) in xbar.row_faults(ctx.faulty[k]) {
+        };
+        let rows = self.costs.chunks_exact_mut(n);
+        let bits = self.dev_bits.chunks_exact_mut(words);
+        for (((row, bits), &base), &phys) in rows.zip(bits).zip(&ctx.base).zip(&ctx.faulty) {
+            row.fill(base);
+            level(base, &mut self.level_spill);
+            for &(c, pol) in xbar.row_faults(phys) {
                 // SA0 mismatches stored ones; SA1 is already counted in
                 // the base and mismatches stored zeros — a set bit
                 // cancels it.
@@ -412,26 +439,25 @@ impl G1Scratch {
                     StuckPolarity::StuckAtOne => -1,
                 };
                 for &l in col_idx.col(c) {
-                    let slot = &mut self.costs[k * n + l as usize];
-                    *slot = slot.wrapping_add_signed(delta);
-                    self.dev_tmp.push(l);
+                    let l = l as usize;
+                    row[l] = row[l].wrapping_add_signed(delta);
+                    bits[l / 64] |= 1 << (l % 64);
                 }
             }
-            // Several fault cells can touch the same block row; dedup so
-            // each deviant column appears once, ascending.
-            self.dev_tmp.sort_unstable();
-            self.dev_tmp.dedup();
-            for &l in &self.dev_tmp {
-                let v = self.costs[k * n + l as usize];
-                if v < 64 {
-                    self.level_mask |= 1 << v;
-                } else {
-                    self.level_spill.push(v);
+            // Several fault cells can touch the same block row; the
+            // bitset lists each deviant column once, ascending.
+            for (w, &word) in bits.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let l = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    self.dev_cols.push(l as u32);
+                    level(row[l], &mut self.level_spill);
                 }
             }
-            self.dev_cols.extend_from_slice(&self.dev_tmp);
             self.dev_start.push(self.dev_cols.len() as u32);
         }
+        self.level_mask = levels;
         self.level_spill.sort_unstable();
         self.level_spill.dedup();
     }
@@ -450,10 +476,14 @@ impl G1Scratch {
     /// split costs `O(f·n)` per populated level instead of sorting all
     /// `f·n` edges.
     fn greedy_assign(&mut self, f: usize, n: usize, base: &[u32]) {
+        let words = n.div_ceil(64);
         self.assign.clear();
         self.assign.resize(f, u32::MAX);
         self.used.clear();
-        self.used.resize(n, false);
+        self.used.resize(words, 0);
+        if !n.is_multiple_of(64) {
+            self.used[words - 1] = !0 << (n % 64);
+        }
         let mut matched = 0usize;
         let level = |scratch: &mut Self, v: u32, matched: &mut usize| {
             for (k, &base_k) in base[..f].iter().enumerate() {
@@ -463,31 +493,37 @@ impl G1Scratch {
                 let devs = &scratch.dev_cols
                     [scratch.dev_start[k] as usize..scratch.dev_start[k + 1] as usize];
                 let row = &scratch.costs[k * n..(k + 1) * n];
+                let used = &scratch.used;
+                let free = |l: usize| used[l / 64] & (1 << (l % 64)) == 0;
                 let hit = if base_k == v {
                     // Every non-deviant column sits at the base level;
                     // deviants count only if their net cost is back at
-                    // `v`. First free column in ascending order wins.
-                    let mut di = 0;
-                    let mut found = None;
-                    for (l, &taken) in scratch.used.iter().enumerate() {
-                        let deviant = devs.get(di) == Some(&(l as u32));
-                        if deviant {
-                            di += 1;
-                        }
-                        if !taken && (!deviant || row[l] == v) {
-                            found = Some(l);
-                            break;
-                        }
-                    }
-                    found
+                    // `v`. The first free column in ascending order wins:
+                    // the first free non-deviant one, unless a free
+                    // deviant at `v` comes before it.
+                    let dev_bits = &scratch.dev_bits[k * words..(k + 1) * words];
+                    let plain = used
+                        .iter()
+                        .zip(dev_bits)
+                        .enumerate()
+                        .find_map(|(w, (&u, &d))| {
+                            let open = !(u | d);
+                            (open != 0).then(|| w * 64 + open.trailing_zeros() as usize)
+                        });
+                    let before = plain.unwrap_or(n);
+                    devs.iter()
+                        .map(|&l| l as usize)
+                        .take_while(|&l| l < before)
+                        .find(|&l| free(l) && row[l] == v)
+                        .or(plain)
                 } else {
                     devs.iter()
                         .map(|&l| l as usize)
-                        .find(|&l| !scratch.used[l] && row[l] == v)
+                        .find(|&l| free(l) && row[l] == v)
                 };
                 if let Some(l) = hit {
                     scratch.assign[k] = l as u32;
-                    scratch.used[l] = true;
+                    scratch.used[l / 64] |= 1 << (l % 64);
                     *matched += 1;
                 }
             }
@@ -572,47 +608,29 @@ fn solve_reduced_g1_costs(
     (mismatch, sa1)
 }
 
-/// Solves the reduced `f × n` row-permutation matching of one packed
-/// block onto one crossbar (`f` = number of faulty physical rows, in
-/// ascending order inside `ctx`). Returns a full `n`-element permutation:
-/// logical rows not matched to a faulty physical row take the fault-free
-/// physical rows in ascending order at cost 0.
-fn solve_reduced_g1(
-    packed: &PackedRows,
-    col_idx: &BlockColIdx,
-    xbar: &Crossbar,
-    ctx: &XbarG1Ctx,
-    matcher: Matcher,
-    scratch: &mut G1Scratch,
-) -> PairSolution {
-    let n = packed.rows();
-    debug_assert_eq!(n, xbar.n(), "block does not fit the crossbar");
-    let faulty = &ctx.faulty;
-    let f = faulty.len();
-    // Fault-free crossbars need no search: identity is optimal (cost 0).
-    if f == 0 {
-        return ((0..n).collect(), 0, 0);
+/// Writes the logical → physical row permutation of a reduced `G₁`
+/// assignment into `perm` (`n` = `perm.len()` rows): faulty physical row
+/// `faulty[k]` stores logical row `assign[k]`, and the logical rows left
+/// over (ascending) take the fault-free physical rows (ascending) at
+/// cost 0. Fault-free crossbars (`faulty` empty) get the identity, which
+/// is optimal.
+fn fill_permutation(
+    perm: &mut [usize],
+    faulty: &[usize],
+    assign: &[u32],
+    is_faulty: &mut Vec<bool>,
+) {
+    let n = perm.len();
+    perm.fill(usize::MAX);
+    for (&phys, &l) in faulty.iter().zip(assign) {
+        perm[l as usize] = phys;
     }
-    g1_assign(col_idx, xbar, ctx, matcher, scratch);
-
-    let mut perm = vec![usize::MAX; n];
-    let mut mismatch = 0usize;
-    let mut sa1 = 0usize;
-    for (k, &l) in scratch.assign.iter().enumerate() {
-        let l = l as usize;
-        perm[l] = faulty[k];
-        mismatch += scratch.costs[k * n + l] as usize;
-        sa1 += xbar.row_sa1_mismatch_packed(packed.row(l), faulty[k]);
-    }
-    // Cost-0 completion: remaining logical rows (ascending) onto
-    // fault-free physical rows (ascending).
-    scratch.is_faulty.clear();
-    scratch.is_faulty.resize(n, false);
+    is_faulty.clear();
+    is_faulty.resize(n, false);
     for &phys in faulty {
-        scratch.is_faulty[phys] = true;
+        is_faulty[phys] = true;
     }
-    let is_faulty = &scratch.is_faulty;
-    let mut free = (0..n).filter(move |&q| !is_faulty[q]);
+    let mut free = (0..n).filter(|&q| !is_faulty[q]);
     for slot in perm.iter_mut() {
         if *slot == usize::MAX {
             *slot = free
@@ -620,7 +638,6 @@ fn solve_reduced_g1(
                 .expect("as many fault-free rows as unmatched logical rows");
         }
     }
-    (perm, mismatch, sa1)
 }
 
 /// A binary adjacency cut into the zero-padded `n × n` block grid the
@@ -723,46 +740,81 @@ impl AdjacencyBlocks {
     }
 }
 
-/// Stuck cells per crossbar column, as `(column, sa0, sa1)` for every
-/// column that holds one, ascending: the crossbar half of
-/// [`pair_bounds`].
-fn column_faults(xbar: &Crossbar) -> Vec<(usize, usize, usize)> {
-    let mut per_col = vec![(0, 0); xbar.n()];
+/// Class of every item, numbered in order of first occurrence, and the
+/// first item of each class: items `i` and `j` share a class iff
+/// `same(i, j)`. `key` is a cheap necessary condition (`same(i, j)`
+/// implies `key(i) == key(j)`), so `same` runs only on a key match.
+fn content_classes(
+    len: usize,
+    key: impl Fn(usize) -> u64,
+    same: impl Fn(usize, usize) -> bool,
+) -> (Vec<u32>, Vec<usize>) {
+    let mut class = Vec::with_capacity(len);
+    let mut firsts: Vec<(u64, usize)> = Vec::new();
+    for i in 0..len {
+        let k = key(i);
+        let c = match firsts.iter().position(|&(fk, f)| fk == k && same(f, i)) {
+            Some(c) => c,
+            None => {
+                firsts.push((k, i));
+                firsts.len() - 1
+            }
+        };
+        class.push(c as u32);
+    }
+    (class, firsts.into_iter().map(|(_, f)| f).collect())
+}
+
+/// A multiplicative fold of `words`: the key [`content_classes`] compares
+/// before it compares the words themselves.
+fn fold_words(words: &[u64]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Stuck cells per crossbar column, dense over the `n` columns: the
+/// crossbar half of [`pair_bounds`]. Appends the SA0 counts to `sa0` and
+/// the SA1 counts to `sa1`.
+fn column_faults(xbar: &Crossbar, sa0: &mut Vec<u32>, sa1: &mut Vec<u32>) {
+    let (s0, s1) = (sa0.len(), sa1.len());
+    sa0.resize(s0 + xbar.n(), 0);
+    sa1.resize(s1 + xbar.n(), 0);
     for r in 0..xbar.n() {
         for &(c, pol) in xbar.row_faults(r) {
             match pol {
-                StuckPolarity::StuckAtZero => per_col[c].0 += 1,
-                StuckPolarity::StuckAtOne => per_col[c].1 += 1,
+                StuckPolarity::StuckAtZero => sa0[s0 + c] += 1,
+                StuckPolarity::StuckAtOne => sa1[s1 + c] += 1,
             }
         }
     }
-    per_col
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, (s0, s1))| s0 + s1 > 0)
-        .map(|(c, (s0, s1))| (c, s0, s1))
-        .collect()
 }
 
 /// Lower bounds `(LB, LB_sa1)` on the `(mismatch, sa1)` cost of a block
-/// on a crossbar, under *any* row permutation and hence under every
+/// with `ones[c]` ones in column `c` on a crossbar with `sa0[c]`/`sa1[c]`
+/// stuck cells there, under *any* row permutation and hence under every
 /// matcher. A row permutation keeps each column's contents: column `c`
 /// stores the block's `k_c` ones on `k_c` of its `n` cells, so at least
 /// `s1_c − k_c` of its SA1 cells hold a 0 (the SA1 cost) and at least
 /// `s0_c − (n − k_c)` of its SA0 cells hold a 1.
-fn pair_bounds(
-    col_idx: &BlockColIdx,
-    n: usize,
-    faults: &[(usize, usize, usize)],
-) -> (usize, usize) {
+fn pair_bounds(ones: &[u32], sa0: &[u32], sa1: &[u32]) -> (usize, usize) {
+    let n = ones.len() as u32;
     let (mut lb, mut lb_sa1) = (0, 0);
-    for &(c, s0, s1) in faults {
-        let k = col_idx.count(c);
+    for ((&k, &s0), &s1) in ones.iter().zip(sa0).zip(sa1) {
         let sa1 = s1.saturating_sub(k);
         lb_sa1 += sa1;
         lb += sa1 + s0.saturating_sub(n - k);
     }
-    (lb, lb_sa1)
+    (lb as usize, lb_sa1 as usize)
+}
+
+/// The exact `(mismatch, sa1)` `G₁` cost of a solved class pair, and
+/// where its assignment starts in [`PairCosts::assigned`].
+#[derive(Clone, Copy)]
+struct Solved {
+    mismatch: usize,
+    sa1: usize,
+    start: usize,
 }
 
 /// The `(mismatch, sa1)` `G₁` cost of every (block, crossbar) pair,
@@ -772,8 +824,10 @@ fn pair_bounds(
 /// identical fault planes. `G₁` solutions are pure functions of (block
 /// bits, fault planes, matcher), so each (block class, fault class) pair
 /// is solved at most once, through one reused scratch, and is exact for
-/// every member pair. Its [`pair_bounds`] are computed up front; the
-/// selection asks for an exact cost only where a bound cannot decide.
+/// every member pair; its assignment is kept, so a chosen pair's
+/// permutation needs no second solve. Its [`pair_bounds`] are computed
+/// up front; the selection asks for an exact cost only where a bound
+/// cannot decide.
 struct PairCosts<'a> {
     blocks: &'a AdjacencyBlocks,
     array: &'a CrossbarArray,
@@ -786,8 +840,11 @@ struct PairCosts<'a> {
     xbar_ctx: Vec<XbarG1Ctx>,
     /// `(LB, LB_sa1)` per class pair, row-major by block class.
     bounds: Vec<(usize, usize)>,
-    /// Exact `(mismatch, sa1)` per class pair, once solved.
-    exact: Vec<Option<(usize, usize)>>,
+    /// The solve of each class pair, once solved.
+    exact: Vec<Option<Solved>>,
+    /// Every solved assignment (instance row → logical row), back to
+    /// back.
+    assigned: Vec<u32>,
     scratch: G1Scratch,
     /// Class pairs solved exactly so far.
     solved: usize,
@@ -795,33 +852,44 @@ struct PairCosts<'a> {
 
 impl<'a> PairCosts<'a> {
     fn new(blocks: &'a AdjacencyBlocks, array: &'a CrossbarArray, matcher: Matcher) -> Self {
-        let mut block_class = Vec::with_capacity(blocks.blocks.len());
-        let mut col_idx = Vec::new();
-        let mut seen: HashMap<&[u64], u32> = HashMap::new();
-        for p in &blocks.blocks {
-            let class = *seen.entry(p.bits()).or_insert_with(|| {
-                col_idx.push(BlockColIdx::build(p));
-                col_idx.len() as u32 - 1
-            });
-            block_class.push(class);
-        }
-        let mut xbar_class = Vec::with_capacity(array.len());
-        let mut xbar_ctx = Vec::new();
-        let mut faults = Vec::new();
-        let mut seen: HashMap<(&[u64], &[u64]), u32> = HashMap::new();
-        for j in 0..array.len() {
-            let xbar = array.crossbar(j);
-            let class = *seen.entry(xbar.fault_bits()).or_insert_with(|| {
-                faults.push(column_faults(xbar));
-                xbar_ctx.push(XbarG1Ctx::build(xbar));
-                xbar_ctx.len() as u32 - 1
-            });
-            xbar_class.push(class);
-        }
-        let bounds: Vec<(usize, usize)> = col_idx
+        let n = blocks.n;
+        let packed = &blocks.blocks;
+        let (block_class, firsts) = content_classes(
+            packed.len(),
+            |i| fold_words(packed[i].bits()),
+            |i, j| packed[i].bits() == packed[j].bits(),
+        );
+        let col_idx: Vec<BlockColIdx> = firsts
             .iter()
-            .flat_map(|idx| faults.iter().map(move |f| pair_bounds(idx, blocks.n, f)))
+            .map(|&i| BlockColIdx::build(&packed[i]))
             .collect();
+        let xbar = |j: usize| array.crossbar(j);
+        let (xbar_class, firsts) = content_classes(
+            array.len(),
+            |j| {
+                let (sa0, sa1) = xbar(j).fault_bits();
+                fold_words(sa0) ^ fold_words(sa1).rotate_left(32)
+            },
+            |i, j| xbar(i).fault_bits() == xbar(j).fault_bits(),
+        );
+        let mut sa0 = Vec::with_capacity(firsts.len() * n);
+        let mut sa1 = Vec::with_capacity(firsts.len() * n);
+        let xbar_ctx = firsts
+            .iter()
+            .map(|&j| {
+                column_faults(xbar(j), &mut sa0, &mut sa1);
+                XbarG1Ctx::build(xbar(j))
+            })
+            .collect();
+        let mut ones = Vec::with_capacity(n);
+        let mut bounds = Vec::with_capacity(col_idx.len() * firsts.len());
+        for idx in &col_idx {
+            ones.clear();
+            ones.extend((0..n).map(|c| idx.count(c) as u32));
+            for (s0, s1) in sa0.chunks_exact(n).zip(sa1.chunks_exact(n)) {
+                bounds.push(pair_bounds(&ones, s0, s1));
+            }
+        }
         Self {
             blocks,
             array,
@@ -832,6 +900,7 @@ impl<'a> PairCosts<'a> {
             xbar_ctx,
             exact: vec![None; bounds.len()],
             bounds,
+            assigned: Vec::new(),
             scratch: G1Scratch::default(),
             solved: 0,
         }
@@ -846,17 +915,16 @@ impl<'a> PairCosts<'a> {
         self.bounds[self.class_pair(i, j)]
     }
 
-    /// Exact `(mismatch, sa1)` of block `i` on crossbar `j`, solving its
-    /// class pair on first use. The cost-only solve skips permutation
-    /// assembly; [`Self::solution`] rebuilds it for the chosen pairs.
-    fn exact(&mut self, i: usize, j: usize) -> (usize, usize) {
+    /// The solve of block `i` on crossbar `j`, run on the class pair's
+    /// first use.
+    fn solve(&mut self, i: usize, j: usize) -> Solved {
         let k = self.class_pair(i, j);
-        if let Some(cost) = self.exact[k] {
-            return cost;
+        if let Some(solved) = self.exact[k] {
+            return solved;
         }
         // Block `i` and crossbar `j` share their class's bits and fault
         // planes, so they stand for the class pair.
-        let cost = solve_reduced_g1_costs(
+        let (mismatch, sa1) = solve_reduced_g1_costs(
             &self.blocks.blocks[i],
             &self.col_idx[self.block_class[i] as usize],
             self.array.crossbar(j),
@@ -865,27 +933,40 @@ impl<'a> PairCosts<'a> {
             &mut self.scratch,
         );
         debug_assert!(
-            cost.0 >= self.bounds[k].0 && cost.1 >= self.bounds[k].1,
-            "pair bound {:?} exceeds the exact cost {cost:?}",
-            self.bounds[k]
+            mismatch >= self.bounds[k].0 && sa1 >= self.bounds[k].1,
+            "pair bound {:?} exceeds the exact cost {:?}",
+            self.bounds[k],
+            (mismatch, sa1)
         );
-        self.exact[k] = Some(cost);
+        let solved = Solved {
+            mismatch,
+            sa1,
+            start: self.assigned.len(),
+        };
+        // A fault-free crossbar's solve assigns nothing.
+        if !self.xbar_ctx[self.xbar_class[j] as usize].faulty.is_empty() {
+            self.assigned.extend_from_slice(&self.scratch.assign);
+        }
+        self.exact[k] = Some(solved);
         self.solved += 1;
-        cost
+        solved
     }
 
-    /// Full solution of a chosen pair: a deterministic re-solve from the
-    /// same inputs as [`Self::exact`], so the permutation realises exactly
-    /// the cost the selection read.
+    /// Exact `(mismatch, sa1)` of block `i` on crossbar `j`.
+    fn exact(&mut self, i: usize, j: usize) -> (usize, usize) {
+        let solved = self.solve(i, j);
+        (solved.mismatch, solved.sa1)
+    }
+
+    /// Full solution of a chosen pair, from the kept assignment: the
+    /// permutation realises exactly the cost the selection read.
     fn solution(&mut self, i: usize, j: usize) -> PairSolution {
-        solve_reduced_g1(
-            &self.blocks.blocks[i],
-            &self.col_idx[self.block_class[i] as usize],
-            self.array.crossbar(j),
-            &self.xbar_ctx[self.xbar_class[j] as usize],
-            self.matcher,
-            &mut self.scratch,
-        )
+        let solved = self.solve(i, j);
+        let faulty = &self.xbar_ctx[self.xbar_class[j] as usize].faulty;
+        let assign = &self.assigned[solved.start..solved.start + faulty.len()];
+        let mut perm = vec![0; self.blocks.n];
+        fill_permutation(&mut perm, faulty, assign, &mut self.scratch.is_faulty);
+        (perm, solved.mismatch, solved.sa1)
     }
 }
 
@@ -973,16 +1054,45 @@ fn select_placements(
         // b-Suitor on integer costs is the greedy matching in `(cost,
         // block, crossbar)` order (see `G1Scratch::greedy_assign`), so it
         // needs a pair's exact cost only once the pair reaches the front
-        // of that order. The heap starts keyed on lower bounds. A popped
-        // pair whose exact cost equals its key precedes every other free
-        // pair's exact key and is matched; any other goes back keyed on
-        // its exact cost.
-        let mut heap: BinaryHeap<Reverse<(usize, usize, usize)>> = live_pairs()
-            .map(|(i, j)| Reverse((pairs.bound(i, j).0, i, j)))
+        // of that order. The pairs start keyed on lower bounds, in `(LB,
+        // block, crossbar)` order: a stable counting sort by `LB` of the
+        // live pairs, which come in `(block, crossbar)` order. A pair
+        // whose exact cost equals its key precedes every other free
+        // pair's exact key and is matched; any other goes to a heap,
+        // keyed on its exact cost, and the next pair is the lesser of the
+        // two fronts.
+        let keyed: Vec<(usize, usize, usize)> = live_pairs()
+            .map(|(i, j)| (pairs.bound(i, j).0, i, j))
             .collect();
+        let max_key = keyed.iter().map(|&(key, _, _)| key).max().unwrap_or(0);
+        let mut cursor = vec![0usize; max_key + 2];
+        for &(key, _, _) in &keyed {
+            cursor[key + 1] += 1;
+        }
+        for key in 1..cursor.len() {
+            cursor[key] += cursor[key - 1];
+        }
+        let mut sorted = vec![(0, 0, 0); keyed.len()];
+        for &pair in &keyed {
+            let slot = &mut cursor[pair.0];
+            sorted[*slot] = pair;
+            *slot += 1;
+        }
+        let mut sorted = sorted.into_iter().peekable();
+        let mut retry: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
         let mut placed = vec![false; b];
         while chosen.len() < live_blocks.len() {
-            let Reverse((key, i, j)) = heap.pop().expect("G2 assigns every block");
+            let from_retry = match (sorted.peek(), retry.peek()) {
+                (Some(next), Some(Reverse(again))) => again < next,
+                (None, Some(_)) => true,
+                _ => false,
+            };
+            let (key, i, j) = if from_retry {
+                retry.pop().map(|Reverse(pair)| pair)
+            } else {
+                sorted.next()
+            }
+            .expect("G2 assigns every block");
             if placed[i] || used_xbars[j] {
                 continue;
             }
@@ -992,7 +1102,7 @@ fn select_placements(
                 used_xbars[j] = true;
                 chosen.push((i, j));
             } else {
-                heap.push(Reverse((cost, i, j)));
+                retry.push(Reverse((cost, i, j)));
             }
         }
     } else if !live_blocks.is_empty() {
@@ -1045,14 +1155,18 @@ fn select_placements(
     Mapping::new(blocks.n, grid, placements)
 }
 
-/// Cross-epoch memo of solved `G₁` instances, keyed by block position.
+/// Cross-epoch memo of solved `G₁` instances, indexed by block position.
 ///
 /// [`map_blocks_cached`] records which crossbar each block went to and
 /// that crossbar's [`Crossbar::fault_version`]; [`refresh_blocks_cached`]
 /// re-solves only the pairs whose crossbar mutated since and keeps the
 /// mapping's own permutation for the rest — the common case after a BIST
 /// scan that found few new faults. An entry holds no permutation, so a
-/// hit allocates nothing.
+/// hit allocates nothing. The cache also keeps what a re-solve reads
+/// that never changes with the faults: each block's transposed column
+/// index (handed over by [`map_blocks_cached`], or built at the block's
+/// first miss), and one crossbar context and one solver scratch that
+/// every re-solve refills.
 ///
 /// The cache tracks one mapping of one adjacency: refresh the mapping
 /// that [`map_blocks_cached`] returned with it, or that the last refresh
@@ -1061,7 +1175,15 @@ fn select_placements(
 /// so re-mapping a different adjacency through the same cache is safe.
 #[derive(Debug, Clone, Default)]
 pub struct RemapCache {
-    entries: HashMap<(usize, usize), CacheEntry>,
+    /// Per block position (row-major over the block grid): the crossbar
+    /// it was last solved against, at which fault version.
+    entries: Vec<Option<CacheEntry>>,
+    /// Per block position: its column index in `col_idx`, or `u32::MAX`
+    /// before one is built.
+    block_idx: Vec<u32>,
+    col_idx: Vec<BlockColIdx>,
+    ctx: XbarG1Ctx,
+    scratch: G1Scratch,
 }
 
 /// The crossbar a block was solved against, at which fault version.
@@ -1079,23 +1201,35 @@ impl RemapCache {
 
     /// Number of memoised block placements.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().flatten().count()
     }
 
     /// `true` when nothing is memoised yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Drops all memoised solutions.
+    /// Drops all memoised solutions and column indexes.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.block_idx.clear();
+        self.col_idx.clear();
     }
 
     fn entry(array: &CrossbarArray, p: &BlockPlacement) -> CacheEntry {
         CacheEntry {
             crossbar: p.crossbar,
             version: array.crossbar(p.crossbar).fault_version(),
+        }
+    }
+
+    /// Sizes the cache to `blocks` block positions, emptying it first if
+    /// it held another grid.
+    fn cover(&mut self, blocks: usize) {
+        if self.entries.len() != blocks {
+            self.clear();
+            self.entries.resize(blocks, None);
+            self.block_idx.resize(blocks, u32::MAX);
         }
     }
 }
@@ -1168,11 +1302,13 @@ pub fn map_blocks_cached(
     let mapping = select_placements(blocks, array.len(), cfg, &mut pairs);
     fare_obs::counters::CORE_MAPPING_PAIRS_SOLVED.add(pairs.solved as u64);
     cache.clear();
+    cache.cover(blocks.blocks.len());
     for p in mapping.placements() {
-        cache
-            .entries
-            .insert((p.block_row, p.block_col), RemapCache::entry(array, p));
+        cache.entries[p.block_row * blocks.grid + p.block_col] = Some(RemapCache::entry(array, p));
     }
+    // Blocks of one class share a column index.
+    cache.block_idx = pairs.block_class;
+    cache.col_idx = pairs.col_idx;
     mapping
 }
 
@@ -1292,22 +1428,38 @@ pub fn refresh_blocks_cached(
         "mapping grid does not match adjacency"
     );
 
-    let mut scratch = G1Scratch::default();
+    cache.cover(blocks.blocks.len());
     let mut misses = 0;
     for p in &mut mapping.placements {
         let entry = RemapCache::entry(array, p);
-        let key = (p.block_row, p.block_col);
-        if cache.entries.get(&key) == Some(&entry) {
+        let at = p.block_row * blocks.grid + p.block_col;
+        if cache.entries[at] == Some(entry) {
             continue;
         }
         misses += 1;
         let xbar = array.crossbar(p.crossbar);
         let packed = blocks.block(p.block_row, p.block_col);
-        let col_idx = BlockColIdx::build(packed);
-        let ctx = XbarG1Ctx::build(xbar);
-        (p.row_perm, p.mismatch_cost, p.sa1_cost) =
-            solve_reduced_g1(packed, &col_idx, xbar, &ctx, matcher, &mut scratch);
-        cache.entries.insert(key, entry);
+        if cache.block_idx[at] == u32::MAX {
+            cache.block_idx[at] = cache.col_idx.len() as u32;
+            cache.col_idx.push(BlockColIdx::build(packed));
+        }
+        let col_idx = &cache.col_idx[cache.block_idx[at] as usize];
+        cache.ctx.fill(xbar);
+        (p.mismatch_cost, p.sa1_cost) = solve_reduced_g1_costs(
+            packed,
+            col_idx,
+            xbar,
+            &cache.ctx,
+            matcher,
+            &mut cache.scratch,
+        );
+        fill_permutation(
+            &mut p.row_perm,
+            &cache.ctx.faulty,
+            &cache.scratch.assign,
+            &mut cache.scratch.is_faulty,
+        );
+        cache.entries[at] = Some(entry);
     }
     let hits = mapping.placements.len() - misses;
     fare_obs::counters::CORE_REMAP_CACHE_HITS.add(hits as u64);
@@ -1983,10 +2135,13 @@ mod tests {
             let mut scratch = G1Scratch::default();
             for (i, block) in blocks.iter().enumerate() {
                 let col_idx = BlockColIdx::build(block);
+                let ones: Vec<u32> = (0..n).map(|c| col_idx.count(c) as u32).collect();
                 for j in 0..array.len() {
                     let xbar = array.crossbar(j);
                     let ctx = XbarG1Ctx::build(xbar);
-                    let (lb, lb_sa1) = pair_bounds(&col_idx, n, &column_faults(xbar));
+                    let (mut sa0, mut sa1) = (Vec::new(), Vec::new());
+                    column_faults(xbar, &mut sa0, &mut sa1);
+                    let (lb, lb_sa1) = pair_bounds(&ones, &sa0, &sa1);
                     for matcher in [Matcher::BSuitor, Matcher::Hungarian] {
                         let (mismatch, sa1) =
                             solve_reduced_g1_costs(block, &col_idx, xbar, &ctx, matcher, &mut scratch);

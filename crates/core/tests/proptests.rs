@@ -3,7 +3,7 @@
 use fare_core::mapping::{
     map_adjacency, map_adjacency_cached, reference, refresh_blocks_cached,
     refresh_row_permutations, refresh_row_permutations_cached, sequential_block_mapping,
-    sequential_mapping, AdjacencyBlocks, LocalityConfig, MappingConfig, RemapCache,
+    sequential_mapping, AdjacencyBlocks, LocalityConfig, Mapping, MappingConfig, RemapCache,
 };
 use fare_core::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
 use fare_matching::{CostMatrix, Matcher};
@@ -261,6 +261,61 @@ proptest! {
         let oracle = reference::refresh_row_permutations(&adj, &array, &mapping, matcher);
         prop_assert_eq!(&incremental, &cold);
         prop_assert_eq!(&incremental, &oracle);
+    }
+}
+
+/// Every placed block read back through its crossbar under its row
+/// permutation, written over the in-bounds cells of the adjacency.
+fn read_back(adj: &Matrix, array: &CrossbarArray, mapping: &Mapping) -> Matrix {
+    let n = array.n();
+    let mut out = adj.clone();
+    for p in mapping.placements() {
+        let (r0, c0) = (p.block_row * n, p.block_col * n);
+        let read = array
+            .crossbar(p.crossbar)
+            .read_binary(&adj.block(r0, c0, n, n), Some(&p.row_perm));
+        for r in 0..n.min(adj.rows() - r0) {
+            for c in 0..n.min(adj.cols() - c0) {
+                out[(r0 + r, c0 + c)] = read[(r, c)];
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    // The `G₁` solver and the corruption read packed rows of ⌈n / 64⌉
+    // words. On crossbars wider than one word, with and without padding
+    // bits in the last word, Algorithm 1, a refresh after more faults
+    // and the corrupted adjacency stay bit-identical to the oracles for
+    // both matchers.
+    #[test]
+    fn multiword_crossbars_bit_identical_to_reference(
+        seed in 0u64..1000,
+        width in 0usize..3,
+        edge_p in 0.0f64..0.3,
+        density in 0.0f64..0.2,
+        exact in any::<bool>(),
+    ) {
+        let n = [64, 72, 130][width];
+        let matcher = if exact { Matcher::Hungarian } else { Matcher::BSuitor };
+        let (adj, mut array) = instance_with(n + n / 2, n, seed, edge_p, 1.5, density, 0.5);
+        let cfg = MappingConfig { matcher, ..MappingConfig::default() };
+        let mut cache = RemapCache::new();
+        let mapping = map_adjacency_cached(&adj, &array, &cfg, &mut cache);
+        prop_assert_eq!(&mapping, &reference::map_adjacency(&adj, &array, &cfg));
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        array.inject(&FaultSpec::density(0.02), &mut rng);
+        let refreshed =
+            refresh_row_permutations_cached(&adj, &array, &mapping, matcher, &mut cache);
+        let oracle = reference::refresh_row_permutations(&adj, &array, &mapping, matcher);
+        prop_assert_eq!(&refreshed, &oracle);
+        prop_assert_eq!(
+            corrupt_adjacency_mapped(&adj, &array, &refreshed),
+            read_back(&adj, &array, &refreshed)
+        );
     }
 }
 

@@ -21,6 +21,9 @@ use fare_rt::rand::Rng;
 
 use crate::CsrGraph;
 
+#[cfg(test)]
+mod reference;
+
 /// Assignment of every node to one of `num_parts` clusters.
 #[derive(Debug, Clone)]
 pub struct Partitioning {
@@ -80,10 +83,7 @@ impl Partitioning {
     /// Panics if `graph` has a different node count.
     pub fn edge_cut(&self, graph: &CsrGraph) -> usize {
         assert_eq!(graph.num_nodes(), self.assignment.len());
-        graph
-            .edges()
-            .filter(|&(u, v)| self.assignment[u] != self.assignment[v])
-            .count()
+        edge_cut(graph, &self.assignment)
     }
 
     /// Ratio of the largest part to the ideal size (1.0 = perfectly
@@ -102,32 +102,61 @@ impl Partitioning {
 
 /// Weighted graph used internally during coarsening, in CSR form: node
 /// `u`'s neighbours are `neighbors[offsets[u]..offsets[u + 1]]`,
-/// strictly ascending, with the matching edge weights alongside. Edge
-/// and node weights are sums of unit weights, so every weight and every
-/// sum of them is an exact integer in `f64`.
+/// strictly ascending, with the matching edge weights alongside. It is
+/// symmetric and loop-free, as the [`CsrGraph`] it starts from.
+///
+/// Weights are integers: an edge weight counts the fine edges a coarse
+/// edge contracts and a node weight the fine nodes a coarse node holds.
+/// Every sum of them is at most the fine graph's edge or node count, so
+/// `u32` holds it exactly, and comparisons against the `f64` balance
+/// thresholds convert an exact integer.
 #[derive(Debug)]
 struct WeightedGraph {
     offsets: Vec<usize>,
-    neighbors: Vec<usize>,
-    weights: Vec<f64>,
-    node_weight: Vec<f64>,
+    neighbors: Vec<u32>,
+    weights: Vec<u32>,
+    node_weight: Vec<u32>,
+}
+
+/// Buffers the levels of one [`partition`] call share, so each level
+/// allocates only the graph and node map it returns.
+#[derive(Default)]
+struct Scratch {
+    order: Vec<usize>,
+    members: Vec<(usize, usize)>,
+    /// Per coarse neighbour: the edge weight summed so far.
+    acc: Vec<u32>,
+    /// Coarse rows in first-touch order, before the transpose sorts them.
+    cols: Vec<u32>,
+    weights: Vec<u32>,
+    cursor: Vec<usize>,
+    /// Per part: the current node's connectivity to it.
+    conn: Vec<u32>,
+    touched: Vec<usize>,
+    part_weight: Vec<u64>,
+    queue: Vec<usize>,
+    queued: Vec<usize>,
 }
 
 impl WeightedGraph {
     fn from_csr(g: &CsrGraph) -> Self {
         let n = g.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
+        let mut neighbors = Vec::with_capacity(2 * g.num_edges());
         offsets.push(0);
         for u in 0..n {
-            neighbors.extend_from_slice(g.neighbors(u));
+            neighbors.extend(g.neighbors(u).iter().map(|&v| v as u32));
             offsets.push(neighbors.len());
         }
+        assert!(
+            u32::try_from(neighbors.len()).is_ok(),
+            "graph too large to partition"
+        );
         Self {
             offsets,
-            weights: vec![1.0; neighbors.len()],
+            weights: vec![1; neighbors.len()],
             neighbors,
-            node_weight: vec![1.0; n],
+            node_weight: vec![1; n],
         }
     }
 
@@ -135,60 +164,65 @@ impl WeightedGraph {
         self.node_weight.len()
     }
 
+    fn total_weight(&self) -> u64 {
+        self.node_weight.iter().map(|&w| w as u64).sum()
+    }
+
     /// `(neighbour, edge weight)` pairs of `u`, ascending by neighbour.
-    fn adj(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    fn adj(&self, u: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
         let span = self.offsets[u]..self.offsets[u + 1];
         self.neighbors[span.clone()]
             .iter()
-            .copied()
+            .map(|&v| v as usize)
             .zip(self.weights[span].iter().copied())
     }
 
     /// Heavy-edge matching coarsening. Returns the coarse graph and the
     /// fine→coarse node map.
-    fn coarsen(&self, rng: &mut impl Rng) -> (WeightedGraph, Vec<usize>) {
+    fn coarsen(&self, rng: &mut impl Rng, s: &mut Scratch) -> (WeightedGraph, Vec<usize>) {
         let n = self.num_nodes();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(rng);
+        s.order.clear();
+        s.order.extend(0..n);
+        s.order.shuffle(rng);
         let mut matched = vec![usize::MAX; n];
         // The one or two fine nodes each coarse node contracts.
-        let mut members: Vec<(usize, usize)> = Vec::with_capacity(n);
-        for &u in &order {
+        s.members.clear();
+        for &u in &s.order {
             if matched[u] != usize::MAX {
                 continue;
             }
-            // Match u with its heaviest unmatched neighbour.
-            let mut best: Option<(usize, f64)> = None;
+            // Match u with its heaviest unmatched neighbour, the first on
+            // ties. Weights are positive, so 0 means "none yet".
+            let (mut best, mut best_w) = (usize::MAX, 0);
             for (v, w) in self.adj(u) {
-                if matched[v] == usize::MAX && best.is_none_or(|(_, bw)| w > bw) {
-                    best = Some((v, w));
-                }
+                let take = matched[v] == usize::MAX && w > best_w;
+                best = if take { v } else { best };
+                best_w = if take { w } else { best_w };
             }
-            let c = members.len();
+            let c = s.members.len();
             matched[u] = c;
-            match best {
-                Some((v, _)) => {
-                    matched[v] = c;
-                    members.push((u, v));
-                }
-                None => members.push((u, usize::MAX)),
+            if best != usize::MAX {
+                matched[best] = c;
             }
+            s.members.push((u, best));
         }
         // Each coarse node's edges are the fine edges leaving its members,
-        // summed per coarse neighbour in a dense accumulator; the touched
-        // list, sorted, gives the ascending neighbour order.
-        let coarse_count = members.len();
-        let mut coarse = WeightedGraph {
-            offsets: Vec::with_capacity(coarse_count + 1),
-            neighbors: Vec::new(),
-            weights: Vec::new(),
-            node_weight: Vec::with_capacity(coarse_count),
-        };
-        coarse.offsets.push(0);
-        let mut acc = vec![0.0f64; coarse_count];
-        let mut touched: Vec<usize> = Vec::new();
-        for (c, &(a, b)) in members.iter().enumerate() {
-            let mut weight = 0.0;
+        // summed per coarse neighbour in a dense accumulator and listed
+        // in first-touch order.
+        let coarse_count = s.members.len();
+        s.acc.clear();
+        s.acc.resize(coarse_count, 0);
+        // A coarse row lists at most the fine edges it contracts; one
+        // spare slot takes the write past a full buffer's last entry.
+        s.cols.clear();
+        s.cols.resize(self.neighbors.len() + 1, 0);
+        s.weights.clear();
+        let mut offsets = Vec::with_capacity(coarse_count + 1);
+        offsets.push(0);
+        let mut node_weight = Vec::with_capacity(coarse_count);
+        let mut end = 0;
+        for (c, &(a, b)) in s.members.iter().enumerate() {
+            let mut weight = 0;
             for u in [a, b].into_iter().filter(|&u| u != usize::MAX) {
                 weight += self.node_weight[u];
                 for (v, w) in self.adj(u) {
@@ -196,74 +230,107 @@ impl WeightedGraph {
                     if cv == c {
                         continue;
                     }
-                    // Edge weights are positive, so 0 marks "untouched".
-                    if acc[cv] == 0.0 {
-                        touched.push(cv);
-                    }
-                    acc[cv] += w;
+                    // Edge weights are positive, so 0 marks "untouched";
+                    // only a first touch keeps its slot.
+                    s.cols[end] = cv as u32;
+                    end += (s.acc[cv] == 0) as usize;
+                    s.acc[cv] += w;
                 }
             }
-            coarse.node_weight.push(weight);
-            touched.sort_unstable();
-            for &cv in &touched {
-                coarse.neighbors.push(cv);
-                coarse.weights.push(std::mem::take(&mut acc[cv]));
+            node_weight.push(weight);
+            for &cv in &s.cols[s.weights.len()..end] {
+                s.weights.push(std::mem::take(&mut s.acc[cv as usize]));
             }
-            touched.clear();
-            coarse.offsets.push(coarse.neighbors.len());
+            offsets.push(end);
         }
+        s.cols.truncate(end);
+        // One transpose puts every row in ascending order: walking the
+        // rows in order appends each `c` to its neighbours' rows in
+        // ascending `c`. The coarse graph is symmetric, edge weights
+        // included, so the transpose is the same graph, with the same
+        // row lengths and hence the same offsets.
+        let mut neighbors = vec![0u32; s.cols.len()];
+        let mut weights = vec![0u32; s.cols.len()];
+        s.cursor.clear();
+        s.cursor.extend_from_slice(&offsets[..coarse_count]);
+        for c in 0..coarse_count {
+            for e in offsets[c]..offsets[c + 1] {
+                let cv = s.cols[e] as usize;
+                let slot = s.cursor[cv];
+                s.cursor[cv] += 1;
+                neighbors[slot] = c as u32;
+                weights[slot] = s.weights[e];
+            }
+        }
+        debug_assert!(
+            (0..coarse_count).all(|c| s.cursor[c] == offsets[c + 1]),
+            "the coarse graph is symmetric"
+        );
+        let coarse = WeightedGraph {
+            offsets,
+            neighbors,
+            weights,
+            node_weight,
+        };
         (coarse, matched)
     }
 
     /// Greedy region-growing initial partition into `k` parts balanced by
     /// node weight.
-    fn initial_partition(&self, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+    fn initial_partition(&self, k: usize, rng: &mut impl Rng, s: &mut Scratch) -> Vec<usize> {
         let n = self.num_nodes();
-        let total_weight: f64 = self.node_weight.iter().sum();
-        let target = total_weight / k as f64;
+        let target = self.total_weight() as f64 / k as f64;
         let mut part = vec![usize::MAX; n];
-        let mut part_weight = vec![0.0f64; k];
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(rng);
-        let mut order_iter = order.iter().copied();
+        let part_weight = &mut s.part_weight;
+        part_weight.clear();
+        part_weight.resize(k, 0);
+        s.order.clear();
+        s.order.extend(0..n);
+        s.order.shuffle(rng);
+        let mut order_iter = s.order.iter().copied();
+        // One part's BFS queue, `queue[head..tail]`, with a spare slot
+        // for the write past its end. The BFS queues each node once: a
+        // node queued twice would be assigned at its first pop and
+        // skipped at its second. `queued` holds the part whose BFS last
+        // queued each node.
+        let queue = &mut s.queue;
+        queue.clear();
+        queue.resize(n + 1, 0);
+        let queued = &mut s.queued;
+        queued.clear();
+        queued.resize(n, usize::MAX);
         #[allow(clippy::needless_range_loop)] // `part_weight[p]` is mutated inside the BFS
         for p in 0..k {
             // Grow part p from an unassigned seed via BFS until it reaches
             // the target weight.
-            let seed = loop {
-                match order_iter.next() {
-                    Some(s) if part[s] == usize::MAX => break Some(s),
-                    Some(_) => continue,
-                    None => break None,
-                }
+            let Some(seed) = order_iter.find(|&u| part[u] == usize::MAX) else {
+                break;
             };
-            let Some(seed) = seed else { break };
-            let mut queue = std::collections::VecDeque::from([seed]);
-            while let Some(u) = queue.pop_front() {
-                if part[u] != usize::MAX {
-                    continue;
-                }
-                if p + 1 < k && part_weight[p] >= target {
+            queue[0] = seed;
+            queued[seed] = p;
+            let (mut head, mut tail) = (0, 1);
+            while head < tail {
+                if p + 1 < k && part_weight[p] as f64 >= target {
                     break;
                 }
+                let u = queue[head];
+                head += 1;
                 part[u] = p;
-                part_weight[p] += self.node_weight[u];
+                part_weight[p] += self.node_weight[u] as u64;
                 for (v, _) in self.adj(u) {
-                    if part[v] == usize::MAX {
-                        queue.push_back(v);
-                    }
+                    let new = part[v] == usize::MAX && queued[v] != p;
+                    queue[tail] = v;
+                    queued[v] = if new { p } else { queued[v] };
+                    tail += new as usize;
                 }
             }
         }
-        // Any leftover nodes go to the lightest part.
-        #[allow(clippy::needless_range_loop)] // `part` is indexed and mutated
-        for u in 0..n {
-            if part[u] == usize::MAX {
-                let p = (0..k)
-                    .min_by(|&a, &b| part_weight[a].partial_cmp(&part_weight[b]).unwrap())
-                    .unwrap_or(0);
-                part[u] = p;
-                part_weight[p] += self.node_weight[u];
+        // Any leftover nodes go to the lightest part, the first on ties.
+        for (home, &weight) in part.iter_mut().zip(&self.node_weight) {
+            if *home == usize::MAX {
+                let p = (0..k).min_by_key(|&p| part_weight[p]).unwrap_or(0);
+                *home = p;
+                part_weight[p] += weight as u64;
             }
         }
         part
@@ -275,126 +342,142 @@ impl WeightedGraph {
     /// are heavy, so a ceiling inherited from the coarsest level would be
     /// uselessly loose on the original graph.
     fn level_max_weight(&self, k: usize) -> f64 {
-        let total: f64 = self.node_weight.iter().sum();
-        let max_node = self.node_weight.iter().cloned().fold(0.0, f64::max);
-        1.1 * total / k as f64 + max_node
+        let max_node = self.node_weight.iter().copied().max().unwrap_or(0);
+        1.1 * self.total_weight() as f64 / k as f64 + max_node as f64
     }
 
     /// Moves nodes out of oversized parts — and into empty ones — until
     /// every part is non-empty and none exceeds `max_weight`. Each move
     /// takes the donor node whose departure costs the least edge cut, so
     /// balance is restored as cheaply as possible.
-    fn balance(&self, part: &mut [usize], k: usize, max_weight: f64) {
+    fn balance(&self, part: &mut [usize], k: usize, max_weight: f64, s: &mut Scratch) {
         let n = self.num_nodes();
         if n == 0 || k <= 1 {
             return;
         }
-        let mut part_weight = vec![0.0f64; k];
+        let part_weight = &mut s.part_weight;
+        part_weight.clear();
+        part_weight.resize(k, 0);
         let mut part_count = vec![0usize; k];
         for u in 0..n {
-            part_weight[part[u]] += self.node_weight[u];
+            part_weight[part[u]] += self.node_weight[u] as u64;
             part_count[part[u]] += 1;
         }
         loop {
             // Destination: an empty part first; otherwise the lightest
-            // part, but only while some part is overweight.
+            // part (the first on ties), but only while some part is
+            // overweight.
             let empty = (0..k).find(|&p| part_count[p] == 0);
-            let overweight = (0..k).any(|p| part_weight[p] > max_weight && part_count[p] > 1);
+            let overweight =
+                (0..k).any(|p| part_weight[p] as f64 > max_weight && part_count[p] > 1);
             let dest = match empty {
                 Some(p) => p,
-                None if overweight => (0..k)
-                    .min_by(|&a, &b| part_weight[a].partial_cmp(&part_weight[b]).unwrap())
-                    .unwrap(),
+                None if overweight => (0..k).min_by_key(|&p| part_weight[p]).unwrap(),
                 None => break,
             };
+            // The heaviest part that can spare a node, the last on ties.
             let donor = (0..k)
                 .filter(|&p| p != dest && part_count[p] > 1)
-                .max_by(|&a, &b| part_weight[a].partial_cmp(&part_weight[b]).unwrap());
+                .max_by_key(|&p| part_weight[p]);
             let Some(donor) = donor else { break };
             if part_weight[donor] <= part_weight[dest] {
                 break; // moving would only invert the imbalance
             }
             // Cheapest node to pull out: least internal connectivity,
             // crediting edges it already has toward the destination.
-            let mut best: Option<(usize, f64)> = None;
+            let mut best: Option<(usize, i64)> = None;
             for u in 0..n {
                 if part[u] != donor {
                     continue;
                 }
-                let mut cost = 0.0;
+                let mut cost = 0i64;
                 for (v, w) in self.adj(u) {
-                    if part[v] == donor {
-                        cost += w;
-                    } else if part[v] == dest {
-                        cost -= w;
-                    }
+                    let sign = (part[v] == donor) as i64 - (part[v] == dest) as i64;
+                    cost += sign * w as i64;
                 }
                 if best.is_none_or(|(_, bc)| cost < bc) {
                     best = Some((u, cost));
                 }
             }
             let Some((u, _)) = best else { break };
-            part_weight[donor] -= self.node_weight[u];
+            part_weight[donor] -= self.node_weight[u] as u64;
             part_count[donor] -= 1;
             part[u] = dest;
-            part_weight[dest] += self.node_weight[u];
+            part_weight[dest] += self.node_weight[u] as u64;
             part_count[dest] += 1;
         }
     }
 
     /// One boundary-refinement sweep: move nodes to the neighbouring part
     /// with the highest cut gain if balance permits. Returns moves made.
-    fn refine(&self, part: &mut [usize], k: usize, max_weight: f64) -> usize {
+    fn refine(&self, part: &mut [usize], k: usize, max_weight: f64, s: &mut Scratch) -> usize {
         let n = self.num_nodes();
-        let mut part_weight = vec![0.0f64; k];
-        for u in 0..n {
-            part_weight[part[u]] += self.node_weight[u];
+        let part_weight = &mut s.part_weight;
+        part_weight.clear();
+        part_weight.resize(k, 0);
+        for (&p, &w) in part.iter().zip(&self.node_weight) {
+            part_weight[p] += w as u64;
         }
+        // A part weight is an integer, so it fits under the ceiling iff
+        // it fits under the ceiling's floor.
+        let cap = max_weight.floor() as u64;
         let mut moves = 0;
         // Connectivity of the current node to each part, and the parts it
-        // touches; reset after every node.
-        let mut conn = vec![0.0f64; k];
-        let mut touched: Vec<usize> = Vec::new();
+        // touches; reset after every node. Both update without a branch
+        // per edge: every part is written to the next `touched` slot,
+        // which only a first touch keeps.
+        let conn = &mut s.conn;
+        conn.clear();
+        conn.resize(k, 0);
+        let touched = &mut s.touched;
+        touched.clear();
+        touched.resize(k + 1, 0);
         for u in 0..n {
-            for (v, w) in self.adj(u) {
-                let p = part[v];
-                // Edge weights are positive, so 0 marks "untouched".
-                if conn[p] == 0.0 {
-                    touched.push(p);
-                }
+            let span = self.offsets[u]..self.offsets[u + 1];
+            let mut len = 0;
+            for (&v, &w) in self.neighbors[span.clone()].iter().zip(&self.weights[span]) {
+                let p = part[v as usize];
+                touched[len] = p;
+                len += (conn[p] == 0) as usize;
                 conn[p] += w;
             }
             let home = part[u];
             let here = conn[home];
-            // Ascending part order: among equal gains the lowest part id
-            // wins.
-            touched.sort_unstable();
-            let mut best: Option<(usize, f64)> = None;
-            for &p in &touched {
-                if p == home {
-                    continue;
-                }
-                let gain = conn[p] - here;
-                if gain > 1e-12
-                    && part_weight[p] + self.node_weight[u] <= max_weight
-                    && best.is_none_or(|(_, bg)| gain > bg)
-                {
-                    best = Some((p, gain));
+            let weight = self.node_weight[u] as u64;
+            // The gain of a move is `conn[p] − here`, an integer: the
+            // best is the largest positive gain that fits under the
+            // ceiling, the lowest part id on ties.
+            let (mut best, mut best_conn) = (usize::MAX, 0);
+            for &p in &touched[..len] {
+                let to = std::mem::take(&mut conn[p]);
+                let better = to > best_conn || (to == best_conn && p < best);
+                if p != home && to > here && better && part_weight[p] + weight <= cap {
+                    (best, best_conn) = (p, to);
                 }
             }
-            for &p in &touched {
-                conn[p] = 0.0;
-            }
-            touched.clear();
-            if let Some((p, _)) = best {
-                part_weight[home] -= self.node_weight[u];
-                part_weight[p] += self.node_weight[u];
-                part[u] = p;
+            if best != usize::MAX {
+                part_weight[home] -= weight;
+                part_weight[best] += weight;
+                part[u] = best;
                 moves += 1;
             }
         }
         moves
     }
+}
+
+/// Edges `{u, v}` whose endpoints `assignment` puts in different parts.
+fn edge_cut(graph: &CsrGraph, assignment: &[usize]) -> usize {
+    (0..graph.num_nodes())
+        .map(|u| {
+            let home = assignment[u];
+            graph
+                .neighbors(u)
+                .iter()
+                .filter(|&&v| v > u && assignment[v] != home)
+                .count()
+        })
+        .sum()
 }
 
 /// Partitions `graph` into `k` balanced parts with the multilevel scheme.
@@ -424,17 +507,18 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
     }
     assert!(k <= n, "cannot split {n} nodes into {k} parts");
 
+    let mut s = Scratch::default();
     let mut levels: Vec<(WeightedGraph, Vec<usize>)> = Vec::new();
     let mut current = WeightedGraph::from_csr(graph);
 
     // Draw a plain region-growing candidate first (same rng state
     // `bfs_partition` would see): the multilevel result is only kept if
     // it cuts no more edges, so the fallback is a quality floor.
-    let mut bfs_part = current.initial_partition(k, rng);
+    let mut bfs_part = current.initial_partition(k, rng, &mut s);
 
     // Coarsen until small or progress stalls.
     while current.num_nodes() > (8 * k).max(64) {
-        let (coarse, map) = current.coarsen(rng);
+        let (coarse, map) = current.coarsen(rng, &mut s);
         if coarse.num_nodes() as f64 > 0.95 * current.num_nodes() as f64 {
             break; // matching stalled (e.g. star graphs)
         }
@@ -442,29 +526,25 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
     }
 
     let max_weight = current.level_max_weight(k);
-    let mut part = current.initial_partition(k, rng);
-    current.balance(&mut part, k, max_weight);
+    let mut part = current.initial_partition(k, rng, &mut s);
+    current.balance(&mut part, k, max_weight, &mut s);
     for _ in 0..4 {
-        if current.refine(&mut part, k, max_weight) == 0 {
+        if current.refine(&mut part, k, max_weight, &mut s) == 0 {
             break;
         }
     }
-    current.balance(&mut part, k, max_weight);
+    current.balance(&mut part, k, max_weight, &mut s);
 
     // Uncoarsen with refinement (and re-balancing against the level's
     // own ceiling) at every level.
     while let Some((fine, map)) = levels.pop() {
-        let mut fine_part = vec![0usize; fine.num_nodes()];
-        for u in 0..fine.num_nodes() {
-            fine_part[u] = part[map[u]];
-        }
-        part = fine_part;
+        part = map.iter().map(|&c| part[c]).collect();
         let max_weight = fine.level_max_weight(k);
         // Alternate refinement and re-balancing: balancing can free
         // headroom that unlocks further gain moves, and vice versa.
         for _ in 0..3 {
-            let moves = fine.refine(&mut part, k, max_weight);
-            fine.balance(&mut part, k, max_weight);
+            let moves = fine.refine(&mut part, k, max_weight, &mut s);
+            fine.balance(&mut part, k, max_weight, &mut s);
             if moves == 0 {
                 break;
             }
@@ -473,17 +553,12 @@ pub fn partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitioning
     }
     // `current` is the finest level again.
 
-    let cut = |assignment: &[usize]| {
-        graph
-            .edges()
-            .filter(|&(u, v)| assignment[u] != assignment[v])
-            .count()
-    };
-    if cut(&bfs_part) < cut(&part) {
+    let cut = edge_cut(graph, &part);
+    if edge_cut(graph, &bfs_part) < cut {
         // Keep the floor candidate, restoring its guarantees (non-empty
         // parts, weight ceiling) first.
-        current.balance(&mut bfs_part, k, current.level_max_weight(k));
-        if cut(&bfs_part) < cut(&part) {
+        current.balance(&mut bfs_part, k, current.level_max_weight(k), &mut s);
+        if edge_cut(graph, &bfs_part) < cut {
             return Partitioning::new(bfs_part, k);
         }
     }
@@ -504,17 +579,90 @@ pub fn bfs_partition(graph: &CsrGraph, k: usize, rng: &mut impl Rng) -> Partitio
     }
     assert!(k <= n, "cannot split {n} nodes into {k} parts");
     let wg = WeightedGraph::from_csr(graph);
-    let part = wg.initial_partition(k, rng);
+    let part = wg.initial_partition(k, rng, &mut Scratch::default());
     Partitioning::new(part, k)
 }
 
 #[cfg(test)]
 mod tests {
+    use fare_rt::prop::prelude::*;
     use fare_rt::rand::rngs::StdRng;
-    use fare_rt::rand::SeedableRng;
+    use fare_rt::rand::{RngCore, SeedableRng};
 
     use super::*;
     use crate::generate;
+
+    /// A graph of `size`-ish nodes in one of five shapes: the presets'
+    /// SBM with hubs, R-MAT, a star (where matching stalls), disjoint
+    /// random components with isolated nodes, and a sparse random graph.
+    fn oracle_graph(shape: usize, size: usize, rng: &mut StdRng) -> CsrGraph {
+        match shape {
+            0 => {
+                let communities = 1 + rng.gen_range(0..10).min(size - 1);
+                generate::sbm_power_law(size, communities, 0.15, 0.003, 1.0, rng).0
+            }
+            1 => {
+                let scale = 1 + (size.max(2).ilog2()).min(9);
+                generate::rmat(scale, 4 << scale, 0.57, 0.19, 0.19, rng)
+            }
+            2 => CsrGraph::from_edges(size, &(1..size).map(|v| (0, v)).collect::<Vec<_>>()),
+            3 => {
+                let mut edges = Vec::new();
+                let mut start = 0;
+                while start < size {
+                    let len = rng.gen_range(1..=size.min(40));
+                    let end = (start + len).min(size);
+                    for u in start..end {
+                        for v in u + 1..end {
+                            if rng.gen_bool(0.3) {
+                                edges.push((u, v));
+                            }
+                        }
+                    }
+                    start = end;
+                }
+                CsrGraph::from_edges(size, &edges)
+            }
+            _ => generate::erdos_renyi(size, (4.0 / size as f64).min(1.0), rng),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        // The production partitioner keeps the oracle's algorithm and
+        // its RNG draws; only its data layout and bookkeeping differ.
+        // Same seed, same graph, same `k`: same assignment, and the next
+        // draw after it agrees, so every later stage sees the same
+        // stream. `k` runs from 1 to `n`.
+        #[test]
+        fn partition_bit_identical_to_reference_oracle(
+            seed in 0u64..1_000_000,
+            shape in 0usize..5,
+            size in 1usize..700,
+            k_pick in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = oracle_graph(shape, size, &mut rng);
+            let n = g.num_nodes();
+            let k = match k_pick {
+                0 => 1,
+                1 => n,
+                2 => rng.gen_range(1..=n.min(40)),
+                _ => rng.gen_range(1..=n),
+            };
+            let mut fast = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut oracle = fast.clone();
+            let got = partition(&g, k, &mut fast);
+            let want = reference::partition(&g, k, &mut oracle);
+            prop_assert_eq!(got.assignment(), want.assignment(), "shape {} n {} k {}", shape, n, k);
+            prop_assert_eq!(fast.next_u64(), oracle.next_u64());
+            let got = bfs_partition(&g, k, &mut fast);
+            let want = reference::bfs_partition(&g, k, &mut oracle);
+            prop_assert_eq!(got.assignment(), want.assignment());
+            prop_assert_eq!(fast.next_u64(), oracle.next_u64());
+        }
+    }
 
     #[test]
     fn partitioning_accessors() {

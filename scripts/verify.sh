@@ -97,6 +97,18 @@ echo "==> partition pins across thread counts"
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-graph --test partition_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-graph --test partition_pins
 
+echo "==> partitioner against its oracle across thread counts"
+# The partitioner keeps its first version's algorithm and RNG draws on
+# integer weights, a transposed coarse graph and branch-free sweeps; the
+# first version stays as a test-only oracle. A property test pins the
+# assignment and the next RNG draw to it over SBM, R-MAT, star,
+# disconnected and sparse random graphs with k from 1 to n. The
+# partitioner is serial and must ignore the thread count.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-graph --lib -- \
+    partition_bit_identical_to_reference_oracle
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-graph --lib -- \
+    partition_bit_identical_to_reference_oracle
+
 echo "==> row kernel against the plain-loop oracle across thread counts"
 # Every dense product and every aggregation computes its output rows
 # through the register-accumulator kernels: matmul and t_matmul two rows
@@ -184,6 +196,11 @@ for threads in 1 4; do
     FARE_RT_THREADS=$threads cargo test -q --offline -p fare-core --lib -- \
         pair_bounds_never_exceed_exact_costs
 done
+# Several BIST rounds of inject, cached refresh and CSR corruption at the
+# trainer's geometry, against the full recompute, the dense corruption
+# and the cache's hit/miss count of changed crossbars.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test ageing_oracle
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test ageing_oracle
 
 echo "==> compute-core bench smoke"
 # The bench smokes time production code only: the sparse GCN step and
