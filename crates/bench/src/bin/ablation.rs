@@ -4,12 +4,11 @@
 
 use fare_bench::{params_from_args, pct, render_table};
 use fare_core::ablation::{
-    clip_threshold_ablation, locality_ablation, matcher_ablation, prune_ablation, refresh_ablation,
-    slack_ablation,
+    clip_threshold_ablation, matcher_ablation, prune_ablation, refresh_ablation, slack_ablation,
 };
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let seed = params.seed;
 
     println!("Ablation 1 — assignment solver inside Algorithm 1 (5% faults, 1:1)\n");
@@ -68,23 +67,7 @@ fn main() {
             .collect();
     print!("{}", render_table(&["θ", "FARe accuracy"], &rows));
 
-    println!("\nAblation 5 — tile-locality weight λ (extension; 8 crossbars/tile)\n");
-    let rows: Vec<Vec<String>> = locality_ablation(seed, 0.05, &[0.0, 0.5, 1.0, 5.0, 50.0])
-        .into_iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.weight),
-                format!("{:.2}", r.tile_spread),
-                format!("{}", r.mapping_cost),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(&["λ", "tile spread", "mapping cost"], &rows)
-    );
-
-    println!("\nAblation 6 — post-deployment row-permutation refresh (Amazon2M+SAGE, 2%+2%)\n");
+    println!("\nAblation 5 — post-deployment row-permutation refresh (Amazon2M+SAGE, 2%+2%)\n");
     let rows: Vec<Vec<String>> = refresh_ablation(&params)
         .into_iter()
         .map(|r| {

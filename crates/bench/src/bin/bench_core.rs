@@ -18,7 +18,7 @@
 //! `fare-report diff BENCH_core.json <fresh.json>` compares bench runs
 //! across PRs with the one code path.
 
-use fare_bench::{numeric_flag, string_flag, time_ns};
+use fare_bench::{check_args, numeric_flag, string_flag, time_ns};
 use fare_gnn::{Gnn, GnnDims, IdealReader};
 use fare_graph::batch::make_batches;
 use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
@@ -55,6 +55,10 @@ fn fwd_bwd(model: &Gnn, view: &GraphView, x: &Matrix, labels: &[usize]) -> f32 {
 }
 
 fn main() {
+    check_args(
+        &["--nodes", "--avg-degree", "--iters", "--out"],
+        &["--smoke"],
+    );
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n: usize = numeric_flag("--nodes", if smoke { 2_000 } else { 20_000 });
     let avg_degree: usize = numeric_flag("--avg-degree", 20);

@@ -31,7 +31,7 @@
 //! `fare-report diff BENCH_mapping.json <fresh.json>` compares bench
 //! runs across PRs with the one code path.
 
-use fare_bench::{numeric_flag, string_flag, time_ns, time_ns_with_input, usage_error};
+use fare_bench::{check_args, numeric_flag, string_flag, time_ns, time_ns_with_input, usage_error};
 use fare_core::mapping::reference;
 use fare_core::{
     corrupt_graph_mapped, map_blocks_cached, refresh_blocks_cached, AdjacencyBlocks, MappingConfig,
@@ -54,6 +54,10 @@ fn random_graph(nodes: usize, avg_degree: usize, seed: u64) -> CsrGraph {
 
 fn main() {
     let train = TrainConfig::default();
+    check_args(
+        &["--nodes", "--xbar-size", "--density", "--iters", "--out"],
+        &["--smoke"],
+    );
     let smoke = std::env::args().any(|a| a == "--smoke");
     let nodes: usize = numeric_flag("--nodes", 60);
     let n: usize = numeric_flag("--xbar-size", train.crossbar_size);
@@ -75,7 +79,6 @@ fn main() {
     let cfg = MappingConfig {
         matcher: train.matcher,
         prune: true,
-        ..MappingConfig::default()
     };
     let blocks = nodes.div_ceil(n).pow(2);
     let m = ((blocks as f64 * train.crossbar_slack).ceil() as usize).max(blocks);

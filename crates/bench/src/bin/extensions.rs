@@ -16,7 +16,7 @@ use fare_graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare_reram::FaultSpec;
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let seed = params.seed;
 
     println!("Extension 1 — link prediction (Ogbl+SAGE, 5% faults, 1:1)\n");

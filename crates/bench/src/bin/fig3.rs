@@ -2,18 +2,19 @@
 //! faults injected separately into the weight and adjacency crossbars
 //! (SAGE + Amazon2M, fault-unaware training).
 
-use fare_bench::{params_from_args, pct, render_table};
+use fare_bench::{params_from_args, pct, render_table, string_flag};
 use fare_core::experiments::{fig3, FaultPhase};
 use fare_tensor::fixed::StuckPolarity;
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&["--json"]);
+    let json = string_flag("--json");
     eprintln!(
         "running fig3 (epochs={}, trials={}) ...",
         params.epochs, params.trials
     );
     let result = fig3(&params);
-    fare_bench::maybe_write_json(&result);
+    fare_bench::maybe_write_json(json.as_deref(), &result);
 
     let mut rows = vec![vec![
         "fault-free".to_string(),

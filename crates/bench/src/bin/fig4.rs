@@ -2,18 +2,19 @@
 //! a) vs FARe (panel b) under 1–5 % pre-deployment fault densities
 //! (GCN + Reddit, SA0:SA1 = 9:1), against the fault-free curve.
 
-use fare_bench::{params_from_args, render_table};
+use fare_bench::{params_from_args, render_table, string_flag};
 use fare_core::experiments::fig4;
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&["--json"]);
+    let json = string_flag("--json");
     let densities = [0.01, 0.02, 0.03, 0.04, 0.05];
     eprintln!(
         "running fig4 (epochs={}, trials={}) ...",
         params.epochs, params.trials
     );
     let result = fig4(&params, &densities);
-    fare_bench::maybe_write_json(&result);
+    fare_bench::maybe_write_json(json.as_deref(), &result);
 
     let mut header: Vec<String> = vec!["epoch".into(), "fault-free".into()];
     for d in &densities {

@@ -44,7 +44,8 @@ fn print_panel(cmp: &AccuracyComparison, densities: &[f64]) {
 }
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&["--ratio", "--json"]);
+    let json = string_flag("--json");
     let ratio = string_flag("--ratio").unwrap_or_else(|| "9:1".into());
     let densities = [0.01, 0.03, 0.05];
     let workloads = table2_workloads();
@@ -69,5 +70,5 @@ fn main() {
         println!();
         results.push(cmp);
     }
-    fare_bench::maybe_write_json(&results);
+    fare_bench::maybe_write_json(json.as_deref(), &results);
 }

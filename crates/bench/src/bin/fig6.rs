@@ -3,12 +3,13 @@
 //! over the epochs, for SA0:SA1 ratios 9:1 and 1:1, all strategies, all
 //! workloads.
 
-use fare_bench::{params_from_args, pct, render_table};
+use fare_bench::{params_from_args, pct, render_table, string_flag};
 use fare_core::experiments::{fig6, table2_workloads};
 use fare_core::FaultStrategy;
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&["--json"]);
+    let json = string_flag("--json");
     let pre_densities = [0.01, 0.02, 0.03];
     let post = 0.01;
     let workloads = table2_workloads();
@@ -71,5 +72,5 @@ fn main() {
         );
         results.push(cmp);
     }
-    fare_bench::maybe_write_json(&results);
+    fare_bench::maybe_write_json(json.as_deref(), &results);
 }

@@ -7,8 +7,10 @@ use fare_bench::render_table;
 use fare_core::experiments::fig7;
 
 fn main() {
+    fare_bench::check_args(&["--json"], &[]);
+    let json = fare_bench::string_flag("--json");
     let result = fig7();
-    fare_bench::maybe_write_json(&result);
+    fare_bench::maybe_write_json(json.as_deref(), &result);
     let mut rows = Vec::new();
     let mut max_speedup: f64 = 0.0;
     for (kind, times) in &result.rows {

@@ -4,6 +4,7 @@ use fare_bench::render_table;
 use fare_core::related::table1;
 
 fn main() {
+    fare_bench::check_args(&[], &[]);
     let yn = |b: bool| if b { "Y" } else { "N" }.to_string();
     let rows: Vec<Vec<String>> = table1()
         .into_iter()

@@ -6,7 +6,7 @@ use fare_bench::render_table;
 use fare_graph::datasets::{Dataset, DatasetKind};
 
 fn main() {
-    let seed = fare_bench::params_from_args().seed;
+    let seed = fare_bench::params_from_args(&[]).seed;
     let mut rows = Vec::new();
     for kind in DatasetKind::all() {
         let ds = Dataset::generate(kind, seed);

@@ -4,6 +4,7 @@ use fare_bench::render_table;
 use fare_reram::ChipConfig;
 
 fn main() {
+    fare_bench::check_args(&[], &[]);
     let cfg = ChipConfig::date2024();
     let rows = vec![
         vec![

@@ -59,7 +59,17 @@ fn parse_ratio(s: &str) -> f64 {
 }
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[
+        "--dataset",
+        "--model",
+        "--strategy",
+        "--density",
+        "--ratio",
+        "--post",
+        "--theta",
+        "--json",
+    ]);
+    let json = string_flag("--json");
     let dataset_kind = parse_dataset(&string_flag("--dataset").unwrap_or_else(|| "ppi".into()));
     let model = parse_model(&string_flag("--model").unwrap_or_else(|| "gcn".into()));
     let strategy = parse_strategy(&string_flag("--strategy").unwrap_or_else(|| "fare".into()));
@@ -71,7 +81,6 @@ fn main() {
     let post: f64 = numeric_flag("--post", 0.0);
     let theta: f32 = numeric_flag("--theta", 1.0);
 
-    let dataset = Dataset::generate(dataset_kind, params.seed);
     let config = TrainConfig {
         model,
         epochs: params.epochs,
@@ -84,6 +93,7 @@ fn main() {
     if let Err(e) = config.validate() {
         usage_error(&e);
     }
+    let dataset = Dataset::generate(dataset_kind, params.seed);
 
     println!(
         "dataset {} ({} nodes, {} edges) | model {model} | {} | density {:.1}% (SA1 fraction {:.2}) | post +{:.1}% | θ={theta}",
@@ -122,5 +132,5 @@ fn main() {
         "\nfinal test accuracy {:.3} | normalised execution time {:.3}",
         outcome.final_test_accuracy, outcome.normalized_time
     );
-    fare_bench::maybe_write_json(&outcome);
+    fare_bench::maybe_write_json(json.as_deref(), &outcome);
 }

@@ -7,23 +7,36 @@
 //! - `--trials N` — independent trials averaged per bar (default 3),
 //! - `--seed N` — base RNG seed (default 42),
 //! - `--quick` — 8 epochs × 1 trial, for smoke runs.
+//!
+//! Every binary checks its whole command line before it does any work:
+//! an argument that is not one of its flags, a flag that needs a value
+//! and has none, or a flag given twice exits with status 2
+//! ([`check_args`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use fare_core::experiments::ExperimentParams;
 
-/// Parses the common experiment flags from `std::env::args`.
+/// The value-taking flags [`params_from`] reads.
+const EXPERIMENT_FLAGS: [&str; 3] = ["--epochs", "--trials", "--seed"];
+
+/// Checks the command line of an experiment binary, which accepts the
+/// common flags plus the value-taking flags `valued` of its own, then
+/// parses the common flags from `std::env::args`.
 ///
-/// Unknown flags are ignored so binaries can add their own. A flag whose
-/// value is missing or not a number is a [`usage_error`].
-pub fn params_from_args() -> ExperimentParams {
+/// An argument that is none of these, or a flag whose value is missing
+/// or not a number, is a [`usage_error`].
+pub fn params_from_args(valued: &[&str]) -> ExperimentParams {
+    let accepted: Vec<&str> = EXPERIMENT_FLAGS.iter().chain(valued).copied().collect();
+    check_args(&accepted, &["--quick"]);
     let args: Vec<String> = std::env::args().collect();
     params_from(&args).unwrap_or_else(|e| usage_error(&e))
 }
 
 /// Parses experiment flags from an explicit argument list (testable).
-/// Errors when a flag's value is missing or not a number.
+/// Other flags are skipped; [`check_args`] is what rejects the unknown
+/// ones. Errors when a flag's value is missing or not a number.
 pub fn params_from(args: &[String]) -> Result<ExperimentParams, String> {
     let mut params = ExperimentParams::default();
     let mut i = 0;
@@ -57,6 +70,39 @@ pub fn params_from(args: &[String]) -> Result<ExperimentParams, String> {
     Ok(params)
 }
 
+/// Checks the process arguments before a binary does any work: each must
+/// be one of the flags in `valued`, followed by its value, or one of the
+/// `switches`, which take none, and no flag may be given twice. Anything
+/// else is a [`usage_error`].
+pub fn check_args(valued: &[&str], switches: &[&str]) {
+    let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, valued, switches).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// [`check_args`] over an explicit argument list, program name first.
+fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    let mut seen: Vec<&str> = Vec::new();
+    while let Some(arg) = rest.next() {
+        if seen.contains(&arg.as_str()) {
+            return Err(format!("flag {arg} given twice"));
+        }
+        seen.push(arg);
+        if valued.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("flag {arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            let accepted: Vec<&str> = valued.iter().chain(switches).copied().collect();
+            return Err(format!(
+                "unknown argument {arg:?}; accepted flags: {}",
+                accepted.join(" ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Reports a bad command line on stderr and exits with status 2, the
 /// usage-error code `fare-report` uses too.
 pub fn usage_error(msg: &str) -> ! {
@@ -75,8 +121,9 @@ pub fn numeric_flag<T: std::str::FromStr>(flag: &str, default: T) -> T {
     }
 }
 
-/// Writes a serialisable experiment result as pretty-printed JSON when
-/// the user passed `--json <path>`; no-op otherwise.
+/// Writes a serialisable experiment result as pretty-printed JSON to
+/// `path`, the value of `--json` a binary read before its run; no-op for
+/// `None`.
 ///
 /// Lets downstream tooling (plotting scripts, CI dashboards) consume the
 /// figures without scraping the text tables.
@@ -84,10 +131,10 @@ pub fn numeric_flag<T: std::str::FromStr>(flag: &str, default: T) -> T {
 /// # Panics
 ///
 /// Panics if the file cannot be written or the value fails to serialise.
-pub fn maybe_write_json<T: fare_rt::json::ToJson>(value: &T) {
-    if let Some(path) = string_flag("--json") {
+pub fn maybe_write_json<T: fare_rt::json::ToJson>(path: Option<&str>, value: &T) {
+    if let Some(path) = path {
         let json = fare_rt::json::to_string_pretty(value).expect("result serialises to JSON");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("wrote JSON results to {path}");
     }
 }
@@ -221,9 +268,30 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unknown_flags() {
-        let p = params_from(&argv("prog --ratio 1:1 --epochs 9")).unwrap();
-        assert_eq!(p.epochs, 9);
+    fn rejects_unknown_flags() {
+        let args = argv("prog --ratio 1:1 --epochs 9");
+        let err = check_flags(&args, &EXPERIMENT_FLAGS, &["--quick"]).unwrap_err();
+        assert!(err.contains("unknown argument \"--ratio\""), "{err}");
+        // A flag the binary lists is accepted, with its value skipped.
+        let valued = ["--epochs", "--ratio"];
+        assert_eq!(check_flags(&args, &valued, &[]), Ok(()));
+        // A typo of a listed flag, a stray value and a valueless last
+        // flag are all rejected.
+        for bad in [
+            "prog --epoch 1",
+            "prog 9",
+            "prog --quick 1",
+            "prog --epochs",
+            "prog --epochs 1 --epochs 2",
+            "prog --quick --quick",
+        ] {
+            assert!(
+                check_flags(&argv(bad), &EXPERIMENT_FLAGS, &["--quick"]).is_err(),
+                "{bad}"
+            );
+        }
+        // `params_from` itself skips the binary's own flags.
+        assert_eq!(params_from(&args).unwrap().epochs, 9);
     }
 
     #[test]

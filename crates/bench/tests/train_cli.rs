@@ -1,29 +1,34 @@
-//! CLI contract of `train` and `bench_mapping`: a bad flag is a usage
-//! error with exit code 2 and a message on stderr, never a panic, and
-//! never a silent fall-back to the default.
+//! CLI contract of the `fare-bench` binaries: a bad or unknown flag is a
+//! usage error with exit code 2 and a message on stderr, before any
+//! work; never a panic, and never a silent fall-back to the default.
 
 use std::process::Command;
 
-fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+/// Exit code, stdout and stderr of `bin args`.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(bin).args(args).output().expect("run binary");
     (
         out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
 
+/// Each case exits 2 with `want` on stderr, before the binary prints
+/// any result.
 fn assert_usage_errors(bin: &str, cases: &[(&[&str], &str)]) {
     for &(args, want) in cases {
-        let (code, stderr) = run(bin, args);
+        let (code, stdout, stderr) = run(bin, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(want), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} did work first: {stdout}");
     }
 }
 
 #[test]
 fn bad_flags_exit_with_usage_error_2() {
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 17] = [
         (&["--dataset", "cora"], "unknown dataset"),
         (&["--model", "gin"], "unknown model"),
         (&["--strategy", "pray"], "unknown strategy"),
@@ -37,6 +42,21 @@ fn bad_flags_exit_with_usage_error_2() {
         // A trailing flag with no value is an error, not its default.
         (&["--epochs", "1", "--density"], "--density needs a value"),
         (&["--epochs", "1", "--dataset"], "--dataset needs a value"),
+        (&["--epochs", "2", "--json"], "--json needs a value"),
+        // An unknown flag, a typo of a known one, or a stray value is an
+        // error, not silently ignored.
+        (&["--epoch", "1"], "unknown argument \"--epoch\""),
+        (
+            &["--epochs", "1", "--bogus", "3"],
+            "unknown argument \"--bogus\"",
+        ),
+        (&["--epochs", "1", "3"], "unknown argument \"3\""),
+        // A repeated flag is ambiguous: `--density` used to keep its
+        // first value and `--epochs` its last.
+        (
+            &["--density", "0.1", "--density", "0.2"],
+            "flag --density given twice",
+        ),
     ];
     assert_usage_errors(env!("CARGO_BIN_EXE_train"), &cases);
 }
@@ -61,4 +81,52 @@ fn bench_mapping_bad_values_exit_with_usage_error_2() {
         (&["--smoke", "--density"], "--density needs a value"),
     ];
     assert_usage_errors(env!("CARGO_BIN_EXE_bench_mapping"), &cases);
+}
+
+#[test]
+fn every_binary_rejects_unknown_flags_before_work() {
+    let unknown = "unknown argument \"--bogus\"";
+    let cases: [(&str, &[&str], &str); 13] = [
+        (env!("CARGO_BIN_EXE_ablation"), &["--bogus"], unknown),
+        // `ablation` writes no JSON, so it takes no `--json`.
+        (
+            env!("CARGO_BIN_EXE_ablation"),
+            &["--json", "x.json"],
+            "unknown argument \"--json\"",
+        ),
+        (env!("CARGO_BIN_EXE_extensions"), &["--bogus"], unknown),
+        (env!("CARGO_BIN_EXE_fig3"), &["--quick", "--bogus"], unknown),
+        (
+            env!("CARGO_BIN_EXE_fig4"),
+            &["--json"],
+            "--json needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig5"),
+            &["--ratio", "1:1", "--bogus"],
+            unknown,
+        ),
+        (env!("CARGO_BIN_EXE_fig6"), &["--bogus", "1"], unknown),
+        (
+            env!("CARGO_BIN_EXE_fig7"),
+            &["--epochs", "1"],
+            "unknown argument \"--epochs\"",
+        ),
+        (env!("CARGO_BIN_EXE_table1"), &["--bogus"], unknown),
+        (env!("CARGO_BIN_EXE_table2"), &["--bogus"], unknown),
+        (env!("CARGO_BIN_EXE_table3"), &["--bogus"], unknown),
+        (
+            env!("CARGO_BIN_EXE_bench_core"),
+            &["--smoke", "--bogus"],
+            unknown,
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench_mapping"),
+            &["--smoke", "--bogus"],
+            unknown,
+        ),
+    ];
+    for (bin, args, want) in cases {
+        assert_usage_errors(bin, &[(args, want)]);
+    }
 }

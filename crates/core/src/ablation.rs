@@ -1,10 +1,10 @@
 //! Ablation studies of FARe's design choices (DESIGN.md §4).
 //!
-//! Four knobs the paper fixes are swept here so their contribution is
+//! Five knobs the paper fixes are swept here so their contribution is
 //! measurable:
 //!
 //! 1. the assignment solver inside Algorithm 1 (exact Hungarian vs the
-//!    paper's b-Suitor ½-approximation vs greedy),
+//!    paper's b-Suitor ½-approximation),
 //! 2. the SA1-non-overlap pruning heuristic (lines 8–17) on vs off,
 //! 3. the crossbar over-provisioning slack the mapper gets to play with,
 //! 4. the weight-clip threshold θ,
@@ -62,28 +62,22 @@ pub struct MatcherAblation {
 /// Sweeps the assignment solver on a standard instance.
 pub fn matcher_ablation(seed: u64, density: f64) -> Vec<MatcherAblation> {
     let (blocks, array) = mapping_instance(96, 16, 1.5, density, seed);
-    [
-        Matcher::Hungarian,
-        Matcher::BSuitor,
-        Matcher::Auction,
-        Matcher::Greedy,
-    ]
-    .into_iter()
-    .map(|matcher| {
-        let cfg = MappingConfig {
-            matcher,
-            prune: true,
-            ..MappingConfig::default()
-        };
-        let t0 = Instant::now();
-        let mapping = map_blocks_cached(&blocks, &array, &cfg, &mut RemapCache::new());
-        MatcherAblation {
-            matcher,
-            mapping_cost: mapping.total_cost(),
-            wall_time_ms: t0.elapsed().as_secs_f64() * 1e3,
-        }
-    })
-    .collect()
+    [Matcher::Hungarian, Matcher::BSuitor]
+        .into_iter()
+        .map(|matcher| {
+            let cfg = MappingConfig {
+                matcher,
+                prune: true,
+            };
+            let t0 = Instant::now();
+            let mapping = map_blocks_cached(&blocks, &array, &cfg, &mut RemapCache::new());
+            MatcherAblation {
+                matcher,
+                mapping_cost: mapping.total_cost(),
+                wall_time_ms: t0.elapsed().as_secs_f64() * 1e3,
+            }
+        })
+        .collect()
 }
 
 /// One row of the pruning ablation.
@@ -107,7 +101,6 @@ pub fn prune_ablation(seed: u64, density: f64) -> Vec<PruneAblation> {
             let cfg = MappingConfig {
                 matcher: Matcher::BSuitor,
                 prune,
-                ..MappingConfig::default()
             };
             let mapping = map_blocks_cached(&blocks, &array, &cfg, &mut RemapCache::new());
             PruneAblation {
@@ -211,40 +204,6 @@ pub fn refresh_ablation(params: &ExperimentParams) -> Vec<RefreshAblation> {
         .collect()
 }
 
-/// One row of the tile-locality ablation (extension).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalityAblation {
-    /// Penalty weight λ.
-    pub weight: f64,
-    /// Mean extra tiles per block-row (communication proxy).
-    pub tile_spread: f64,
-    /// Total mismatch cost paid for the locality.
-    pub mapping_cost: usize,
-}
-
-/// Sweeps the tile-locality weight λ: communication (tile spread) falls
-/// as λ rises, at the price of extra mismatches.
-pub fn locality_ablation(seed: u64, density: f64, weights: &[f64]) -> Vec<LocalityAblation> {
-    use crate::mapping::LocalityConfig;
-    let (blocks, array) = mapping_instance(96, 16, 1.5, density, seed);
-    let crossbars_per_tile = 8;
-    weights
-        .iter()
-        .map(|&weight| {
-            let cfg = MappingConfig {
-                locality: Some(LocalityConfig::new(crossbars_per_tile, weight)),
-                ..MappingConfig::default()
-            };
-            let mapping = map_blocks_cached(&blocks, &array, &cfg, &mut RemapCache::new());
-            LocalityAblation {
-                weight,
-                tile_spread: mapping.tile_spread(crossbars_per_tile),
-                mapping_cost: mapping.total_cost(),
-            }
-        })
-        .collect()
-}
-
 /// One row of the model-depth ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepthAblation {
@@ -301,7 +260,7 @@ mod tests {
     #[test]
     fn matcher_ablation_exact_is_best_or_tied() {
         let rows = matcher_ablation(3, 0.05);
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 2);
         let cost = |m: Matcher| {
             rows.iter()
                 .find(|r| r.matcher == m)
@@ -309,9 +268,6 @@ mod tests {
                 .unwrap()
         };
         assert!(cost(Matcher::Hungarian) <= cost(Matcher::BSuitor));
-        assert!(cost(Matcher::Hungarian) <= cost(Matcher::Greedy));
-        // Auction is exact on integer mismatch costs.
-        assert_eq!(cost(Matcher::Auction), cost(Matcher::Hungarian));
         assert!(rows.iter().all(|r| r.wall_time_ms > 0.0));
     }
 
@@ -338,17 +294,6 @@ mod tests {
         // shared prefix of the pool).
         assert!(rows[2].mapping_cost <= rows[0].mapping_cost);
         assert!(rows[0].crossbars < rows[2].crossbars);
-    }
-
-    #[test]
-    fn locality_sweep_trades_spread_for_cost() {
-        let rows = locality_ablation(21, 0.05, &[0.0, 1.0, 50.0]);
-        assert_eq!(rows.len(), 3);
-        // Heavy locality weight must not increase tile spread.
-        assert!(rows[2].tile_spread <= rows[0].tile_spread);
-        // And mismatch cost is monotonically non-decreasing in λ (it is
-        // the objective being traded away).
-        assert!(rows[2].mapping_cost >= rows[0].mapping_cost);
     }
 
     #[test]

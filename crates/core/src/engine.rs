@@ -397,7 +397,6 @@ impl Hardware for Faulty {
         let map_cfg = MappingConfig {
             matcher: cfg.matcher,
             prune: true,
-            ..MappingConfig::default()
         };
         // NR keeps the sequential block order and re-solves each block's
         // row permutation; the cache is empty, so every block is solved.

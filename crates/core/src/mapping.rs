@@ -35,7 +35,7 @@
 //! level-greedy matching over the same base/deviant split. It returns
 //! exactly what [`fare_matching::bsuitor_assignment`] returns on the full
 //! table: b-Suitor, computed as the greedy matching in `(cost, row, col)`
-//! edge order, which it equals (see `G1Scratch::greedy_assign`).
+//! edge order, which it equals (see `G1Scratch::level_greedy_assign`).
 //!
 //! On top of the reduced kernel, [`map_blocks_cached`] deduplicates work
 //! by *content classes*: blocks with identical bit patterns and crossbars
@@ -52,13 +52,14 @@
 //!
 //! - **Pruning** solves only the blocks whose `LB_sa1` is within the
 //!   sparsest block's ones, and stops at the first that passes.
-//! - **`G₂` under b-Suitor** (locality off) is the greedy matching in
+//! - **`G₂` under b-Suitor** is the greedy matching in
 //!   `(cost, block, crossbar)` order, by the same argument as for `G₁`.
-//!   A min-heap starts keyed on `LB`; a popped pair whose exact cost
-//!   equals its key is matched, any other is pushed back on its exact
-//!   cost. Since exact ≥ `LB`, a matched pair precedes every other free
-//!   pair's exact key, so the matching is the greedy one. Other matchers
-//!   and the locality term read the whole table.
+//!   The pairs start in `(LB, block, crossbar)` order; the next pair is
+//!   the lesser of that list's front and a retry heap's. A pair whose
+//!   exact cost equals its key is matched, any other goes to the heap on
+//!   its exact cost. Since exact ≥ `LB`, a matched pair precedes every
+//!   other free pair's exact key, so the matching is the greedy one.
+//!   Hungarian reads the whole table.
 //! - **Deferred blocks** skip a crossbar whose `LB` reaches the best
 //!   exact cost so far: it cannot be strictly cheaper, and ties keep
 //!   the first crossbar.
@@ -90,8 +91,6 @@ pub struct MappingConfig {
     pub matcher: Matcher,
     /// Enables the SA1-non-overlap pruning heuristic (lines 8–17).
     pub prune: bool,
-    /// Optional tile-locality term (extension beyond the paper).
-    pub locality: Option<LocalityConfig>,
 }
 
 impl Default for MappingConfig {
@@ -99,44 +98,6 @@ impl Default for MappingConfig {
         Self {
             matcher: Matcher::BSuitor,
             prune: true,
-            locality: None,
-        }
-    }
-}
-
-/// Tile-locality extension: blocks in the same block-row produce partial
-/// sums that must be accumulated together, so scattering them across
-/// tiles costs inter-tile communication. This term biases the `G₂`
-/// assignment toward keeping each block-row inside its *target tile*
-/// (`block_row` spread evenly over the pool's tiles) at the price of a
-/// few extra mismatches — the trade-off the `ablation` binary sweeps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalityConfig {
-    /// Crossbars per tile (Table III: 96).
-    pub crossbars_per_tile: usize,
-    /// Weight λ of the tile-distance penalty, in mismatch units per tile
-    /// hop.
-    pub weight: f64,
-}
-
-impl LocalityConfig {
-    /// Creates a locality term.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `crossbars_per_tile == 0` or `weight` is negative.
-    pub fn new(crossbars_per_tile: usize, weight: f64) -> Self {
-        assert!(
-            crossbars_per_tile > 0,
-            "crossbars_per_tile must be positive"
-        );
-        assert!(
-            weight >= 0.0 && weight.is_finite(),
-            "invalid weight {weight}"
-        );
-        Self {
-            crossbars_per_tile,
-            weight,
         }
     }
 }
@@ -217,42 +178,6 @@ impl Mapping {
     /// Total SA1-only cost (fabricated edges surviving the mapping).
     pub fn total_sa1_cost(&self) -> usize {
         self.placements.iter().map(|p| p.sa1_cost).sum()
-    }
-
-    /// Mean inter-tile spread per block-row: the average number of
-    /// *extra* tiles (beyond one) each block-row's partial sums must be
-    /// gathered from. 0 means every block-row lives inside a single tile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `crossbars_per_tile == 0`.
-    pub fn tile_spread(&self, crossbars_per_tile: usize) -> f64 {
-        assert!(
-            crossbars_per_tile > 0,
-            "crossbars_per_tile must be positive"
-        );
-        if self.grid == 0 {
-            return 0.0;
-        }
-        // Single pass: per block-row, count distinct tiles as they appear
-        // (block-rows hold at most `grid` tiles, so a linear scan of the
-        // per-row tile list beats hashing).
-        let mut tiles: Vec<Vec<usize>> = vec![Vec::new(); self.grid];
-        let mut total_extra = 0usize;
-        for p in &self.placements {
-            if p.block_row >= self.grid {
-                continue;
-            }
-            let tile = p.crossbar / crossbars_per_tile;
-            let seen = &mut tiles[p.block_row];
-            if !seen.contains(&tile) {
-                if !seen.is_empty() {
-                    total_extra += 1;
-                }
-                seen.push(tile);
-            }
-        }
-        total_extra as f64 / self.grid as f64
     }
 
     /// Placement of block `(block_row, block_col)`, if present. O(1).
@@ -475,7 +400,7 @@ impl G1Scratch {
     /// the mapping oracles.) Walking levels through the base/deviant
     /// split costs `O(f·n)` per populated level instead of sorting all
     /// `f·n` edges.
-    fn greedy_assign(&mut self, f: usize, n: usize, base: &[u32]) {
+    fn level_greedy_assign(&mut self, f: usize, n: usize, base: &[u32]) {
         let words = n.div_ceil(64);
         self.assign.clear();
         self.assign.resize(f, u32::MAX);
@@ -560,8 +485,8 @@ fn g1_assign(
     scratch.build_costs(xbar, col_idx, ctx);
     match matcher {
         // The paper's default: greedy by (cost, row, col) ≡ b-Suitor
-        // (see `greedy_assign`).
-        Matcher::BSuitor => scratch.greedy_assign(f, n, &ctx.base),
+        // (see `level_greedy_assign`).
+        Matcher::BSuitor => scratch.level_greedy_assign(f, n, &ctx.base),
         _ => {
             let costs = &scratch.costs;
             let cost = CostMatrix::from_row_fn(f, n, |k, row| {
@@ -970,26 +895,6 @@ impl<'a> PairCosts<'a> {
     }
 }
 
-/// Tile-locality penalty of block-row `block_row` on crossbar `xbar` in a
-/// pool of `m` crossbars (0 with locality off).
-fn locality_penalty(
-    cfg: &MappingConfig,
-    m: usize,
-    grid: usize,
-    block_row: usize,
-    xbar: usize,
-) -> f64 {
-    match &cfg.locality {
-        None => 0.0,
-        Some(loc) => {
-            let num_tiles = m.div_ceil(loc.crossbars_per_tile).max(1);
-            let target_tile = block_row * num_tiles / grid.max(1);
-            let tile = xbar / loc.crossbars_per_tile;
-            loc.weight * target_tile.abs_diff(tile) as f64
-        }
-    }
-}
-
 /// The selection half of Algorithm 1 over lazily solved pair costs: the
 /// pruning heuristic (lines 8–17), the `G₂` placement of the live blocks
 /// on the live crossbars, and the greedy placement of deferred blocks.
@@ -1050,9 +955,9 @@ fn select_placements(
             .iter()
             .flat_map(|&i| live_xbars.iter().map(move |&j| (i, j)))
     };
-    if cfg.matcher == Matcher::BSuitor && cfg.locality.is_none() {
+    if cfg.matcher == Matcher::BSuitor {
         // b-Suitor on integer costs is the greedy matching in `(cost,
-        // block, crossbar)` order (see `G1Scratch::greedy_assign`), so it
+        // block, crossbar)` order (see `G1Scratch::level_greedy_assign`), so it
         // needs a pair's exact cost only once the pair reaches the front
         // of that order. The pairs start keyed on lower bounds, in `(LB,
         // block, crossbar)` order: a stable counting sort by `LB` of the
@@ -1106,9 +1011,9 @@ fn select_placements(
             }
         }
     } else if !live_blocks.is_empty() {
-        // Other matchers, or a locality term, read the whole table.
+        // Hungarian reads the whole table.
         let costs: Vec<f64> = live_pairs()
-            .map(|(i, j)| pairs.exact(i, j).0 as f64 + locality_penalty(cfg, m, grid, i / grid, j))
+            .map(|(i, j)| pairs.exact(i, j).0 as f64)
             .collect();
         let g2 = CostMatrix::from_vec(live_blocks.len(), live_xbars.len(), costs);
         let sol = cfg.matcher.solve(&g2);
@@ -1586,14 +1491,13 @@ pub mod reference {
             }
         }
 
-        // Final G₂ assignment over the live sets, optionally with the
-        // tile-locality penalty.
+        // Final G₂ assignment over the live sets.
         let mut placements: Vec<BlockPlacement> = Vec::with_capacity(b);
         let mut used_xbars = vec![false; m];
         if !live_blocks.is_empty() {
             let g2 = CostMatrix::from_fn(live_blocks.len(), live_xbars.len(), |bi, xj| {
                 let (i, j) = (live_blocks[bi], live_xbars[xj]);
-                cost_at(i, j).0 as f64 + locality_penalty(cfg, m, grid, block_meta[i].0, j)
+                cost_at(i, j).0 as f64
             });
             let sol = cfg.matcher.solve(&g2);
             for (bi, assigned) in sol.assignment.iter().enumerate() {
@@ -1760,7 +1664,6 @@ mod tests {
             &MappingConfig {
                 matcher: Matcher::Hungarian,
                 prune: false,
-                ..MappingConfig::default()
             },
         );
         let approx = map_adjacency(
@@ -1769,7 +1672,6 @@ mod tests {
             &MappingConfig {
                 matcher: Matcher::BSuitor,
                 prune: false,
-                ..MappingConfig::default()
             },
         );
         assert!(exact.total_cost() <= approx.total_cost());
@@ -1844,7 +1746,6 @@ mod tests {
             &MappingConfig {
                 matcher: Matcher::BSuitor,
                 prune: true,
-                ..MappingConfig::default()
             },
         );
         assert_eq!(pruned.placements().len(), 16);
@@ -1880,60 +1781,6 @@ mod tests {
                 assert_eq!(mapping.placement_for(br, bc), scanned);
             }
         }
-    }
-
-    #[test]
-    fn locality_term_reduces_tile_spread() {
-        use crate::mapping::LocalityConfig;
-        let adj = random_adj(32, 0.15, 30);
-        let array = faulty_array(16, 8, 0.04, 31);
-        let plain = map_adjacency(&adj, &array, &MappingConfig::default());
-        let local = map_adjacency(
-            &adj,
-            &array,
-            &MappingConfig {
-                locality: Some(LocalityConfig::new(4, 10.0)),
-                ..MappingConfig::default()
-            },
-        );
-        assert!(
-            local.tile_spread(4) <= plain.tile_spread(4),
-            "locality {} vs plain {}",
-            local.tile_spread(4),
-            plain.tile_spread(4)
-        );
-        // All blocks still placed on distinct crossbars.
-        assert_eq!(local.placements().len(), plain.placements().len());
-    }
-
-    #[test]
-    fn zero_weight_locality_is_noop() {
-        use crate::mapping::LocalityConfig;
-        let adj = random_adj(16, 0.2, 32);
-        let array = faulty_array(8, 8, 0.05, 33);
-        let plain = map_adjacency(&adj, &array, &MappingConfig::default());
-        let zero = map_adjacency(
-            &adj,
-            &array,
-            &MappingConfig {
-                locality: Some(LocalityConfig::new(4, 0.0)),
-                ..MappingConfig::default()
-            },
-        );
-        assert_eq!(zero.total_cost(), plain.total_cost());
-    }
-
-    #[test]
-    fn tile_spread_metric_bounds() {
-        let adj = random_adj(16, 0.2, 34);
-        let array = faulty_array(8, 8, 0.03, 35);
-        let mapping = map_adjacency(&adj, &array, &MappingConfig::default());
-        // grid = 2, so each block-row has 2 blocks: spread in [0, 1].
-        let s = mapping.tile_spread(4);
-        assert!((0.0..=1.0).contains(&s), "spread {s}");
-        // One-crossbar-per-tile: spread is maximal (both blocks of a row
-        // are always on different "tiles").
-        assert_eq!(mapping.tile_spread(1), 1.0);
     }
 
     #[test]

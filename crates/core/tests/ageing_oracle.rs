@@ -122,7 +122,6 @@ fn bist_rounds_bit_identical_to_oracles() {
     let map_cfg = MappingConfig {
         matcher: cfg.matcher,
         prune: true,
-        ..MappingConfig::default()
     };
     let (mut programmed, mut kept, mut solved) = (0, 0, 0);
     for seed in [5, 21] {

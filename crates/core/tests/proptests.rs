@@ -3,7 +3,7 @@
 use fare_core::mapping::{
     map_adjacency, map_adjacency_cached, reference, refresh_blocks_cached,
     refresh_row_permutations, refresh_row_permutations_cached, sequential_block_mapping,
-    sequential_mapping, AdjacencyBlocks, LocalityConfig, Mapping, MappingConfig, RemapCache,
+    sequential_mapping, AdjacencyBlocks, Mapping, MappingConfig, RemapCache,
 };
 use fare_core::{corrupt_adjacency_mapped, corrupt_adjacency_unaware};
 use fare_matching::{CostMatrix, Matcher};
@@ -93,7 +93,6 @@ proptest! {
         let fare = map_adjacency(&adj, &array, &MappingConfig {
             matcher: Matcher::Hungarian,
             prune: false,
-            ..MappingConfig::default()
         });
         let blocks = AdjacencyBlocks::from_matrix(&adj, 8);
         let mut nr = sequential_block_mapping(&blocks, &array);
@@ -155,8 +154,7 @@ proptest! {
     // same permutations, same mismatch and SA1 costs. The instances
     // cover pools with no spare crossbar (slack 1, where pruning
     // defers blocks), SA1 shares 0, ½ and 1, fault and edge densities
-    // up to 30%, node counts that leave padded blocks, and the locality
-    // term.
+    // up to 30%, and node counts that leave padded blocks.
     #[test]
     fn fast_path_bit_identical_to_reference(
         seed in 0u64..1000,
@@ -166,37 +164,12 @@ proptest! {
         mix in (0usize..3, 0usize..3),
         exact in any::<bool>(),
         prune in any::<bool>(),
-        local in any::<bool>(),
     ) {
         let (slack, sa1_fraction) = ([1.0, 1.5, 2.0][mix.0], [0.0, 0.5, 1.0][mix.1]);
         let (adj, array) = instance_with(nodes, 8, seed, edge_p, slack, density, sa1_fraction);
         let cfg = MappingConfig {
             matcher: if exact { Matcher::Hungarian } else { Matcher::BSuitor },
             prune,
-            locality: local.then(|| LocalityConfig::new(4, 1.5)),
-        };
-        let fast = map_adjacency(&adj, &array, &cfg);
-        let oracle = reference::map_adjacency(&adj, &array, &cfg);
-        prop_assert_eq!(fast, oracle);
-    }
-
-    // The matchers that read the whole `G₂` table (auction, row greedy)
-    // take the same exact costs as the oracle, so their mappings are
-    // bit-identical to it too, with and without pruning or locality.
-    #[test]
-    fn every_matcher_bit_identical_to_reference(
-        seed in 0u64..1000,
-        nodes in 17usize..=32,
-        density in 0.0f64..0.12,
-        greedy in any::<bool>(),
-        prune in any::<bool>(),
-        local in any::<bool>(),
-    ) {
-        let (adj, array) = instance_with(nodes, 8, seed, 0.15, 1.5, density, 0.5);
-        let cfg = MappingConfig {
-            matcher: if greedy { Matcher::Greedy } else { Matcher::Auction },
-            prune,
-            locality: local.then(|| LocalityConfig::new(4, 1.5)),
         };
         let fast = map_adjacency(&adj, &array, &cfg);
         let oracle = reference::map_adjacency(&adj, &array, &cfg);

@@ -4,7 +4,7 @@
 //! or one of the training ablations — at a tiny configuration (two
 //! epochs, two trials) and folds the `to_bits` of every number in its
 //! result into one FNV-1a digest. The structural ablations (matcher,
-//! pruning, slack, tile locality) map one instance per row; their
+//! pruning, slack) map one instance per row; their
 //! digests fold every field except the host wall time. The expected digests were recorded
 //! once and must not move: a change to how a sweep seeds, schedules,
 //! shares or reduces its runs shows up here. The digests are
@@ -12,8 +12,8 @@
 //! `FARE_RT_THREADS`.
 
 use fare_core::ablation::{
-    clip_threshold_ablation, depth_ablation, locality_ablation, matcher_ablation, prune_ablation,
-    refresh_ablation, slack_ablation,
+    clip_threshold_ablation, depth_ablation, matcher_ablation, prune_ablation, refresh_ablation,
+    slack_ablation,
 };
 use fare_core::experiments::{
     fig3, fig4, fig5, fig6, AccuracyComparison, ExperimentParams, Workload,
@@ -182,21 +182,6 @@ fn slack_digest() -> u64 {
     .0
 }
 
-fn locality_digest() -> u64 {
-    locality_ablation(
-        STRUCTURAL_SEED,
-        STRUCTURAL_DENSITY,
-        &[0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 50.0],
-    )
-    .iter()
-    .fold(Fnv::new(), |h, r| {
-        h.f64(r.weight)
-            .f64(r.tile_spread)
-            .word(r.mapping_cost as u64)
-    })
-    .0
-}
-
 fn check(name: &str, got: u64, want: u64) {
     assert_eq!(
         got, want,
@@ -245,7 +230,7 @@ fn depth_ablation_pinned() {
 
 #[test]
 fn matcher_ablation_pinned() {
-    check("matcher_ablation", matcher_digest(), 0xa107_3938_bec1_fc40);
+    check("matcher_ablation", matcher_digest(), 0x7e4d_6355_f77c_6291);
 }
 
 #[test]
@@ -256,13 +241,4 @@ fn prune_ablation_pinned() {
 #[test]
 fn slack_ablation_pinned() {
     check("slack_ablation", slack_digest(), 0x9150_1d83_84f9_9533);
-}
-
-#[test]
-fn locality_ablation_pinned() {
-    check(
-        "locality_ablation",
-        locality_digest(),
-        0x45c6_7bbb_0c9c_fb49,
-    );
 }

@@ -90,7 +90,10 @@ mod tests {
             assert_eq!(approx.matched_count(), n);
             // In weight space (max_cost - cost) the approximation is >= 1/2
             // of the optimum.
-            let max_cost = cost.max_cost();
+            let max_cost = (0..n)
+                .flat_map(|r| (0..n).map(move |c| (r, c)))
+                .map(|(r, c)| cost.get(r, c))
+                .fold(0.0, f64::max);
             let w_approx = n as f64 * max_cost - approx.total_cost;
             let w_exact = n as f64 * max_cost - exact.total_cost;
             assert!(

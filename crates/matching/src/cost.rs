@@ -106,11 +106,6 @@ impl CostMatrix {
         assert!(r < self.rows && c < self.cols, "cost index out of bounds");
         self.data[r * self.cols + c]
     }
-
-    /// Maximum cost entry (0 for an empty matrix).
-    pub fn max_cost(&self) -> f64 {
-        self.data.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -124,12 +119,6 @@ mod tests {
         assert_eq!(c.get(0, 1), 1.0);
         assert_eq!(c.get(1, 0), 10.0);
         assert_eq!(c.get(1, 1), 11.0);
-    }
-
-    #[test]
-    fn max_cost() {
-        let c = CostMatrix::from_rows(&[&[1.0, 7.0], &[3.0, 4.0]]);
-        assert_eq!(c.max_cost(), 7.0);
     }
 
     #[test]

@@ -15,9 +15,6 @@
 //!   the paper cites as its implementation choice. For these one-to-one
 //!   instances it equals the greedy matching in `(cost, row, col)` edge
 //!   order, and it is computed as that matching,
-//! - [`auction`] — Bertsekas' ε-scaled auction algorithm (exact on the
-//!   integer mismatch costs Algorithm 1 produces),
-//! - [`greedy`] — a cheap baseline used in ablations,
 //! - [`Matcher`] — a selector enum so callers can swap solvers.
 //!
 //! # Example
@@ -37,12 +34,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod auction;
 mod bsuitor;
 mod cost;
 mod hungarian;
 
-pub use auction::auction;
 pub use bsuitor::bsuitor_assignment;
 pub use cost::CostMatrix;
 pub use hungarian::hungarian;
@@ -100,18 +95,9 @@ pub enum Matcher {
     /// greedy edge-order matching it equals.
     #[default]
     BSuitor,
-    /// Bertsekas auction with ε-scaling (exact on integer costs).
-    Auction,
-    /// Row-by-row greedy (ablation baseline).
-    Greedy,
 }
 
-fare_rt::json_enum!(Matcher {
-    Hungarian,
-    BSuitor,
-    Auction,
-    Greedy
-});
+fare_rt::json_enum!(Matcher { Hungarian, BSuitor });
 
 impl Matcher {
     /// Solves the min-cost assignment of `cost` with this solver.
@@ -123,8 +109,6 @@ impl Matcher {
         match self {
             Matcher::Hungarian => hungarian(cost),
             Matcher::BSuitor => bsuitor_assignment(cost),
-            Matcher::Auction => auction(cost),
-            Matcher::Greedy => greedy(cost),
         }
     }
 }
@@ -134,48 +118,7 @@ impl std::fmt::Display for Matcher {
         match self {
             Matcher::Hungarian => write!(f, "hungarian"),
             Matcher::BSuitor => write!(f, "b-suitor"),
-            Matcher::Auction => write!(f, "auction"),
-            Matcher::Greedy => write!(f, "greedy"),
         }
-    }
-}
-
-/// Greedy min-cost assignment: rows in order pick their cheapest free
-/// column. Fast, no quality guarantee; used only as an ablation baseline.
-///
-/// # Panics
-///
-/// Panics if `cost.rows() > cost.cols()`.
-pub fn greedy(cost: &CostMatrix) -> Assignment {
-    assert!(
-        cost.rows() <= cost.cols(),
-        "greedy requires rows <= cols, got {}x{}",
-        cost.rows(),
-        cost.cols()
-    );
-    let mut used = vec![false; cost.cols()];
-    let mut assignment = vec![None; cost.rows()];
-    let mut total = 0.0;
-    for (r, slot) in assignment.iter_mut().enumerate() {
-        let mut best: Option<(usize, f64)> = None;
-        for (c, &taken) in used.iter().enumerate() {
-            if taken {
-                continue;
-            }
-            let v = cost.get(r, c);
-            if best.is_none_or(|(_, bv)| v < bv) {
-                best = Some((c, v));
-            }
-        }
-        if let Some((c, v)) = best {
-            used[c] = true;
-            *slot = Some(c);
-            total += v;
-        }
-    }
-    Assignment {
-        assignment,
-        total_cost: total,
     }
 }
 
@@ -188,28 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn greedy_assigns_all_rows() {
-        let sol = greedy(&square());
-        assert_eq!(sol.matched_count(), 3);
-        assert!(sol.is_valid());
-    }
-
-    #[test]
-    fn greedy_cost_at_least_optimal() {
-        let sol_g = greedy(&square());
-        let sol_h = hungarian(&square());
-        assert!(sol_g.total_cost >= sol_h.total_cost);
-    }
-
-    #[test]
     fn matcher_solves_with_all_variants() {
         let cost = square();
-        for m in [
-            Matcher::Hungarian,
-            Matcher::BSuitor,
-            Matcher::Auction,
-            Matcher::Greedy,
-        ] {
+        for m in [Matcher::Hungarian, Matcher::BSuitor] {
             let sol = m.solve(&cost);
             assert!(sol.is_valid(), "{m} produced invalid assignment");
             assert_eq!(sol.matched_count(), 3, "{m} left rows unmatched");
@@ -220,8 +144,6 @@ mod tests {
     fn matcher_display() {
         assert_eq!(Matcher::Hungarian.to_string(), "hungarian");
         assert_eq!(Matcher::BSuitor.to_string(), "b-suitor");
-        assert_eq!(Matcher::Auction.to_string(), "auction");
-        assert_eq!(Matcher::Greedy.to_string(), "greedy");
     }
 
     #[test]
@@ -232,20 +154,5 @@ mod tests {
         let mut sorted = perm.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn rectangular_greedy() {
-        let cost = CostMatrix::from_rows(&[&[5.0, 1.0, 9.0, 2.0], &[1.0, 8.0, 3.0, 4.0]]);
-        let sol = greedy(&cost);
-        assert_eq!(sol.matched_count(), 2);
-        assert!(sol.is_valid());
-    }
-
-    #[test]
-    #[should_panic(expected = "rows <= cols")]
-    fn greedy_rejects_tall_matrix() {
-        let cost = CostMatrix::from_rows(&[&[1.0], &[2.0]]);
-        greedy(&cost);
     }
 }

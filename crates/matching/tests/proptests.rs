@@ -1,6 +1,6 @@
 //! Property-based tests for the matching crate.
 
-use fare_matching::{bsuitor_assignment, greedy, hungarian, CostMatrix, Matcher};
+use fare_matching::{bsuitor_assignment, hungarian, CostMatrix, Matcher};
 use fare_rt::prop::prelude::*;
 
 fn cost_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = CostMatrix> {
@@ -31,24 +31,7 @@ proptest! {
     #[test]
     fn hungarian_no_worse_than_any_heuristic(cost in cost_matrix(6, 8)) {
         let exact = hungarian(&cost).total_cost;
-        prop_assert!(greedy(&cost).total_cost >= exact - 1e-9);
         prop_assert!(bsuitor_assignment(&cost).total_cost >= exact - 1e-9);
-        prop_assert!(fare_matching::auction(&cost).total_cost >= exact - 1e-9);
-    }
-
-    #[test]
-    fn auction_exact_on_integer_costs(
-        dims in (1usize..6, 1usize..8).prop_filter("r<=c", |(r, c)| r <= c),
-        seed in 0u64..500,
-    ) {
-        use fare_rt::rand::{Rng, SeedableRng};
-        let (r, c) = dims;
-        let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(seed);
-        let cost = CostMatrix::from_fn(r, c, |_, _| rng.gen_range(0..20) as f64);
-        let a = fare_matching::auction(&cost);
-        let h = hungarian(&cost);
-        prop_assert!(a.is_valid());
-        prop_assert_eq!(a.total_cost, h.total_cost);
     }
 
     #[test]
@@ -66,7 +49,10 @@ proptest! {
     #[test]
     fn bsuitor_within_half_of_optimal_weight(cost in cost_matrix(6, 6)) {
         let n = cost.rows() as f64;
-        let max_cost = cost.max_cost();
+        let max_cost = (0..cost.rows())
+            .flat_map(|r| (0..cost.cols()).map(move |c| (r, c)))
+            .map(|(r, c)| cost.get(r, c))
+            .fold(0.0, f64::max);
         let exact_w = n * max_cost - hungarian(&cost).total_cost;
         let approx_w = n * max_cost - bsuitor_assignment(&cost).total_cost;
         prop_assert!(approx_w >= 0.5 * exact_w - 1e-6);
@@ -74,12 +60,7 @@ proptest! {
 
     #[test]
     fn all_matchers_agree_on_validity(cost in cost_matrix(5, 7)) {
-        for m in [
-            Matcher::Hungarian,
-            Matcher::BSuitor,
-            Matcher::Auction,
-            Matcher::Greedy,
-        ] {
+        for m in [Matcher::Hungarian, Matcher::BSuitor] {
             let sol = m.solve(&cost);
             prop_assert!(sol.is_valid());
             prop_assert_eq!(sol.matched_count(), cost.rows());
@@ -95,10 +76,11 @@ proptest! {
     // and lower-bound G₂ heap rest on: every vertex ranks its edges by
     // the common total order (cost asc, row id asc, col id asc), so the
     // b-Suitor fixed point is the unique stable matching — the greedy
-    // matching over globally sorted edges. Checked on the three cost
-    // shapes the runs produce: integer mismatch counts (G₁, G₂), NR's
-    // weight-row costs (sums of fixed-point resolution steps) and G₂
-    // costs with a tile-locality term (integer + λ·hops).
+    // matching over globally sorted edges. Checked on the two cost
+    // shapes the runs produce, integer mismatch counts (G₁, G₂) and NR's
+    // weight-row costs (sums of fixed-point resolution steps), and on
+    // fractional costs of the form integer + λ·k with many ties, which
+    // `bsuitor_assignment`'s `f64` costs admit.
     #[test]
     fn bsuitor_equals_greedy_by_edge_order(
         dims in (1usize..10, 1usize..14).prop_filter("r<=c", |(r, c)| r <= c),
@@ -128,7 +110,7 @@ proptest! {
                     .collect()
             }
             _ => {
-                // G₂ with locality: mismatch count + λ · tile hops.
+                // Fractional costs: mismatch count + λ · small integer.
                 let lambda = [0.25, 0.5, 1.0, 2.0][rng.gen_range(0..4)];
                 (0..r * c)
                     .map(|_| rng.gen_range(0..=max_cost) as f64 + lambda * rng.gen_range(0..5) as f64)

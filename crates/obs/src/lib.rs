@@ -16,7 +16,8 @@
 //! - a **per-epoch metrics sink** ([`record_epoch`]) the trainer feeds,
 //! - **hierarchical span tracing** ([`trace`]) behind `FARE_OBS=trace`:
 //!   the same spans also emit nested begin/end events (train run →
-//!   epoch → batch → {aggregate, matmul, mvm, map_adjacency, refresh})
+//!   epoch → batch → {aggregate, matmul, attention, map_adjacency,
+//!   refresh})
 //!   into a bounded ring buffer, exportable as a JSONL stream or a
 //!   Chrome Trace Event Format JSON (`chrome://tracing` / Perfetto),
 //! - **spatial heatmaps** ([`heatmap`]): per-crossbar accumulators
@@ -244,10 +245,6 @@ pub mod counters {
     /// `Crossbar::read_binary` call, and one per placed block each time
     /// a mapped adjacency is corrupted.
     pub static RERAM_CROSSBARS_CORRUPTED: Counter = Counter::new("reram.crossbars.corrupted");
-    /// Analog MVM invocations (`crossbar_mvm`).
-    pub static RERAM_MVM_CALLS: Counter = Counter::new("reram.mvm.calls");
-    /// Pipeline cycles attributed to those MVMs.
-    pub static RERAM_MVM_CYCLES: Counter = Counter::new("reram.mvm.cycles");
     /// Discrete-event pipeline simulations (`pipeline::simulate`).
     pub static RERAM_PIPELINE_SIMS: Counter = Counter::new("reram.pipeline.sims");
     /// Batches scheduled across all pipeline simulations.
@@ -279,14 +276,12 @@ pub mod counters {
     /// Every counter, in manifest order. **Register new counters here**
     /// or they will silently stay out of every manifest.
     pub fn all() -> &'static [&'static Counter] {
-        static ALL: [&Counter; 17] = [
+        static ALL: [&Counter; 15] = [
             &RERAM_FAULTS_INJECTED_SA0,
             &RERAM_FAULTS_INJECTED_SA1,
             &RERAM_FAULTS_CLEARED,
             &RERAM_POISSON_SAMPLES,
             &RERAM_CROSSBARS_CORRUPTED,
-            &RERAM_MVM_CALLS,
-            &RERAM_MVM_CYCLES,
             &RERAM_PIPELINE_SIMS,
             &RERAM_PIPELINE_BATCHES,
             &RERAM_TIMING_EVALS,
@@ -543,11 +538,11 @@ mod tests {
         let _g = test_lock();
         set_mode(Mode::Off);
         reset();
-        counters::RERAM_MVM_CALLS.add(5);
-        assert_eq!(counters::RERAM_MVM_CALLS.get(), 0);
+        counters::RERAM_PIPELINE_SIMS.add(5);
+        assert_eq!(counters::RERAM_PIPELINE_SIMS.get(), 0);
         set_mode(Mode::Json);
-        counters::RERAM_MVM_CALLS.add(5);
-        assert_eq!(counters::RERAM_MVM_CALLS.get(), 5);
+        counters::RERAM_PIPELINE_SIMS.add(5);
+        assert_eq!(counters::RERAM_PIPELINE_SIMS.get(), 5);
         set_mode(Mode::Off);
         reset();
     }

@@ -57,7 +57,7 @@ fare_rt::json_enum!(Phase { B, E });
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Span name, `layer.operation` (e.g. `core.trainer.epoch`,
-    /// `gnn.aggregate`, `reram.mvm`).
+    /// `gnn.aggregate`, `core.mapping.refresh`).
     pub name: String,
     /// Phase: begin or end.
     pub ph: Phase,
@@ -563,7 +563,7 @@ mod tests {
         ring.capacity = 4;
         for ts_ns in 0..12u64 {
             ring.push(TraceEvent {
-                name: "reram.mvm".into(),
+                name: "gnn.attention".into(),
                 ph: if ts_ns % 2 == 0 { Phase::B } else { Phase::E },
                 ts_ns,
                 track: 0,

@@ -16,7 +16,7 @@ const NAMES: [&str; 7] = [
     "core.trainer.batch",
     "gnn.aggregate",
     "gnn.matmul",
-    "reram.mvm",
+    "gnn.attention",
     "core.mapping.refresh",
 ];
 

@@ -45,7 +45,6 @@ pub mod config;
 mod crossbar;
 pub mod energy;
 mod fault;
-pub mod mvm;
 pub mod pipeline;
 pub mod timing;
 pub mod variation;

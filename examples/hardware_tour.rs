@@ -1,15 +1,12 @@
 //! A tour of the simulated ReRAM hardware: program a crossbar, inject
-//! faults, scan them with BIST, run an analog MVM through the faulty
-//! fabric, and price the accelerator in area/power/energy.
+//! faults, scan them with BIST, and price the accelerator in
+//! area/power/energy.
 //!
 //! Run with: `cargo run --release --example hardware_tour`
 
 use fare::reram::energy::{estimate, overprovisioning_cost};
-use fare::reram::mvm::{crossbar_mvm, mvm_latency_s};
 use fare::reram::timing::PipelineSpec;
-use fare::reram::weights::WeightFabric;
 use fare::reram::{Bist, ChipConfig, CrossbarArray, FaultSpec};
-use fare::tensor::{FixedFormat, Matrix};
 use fare_rt::rand::SeedableRng;
 
 fn main() {
@@ -46,33 +43,7 @@ fn main() {
         100.0 * Bist::time_overhead_fraction()
     );
 
-    // 3. Weight fabric + analog MVM through the faults.
-    let mut fabric = WeightFabric::for_shape(32, 8, 32, FixedFormat::default());
-    fabric.inject(&FaultSpec::with_ratio(0.03, 9.0, 1.0), &mut rng);
-    let w = Matrix::from_fn(32, 8, |r, c| ((r * 8 + c) as f32 * 0.41).sin() * 0.3);
-    let x: Vec<f32> = (0..32).map(|i| (i as f32 * 0.2).cos()).collect();
-    let y = crossbar_mvm(&fabric, &w, &x);
-    let exact: Vec<f32> = (0..8)
-        .map(|c| (0..32).map(|r| w[(r, c)] * x[r]).sum())
-        .collect();
-    println!("\nanalog MVM vs exact product (first 4 columns):");
-    #[allow(clippy::needless_range_loop)] // paired indexing into two vectors
-    for c in 0..4 {
-        println!(
-            "  col {c}: hardware {:+.4}  exact {:+.4}  (|err| {:.4})",
-            y.output[c],
-            exact[c],
-            (y.output[c] - exact[c]).abs()
-        );
-    }
-    println!(
-        "MVM cost: {} cycles = {:.1} µs at {} MHz",
-        y.cycles,
-        1e6 * mvm_latency_s(&fabric, cfg.frequency_hz),
-        cfg.frequency_hz / 1e6
-    );
-
-    // 4. Area/power/energy of a training run.
+    // 3. Area/power/energy of a training run.
     let pipeline = PipelineSpec::new(150, 5, 1e-3, 100);
     let report = estimate(&cfg, 96, &pipeline);
     println!(

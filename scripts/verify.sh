@@ -19,6 +19,25 @@ for arg in "$@"; do
     esac
 done
 
+# Runs `cargo test` with the given arguments, which end in a test-name
+# filter, and fails unless every test binary it runs ran at least one
+# test. cargo passes when a filter matches nothing, so a renamed or
+# deleted test would otherwise drop out of its gate unnoticed.
+filtered_test() {
+    local out
+    out="$(cargo test "$@" 2>&1)" || {
+        echo "$out" >&2
+        return 1
+    }
+    echo "$out"
+    local results
+    results="$(grep -E '^test result: ok\. [0-9]+ passed' <<< "$out" || true)"
+    if [ -z "$results" ] || grep -qE '^test result: ok\. 0 passed' <<< "$results"; then
+        echo "cargo test $* selected no test in some test binary" >&2
+        return 1
+    fi
+}
+
 echo "==> formatting"
 # The root workspace is rustfmt-clean with the default style; any
 # unformatted line fails the gate. (The stand-alone perfbench package is
@@ -91,6 +110,16 @@ echo "==> sweep pins across thread counts"
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sweep_pins
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sweep_pins
 
+echo "==> strategy relations across thread counts"
+# Each strategy acts only where FaultStrategy says it does: with the
+# faults it guards against switched off, it trains bit for bit like the
+# strategy without that mechanism (weight faults off: clipping-only =
+# fault-unaware; adjacency faults off: FARe = clipping-only; no faults:
+# FARe = clipping-only and NR = fault-unaware), on the classification
+# and link runners.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test strategy_relations
+FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test strategy_relations
+
 echo "==> partition pins across thread counts"
 # The partitioner and mini-batch assembly of every preset are pinned by
 # digests of their output and of the RNG draw after them.
@@ -104,9 +133,9 @@ echo "==> partitioner against its oracle across thread counts"
 # assignment and the next RNG draw to it over SBM, R-MAT, star,
 # disconnected and sparse random graphs with k from 1 to n. The
 # partitioner is serial and must ignore the thread count.
-FARE_RT_THREADS=1 cargo test -q --offline -p fare-graph --lib -- \
+FARE_RT_THREADS=1 filtered_test -q --offline -p fare-graph --lib -- \
     partition_bit_identical_to_reference_oracle
-FARE_RT_THREADS=3 cargo test -q --offline -p fare-graph --lib -- \
+FARE_RT_THREADS=3 filtered_test -q --offline -p fare-graph --lib -- \
     partition_bit_identical_to_reference_oracle
 
 echo "==> row kernel against the plain-loop oracle across thread counts"
@@ -119,9 +148,9 @@ echo "==> row kernel against the plain-loop oracle across thread counts"
 # 32-wide register cutoff, and signed zeros, NaN, infinities and
 # subnormals. The products are serial and must ignore
 # the thread count, so check a serial and an odd worker count.
-FARE_RT_THREADS=1 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- \
+FARE_RT_THREADS=1 filtered_test -q --offline -p fare-tensor -p fare-graph --lib -- \
     bit_identical_to_loop_oracle
-FARE_RT_THREADS=3 cargo test -q --offline -p fare-tensor -p fare-graph --lib -- \
+FARE_RT_THREADS=3 filtered_test -q --offline -p fare-tensor -p fare-graph --lib -- \
     bit_identical_to_loop_oracle
 
 echo "==> sparse GAT against the dense oracle across thread counts"
@@ -131,9 +160,9 @@ echo "==> sparse GAT against the dense oracle across thread counts"
 # oracle, at the trainer's layer widths and up to 80 nodes. The passes
 # are serial and must ignore the thread count, so check a serial and an
 # odd worker count.
-FARE_RT_THREADS=1 cargo test -q --offline -p fare-gnn --lib -- \
+FARE_RT_THREADS=1 filtered_test -q --offline -p fare-gnn --lib -- \
     sparse_attention_bit_identical_to_dense_oracle
-FARE_RT_THREADS=3 cargo test -q --offline -p fare-gnn --lib -- \
+FARE_RT_THREADS=3 filtered_test -q --offline -p fare-gnn --lib -- \
     sparse_attention_bit_identical_to_dense_oracle
 
 echo "==> sorted AUC against the pairwise oracle"
@@ -141,7 +170,7 @@ echo "==> sorted AUC against the pairwise oracle"
 # positive's wins and ties by binary search. A property test pins it by
 # to_bits to the quadratic pairwise count, kept as a test-only oracle,
 # over heavily tied scores with signed zeros, infinities and NaN.
-cargo test -q --offline -p fare-gnn --lib -- sorted_auc_bit_identical_to_pairwise_oracle
+filtered_test -q --offline -p fare-gnn --lib -- sorted_auc_bit_identical_to_pairwise_oracle
 
 echo "==> sparse adjacency fault path against the dense oracle across thread counts"
 # Faulty runs pack each batch's CSR graph into the crossbar blocks,
@@ -159,13 +188,14 @@ echo "==> weight fault overlay against the per-read oracle"
 # walk, kept as a test-only oracle, over crossbar sizes 8/16/32, fault
 # densities 0-100%, SA1 fractions 0/0.5/1, random placements, repeated
 # injections and NaN/inf/saturating weights.
-cargo test -q --offline -p fare-reram --lib -- overlay_read_bit_identical_to_oracle
+filtered_test -q --offline -p fare-reram --lib -- overlay_read_bit_identical_to_oracle
 
 echo "==> the readers a binary runs reject bad input with an error, not an abort"
 # fare-report must exit 2 on a manifest it cannot read or render;
 # seeded mutations of the golden manifest and JSONL trace must parse or
 # error, and every mutant that parses must summarize, diff, render and
-# plot; train must exit 2 on a bad flag.
+# plot; every fare-bench binary must exit 2 on a bad or unknown flag
+# before any work.
 cargo test -q --offline --test report_cli
 cargo test -q --offline --test reader_props
 cargo test -q --offline -p fare-bench --test train_cli
@@ -181,19 +211,20 @@ FARE_RT_THREADS=4 cargo test -q --offline --test golden_trace
 
 echo "==> mapping fast-path equivalence across thread counts"
 # The mapping fast path promises bit-identical Mappings to the serial
-# reference oracle, which reads the full cost table, for every matcher;
-# its bound-ordered selection is exact only while the pair lower bounds
-# stay below the exact costs. Re-run the pinning proptests under a
-# serial and a parallel thread count. The level-greedy G1 solve and the
-# G2 heap both rely on b-Suitor's tie order, greedy by (cost, row, col);
-# the matching crate's bsuitor proptests pin it on every cost shape the
-# runs produce.
-cargo test -q --offline -p fare-matching --test proptests -- bsuitor
+# reference oracle, which reads the full cost table, for both matchers
+# (b-Suitor and Hungarian); its bound-ordered selection is exact only
+# while the pair lower bounds stay below the exact costs. Re-run the
+# pinning proptests under a serial and a parallel thread count. The
+# level-greedy G1 solve and the G2 heap both rely on b-Suitor's tie
+# order, greedy by (cost, row, col); the matching crate's bsuitor
+# proptests pin it on every cost shape the runs produce.
+filtered_test -q --offline -p fare-matching --test proptests -- bsuitor
 for threads in 1 4; do
-    FARE_RT_THREADS=$threads cargo test -q --offline -p fare-core --test proptests -- \
-        fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full \
-        every_matcher_bit_identical_to_reference
-    FARE_RT_THREADS=$threads cargo test -q --offline -p fare-core --lib -- \
+    for filter in fast_path_bit_identical_to_reference incremental_refresh_bit_identical_to_full; do
+        FARE_RT_THREADS=$threads filtered_test -q --offline -p fare-core --test proptests -- \
+            "$filter"
+    done
+    FARE_RT_THREADS=$threads filtered_test -q --offline -p fare-core --lib -- \
         pair_bounds_never_exceed_exact_costs
 done
 # Several BIST rounds of inject, cached refresh and CSR corruption at the

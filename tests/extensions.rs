@@ -1,84 +1,12 @@
-//! Integration tests for the extension surface: non-ideality models,
-//! tile locality, alternate solvers and custom data, exercised together
-//! through the facade.
+//! Integration tests for the extension surface: non-ideality models and
+//! custom data, exercised together through the facade.
 
-use fare::core::mapping::{map_adjacency, LocalityConfig, MappingConfig};
 use fare::core::{FaultStrategy, TrainConfig, Trainer};
 use fare::graph::generate;
 use fare::graph::io::{assemble_dataset, read_edge_list};
-use fare::matching::Matcher;
-use fare::reram::{CrossbarArray, FaultSpec};
+use fare::reram::FaultSpec;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::SeedableRng;
-
-#[test]
-fn auction_solver_drives_the_full_mapping() {
-    let mut rng = StdRng::seed_from_u64(1);
-    let (g, _) = generate::sbm(48, 3, 0.2, 0.02, &mut rng);
-    let adj = g.to_dense();
-    let mut array = CrossbarArray::new(18, 16);
-    array.inject(&FaultSpec::with_ratio(0.05, 1.0, 1.0), &mut rng);
-
-    let auction = map_adjacency(
-        &adj,
-        &array,
-        &MappingConfig {
-            matcher: Matcher::Auction,
-            ..MappingConfig::default()
-        },
-    );
-    let hungarian = map_adjacency(
-        &adj,
-        &array,
-        &MappingConfig {
-            matcher: Matcher::Hungarian,
-            ..MappingConfig::default()
-        },
-    );
-    // Both exact solvers: identical total mismatch cost.
-    assert_eq!(auction.total_cost(), hungarian.total_cost());
-}
-
-#[test]
-fn trainer_accepts_auction_matcher() {
-    let ds = fare::graph::datasets::Dataset::generate(fare::graph::datasets::DatasetKind::Ppi, 2);
-    let out = Trainer::new(
-        TrainConfig {
-            epochs: 3,
-            matcher: Matcher::Auction,
-            fault_spec: FaultSpec::density(0.03),
-            strategy: FaultStrategy::FaRe,
-            ..TrainConfig::default()
-        },
-        2,
-    )
-    .run(&ds);
-    assert!(out.final_test_accuracy > 0.3);
-}
-
-#[test]
-fn locality_composes_with_full_training() {
-    // A trainer-style mapping with locality on an R-MAT graph: every
-    // block placed, spread no worse than without locality.
-    let mut rng = StdRng::seed_from_u64(3);
-    let g = generate::rmat(6, 400, 0.45, 0.22, 0.22, &mut rng);
-    let adj = g.to_dense();
-    let blocks = adj.rows().div_ceil(16).pow(2);
-    let mut array = CrossbarArray::new(blocks * 2, 16);
-    array.inject(&FaultSpec::density(0.04), &mut rng);
-
-    let plain = map_adjacency(&adj, &array, &MappingConfig::default());
-    let local = map_adjacency(
-        &adj,
-        &array,
-        &MappingConfig {
-            locality: Some(LocalityConfig::new(4, 5.0)),
-            ..MappingConfig::default()
-        },
-    );
-    assert_eq!(local.placements().len(), plain.placements().len());
-    assert!(local.tile_spread(4) <= plain.tile_spread(4));
-}
 
 #[test]
 fn all_nonidealities_compose_in_one_run() {
