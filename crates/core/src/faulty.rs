@@ -23,9 +23,9 @@ use crate::mapping::Mapping;
 /// physical), which is how the neuron-reordering baseline steers weight
 /// rows around damaging faults.
 ///
-/// Each parameter's stuck cells under its placement are folded once into
-/// a [`FaultOverlay`], rebuilt whenever the faults or placements change
-/// through this reader, so a read is one quantise plus a sparse patch.
+/// Each parameter's stuck cells under its placement are folded into a
+/// [`FaultOverlay`], rebuilt by every call that changes the faults or
+/// the placement, so a read is one quantise plus a sparse patch.
 ///
 /// # Example
 ///
@@ -45,14 +45,25 @@ use crate::mapping::Mapping;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultyWeightReader {
-    fabrics: BTreeMap<(usize, usize), WeightFabric>,
-    placements: BTreeMap<(usize, usize), Vec<usize>>,
-    /// Each fabric's overlay under its current placement. A parameter
-    /// without one (its fabric was borrowed mutably since) is read
-    /// through a fresh overlay.
-    overlays: BTreeMap<(usize, usize), FaultOverlay>,
-    variations: BTreeMap<(usize, usize), VariationField>,
+    params: BTreeMap<(usize, usize), ParamState>,
     clip: Option<f32>,
+}
+
+/// One parameter's hardware state.
+#[derive(Debug, Clone)]
+struct ParamState {
+    fabric: WeightFabric,
+    /// Logical → physical row placement; identity when `None`.
+    placement: Option<Vec<usize>>,
+    /// The fabric's faults under `placement`.
+    overlay: FaultOverlay,
+    variation: Option<VariationField>,
+}
+
+impl ParamState {
+    fn rebuild_overlay(&mut self) {
+        self.overlay = self.fabric.fault_overlay(self.placement.as_deref());
+    }
 }
 
 impl FaultyWeightReader {
@@ -64,35 +75,31 @@ impl FaultyWeightReader {
     /// Panics if `n` is not a multiple of 8 (cells per weight).
     pub fn for_model(model: &Gnn, n: usize) -> Self {
         let fmt = FixedFormat::default();
-        let fabrics = model
+        let params = model
             .param_shapes()
             .into_iter()
             .map(|ps| {
-                (
-                    (ps.layer, ps.param),
-                    WeightFabric::for_shape(ps.rows, ps.cols, n, fmt),
-                )
+                let fabric = WeightFabric::for_shape(ps.rows, ps.cols, n, fmt);
+                let overlay = fabric.fault_overlay(None);
+                let state = ParamState {
+                    fabric,
+                    placement: None,
+                    overlay,
+                    variation: None,
+                };
+                ((ps.layer, ps.param), state)
             })
             .collect();
-        let mut reader = Self {
-            fabrics,
-            placements: BTreeMap::new(),
-            overlays: BTreeMap::new(),
-            variations: BTreeMap::new(),
-            clip: None,
-        };
-        reader.rebuild_overlays();
-        reader
+        Self { params, clip: None }
     }
 
     /// Draws a static programming-variation field for every parameter
     /// (extension beyond the paper's SAF model; see
     /// [`fare_reram::variation`]).
     pub fn inject_variation(&mut self, spec: &VariationSpec, rng: &mut impl Rng) {
-        for (&key, fabric) in &self.fabrics {
-            let (rows, cols) = fabric.shape();
-            self.variations
-                .insert(key, VariationField::generate(rows, cols, spec, rng));
+        for state in self.params.values_mut() {
+            let (rows, cols) = state.fabric.shape();
+            state.variation = Some(VariationField::generate(rows, cols, spec, rng));
         }
     }
 
@@ -101,8 +108,10 @@ impl FaultyWeightReader {
     /// [`FaultyWeightReader::inject_variation`] first, possibly with
     /// σ = 0, to create the fields).
     pub fn apply_drift(&mut self, sigma: f64, rng: &mut impl Rng) {
-        for field in self.variations.values_mut() {
-            field.drift(sigma, rng);
+        for state in self.params.values_mut() {
+            if let Some(field) = &mut state.variation {
+                field.drift(sigma, rng);
+            }
         }
     }
 
@@ -130,10 +139,10 @@ impl FaultyWeightReader {
 
     /// Injects faults into every fabric (additive, deterministic order).
     pub fn inject(&mut self, spec: &FaultSpec, rng: &mut impl Rng) {
-        for fabric in self.fabrics.values_mut() {
-            fabric.inject(spec, rng);
+        for state in self.params.values_mut() {
+            state.fabric.inject(spec, rng);
+            state.rebuild_overlay();
         }
-        self.rebuild_overlays();
     }
 
     /// Borrows the fabric of parameter `(layer, param)`.
@@ -142,34 +151,15 @@ impl FaultyWeightReader {
     ///
     /// Panics if the parameter is unknown.
     pub fn fabric(&self, layer: usize, param: usize) -> &WeightFabric {
-        self.fabrics
-            .get(&(layer, param))
-            .unwrap_or_else(|| panic!("no fabric for parameter ({layer},{param})"))
-    }
-
-    /// Mutably borrows the fabric of parameter `(layer, param)`. Its
-    /// cached overlay is dropped, so later reads see whatever the caller
-    /// does to the fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter is unknown.
-    pub fn fabric_mut(&mut self, layer: usize, param: usize) -> &mut WeightFabric {
-        self.overlays.remove(&(layer, param));
-        self.fabrics
-            .get_mut(&(layer, param))
-            .unwrap_or_else(|| panic!("no fabric for parameter ({layer},{param})"))
+        &self.state(layer, param).fabric
     }
 
     /// Total fault count across all fabrics.
     pub fn fault_count(&self) -> usize {
-        self.fabrics.values().map(|f| f.array().fault_count()).sum()
-    }
-
-    /// Drops all row placements (back to identity).
-    pub fn clear_placements(&mut self) {
-        self.placements.clear();
-        self.rebuild_overlays();
+        self.params
+            .values()
+            .map(|s| s.fabric.array().fault_count())
+            .sum()
     }
 
     /// Recomputes every parameter's row placement to minimise corruption
@@ -181,43 +171,29 @@ impl FaultyWeightReader {
     /// with fault patterns is coarse. That is exactly what this
     /// implements — row-level assignment, no polarity awareness.
     pub fn optimize_placements(&mut self, model: &Gnn, matcher: Matcher) {
-        for (&(layer, param), fabric) in &self.fabrics {
+        for (&(layer, param), state) in &mut self.params {
             let weights = model.param(layer, param);
-            let rows = weights.rows();
-            let physical = fabric.physical_rows();
-            let cost = CostMatrix::from_fn(rows, physical, |r, p| {
+            let fabric = &state.fabric;
+            let cost = CostMatrix::from_fn(weights.rows(), fabric.physical_rows(), |r, p| {
                 fabric.row_placement_cost(weights, r, p)
             });
-            let sol = matcher.solve(&cost);
-            self.placements.insert((layer, param), sol.to_permutation());
+            state.placement = Some(matcher.solve(&cost).to_permutation());
+            state.rebuild_overlay();
         }
-        self.rebuild_overlays();
     }
 
-    /// Folds every fabric's faults under its placement into its overlay.
-    fn rebuild_overlays(&mut self) {
-        self.overlays = self
-            .fabrics
-            .iter()
-            .map(|(&key, fabric)| {
-                let placement = self.placements.get(&key).map(Vec::as_slice);
-                (key, fabric.fault_overlay(placement))
-            })
-            .collect();
+    fn state(&self, layer: usize, param: usize) -> &ParamState {
+        self.params
+            .get(&(layer, param))
+            .unwrap_or_else(|| panic!("no fabric for parameter ({layer},{param})"))
     }
 }
 
 impl WeightReader for FaultyWeightReader {
     fn read(&self, layer: usize, param: usize, value: &Matrix) -> Matrix {
-        let fabric = self.fabric(layer, param);
-        let mut out = match self.overlays.get(&(layer, param)) {
-            Some(overlay) => fabric.read_through(value, overlay),
-            None => {
-                let placement = self.placements.get(&(layer, param)).map(Vec::as_slice);
-                fabric.corrupt_permuted(value, placement)
-            }
-        };
-        if let Some(field) = self.variations.get(&(layer, param)) {
+        let state = self.state(layer, param);
+        let mut out = state.fabric.read_through(value, &state.overlay);
+        if let Some(field) = &state.variation {
             out = field.apply(&out);
         }
         if let Some(t) = self.clip {
@@ -326,7 +302,6 @@ pub(crate) fn corrupt_rows<'a>(
 mod tests {
     use fare_gnn::GnnDims;
     use fare_graph::datasets::ModelKind;
-    use fare_reram::StuckPolarity;
     use fare_rt::rand::rngs::StdRng;
     use fare_rt::rand::SeedableRng;
 
@@ -409,30 +384,25 @@ mod tests {
             .param_shapes()
             .iter()
             .map(|ps| {
-                let placement = reader.placements.get(&(ps.layer, ps.param)).unwrap();
+                let placement = reader.state(ps.layer, ps.param).placement.as_deref();
                 reader
                     .fabric(ps.layer, ps.param)
-                    .placement_cost(m.param(ps.layer, ps.param), Some(placement))
+                    .placement_cost(m.param(ps.layer, ps.param), placement)
             })
             .sum();
         assert!(
             optimized_cost <= identity_cost + 1e-9,
             "NR placement {optimized_cost} worse than identity {identity_cost}"
         );
-        reader.clear_placements();
-        assert!(reader.placements.is_empty());
     }
 
     #[test]
     fn read_clip_bounds_exploded_weights() {
         let m = model();
         let mut reader = FaultyWeightReader::for_model(&m, 16);
-        // Force an MSB SA1 on parameter (0,0), weight (0,0): explosion.
-        reader
-            .fabric_mut(0, 0)
-            .array_mut()
-            .crossbar_mut(0)
-            .inject_fault(0, 0, StuckPolarity::StuckAtOne);
+        // Every cell stuck at 1, the MSB slices included: explosion.
+        let mut rng = StdRng::seed_from_u64(4);
+        reader.inject(&FaultSpec::with_sa1_fraction(1.0, 1.0), &mut rng);
         let unclipped = reader.read(0, 0, m.param(0, 0));
         assert!(unclipped[(0, 0)].abs() > 10.0, "expected explosion");
         reader.set_clip(Some(1.0));
@@ -443,44 +413,6 @@ mod tests {
 
     fn bits(m: &Matrix) -> Vec<u32> {
         m.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn fault_placed_through_fabric_mut_is_seen_by_next_read() {
-        let m = model();
-        let mut reader = FaultyWeightReader::for_model(&m, 16);
-        let w = m.param(0, 0);
-        let before = reader.read(0, 0, w);
-        reader
-            .fabric_mut(0, 0)
-            .array_mut()
-            .crossbar_mut(0)
-            .inject_fault(0, 0, StuckPolarity::StuckAtOne);
-        let after = reader.read(0, 0, w);
-        assert_ne!(bits(&after), bits(&before));
-        assert_eq!(bits(&after), bits(&reader.fabric(0, 0).corrupt(w)));
-    }
-
-    #[test]
-    fn fabric_replaced_through_fabric_mut_is_seen_by_next_read() {
-        let m = model();
-        let mut reader = FaultyWeightReader::for_model(&m, 16);
-        let mut rng = StdRng::seed_from_u64(6);
-        reader.inject(&FaultSpec::density(0.05), &mut rng);
-        let w = m.param(0, 0);
-        let before = reader.read(0, 0, w);
-        // A whole fabric swapped in: the reader drops the cached overlay
-        // on `fabric_mut`, not on a fault-version change it cannot see.
-        let mut other = reader.fabric(0, 0).clone();
-        other.array_mut().clear_faults();
-        other
-            .array_mut()
-            .crossbar_mut(0)
-            .inject_fault(1, 0, StuckPolarity::StuckAtOne);
-        *reader.fabric_mut(0, 0) = other.clone();
-        let after = reader.read(0, 0, w);
-        assert_ne!(bits(&after), bits(&before));
-        assert_eq!(bits(&after), bits(&other.corrupt(w)));
     }
 
     #[test]
@@ -498,21 +430,13 @@ mod tests {
         let mut moved = false;
         for (ps, ident) in m.param_shapes().iter().zip(&identity) {
             let w = m.param(ps.layer, ps.param);
-            let placement = reader.placements[&(ps.layer, ps.param)].clone();
+            let placement = reader.state(ps.layer, ps.param).placement.as_deref();
             let read = reader.read(ps.layer, ps.param, w);
             let fabric = reader.fabric(ps.layer, ps.param);
-            assert_eq!(
-                bits(&read),
-                bits(&fabric.corrupt_permuted(w, Some(&placement)))
-            );
+            assert_eq!(bits(&read), bits(&fabric.corrupt_permuted(w, placement)));
             moved |= bits(&read) != bits(ident);
         }
         assert!(moved, "NR placement left every read unchanged");
-        reader.clear_placements();
-        for (ps, ident) in m.param_shapes().iter().zip(&identity) {
-            let read = reader.read(ps.layer, ps.param, m.param(ps.layer, ps.param));
-            assert_eq!(bits(&read), bits(ident));
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A zero-external-dependency, thread-safe observability layer:
 //!
 //! - **named monotonic counters** ([`Counter`]) — faults injected per
-//!   polarity, crossbars corrupted/remapped, MVM invocations,
+//!   polarity, crossbars corrupted, `G₁` pairs solved,
 //!   `RemapCache` hits/misses, … The full taxonomy lives
 //!   in [`counters`] and every counter is registered there, so a run
 //!   manifest can enumerate them all.
@@ -41,8 +41,8 @@
 //! ## Determinism contract
 //!
 //! Counter increments and span emissions are placed on *logical* event
-//! paths (one `add` per injected fault, per MVM call, per cache
-//! probe…), never inside per-chunk worker closures, so totals are
+//! paths (one `add` per injected fault, per corrupted adjacency, per
+//! cache probe…), never inside per-chunk worker closures, so totals are
 //! identical at any `FARE_RT_THREADS`. Combined with the fixed clock
 //! (which also drives trace timestamps, see [`trace`]) this makes the
 //! whole [`RunManifest`] — and the full span trace — bit-identical
@@ -456,62 +456,6 @@ impl RunManifest {
     /// Pretty JSON — the golden-trace snapshot format.
     pub fn to_json_pretty(&self) -> String {
         fare_rt::json::to_string_pretty(self).expect("RunManifest serialises infallibly")
-    }
-
-    /// Human-readable summary block for examples and CLI tools.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "run manifest: {} (seed {})\n",
-            self.run, self.seed
-        ));
-        if !self.epochs.is_empty() {
-            let last = &self.epochs[self.epochs.len() - 1];
-            out.push_str(&format!(
-                "  epochs recorded: {} (final loss {:.4}, train acc {:.3}, test acc {:.3})\n",
-                self.epochs.len(),
-                last.loss,
-                last.train_accuracy,
-                last.test_accuracy
-            ));
-        }
-        if !self.counters.is_empty() {
-            out.push_str("  counters:\n");
-            for c in &self.counters {
-                out.push_str(&format!("    {:<44} {:>14}\n", c.name, c.value));
-            }
-        }
-        if !self.timers.is_empty() {
-            out.push_str("  timers:\n");
-            for t in &self.timers {
-                out.push_str(&format!(
-                    "    {:<44} {:>6} spans {:>12.3} ms\n",
-                    t.name,
-                    t.count,
-                    t.total_ns as f64 / 1e6
-                ));
-            }
-        }
-        if !self.heatmaps.is_empty() {
-            out.push_str("  heatmaps:\n");
-            for h in &self.heatmaps {
-                out.push_str(&format!(
-                    "    {:<44} {:>4} cells  sa0 {:>8}  sa1 {:>8}  mismatch {:>10}\n",
-                    h.name,
-                    h.cells(),
-                    h.sa0.iter().sum::<u64>(),
-                    h.sa1.iter().sum::<u64>(),
-                    h.mismatch.iter().sum::<u64>()
-                ));
-            }
-        }
-        if !self.bench.is_empty() {
-            out.push_str("  bench:\n");
-            for b in &self.bench {
-                out.push_str(&format!("    {:<44} {:>14.6}\n", b.name, b.value));
-            }
-        }
-        out
     }
 }
 

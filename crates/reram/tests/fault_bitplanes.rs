@@ -91,6 +91,11 @@ fn check_planes(xbar: &Crossbar, naive: &NaiveFaults) {
     for r in 0..n {
         prop_assert_eq!(&sa0[r * words..(r + 1) * words], xbar.sa0_row_bits(r));
         prop_assert_eq!(&sa1[r * words..(r + 1) * words], xbar.sa1_row_bits(r));
+        // The sparse row list is the naive row's faults, sorted by column.
+        let naive_row: Vec<(usize, StuckPolarity)> = (0..n)
+            .filter_map(|c| naive.cells[r * n + c].map(|p| (c, p)))
+            .collect();
+        prop_assert_eq!(xbar.row_faults(r), naive_row.as_slice());
         for c in 0..n {
             let bit0 = sa0[r * words + c / 64] >> (c % 64) & 1 == 1;
             let bit1 = sa1[r * words + c / 64] >> (c % 64) & 1 == 1;

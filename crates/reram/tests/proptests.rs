@@ -1,7 +1,7 @@
 //! Property-based tests for the ReRAM substrate.
 
 use fare_reram::weights::WeightFabric;
-use fare_reram::{Bist, Crossbar, CrossbarArray, FaultSpec, StuckPolarity};
+use fare_reram::{Crossbar, CrossbarArray, FaultSpec, StuckPolarity};
 use fare_rt::prop::prelude::*;
 use fare_rt::rand::rngs::StdRng;
 use fare_rt::rand::SeedableRng;
@@ -93,20 +93,6 @@ proptest! {
             xbar.mismatch_count(&ones, None),
             xbar.mismatch_count(&ones, Some(&perm))
         );
-    }
-
-    #[test]
-    fn bist_scan_is_lossless(seed in 0u64..300, density in 0.0f64..0.1) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut array = CrossbarArray::new(4, 16);
-        array.inject(&FaultSpec::density(density), &mut rng);
-        let map = Bist::scan(&array);
-        prop_assert_eq!(map.fault_count(), array.fault_count());
-        for j in 0..array.len() {
-            for &(r, c, p) in map.crossbar_faults(j) {
-                prop_assert_eq!(array.crossbar(j).fault_at(r, c), Some(p));
-            }
-        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use fare_rt::rand::SeedableRng;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
+    fare_bench::check_args(&[], &[]);
     // 1. Write a demo dataset to disk (stand-in for your real files).
     let dir = std::env::temp_dir().join("fare_custom_dataset_demo");
     std::fs::create_dir_all(&dir)?;

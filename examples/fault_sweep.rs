@@ -3,9 +3,10 @@
 //! the paper's introduction (edge accelerators with imperfect ReRAM).
 //!
 //! Prints the accuracy-vs-density table, then the instrumented
-//! [`fare::obs::RunManifest`] summary of the harshest FARe cell (5 %
-//! density): faults injected per polarity, crossbars corrupted,
-//! mappings solved and remap-cache traffic, instead of ad-hoc tallies.
+//! [`fare::obs::RunManifest`] of the harshest FARe cell (5 % density),
+//! rendered by [`fare::report::summarize::to_markdown`]: faults injected
+//! per polarity, crossbars corrupted, mapping pairs solved and
+//! remap-cache traffic, instead of ad-hoc tallies.
 //!
 //! Run with: `cargo run --release --example fault_sweep [-- --ratio 1:1]`
 //! (`-- --smoke` for the reduced verify.sh geometry)
@@ -16,18 +17,13 @@ use fare::obs::{self, ClockMode, Mode};
 use fare::reram::FaultSpec;
 
 fn main() {
+    fare_bench::check_args(&["--ratio"], &["--smoke"]);
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let ratio_arg = std::env::args()
-        .skip_while(|a| a != "--ratio")
-        .nth(1)
-        .unwrap_or_else(|| "9:1".into());
+    let ratio_arg = fare_bench::string_flag("--ratio").unwrap_or_else(|| "9:1".into());
     let sa1_fraction = match ratio_arg.as_str() {
         "9:1" => 0.1,
         "1:1" => 0.5,
-        other => {
-            eprintln!("unknown ratio {other}, using 9:1");
-            0.1
-        }
+        other => fare_bench::usage_error(&format!("unknown ratio {other:?}; accepted: 9:1 1:1")),
     };
     obs::set_mode(Mode::Json);
     obs::set_clock(ClockMode::Fixed(1_000));
@@ -96,7 +92,7 @@ fn main() {
     }
     println!();
     if let Some(manifest) = worst_fare_manifest {
-        println!("{}", manifest.summary());
+        println!("{}", fare::report::summarize::to_markdown(&manifest));
     }
     println!("Expected shape (paper Fig. 5): fault-unaware decays fastest; FARe stays near the fault-free line even at 5%.");
 }

@@ -10,6 +10,7 @@ use fare::graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare::reram::FaultSpec;
 
 fn main() {
+    fare_bench::check_args(&[], &[]);
     let seed = 42;
     let dataset = Dataset::generate(DatasetKind::Reddit, seed);
     println!(

@@ -1,15 +1,16 @@
-//! A tour of the simulated ReRAM hardware: program a crossbar, inject
-//! faults, scan them with BIST, and price the accelerator in
-//! area/power/energy.
+//! A tour of the simulated ReRAM hardware: inject clustered faults into
+//! a crossbar pool, then price the accelerator in area/power/energy and
+//! the per-epoch BIST scan in time.
 //!
 //! Run with: `cargo run --release --example hardware_tour`
 
 use fare::reram::energy::{estimate, overprovisioning_cost};
-use fare::reram::timing::PipelineSpec;
-use fare::reram::{Bist, ChipConfig, CrossbarArray, FaultSpec};
+use fare::reram::timing::{PipelineSpec, TimingModel};
+use fare::reram::{ChipConfig, CrossbarArray, FaultSpec};
 use fare_rt::rand::SeedableRng;
 
 fn main() {
+    fare_bench::check_args(&[], &[]);
     let mut rng = fare_rt::rand::rngs::StdRng::seed_from_u64(2024);
     let cfg = ChipConfig::date2024();
     println!(
@@ -34,16 +35,7 @@ fn main() {
     let counts: Vec<usize> = array.iter().map(|x| x.fault_count()).collect();
     println!("per-crossbar fault counts (Poisson clustering): {counts:?}");
 
-    // 2. BIST scan: what the mapping algorithm actually sees.
-    let map = Bist::scan(&array);
-    println!(
-        "BIST scan: {} faults detected across {} crossbars ({:.2}% time overhead per scan)",
-        map.fault_count(),
-        map.num_crossbars(),
-        100.0 * Bist::time_overhead_fraction()
-    );
-
-    // 3. Area/power/energy of a training run.
+    // 2. Area/power/energy of a training run.
     let pipeline = PipelineSpec::new(150, 5, 1e-3, 100);
     let report = estimate(&cfg, 96, &pipeline);
     println!(
@@ -54,5 +46,9 @@ fn main() {
     println!(
         "FARe's 1.5x crossbar slack: {} tile(s), {:.2}x area (tile-granular)",
         provisioned.tiles, ratio
+    );
+    println!(
+        "per-epoch BIST scan: {:.2}% time overhead",
+        100.0 * TimingModel::new(pipeline).bist_fraction
     );
 }

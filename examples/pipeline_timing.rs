@@ -64,6 +64,7 @@ fn modeled_trace(schedule: &Schedule, cycle_ns: u64) -> TraceLog {
 }
 
 fn main() {
+    fare_bench::check_args(&[], &["--smoke"]);
     let smoke = std::env::args().any(|a| a == "--smoke");
 
     println!("Normalised execution time vs pipeline length (S = 5 stages, 100 epochs)\n");

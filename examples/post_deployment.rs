@@ -5,7 +5,8 @@
 //! Starts from 2 % pre-deployment faults and adds 1 % more, spread
 //! uniformly over the epochs, prints the per-epoch test-accuracy
 //! trajectory of each strategy, then prints each strategy's
-//! [`fare::obs::RunManifest`] summary — the instrumented ground truth of
+//! [`fare::obs::RunManifest`], rendered by
+//! [`fare::report::summarize::to_markdown`] — the instrumented ground truth of
 //! what the run actually did (faults injected, crossbars corrupted,
 //! remap-cache hits/misses, epochs/batches executed) instead of ad-hoc
 //! tallies.
@@ -19,6 +20,7 @@ use fare::obs::{self, ClockMode, Mode};
 use fare::reram::FaultSpec;
 
 fn main() {
+    fare_bench::check_args(&[], &["--smoke"]);
     let smoke = std::env::args().any(|a| a == "--smoke");
     // Record counters for the manifests; the fixed clock keeps the
     // printed timer lines reproducible run-to-run.
@@ -87,7 +89,7 @@ fn main() {
 
     println!();
     for (_, _, manifest) in &outcomes {
-        println!("{}", manifest.summary());
+        println!("{}", fare::report::summarize::to_markdown(manifest));
     }
     println!("(paper Fig. 6: FARe loses at most ~1.9 pp even with growing faults; NR loses up to ~15 pp)");
 }

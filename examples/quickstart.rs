@@ -8,6 +8,7 @@ use fare::graph::datasets::{Dataset, DatasetKind, ModelKind};
 use fare::reram::FaultSpec;
 
 fn main() {
+    fare_bench::check_args(&[], &[]);
     let seed = 42;
     let dataset = Dataset::generate(DatasetKind::Ppi, seed);
     println!(

@@ -249,12 +249,26 @@ trap 'rm -f "$BENCH_TMP" "$BENCH_MAP_TMP"' EXIT
 cargo run -q --offline -p fare-bench --bin bench_mapping -- \
     --smoke --out "$BENCH_MAP_TMP"
 
-echo "==> example smoke (RunManifest summaries)"
+echo "==> example smoke (manifest rendering, command-line checks)"
 # The examples double as executable documentation for the telemetry
 # layer; make sure they keep running end to end.
 cargo run -q --offline --example post_deployment -- --smoke > /dev/null
 cargo run -q --offline --example fault_sweep -- --smoke --ratio 1:1 > /dev/null
 cargo run -q --offline --example pipeline_timing -- --smoke > /dev/null
+cargo run -q --offline --example hardware_tour > /dev/null
+# An example checks its whole command line before any work: an unknown
+# flag or a bad --ratio is a usage error (exit 2), not a full-length run.
+for args in "pipeline_timing -- --smoke --bogus" "fault_sweep -- --smoke --ratio 2:1"; do
+    set +e
+    # shellcheck disable=SC2086
+    cargo run -q --offline --example $args > /dev/null 2>&1
+    EXAMPLE_STATUS=$?
+    set -e
+    if [ "$EXAMPLE_STATUS" -ne 2 ]; then
+        echo "example $args exited $EXAMPLE_STATUS, expected 2" >&2
+        exit 1
+    fi
+done
 
 echo "==> trace & report gate"
 # Fresh golden run under FARE_OBS=trace diffed against the committed

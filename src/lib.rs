@@ -12,9 +12,10 @@
 //!   partitioning and Cluster-GCN mini-batching,
 //! - [`matching`] — Hungarian and b-Suitor assignment solvers,
 //! - [`reram`] — the crossbar/tile simulator with SA0/SA1 fault
-//!   injection, BIST and the pipelined timing model,
+//!   injection, packed fault planes and the pipelined timing model
+//!   (with the per-epoch BIST scan's time charge),
 //! - [`gnn`] — GCN / GAT / GraphSAGE models with manual backprop and a
-//!   pluggable (ideal vs faulty) matrix–vector backend,
+//!   pluggable (ideal vs faulty) weight reader,
 //! - [`core`] — the FARe mapping algorithm (Algorithm 1), weight
 //!   clipping, the baselines and the experiment runners,
 //! - [`obs`] — the telemetry layer: named monotonic counters, spans
