@@ -71,17 +71,21 @@ pub fn params_from(args: &[String]) -> Result<ExperimentParams, String> {
 }
 
 /// Checks the process arguments before a binary does any work: each must
-/// be one of the flags in `valued`, followed by its value, or one of the
-/// `switches`, which take none, and no flag may be given twice. Anything
-/// else is a [`usage_error`].
+/// be one of the flags in `valued`, followed by its value, which may not
+/// be one of these flags itself, or one of the `switches`, which take
+/// none, and no flag may be given twice. Anything else is a
+/// [`usage_error`].
 pub fn check_args(valued: &[&str], switches: &[&str]) {
     let args: Vec<String> = std::env::args().collect();
     check_flags(&args, valued, switches).unwrap_or_else(|e| usage_error(&e))
 }
 
 /// [`check_args`] over an explicit argument list, program name first.
+/// One of the program's own flags never serves as another flag's value:
+/// `--out --smoke` is `--out` without a value.
 fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
-    let mut rest = args.iter().skip(1);
+    let is_flag = |a: &str| valued.contains(&a) || switches.contains(&a);
+    let mut rest = args.iter().skip(1).peekable();
     let mut seen: Vec<&str> = Vec::new();
     while let Some(arg) = rest.next() {
         if seen.contains(&arg.as_str()) {
@@ -89,10 +93,15 @@ fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<()
         }
         seen.push(arg);
         if valued.contains(&arg.as_str()) {
-            if rest.next().is_none() {
+            if rest.next_if(|v| !is_flag(v)).is_none() {
                 return Err(format!("flag {arg} needs a value"));
             }
         } else if !switches.contains(&arg.as_str()) {
+            if valued.is_empty() && switches.is_empty() {
+                return Err(format!(
+                    "unknown argument {arg:?}; this program takes no flags"
+                ));
+            }
             let accepted: Vec<&str> = valued.iter().chain(switches).copied().collect();
             return Err(format!(
                 "unknown argument {arg:?}; accepted flags: {}",
@@ -292,6 +301,36 @@ mod tests {
         }
         // `params_from` itself skips the binary's own flags.
         assert_eq!(params_from(&args).unwrap().epochs, 9);
+    }
+
+    #[test]
+    fn a_flag_is_never_another_flags_value() {
+        for (bad, valued, switches) in [
+            ("prog --out --smoke", &["--out"][..], &["--smoke"][..]),
+            ("prog --json --quick", &["--json"], &["--quick"]),
+            ("prog --json --epochs 3", &["--json", "--epochs"], &[]),
+        ] {
+            let err = check_flags(&argv(bad), valued, switches).unwrap_err();
+            let flag = bad.split_whitespace().nth(1).unwrap();
+            assert_eq!(err, format!("flag {flag} needs a value"), "{bad}");
+        }
+        // A value that merely looks like a flag is still a value.
+        assert_eq!(
+            check_flags(&argv("prog --out --other"), &["--out"], &[]),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn unknown_flag_error_names_the_accepted_flags_or_none() {
+        let args = argv("prog --x");
+        let err = check_flags(&args, &["--ratio"], &["--smoke"]).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown argument \"--x\"; accepted flags: --ratio --smoke"
+        );
+        let err = check_flags(&args, &[], &[]).unwrap_err();
+        assert_eq!(err, "unknown argument \"--x\"; this program takes no flags");
     }
 
     #[test]

@@ -130,3 +130,29 @@ fn every_binary_rejects_unknown_flags_before_work() {
         assert_usage_errors(bin, &[(args, want)]);
     }
 }
+
+#[test]
+fn a_flag_is_never_read_as_another_flags_value() {
+    // `--out --smoke` used to run the smoke bench and write its manifest
+    // to a file named `--smoke`; `--json --quick` likewise.
+    let dir = std::env::temp_dir().join(format!("fare_flag_value_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let cases = [
+        (env!("CARGO_BIN_EXE_bench_mapping"), ["--out", "--smoke"]),
+        (env!("CARGO_BIN_EXE_fig5"), ["--json", "--quick"]),
+    ];
+    for (bin, args) in cases {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let want = format!("flag {} needs a value", args[0]);
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} did work first");
+        assert!(!dir.join(args[1]).exists(), "{args:?} wrote {}", args[1]);
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}

@@ -269,12 +269,12 @@ pub(crate) fn corrupt_rows<'a>(
         let clean = row(r);
         let mut next = 0;
         // Fault cells come in ascending column order: block columns
-        // ascend, and each crossbar row lists its faults by column.
+        // ascend, and each crossbar row yields its faults by column.
         for (bc, slot) in placed.iter().enumerate() {
             let Some((xbar, perm)) = slot else {
                 continue;
             };
-            for &(c, pol) in xbar.row_faults(perm[logical]) {
+            for (c, pol) in xbar.row_faults(perm[logical]) {
                 let col = bc * n + c;
                 if col >= size {
                     break;

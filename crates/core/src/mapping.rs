@@ -310,7 +310,7 @@ impl XbarG1Ctx {
     fn fill(&mut self, xbar: &Crossbar) {
         self.faulty.clear();
         self.faulty
-            .extend((0..xbar.n()).filter(|&r| !xbar.row_faults(r).is_empty()));
+            .extend((0..xbar.n()).filter(|&r| xbar.row_faults(r).next().is_some()));
         self.base.clear();
         self.base.extend(self.faulty.iter().map(|&phys| {
             xbar.sa1_row_bits(phys)
@@ -355,7 +355,7 @@ impl G1Scratch {
         for (((row, bits), &base), &phys) in rows.zip(bits).zip(&ctx.base).zip(&ctx.faulty) {
             row.fill(base);
             level(base, &mut self.level_spill);
-            for &(c, pol) in xbar.row_faults(phys) {
+            for (c, pol) in xbar.row_faults(phys) {
                 // SA0 mismatches stored ones; SA1 is already counted in
                 // the base and mismatches stored zeros — a set bit
                 // cancels it.
@@ -706,7 +706,7 @@ fn column_faults(xbar: &Crossbar, sa0: &mut Vec<u32>, sa1: &mut Vec<u32>) {
     sa0.resize(s0 + xbar.n(), 0);
     sa1.resize(s1 + xbar.n(), 0);
     for r in 0..xbar.n() {
-        for &(c, pol) in xbar.row_faults(r) {
+        for (c, pol) in xbar.row_faults(r) {
             match pol {
                 StuckPolarity::StuckAtZero => sa0[s0 + c] += 1,
                 StuckPolarity::StuckAtOne => sa1[s1 + c] += 1,

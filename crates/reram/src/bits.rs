@@ -1,17 +1,19 @@
-//! Packed binary row sets for the mapping fast path.
+//! Packed binary row sets: the one bit-plane type of the crate.
 //!
-//! A [`PackedRows`] snapshots a binary matrix (an adjacency block) into
-//! per-row `u64` bit masks, the counterpart of the crossbar's packed
-//! SA0/SA1 fault planes: once both sides are packed, the mismatch cost of
+//! A [`PackedRows`] holds a binary matrix as per-row `u64` bit masks.
+//! Each [`crate::Crossbar`] keeps its stuck cells in two of them, one
+//! SA0 and one SA1 plane, and the mapping fast path packs each adjacency
+//! block into one. Once both sides are packed, the mismatch cost of
 //! placing logical row `p` on physical row `q` collapses to a couple of
 //! `AND` + popcount passes per word ([`crate::Crossbar::row_mismatch_packed`]).
 
 use fare_tensor::Matrix;
 
 /// A binary matrix packed row-major into `u64` words, bit `c` of row `r`
-/// set exactly when the matrix entry is a stored "1" (`> 0.5`, the same
-/// threshold every crossbar read/mismatch path uses). Bits at columns
-/// `≥ cols` are always zero.
+/// set exactly when entry `(r, c)` is a 1: a stored "1" of a packed block
+/// (`> 0.5`, the same threshold every crossbar read/mismatch path uses)
+/// or a stuck cell of a fault plane. Bits at columns `≥ cols` are always
+/// zero.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PackedRows {
     rows: usize,
@@ -57,6 +59,19 @@ impl PackedRows {
             "bit ({r}, {c}) out of range"
         );
         self.bits[r * self.words + c / 64] |= 1u64 << (c % 64);
+    }
+
+    /// Clears bit `(r, c)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(r, c)` is out of range.
+    pub fn unset(&mut self, r: usize, c: usize) {
+        assert!(
+            r < self.rows && c < self.cols,
+            "bit ({r}, {c}) out of range"
+        );
+        self.bits[r * self.words + c / 64] &= !(1u64 << (c % 64));
     }
 
     /// Number of packed rows.
@@ -112,6 +127,18 @@ mod tests {
             }
         }
         assert_eq!(p, PackedRows::from_matrix(&m));
+    }
+
+    #[test]
+    fn unset_clears_only_its_bit() {
+        let mut p = PackedRows::zeros(2, 70);
+        for c in [0, 63, 64, 69] {
+            p.set(1, c);
+        }
+        p.unset(1, 64);
+        p.unset(0, 3); // already clear
+        assert_eq!(p.row(0), &[0, 0]);
+        assert_eq!(p.row(1), &[1 | 1 << 63, 1 << 5]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 use fare_tensor::fixed::StuckPolarity;
 use fare_tensor::Matrix;
 
+use crate::bits::PackedRows;
+
 /// One square ReRAM crossbar: an `n × n` array of 2-bit cells, some of
 /// which may be stuck.
 ///
@@ -9,13 +11,15 @@ use fare_tensor::Matrix;
 /// physical fault pattern against whatever matrix is currently
 /// programmed.
 ///
-/// Fault state is kept in two synchronised representations: sparse
-/// per-row `(column, polarity)` lists (the query format) and packed
-/// per-row `u64` bit planes, one for each polarity, which turn the
-/// mapping pipeline's mismatch counts into a handful of popcounts
-/// (see [`Crossbar::row_mismatch_packed`]). Fault totals are cached and
-/// a monotone [`Crossbar::fault_version`] counter is bumped on every
-/// mutation so callers can cache work keyed on fault state.
+/// Its only fault state is two packed `n × n` bit planes, one per
+/// polarity: bit `c` of row `r` is set in the SA0 (SA1) plane exactly
+/// when cell `(r, c)` is stuck at 0 (1), and no cell is set in both.
+/// The mapping pipeline's mismatch counts are a handful of popcounts
+/// over them (see [`Crossbar::row_mismatch_packed`]), a row's stuck
+/// cells ([`Crossbar::row_faults`]) are its set bits and the fault
+/// totals are popcounts. A monotone [`Crossbar::fault_version`] counter
+/// is bumped on every mutation so callers can cache work keyed on fault
+/// state.
 ///
 /// # Example
 ///
@@ -31,21 +35,22 @@ use fare_tensor::Matrix;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Crossbar {
-    n: usize,
-    /// `u64` words per packed row: `ceil(n / 64)`.
-    words: usize,
-    /// Sparse per-row fault lists, each sorted by column.
-    rows: Vec<Vec<(usize, StuckPolarity)>>,
-    /// Packed SA0 columns, row-major, `n * words` words.
-    sa0_bits: Vec<u64>,
-    /// Packed SA1 columns, row-major, `n * words` words.
-    sa1_bits: Vec<u64>,
-    /// Cached stuck-at-0 cell count.
-    sa0: usize,
-    /// Cached stuck-at-1 cell count.
-    sa1: usize,
+    /// Stuck-at-0 cells.
+    sa0: PackedRows,
+    /// Stuck-at-1 cells; never shares a set bit with `sa0`.
+    sa1: PackedRows,
     /// Bumped on every `inject_fault` / `clear_faults`.
     version: u64,
+}
+
+/// Whether bit `(r, c)` of `plane` is set.
+fn bit(plane: &PackedRows, r: usize, c: usize) -> bool {
+    plane.row(r)[c / 64] >> (c % 64) & 1 == 1
+}
+
+/// Number of set bits in `plane`.
+fn popcount(plane: &PackedRows) -> usize {
+    plane.bits().iter().map(|w| w.count_ones() as usize).sum()
 }
 
 impl Crossbar {
@@ -56,27 +61,21 @@ impl Crossbar {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "crossbar size must be positive");
-        let words = n.div_ceil(64);
         Self {
-            n,
-            words,
-            rows: vec![Vec::new(); n],
-            sa0_bits: vec![0; n * words],
-            sa1_bits: vec![0; n * words],
-            sa0: 0,
-            sa1: 0,
+            sa0: PackedRows::zeros(n, n),
+            sa1: PackedRows::zeros(n, n),
             version: 0,
         }
     }
 
     /// Crossbar dimension.
     pub fn n(&self) -> usize {
-        self.n
+        self.sa0.rows()
     }
 
     /// `u64` words per packed fault row (`ceil(n / 64)`).
     pub fn words(&self) -> usize {
-        self.words
+        self.sa0.words()
     }
 
     /// Marks cell `(r, c)` stuck. A second injection at the same cell
@@ -90,86 +89,67 @@ impl Crossbar {
             StuckPolarity::StuckAtZero => fare_obs::counters::RERAM_FAULTS_INJECTED_SA0.incr(),
             StuckPolarity::StuckAtOne => fare_obs::counters::RERAM_FAULTS_INJECTED_SA1.incr(),
         }
-        assert!(r < self.n && c < self.n, "fault ({r},{c}) out of range");
-        let row = &mut self.rows[r];
-        match row.binary_search_by_key(&c, |&(col, _)| col) {
-            Ok(i) => {
-                let old = row[i].1;
-                row[i].1 = polarity;
-                if old != polarity {
-                    self.set_bit(old, r, c, false);
-                    self.dec_count(old);
-                    self.set_bit(polarity, r, c, true);
-                    self.inc_count(polarity);
-                }
-            }
-            Err(i) => {
-                row.insert(i, (c, polarity));
-                self.set_bit(polarity, r, c, true);
-                self.inc_count(polarity);
-            }
-        }
+        assert!(r < self.n() && c < self.n(), "fault ({r},{c}) out of range");
+        let (stuck, other) = match polarity {
+            StuckPolarity::StuckAtZero => (&mut self.sa0, &mut self.sa1),
+            StuckPolarity::StuckAtOne => (&mut self.sa1, &mut self.sa0),
+        };
+        stuck.set(r, c);
+        other.unset(r, c);
         self.version += 1;
     }
 
-    fn set_bit(&mut self, pol: StuckPolarity, r: usize, c: usize, on: bool) {
-        let plane = match pol {
-            StuckPolarity::StuckAtZero => &mut self.sa0_bits,
-            StuckPolarity::StuckAtOne => &mut self.sa1_bits,
-        };
-        let word = &mut plane[r * self.words + c / 64];
-        if on {
-            *word |= 1u64 << (c % 64);
-        } else {
-            *word &= !(1u64 << (c % 64));
-        }
-    }
-
-    fn inc_count(&mut self, pol: StuckPolarity) {
-        match pol {
-            StuckPolarity::StuckAtZero => self.sa0 += 1,
-            StuckPolarity::StuckAtOne => self.sa1 += 1,
-        }
-    }
-
-    fn dec_count(&mut self, pol: StuckPolarity) {
-        match pol {
-            StuckPolarity::StuckAtZero => self.sa0 -= 1,
-            StuckPolarity::StuckAtOne => self.sa1 -= 1,
-        }
-    }
-
-    /// Fault state of cell `(r, c)`, if any.
+    /// Fault state of cell `(r, c)`, if any; `None` out of range.
     pub fn fault_at(&self, r: usize, c: usize) -> Option<StuckPolarity> {
-        self.rows
-            .get(r)?
-            .binary_search_by_key(&c, |&(col, _)| col)
-            .ok()
-            .map(|i| self.rows[r][i].1)
+        if r >= self.n() || c >= self.n() {
+            None
+        } else if bit(&self.sa0, r, c) {
+            Some(StuckPolarity::StuckAtZero)
+        } else if bit(&self.sa1, r, c) {
+            Some(StuckPolarity::StuckAtOne)
+        } else {
+            None
+        }
     }
 
-    /// Sparse fault list of physical row `r`, sorted by column.
+    /// The stuck cells of physical row `r` as `(column, polarity)`, in
+    /// ascending column order.
     ///
     /// # Panics
     ///
     /// Panics if `r` is out of range.
-    pub fn row_faults(&self, r: usize) -> &[(usize, StuckPolarity)] {
-        &self.rows[r]
+    pub fn row_faults(&self, r: usize) -> impl Iterator<Item = (usize, StuckPolarity)> + '_ {
+        let words = self.sa0.row(r).iter().zip(self.sa1.row(r));
+        words.enumerate().flat_map(|(w, (&sa0, &sa1))| {
+            let mut stuck = sa0 | sa1;
+            std::iter::from_fn(move || {
+                (stuck != 0).then(|| {
+                    let b = stuck.trailing_zeros();
+                    stuck &= stuck - 1;
+                    let pol = if sa1 >> b & 1 == 1 {
+                        StuckPolarity::StuckAtOne
+                    } else {
+                        StuckPolarity::StuckAtZero
+                    };
+                    (w * 64 + b as usize, pol)
+                })
+            })
+        })
     }
 
-    /// Total number of stuck cells (cached; O(1)).
+    /// Total number of stuck cells.
     pub fn fault_count(&self) -> usize {
-        self.sa0 + self.sa1
+        self.sa0_count() + self.sa1_count()
     }
 
-    /// Number of stuck-at-0 cells (cached; O(1)).
+    /// Number of stuck-at-0 cells.
     pub fn sa0_count(&self) -> usize {
-        self.sa0
+        popcount(&self.sa0)
     }
 
-    /// Number of stuck-at-1 cells (cached; O(1)).
+    /// Number of stuck-at-1 cells.
     pub fn sa1_count(&self) -> usize {
-        self.sa1
+        popcount(&self.sa1)
     }
 
     /// Monotone counter bumped on every [`Crossbar::inject_fault`] /
@@ -184,7 +164,9 @@ impl Crossbar {
 
     /// Physical rows that carry at least one fault, ascending.
     pub fn faulty_rows(&self) -> Vec<usize> {
-        (0..self.n).filter(|&r| !self.rows[r].is_empty()).collect()
+        (0..self.n())
+            .filter(|&r| self.row_faults(r).next().is_some())
+            .collect()
     }
 
     /// The packed SA0/SA1 fault planes (`n * words()` words each,
@@ -192,29 +174,25 @@ impl Crossbar {
     /// fingerprint of the fault state: two crossbars of equal `n` with
     /// equal planes have identical fault sets.
     pub fn fault_bits(&self) -> (&[u64], &[u64]) {
-        (&self.sa0_bits, &self.sa1_bits)
+        (self.sa0.bits(), self.sa1.bits())
     }
 
     /// Packed SA0 columns of physical row `r` (`words()` words).
     pub fn sa0_row_bits(&self, r: usize) -> &[u64] {
-        &self.sa0_bits[r * self.words..(r + 1) * self.words]
+        self.sa0.row(r)
     }
 
     /// Packed SA1 columns of physical row `r` (`words()` words).
     pub fn sa1_row_bits(&self, r: usize) -> &[u64] {
-        &self.sa1_bits[r * self.words..(r + 1) * self.words]
+        self.sa1.row(r)
     }
 
     /// Removes all faults (fresh die).
     pub fn clear_faults(&mut self) {
         fare_obs::counters::RERAM_FAULTS_CLEARED.incr();
-        for row in &mut self.rows {
-            row.clear();
-        }
-        self.sa0_bits.fill(0);
-        self.sa1_bits.fill(0);
-        self.sa0 = 0;
-        self.sa1 = 0;
+        let n = self.n();
+        self.sa0 = PackedRows::zeros(n, n);
+        self.sa1 = PackedRows::zeros(n, n);
         self.version += 1;
     }
 
@@ -235,27 +213,25 @@ impl Crossbar {
     /// Panics if `stored` exceeds the crossbar dimensions, or if
     /// `row_perm` has the wrong length / out-of-range entries.
     pub fn read_binary(&self, stored: &Matrix, row_perm: Option<&[usize]>) -> Matrix {
+        let n = self.n();
         assert!(
-            stored.rows() <= self.n && stored.cols() <= self.n,
+            stored.rows() <= n && stored.cols() <= n,
             "stored block {}x{} exceeds crossbar {}",
             stored.rows(),
             stored.cols(),
-            self.n
+            n
         );
         if let Some(perm) = row_perm {
             assert_eq!(perm.len(), stored.rows(), "row permutation length mismatch");
-            assert!(
-                perm.iter().all(|&p| p < self.n),
-                "row permutation out of range"
-            );
+            assert!(perm.iter().all(|&p| p < n), "row permutation out of range");
         }
         fare_obs::counters::RERAM_CROSSBARS_CORRUPTED.incr();
         let mut out = stored.clone();
         for logical in 0..stored.rows() {
             let physical = row_perm.map_or(logical, |p| p[logical]);
-            for &(c, pol) in &self.rows[physical] {
+            for (c, pol) in self.row_faults(physical) {
                 if c >= stored.cols() {
-                    continue;
+                    break;
                 }
                 out[(logical, c)] = match pol {
                     StuckPolarity::StuckAtZero => 0.0,
@@ -295,10 +271,9 @@ impl Crossbar {
     /// Panics if `physical` is out of range or `row` is wider than the
     /// crossbar.
     pub fn row_mismatch(&self, row: &[f32], physical: usize) -> usize {
-        assert!(row.len() <= self.n, "row wider than crossbar");
-        self.rows[physical]
-            .iter()
-            .filter(|&&(c, pol)| {
+        assert!(row.len() <= self.n(), "row wider than crossbar");
+        self.row_faults(physical)
+            .filter(|&(c, pol)| {
                 c < row.len()
                     && match pol {
                         StuckPolarity::StuckAtZero => row[c] > 0.5,
@@ -317,10 +292,9 @@ impl Crossbar {
     /// Panics if `physical` is out of range or `row` is wider than the
     /// crossbar.
     pub fn row_sa1_mismatch(&self, row: &[f32], physical: usize) -> usize {
-        assert!(row.len() <= self.n, "row wider than crossbar");
-        self.rows[physical]
-            .iter()
-            .filter(|&&(c, pol)| c < row.len() && pol == StuckPolarity::StuckAtOne && row[c] <= 0.5)
+        assert!(row.len() <= self.n(), "row wider than crossbar");
+        self.row_faults(physical)
+            .filter(|&(c, pol)| c < row.len() && pol == StuckPolarity::StuckAtOne && row[c] <= 0.5)
             .count()
     }
 
@@ -341,12 +315,12 @@ impl Crossbar {
     /// Panics if `physical` is out of range or `row_bits` is not exactly
     /// `words()` long.
     pub fn row_mismatch_packed(&self, row_bits: &[u64], physical: usize) -> usize {
-        assert_eq!(row_bits.len(), self.words, "packed row width mismatch");
-        let base = physical * self.words;
+        assert_eq!(row_bits.len(), self.words(), "packed row width mismatch");
+        let (sa0, sa1) = (self.sa0.row(physical), self.sa1.row(physical));
         let mut hits = 0u32;
-        for (w, &row) in row_bits.iter().enumerate() {
-            hits += (self.sa0_bits[base + w] & row).count_ones();
-            hits += (self.sa1_bits[base + w] & !row).count_ones();
+        for ((&row, &z), &o) in row_bits.iter().zip(sa0).zip(sa1) {
+            hits += (z & row).count_ones();
+            hits += (o & !row).count_ones();
         }
         hits as usize
     }
@@ -359,11 +333,10 @@ impl Crossbar {
     /// Panics if `physical` is out of range or `row_bits` is not exactly
     /// `words()` long.
     pub fn row_sa1_mismatch_packed(&self, row_bits: &[u64], physical: usize) -> usize {
-        assert_eq!(row_bits.len(), self.words, "packed row width mismatch");
-        let base = physical * self.words;
+        assert_eq!(row_bits.len(), self.words(), "packed row width mismatch");
         let mut hits = 0u32;
-        for (w, &row) in row_bits.iter().enumerate() {
-            hits += (self.sa1_bits[base + w] & !row).count_ones();
+        for (&row, &o) in row_bits.iter().zip(self.sa1.row(physical)) {
+            hits += (o & !row).count_ones();
         }
         hits as usize
     }
@@ -372,7 +345,6 @@ impl Crossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::PackedRows;
 
     #[test]
     fn new_crossbar_fault_free() {
@@ -394,8 +366,8 @@ mod tests {
         assert_eq!(x.sa0_count(), 1);
         assert_eq!(x.sa1_count(), 1);
         // Sorted by column.
-        assert_eq!(x.row_faults(1)[0].0, 0);
-        assert_eq!(x.row_faults(1)[1].0, 2);
+        let cols: Vec<usize> = x.row_faults(1).map(|(c, _)| c).collect();
+        assert_eq!(cols, vec![0, 2]);
         assert_eq!(x.faulty_rows(), vec![1]);
         assert_eq!(x.fault_version(), 2);
     }
@@ -415,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_counts_match_recount() {
+    fn counts_match_recount() {
         let mut rng = fare_rt::rng(5);
         use fare_rt::rand::Rng;
         let mut x = Crossbar::new(70); // straddles a word boundary
@@ -429,19 +401,15 @@ mod tests {
             };
             x.inject_fault(r, c, pol);
         }
-        let recount: usize = (0..70)
-            .map(|r| x.row_faults(r).len())
-            .collect::<Vec<_>>()
-            .iter()
-            .sum();
+        let recount: usize = (0..70).map(|r| x.row_faults(r).count()).sum();
         let sa0_recount = (0..70)
-            .flat_map(|r| x.row_faults(r).iter())
-            .filter(|&&(_, p)| p == StuckPolarity::StuckAtZero)
+            .flat_map(|r| x.row_faults(r))
+            .filter(|&(_, p)| p == StuckPolarity::StuckAtZero)
             .count();
         assert_eq!(x.fault_count(), recount);
         assert_eq!(x.sa0_count(), sa0_recount);
         assert_eq!(x.sa1_count(), recount - sa0_recount);
-        // Packed planes agree with the sparse lists cell by cell.
+        // Packed planes agree with `fault_at` cell by cell.
         for r in 0..70 {
             for c in 0..70 {
                 let bit0 = x.sa0_row_bits(r)[c / 64] >> (c % 64) & 1 == 1;

@@ -237,7 +237,7 @@ impl WeightFabric {
         let (gi, pr) = (physical / self.n, physical % self.n);
         for gj in 0..self.grid_cols {
             let mut pending: Option<(usize, CellMasks)> = None;
-            for &(pc, pol) in self.array.crossbar(gi * self.grid_cols + gj).row_faults(pr) {
+            for (pc, pol) in self.array.crossbar(gi * self.grid_cols + gj).row_faults(pr) {
                 let col = gj * self.weights_per_row + pc / CELLS_PER_WORD;
                 if col >= self.cols {
                     break; // faults are sorted by column: the rest is padding too
@@ -347,7 +347,7 @@ mod tests {
                     if logical >= f.rows {
                         continue;
                     }
-                    for &(pc, pol) in xbar.row_faults(pr) {
+                    for (pc, pol) in xbar.row_faults(pr) {
                         let col = gj * f.weights_per_row + pc / CELLS_PER_WORD;
                         if col < f.cols {
                             per_weight
@@ -373,7 +373,7 @@ mod tests {
         for gj in 0..f.grid_cols {
             let xbar = f.array.crossbar(gi * f.grid_cols + gj);
             let mut per_col: BTreeMap<usize, Vec<(usize, StuckPolarity)>> = BTreeMap::new();
-            for &(pc, pol) in xbar.row_faults(pr) {
+            for (pc, pol) in xbar.row_faults(pr) {
                 let col = gj * f.weights_per_row + pc / CELLS_PER_WORD;
                 if col < f.cols {
                     per_col

@@ -1,10 +1,13 @@
-//! Property tests pinning the packed SA0/SA1 fault bit-planes to a
-//! naive per-cell model (ISSUE 4 satellite).
+//! Property tests pinning a crossbar's packed SA0/SA1 fault planes, its
+//! only fault state, to a naive per-cell model.
 //!
-//! The mapping fast path trusts three things about `Crossbar`:
+//! The mapping and the corruption paths trust three things about
+//! `Crossbar`:
 //!
-//! 1. the packed planes returned by `fault_bits` / `sa0_row_bits` /
-//!    `sa1_row_bits` mirror the sparse per-row fault list exactly,
+//! 1. everything read from the planes equals the naive model: the
+//!    planes themselves (`fault_bits` / `sa0_row_bits` / `sa1_row_bits`),
+//!    the per-row walk `row_faults`, the cell query `fault_at` and the
+//!    three popcount totals,
 //! 2. the popcount mismatch kernels (`row_mismatch_packed`,
 //!    `row_sa1_mismatch_packed`) equal a per-cell recount,
 //! 3. `fault_version` ticks on **every** mutation (the `RemapCache`
@@ -13,8 +16,8 @@
 //! Each property drives a random *mutation sequence* — interleaved
 //! injections (both polarities, including overwrites of the same cell)
 //! and full clears — and rechecks the invariants after every step, so a
-//! cached-count or stale-bit bug cannot hide behind a single-shot
-//! construction.
+//! stale bit left by an overwrite or a clear cannot hide behind a
+//! single-shot construction.
 
 use fare_reram::bits::PackedRows;
 use fare_reram::{Crossbar, StuckPolarity};
@@ -79,7 +82,7 @@ fn check_planes(xbar: &Crossbar, naive: &NaiveFaults) {
     let words = xbar.words();
     let (sa0, sa1) = xbar.fault_bits();
 
-    // Cached counts equal the per-cell recount…
+    // The totals equal the per-cell recount…
     prop_assert_eq!(xbar.sa0_count(), naive.count(StuckPolarity::StuckAtZero));
     prop_assert_eq!(xbar.sa1_count(), naive.count(StuckPolarity::StuckAtOne));
     prop_assert_eq!(xbar.fault_count(), xbar.sa0_count() + xbar.sa1_count());
@@ -91,11 +94,11 @@ fn check_planes(xbar: &Crossbar, naive: &NaiveFaults) {
     for r in 0..n {
         prop_assert_eq!(&sa0[r * words..(r + 1) * words], xbar.sa0_row_bits(r));
         prop_assert_eq!(&sa1[r * words..(r + 1) * words], xbar.sa1_row_bits(r));
-        // The sparse row list is the naive row's faults, sorted by column.
+        // The row walk yields the naive row's faults, sorted by column.
         let naive_row: Vec<(usize, StuckPolarity)> = (0..n)
             .filter_map(|c| naive.cells[r * n + c].map(|p| (c, p)))
             .collect();
-        prop_assert_eq!(xbar.row_faults(r), naive_row.as_slice());
+        prop_assert_eq!(xbar.row_faults(r).collect::<Vec<_>>(), naive_row);
         for c in 0..n {
             let bit0 = sa0[r * words + c / 64] >> (c % 64) & 1 == 1;
             let bit1 = sa1[r * words + c / 64] >> (c % 64) & 1 == 1;
@@ -148,8 +151,8 @@ fn random_stored(n: usize, rng: &mut StdRng, p: f64) -> Matrix {
 }
 
 proptest! {
-    // Random mutation sequences keep the packed planes, the cached
-    // counts and the popcount kernels bit-consistent with the naive
+    // Random mutation sequences keep the packed planes, everything read
+    // from them and the popcount kernels bit-consistent with the naive
     // per-cell model at every step.
     #[test]
     fn planes_and_kernels_match_naive_recount_under_mutation(
@@ -171,7 +174,7 @@ proptest! {
                 let r = rng.gen_range(0..n);
                 let c = rng.gen_range(0..n);
                 // Bias towards re-injecting hot cells so polarity
-                // overwrites (the dec/inc count path) actually happen.
+                // overwrites (a bit moving between planes) actually happen.
                 let (r, c) = if step > 0 && rng.gen_bool(0.3) { (r % 3, c % 3) } else { (r, c) };
                 let pol = if rng.gen_bool(0.5) {
                     StuckPolarity::StuckAtZero

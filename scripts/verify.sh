@@ -182,6 +182,15 @@ echo "==> sparse adjacency fault path against the dense oracle across thread cou
 FARE_RT_THREADS=1 cargo test -q --offline -p fare-core --test sparse_adjacency
 FARE_RT_THREADS=3 cargo test -q --offline -p fare-core --test sparse_adjacency
 
+echo "==> crossbar fault planes against the naive per-cell model"
+# A crossbar's only fault state is its two packed SA0/SA1 planes. A
+# property test drives random injections (overwrites included) and
+# clears at widths on both sides of one 64-bit word, and checks the
+# planes, the row walk row_faults, fault_at, the popcount totals, the
+# mismatch kernels and fault_version against a dense per-cell model
+# after every step.
+FARE_RT_THREADS=1 cargo test -q --offline -p fare-reram --test fault_bitplanes
+
 echo "==> weight fault overlay against the per-read oracle"
 # Weight reads go through a cached per-weight AND/OR mask overlay. A
 # property test pins it by to_bits to the old per-read HashMap fault
@@ -194,10 +203,14 @@ echo "==> the readers a binary runs reject bad input with an error, not an abort
 # fare-report must exit 2 on a manifest it cannot read or render;
 # seeded mutations of the golden manifest and JSONL trace must parse or
 # error, and every mutant that parses must summarize, diff, render and
-# plot; every fare-bench binary must exit 2 on a bad or unknown flag
-# before any work.
+# plot; seeded mutations of a dataset's edge list, label and feature
+# files must read or error, and every dataset that assembles must have
+# one label and one feature row per node; every fare-bench binary must
+# exit 2 on a bad or unknown flag, or a flag given as another flag's
+# value, before any work.
 cargo test -q --offline --test report_cli
 cargo test -q --offline --test reader_props
+cargo test -q --offline -p fare-graph --test dataset_props
 cargo test -q --offline -p fare-bench --test train_cli
 
 echo "==> golden telemetry trace across thread counts"
